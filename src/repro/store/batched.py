@@ -20,37 +20,51 @@ before every summary observation), and integer counters — so they fire
 (epoch periods, chaos events) instead of event-sized, which is what
 makes batching pay off.
 
-Within a window the engine sorts each arrival into one of three buckets:
+Every window runs through **one pipeline of four stages**, whatever the
+store's configuration, and leaves each arrival with one of **three
+outcomes** — *bulk*, *hybrid* or *escalated*:
 
-``A`` — *fully bulk*.  Clean reads (client and all quorum targets up,
-    links uncut and loss-free, replicas installed) that complete
-    strictly before the window's cutoff and carry no timeout risk.
-    All their effects — traffic counters, delivery histograms, summary
-    folds (deferred), access-log records — are applied vectorized.
-``B`` — *hybrid*.  Clean-at-issue reads that outlive the window or may
-    time out.  Send-side accounting is bulk; request deliveries and the
-    retry timeout become real (inert) heap events via
-    :meth:`StorageClient.materialize_read`, so replies, retries and
-    timeouts run through the untouched per-event machinery and observe
-    any barrier-time state change for real.
-``C`` — *escalated*.  Writes; reads whose issue legs are not provably
-    clean (down nodes, cut or lossy links, missing replicas); and reads
-    issued at or after the window's **first write** (the write chain
-    bumps versions, so the staleness bound must be read live).  Each is
-    scheduled as a real ``client.read``/``client.write`` event at its
-    tick time — byte-identical behaviour including ``"net.loss"`` RNG
-    draws in heap order.  Writes are barriers; escalated reads are
-    inert.
+1. *route* — writes escalate, and so does every read issued at or after
+   the window's **first write** (the write chain bumps versions, so the
+   staleness bound must be read live).  The other reads are grouped by
+   ``(client, key)``: a group whose issue legs are not provably clean
+   (down nodes, cut or lossy links, missing replicas) escalates too,
+   the rest get one frozen :class:`_GroupInfo` and leg arrivals
+   ``t + d1``.
+2. *admit* — each leg's service-completion time: its arrival when
+   ``store.queueing`` is inactive, the closed-form per-server Lindley
+   pass (:meth:`ServerQueue.admit_block`, trial then commit) when it is
+   active.  Reads that complete strictly before the window's cutoff and
+   carry no timeout risk are bulk; those that outlive the window or may
+   time out are hybrid.
+3. *serve* — all effects of a bulk read — traffic counters, delivery
+   histograms, summary folds (deferred), access-log records — are
+   applied vectorized.  For a hybrid read only send-side accounting is
+   bulk; request deliveries and the retry timeout become real (inert)
+   heap events via :meth:`StorageClient.materialize_read`, so replies,
+   retries and timeouts run through the untouched per-event machinery
+   and observe any barrier-time state change for real.
+4. *escalate* — each escalated arrival is scheduled as a real
+   ``client.read``/``client.write`` event at its tick time —
+   byte-identical behaviour including ``"net.loss"`` RNG draws in heap
+   order.  Writes are barriers; escalated reads are inert.
 
-The window cutoff is ``min(bound, first write issue time)``: an A item's
-entire effect chain completes strictly before anything non-bulk can
-touch shared state, so state frozen at classification time is the state
-every A effect would have observed.
+Pending-aware selection strategies (every issued read changes the next
+ranking) and capacity-bounded queues (admission depends on live depth)
+escalate *every* arrival; the engine derives that from
+``store.strategy.supports_bulk`` and ``store.queueing``, never from a
+switch.
 
-Residual divergence is measure-zero tie-breaking (two floating-point
-event times colliding exactly) plus float summation order inside
-histogram *sum* fields; the differential test suite pins everything
-else bitwise.
+The window cutoff is ``min(bound, first write issue time)``: a bulk
+read's entire effect chain completes strictly before anything non-bulk
+can touch shared state, so state frozen at classification time is the
+state every bulk effect would have observed.
+
+Without queueing, residual divergence is measure-zero tie-breaking (two
+floating-point event times colliding exactly) plus float summation
+order inside histogram *sum* fields; the differential test suite pins
+everything else bitwise.  With queueing the admit stage is a bounded
+approximation — see :meth:`BatchedAccessEngine._admit`.
 """
 
 from __future__ import annotations
@@ -61,7 +75,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.controller import ReplicationController
 from repro.sim.simulator import Simulator
 from repro.store.consistency import QuorumError
 from repro.store.kvstore import REQUEST_BYTES, ReplicatedStore
@@ -128,8 +141,8 @@ class BatchedAccessEngine:
         self._queue_mode = queueing is not None and queueing.active
         # Pending-aware selection strategies re-rank after every issued
         # read, and capacity-bounded queues admit based on live depth —
-        # neither survives the frozen-window argument, so those runs
-        # replay every arrival through the (exact) per-event path.
+        # neither survives the frozen-window argument, so in those runs
+        # the route stage escalates every arrival (exact, not fast).
         self._escalate_all = (not store.strategy.supports_bulk
                               or (self._queue_mode
                                   and queueing.queue_capacity is not None))
@@ -182,65 +195,46 @@ class BatchedAccessEngine:
         barriers no classification-relevant state changes, which is
         what makes bulk delivery exact.
         """
-        batch = self.source.generate_until(bound)
-        if batch.size == 0:
-            return
         registry = obs.get_registry()
         with registry.phase("sim.batched.advance"):
-            if self._escalate_all:
-                self._escalate_batch(batch)
-            elif self._queue_mode:
-                self._process_queued(batch, float(bound))
-            else:
-                self._process(batch, float(bound))
+            with registry.phase("sim.batched.arrivals"):
+                batch = self.source.generate_until(bound)
+            if batch.size:
+                self._serve_window(batch, float(bound), registry)
 
-    def _escalate_batch(self, batch: ArrivalBatch) -> None:
-        """Exact mode: replay every arrival through the per-event path.
+    def _serve_window(self, batch: ArrivalBatch, bound: float,
+                      registry) -> None:
+        """One window through the pipeline: route, admit, serve, escalate."""
+        self.operations_issued += batch.size
+        timeout = self.store.read_timeout_ms
+        with registry.phase("sim.batched.route"):
+            escalate, cutoff, groups, hopeless = self._route(batch, bound,
+                                                             timeout)
+        with registry.phase("sim.batched.admit"):
+            admitted = self._admit(groups, cutoff, timeout)
+        with registry.phase("sim.batched.serve"):
+            self._serve(groups, admitted, hopeless)
+        with registry.phase("sim.batched.escalate"):
+            self._escalate(batch, escalate)
 
-        Used when routing or admission is state-dependent in ways no
-        frozen-window argument covers: pending-aware selection
-        strategies (every issued read changes the next ranking) and
-        capacity-bounded queues (admission depends on live depth).
-        Byte-identical to the per-event oracle — correct, not fast.
+    def _route(self, batch: ArrivalBatch, bound: float,
+               timeout: float | None) -> tuple:
+        """Stage 1: who escalates, and the frozen route of everyone else.
+
+        Returns the escalation mask, the window cutoff, ``(info, issue
+        times, leg arrivals)`` per (client, key) group with candidates,
+        and ``(info, issue times)`` of reads late even with no queue wait.
         """
-        n = batch.size
-        self.operations_issued += n
-        store = self.store
-        sim = self.sim
-        keys = self.source.keys
         t = batch.times
-        clients = batch.clients
-        key_idx = batch.key_idx
-        is_write = batch.is_write
-        for i in range(n):
-            client = store.clients[int(clients[i])]
-            if is_write[i]:
-                sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
-            else:
-                sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
-                                inert=True)
-
-    # ------------------------------------------------------------------
-    def _process(self, batch: ArrivalBatch, bound: float) -> None:
-        store = self.store
-        sim = self.sim
-        net = store.network
-        keys = self.source.keys
-        nkeys = len(keys)
-        n = batch.size
-        self.operations_issued += n
-        t = batch.times
-        clients = batch.clients
-        key_idx = batch.key_idx
-        is_write = batch.is_write
-        timeout = store.read_timeout_ms
-
+        if self._escalate_all:
+            return np.ones(t.size, dtype=bool), bound, [], []
         # Writes escalate; so does every read issued at or after the
         # window's first write — its staleness bound and reply versions
         # race the write chain and must be read live, in heap order.
         # Reads issued before the first write are untouched: a write's
         # earliest effect (its request delivery) lands strictly after
         # its issue time, which caps the window cutoff below.
+        is_write = batch.is_write
         escalate = np.array(is_write, dtype=bool, copy=True)
         cutoff = bound
         if is_write.any():
@@ -248,28 +242,17 @@ class BatchedAccessEngine:
             cutoff = min(bound, first_write)
             escalate |= t >= first_write
 
-        # ---- group accesses by (client, key): route and leg delays are
+        # Group accesses by (client, key): route and leg delays are
         # constant per pair within the window.
-        gid = clients * nkeys + key_idx
-        uniq, inverse, counts = np.unique(gid, return_inverse=True,
-                                          return_counts=True)
+        keys = self.source.keys
+        nkeys = len(keys)
+        uniq, inverse, counts = np.unique(
+            batch.clients * nkeys + batch.key_idx,
+            return_inverse=True, return_counts=True)
         order = np.argsort(inverse, kind="stable")
         offsets = np.concatenate(([0], np.cumsum(counts)))
-
-        registry = obs.get_registry()
-        tracer = obs.get_tracer() if registry.enabled else None
-        log = store.log
-        planar = store.planar_coords()
-        req_senders: list[np.ndarray] = []
-        req_sizes: list[np.ndarray] = []
-        rep_senders: list[np.ndarray] = []
-        rep_sizes: list[np.ndarray] = []
-        deliver_recipients: list[np.ndarray] = []
-        deliver_sizes: list[np.ndarray] = []
-        deliver_delays: list[np.ndarray] = []
-        served = 0
-        delay_blocks: list[np.ndarray] = []
-
+        groups: list[tuple] = []
+        hopeless: list[tuple] = []
         for g, gval in enumerate(uniq.tolist()):
             idx = order[offsets[g]:offsets[g + 1]]
             ridx = idx[~escalate[idx]]
@@ -280,53 +263,164 @@ class BatchedAccessEngine:
                 escalate[ridx] = True
                 continue
             tg = t[ridx]
-            q = len(info.targets)
+            if self._queue_mode:
+                # Reads past the cutoff or timeout horizon even with
+                # zero queue wait cannot be bulk-served regardless of
+                # backlog: they go hybrid without entering the trial
+                # recursion (and without consuming a service draw).
+                opt = tg + float((info.d1 + info.d2).max())
+                sel = opt < cutoff
+                if timeout is not None:
+                    sel &= opt < tg + timeout
+                if not sel.all():
+                    hopeless.append((info, tg[~sel]))
+                    tg = tg[sel]
+                    if tg.size == 0:
+                        continue
             # Left-associated float sums, exactly as the event chain
             # computes them: arrival = t + d1, completion = (t+d1) + d2.
-            arrivals = tg[:, None] + info.d1[None, :]
-            completions = arrivals + info.d2[None, :]
-            comp = completions.max(axis=1)
-            a_sel = comp < cutoff
+            groups.append((info, tg, tg[:, None] + info.d1[None, :]))
+        return escalate, cutoff, groups, hopeless
+
+    def _admit(self, groups: list[tuple], cutoff: float,
+               timeout: float | None) -> list[tuple]:
+        """Stage 2: when each leg's service completes, and who is late.
+
+        Returns ``(finishes, replies, completion, late)`` per group.
+        Without active queueing a leg is served the instant it arrives.
+        With it, the per-event oracle admits each read leg into its
+        server's FIFO at delivery time (Lindley: ``finish = max(arrival,
+        busy_until) + service``); this stage reproduces that in bulk:
+        all provably-clean legs of the window are sorted per server by
+        arrival time and pushed through the same recursion in closed
+        form (:meth:`ServerQueue.admit_block`), sharing ``ServerQueue.
+        busy_until`` with the per-event path so escalations and bulk
+        windows drain one backlog.
+
+        A read whose *queued* completion crosses the cutoff or the
+        timeout horizon cannot be known clean until the recursion has
+        run, so such reads are **demoted** post-hoc — the recursion is
+        re-run without their legs (waits only shrink, so no new
+        demotions arise), and they re-enter through ``materialize_read``
+        exactly like a hybrid item, admitting per-event against the
+        committed backlog.  Every demotion or materialization is one
+        admission processed out of the oracle's FIFO order; each such
+        admission perturbs any single access's wait by at most one
+        service time, which gives the documented, test-asserted error
+        bound: with deterministic service ``s``, per-access delay
+        differs from the oracle by at most ``(per-event admissions in
+        the run) * s`` (zero when every read is bulk-served).
+        Stochastic service adds draw-order skew: bulk draws consume the
+        ``"service"`` stream in global arrival order, the oracle in
+        heap order — identical sample *sets* per window only when
+        nothing demotes.
+        """
+        def complete(fin, info, tg):
+            reply = fin + info.d2[None, :]
+            comp = reply.max(axis=1)
+            late = comp >= cutoff
             if timeout is not None:
                 # A completion at or past the timeout means the timeout
                 # event (scheduled at issue, hence lower seq) fires
                 # first — the retry machinery must run for real.
-                a_sel &= comp < tg + timeout
-            b_ridx = ridx[~a_sel]
-            if b_ridx.size:
-                # Hybrid: bulk request-send accounting, real (inert)
-                # deliveries + timeout via the client hook.
-                req_senders.append(np.full(q * b_ridx.size, info.client))
-                req_sizes.append(np.full(q * b_ridx.size, REQUEST_BYTES))
-                client = store.clients[info.client]
-                leg_delays = info.d1.tolist()
-                for issued_at in t[b_ridx].tolist():
-                    client.materialize_read(info.key, issued_at,
-                                            info.targets, leg_delays)
-            if not a_sel.any():
+                late |= comp >= tg + timeout
+            return fin, reply, comp, late
+
+        if not (self._queue_mode and groups):
+            return [complete(arr, info, tg) for info, tg, arr in groups]
+
+        leg_arr = np.concatenate([arr.ravel() for _, _, arr in groups])
+        leg_srv = np.concatenate([np.tile(np.asarray(info.targets), tg.size)
+                                  for info, tg, _ in groups])
+        # Draws consumed in global arrival order — the order the
+        # oracle's heap would deliver the requests.
+        services = np.empty(leg_arr.size)
+        services[np.argsort(leg_arr, kind="stable")] = \
+            self.store.queueing.sample_service_block(self.sim, leg_arr.size)
+        finishes = np.empty(leg_arr.size)
+        ends = np.cumsum([arr.size for _, _, arr in groups])
+
+        def recurse(rec, commit):
+            # ``rec`` is sorted by server, then arrival time: one block
+            # admission per server segment.  A committed backlog is what
+            # every later per-event admission (escalated, demoted or
+            # next-window) queues behind.
+            cuts = np.flatnonzero(np.diff(leg_srv[rec])) + 1
+            for sel in np.split(rec, cuts):
+                if sel.size:
+                    queue = self.store.servers[int(leg_srv[sel[0]])].queue
+                    finishes[sel] = queue.admit_block(
+                        leg_arr[sel], services[sel], commit)
+
+        def completed():  # per group, over its (reads, legs) view
+            return [complete(block.reshape(arr.shape), info, tg)
+                    for (info, tg, arr), block
+                    in zip(groups, np.split(finishes, ends[:-1]))]
+
+        rec = np.lexsort((leg_arr, leg_srv))
+        recurse(rec, commit=False)
+        lates = [late for _, _, _, late in completed()]
+        retained = np.concatenate([np.repeat(~late, len(group[0].targets))
+                                   for late, group in zip(lates, groups)])
+        self.queue_demotions += sum(int(late.sum()) for late in lates)
+        self.bulk_queue_admissions += int(retained.sum())
+        # Commit pass: excluding demoted legs only shrinks waits, so the
+        # retained set is final after one re-run.
+        recurse(rec[retained[rec]], commit=True)
+        return [done[:3] + (late,) for done, late in zip(completed(), lates)]
+
+    def _serve(self, groups: list[tuple], admitted: list[tuple],
+               hopeless: list[tuple]) -> None:
+        """Stage 3: on-time reads land vectorized in the order-tolerant
+        sinks (deferred summary folds, traffic counters, access log);
+        late ones go hybrid — bulk request-send accounting, real (inert)
+        deliveries + timeout via the client hook."""
+        if not (groups or hopeless):
+            return
+        store = self.store
+        net = store.network
+        registry = obs.get_registry()
+        tracer = obs.get_tracer() if registry.enabled else None
+        log = store.log
+        planar = store.planar_coords()
+        # Traffic legs as parallel-array rows, concatenated at the end.
+        requests: list[tuple] = []    # (senders, sizes)
+        replies: list[tuple] = []     # (senders, sizes)
+        deliveries: list[tuple] = []  # (recipients, sizes, delays)
+        delay_blocks: list[np.ndarray] = []
+
+        def go_hybrid(info: _GroupInfo, times: np.ndarray) -> None:
+            legs = len(info.targets) * times.size
+            requests.append((np.full(legs, info.client),
+                             np.full(legs, REQUEST_BYTES)))
+            client = store.clients[info.client]
+            leg_delays = info.d1.tolist()
+            for issued_at in times.tolist():
+                client.materialize_read(info.key, issued_at, info.targets,
+                                        leg_delays)
+
+        for (info, tg, arr), (fin, reply, comp, late) in zip(groups, admitted):
+            if late.any():
+                go_hybrid(info, tg[late])
+            keep = ~late
+            if not keep.any():
                 continue
-            ta = tg[a_sel]
-            arr = arrivals[a_sel]
-            cmp_legs = completions[a_sel]
-            comp_a = comp[a_sel]
-            delays = comp_a - ta
-            m = ta.size
-            served += m
+            tg, arr, fin, reply, comp = (tg[keep], arr[keep], fin[keep],
+                                         reply[keep], comp[keep])
+            delays = comp - tg
+            m = tg.size
             delay_blocks.append(delays)
 
             # Freshest server: replies arrive in per-leg completion
             # order (stable on leg index); the oracle keeps the first
             # maximum-version reply.
-            if q == 1:
-                servers_a = itertools.repeat(info.targets[0], m)
+            if len(info.targets) == 1:
+                servers = itertools.repeat(info.targets[0], m)
             else:
-                rank = np.argsort(cmp_legs, axis=1, kind="stable")
-                versions_ranked = info.versions[rank]
-                first_max = versions_ranked.argmax(axis=1)
+                rank = np.argsort(reply, axis=1, kind="stable")
+                first_max = info.versions[rank].argmax(axis=1)
                 legs = rank[np.arange(m), first_max]
-                servers_a = np.asarray(info.targets)[legs].tolist()
-            version = info.vmax
-            is_stale = info.vmax < info.latest
+                servers = np.asarray(info.targets)[legs].tolist()
             coords_row = planar[info.client]
             client_ids = np.broadcast_to(info.client, (m,))
             req_bytes = np.broadcast_to(REQUEST_BYTES, (m,))
@@ -340,371 +434,70 @@ class BatchedAccessEngine:
                 # arrival time (when the event path would fold it).
                 fold_buffer.append((arr_j, info.positions[j],
                                     coords_block, weights, "read"))
+                server_ids = np.broadcast_to(server, (m,))
                 # request leg: client -> server
-                req_senders.append(client_ids)
-                req_sizes.append(req_bytes)
-                deliver_recipients.append(np.broadcast_to(server, (m,)))
-                deliver_sizes.append(req_bytes)
-                deliver_delays.append(arr_j - ta)
-                # reply leg: server -> client
-                rep_senders.append(np.broadcast_to(server, (m,)))
-                rep_sizes.append(rep_bytes)
-                deliver_recipients.append(client_ids)
-                deliver_sizes.append(rep_bytes)
-                deliver_delays.append(cmp_legs[:, j] - arr_j)
+                requests.append((client_ids, req_bytes))
+                deliveries.append((server_ids, req_bytes, arr_j - tg))
+                # reply leg: server -> client.  It departs at service
+                # completion; its network transit (the delivery delay)
+                # is still just d2.
+                replies.append((server_ids, rep_bytes))
+                deliveries.append((client_ids, rep_bytes,
+                                   reply[:, j] - fin[:, j]))
 
             # Access log: within a group completion times are monotone
             # in issue time, so appends stay sorted; across groups the
             # log re-sorts lazily.
             key = info.key
             client_id = info.client
-            rows = zip(comp_a.tolist(), delays.tolist(), servers_a)
-            if tracer is not None:
-                for when, dly, server in rows:
-                    tracer.record(obs.ACCESS_SERVED, time=when, op="read",
-                                  client=client_id, server=server, key=key,
-                                  delay_ms=dly)
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-            else:
-                for when, dly, server in rows:
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-
-        # ---- bulk traffic accounting (integer-valued, hence exact).
-        if req_senders:
-            net.account_bulk_sends("read-req", np.concatenate(req_senders),
-                                   np.concatenate(req_sizes))
-        if rep_senders:
-            net.account_bulk_sends("read-rep", np.concatenate(rep_senders),
-                                   np.concatenate(rep_sizes))
-        if deliver_recipients:
-            net.account_bulk_deliveries(np.concatenate(deliver_recipients),
-                                        np.concatenate(deliver_sizes),
-                                        np.concatenate(deliver_delays))
-        if served:
-            if registry.enabled:
-                registry.counter("accesses.served").inc(served)
-                registry.counter("store.reads").inc(served)
-                registry.histogram("access.delay_ms").observe_many(
-                    np.concatenate(delay_blocks))
-
-        # ---- escalated accesses replay through the per-event path.
-        # Writes are barriers (their chains mutate versions/placement);
-        # escalated reads stay inert.
-        cidx = np.flatnonzero(escalate)
-        for i in cidx.tolist():
-            client = store.clients[int(clients[i])]
-            if is_write[i]:
-                sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
-            else:
-                sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
-                                inert=True)
-
-    # ------------------------------------------------------------------
-    def _process_queued(self, batch: ArrivalBatch, bound: float) -> None:
-        """Queued-mode window: vectorized per-server backlog recursion.
-
-        The per-event oracle admits each read leg into its server's
-        FIFO at delivery time (Lindley: ``finish = max(arrival,
-        busy_until) + service``).  This method reproduces that in bulk:
-        all provably-clean legs of the window are sorted per server by
-        arrival time and pushed through the same recursion in closed
-        form (``f = S + cummax(max(a - S_prev, busy_until))`` with
-        ``S`` the running service sum), sharing ``ServerQueue.
-        busy_until`` with the per-event path so escalations and bulk
-        windows drain one backlog.
-
-        Classification differs from :meth:`_process` in one way: a read
-        whose *queued* completion crosses the cutoff or the timeout
-        horizon cannot be known clean until the recursion has run, so
-        such reads are **demoted** post-hoc — the recursion is re-run
-        without their legs (waits only shrink, so no new demotions
-        arise), and they re-enter through ``materialize_read`` exactly
-        like a hybrid item, admitting per-event against the committed
-        backlog.  Every demotion or materialization is one admission
-        processed out of the oracle's FIFO order; each such admission
-        perturbs any single access's wait by at most one service time,
-        which gives the documented, test-asserted error bound: with
-        deterministic service ``s``, per-access delay differs from the
-        oracle by at most ``(per-event admissions in the run) * s``
-        (zero when every read is bulk-served).  Stochastic service adds
-        draw-order skew: bulk draws consume the ``"service"`` stream in
-        global arrival order, the oracle in heap order — identical
-        sample *sets* per window only when nothing demotes.
-        """
-        store = self.store
-        sim = self.sim
-        net = store.network
-        queueing = store.queueing
-        keys = self.source.keys
-        nkeys = len(keys)
-        n = batch.size
-        self.operations_issued += n
-        t = batch.times
-        clients = batch.clients
-        key_idx = batch.key_idx
-        is_write = batch.is_write
-        timeout = store.read_timeout_ms
-
-        escalate = np.array(is_write, dtype=bool, copy=True)
-        cutoff = bound
-        if is_write.any():
-            first_write = float(t[is_write].min())
-            cutoff = min(bound, first_write)
-            escalate |= t >= first_write
-
-        gid = clients * nkeys + key_idx
-        uniq, inverse, counts = np.unique(gid, return_inverse=True,
-                                          return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-
-        registry = obs.get_registry()
-        tracer = obs.get_tracer() if registry.enabled else None
-        log = store.log
-        planar = store.planar_coords()
-        req_senders: list[np.ndarray] = []
-        req_sizes: list[np.ndarray] = []
-        rep_senders: list[np.ndarray] = []
-        rep_sizes: list[np.ndarray] = []
-        deliver_recipients: list[np.ndarray] = []
-        deliver_sizes: list[np.ndarray] = []
-        deliver_delays: list[np.ndarray] = []
-        served = 0
-        delay_blocks: list[np.ndarray] = []
-
-        # ---- stage 1: classify.  Optimistically-late reads (past the
-        # cutoff or timeout horizon even with zero queue wait) cannot
-        # be bulk-served regardless of backlog — they materialize like
-        # hybrid items up front.  The rest contribute legs.
-        groups: list[tuple] = []      # (info, candidate ridx, leg offset)
-        materialize: list[tuple] = []  # (info, issue-time array)
-        leg_arr_parts: list[np.ndarray] = []
-        leg_srv_parts: list[np.ndarray] = []
-        leg_total = 0
-        for g, gval in enumerate(uniq.tolist()):
-            idx = order[offsets[g]:offsets[g + 1]]
-            ridx = idx[~escalate[idx]]
-            if ridx.size == 0:
-                continue
-            info = self._group_info(int(gval) // nkeys, keys[gval % nkeys])
-            if info is None:
-                escalate[ridx] = True
-                continue
-            tg = t[ridx]
-            opt = tg + float((info.d1 + info.d2).max())
-            sel = opt < cutoff
-            if timeout is not None:
-                sel &= opt < tg + timeout
-            if not sel.all():
-                materialize.append((info, tg[~sel]))
-                ridx = ridx[sel]
-                tg = tg[sel]
-            if ridx.size == 0:
-                continue
-            arrivals = tg[:, None] + info.d1[None, :]
-            groups.append((info, ridx, leg_total))
-            leg_arr_parts.append(arrivals.ravel())
-            leg_srv_parts.append(np.tile(np.asarray(info.targets), tg.size))
-            leg_total += arrivals.size
-
-        # ---- stage 2: service draws + backlog recursion + demotion.
-        group_demoted: list[np.ndarray] = []
-        finishes = np.empty(leg_total)
-        if leg_total:
-            leg_arr = np.concatenate(leg_arr_parts)
-            leg_srv = np.concatenate(leg_srv_parts)
-            # Draws consumed in global arrival order — the order the
-            # oracle's heap would deliver the requests.
-            draw_order = np.argsort(leg_arr, kind="stable")
-            services = np.empty(leg_total)
-            services[draw_order] = queueing.sample_service_block(
-                sim, leg_total)
-            rec = np.lexsort((leg_arr, leg_srv))
-            self._run_backlog(leg_srv, leg_arr, services, rec, finishes,
-                              commit=False)
-            retained = np.ones(leg_total, dtype=bool)
-            demotions = 0
-            for info, ridx, start in groups:
-                q = len(info.targets)
-                m = ridx.size
-                block = finishes[start:start + m * q].reshape(m, q)
-                comp = (block + info.d2[None, :]).max(axis=1)
-                dem = comp >= cutoff
-                if timeout is not None:
-                    dem |= comp >= t[ridx] + timeout
-                group_demoted.append(dem)
-                if dem.any():
-                    demotions += int(dem.sum())
-                    retained[start:start + m * q] = np.repeat(~dem, q)
-            self.queue_demotions += demotions
-            # Commit pass: excluding demoted legs only shrinks waits,
-            # so the retained set is final after one re-run.
-            self._run_backlog(leg_srv, leg_arr, services,
-                              rec[retained[rec]], finishes, commit=True)
-
-        # ---- stage 3: commit retained reads; demote the rest.
-        for (info, ridx, start), dem in zip(groups, group_demoted):
-            q = len(info.targets)
-            tg_all = t[ridx]
-            if dem.any():
-                nd = int(dem.sum())
-                req_senders.append(np.full(q * nd, info.client))
-                req_sizes.append(np.full(q * nd, REQUEST_BYTES))
-                client = store.clients[info.client]
-                leg_delays = info.d1.tolist()
-                for issued_at in tg_all[dem].tolist():
-                    client.materialize_read(info.key, issued_at,
-                                            info.targets, leg_delays)
-            keep = ~dem
-            if not keep.any():
-                continue
-            tg = tg_all[keep]
-            m = tg.size
-            flat = np.flatnonzero(np.repeat(keep, q)) + start
-            f_block = finishes[flat].reshape(m, q)
-            arr_block = leg_arr[flat].reshape(m, q)
-            reply_block = f_block + info.d2[None, :]
-            comp = reply_block.max(axis=1)
-            delays = comp - tg
-            served += m
-            delay_blocks.append(delays)
-
-            if q == 1:
-                servers_a = itertools.repeat(info.targets[0], m)
-            else:
-                rank = np.argsort(reply_block, axis=1, kind="stable")
-                versions_ranked = info.versions[rank]
-                first_max = versions_ranked.argmax(axis=1)
-                legs = rank[np.arange(m), first_max]
-                servers_a = np.asarray(info.targets)[legs].tolist()
             version = info.vmax
             is_stale = info.vmax < info.latest
-            coords_row = planar[info.client]
-            client_ids = np.broadcast_to(info.client, (m,))
-            req_bytes = np.broadcast_to(REQUEST_BYTES, (m,))
-            rep_bytes = np.broadcast_to(info.read_size, (m,))
-            weights = np.broadcast_to(float(info.read_size), (m,))
-            coords_block = np.broadcast_to(coords_row, (m, coords_row.size))
-            fold_buffer = info.unit.fold_buffer
-            for j, server in enumerate(info.targets):
-                arr_j = arr_block[:, j]
-                fold_buffer.append((arr_j, info.positions[j],
-                                    coords_block, weights, "read"))
-                req_senders.append(client_ids)
-                req_sizes.append(req_bytes)
-                deliver_recipients.append(np.broadcast_to(server, (m,)))
-                deliver_sizes.append(req_bytes)
-                deliver_delays.append(arr_j - tg)
-                # The reply departs at service completion; its network
-                # transit (the delivery delay) is still just d2.
-                rep_senders.append(np.broadcast_to(server, (m,)))
-                rep_sizes.append(rep_bytes)
-                deliver_recipients.append(client_ids)
-                deliver_sizes.append(rep_bytes)
-                deliver_delays.append(reply_block[:, j] - f_block[:, j])
-
-            key = info.key
-            client_id = info.client
-            rows = zip(comp.tolist(), delays.tolist(), servers_a)
-            if tracer is not None:
-                for when, dly, server in rows:
+            for when, dly, server in zip(comp.tolist(), delays.tolist(),
+                                         servers):
+                if tracer is not None:
                     tracer.record(obs.ACCESS_SERVED, time=when, op="read",
                                   client=client_id, server=server, key=key,
                                   delay_ms=dly)
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
-            else:
-                for when, dly, server in rows:
-                    log.append(AccessRecord(
-                        time=when, client=client_id, server=server,
-                        key=key, delay_ms=dly, kind="read",
-                        version=version, stale=is_stale))
+                log.append(AccessRecord(
+                    time=when, client=client_id, server=server,
+                    key=key, delay_ms=dly, kind="read",
+                    version=version, stale=is_stale))
 
-        # ---- optimistically-late reads: hybrid handling.
-        for info, times in materialize:
-            q = len(info.targets)
-            req_senders.append(np.full(q * times.size, info.client))
-            req_sizes.append(np.full(q * times.size, REQUEST_BYTES))
-            client = store.clients[info.client]
-            leg_delays = info.d1.tolist()
-            for issued_at in times.tolist():
-                client.materialize_read(info.key, issued_at, info.targets,
-                                        leg_delays)
+        # Hopeless reads materialize after every group's late ones, so
+        # request ids and heap sequence numbers keep their order.
+        for info, times in hopeless:
+            go_hybrid(info, times)
 
-        # ---- bulk traffic accounting.
-        if req_senders:
-            net.account_bulk_sends("read-req", np.concatenate(req_senders),
-                                   np.concatenate(req_sizes))
-        if rep_senders:
-            net.account_bulk_sends("read-rep", np.concatenate(rep_senders),
-                                   np.concatenate(rep_sizes))
-        if deliver_recipients:
-            net.account_bulk_deliveries(np.concatenate(deliver_recipients),
-                                        np.concatenate(deliver_sizes),
-                                        np.concatenate(deliver_delays))
-        if served:
+        # ---- bulk traffic accounting (integer-valued, hence exact).
+        def columns(rows):
+            return map(np.concatenate, zip(*rows))
+
+        net.account_bulk_sends("read-req", *columns(requests))
+        if replies:
+            net.account_bulk_sends("read-rep", *columns(replies))
+            net.account_bulk_deliveries(*columns(deliveries))
             if registry.enabled:
-                registry.counter("accesses.served").inc(served)
-                registry.counter("store.reads").inc(served)
-                registry.histogram("access.delay_ms").observe_many(
-                    np.concatenate(delay_blocks))
+                delays = np.concatenate(delay_blocks)
+                registry.counter("accesses.served").inc(delays.size)
+                registry.counter("store.reads").inc(delays.size)
+                registry.histogram("access.delay_ms").observe_many(delays)
 
-        # ---- escalated accesses replay through the per-event path.
-        cidx = np.flatnonzero(escalate)
-        for i in cidx.tolist():
-            client = store.clients[int(clients[i])]
-            if is_write[i]:
-                sim.schedule_at(float(t[i]), client.write, keys[key_idx[i]])
-            else:
-                sim.schedule_at(float(t[i]), client.read, keys[key_idx[i]],
-                                inert=True)
-
-    def _run_backlog(self, leg_srv: np.ndarray, leg_arr: np.ndarray,
-                     services: np.ndarray, rec: np.ndarray,
-                     finishes: np.ndarray, commit: bool) -> None:
-        """Per-server Lindley recursion over the legs selected by ``rec``
-        (a view sorted by server, then arrival time).
-
-        Writes each leg's service-completion time into ``finishes``.
-        With ``commit``, also advances each server's ``busy_until`` to
-        its segment's final completion and books the offered/accepted
-        counters — the committed backlog every later per-event
-        admission (escalated, demoted or next-window) queues behind.
-        """
-        if rec.size == 0:
-            return
+    def _escalate(self, batch: ArrivalBatch, escalate: np.ndarray) -> None:
+        """Stage 4: replay escalated arrivals through the per-event path
+        at their tick times.  Writes are barriers (their chains mutate
+        versions/placement); escalated reads stay inert."""
         store = self.store
-        srv_sorted = leg_srv[rec]
-        splits = np.flatnonzero(np.diff(srv_sorted)) + 1
-        starts = np.concatenate(([0], splits))
-        ends = np.concatenate((splits, [srv_sorted.size]))
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            sel = rec[lo:hi]
-            queue = store.servers[int(srv_sorted[lo])].queue
-            s_seg = services[sel]
-            a_seg = leg_arr[sel]
-            # f_i = max(a_i, f_{i-1}) + s_i in closed form: with running
-            # sums S_i and c_i = a_i - S_{i-1}, the start-slack cummax
-            # gives f = S + cummax(max(c, busy_until)).
-            total = np.cumsum(s_seg)
-            slack = a_seg - (total - s_seg)
-            f = total + np.maximum.accumulate(
-                np.maximum(slack, queue.busy_until))
-            finishes[sel] = f
-            if commit:
-                queue.busy_until = float(f[-1])
-                m = hi - lo
-                queue.offered += m
-                queue.accepted += m
-                self.bulk_queue_admissions += m
+        sim = self.sim
+        keys = self.source.keys
+        idx = np.flatnonzero(escalate)
+        for when, client_id, k, is_write in zip(
+                batch.times[idx].tolist(), batch.clients[idx].tolist(),
+                batch.key_idx[idx].tolist(), batch.is_write[idx].tolist()):
+            client = store.clients[client_id]
+            if is_write:
+                sim.schedule_at(when, client.write, keys[k])
+            else:
+                sim.schedule_at(when, client.read, keys[k], inert=True)
 
     # ------------------------------------------------------------------
     def _group_info(self, client: int, key: str) -> _GroupInfo | None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,58 +100,34 @@ class StorageServer(Node):
         if key not in self.replicas:
             self._forward(message)
             return
+        now = finish = self.sim.now
         queueing = self.store.queueing
-        if queueing is None or not queueing.active:
-            # The certified fast path: identical to the pre-queueing
-            # store, byte for byte (no counters, no RNG, no events).
-            self._serve_read_now(message)
-            return
-        service = queueing.sample_service(self.sim)
-        finish = self.queue.admit(self.sim.now, service,
-                                  queueing.queue_capacity)
-        if finish is None:
-            # Queue full: the request is dropped.  The client sees it
-            # exactly like a lost message — its read timeout (if
-            # configured) fires and retries another replica.
-            self.store.queue_rejections += 1
-            registry = obs.get_registry()
-            if registry.enabled:
-                registry.counter("store.queue_rejections").inc()
-            return
-        if finish <= self.sim.now:
-            self._serve_read_now(message)
-            return
+        if queueing is not None and queueing.active:
+            # Inactive configs never get here — the certified fast path:
+            # identical to the pre-queueing store, byte for byte (no
+            # counters, no RNG, no events).
+            service = queueing.sample_service(self.sim)
+            finish = self.queue.admit(now, service, queueing.queue_capacity)
+            if finish is None:
+                # Queue full: the request is dropped.  The client sees
+                # it exactly like a lost message — its read timeout (if
+                # configured) fires and retries another replica.
+                self.store._count("queue_rejections")
+                return
         # The server snapshots the object and accounts the access at
         # admission; the reply departs when the service completes.
         version = self.replicas[key]
-        obj = self.store.object(key)
+        size_bytes = self.store.object(key).read_size_bytes
         self.store._record_server_access(self.node_id, key,
                                          message.payload["coords"],
-                                         obj.read_size_bytes, kind="read")
-        self.sim.schedule_at(finish, self._send_read_reply, message,
-                             version, obj.read_size_bytes, inert=True)
-
-    def _serve_read_now(self, message: Message) -> None:
-        key = message.payload["key"]
-        if key not in self.replicas:
-            self._forward(message)
-            return
-        version = self.replicas[key]
-        obj = self.store.object(key)
-        self.store._record_server_access(self.node_id, key,
-                                         message.payload["coords"],
-                                         obj.read_size_bytes, kind="read")
-        self.send(message.payload["client"], "read-rep",
-                  payload={"key": key, "version": version,
-                           "request_id": message.payload["request_id"]},
-                  size_bytes=obj.read_size_bytes)
-
-    def _send_read_reply(self, message: Message, version: int,
-                         size_bytes: int) -> None:
-        self.send(message.payload["client"], "read-rep",
-                  payload={"key": message.payload["key"], "version": version,
-                           "request_id": message.payload["request_id"]},
-                  size_bytes=size_bytes)
+                                         size_bytes, kind="read")
+        reply = (message.payload["client"], "read-rep",
+                 {"key": key, "version": version,
+                  "request_id": message.payload["request_id"]}, size_bytes)
+        if finish <= now:
+            self.send(*reply)
+        else:
+            self.sim.schedule_at(finish, self.send, *reply, inert=True)
 
     def _on_write(self, message: Message) -> None:
         key = message.payload["key"]
@@ -272,32 +248,8 @@ class StorageClient(Node):
         replicas if they cannot access the first" scenario.  The total
         logged delay includes the time lost waiting on dead replicas.
         """
-        targets = self.store.route_read(self.node_id, key)
-        request_id = next(self._request_ids)
-        pending = _PendingRead(
-            key=key, issued_at=self.sim.now, expected=len(targets),
-            latest_at_issue=self.store.latest_version(key))
-        self._pending_reads[request_id] = pending
-        self._issue_read(request_id, pending, targets)
-
-    def _issue_read(self, request_id: int, pending: _PendingRead,
-                    targets: Sequence[int]) -> None:
-        coords = self.store.planar_coords_of(self.node_id)
-        pending.tried.update(targets)
-        strategy = self.store.strategy
-        for server in targets:
-            pending.outstanding[server] = self.sim.now
-            strategy.note_issued(self.node_id, server)
-            self.send(server, "read-req",
-                      payload={"key": pending.key, "request_id": request_id,
-                               "coords": coords, "client": self.node_id},
-                      size_bytes=REQUEST_BYTES)
-        if self.store.read_timeout_ms is not None:
-            # Inert: a retry only re-runs the (inert) read machinery or
-            # logs a failure — both land in order-tolerant sinks.
-            pending.timeout_event = self.sim.schedule(
-                self.store.read_timeout_ms, self._on_read_timeout,
-                request_id, inert=True)
+        self._start_read(key, self.sim.now,
+                         self.store.route_read(self.node_id, key))
 
     def materialize_read(self, key: str, issued_at: float,
                          targets: Sequence[int],
@@ -310,29 +262,54 @@ class StorageClient(Node):
         :meth:`read` would have, so replies, retries and timeouts run
         through the untouched per-event machinery.
         """
+        return self._start_read(key, issued_at, targets, sent=delays)
+
+    def _start_read(self, key: str, issued_at: float,
+                    targets: Sequence[int],
+                    sent: Sequence[float] | None = None) -> int:
         request_id = next(self._request_ids)
         pending = _PendingRead(
             key=key, issued_at=issued_at, expected=len(targets),
             latest_at_issue=self.store.latest_version(key))
         self._pending_reads[request_id] = pending
-        pending.tried.update(targets)
-        coords = self.store.planar_coords_of(self.node_id)
-        strategy = self.store.strategy
-        for server, delay in zip(targets, delays):
-            pending.outstanding[server] = issued_at
-            strategy.note_issued(self.node_id, server)
-            self.sim.schedule_at(
-                issued_at + delay, self.network._deliver, Message(
-                    sender=self.node_id, recipient=server, kind="read-req",
-                    payload={"key": key, "request_id": request_id,
-                             "coords": coords, "client": self.node_id},
-                    size_bytes=REQUEST_BYTES, sent_at=issued_at),
-                inert=True)
-        if self.store.read_timeout_ms is not None:
-            pending.timeout_event = self.sim.schedule_at(
-                issued_at + self.store.read_timeout_ms,
-                self._on_read_timeout, request_id, inert=True)
+        self._issue_read(request_id, pending, targets, sent)
         return request_id
+
+    def _issue_read(self, request_id: int, pending: _PendingRead,
+                    targets: Sequence[int],
+                    sent: Sequence[float] | None = None) -> None:
+        """Issue one round of request legs and arm the retry timeout.
+
+        ``sent`` marks legs already accounted as sent at
+        ``pending.issued_at`` (one one-way delay per target): their
+        deliveries are scheduled directly instead of going through
+        :meth:`send`, and the timeout counts from the issue time.
+        """
+        now = self.sim.now if sent is None else pending.issued_at
+        coords = self.store.planar_coords_of(self.node_id)
+        pending.tried.update(targets)
+        strategy = self.store.strategy
+        for leg, server in enumerate(targets):
+            pending.outstanding[server] = now
+            strategy.note_issued(self.node_id, server)
+            payload = {"key": pending.key, "request_id": request_id,
+                       "coords": coords, "client": self.node_id}
+            if sent is None:
+                self.send(server, "read-req", payload=payload,
+                          size_bytes=REQUEST_BYTES)
+            else:
+                self.sim.schedule_at(
+                    now + sent[leg], self.network._deliver, Message(
+                        sender=self.node_id, recipient=server,
+                        kind="read-req", payload=payload,
+                        size_bytes=REQUEST_BYTES, sent_at=now),
+                    inert=True)
+        if self.store.read_timeout_ms is not None:
+            # Inert: a retry only re-runs the (inert) read machinery or
+            # logs a failure — both land in order-tolerant sinks.
+            pending.timeout_event = self.sim.schedule_at(
+                now + self.store.read_timeout_ms, self._on_read_timeout,
+                request_id, inert=True)
 
     def _on_read_timeout(self, request_id: int) -> None:
         pending = self._pending_reads.get(request_id)
@@ -353,10 +330,7 @@ class StorageClient(Node):
                 self.store.strategy.note_failure(
                     self.node_id, sorted(pending.outstanding))
                 pending.outstanding.clear()
-            self.store.failed_reads += 1
-            registry = obs.get_registry()
-            if registry.enabled:
-                registry.counter("store.read_timeouts").inc()
+            self.store._count("failed_reads", "store.read_timeouts")
             self.store.log.append(AccessRecord(
                 time=self.sim.now, client=self.node_id, server=-1,
                 key=pending.key, delay_ms=self.sim.now - pending.issued_at,
@@ -462,6 +436,15 @@ class _PendingShipment:
     #: Matches acknowledgements to this shipment (summaries only): a
     #: delayed copy from a superseded epoch must not ack a later one.
     shipment_id: int = 0
+
+
+class _RetryLoop(NamedTuple):
+    """What tells one timeout -> back off -> resend loop from another."""
+
+    pending_of: Callable  # unit -> its live {key: _PendingShipment} map
+    counter: str          # store counter bumped per retry (see ``_count``)
+    resend: Callable      # (unit, key, pending) -> None
+    give_up: Callable     # (unit, key) -> None: attempt budget exhausted
 
 
 @dataclass
@@ -600,6 +583,13 @@ class ReplicatedStore:
         self.summaries_lost = 0
         self._fold_buffering = False
         self._shipment_ids = itertools.count(1)
+        self._transfer_retries = _RetryLoop(
+            # A settled migration has nothing left to retry.
+            lambda unit: (unit.pending_transfers if unit.target is not None
+                          else {}),
+            "migration_retries",
+            lambda unit, target, _: self._send_transfer(unit, target),
+            self._abandon_transfer)
         self.candidates = tuple(int(c) for c in candidates)
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("candidate node ids must be distinct")
@@ -913,6 +903,13 @@ class ReplicatedStore:
         return [float(np.linalg.norm(coords[client] - coords[s]))
                 for s in sites]
 
+    def _count(self, attr: str, metric: str | None = None) -> None:
+        """Bump a store counter and its obs twin (``store.<attr>``)."""
+        setattr(self, attr, getattr(self, attr) + 1)
+        registry = obs.get_registry()
+        if registry.enabled:
+            registry.counter(metric or "store." + attr).inc()
+
     def queue_stats(self) -> dict[str, int]:
         """Aggregate offered/accepted/rejected counts over all servers."""
         offered = accepted = rejected = 0
@@ -1082,22 +1079,24 @@ class ReplicatedStore:
 
     def _ship_summary(self, unit: _PlacementUnit, site: int,
                       coordinator: int, size_bytes: int) -> None:
-        shipment = next(self._shipment_ids)
-        self.servers[site].send(coordinator, "summary",
-                                payload={"unit": unit.unit_key,
-                                         "shipment": shipment},
-                                size_bytes=size_bytes)
+        def send(unit, site, pending):
+            self.servers[site].send(coordinator, "summary",
+                                    payload={"unit": unit.unit_key,
+                                             "shipment": pending.shipment_id},
+                                    size_bytes=pending.size_bytes)
+
+        pending = _PendingShipment(size_bytes=size_bytes,
+                                   shipment_id=next(self._shipment_ids))
+        send(unit, site, pending)
         if self.retry_policy is None:
             return
         stale = unit.pending_summaries.pop(site, None)
         if stale is not None and stale.timeout_event is not None:
             stale.timeout_event.cancel()  # superseded by this epoch's copy
-        pending = _PendingShipment(size_bytes=size_bytes,
-                                   shipment_id=shipment)
-        pending.timeout_event = self.sim.schedule(
-            self.retry_policy.timeout_ms, self._on_summary_timeout,
-            unit.unit_key, site, coordinator)
         unit.pending_summaries[site] = pending
+        self._arm_retry(_RetryLoop(
+            lambda unit: unit.pending_summaries, "summary_retries", send,
+            lambda unit, site: self._count("summaries_lost")), unit, site)
 
     def _summary_received(self, unit_key: str, site: int,
                           shipment: int | None = None) -> None:
@@ -1116,46 +1115,44 @@ class ReplicatedStore:
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
 
-    def _on_summary_timeout(self, unit_key: str, site: int,
-                            coordinator: int) -> None:
+    # ------------------------------------------------------------------
+    # The one retry state machine (summary shipments, replica transfers)
+    # ------------------------------------------------------------------
+    def _arm_retry(self, loop: _RetryLoop, unit: _PlacementUnit,
+                   key: int) -> None:
+        loop.pending_of(unit)[key].timeout_event = self.sim.schedule(
+            self.retry_policy.timeout_ms, self._on_retry_timeout,
+            loop, unit.unit_key, key)
+
+    def _retryable(self, loop: _RetryLoop, unit_key: str, key: int):
+        """``(unit, pending)``; pending is ``None`` once the shipment was
+        acknowledged, the unit deleted, or the loop has nothing live."""
         unit = self._units.get(unit_key)
-        if unit is None:
-            return
-        pending = unit.pending_summaries.get(site)
+        return unit, (None if unit is None
+                      else loop.pending_of(unit).get(key))
+
+    def _on_retry_timeout(self, loop: _RetryLoop, unit_key: str,
+                          key: int) -> None:
+        unit, pending = self._retryable(loop, unit_key, key)
         if pending is None:
             return
         pending.timeout_event = None
-        registry = obs.get_registry()
         if pending.attempts >= self.retry_policy.max_attempts:
-            del unit.pending_summaries[site]
-            self.summaries_lost += 1
-            if registry.enabled:
-                registry.counter("store.summaries_lost").inc()
+            del loop.pending_of(unit)[key]
+            loop.give_up(unit, key)
             return
-        self.summary_retries += 1
-        if registry.enabled:
-            registry.counter("store.summary_retries").inc()
+        self._count(loop.counter)
         backoff = self.retry_policy.backoff_ms(
             pending.attempts, rng=self.sim.rng("retry-jitter"))
         pending.attempts += 1
-        self.sim.schedule(backoff, self._resend_summary,
-                          unit_key, site, coordinator)
+        self.sim.schedule(backoff, self._resend, loop, unit_key, key)
 
-    def _resend_summary(self, unit_key: str, site: int,
-                        coordinator: int) -> None:
-        unit = self._units.get(unit_key)
-        if unit is None:
-            return
-        pending = unit.pending_summaries.get(site)
+    def _resend(self, loop: _RetryLoop, unit_key: str, key: int) -> None:
+        unit, pending = self._retryable(loop, unit_key, key)
         if pending is None:
-            return  # acknowledged while the backoff ran
-        self.servers[site].send(coordinator, "summary",
-                                payload={"unit": unit_key,
-                                         "shipment": pending.shipment_id},
-                                size_bytes=pending.size_bytes)
-        pending.timeout_event = self.sim.schedule(
-            self.retry_policy.timeout_ms, self._on_summary_timeout,
-            unit_key, site, coordinator)
+            return  # acknowledged or completed while the backoff ran
+        loop.resend(unit, key, pending)
+        self._arm_retry(loop, unit, key)
 
     def _execute_migration(self, unit_key: str, old_positions: tuple[int, ...],
                            new_positions: tuple[int, ...]) -> None:
@@ -1180,11 +1177,8 @@ class ReplicatedStore:
         for target in sorted(unit.awaiting):
             self._send_transfer(unit, target)
             if self.retry_policy is not None:
-                pending = _PendingShipment(size_bytes=unit.total_size_bytes)
-                pending.timeout_event = self.sim.schedule(
-                    self.retry_policy.timeout_ms, self._on_transfer_timeout,
-                    unit_key, target)
-                unit.pending_transfers[target] = pending
+                unit.pending_transfers[target] = _PendingShipment()
+                self._arm_retry(self._transfer_retries, unit, target)
 
     def _send_transfer(self, unit: _PlacementUnit, target: int) -> None:
         """Ship the unit from the closest live holder to ``target``.
@@ -1204,46 +1198,14 @@ class ReplicatedStore:
                      "unit": unit.unit_key, "reason": "migration"},
             size_bytes=unit.total_size_bytes)
 
-    def _on_transfer_timeout(self, unit_key: str, target: int) -> None:
-        unit = self._units.get(unit_key)
-        if unit is None or unit.target is None:
-            return
-        pending = unit.pending_transfers.get(target)
-        if pending is None:
-            return  # the transfer completed in the meantime
-        pending.timeout_event = None
-        registry = obs.get_registry()
-        if pending.attempts >= self.retry_policy.max_attempts:
-            # Budget exhausted: abandon this target.  The finalize step
-            # rolls the placement back onto surviving sites.
-            del unit.pending_transfers[target]
-            unit.abandoned.add(target)
-            unit.awaiting.discard(target)
-            self.migrations_abandoned += 1
-            if registry.enabled:
-                registry.counter("store.migrations.abandoned").inc()
-            if not unit.awaiting:
-                self._finalize_migration(unit_key)
-            return
-        self.migration_retries += 1
-        if registry.enabled:
-            registry.counter("store.migration_retries").inc()
-        backoff = self.retry_policy.backoff_ms(
-            pending.attempts, rng=self.sim.rng("retry-jitter"))
-        pending.attempts += 1
-        self.sim.schedule(backoff, self._retry_transfer, unit_key, target)
-
-    def _retry_transfer(self, unit_key: str, target: int) -> None:
-        unit = self._units.get(unit_key)
-        if unit is None or unit.target is None:
-            return
-        pending = unit.pending_transfers.get(target)
-        if pending is None:
-            return  # completed while the backoff ran
-        self._send_transfer(unit, target)
-        pending.timeout_event = self.sim.schedule(
-            self.retry_policy.timeout_ms, self._on_transfer_timeout,
-            unit_key, target)
+    def _abandon_transfer(self, unit: _PlacementUnit, target: int) -> None:
+        """Budget exhausted: abandon this target.  The finalize step
+        rolls the placement back onto surviving sites."""
+        unit.abandoned.add(target)
+        unit.awaiting.discard(target)
+        self._count("migrations_abandoned", "store.migrations.abandoned")
+        if not unit.awaiting:
+            self._finalize_migration(unit.unit_key)
 
     def _migration_transfer_done(self, unit_key: str, node_id: int) -> None:
         unit = self._unit(unit_key)

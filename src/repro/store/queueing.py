@@ -141,9 +141,10 @@ class ServerQueue:
     The canonical queue state is ``busy_until`` — the instant the
     server finishes everything admitted so far.  An admission at time
     ``now`` with service ``s`` starts at ``max(now, busy_until)`` and
-    departs ``s`` later (the scalar Lindley recursion); the batched
-    engine's vectorized window recursion reads and writes the same
-    field, so per-event escalations and bulk windows share one backlog.
+    departs ``s`` later (the scalar Lindley recursion, :meth:`admit`);
+    :meth:`admit_block` is the same recursion over a whole window's
+    arrivals in closed form, on the same field, so per-event
+    escalations and bulk windows share one backlog.
 
     With a depth bound, ``completions`` additionally tracks the
     departure time of every request still queued or in service, so the
@@ -187,6 +188,28 @@ class ServerQueue:
         if capacity is not None:
             self.completions.append(finish)
         return finish
+
+    def admit_block(self, arrivals: np.ndarray, services: np.ndarray,
+                    commit: bool) -> np.ndarray:
+        """Departure times of a time-sorted block of unbounded admissions.
+
+        ``f_i = max(a_i, f_{i-1}) + s_i`` in closed form: with running
+        service sums ``S_i`` and start slack ``c_i = a_i - S_{i-1}``,
+        ``f = S + cummax(max(c, busy_until))``.  Without ``commit`` this
+        is a trial that leaves the queue untouched; with it, the backlog
+        advances to the block's last departure and every request is
+        booked as offered and accepted — the state every later
+        admission, scalar or block, queues behind.
+        """
+        total = np.cumsum(services)
+        slack = arrivals - (total - services)
+        finishes = total + np.maximum.accumulate(
+            np.maximum(slack, self.busy_until))
+        if commit:
+            self.busy_until = float(finishes[-1])
+            self.offered += arrivals.size
+            self.accepted += arrivals.size
+        return finishes
 
 
 class QueueingConfig:

@@ -22,7 +22,15 @@ Three contracts, in increasing strength:
    ``(per-event admissions) x s`` for deterministic service ``s`` —
    the bound documented in docs/queueing.md — and the per-event
    admission count is observable as ``queue offered - bulk admissions``.
+
+4. **The queued window holds still.**  Contract 3 only bounds the
+   queued-window regime against the oracle; golden digests recorded at
+   the commit before the window pipeline was unified pin it against
+   itself, bit for bit, across service models, timeouts, writes, read
+   quorums and placement epochs.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -31,7 +39,9 @@ from repro.net import LatencyMatrix
 from repro.sim import Simulator
 from repro.store import (
     BatchedAccessWorkload,
+    ConsistencyConfig,
     DeterministicService,
+    LogNormalService,
     QueueingConfig,
     ReplicatedStore,
 )
@@ -42,7 +52,8 @@ N_DC = 8
 
 
 def _build(seed, engine, *, queueing=None, strategy="nearest",
-           timeout=None):
+           timeout=None, quorum=1, write_fraction=0.0, epoch_period_ms=None,
+           rate=400.0):
     rng = np.random.default_rng(seed + 999)
     coords = rng.normal(size=(N_NODES, 2)) * 40
     rtt = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
@@ -52,13 +63,16 @@ def _build(seed, engine, *, queueing=None, strategy="nearest",
     sim = Simulator(seed=seed)
     store = ReplicatedStore(
         sim, matrix, list(range(N_DC)), coords,
+        consistency=ConsistencyConfig(read_quorum=quorum),
         read_timeout_ms=timeout, queueing=queueing, strategy=strategy)
-    store.create_object("obj", size_gb=0.5, k=3)
+    store.create_object("obj", size_gb=0.5, k=3,
+                        epoch_period_ms=epoch_period_ms)
     population = ClientPopulation.uniform(list(range(N_DC, N_NODES)))
     workload_cls = (BatchedAccessWorkload if engine == "batched"
                     else AccessWorkload)
     workload = workload_cls(store, population, ["obj"],
-                            rate_per_second=400.0)
+                            rate_per_second=rate,
+                            write_fraction=write_fraction)
     return sim, store, workload
 
 
@@ -181,3 +195,44 @@ def test_bulk_window_error_bounded_by_demoted_admissions(service_ms):
     assert w.engine.bulk_queue_admissions > 0.9 * stats["offered"]
     # Both engines drain the same offered load.
     assert stats == store_event.queue_stats()
+
+
+def _queued_window_digest(store, engine):
+    snapshot = _snapshot(store)
+    parts = (snapshot["log"], snapshot["net"], snapshot["queue_stats"],
+             snapshot["failed_reads"], store.installed_sites("obj"),
+             engine.queue_demotions, engine.bulk_queue_admissions)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+#: (seed, build config) -> sha256 recorded at parent commit 6f53e97,
+#: i.e. by the three-regime engine's queued window, before any change
+#: under src/.  A digest moves only if some observable bit of the
+#: queued-window regime does.
+QUEUED_WINDOW_GOLDENS = [
+    (21, dict(queueing=QueueingConfig(service=DeterministicService(2.0)),
+              epoch_period_ms=3_000.0),
+     "9ad8a680013f1749499827aeef0ee40bedbf11dd9e0efe78d0898a2d081eb96b"),
+    (22, dict(queueing=QueueingConfig(service=DeterministicService(4.0)),
+              timeout=80.0, write_fraction=0.05, quorum=2, rate=150.0,
+              epoch_period_ms=500.0),
+     "b25f318e5af80c764422e6d934c390d0e1396a0cc8e44dc529cab8f93c9beeb3"),
+    (23, dict(queueing=QueueingConfig(service=LogNormalService(3.0, 0.5)),
+              timeout=60.0, write_fraction=0.02, quorum=2, rate=120.0,
+              epoch_period_ms=400.0),
+     "395f7fa4ddf9a13c2eca9246cb1616c1ecff8b1c97c5ea0782141712451bd8ab"),
+    (24, dict(queueing=QueueingConfig(service=DeterministicService(6.0)),
+              timeout=120.0, write_fraction=0.10, quorum=3, rate=60.0,
+              epoch_period_ms=300.0),
+     "cc5a9c5cbacdb1d5836da012f80371e5deab6b247ba88ed0f4692fb1c9a23ce1"),
+]
+
+
+@pytest.mark.parametrize("seed, config, golden", QUEUED_WINDOW_GOLDENS,
+                         ids=[f"seed{g[0]}" for g in QUEUED_WINDOW_GOLDENS])
+def test_queued_window_matches_parent_recorded_digest(seed, config, golden):
+    """Contract 4: the queued-window regime is bit-stable against itself."""
+    store, w = _run(seed, "batched", horizon_ms=20_000.0, **config)
+    assert not w.engine._escalate_all
+    assert w.engine.bulk_queue_admissions > 0
+    assert _queued_window_digest(store, w.engine) == golden

@@ -5,10 +5,12 @@ replies)."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.net.planetlab import small_matrix
 from repro.sim import Simulator
 from repro.store import (
+    BatchedAccessWorkload,
     C3Selection,
     ConsistencyConfig,
     DeterministicService,
@@ -20,6 +22,7 @@ from repro.store import (
     ServerQueue,
     make_strategy,
 )
+from repro.workloads import ClientPopulation
 
 
 def build_store(queueing=None, strategy="nearest", consistency=None,
@@ -97,6 +100,23 @@ class TestServerQueue:
         assert queue.depth(1.0) == 2
         assert queue.depth(4.5) == 1
         assert queue.depth(9.0) == 0
+
+    def test_admit_block_is_the_scalar_recursion(self):
+        arrivals = np.array([0.0, 1.0, 1.5, 20.0, 20.0, 31.0])
+        services = np.array([5.0, 5.0, 0.5, 4.0, 6.0, 1.0])
+        scalar, block = ServerQueue(), ServerQueue()
+        for queue in (scalar, block):
+            queue.admit(0.0, 4.0)   # a backlog both start behind
+        expected = [scalar.admit(a, s) for a, s in zip(arrivals, services)]
+        trial = block.admit_block(arrivals, services, commit=False)
+        assert trial.tolist() == expected
+        # A trial leaves the queue untouched ...
+        assert (block.busy_until, block.offered, block.accepted) == (4.0, 1, 1)
+        # ... a commit leaves it where the scalar admissions did.
+        assert block.admit_block(arrivals, services,
+                                 commit=True).tolist() == expected
+        assert (block.busy_until, block.offered, block.accepted) == \
+            (scalar.busy_until, scalar.offered, scalar.accepted)
 
 
 class TestQueueingConfig:
@@ -257,3 +277,29 @@ class TestConsistencyWithQueueing:
         reads = [r for r in store.log.records if r.kind == "read"]
         assert [r.version for r in reads] == [0, 1]
         assert [r.stale for r in reads] == [False, False]
+
+
+class TestBatchedStageTimers:
+    STAGES = ("arrivals", "route", "admit", "serve", "escalate")
+
+    def test_queued_run_times_every_pipeline_stage(self):
+        queueing = QueueingConfig(service=DeterministicService(2.0))
+        with obs.observe() as (registry, _):
+            sim, _, store = build_store(queueing=queueing, timeout=80.0)
+            store.create_object("obj", k=3, epoch_period_ms=1_000.0)
+            workload = BatchedAccessWorkload(
+                store, ClientPopulation.uniform(list(range(5, 20))), ["obj"],
+                rate_per_second=600.0, write_fraction=0.01)
+            sim.run_until(5_000.0)
+        assert workload.engine.bulk_queue_admissions > 0
+        timers = registry.snapshot()["phase_timers"]
+        window = timers["sim.batched.advance"]
+        stages = [timers[f"sim.batched.{stage}"] for stage in self.STAGES]
+        # Arrival generation runs on every advance; the four window
+        # stages once per non-empty window, nested inside it.
+        assert stages[0]["calls"] == window["calls"]
+        assert len({stage["calls"] for stage in stages[1:]}) == 1
+        assert 0 < stages[1]["calls"] <= window["calls"]
+        staged = sum(stage["total_seconds"] for stage in stages)
+        assert 0.9 * window["total_seconds"] <= staged \
+            <= window["total_seconds"]

@@ -2,8 +2,9 @@
 
 Times every hot-path kernel on the full 226-node setting (k = 8
 replicas, m = 16 micro-clusters — the upper end of the paper's sweeps)
-under both backends, records the numbers in ``BENCH_kernels.json`` next
-to this module, and enforces the speedup floors:
+under each backend in turn (``use_backend``), records the numbers in
+``BENCH_kernels.json`` next to this module, and enforces the speedup
+floors:
 
 * weighted k-means and the two coordinate-distance kernels are
   embarrassingly data-parallel and must each beat the scalar oracle
@@ -64,30 +65,33 @@ def test_kernel_speedups(evaluation_world, capsys):
     client_coords = planar[list(clients)]
     stream = np.repeat(client_coords, ACCESSES, axis=0)
 
-    def time_backend(make):
-        return {b: _best(make(b)) for b in kernels.BACKENDS}
+    def time_backend(fn):
+        times = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                times[backend] = _best(fn)
+        return times
 
     workloads = {
-        "weighted_kmeans": time_backend(lambda b: (
+        "weighted_kmeans": time_backend(
             lambda: weighted_kmeans(client_coords, K,
                                     rng=np.random.default_rng(0),
-                                    n_init=4, backend=b))),
-        "cf_absorb_stream": time_backend(lambda b: (
-            lambda: OnlineClusterer(M, backend=b).extend(stream))),
-        "pairwise_distances": time_backend(lambda b: (
-            lambda: wk.pairwise_distances(planar, heights=heights,
-                                          backend=b))),
-        "cross_distances": time_backend(lambda b: (
+                                    n_init=4)),
+        "cf_absorb_stream": time_backend(
+            lambda: OnlineClusterer(M).extend(stream)),
+        "pairwise_distances": time_backend(
+            lambda: wk.pairwise_distances(planar, heights=heights)),
+        "cross_distances": time_backend(
             lambda: wk.cross_distances(
                 client_coords, planar[list(candidates)],
-                b_heights=heights[list(candidates)], backend=b))),
-        "placement_online_end_to_end": time_backend(lambda b: (
+                b_heights=heights[list(candidates)])),
+        "placement_online_end_to_end": time_backend(
             lambda: OnlineClusteringPlacement(
-                micro_clusters=M, migration_rounds=2,
-                backend=b).place(problem, np.random.default_rng(0)))),
-        "placement_offline_end_to_end": time_backend(lambda b: (
-            lambda: OfflineKMeansPlacement(backend=b).place(
-                problem, np.random.default_rng(0)))),
+                micro_clusters=M, migration_rounds=2).place(
+                    problem, np.random.default_rng(0))),
+        "placement_offline_end_to_end": time_backend(
+            lambda: OfflineKMeansPlacement().place(
+                problem, np.random.default_rng(0))),
     }
     #: Kernels making up the aggregate "paper-scale workload" bar; the
     #: end-to-end run is excluded because it also times shared

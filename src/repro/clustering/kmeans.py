@@ -10,13 +10,12 @@ offline baseline uses.
 The numeric inner loops — the full point-by-centroid distance matrix,
 the assignment, and the centroid update — live in
 :mod:`repro.kernels.wkmeans` and run on either the vectorised ``numpy``
-backend or the scalar ``python`` reference backend (the ``backend``
-argument; ``None`` follows the process-wide :mod:`repro.kernels`
-switch).  Seeding, probability draws and convergence control stay on
-the shared ``numpy.random.Generator`` so both backends consume the same
-random stream; empty clusters reseed deterministically at the point
-with the largest assignment cost — never from hidden global RNG state —
-so a fixed seed gives a fixed answer on either backend.
+backend or, under :func:`repro.kernels.use_backend`, the scalar
+``python`` reference.  Seeding, probability draws and convergence
+control stay on the shared ``numpy.random.Generator`` so both backends
+consume the same random stream; empty clusters reseed deterministically
+at the point with the largest assignment cost — never from hidden global
+RNG state — so a fixed seed gives a fixed answer on either backend.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.kernels import resolve_backend
 from repro.kernels import wkmeans as _wk
 
 __all__ = ["KMeansResult", "kmeans_pp_init", "weighted_kmeans"]
@@ -66,8 +64,7 @@ class KMeansResult:
 
 
 def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
-                   weights: np.ndarray | None = None,
-                   backend: str | None = None) -> np.ndarray:
+                   weights: np.ndarray | None = None) -> np.ndarray:
     """Weighted k-means++ seeding.
 
     The first center is drawn proportionally to point weight; each later
@@ -76,7 +73,6 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
     always come from ``rng`` — the backend only changes how ``D(x)`` is
     computed — so both backends consume the identical random stream.
     """
-    backend = resolve_backend(backend)
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -90,7 +86,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
     first = rng.choice(n, p=probs)
     centers[0] = points[first]
 
-    closest_sq = _wk.sq_distances(points, centers[:1], backend=backend)[:, 0]
+    closest_sq = _wk.sq_distances(points, centers[:1])[:, 0]
     for i in range(1, k):
         scores = weights * closest_sq
         total = scores.sum()
@@ -102,9 +98,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
             idx = rng.choice(n, p=scores / total)
         centers[i] = points[idx]
         closest_sq = np.minimum(
-            closest_sq,
-            _wk.sq_distances(points, centers[i:i + 1], backend=backend)[:, 0],
-        )
+            closest_sq, _wk.sq_distances(points, centers[i:i + 1])[:, 0])
     return centers
 
 
@@ -112,8 +106,7 @@ def weighted_kmeans(points: np.ndarray, k: int,
                     weights: np.ndarray | None = None,
                     rng: np.random.Generator | None = None,
                     max_iter: int = 100, tol: float = 1e-6,
-                    n_init: int = 4,
-                    backend: str | None = None) -> KMeansResult:
+                    n_init: int = 4) -> KMeansResult:
     """Cluster weighted points into ``k`` groups.
 
     Parameters
@@ -128,9 +121,6 @@ def weighted_kmeans(points: np.ndarray, k: int,
         Per-point non-negative weights; ``None`` means unweighted.
     n_init:
         Independent seedings; the lowest-inertia run wins.
-    backend:
-        Kernel backend (``"python"`` or ``"numpy"``); ``None`` follows
-        the process-wide :mod:`repro.kernels` switch.
 
     Returns
     -------
@@ -144,7 +134,6 @@ def weighted_kmeans(points: np.ndarray, k: int,
     >>> sorted(float(round(c[0], 2)) for c in result.centroids)
     [0.05, 9.95]
     """
-    backend = resolve_backend(backend)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if k < 1:
@@ -167,7 +156,7 @@ def weighted_kmeans(points: np.ndarray, k: int,
     best: KMeansResult | None = None
     with registry.phase("clustering.kmeans"):
         for _ in range(max(1, n_init)):
-            result = _lloyd(points, k, weights, rng, max_iter, tol, backend)
+            result = _lloyd(points, k, weights, rng, max_iter, tol)
             if best is None or result.inertia < best.inertia:
                 best = result
     assert best is not None
@@ -178,20 +167,20 @@ def weighted_kmeans(points: np.ndarray, k: int,
 
 
 def _lloyd(points: np.ndarray, k: int, weights: np.ndarray,
-           rng: np.random.Generator, max_iter: int, tol: float,
-           backend: str) -> KMeansResult:
-    centers = kmeans_pp_init(points, k, rng, weights, backend=backend)
+           rng: np.random.Generator, max_iter: int,
+           tol: float) -> KMeansResult:
+    centers = kmeans_pp_init(points, k, rng, weights)
     labels = np.zeros(points.shape[0], dtype=int)
     inertia = np.inf
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        sq = _wk.sq_distances(points, centers, backend=backend)
-        labels = _wk.assign_labels(sq, backend=backend)
-        costs = _wk.assignment_costs(sq, labels, weights, backend=backend)
+        sq = _wk.sq_distances(points, centers)
+        labels = _wk.assign_labels(sq)
+        costs = _wk.assignment_costs(sq, labels, weights)
         new_inertia = float(np.sum(costs))
 
         new_centers = _wk.update_centroids(points, labels, weights, centers,
-                                           costs, backend=backend)
+                                           costs)
 
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
@@ -200,8 +189,7 @@ def _lloyd(points: np.ndarray, k: int, weights: np.ndarray,
             break
         inertia = new_inertia
 
-    sq = _wk.sq_distances(points, centers, backend=backend)
-    labels = _wk.assign_labels(sq, backend=backend)
-    inertia = float(np.sum(
-        _wk.assignment_costs(sq, labels, weights, backend=backend)))
+    sq = _wk.sq_distances(points, centers)
+    labels = _wk.assign_labels(sq)
+    inertia = float(np.sum(_wk.assignment_costs(sq, labels, weights)))
     return KMeansResult(centers, labels, inertia, iteration)

@@ -18,7 +18,8 @@ under the paper's rule: absorb a point into the nearest cluster when it
 falls within that cluster's standard deviation, otherwise spawn a new
 cluster and merge the two closest.  The numeric work routes through
 :mod:`repro.kernels.cf`, so the same maintenance rule runs on either the
-vectorised ``numpy`` backend or the scalar ``python`` reference backend.
+vectorised ``numpy`` backend or, under
+:func:`repro.kernels.use_backend`, the scalar ``python`` reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro import obs
 from repro.kernels import cf as _cf
-from repro.kernels import resolve_backend
 
 __all__ = ["ClusterFeature", "OnlineClusterer"]
 
@@ -120,8 +120,7 @@ class ClusterFeature:
         self.linear_sum += other.linear_sum
         self.square_sum += other.square_sum
 
-    def split(self, backend: str | None = None
-              ) -> tuple["ClusterFeature", "ClusterFeature"]:
+    def split(self) -> tuple["ClusterFeature", "ClusterFeature"]:
         """Divide into two halves that merge back to this cluster.
 
         The halves sit one recovered standard deviation apart; ``count``
@@ -130,8 +129,7 @@ class ClusterFeature:
         requires ``count >= 2``.
         """
         (c1, w1, ls1, ss1), (c2, w2, ls2, ss2) = _cf.split_row(
-            self.count, self.weight, self.linear_sum, self.square_sum,
-            backend=backend)
+            self.count, self.weight, self.linear_sum, self.square_sum)
         return (ClusterFeature(_as_count(c1), w1, ls1, ss1),
                 ClusterFeature(_as_count(c2), w2, ls2, ss2))
 
@@ -166,22 +164,15 @@ class OnlineClusterer:
         would spawn (and immediately force a merge of) a cluster.  The
         floor gives young clusters a small catchment area; the ablation
         benchmark quantifies its effect.
-    backend:
-        Kernel backend (``"python"`` or ``"numpy"``); ``None`` follows
-        the process-wide :mod:`repro.kernels` switch at each call.
     """
 
-    def __init__(self, max_clusters: int, radius_floor: float = 5.0,
-                 backend: str | None = None) -> None:
+    def __init__(self, max_clusters: int, radius_floor: float = 5.0) -> None:
         if max_clusters < 1:
             raise ValueError("need at least one micro-cluster")
         if radius_floor < 0:
             raise ValueError("radius floor must be non-negative")
-        if backend is not None:
-            backend = resolve_backend(backend)
         self.max_clusters = max_clusters
         self.radius_floor = radius_floor
-        self.backend = backend
         self.clusters: list[ClusterFeature] = []
         self.points_seen = 0
         # Row-per-cluster centroid cache so the per-point nearest-cluster
@@ -210,26 +201,6 @@ class OnlineClusterer:
         """Total payload weight absorbed across all clusters."""
         return sum(c.weight for c in self.clusters)
 
-    def _nearest(self, point: np.ndarray) -> tuple[int, float]:
-        """Index of and squared distance to the nearest centroid."""
-        cache = self._centroid_cache
-        assert cache is not None
-        if resolve_backend(self.backend) == "numpy":
-            diff = cache - point[None, :]
-            sq = np.einsum("ij,ij->i", diff, diff)
-            nearest = int(np.argmin(sq))
-            return nearest, float(sq[nearest])
-        best, best_sq = 0, float("inf")
-        target = point.tolist()
-        for idx, row in enumerate(cache.tolist()):
-            acc = 0.0
-            for a, b in zip(row, target):
-                d = a - b
-                acc += d * d
-            if acc < best_sq:
-                best, best_sq = idx, acc
-        return best, best_sq
-
     def add(self, point: np.ndarray, weight: float = 1.0) -> None:
         """Process one stream point per the paper's maintenance rule."""
         point = np.asarray(point, dtype=float)
@@ -243,7 +214,7 @@ class OnlineClusterer:
                 obs.get_tracer().record(obs.MICRO_SPAWN, clusters=1)
             return
 
-        nearest, sq = self._nearest(point)
+        nearest, sq = _cf.nearest_row(self._centroid_cache, point)
         cluster = self.clusters[nearest]
         distance = float(np.sqrt(sq))
         radius = max(cluster.deviation, self.radius_floor)
@@ -269,7 +240,7 @@ class OnlineClusterer:
         """Merge the two clusters with the closest centroids."""
         centroids = self._centroid_cache
         assert centroids is not None
-        keep, drop = _cf.closest_pair(centroids, backend=self.backend)
+        keep, drop = _cf.closest_pair(centroids)
         self.clusters[keep].merge(self.clusters[drop])
         del self.clusters[drop]
         self._centroid_cache = np.delete(centroids, drop, axis=0)
@@ -333,7 +304,7 @@ class OnlineClusterer:
 
         counts, cl_weights, linear, square, stats = _cf.absorb_stream(
             counts, cl_weights, linear, square, point_array, point_weights,
-            self.radius_floor, self.max_clusters, backend=self.backend)
+            self.radius_floor, self.max_clusters)
 
         self.clusters = [
             ClusterFeature(_as_count(c), float(w), ls, ss)

@@ -16,7 +16,6 @@ and calls :meth:`run_epoch` from a periodic process.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -481,75 +480,77 @@ class ReplicationController:
 
         placement_coords = (self.dc_coords if eligible_idx is None
                             else self.dc_coords[eligible_idx])
-        started = time.perf_counter()
-        if self.config.write_aware:
-            rw_decision = place_replicas_rw(pooled, pooled_writes, self.k,
-                                            placement_coords, rng)
-            proposed_sites = rw_decision.data_centers
-            proposed_delay = rw_decision.predicted_cost
-            current_delay = estimate_rw_cost(
-                pooled, pooled_writes,
-                self.dc_coords[np.array(previous_sites)])[0]
-        else:
-            decision = place_replicas(pooled, self.k, placement_coords, rng,
-                                      self.config.use_bytes_weight)
-            proposed_sites = decision.data_centers
-            proposed_delay = decision.predicted_delay
-            current_delay = estimate_average_delay(
-                pooled, self.dc_coords[np.array(previous_sites)])
-        if eligible_idx is not None:
-            # Map positions within the eligible subset back to candidate
-            # positions — a migration can never target a partitioned-away
-            # data center, by construction.
-            proposed_sites = tuple(int(eligible_idx[p])
-                                   for p in proposed_sites)
-
-        lam = self.config.availability_lambda
-        refining = lam > 0.0 and self.domains is not None
-        cap = (self.config.max_epoch_moves if max_moves is None
-               else max(int(max_moves), 0))
-        if refining or cap is not None:
+        with registry.phase("controller.clustering"):
             if self.config.write_aware:
-                def predicted_delay_of(positions: list[int]) -> float:
-                    return float(estimate_rw_cost(
-                        pooled, pooled_writes,
-                        self.dc_coords[np.array(positions)])[0])
+                rw_decision = place_replicas_rw(pooled, pooled_writes, self.k,
+                                                placement_coords, rng)
+                proposed_sites = rw_decision.data_centers
+                proposed_delay = rw_decision.predicted_cost
+                current_delay = estimate_rw_cost(
+                    pooled, pooled_writes,
+                    self.dc_coords[np.array(previous_sites)])[0]
             else:
-                def predicted_delay_of(positions: list[int]) -> float:
-                    return float(estimate_average_delay(
-                        pooled, self.dc_coords[np.array(positions)]))
+                decision = place_replicas(pooled, self.k, placement_coords,
+                                          rng, self.config.use_bytes_weight)
+                proposed_sites = decision.data_centers
+                proposed_delay = decision.predicted_delay
+                current_delay = estimate_average_delay(
+                    pooled, self.dc_coords[np.array(previous_sites)])
+            if eligible_idx is not None:
+                # Map positions within the eligible subset back to
+                # candidate positions — a migration can never target a
+                # partitioned-away data center, by construction.
+                proposed_sites = tuple(int(eligible_idx[p])
+                                       for p in proposed_sites)
 
-            def combined_objective(positions: list[int]) -> float:
-                value = predicted_delay_of(positions)
-                if refining:
-                    value += lam * self.domains.cofailure_risk(positions)
-                return value
+            lam = self.config.availability_lambda
+            refining = lam > 0.0 and self.domains is not None
+            cap = (self.config.max_epoch_moves if max_moves is None
+                   else max(int(max_moves), 0))
+            if refining or cap is not None:
+                if self.config.write_aware:
+                    def predicted_delay_of(positions: list[int]) -> float:
+                        return float(estimate_rw_cost(
+                            pooled, pooled_writes,
+                            self.dc_coords[np.array(positions)])[0])
+                else:
+                    def predicted_delay_of(positions: list[int]) -> float:
+                        return float(estimate_average_delay(
+                            pooled, self.dc_coords[np.array(positions)]))
 
-        if refining:
-            refined = refine_for_availability(
-                list(proposed_sites), predicted_delay_of, self.domains, lam,
-                eligible=(None if eligible_idx is None
-                          else eligible_idx.tolist()))
-            if tuple(refined) != proposed_sites:
-                proposed_sites = tuple(int(p) for p in refined)
-                proposed_delay = predicted_delay_of(list(proposed_sites))
-        if cap is not None:
-            if cap < 1:
-                # Exhausted budget: no new sites may be adopted at all.
-                # ``bound_transfers`` cannot express a zero cap, so the
-                # proposal collapses to the current placement unless it
-                # is a pure shrink/reorder (which transfers nothing).
-                if set(proposed_sites) - set(previous_sites):
-                    proposed_sites = tuple(previous_sites)
+                def combined_objective(positions: list[int]) -> float:
+                    value = predicted_delay_of(positions)
+                    if refining:
+                        value += lam * self.domains.cofailure_risk(positions)
+                    return value
+
+            if refining:
+                refined = refine_for_availability(
+                    list(proposed_sites), predicted_delay_of, self.domains,
+                    lam, eligible=(None if eligible_idx is None
+                                   else eligible_idx.tolist()))
+                if tuple(refined) != proposed_sites:
+                    proposed_sites = tuple(int(p) for p in refined)
                     proposed_delay = predicted_delay_of(list(proposed_sites))
-            else:
-                trimmed = bound_transfers(previous_sites,
-                                          list(proposed_sites),
-                                          cap, combined_objective)
-                if tuple(trimmed) != proposed_sites:
-                    proposed_sites = tuple(int(p) for p in trimmed)
-                    proposed_delay = predicted_delay_of(list(proposed_sites))
-        self.tally.clustering_seconds += time.perf_counter() - started
+            if cap is not None:
+                if cap < 1:
+                    # Exhausted budget: no new sites may be adopted at
+                    # all.  ``bound_transfers`` cannot express a zero cap,
+                    # so the proposal collapses to the current placement
+                    # unless it is a pure shrink/reorder (which transfers
+                    # nothing).
+                    if set(proposed_sites) - set(previous_sites):
+                        proposed_sites = tuple(previous_sites)
+                        proposed_delay = predicted_delay_of(
+                            list(proposed_sites))
+                else:
+                    trimmed = bound_transfers(previous_sites,
+                                              list(proposed_sites),
+                                              cap, combined_objective)
+                    if tuple(trimmed) != proposed_sites:
+                        proposed_sites = tuple(int(p) for p in trimmed)
+                        proposed_delay = predicted_delay_of(
+                            list(proposed_sites))
         if len(proposed_sites) < len(previous_sites):
             # Shedding replicas can never *reduce* delay, so the latency
             # threshold would block it forever.  A shrink is a cost

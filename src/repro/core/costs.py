@@ -81,13 +81,12 @@ class CostTally:
     """Measured costs accumulated while a strategy runs.
 
     ``summary_bytes`` counts placement-control traffic (micro-cluster or
-    raw-coordinate shipping); ``clustering_seconds`` the wall-clock time
-    spent inside clustering calls; ``migrations`` and
-    ``migration_dollars`` the executed data movements.
+    raw-coordinate shipping); ``migrations`` and ``migration_dollars``
+    the executed data movements.  Wall-clock time inside clustering calls
+    is the ``controller.clustering`` phase timer of :mod:`repro.obs`.
     """
 
     summary_bytes: int = 0
-    clustering_seconds: float = 0.0
     migrations: int = 0
     migration_dollars: float = 0.0
     epochs: int = 0
@@ -97,7 +96,6 @@ class CostTally:
         """Combine two tallies (e.g. across simulation runs)."""
         return CostTally(
             summary_bytes=self.summary_bytes + other.summary_bytes,
-            clustering_seconds=self.clustering_seconds + other.clustering_seconds,
             migrations=self.migrations + other.migrations,
             migration_dollars=self.migration_dollars + other.migration_dollars,
             epochs=self.epochs + other.epochs,

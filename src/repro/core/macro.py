@@ -83,8 +83,7 @@ def _pseudo_points(micro_clusters: Sequence[ClusterFeature],
 
 def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
                   rng: np.random.Generator | None = None,
-                  use_bytes_weight: bool = False,
-                  backend: str | None = None) -> list[MacroCluster]:
+                  use_bytes_weight: bool = False) -> list[MacroCluster]:
     """Merge micro-clusters into ``k`` macro-clusters (Algorithm 1, line 2).
 
     Parameters
@@ -96,16 +95,12 @@ def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
     use_bytes_weight:
         Weight pseudo-points by bytes exchanged instead of access count
         (the paper mentions both; count is the default).
-    backend:
-        Kernel backend for the k-means maths; ``None`` follows the
-        process-wide :mod:`repro.kernels` switch.
     """
     if k < 1:
         raise ValueError("k must be positive")
     rng = rng or np.random.default_rng(0)
     points, weights = _pseudo_points(micro_clusters, use_bytes_weight)
-    result = weighted_kmeans(points, k, weights=weights, rng=rng,
-                             backend=backend)
+    result = weighted_kmeans(points, k, weights=weights, rng=rng)
 
     counts = np.array([c.count for c in micro_clusters], dtype=float)
     byte_weights = np.array([c.weight for c in micro_clusters], dtype=float)
@@ -140,8 +135,7 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
                    dc_heights: np.ndarray | None = None,
                    refine_swaps: bool = True,
                    dc_capacities: np.ndarray | None = None,
-                   eligible: np.ndarray | None = None,
-                   backend: str | None = None) -> PlacementDecision:
+                   eligible: np.ndarray | None = None) -> PlacementDecision:
     """Algorithm 1: choose ``k`` distinct data centers for the replicas.
 
     Parameters
@@ -190,9 +184,6 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
         same shapes, same code path — but can never be chosen or
         swapped in.  ``k`` is capped at the number of eligible
         candidates.
-    backend:
-        Kernel backend for the distance/k-means maths; ``None`` follows
-        the process-wide :mod:`repro.kernels` switch.
 
     Notes
     -----
@@ -206,8 +197,7 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     with registry.phase("macro.place_replicas"):
         decision = _place_replicas(micro_clusters, k, dc_coords, rng,
                                    use_bytes_weight, dc_heights,
-                                   refine_swaps, dc_capacities,
-                                   eligible, backend)
+                                   refine_swaps, dc_capacities, eligible)
     if registry.enabled:
         registry.counter("macro.rounds").inc()
         obs.get_tracer().record(
@@ -224,8 +214,8 @@ def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
                     dc_heights: np.ndarray | None,
                     refine_swaps: bool,
                     dc_capacities: np.ndarray | None,
-                    eligible: np.ndarray | None = None,
-                    backend: str | None = None) -> PlacementDecision:
+                    eligible: np.ndarray | None = None
+                    ) -> PlacementDecision:
     dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
     n_dc = dc_coords.shape[0]
     if n_dc == 0:
@@ -247,8 +237,7 @@ def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
             raise ValueError("no candidate data center is eligible")
         k = min(k, int(eligible.sum()))
     k = min(k, n_dc)
-    macros = macro_cluster(micro_clusters, k, rng, use_bytes_weight,
-                           backend=backend)
+    macros = macro_cluster(micro_clusters, k, rng, use_bytes_weight)
 
     order = sorted(range(len(macros)),
                    key=lambda i: macros[i].count, reverse=True)
@@ -259,7 +248,7 @@ def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     for idx in order:
         macro = macros[idx]
         dists = _wk.cross_distances(macro.centroid[None, :], dc_coords,
-                                    b_heights=heights, backend=backend)[0]
+                                    b_heights=heights)[0]
         dists[used] = np.inf
         if eligible is not None:
             dists[~eligible] = np.inf
@@ -287,7 +276,7 @@ def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     while len(chosen) < k:
         anchor = ordered_macros[0].centroid
         dists = _wk.cross_distances(anchor[None, :], dc_coords,
-                                    b_heights=heights, backend=backend)[0]
+                                    b_heights=heights)[0]
         dists[used] = np.inf
         if eligible is not None:
             dists[~eligible] = np.inf
@@ -299,12 +288,11 @@ def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
         chosen = _refine_by_swaps(micro_clusters, chosen, dc_coords, heights,
                                   capacities=capacities,
                                   use_bytes_weight=use_bytes_weight,
-                                  eligible=eligible, backend=backend)
+                                  eligible=eligible)
 
     picks = np.array(chosen)
     predicted = estimate_average_delay(micro_clusters, dc_coords[picks],
-                                       replica_heights=heights[picks],
-                                       backend=backend)
+                                       replica_heights=heights[picks])
     return PlacementDecision(tuple(chosen), tuple(ordered_macros), predicted)
 
 
@@ -313,8 +301,7 @@ def _refine_by_swaps(micro_clusters: Sequence[ClusterFeature],
                      heights: np.ndarray, max_rounds: int = 8,
                      capacities: np.ndarray | None = None,
                      use_bytes_weight: bool = False,
-                     eligible: np.ndarray | None = None,
-                     backend: str | None = None) -> list[int]:
+                     eligible: np.ndarray | None = None) -> list[int]:
     """Greedy site swaps that improve the summary-estimated delay.
 
     Works entirely on the micro-cluster summaries (centroids weighted by
@@ -336,8 +323,7 @@ def _refine_by_swaps(micro_clusters: Sequence[ClusterFeature],
         mass = counts
     weights = mass / mass.sum()
     # (micro-cluster, candidate) predicted serving cost.
-    cost = _wk.cross_distances(centroids, dc_coords, b_heights=heights,
-                               backend=backend)
+    cost = _wk.cross_distances(centroids, dc_coords, b_heights=heights)
 
     chosen = list(chosen)
     n_dc = dc_coords.shape[0]
@@ -383,8 +369,8 @@ def _refine_by_swaps(micro_clusters: Sequence[ClusterFeature],
 
 def estimate_average_delay(micro_clusters: Sequence[ClusterFeature],
                            replica_coords: np.ndarray,
-                           replica_heights: np.ndarray | None = None,
-                           backend: str | None = None) -> float:
+                           replica_heights: np.ndarray | None = None
+                           ) -> float:
     """Predicted mean access delay of a placement, from summaries alone.
 
     Each micro-cluster contributes ``count`` accesses at its centroid;
@@ -402,6 +388,6 @@ def estimate_average_delay(micro_clusters: Sequence[ClusterFeature],
     counts = np.array([c.count for c in micro_clusters], dtype=float)
     if counts.sum() <= 0:
         counts = np.ones(len(micro_clusters))
-    dists = _wk.cross_distances(centroids, replica_coords, b_heights=heights,
-                                backend=backend).min(axis=1)
+    dists = _wk.cross_distances(centroids, replica_coords,
+                                b_heights=heights).min(axis=1)
     return float(np.average(dists, weights=counts))

@@ -33,19 +33,13 @@ class ReplicaAccessSummary:
         the paper's plain accumulate-then-reset behaviour; smaller values
         let a long-lived summary track shifting populations, which the
         controller uses between placement epochs.
-    backend:
-        Kernel backend for the micro-cluster maths (``"python"`` or
-        ``"numpy"``); ``None`` follows the process-wide
-        :mod:`repro.kernels` switch.
     """
 
     def __init__(self, max_micro_clusters: int = 100,
-                 radius_floor: float = 5.0, decay: float = 1.0,
-                 backend: str | None = None) -> None:
+                 radius_floor: float = 5.0, decay: float = 1.0) -> None:
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
-        self._clusterer = OnlineClusterer(max_micro_clusters, radius_floor,
-                                          backend=backend)
+        self._clusterer = OnlineClusterer(max_micro_clusters, radius_floor)
         self.decay = decay
         self.accesses = 0
         self.bytes_served = 0.0

@@ -11,21 +11,22 @@ The control loop is dominated by three numeric kernels:
   migration-gain prediction (:mod:`repro.kernels.wkmeans` cross/pairwise
   distances, memoized by :mod:`repro.kernels.distcache`).
 
-Every kernel exists in two implementations selected by a process-wide
-*backend* switch:
+Every kernel exists in two implementations selected by one *backend*
+switch:
 
 ``"numpy"``
-    Vectorised array kernels — the production path.
+    Vectorised array kernels — the production path, and the only code
+    in :mod:`~repro.kernels.wkmeans` and :mod:`~repro.kernels.cf`.
 ``"python"``
-    Scalar pure-Python loops — the reference oracle the differential
-    test suite checks the vectorised path against, and the baseline the
-    ``benchmarks/test_kernels.py`` speedup is measured from.
+    Scalar pure-Python loops in :mod:`repro.kernels._reference` — the
+    oracle the differential test suite checks the vectorised path
+    against, and the baseline the ``benchmarks/test_kernels.py`` speedup
+    is measured from.  Imported only while this backend is selected.
 
-The switch defaults to ``numpy`` and can be set three ways, in
-precedence order: an explicit ``backend=`` argument on a kernel call,
-the process-wide :func:`set_backend` / :func:`use_backend` switch, and
-the ``REPRO_KERNEL_BACKEND`` environment variable (read once at import,
-so subprocess workers spawned by the parallel runner inherit it).
+There is one way to select the oracle: ``with use_backend("python"):`` —
+nothing else takes a backend argument.  ``REPRO_KERNEL_BACKEND`` is
+:func:`use_backend`'s default, read once at import, so a whole process
+(and the runner workers it spawns) starts on that backend.
 
 Both backends consume the *same* random stream: seeding, probability
 draws and all control flow stay on ``numpy.random.Generator``; only the
@@ -48,15 +49,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from types import ModuleType
 from typing import Iterator
 
-__all__ = [
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "resolve_backend",
-]
+__all__ = ["BACKENDS", "get_backend", "use_backend"]
 
 #: The recognised kernel backends.
 BACKENDS = ("python", "numpy")
@@ -74,19 +70,13 @@ _backend = _validated(os.environ.get("REPRO_KERNEL_BACKEND", "numpy"))
 
 
 def get_backend() -> str:
-    """The process-wide default kernel backend."""
+    """The kernel backend currently in force."""
     return _backend
-
-
-def set_backend(name: str) -> None:
-    """Set the process-wide default kernel backend."""
-    global _backend
-    _backend = _validated(name)
 
 
 @contextmanager
 def use_backend(name: str) -> Iterator[str]:
-    """Temporarily switch the process-wide kernel backend."""
+    """Run the enclosed block on kernel backend ``name``."""
     global _backend
     previous = _backend
     _backend = _validated(name)
@@ -96,8 +86,14 @@ def use_backend(name: str) -> Iterator[str]:
         _backend = previous
 
 
-def resolve_backend(backend: str | None) -> str:
-    """An explicit ``backend=`` argument, or the process-wide default."""
-    if backend is None:
-        return _backend
-    return _validated(backend)
+def scalar_oracle() -> ModuleType | None:
+    """:mod:`repro.kernels._reference` while the backend is ``"python"``.
+
+    ``None`` on the numpy backend — the dispatch point of every public
+    kernel is ``if oracle := scalar_oracle(): return oracle.<kernel>(...)``,
+    so the numpy path never imports the scalar module.
+    """
+    if _backend == "numpy":
+        return None
+    from repro.kernels import _reference
+    return _reference

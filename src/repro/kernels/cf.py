@@ -9,9 +9,10 @@ CF vector algebra (merge, split, deviations) the property suite
 certifies.
 
 Everything is deterministic and RNG-free: absorb/spawn/merge decisions
-depend only on the inputs, and ties resolve to the lowest index in both
-backends.  The numpy variants keep all per-point math on arrays; the
-python variants are scalar loops — the reference oracle.
+depend only on the inputs, and ties resolve to the lowest index.  These
+are the numpy kernels only; each function coerces and validates its
+arguments, then has one dispatch point: under ``use_backend("python")``
+it hands them to its scalar twin in :mod:`repro.kernels._reference`.
 """
 
 from __future__ import annotations
@@ -21,19 +22,20 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.kernels import resolve_backend
+from repro.kernels import scalar_oracle
 
 __all__ = [
     "deviations",
     "merge_rows",
     "split_row",
     "closest_pair",
+    "nearest_row",
     "absorb_stream",
 ]
 
 
-def deviations(counts: np.ndarray, linear: np.ndarray, square: np.ndarray,
-               *, backend: str | None = None) -> np.ndarray:
+def deviations(counts: np.ndarray, linear: np.ndarray,
+               square: np.ndarray) -> np.ndarray:
     """Per-row RMS deviation ``sqrt(max(sum(E[X^2] - E[X]^2), 0))``.
 
     The clamp matters: CF subtraction can leave ``square/count`` a few
@@ -43,23 +45,15 @@ def deviations(counts: np.ndarray, linear: np.ndarray, square: np.ndarray,
     counts = np.asarray(counts, dtype=float)
     linear = np.atleast_2d(np.asarray(linear, dtype=float))
     square = np.atleast_2d(np.asarray(square, dtype=float))
-    if resolve_backend(backend) == "numpy":
-        mean = linear / counts[:, None]
-        var = square / counts[:, None] - mean ** 2
-        return np.sqrt(np.maximum(var.sum(axis=1), 0.0))
-    out = []
-    for n, ls, ss in zip(counts.tolist(), linear.tolist(), square.tolist()):
-        total = 0.0
-        for l, s in zip(ls, ss):
-            mean = l / n
-            total += s / n - mean * mean
-        out.append(math.sqrt(max(total, 0.0)))
-    return np.asarray(out, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.deviations(counts, linear, square)
+    mean = linear / counts[:, None]
+    var = square / counts[:, None] - mean ** 2
+    return np.sqrt(np.maximum(var.sum(axis=1), 0.0))
 
 
 def merge_rows(counts: np.ndarray, weights: np.ndarray, linear: np.ndarray,
-               square: np.ndarray, keep: int, drop: int,
-               *, backend: str | None = None
+               square: np.ndarray, keep: int, drop: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fold row ``drop`` into row ``keep`` and delete it (CFs are additive).
 
@@ -73,24 +67,18 @@ def merge_rows(counts: np.ndarray, weights: np.ndarray, linear: np.ndarray,
     weights = np.asarray(weights, dtype=float).copy()
     linear = np.atleast_2d(np.asarray(linear, dtype=float)).copy()
     square = np.atleast_2d(np.asarray(square, dtype=float)).copy()
-    if resolve_backend(backend) == "numpy":
-        counts[keep] += counts[drop]
-        weights[keep] += weights[drop]
-        linear[keep] += linear[drop]
-        square[keep] += square[drop]
-    else:
-        counts[keep] = counts[keep] + counts[drop]
-        weights[keep] = weights[keep] + weights[drop]
-        for dim in range(linear.shape[1]):
-            linear[keep, dim] = float(linear[keep, dim]) + float(linear[drop, dim])
-            square[keep, dim] = float(square[keep, dim]) + float(square[drop, dim])
+    if oracle := scalar_oracle():
+        return oracle.merge_rows(counts, weights, linear, square, keep, drop)
+    counts[keep] += counts[drop]
+    weights[keep] += weights[drop]
+    linear[keep] += linear[drop]
+    square[keep] += square[drop]
     return (np.delete(counts, drop), np.delete(weights, drop),
             np.delete(linear, drop, axis=0), np.delete(square, drop, axis=0))
 
 
 def split_row(count: float, weight: float, linear: np.ndarray,
-              square: np.ndarray, *, backend: str | None = None
-              ) -> tuple[tuple, tuple]:
+              square: np.ndarray) -> tuple[tuple, tuple]:
     """Split one CF row into two halves that sum back to the original.
 
     The halves sit one recovered standard deviation apart along each
@@ -106,6 +94,8 @@ def split_row(count: float, weight: float, linear: np.ndarray,
         raise ValueError("cannot split a cluster with count < 2")
     linear = np.asarray(linear, dtype=float)
     square = np.asarray(square, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.split_row(count, weight, linear, square)
     if float(count).is_integer():
         n1 = float(math.ceil(count / 2))
     else:
@@ -113,39 +103,20 @@ def split_row(count: float, weight: float, linear: np.ndarray,
     n2 = count - n1
     w1 = weight * (n1 / count)
     w2 = weight - w1
-    if resolve_backend(backend) == "numpy":
-        mean = linear / count
-        var = np.maximum(square / count - mean ** 2, 0.0)
-        sigma = np.sqrt(var)
-        m1 = mean + sigma * (n2 / count)
-        m2 = mean - sigma * (n1 / count)
-        ls1 = n1 * m1
-        ls2 = linear - ls1
-        resid = np.maximum(square - n1 * m1 ** 2 - n2 * m2 ** 2, 0.0)
-        ss1 = n1 * m1 ** 2 + resid * (n1 / count)
-        ss2 = square - ss1
-        return (n1, w1, ls1, ss1), (n2, w2, ls2, ss2)
-    d = linear.size
-    ls1 = [0.0] * d
-    ss1 = [0.0] * d
-    for dim in range(d):
-        l = float(linear[dim])
-        s = float(square[dim])
-        mean = l / count
-        var = max(s / count - mean * mean, 0.0)
-        sigma = math.sqrt(var)
-        m1 = mean + sigma * (n2 / count)
-        m2 = mean - sigma * (n1 / count)
-        ls1[dim] = n1 * m1
-        resid = max(s - n1 * m1 * m1 - n2 * m2 * m2, 0.0)
-        ss1[dim] = n1 * m1 * m1 + resid * (n1 / count)
-    ls1 = np.asarray(ls1)
-    ss1 = np.asarray(ss1)
-    return (n1, w1, ls1, ss1), (n2, w2, linear - ls1, square - ss1)
+    mean = linear / count
+    var = np.maximum(square / count - mean ** 2, 0.0)
+    sigma = np.sqrt(var)
+    m1 = mean + sigma * (n2 / count)
+    m2 = mean - sigma * (n1 / count)
+    ls1 = n1 * m1
+    ls2 = linear - ls1
+    resid = np.maximum(square - n1 * m1 ** 2 - n2 * m2 ** 2, 0.0)
+    ss1 = n1 * m1 ** 2 + resid * (n1 / count)
+    ss2 = square - ss1
+    return (n1, w1, ls1, ss1), (n2, w2, ls2, ss2)
 
 
-def closest_pair(centroids: np.ndarray,
-                 *, backend: str | None = None) -> tuple[int, int]:
+def closest_pair(centroids: np.ndarray) -> tuple[int, int]:
     """Indices ``(keep, drop)`` of the two closest rows, ``keep < drop``.
 
     Ties resolve to the first pair in row-major order in both backends.
@@ -153,36 +124,33 @@ def closest_pair(centroids: np.ndarray,
     centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
     if centroids.shape[0] < 2:
         raise ValueError("need at least two rows")
-    if resolve_backend(backend) == "numpy":
-        # Direct (m, m, d) broadcast: micro-cluster budgets are small
-        # (m <= a few dozen), and the explicit difference keeps the pair
-        # distances bitwise-identical to the scalar backend's
-        # sum-of-squared-differences — the Gram-matrix trick would not.
-        diff = centroids[:, None, :] - centroids[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        return (int(i), int(j)) if i < j else (int(j), int(i))
-    rows = centroids.tolist()
-    best = (0, 1)
-    best_val = math.inf
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            acc = 0.0
-            for a, b in zip(rows[i], rows[j]):
-                diff = a - b
-                acc += diff * diff
-            if acc < best_val:
-                best_val = acc
-                best = (i, j)
-    return best
+    if oracle := scalar_oracle():
+        return oracle.closest_pair(centroids)
+    # Direct (m, m, d) broadcast: micro-cluster budgets are small
+    # (m <= a few dozen), and the explicit difference keeps the pair
+    # distances bitwise-identical to the scalar oracle's
+    # sum-of-squared-differences — the Gram-matrix trick would not.
+    diff = centroids[:, None, :] - centroids[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(dist, np.inf)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return (int(i), int(j)) if i < j else (int(j), int(i))
+
+
+def nearest_row(centroids: np.ndarray, point: np.ndarray) -> tuple[int, float]:
+    """Index of, and squared distance to, the row nearest ``point``."""
+    if oracle := scalar_oracle():
+        return oracle.nearest_row(centroids, point)
+    diff = centroids - point[None, :]
+    sq = np.einsum("ij,ij->i", diff, diff)
+    nearest = int(np.argmin(sq))
+    return nearest, float(sq[nearest])
 
 
 def absorb_stream(counts: np.ndarray, weights: np.ndarray,
                   linear: np.ndarray, square: np.ndarray,
                   points: np.ndarray, point_weights: np.ndarray,
-                  radius_floor: float, max_clusters: int,
-                  *, backend: str | None = None
+                  radius_floor: float, max_clusters: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                              dict[str, int]]:
     """Run the stream-maintenance rule over a whole block of points.
@@ -194,15 +162,14 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     Returns the updated rows plus ``{"spawned", "absorbed", "merged"}``
     event counts for the metrics registry.
     """
-    registry = obs.get_registry()
-    with registry.phase("kernels.cf.absorb_stream"):
-        if resolve_backend(backend) == "numpy":
-            return _absorb_stream_numpy(counts, weights, linear, square,
+    with obs.get_registry().phase("kernels.cf.absorb_stream"):
+        if oracle := scalar_oracle():
+            return oracle.absorb_stream(counts, weights, linear, square,
                                         points, point_weights,
                                         radius_floor, max_clusters)
-        return _absorb_stream_python(counts, weights, linear, square,
-                                     points, point_weights,
-                                     radius_floor, max_clusters)
+        return _absorb_stream_numpy(counts, weights, linear, square,
+                                    points, point_weights,
+                                    radius_floor, max_clusters)
 
 
 #: Points per distance-matrix chunk in the numpy absorb kernel.  Large
@@ -360,7 +327,7 @@ def _absorb_stream_numpy(counts, weights, linear, square, points,
             n += 1
             stats["spawned"] += 1
             if n > max_clusters:
-                keep, drop = closest_pair(np.asarray(ctr), backend="numpy")
+                keep, drop = closest_pair(np.asarray(ctr))
                 cnt[keep] += cnt[drop]
                 wts[keep] += wts[drop]
                 row_ls = ls[keep]
@@ -385,73 +352,4 @@ def _absorb_stream_numpy(counts, weights, linear, square, points,
     return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
             np.asarray(ls, dtype=float).reshape(n, d),
             np.asarray(ss, dtype=float).reshape(n, d),
-            stats)
-
-
-def _absorb_stream_python(counts, weights, linear, square, points,
-                          point_weights, radius_floor, max_clusters):
-    cnt = [float(c) for c in np.asarray(counts, dtype=float)]
-    wts = [float(w) for w in np.asarray(weights, dtype=float)]
-    ls = [list(map(float, row)) for row in np.atleast_2d(linear)] if len(cnt) else []
-    ss = [list(map(float, row)) for row in np.atleast_2d(square)] if len(cnt) else []
-    pts = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
-    pws = [float(w) for w in np.asarray(point_weights, dtype=float)]
-    ctr = [[l / c for l in row] for c, row in zip(cnt, ls)]
-    stats = {"spawned": 0, "absorbed": 0, "merged": 0}
-    for p, w in zip(pts, pws):
-        if not cnt:
-            cnt.append(1.0)
-            wts.append(w)
-            ls.append(list(p))
-            ss.append([x * x for x in p])
-            ctr.append(list(p))
-            stats["spawned"] += 1
-            continue
-        nearest, best_sq = 0, math.inf
-        for idx, c in enumerate(ctr):
-            acc = 0.0
-            for a, b in zip(c, p):
-                diff = a - b
-                acc += diff * diff
-            if acc < best_sq:
-                nearest, best_sq = idx, acc
-        distance = math.sqrt(best_sq)
-        total = 0.0
-        n_near = cnt[nearest]
-        for l, s in zip(ls[nearest], ss[nearest]):
-            mean = l / n_near
-            total += s / n_near - mean * mean
-        deviation = math.sqrt(max(total, 0.0))
-        if distance <= max(deviation, radius_floor):
-            cnt[nearest] += 1.0
-            wts[nearest] += w
-            row_ls, row_ss = ls[nearest], ss[nearest]
-            for dim, x in enumerate(p):
-                row_ls[dim] += x
-                row_ss[dim] += x * x
-            c = cnt[nearest]
-            ctr[nearest] = [l / c for l in row_ls]
-            stats["absorbed"] += 1
-            continue
-        cnt.append(1.0)
-        wts.append(w)
-        ls.append(list(p))
-        ss.append([x * x for x in p])
-        ctr.append(list(p))
-        stats["spawned"] += 1
-        if len(cnt) > max_clusters:
-            keep, drop = closest_pair(np.asarray(ctr), backend="python")
-            cnt[keep] += cnt[drop]
-            wts[keep] += wts[drop]
-            for dim in range(len(ls[keep])):
-                ls[keep][dim] += ls[drop][dim]
-                ss[keep][dim] += ss[drop][dim]
-            for seq in (cnt, wts, ls, ss, ctr):
-                del seq[drop]
-            c = cnt[keep]
-            ctr[keep] = [l / c for l in ls[keep]]
-            stats["merged"] += 1
-    return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
-            np.asarray(ls, dtype=float).reshape(len(cnt), -1),
-            np.asarray(ss, dtype=float).reshape(len(cnt), -1),
             stats)

@@ -6,20 +6,17 @@ centroids (columns) from the assignment without disturbing the matrix
 shape — that is how chaos-degraded epochs (partitioned candidates,
 unreachable sites) keep using the same code path.
 
-Every function takes ``backend={"python","numpy"}`` (``None`` resolves
-the process-wide switch, see :mod:`repro.kernels`).  The numpy variants
-are the production path; the python variants are deliberately scalar
-loops — the reference oracle.  All functions return numpy arrays either
-way, so callers never branch on the backend themselves.
+These are the numpy kernels only.  Each coerces and validates its
+arguments, then has one dispatch point: under ``use_backend("python")``
+it hands them to its scalar twin in :mod:`repro.kernels._reference`
+(``pairwise_distances`` builds on ``cross_distances`` and needs none).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro.kernels import scalar_oracle
 
 __all__ = [
     "sq_distances",
@@ -31,30 +28,18 @@ __all__ = [
 ]
 
 
-def sq_distances(points: np.ndarray, centers: np.ndarray,
-                 *, backend: str | None = None) -> np.ndarray:
+def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``(n, k)`` squared Euclidean distances, point row by centroid row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if resolve_backend(backend) == "numpy":
-        diff = points[:, None, :] - centers[None, :, :]
-        return np.einsum("nkd,nkd->nk", diff, diff)
-    rows = points.tolist()
-    cols = centers.tolist()
-    out = [[0.0] * len(cols) for _ in rows]
-    for i, p in enumerate(rows):
-        row = out[i]
-        for j, c in enumerate(cols):
-            acc = 0.0
-            for a, b in zip(p, c):
-                d = a - b
-                acc += d * d
-            row[j] = acc
-    return np.asarray(out, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.sq_distances(points, centers)
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def assign_labels(sq: np.ndarray, *, eligible: np.ndarray | None = None,
-                  backend: str | None = None) -> np.ndarray:
+def assign_labels(sq: np.ndarray,
+                  *, eligible: np.ndarray | None = None) -> np.ndarray:
     """Nearest-centroid labels from a squared-distance matrix.
 
     ``eligible`` is an optional ``(k,)`` boolean mask over centroids;
@@ -70,24 +55,15 @@ def assign_labels(sq: np.ndarray, *, eligible: np.ndarray | None = None,
                 f"got {eligible.shape}")
         if not eligible.any():
             raise ValueError("no centroid is eligible")
-    if resolve_backend(backend) == "numpy":
-        if eligible is None:
-            return np.argmin(sq, axis=1)
-        masked = np.where(eligible[None, :], sq, np.inf)
-        return np.argmin(masked, axis=1)
-    ok = [True] * sq.shape[1] if eligible is None else eligible.tolist()
-    labels = []
-    for row in sq.tolist():
-        best, best_val = -1, math.inf
-        for j, val in enumerate(row):
-            if ok[j] and val < best_val:
-                best, best_val = j, val
-        labels.append(best)
-    return np.asarray(labels, dtype=int)
+    if oracle := scalar_oracle():
+        return oracle.assign_labels(sq, eligible=eligible)
+    if eligible is not None:
+        sq = np.where(eligible[None, :], sq, np.inf)
+    return np.argmin(sq, axis=1)
 
 
-def assignment_costs(sq: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                     *, backend: str | None = None) -> np.ndarray:
+def assignment_costs(sq: np.ndarray, labels: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
     """Per-point weighted squared distance to its assigned centroid.
 
     Summing this vector gives the inertia; its argmax is the point a
@@ -96,65 +72,44 @@ def assignment_costs(sq: np.ndarray, labels: np.ndarray, weights: np.ndarray,
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     labels = np.asarray(labels, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    if resolve_backend(backend) == "numpy":
-        return weights * sq[np.arange(labels.size), labels]
-    out = [w * row[lab] for row, lab, w in
-           zip(sq.tolist(), labels.tolist(), weights.tolist())]
-    return np.asarray(out, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.assignment_costs(sq, labels, weights)
+    return weights * sq[np.arange(labels.size), labels]
 
 
 def update_centroids(points: np.ndarray, labels: np.ndarray,
                      weights: np.ndarray, centers: np.ndarray,
-                     costs: np.ndarray,
-                     *, backend: str | None = None) -> np.ndarray:
+                     costs: np.ndarray) -> np.ndarray:
     """One Lloyd update: weighted means, empty clusters reseeded.
 
     An empty cluster is reseeded at the point with the largest current
     assignment cost — a deterministic rule driven entirely by the
-    inputs, never by hidden RNG state, so ``backend="python"`` runs are
-    exactly as seed-stable as the vectorised path.
+    inputs, never by hidden RNG state, so scalar-oracle runs are exactly
+    as seed-stable as the vectorised path.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels, dtype=int)
     weights = np.asarray(weights, dtype=float)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     costs = np.asarray(costs, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.update_centroids(points, labels, weights, centers, costs)
     k = centers.shape[0]
-    if resolve_backend(backend) == "numpy":
-        new_centers = centers.copy()
-        for c in range(k):
-            mask = labels == c
-            mass = weights[mask].sum()
-            if mass > 0:
-                new_centers[c] = np.average(points[mask], axis=0,
-                                            weights=weights[mask])
-            else:
-                new_centers[c] = points[int(np.argmax(costs))]
-        return new_centers
-    d = points.shape[1]
-    sums = [[0.0] * d for _ in range(k)]
-    masses = [0.0] * k
-    for p, lab, w in zip(points.tolist(), labels.tolist(), weights.tolist()):
-        masses[lab] += w
-        row = sums[lab]
-        for dim in range(d):
-            row[dim] += w * p[dim]
-    cost_list = costs.tolist()
-    worst = max(range(len(cost_list)), key=lambda i: cost_list[i],
-                default=0) if cost_list else 0
-    out = []
+    new_centers = centers.copy()
     for c in range(k):
-        if masses[c] > 0:
-            out.append([s / masses[c] for s in sums[c]])
+        mask = labels == c
+        mass = weights[mask].sum()
+        if mass > 0:
+            new_centers[c] = np.average(points[mask], axis=0,
+                                        weights=weights[mask])
         else:
-            out.append(list(points[worst]))
-    return np.asarray(out, dtype=float)
+            new_centers[c] = points[int(np.argmax(costs))]
+    return new_centers
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray,
                     b_heights: np.ndarray | None = None,
-                    a_heights: np.ndarray | None = None,
-                    *, backend: str | None = None) -> np.ndarray:
+                    a_heights: np.ndarray | None = None) -> np.ndarray:
     """``(na, nb)`` Euclidean distances between row sets, plus heights.
 
     ``a_heights`` / ``b_heights`` are optional per-row height-vector
@@ -163,49 +118,23 @@ def cross_distances(a: np.ndarray, b: np.ndarray,
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if resolve_backend(backend) == "numpy":
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-        if a_heights is not None:
-            d = d + np.asarray(a_heights, dtype=float)[:, None]
-        if b_heights is not None:
-            d = d + np.asarray(b_heights, dtype=float)[None, :]
-        return d
-    ah = ([0.0] * a.shape[0] if a_heights is None
-          else np.asarray(a_heights, dtype=float).tolist())
-    bh = ([0.0] * b.shape[0] if b_heights is None
-          else np.asarray(b_heights, dtype=float).tolist())
-    rows = a.tolist()
-    cols = b.tolist()
-    out = [[0.0] * len(cols) for _ in rows]
-    for i, p in enumerate(rows):
-        row = out[i]
-        for j, q in enumerate(cols):
-            acc = 0.0
-            for x, y in zip(p, q):
-                diff = x - y
-                acc += diff * diff
-            row[j] = math.sqrt(acc) + ah[i] + bh[j]
-    return np.asarray(out, dtype=float)
+    if oracle := scalar_oracle():
+        return oracle.cross_distances(a, b, b_heights, a_heights)
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    if a_heights is not None:
+        d = d + np.asarray(a_heights, dtype=float)[:, None]
+    if b_heights is not None:
+        d = d + np.asarray(b_heights, dtype=float)[None, :]
+    return d
 
 
 def pairwise_distances(points: np.ndarray,
-                       heights: np.ndarray | None = None,
-                       *, backend: str | None = None) -> np.ndarray:
+                       heights: np.ndarray | None = None) -> np.ndarray:
     """All pairwise distances of one row set; zero diagonal.
 
     With ``heights`` the result is ``planar + h_i + h_j`` off-diagonal —
     the height-vector distance rule — while the diagonal stays zero.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if resolve_backend(backend) == "numpy":
-        diff = points[:, None, :] - points[None, :, :]
-        d = np.linalg.norm(diff, axis=-1)
-        if heights is not None:
-            heights = np.asarray(heights, dtype=float)
-            d = d + heights[:, None] + heights[None, :]
-        np.fill_diagonal(d, 0.0)
-        return d
-    d = cross_distances(points, points, b_heights=heights, a_heights=heights,
-                        backend="python")
+    d = cross_distances(points, points, b_heights=heights, a_heights=heights)
     np.fill_diagonal(d, 0.0)
     return d

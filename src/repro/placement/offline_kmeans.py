@@ -6,10 +6,9 @@ candidate data center.  Near-optimal quality, but cost grows with the
 number of accesses — exactly the trade-off Table II contrasts with the
 online scheme.
 
-All distance and k-means maths run through :mod:`repro.kernels`
-(``backend={"python","numpy"}``, ``None`` following the process-wide
-switch), so this strategy participates in the backend-equivalence suite
-like the online scheme.
+All distance and k-means maths run through :mod:`repro.kernels`, so this
+strategy participates in the backend-equivalence suite like the online
+scheme.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.kmeans import weighted_kmeans
-from repro.kernels import resolve_backend
 from repro.kernels import wkmeans as _wk
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
@@ -28,8 +26,7 @@ def assign_centroids_to_candidates(centroids: np.ndarray,
                                    centroid_weights: np.ndarray,
                                    candidate_coords: np.ndarray,
                                    k: int,
-                                   candidate_heights: np.ndarray | None = None,
-                                   backend: str | None = None
+                                   candidate_heights: np.ndarray | None = None
                                    ) -> list[int]:
     """Map cluster centroids to distinct candidate positions.
 
@@ -52,7 +49,7 @@ def assign_centroids_to_candidates(centroids: np.ndarray,
         if len(chosen) >= k:
             break
         dists = _wk.cross_distances(centroids[idx][None, :], candidate_coords,
-                                    b_heights=heights, backend=backend)[0]
+                                    b_heights=heights)[0]
         dists[used] = np.inf
         pos = int(np.argmin(dists))
         used[pos] = True
@@ -60,7 +57,7 @@ def assign_centroids_to_candidates(centroids: np.ndarray,
     while len(chosen) < k:
         anchor = centroids[order[0]]
         dists = _wk.cross_distances(anchor[None, :], candidate_coords,
-                                    b_heights=heights, backend=backend)[0]
+                                    b_heights=heights)[0]
         dists[used] = np.inf
         pos = int(np.argmin(dists))
         used[pos] = True
@@ -73,20 +70,18 @@ class OfflineKMeansPlacement(PlacementStrategy):
 
     name = "offline k-means"
 
-    def __init__(self, n_init: int = 4, backend: str | None = None) -> None:
+    def __init__(self, n_init: int = 4) -> None:
         self.n_init = n_init
-        self.backend = None if backend is None else resolve_backend(backend)
 
     def place(self, problem: PlacementProblem,
               rng: np.random.Generator) -> tuple[int, ...]:
         client_coords = problem.client_coords()
         k = problem.effective_k
         result = weighted_kmeans(client_coords, k, rng=rng,
-                                 n_init=self.n_init, backend=self.backend)
+                                 n_init=self.n_init)
         weights = result.cluster_weights()
         positions = assign_centroids_to_candidates(
             result.centroids, weights, problem.candidate_coords(), k,
-            problem.candidate_heights(), backend=self.backend,
-        )
+            problem.candidate_heights())
         sites = [problem.candidates[p] for p in positions]
         return self._check(problem, sites)

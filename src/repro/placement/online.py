@@ -26,7 +26,6 @@ import numpy as np
 from repro import obs
 from repro.core.macro import place_replicas
 from repro.core.summarizer import ReplicaAccessSummary
-from repro.kernels import resolve_backend
 from repro.kernels import wkmeans as _wk
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
@@ -61,11 +60,6 @@ class OnlineClusteringPlacement(PlacementStrategy):
         placement; its bytes are still charged — the transmission
         happened, the delivery did not.  ``0.0`` is the paper's
         fault-free behaviour.
-    backend:
-        Kernel backend for the numeric hot paths (micro-cluster
-        absorption, k-means, candidate distances): ``"python"`` or
-        ``"numpy"``; ``None`` follows the process-wide
-        :mod:`repro.kernels` switch.
     """
 
     name = "online clustering"
@@ -73,8 +67,7 @@ class OnlineClusteringPlacement(PlacementStrategy):
     def __init__(self, micro_clusters: int = 10, migration_rounds: int = 2,
                  accesses_per_client: int = 3, radius_floor: float = 5.0,
                  selection: str = "coords",
-                 summary_loss: float = 0.0,
-                 backend: str | None = None) -> None:
+                 summary_loss: float = 0.0) -> None:
         if micro_clusters < 1:
             raise ValueError("micro-cluster budget must be positive")
         if migration_rounds < 1:
@@ -91,7 +84,6 @@ class OnlineClusteringPlacement(PlacementStrategy):
         self.radius_floor = radius_floor
         self.selection = selection
         self.summary_loss = summary_loss
-        self.backend = None if backend is None else resolve_backend(backend)
         #: Control-plane bytes shipped during the most recent place().
         self.last_summary_bytes = 0
         #: Summaries dropped by the lossy channel in the last place().
@@ -127,8 +119,7 @@ class OnlineClusteringPlacement(PlacementStrategy):
 
         for _ in range(self.migration_rounds):
             summaries = {pos: ReplicaAccessSummary(self.micro_clusters,
-                                                   self.radius_floor,
-                                                   backend=self.backend)
+                                                   self.radius_floor)
                          for pos in positions}
             choice = self._client_choices(problem, positions)
             # Batched equivalent of recording each client's accesses one
@@ -155,8 +146,7 @@ class OnlineClusteringPlacement(PlacementStrategy):
                 # keep the current placement rather than moving blind.
                 continue
             decision = place_replicas(pooled, k, candidate_coords, rng,
-                                      dc_heights=problem.candidate_heights(),
-                                      backend=self.backend)
+                                      dc_heights=problem.candidate_heights())
             positions = list(decision.data_centers)
 
         sites = [problem.candidates[p] for p in positions]
@@ -175,6 +165,5 @@ class OnlineClusteringPlacement(PlacementStrategy):
         site_heights = (np.zeros(len(site_nodes)) if problem.heights is None
                         else problem.heights[site_nodes])
         dists = _wk.cross_distances(client_coords, site_coords,
-                                    b_heights=site_heights,
-                                    backend=self.backend)
+                                    b_heights=site_heights)
         return np.asarray(positions)[np.argmin(dists, axis=1)]

@@ -10,6 +10,9 @@ lets them be swapped freely:
 * seed-matrix differential — every bundled chaos scenario produces
   **byte-identical** summary JSON under either backend (parametrized
   over a glob, so new scenario files are picked up automatically).
+
+The oracle is reached the only way there is: ``use_backend("python")``
+around the whole run.
 """
 
 import glob
@@ -62,21 +65,23 @@ class TestGoldenPlacementEquivalence:
     def test_online_decisions_identical(self, world, seed):
         problem = make_problem(world)
         decisions = {}
+        strategy = OnlineClusteringPlacement(micro_clusters=6,
+                                             migration_rounds=2)
         for backend in kernels.BACKENDS:
-            strategy = OnlineClusteringPlacement(
-                micro_clusters=6, migration_rounds=2, backend=backend)
-            decisions[backend] = strategy.place(
-                problem, np.random.default_rng(seed))
+            with kernels.use_backend(backend):
+                decisions[backend] = strategy.place(
+                    problem, np.random.default_rng(seed))
         assert decisions["numpy"] == decisions["python"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_offline_decisions_identical(self, world, seed):
         problem = make_problem(world)
         decisions = {}
+        strategy = OfflineKMeansPlacement()
         for backend in kernels.BACKENDS:
-            strategy = OfflineKMeansPlacement(backend=backend)
-            decisions[backend] = strategy.place(
-                problem, np.random.default_rng(seed))
+            with kernels.use_backend(backend):
+                decisions[backend] = strategy.place(
+                    problem, np.random.default_rng(seed))
         assert decisions["numpy"] == decisions["python"]
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -84,9 +89,9 @@ class TestGoldenPlacementEquivalence:
         _, planar, _ = world
         results = {}
         for backend in kernels.BACKENDS:
-            results[backend] = weighted_kmeans(
-                planar, 5, rng=np.random.default_rng(seed),
-                backend=backend)
+            with kernels.use_backend(backend):
+                results[backend] = weighted_kmeans(
+                    planar, 5, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(results["numpy"].labels,
                                       results["python"].labels)
         np.testing.assert_allclose(results["numpy"].centroids,
@@ -96,15 +101,33 @@ class TestGoldenPlacementEquivalence:
                                    results["python"].inertia,
                                    rtol=1e-12, atol=0)
 
-    def test_process_wide_switch_equivalent_to_explicit(self, world):
-        problem = make_problem(world)
-        explicit = OnlineClusteringPlacement(
-            micro_clusters=6, backend="python").place(
-                problem, np.random.default_rng(0))
+    def test_runner_backed_comparison_reaches_the_oracle(self, world,
+                                                         monkeypatch):
+        # Regression: a per-strategy ``backend=`` was dropped by the
+        # runner's declarative round-trip, so ``run_comparison`` ran
+        # numpy whatever was asked.  The switch is ambient now, so the
+        # rebuilt strategies inherit it.
+        from repro.analysis.experiment import run_comparison
+        from repro.kernels import _reference
+
+        calls = []
+        scalar = _reference.absorb_stream
+
+        def counting(*args):
+            calls.append(len(args))
+            return scalar(*args)
+
+        monkeypatch.setattr(_reference, "absorb_stream", counting)
+        matrix, planar, heights = world
+        strategies = [OnlineClusteringPlacement(micro_clusters=4,
+                                                migration_rounds=1)]
+        kwargs = dict(n_dc=8, k=2, n_runs=2, seed=5, heights=heights)
+        fast = run_comparison(matrix, planar, strategies, **kwargs)
+        assert not calls
         with kernels.use_backend("python"):
-            implicit = OnlineClusteringPlacement(micro_clusters=6).place(
-                problem, np.random.default_rng(0))
-        assert explicit == implicit
+            slow = run_comparison(matrix, planar, strategies, **kwargs)
+        assert calls
+        assert fast == slow
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ gate the batched :mod:`repro.kernels.cf` kernels.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.clustering.stream import ClusterFeature
+from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 
 # ----------------------------------------------------------------------
@@ -142,8 +142,8 @@ def test_deviation_backends_agree(stream):
         cf.absorb(p, weight=w)
     args = (np.atleast_1d(cf.count), cf.linear_sum[None, :],
             cf.square_sum[None, :])
-    np.testing.assert_array_equal(cfk.deviations(*args, backend="numpy"),
-                                  cfk.deviations(*args, backend="python"))
+    np.testing.assert_array_equal(cfk.deviations(*args),
+                                  ref.deviations(*args))
 
 
 # ----------------------------------------------------------------------
@@ -155,13 +155,13 @@ def test_deviation_backends_agree(stream):
 def test_absorb_stream_backend_equivalence(stream, budget):
     points = np.stack([p for p, _ in stream])
     weights = np.array([w for _, w in stream])
-    outs = {}
-    for backend in kernels.BACKENDS:
-        outs[backend] = cfk.absorb_stream(
+    fast, slow = (
+        impl.absorb_stream(
             np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
             points=points, point_weights=weights,
-            radius_floor=5.0, max_clusters=budget, backend=backend)
-    for a, b in zip(outs["numpy"][:4], outs["python"][:4]):
+            radius_floor=5.0, max_clusters=budget)
+        for impl in (cfk, ref))
+    for a, b in zip(fast[:4], slow[:4]):
         np.testing.assert_array_equal(a, b)
-    assert outs["numpy"][4] == outs["python"][4]
-    assert outs["numpy"][0].shape[0] <= budget
+    assert fast[4] == slow[4]
+    assert fast[0].shape[0] <= budget

@@ -1,21 +1,31 @@
 """Unit tests for the :mod:`repro.kernels` layer.
 
-Covers the backend switch API, python-vs-numpy equality of every kernel,
+Covers the backend switch API, equality of every numpy kernel with its
+scalar twin in :mod:`repro.kernels._reference` (called directly),
 eligibility masking, the batched CF maintenance kernel against the
-sequential reference, the pairwise-distance cache, and the deterministic
+sequential rule, the pairwise-distance cache, and the deterministic
 empty-cluster reseed regression.
 """
 
+import importlib
+import inspect
+import os
 import pickle
+import pkgutil
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro import kernels
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
 from repro.coords.space import EuclideanSpace
+from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 from repro.kernels import wkmeans as wk
 from repro.kernels.distcache import PairwiseDistanceCache
@@ -24,23 +34,26 @@ from repro.kernels.distcache import PairwiseDistanceCache
 # ----------------------------------------------------------------------
 # Backend switch API
 # ----------------------------------------------------------------------
+def run_python(code, backend=None):
+    """Run ``code`` in a fresh interpreter with the env default set/unset."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if backend is not None:
+        env["REPRO_KERNEL_BACKEND"] = backend
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
+
+
 class TestBackendSwitch:
     def test_default_backend_is_valid(self):
         assert kernels.get_backend() in kernels.BACKENDS
 
-    def test_set_backend_roundtrip(self):
+    def test_use_backend_rejects_unknown(self):
         original = kernels.get_backend()
-        try:
-            kernels.set_backend("python")
-            assert kernels.get_backend() == "python"
-            kernels.set_backend("numpy")
-            assert kernels.get_backend() == "numpy"
-        finally:
-            kernels.set_backend(original)
-
-    def test_set_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("fortran")
+            with kernels.use_backend("fortran"):
+                pytest.fail("block must not run")
+        assert kernels.get_backend() == original
 
     def test_use_backend_restores_on_exit(self):
         original = kernels.get_backend()
@@ -57,15 +70,83 @@ class TestBackendSwitch:
                 raise RuntimeError("boom")
         assert kernels.get_backend() == original
 
-    def test_resolve_backend(self):
-        assert kernels.resolve_backend(None) == kernels.get_backend()
-        assert kernels.resolve_backend("python") == "python"
-        with pytest.raises(ValueError):
-            kernels.resolve_backend("cuda")
+    def test_use_backend_routes_kernels_to_reference(self, monkeypatch):
+        monkeypatch.setattr(ref, "closest_pair", lambda centroids: "scalar")
+        rows = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert cfk.closest_pair(rows) == (0, 1)
+        with kernels.use_backend("python"):
+            assert cfk.closest_pair(rows) == "scalar"
+        assert cfk.closest_pair(rows) == (0, 1)
+
+    @pytest.mark.parametrize("value, expected", [("python", "python"),
+                                                 (None, "numpy")])
+    def test_env_var_is_the_import_time_default(self, value, expected):
+        done = run_python(
+            "from repro import kernels; print(kernels.get_backend())", value)
+        assert (done.returncode, done.stdout.strip()) == (0, expected)
+
+    def test_env_var_rejects_unknown_backend(self):
+        done = run_python("import repro.kernels", "fortran")
+        assert done.returncode != 0
+        assert "unknown kernel backend" in done.stderr
+
+    def test_numpy_path_never_imports_the_reference(self):
+        done = run_python("""
+            import sys
+            import numpy as np
+            import repro
+            from repro.net import PlanetLabParams, synthetic_planetlab_matrix
+            from repro.coords import embed_matrix
+            from repro.placement.base import PlacementProblem
+            from repro.placement.online import OnlineClusteringPlacement
+            matrix, _ = synthetic_planetlab_matrix(PlanetLabParams(n=30), seed=1)
+            emb = embed_matrix(matrix, system="rnp", rounds=10,
+                               rng=np.random.default_rng(2))
+            problem = PlacementProblem(
+                matrix=matrix, candidates=tuple(range(8)),
+                clients=tuple(range(8, 30)), k=2,
+                coords=emb.coords[:, :emb.space.dim])
+            sites = OnlineClusteringPlacement(micro_clusters=4).place(
+                problem, np.random.default_rng(3))
+            assert len(sites) == 2
+            print("repro.kernels._reference" in sys.modules)
+        """)
+        assert (done.returncode, done.stdout.strip()) == (0, "False"), \
+            done.stderr
+
+    def test_nothing_in_the_package_takes_a_backend_argument(self):
+        def callables(module):
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    yield f"{module.__name__}.{name}", obj
+                elif inspect.isclass(obj):
+                    yield f"{module.__name__}.{name}", obj
+                    for attr, member in vars(obj).items():
+                        member = getattr(member, "__func__", member)
+                        if inspect.isfunction(member):
+                            yield f"{module.__name__}.{name}.{attr}", member
+
+        offenders, seen = [], 0
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue  # importing it runs the CLI
+            module = importlib.import_module(info.name)
+            for where, obj in callables(module):
+                try:
+                    parameters = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                seen += 1
+                if "backend" in parameters:
+                    offenders.append(where)
+        assert seen > 500
+        assert offenders == []
 
 
 # ----------------------------------------------------------------------
-# Weighted k-means kernels: python == numpy
+# Weighted k-means kernels: numpy == scalar reference
 # ----------------------------------------------------------------------
 @pytest.fixture
 def cloud():
@@ -79,60 +160,59 @@ def cloud():
 class TestWKMeansKernels:
     def test_sq_distances_backends_agree(self, cloud):
         points, centers, _ = cloud
-        a = wk.sq_distances(points, centers, backend="numpy")
-        b = wk.sq_distances(points, centers, backend="python")
+        a = wk.sq_distances(points, centers)
+        b = ref.sq_distances(points, centers)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
     def test_assign_labels_backends_agree(self, cloud):
         points, centers, _ = cloud
-        sq = wk.sq_distances(points, centers, backend="numpy")
-        a = wk.assign_labels(sq, backend="numpy")
-        b = wk.assign_labels(sq, backend="python")
+        sq = wk.sq_distances(points, centers)
+        a = wk.assign_labels(sq)
+        b = ref.assign_labels(sq)
         np.testing.assert_array_equal(a, b)
 
     def test_assign_labels_first_minimum_tie_rule(self):
         # Two identical centroids: every point must go to index 0.
         sq = np.array([[2.0, 2.0, 5.0], [1.0, 1.0, 1.0]])
-        for backend in kernels.BACKENDS:
-            labels = wk.assign_labels(sq, backend=backend)
+        for impl in (wk, ref):
+            labels = impl.assign_labels(sq)
             np.testing.assert_array_equal(labels, [0, 0])
 
     def test_assign_labels_eligibility_mask(self, cloud):
         points, centers, _ = cloud
-        sq = wk.sq_distances(points, centers, backend="numpy")
+        sq = wk.sq_distances(points, centers)
         eligible = np.array([False, True, False, True, True])
-        for backend in kernels.BACKENDS:
-            labels = wk.assign_labels(sq, eligible=eligible, backend=backend)
+        for impl in (wk, ref):
+            labels = impl.assign_labels(sq, eligible=eligible)
             assert set(np.unique(labels)) <= {1, 3, 4}
         masked = np.where(eligible[None, :], sq, np.inf)
         np.testing.assert_array_equal(
-            wk.assign_labels(sq, eligible=eligible, backend="numpy"),
+            wk.assign_labels(sq, eligible=eligible),
             np.argmin(masked, axis=1))
 
     def test_assign_labels_all_ineligible_raises(self):
         sq = np.ones((3, 2))
+        # Validation is the kernel's, ahead of its dispatch point.
         for backend in kernels.BACKENDS:
-            with pytest.raises(ValueError, match="eligible"):
-                wk.assign_labels(sq, eligible=np.zeros(2, dtype=bool),
-                                 backend=backend)
+            with kernels.use_backend(backend):
+                with pytest.raises(ValueError, match="eligible"):
+                    wk.assign_labels(sq, eligible=np.zeros(2, dtype=bool))
 
     def test_assignment_costs_backends_agree(self, cloud):
         points, centers, weights = cloud
-        sq = wk.sq_distances(points, centers, backend="numpy")
-        labels = wk.assign_labels(sq, backend="numpy")
-        a = wk.assignment_costs(sq, labels, weights, backend="numpy")
-        b = wk.assignment_costs(sq, labels, weights, backend="python")
+        sq = wk.sq_distances(points, centers)
+        labels = wk.assign_labels(sq)
+        a = wk.assignment_costs(sq, labels, weights)
+        b = ref.assignment_costs(sq, labels, weights)
         np.testing.assert_allclose(a, b, rtol=0, atol=0)
 
     def test_update_centroids_backends_agree(self, cloud):
         points, centers, weights = cloud
-        sq = wk.sq_distances(points, centers, backend="numpy")
-        labels = wk.assign_labels(sq, backend="numpy")
-        costs = wk.assignment_costs(sq, labels, weights, backend="numpy")
-        a = wk.update_centroids(points, labels, weights, centers, costs,
-                                backend="numpy")
-        b = wk.update_centroids(points, labels, weights, centers, costs,
-                                backend="python")
+        sq = wk.sq_distances(points, centers)
+        labels = wk.assign_labels(sq)
+        costs = wk.assignment_costs(sq, labels, weights)
+        a = wk.update_centroids(points, labels, weights, centers, costs)
+        b = ref.update_centroids(points, labels, weights, centers, costs)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_update_centroids_empty_cluster_reseeds_at_costliest(self):
@@ -141,25 +221,25 @@ class TestWKMeansKernels:
         centers = np.array([[0.0, 0.0], [100.0, 100.0]])
         labels = np.array([0, 0, 0])  # cluster 1 empty
         costs = np.array([0.0, 100.0, 81.0])
-        for backend in kernels.BACKENDS:
-            new = wk.update_centroids(points, labels, weights, centers,
-                                      costs, backend=backend)
+        for impl in (wk, ref):
+            new = impl.update_centroids(points, labels, weights, centers,
+                                        costs)
             np.testing.assert_array_equal(new[1], points[1])
 
     def test_cross_distances_backends_agree(self, cloud):
         points, centers, _ = cloud
         heights = np.abs(np.random.default_rng(1).normal(size=5))
-        a = wk.cross_distances(points, centers, b_heights=heights,
-                               backend="numpy")
-        b = wk.cross_distances(points, centers, b_heights=heights,
-                               backend="python")
+        a = wk.cross_distances(points, centers, b_heights=heights)
+        b = ref.cross_distances(points, centers, b_heights=heights)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
     def test_pairwise_distances_backends_agree(self, cloud):
         points, _, _ = cloud
         heights = np.abs(points[:, 0]) * 0.1
-        a = wk.pairwise_distances(points, heights=heights, backend="numpy")
-        b = wk.pairwise_distances(points, heights=heights, backend="python")
+        # pairwise = cross + zero diagonal, so it has no twin of its own.
+        a = wk.pairwise_distances(points, heights=heights)
+        with kernels.use_backend("python"):
+            b = wk.pairwise_distances(points, heights=heights)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(np.diag(a), np.zeros(len(points)))
 
@@ -183,11 +263,12 @@ class TestCFKernels:
         weights = rng.uniform(0.5, 2.0, size=200)
 
         for backend in kernels.BACKENDS:
-            reference = OnlineClusterer(8, radius_floor=5.0, backend=backend)
-            for p, w in zip(points, weights):
-                reference.add(p, weight=float(w))
-            batched = OnlineClusterer(8, radius_floor=5.0, backend=backend)
-            batched.extend(points, weights)
+            reference = OnlineClusterer(8, radius_floor=5.0)
+            batched = OnlineClusterer(8, radius_floor=5.0)
+            with kernels.use_backend(backend):
+                for p, w in zip(points, weights):
+                    reference.add(p, weight=float(w))
+                batched.extend(points, weights)
 
             assert len(batched) == len(reference)
             for got, want in zip(batched.clusters, reference.clusters):
@@ -202,8 +283,9 @@ class TestCFKernels:
         weights = rng.uniform(0.1, 4.0, size=150)
         results = {}
         for backend in kernels.BACKENDS:
-            cl = OnlineClusterer(6, radius_floor=5.0, backend=backend)
-            cl.extend(points, weights)
+            cl = OnlineClusterer(6, radius_floor=5.0)
+            with kernels.use_backend(backend):
+                cl.extend(points, weights)
             results[backend] = [(c.count, c.weight, c.linear_sum.copy(),
                                  c.square_sum.copy()) for c in cl.clusters]
         assert len(results["numpy"]) == len(results["python"])
@@ -216,16 +298,16 @@ class TestCFKernels:
         rng = np.random.default_rng(5)
         points = rng.uniform(-500, 500, size=(100, 2))
         for backend in kernels.BACKENDS:
-            cl = OnlineClusterer(4, radius_floor=1.0, backend=backend)
-            cl.extend(points)
+            cl = OnlineClusterer(4, radius_floor=1.0)
+            with kernels.use_backend(backend):
+                cl.extend(points)
             assert len(cl) <= 4
 
     def test_absorb_stream_stats(self):
         counts, weights, linear, square, stats = cfk.absorb_stream(
             np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
             points=np.array([[0.0, 0.0], [0.1, 0.0], [500.0, 0.0]]),
-            point_weights=np.ones(3), radius_floor=5.0, max_clusters=4,
-            backend="numpy")
+            point_weights=np.ones(3), radius_floor=5.0, max_clusters=4)
         assert stats["spawned"] == 2
         assert stats["absorbed"] == 1
         assert stats["merged"] == 0
@@ -246,15 +328,26 @@ class TestCFKernels:
     def test_closest_pair_backends_agree(self):
         rng = np.random.default_rng(9)
         centroids = rng.normal(size=(10, 3))
-        assert (cfk.closest_pair(centroids, backend="numpy")
-                == cfk.closest_pair(centroids, backend="python"))
+        assert cfk.closest_pair(centroids) == ref.closest_pair(centroids)
+
+    def test_nearest_row_backends_agree(self):
+        # Planar points (the simulator's case): bitwise, not approximate.
+        rng = np.random.default_rng(13)
+        centroids = rng.normal(size=(12, 2)) * 20.0
+        for point in rng.normal(size=(25, 2)) * 20.0:
+            assert (cfk.nearest_row(centroids, point)
+                    == ref.nearest_row(centroids, point))
+        # Equidistant rows: the lowest index wins in both.
+        tied = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        for impl in (cfk, ref):
+            assert impl.nearest_row(tied, np.zeros(2)) == (0, 1.0)
 
     def test_closest_pair_tie_rule(self):
         # (0,1) and (2,3) equally close: row-major first wins.
         centroids = np.array([[0.0, 0.0], [1.0, 0.0],
                               [10.0, 0.0], [11.0, 0.0]])
-        for backend in kernels.BACKENDS:
-            assert cfk.closest_pair(centroids, backend=backend) == (0, 1)
+        for impl in (cfk, ref):
+            assert impl.closest_pair(centroids) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -346,12 +439,11 @@ class TestEmptyClusterDeterminism:
     def test_reseed_is_deterministic_per_seed(self):
         points = self._tight_pairs()
         for backend in kernels.BACKENDS:
-            first = weighted_kmeans(points, 3,
-                                    rng=np.random.default_rng(42),
-                                    backend=backend)
-            second = weighted_kmeans(points, 3,
-                                     rng=np.random.default_rng(42),
-                                     backend=backend)
+            with kernels.use_backend(backend):
+                first = weighted_kmeans(points, 3,
+                                        rng=np.random.default_rng(42))
+                second = weighted_kmeans(points, 3,
+                                         rng=np.random.default_rng(42))
             np.testing.assert_array_equal(first.centroids, second.centroids)
             np.testing.assert_array_equal(first.labels, second.labels)
 
@@ -361,9 +453,9 @@ class TestEmptyClusterDeterminism:
         for salt in (0, 12345):
             random.seed(salt)
             np.random.seed(salt)
-            results.append(weighted_kmeans(points, 3,
-                                           rng=np.random.default_rng(7),
-                                           backend="python"))
+            with kernels.use_backend("python"):
+                results.append(weighted_kmeans(
+                    points, 3, rng=np.random.default_rng(7)))
         np.testing.assert_array_equal(results[0].centroids,
                                       results[1].centroids)
         np.testing.assert_array_equal(results[0].labels, results[1].labels)

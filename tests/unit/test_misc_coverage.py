@@ -85,15 +85,14 @@ class TestStrategyContractChecks:
 
 class TestCostTally:
     def test_merge(self):
-        a = CostTally(summary_bytes=100, clustering_seconds=1.0,
+        a = CostTally(summary_bytes=100,
                       migrations=2, migration_dollars=0.5, epochs=3,
                       notes=["a"])
-        b = CostTally(summary_bytes=50, clustering_seconds=0.5,
+        b = CostTally(summary_bytes=50,
                       migrations=1, migration_dollars=0.1, epochs=1,
                       notes=["b"])
         merged = a.merge(b)
         assert merged.summary_bytes == 150
-        assert merged.clustering_seconds == 1.5
         assert merged.migrations == 3
         assert merged.migration_dollars == pytest.approx(0.6)
         assert merged.epochs == 4

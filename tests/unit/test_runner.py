@@ -1,5 +1,6 @@
 """Unit tests for repro.runner: jobs, cache, executor, sweep specs."""
 
+import inspect
 import json
 import os
 
@@ -13,6 +14,7 @@ from repro.placement.online import OnlineClusteringPlacement
 from repro.placement.random_placement import RandomPlacement
 from repro.runner import (
     MISS,
+    STRATEGY_KINDS,
     PlacementRunSpec,
     ResultCache,
     SweepSpec,
@@ -70,6 +72,36 @@ class TestStrategySpecs:
         assert isinstance(rebuilt, OnlineClusteringPlacement)
         assert rebuilt.micro_clusters == 7
         assert rebuilt.migration_rounds == 3
+
+    #: One non-default value per constructor argument of every kind.
+    NON_DEFAULT = {
+        "random": {},
+        "offline_kmeans": {"n_init": 2},
+        "online": {"micro_clusters": 7, "migration_rounds": 3,
+                   "accesses_per_client": 5, "radius_floor": 2.5,
+                   "selection": "true", "summary_loss": 0.25},
+        "optimal": {"max_combinations": 1234},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STRATEGY_KINDS))
+    def test_declarative_form_captures_every_ctor_argument(self, kind):
+        # A constructor argument missing from the captured table is
+        # silently reset to its default by every runner-backed
+        # experiment (it happened to the late ``backend=``).
+        from repro.runner.jobs import _STRATEGY_PARAMS
+        cls = STRATEGY_KINDS[kind]
+        signature = inspect.signature(cls).parameters
+        ctor = tuple(signature)
+        assert _STRATEGY_PARAMS[kind] == ctor
+
+        kwargs = self.NON_DEFAULT[kind]
+        assert tuple(kwargs) == ctor
+        for name, value in kwargs.items():
+            assert value != signature[name].default, name
+        original = cls(**kwargs)
+        rebuilt = build_strategy(as_job_strategy(original))
+        assert type(rebuilt) is cls
+        assert vars(rebuilt) == vars(original)
 
     def test_all_default_strategies_convert(self):
         from repro.analysis.experiment import default_strategies

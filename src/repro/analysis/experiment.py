@@ -11,14 +11,16 @@ sweep grid is decomposed into independent *(sweep point, strategy, run)*
 jobs whose random streams derive from the job identity alone, so
 ``jobs=4`` produces bit-identical series to ``jobs=1`` and an
 interrupted sweep resumes from its result cache (``cache_dir=...,
-resume=True``).  See ``docs/runner.md``.
+resume=True``).  Each runner takes those options as ``**runner`` and
+forwards them to :func:`repro.runner.execute`, where they are declared.
+See ``docs/runner.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,27 +190,20 @@ def run_comparison(matrix: LatencyMatrix, coords: np.ndarray,
                    n_dc: int, k: int, n_runs: int,
                    seed: int = 0,
                    heights: np.ndarray | None = None,
-                   candidate_mode: str = "dispersed", *,
-                   jobs: int | None = 1,
-                   cache_dir: str | None = None,
-                   resume: bool = False,
-                   chunk_size: int | None = None) -> dict[str, list[float]]:
+                   candidate_mode: str = "dispersed",
+                   **runner) -> dict[str, list[float]]:
     """Mean access delay per strategy over ``n_runs`` candidate draws.
 
     Every strategy sees the *same* candidate/client split in each run,
     so the comparison is paired (as in the paper's simulator): each
     (strategy, run) cell re-derives the run's candidate stream from
     ``(seed, run)``, independent of which worker executes it or in what
-    order.  ``jobs`` fans the cells out over worker processes
-    (``None`` = one per CPU); results are bit-identical at any
-    parallelism.
+    order.  ``**runner``: forwarded to :func:`repro.runner.execute`.
     """
     if n_dc >= matrix.n:
         raise ValueError("need at least one client node")
     from repro.runner import PlacementRunSpec, as_job_strategy, execute
-    world = (matrix, coords, heights)
-    world_key = (_world_digest(matrix, coords, heights)
-                 if cache_dir is not None else None)
+    world_key = _world_digest(matrix, coords, heights)
     specs = [
         PlacementRunSpec(
             sweep="comparison", series=strategy.name, x=float(k),
@@ -217,161 +212,106 @@ def run_comparison(matrix: LatencyMatrix, coords: np.ndarray,
             candidate_mode=candidate_mode, world_key=world_key)
         for strategy in strategies for run in range(n_runs)
     ]
-    results = execute(specs, jobs=jobs, cache_dir=cache_dir, resume=resume,
-                      world=world, chunk_size=chunk_size)
+    results = execute(specs, world=(matrix, coords, heights), **runner)
     delays: dict[str, list[float]] = {s.name: [] for s in strategies}
     for spec, delay in zip(specs, results):
         delays[spec.series].append(delay)
     return delays
 
 
-def _sweep(setting: EvaluationSetting,
-           strategies_for_x: Callable[[float], Sequence[PlacementStrategy]],
-           xs: Sequence[float], n_dc_for_x: Callable[[float], int],
-           k_for_x: Callable[[float], int], *,
-           sweep_name: str,
-           jobs: int | None = 1,
-           cache_dir: str | None = None,
-           resume: bool = False,
-           chunk_size: int | None = None) -> dict[str, list[SeriesPoint]]:
-    """Fan one figure sweep out over the runner and reassemble its series.
+def _run_grid(sweep: str, cells: Sequence[tuple],
+              **runner) -> dict[str, list[SeriesPoint]]:
+    """Run one figure's grid through the runner; return its series.
 
-    Workers materialize the world from ``setting`` themselves (memoized
-    per process), so a fully cached resume never even builds the matrix.
+    ``cells`` are ordered ``(series, x, strategy, n_dc, k, setting)``
+    rows; each runs ``setting.n_runs`` times and becomes one point of
+    its series (series in first-appearance order).  Workers materialize
+    the world from the cell's setting themselves (memoized per
+    process), so a fully cached resume never even builds the matrix.
     """
     from repro.runner import PlacementRunSpec, as_job_strategy, execute
     specs: list[PlacementRunSpec] = []
-    series_order: list[str] = []
-    xs_by_series: dict[str, list[float]] = {}
-    for x in xs:
-        if n_dc_for_x(x) >= setting.n_nodes:
+    for series, x, strategy, n_dc, k, setting in cells:
+        if n_dc >= setting.n_nodes:
             raise ValueError("need at least one client node")
-        for strategy in strategies_for_x(x):
-            name = strategy.name
-            if name not in xs_by_series:
-                series_order.append(name)
-                xs_by_series[name] = []
-            xs_by_series[name].append(float(x))
-            job_strategy = as_job_strategy(strategy)
-            for run in range(setting.n_runs):
-                specs.append(PlacementRunSpec(
-                    sweep=sweep_name, series=name, x=float(x),
-                    run_index=run, n_dc=n_dc_for_x(x), k=k_for_x(x),
-                    strategy=job_strategy, seed=setting.seed,
-                    candidate_mode=setting.candidate_mode, setting=setting))
-    results = execute(specs, jobs=jobs, cache_dir=cache_dir, resume=resume,
-                      chunk_size=chunk_size)
+        job_strategy = as_job_strategy(strategy)
+        specs.extend(
+            PlacementRunSpec(
+                sweep=sweep, series=series, x=float(x), run_index=run,
+                n_dc=n_dc, k=k, strategy=job_strategy, seed=setting.seed,
+                candidate_mode=setting.candidate_mode, setting=setting)
+            for run in range(setting.n_runs))
     delays: dict[tuple[str, float], list[float]] = {}
-    for spec, delay in zip(specs, results):
+    for spec, delay in zip(specs, execute(specs, **runner)):
         delays.setdefault((spec.series, spec.x), []).append(delay)
-    return {
-        name: [SeriesPoint(x, summarize(delays[(name, x)]))
-               for x in xs_by_series[name]]
-        for name in series_order
-    }
+    grid: dict[str, list[SeriesPoint]] = {}
+    for series, x, *_ in cells:
+        grid.setdefault(series, []).append(
+            SeriesPoint(float(x), summarize(delays[(series, float(x))])))
+    return grid
 
 
 def run_figure1(setting: EvaluationSetting | None = None,
                 datacenter_counts: Sequence[int] = (5, 10, 15, 20, 25, 30),
                 k: int = 3,
-                micro_clusters: int = 10, *,
-                jobs: int | None = 1,
-                cache_dir: str | None = None,
-                resume: bool = False,
-                chunk_size: int | None = None) -> FigureResult:
-    """Figure 1: impact of the number of available data centers (k = 3)."""
+                micro_clusters: int = 10, **runner) -> FigureResult:
+    """Figure 1: impact of the number of available data centers (k = 3).
+
+    ``**runner``: forwarded to :func:`repro.runner.execute`.
+    """
     setting = setting or EvaluationSetting()
-    series = _sweep(
-        setting,
-        strategies_for_x=lambda _x: default_strategies(micro_clusters),
-        xs=datacenter_counts,
-        n_dc_for_x=int,
-        k_for_x=lambda _x: k,
-        sweep_name="figure1",
-        jobs=jobs, cache_dir=cache_dir, resume=resume,
-        chunk_size=chunk_size,
-    )
     return FigureResult(
         name="Figure 1",
         xlabel=f"number of data centers ({k} replicas)",
         ylabel="average access delay (ms)",
-        series=series,
+        series=_run_grid("figure1", [
+            (strategy.name, n_dc, strategy, int(n_dc), k, setting)
+            for n_dc in datacenter_counts
+            for strategy in default_strategies(micro_clusters)], **runner),
     )
 
 
 def run_figure2(setting: EvaluationSetting | None = None,
                 replica_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
                 n_dc: int = 20,
-                micro_clusters: int = 10, *,
-                jobs: int | None = 1,
-                cache_dir: str | None = None,
-                resume: bool = False,
-                chunk_size: int | None = None) -> FigureResult:
-    """Figure 2: impact of the degree of replication (20 data centers)."""
+                micro_clusters: int = 10, **runner) -> FigureResult:
+    """Figure 2: impact of the degree of replication (20 data centers).
+
+    ``**runner``: forwarded to :func:`repro.runner.execute`.
+    """
     setting = setting or EvaluationSetting()
-    series = _sweep(
-        setting,
-        strategies_for_x=lambda _x: default_strategies(micro_clusters),
-        xs=replica_counts,
-        n_dc_for_x=lambda _x: n_dc,
-        k_for_x=int,
-        sweep_name="figure2",
-        jobs=jobs, cache_dir=cache_dir, resume=resume,
-        chunk_size=chunk_size,
-    )
     return FigureResult(
         name="Figure 2",
         xlabel=f"number of replicas ({n_dc} data centers)",
         ylabel="average access delay (ms)",
-        series=series,
+        series=_run_grid("figure2", [
+            (strategy.name, k, strategy, n_dc, int(k), setting)
+            for k in replica_counts
+            for strategy in default_strategies(micro_clusters)], **runner),
     )
 
 
 def run_figure3(setting: EvaluationSetting | None = None,
                 micro_cluster_counts: Sequence[int] = (1, 2, 4, 7, 11),
                 replica_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
-                n_dc: int = 20, *,
-                jobs: int | None = 1,
-                cache_dir: str | None = None,
-                resume: bool = False,
-                chunk_size: int | None = None) -> FigureResult:
+                n_dc: int = 20, **runner) -> FigureResult:
     """Figure 3: online clustering delay vs. k, one series per m.
 
     Unlike Figures 1–2 the series are *micro-cluster budgets* of the
-    same strategy, so the cells are built directly rather than through
-    :func:`_sweep` (which keys series by strategy name).
+    same strategy.  ``**runner``: forwarded to
+    :func:`repro.runner.execute`.
     """
     setting = setting or EvaluationSetting()
-    if n_dc >= setting.n_nodes:
-        raise ValueError("need at least one client node")
-    from repro.runner import PlacementRunSpec, execute, strategy_spec
-    specs: list[PlacementRunSpec] = []
-    for m in micro_cluster_counts:
-        job_strategy = strategy_spec("online", micro_clusters=int(m))
-        for k in replica_counts:
-            for run in range(setting.n_runs):
-                specs.append(PlacementRunSpec(
-                    sweep="figure3", series=f"{m} micro-clusters",
-                    x=float(k), run_index=run, n_dc=n_dc, k=int(k),
-                    strategy=job_strategy, seed=setting.seed,
-                    candidate_mode=setting.candidate_mode, setting=setting))
-    results = execute(specs, jobs=jobs, cache_dir=cache_dir, resume=resume,
-                      chunk_size=chunk_size)
-    delays: dict[tuple[str, float], list[float]] = {}
-    for spec, delay in zip(specs, results):
-        delays.setdefault((spec.series, spec.x), []).append(delay)
-    series: dict[str, list[SeriesPoint]] = {}
-    for m in micro_cluster_counts:
-        name = f"{m} micro-clusters"
-        series[name] = [
-            SeriesPoint(float(k), summarize(delays[(name, float(k))]))
-            for k in replica_counts
-        ]
+    from repro.runner import strategy_spec
     return FigureResult(
         name="Figure 3",
         xlabel=f"number of replicas ({n_dc} data centers)",
         ylabel="average access delay (ms)",
-        series=series,
+        series=_run_grid("figure3", [
+            (f"{m} micro-clusters", k,
+             strategy_spec("online", micro_clusters=int(m)), n_dc, int(k),
+             setting)
+            for m in micro_cluster_counts for k in replica_counts], **runner),
     )
 
 
@@ -456,11 +396,7 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
 
 def run_table2(n_accesses_list: Sequence[int] = (1_000, 10_000, 100_000),
                k: int = 3, m: int = 100, dim: int = 3,
-               seed: int = 0, *,
-               jobs: int | None = 1,
-               cache_dir: str | None = None,
-               resume: bool = False,
-               chunk_size: int | None = None) -> list[Table2Row]:
+               seed: int = 0, **runner) -> list[Table2Row]:
     """Table II: bandwidth and computation, online vs. offline.
 
     For each access volume *n*: draw *n* client coordinates from ``k``
@@ -469,59 +405,36 @@ def run_table2(n_accesses_list: Sequence[int] = (1_000, 10_000, 100_000),
     k-means directly (offline).  Bytes are what each approach must ship
     to the coordinator; seconds are measured clustering time (phase
     timers — see :func:`compute_table2_row`).  Rows are independent
-    jobs: ``jobs`` parallelizes across access volumes (note that
-    co-scheduled rows contend for CPU, so keep ``jobs=1`` when the
-    absolute timings matter) and ``cache_dir``/``resume`` skip rows a
-    previous invocation already measured.
+    jobs.  ``**runner``: forwarded to :func:`repro.runner.execute`
+    (co-scheduled rows contend for CPU, so keep ``jobs=1`` when the
+    absolute timings matter).
     """
     from repro.runner import Table2Spec, execute
     specs = [Table2Spec(n_accesses=int(n), k=k, m=m, dim=dim, seed=seed)
              for n in n_accesses_list]
-    return execute(specs, jobs=jobs, cache_dir=cache_dir, resume=resume,
-                   chunk_size=chunk_size)
+    return execute(specs, **runner)
 
 
 def run_coord_ablation(setting: EvaluationSetting | None = None,
                        systems: Sequence[str] = ("mds", "rnp", "vivaldi", "gnp"),
                        n_dc: int = 20, k: int = 3,
-                       micro_clusters: int = 10, *,
-                       jobs: int | None = 1,
-                       cache_dir: str | None = None,
-                       resume: bool = False,
-                       chunk_size: int | None = None) -> FigureResult:
+                       micro_clusters: int = 10, **runner) -> FigureResult:
     """Ablation: how the coordinate system affects online placement.
 
     Each coordinate system is its own :class:`EvaluationSetting` (same
     matrix seed, different embedding), so workers build each system's
     world once and the embeddings themselves run in parallel across
-    workers.
+    workers.  ``**runner``: forwarded to :func:`repro.runner.execute`.
     """
     setting = setting or EvaluationSetting()
-    if n_dc >= setting.n_nodes:
-        raise ValueError("need at least one client node")
-    from repro.runner import PlacementRunSpec, execute, strategy_spec
-    job_strategy = strategy_spec("online", micro_clusters=micro_clusters)
-    specs: list[PlacementRunSpec] = []
-    for system in systems:
-        system_setting = replace(setting, coord_system=system)
-        for run in range(setting.n_runs):
-            specs.append(PlacementRunSpec(
-                sweep="coords", series=system, x=float(k), run_index=run,
-                n_dc=n_dc, k=k, strategy=job_strategy, seed=setting.seed,
-                candidate_mode=setting.candidate_mode,
-                setting=system_setting))
-    results = execute(specs, jobs=jobs, cache_dir=cache_dir, resume=resume,
-                      chunk_size=chunk_size)
-    delays: dict[str, list[float]] = {}
-    for spec, delay in zip(specs, results):
-        delays.setdefault(spec.series, []).append(delay)
-    series = {
-        system: [SeriesPoint(float(k), summarize(delays[system]))]
-        for system in systems
-    }
+    from repro.runner import strategy_spec
+    strategy = strategy_spec("online", micro_clusters=micro_clusters)
     return FigureResult(
         name="Coordinate-system ablation",
         xlabel=f"k = {k}, {n_dc} data centers",
         ylabel="average access delay (ms)",
-        series=series,
+        series=_run_grid("coords", [
+            (system, k, strategy, n_dc, k,
+             replace(setting, coord_system=system))
+            for system in systems], **runner),
     )

@@ -102,20 +102,15 @@ def _check_figure3_claims(figure3: FigureResult) -> list[ClaimCheck]:
     )]
 
 
-def generate_report(setting: EvaluationSetting | None = None, *,
-                    jobs: int | None = 1,
-                    cache_dir: str | None = None,
-                    resume: bool = False,
-                    chunk_size: int | None = None) -> str:
+def generate_report(setting: EvaluationSetting | None = None,
+                    **runner) -> str:
     """Run the full evaluation and return the Markdown report.
 
-    ``jobs``/``cache_dir``/``resume`` are forwarded to every figure
-    runner (see :mod:`repro.runner`), so the full report can be
-    regenerated in parallel and resumed after an interruption.
+    ``**runner``: forwarded to :func:`repro.runner.execute` by every
+    figure runner, so the full report can be regenerated in parallel
+    and resumed after an interruption.
     """
     setting = setting or EvaluationSetting()
-    runner_kwargs = dict(jobs=jobs, cache_dir=cache_dir, resume=resume,
-                         chunk_size=chunk_size)
     lines: list[str] = []
     out = lines.append
 
@@ -130,7 +125,7 @@ def generate_report(setting: EvaluationSetting | None = None, *,
     out("")
 
     checks: list[ClaimCheck] = []
-    for title, runner, checker in (
+    for title, run_figure, checker in (
         ("Figure 1 — number of data centers", run_figure1,
          _check_figure1_claims),
         ("Figure 2 — degree of replication", run_figure2,
@@ -138,7 +133,7 @@ def generate_report(setting: EvaluationSetting | None = None, *,
         ("Figure 3 — micro-cluster budget", run_figure3,
          _check_figure3_claims),
     ):
-        result = runner(setting, **runner_kwargs)
+        result = run_figure(setting, **runner)
         out(f"## {title}")
         out("")
         out("```")
@@ -152,7 +147,7 @@ def generate_report(setting: EvaluationSetting | None = None, *,
     out("## Table II — online vs offline overheads")
     out("")
     out("```")
-    out(format_table2(run_table2(seed=setting.seed, **runner_kwargs)))
+    out(format_table2(run_table2(seed=setting.seed, **runner)))
     out("```")
     out("")
 

@@ -17,22 +17,17 @@ stream from the cell's identity, so a sweep is bit-identical at any
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.runner.jobs import seed_sequence
+from repro.runner.jobs import spec_payload
 from repro.runner.pool import execute
 
 __all__ = ["CatalogRunSpec", "run_catalog_cell", "run_catalog_sweep",
            "format_catalog", "catalog_to_csv", "GROUPING_MODES"]
-
-#: Stream tags mixed into seed_sequence keys (match the chaos harness,
-#: so a catalog cell and a chaos run with the same seed share a world).
-_CANDIDATES_STREAM = 101
-_EMBED_STREAM = 102
 
 #: How keys fold into placement units: every key its own unit, fixed
 #: chunks of the sorted keyspace, or similarity clustering over
@@ -44,9 +39,8 @@ GROUPING_MODES = ("none", "chunked", "audience")
 class CatalogRunSpec:
     """One catalog sweep cell: a keyspace size on a shard count.
 
-    Satisfies the runner's job protocol (``payload`` / ``execute`` /
-    ``kind`` / ``setting``) so catalog cells pool, cache and resume
-    exactly like every other experiment.
+    A :class:`~repro.runner.jobs.JobSpec`, so catalog cells pool, cache
+    and resume exactly like every other experiment.
     """
 
     n_keys: int
@@ -73,6 +67,7 @@ class CatalogRunSpec:
 
     kind = "catalog-run"
     setting = None                  # the spec carries its own world
+    result_type = dict
 
     def __post_init__(self) -> None:
         from repro.store.selection import STRATEGIES
@@ -97,9 +92,7 @@ class CatalogRunSpec:
             queue_capacity=self.queue_capacity)
 
     def payload(self) -> dict:
-        payload = asdict(self)
-        payload["kind"] = self.kind
-        return payload
+        return spec_payload(self)
 
     def execute(self, world=None) -> dict[str, Any]:
         return run_catalog_cell(self)
@@ -135,33 +128,18 @@ def _build_groups(spec: CatalogRunSpec, keys: Sequence[str]):
 def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
     """Run one catalog cell end-to-end; return its counters.
 
-    The world derivation (matrix seed, embedding stream, candidate
-    stream, simulator seed) mirrors the chaos harness exactly, so the
-    same master seed reproduces the same world everywhere.
+    The world comes from the chaos harness's
+    :func:`~repro.chaos.harness.live_world`, so the same master seed
+    reproduces the same world everywhere.
     """
-    from repro.analysis.experiment import draw_candidates
     from repro.catalog.catalog import ShardedCatalog
     from repro.catalog.groups import keyspace
-    from repro.coords import embed_matrix
-    from repro.net import PlanetLabParams, synthetic_planetlab_matrix
-    from repro.sim import Simulator
+    from repro.chaos.harness import live_world
     from repro.store import ReplicatedStore
-    from repro.workloads import AccessWorkload, ClientPopulation
+    from repro.workloads import ClientPopulation
 
-    matrix, _ = synthetic_planetlab_matrix(
-        PlanetLabParams(n=spec.n_nodes), seed=spec.seed)
-    planar = embed_matrix(
-        matrix, rounds=40,
-        rng=np.random.default_rng(
-            seed_sequence(spec.seed, 0, _EMBED_STREAM)),
-    ).coords[:, :3]
-    candidates, clients = draw_candidates(
-        matrix, spec.n_dc,
-        np.random.default_rng(
-            seed_sequence(spec.seed, 0, _CANDIDATES_STREAM)))
-
-    sim_seed = int(seed_sequence(spec.seed, 0).generate_state(1)[0])
-    sim = Simulator(seed=sim_seed)
+    sim, matrix, planar, candidates, clients, workload_cls = live_world(
+        spec.n_nodes, spec.n_dc, spec.seed, engine=spec.engine)
     store = ReplicatedStore(sim, matrix, candidates, planar,
                             selection="oracle",
                             queueing=spec.build_queueing(),
@@ -174,11 +152,6 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
         epoch_stagger=spec.epoch_stagger,
         max_epoch_moves=spec.max_epoch_moves)
 
-    if spec.engine == "batched":
-        from repro.store.batched import BatchedAccessWorkload
-        workload_cls = BatchedAccessWorkload
-    else:
-        workload_cls = AccessWorkload
     population = ClientPopulation.uniform(clients)
     workload = workload_cls(store, population, list(catalog.keys()),
                             rate_per_second=spec.rate_per_second)
@@ -210,53 +183,18 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
     }
 
 
-def run_catalog_sweep(keys_list: Sequence[int],
-                      shards_list: Sequence[int], *,
-                      grouping: str = "chunked",
-                      group_size: int = 10,
-                      n_nodes: int = 64, n_dc: int = 12,
-                      seed: int = 0, k: int = 3,
-                      rate_per_second: float = 200.0,
-                      duration_ms: float = 60_000.0,
-                      engine: str = "batched",
-                      epoch_period_ms: float = 10_000.0,
-                      epoch_stagger: float = 1.0,
-                      max_epoch_moves: int | None = None,
-                      strategy: str = "nearest",
-                      service_model: str = "none",
-                      service_ms: float = 0.0,
-                      service_sigma: float = 0.5,
-                      queue_capacity: int | None = None,
-                      jobs: int | None = 1,
-                      cache_dir: str | None = None,
-                      resume: bool = False,
-                      chunk_size: int | None = None) -> list[dict[str, Any]]:
-    """The ``(n_keys, n_shards)`` grid, through the parallel runner.
+def run_catalog_sweep(cells: Sequence[CatalogRunSpec],
+                      **runner) -> list[dict[str, Any]]:
+    """Run catalog cells through the parallel runner.
 
-    Rows come back in grid order (keys outer, shards inner),
-    bit-identical at any ``jobs`` level.
+    Rows come back in cell order, bit-identical at any ``jobs`` level.
+    ``**runner``: forwarded to :func:`repro.runner.execute`.
     """
-    specs = [
-        CatalogRunSpec(
-            n_keys=n_keys, n_shards=n_shards, grouping=grouping,
-            group_size=group_size, n_nodes=n_nodes, n_dc=n_dc,
-            seed=seed, k=k, rate_per_second=rate_per_second,
-            duration_ms=duration_ms, engine=engine,
-            epoch_period_ms=epoch_period_ms,
-            epoch_stagger=epoch_stagger,
-            max_epoch_moves=max_epoch_moves,
-            strategy=strategy, service_model=service_model,
-            service_ms=service_ms, service_sigma=service_sigma,
-            queue_capacity=queue_capacity)
-        for n_keys in keys_list
-        for n_shards in shards_list
-    ]
     registry = obs.get_registry()
     with registry.phase("catalog.sweep"):
-        rows = execute(specs, jobs=jobs, cache_dir=cache_dir,
-                       resume=resume, chunk_size=chunk_size)
+        rows = execute(cells, **runner)
     if registry.enabled:
-        registry.counter("catalog.cells").inc(len(specs))
+        registry.counter("catalog.cells").inc(len(cells))
     return rows
 
 

@@ -18,7 +18,7 @@ only from its own named simulator streams (``retry-jitter``,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,11 +31,11 @@ from repro.chaos.scenario import (
 )
 from repro.core.controller import ControllerConfig
 from repro.core.migration import MigrationPolicy
-from repro.runner.jobs import seed_sequence
+from repro.runner.jobs import seed_sequence, spec_payload
 from repro.runner.pool import execute
 
-__all__ = ["ChaosRunResult", "ChaosRunSpec", "run_scenario", "run_chaos",
-           "format_chaos", "chaos_summary_json"]
+__all__ = ["ChaosRunResult", "ChaosRunSpec", "live_world", "run_scenario",
+           "run_chaos", "format_chaos", "chaos_summary_json"]
 
 #: Stream tags mixed into seed_sequence keys (arbitrary, fixed).
 _CANDIDATES_STREAM = 101
@@ -82,14 +82,17 @@ class ChaosRunResult:
     min_live_replicas: int
     final_sites: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # A cached result comes back from JSON with a list here.
+        object.__setattr__(self, "final_sites", tuple(self.final_sites))
+
 
 @dataclass(frozen=True)
 class ChaosRunSpec:
     """One runnable chaos cell: (scenario, run index, faulty?).
 
-    Satisfies the runner's job protocol (``payload``/``execute``/
-    ``kind``/``setting``), so chaos runs go through the same pool,
-    cache and resume machinery as every other experiment.
+    A :class:`~repro.runner.jobs.JobSpec`, so chaos runs go through the
+    same pool, cache and resume machinery as every other experiment.
     """
 
     scenario: ChaosScenario
@@ -98,18 +101,56 @@ class ChaosRunSpec:
 
     kind = "chaos-run"
     setting = None                  # the scenario carries its own world
+    result_type = ChaosRunResult
+
+    @property
+    def engine(self) -> str:
+        return self.scenario.engine
 
     def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": asdict(self.scenario),
-            "run_index": self.run_index,
-            "faulty": self.faulty,
-        }
+        return spec_payload(self)
 
     def execute(self, world=None) -> ChaosRunResult:
         return run_scenario(self.scenario, run_index=self.run_index,
                             faulty=self.faulty)
+
+
+def live_world(n_nodes: int, n_dc: int, seed: int, run_index: int = 0,
+               coord_system: str = "rnp", engine: str = "event"):
+    """The world every live-stack cell starts from, keyed by its identity.
+
+    Returns ``(sim, matrix, planar, candidates, clients, workload_cls)``:
+    the synthetic RTT matrix of ``seed``, its 40-round embedding cut to
+    three planar dimensions, the candidate/client split, a simulator
+    seeded from ``(seed, run_index)`` and the workload class that drives
+    ``engine``.  Chaos runs and catalog cells both build through here,
+    so the same master seed reproduces the same world in either.
+    """
+    from repro.analysis.experiment import draw_candidates
+    from repro.coords import embed_matrix
+    from repro.net import PlanetLabParams, synthetic_planetlab_matrix
+    from repro.sim import Simulator
+    from repro.workloads import AccessWorkload
+
+    matrix, _ = synthetic_planetlab_matrix(
+        PlanetLabParams(n=n_nodes), seed=seed)
+    planar = embed_matrix(
+        matrix, system=coord_system, rounds=40,
+        rng=np.random.default_rng(
+            seed_sequence(seed, run_index, _EMBED_STREAM)),
+    ).coords[:, :3]
+    candidates, clients = draw_candidates(
+        matrix, n_dc,
+        np.random.default_rng(
+            seed_sequence(seed, run_index, _CANDIDATES_STREAM)))
+    sim_seed = int(seed_sequence(seed, run_index).generate_state(1)[0])
+    if engine == "batched":
+        from repro.store.batched import BatchedAccessWorkload
+        workload_cls = BatchedAccessWorkload
+    else:
+        workload_cls = AccessWorkload
+    return (Simulator(seed=sim_seed), matrix, planar, candidates, clients,
+            workload_cls)
 
 
 def _schedule_faults(injector, store, scenario: ChaosScenario,
@@ -205,30 +246,14 @@ def run_scenario(scenario: ChaosScenario, run_index: int = 0,
     the fault schedule left out — the paired baseline the latency ratio
     is measured against.
     """
-    from repro.analysis.experiment import draw_candidates
-    from repro.coords import embed_matrix
-    from repro.net import PlanetLabParams, synthetic_planetlab_matrix
-    from repro.sim import FailureInjector, Simulator
+    from repro.sim import FailureInjector
     from repro.store import ReplicatedStore
-    from repro.workloads import AccessWorkload, ClientPopulation
+    from repro.workloads import ClientPopulation
 
-    matrix, _ = synthetic_planetlab_matrix(
-        PlanetLabParams(n=scenario.n_nodes), seed=scenario.seed)
-    planar = embed_matrix(
-        matrix, system=scenario.coord_system, rounds=40,
-        rng=np.random.default_rng(
-            seed_sequence(scenario.seed, run_index, _EMBED_STREAM)),
-    ).coords[:, :3]
-    candidates, clients = draw_candidates(
-        matrix, scenario.n_dc,
-        np.random.default_rng(
-            seed_sequence(scenario.seed, run_index, _CANDIDATES_STREAM)))
-
+    sim, matrix, planar, candidates, clients, workload_cls = live_world(
+        scenario.n_nodes, scenario.n_dc, scenario.seed, run_index,
+        scenario.coord_system, scenario.engine)
     domains = scenario.build_domains(matrix, candidates)
-
-    sim_seed = int(seed_sequence(scenario.seed, run_index)
-                   .generate_state(1)[0])
-    sim = Simulator(seed=sim_seed)
     store = ReplicatedStore(
         sim, matrix, candidates, planar, selection="oracle",
         read_timeout_ms=scenario.read_timeout_ms,
@@ -278,11 +303,6 @@ def run_scenario(scenario: ChaosScenario, run_index: int = 0,
         workload_keys = ["obj"]
         unit_list = ("obj",)
     ref_unit = unit_list[0]
-    if scenario.engine == "batched":
-        from repro.store.batched import BatchedAccessWorkload
-        workload_cls = BatchedAccessWorkload
-    else:
-        workload_cls = AccessWorkload
     if scenario.hotspot_exponent > 0:
         # Skew the client mass toward one candidate site, so a
         # latency-only placer concentrates replicas near the hotspot —
@@ -383,17 +403,14 @@ def _aggregate(results: Sequence[ChaosRunResult]) -> dict[str, Any]:
     return totals
 
 
-def run_chaos(scenario: ChaosScenario, *,
-              jobs: int | None = 1,
-              cache_dir: str | None = None,
-              resume: bool = False,
-              chunk_size: int | None = None) -> dict[str, Any]:
+def run_chaos(scenario: ChaosScenario, **runner) -> dict[str, Any]:
     """Run a scenario's faulty and baseline arms; return the summary.
 
     Every run index yields two cells (faults on / faults off) farmed
     through the parallel runner.  The summary is a plain JSON-able dict
     whose serialization (:func:`chaos_summary_json`) is byte-identical
-    regardless of worker count.
+    regardless of worker count.  ``**runner``: forwarded to
+    :func:`repro.runner.execute`.
     """
     specs: list[ChaosRunSpec] = []
     for run_index in range(scenario.runs):
@@ -401,8 +418,7 @@ def run_chaos(scenario: ChaosScenario, *,
         specs.append(ChaosRunSpec(scenario, run_index, faulty=False))
     registry = obs.get_registry()
     with registry.phase("chaos.run"):
-        results = execute(specs, jobs=jobs, cache_dir=cache_dir,
-                          resume=resume, chunk_size=chunk_size)
+        results = execute(specs, **runner)
     faulty = _aggregate(results[0::2])
     baseline = _aggregate(results[1::2])
     # Ratio of *final* latency: the faults in a scenario are expected to

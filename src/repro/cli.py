@@ -72,8 +72,16 @@ def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
                              "obs phase timers after the command")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        metavar="N",
                         help="worker processes for the experiment runner "
                              "(default: one per CPU; 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -81,7 +89,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="reuse cached jobs from --cache-dir instead "
                              "of recomputing them")
-    parser.add_argument("--chunk-size", type=int, default=None, metavar="K",
+    parser.add_argument("--chunk-size", type=_positive_int, default=None,
+                        metavar="K",
                         help="jobs per dispatched chunk (default: auto-tuned "
                              "from measured dispatch overhead)")
 
@@ -89,8 +98,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _runner_kwargs(args: argparse.Namespace) -> dict:
     if args.resume and not args.cache_dir:
         raise SystemExit("error: --resume requires --cache-dir")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        raise SystemExit("error: --chunk-size must be >= 1")
     return {"jobs": args.jobs, "cache_dir": args.cache_dir,
             "resume": args.resume, "chunk_size": args.chunk_size}
 
@@ -122,30 +129,22 @@ def _setting(args: argparse.Namespace) -> EvaluationSetting:
         candidate_mode=args.candidate_mode, seed=args.seed)
 
 
-def _figure_command(runner: Callable, **extra) -> Callable:
-    def command(args: argparse.Namespace) -> int:
-        result = runner(_setting(args), **extra, **_runner_kwargs(args))
-        print(format_figure(result))
-        if getattr(args, "chart", False):
-            print()
-            print(render_chart(result))
-        if args.csv:
-            figure_to_csv(result, args.csv)
-            print(f"\nwrote {args.csv}")
-        return 0
-    return command
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    result = run_figure3(_setting(args), **_runner_kwargs(args))
+def _emit_figure(result, args: argparse.Namespace) -> int:
     print(format_figure(result))
-    if getattr(args, "chart", False):
+    if args.chart:
         print()
         print(render_chart(result))
     if args.csv:
         figure_to_csv(result, args.csv)
         print(f"\nwrote {args.csv}")
     return 0
+
+
+def _figure_command(runner: Callable) -> Callable:
+    def command(args: argparse.Namespace) -> int:
+        return _emit_figure(runner(_setting(args), **_runner_kwargs(args)),
+                            args)
+    return command
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
@@ -155,15 +154,6 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     print(format_table2(rows))
     if args.csv:
         table2_to_csv(rows, args.csv)
-        print(f"\nwrote {args.csv}")
-    return 0
-
-
-def _cmd_coords(args: argparse.Namespace) -> int:
-    result = run_coord_ablation(_setting(args), **_runner_kwargs(args))
-    print(format_figure(result))
-    if args.csv:
-        figure_to_csv(result, args.csv)
         print(f"\nwrote {args.csv}")
     return 0
 
@@ -190,14 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             table2_to_csv(result, args.csv)
             print(f"\nwrote {args.csv}")
         return 0
-    print(format_figure(result))
-    if getattr(args, "chart", False):
-        print()
-        print(render_chart(result))
-    if args.csv:
-        figure_to_csv(result, args.csv)
-        print(f"\nwrote {args.csv}")
-    return 0
+    return _emit_figure(result, args)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -223,21 +206,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    from repro.catalog import catalog_to_csv, format_catalog, run_catalog_sweep
+    from dataclasses import fields
 
+    from repro.catalog import (
+        CatalogRunSpec,
+        catalog_to_csv,
+        format_catalog,
+        run_catalog_sweep,
+    )
+
+    # Every other CatalogRunSpec field is a flag whose dest is its name.
+    cell = {f.name: getattr(args, f.name) for f in fields(CatalogRunSpec)
+            if f.name not in ("n_keys", "n_shards")}
     rows = run_catalog_sweep(
-        args.keys, args.shards, grouping=args.grouping,
-        group_size=args.group_size, n_nodes=args.nodes, n_dc=args.dc,
-        seed=args.seed, k=args.k, rate_per_second=args.rate,
-        duration_ms=args.duration_ms, engine=args.engine,
-        epoch_period_ms=args.epoch_period_ms,
-        epoch_stagger=args.epoch_stagger,
-        max_epoch_moves=args.max_epoch_moves,
-        strategy=args.strategy,
-        service_model=args.service_model,
-        service_ms=args.service_ms,
-        service_sigma=args.service_sigma,
-        queue_capacity=args.queue_capacity,
+        [CatalogRunSpec(n_keys=n_keys, n_shards=n_shards, **cell)
+         for n_keys in args.keys for n_shards in args.shards],
         **_runner_kwargs(args))
     print(format_catalog(rows))
     if args.csv:
@@ -273,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p3 = sub.add_parser("figure3", help="delay vs micro-cluster budget")
     _add_setting_args(p3)
-    p3.set_defaults(func=_cmd_figure3)
+    p3.set_defaults(func=_figure_command(run_figure3))
 
     pt = sub.add_parser("table2", help="online vs offline clustering cost")
     pt.add_argument("--accesses", type=int, nargs="+",
@@ -290,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("coords", help="coordinate-system ablation")
     _add_setting_args(pc)
-    pc.set_defaults(func=_cmd_coords)
+    pc.set_defaults(func=_figure_command(run_coord_ablation))
 
     pr = sub.add_parser("report",
                         help="full reproduction report (all artifacts)")
@@ -338,13 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how keys fold into placement groups")
     pg.add_argument("--group-size", type=int, default=10,
                     help="keys per group for --grouping chunked")
-    pg.add_argument("--nodes", type=int, default=64,
+    pg.add_argument("--nodes", dest="n_nodes", type=int, default=64,
                     help="emulated nodes in the synthetic world")
-    pg.add_argument("--dc", type=int, default=12,
+    pg.add_argument("--dc", dest="n_dc", type=int, default=12,
                     help="candidate data centers")
     pg.add_argument("--seed", type=int, default=0, help="master seed")
     pg.add_argument("--k", type=int, default=3, help="degree of replication")
-    pg.add_argument("--rate", type=float, default=200.0,
+    pg.add_argument("--rate", dest="rate_per_second", type=float,
+                    default=200.0,
                     help="aggregate request rate (per second)")
     pg.add_argument("--duration-ms", type=float, default=60_000.0,
                     help="simulated horizon per cell")

@@ -5,7 +5,10 @@ of the job's canonical description (:meth:`~repro.runner.jobs.JobSpec.
 payload`) plus a code-version salt.  The key is a pure function of the
 job's *configuration* — never of when or where it ran — so an
 interrupted sweep can resume from every job that finished, and two
-machines running the same sweep address the same entries.
+machines running the same sweep address the same entries.  The stored
+result is plain JSON (a number, or a dataclass / dict as its field
+mapping); a read rebuilds it through the spec's ``result_type``, so the
+cache knows no result class by name.
 
 Crash safety comes from the write protocol: entries are written to a
 temporary file in the cache directory and published with
@@ -21,12 +24,13 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import asdict, is_dataclass
 from typing import Any, Iterable
 
 __all__ = ["ResultCache", "cache_key", "CACHE_SCHEMA", "code_salt"]
 
 #: Bumped whenever the cache entry layout or job semantics change.
-CACHE_SCHEMA = "repro.runner/v1"
+CACHE_SCHEMA = "repro.runner/v2"
 
 
 def code_salt() -> str:
@@ -49,28 +53,21 @@ def cache_key(spec: Any, salt: str | None = None) -> str:
 
 
 def _encode_result(result: Any) -> Any:
-    """JSON-able form of a job result (floats and Table2Row today)."""
-    from dataclasses import asdict, is_dataclass
+    """JSON-able form of a job result: a number, dataclass or dict."""
     if isinstance(result, (int, float)):
         return float(result)
     if is_dataclass(result):
-        return {"__dataclass__": type(result).__name__, **asdict(result)}
+        return asdict(result)
+    if isinstance(result, dict):
+        return result
     raise TypeError(f"cannot cache result of type {type(result).__name__}")
 
 
-def _decode_result(encoded: Any) -> Any:
-    if isinstance(encoded, dict) and "__dataclass__" in encoded:
-        name = encoded["__dataclass__"]
-        fields = {k: v for k, v in encoded.items() if k != "__dataclass__"}
-        if name == "Table2Row":
-            from repro.analysis.experiment import Table2Row
-            return Table2Row(**fields)
-        if name == "ChaosRunResult":
-            from repro.chaos.harness import ChaosRunResult
-            fields["final_sites"] = tuple(fields["final_sites"])
-            return ChaosRunResult(**fields)
-        raise ValueError(f"unknown cached result type {name!r}")
-    return float(encoded)
+def _decode_result(encoded: Any, result_type: type) -> Any:
+    """Inverse of :func:`_encode_result`, given the spec's result type."""
+    if isinstance(encoded, dict) and result_type is not dict:
+        return result_type(**encoded)
+    return encoded
 
 
 #: Sentinel distinguishing "cache miss" from a legitimately falsy result.
@@ -113,7 +110,7 @@ class ResultCache:
         if entry.get("schema") != CACHE_SCHEMA:
             return MISS
         try:
-            return _decode_result(entry["result"])
+            return _decode_result(entry["result"], spec.result_type)
         except (KeyError, TypeError, ValueError):
             return MISS
 

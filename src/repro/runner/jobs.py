@@ -30,8 +30,8 @@ serial loops in :mod:`repro.analysis.experiment` exactly
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
 
@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
 
 __all__ = [
     "JobSpec",
+    "spec_payload",
     "JobChunk",
     "ChunkResult",
     "PlacementRunSpec",
@@ -159,6 +160,43 @@ def _strategy_payload(strategy: Any) -> Any:
 # ----------------------------------------------------------------------
 # Job specs
 # ----------------------------------------------------------------------
+class JobSpec(Protocol):
+    """What :func:`repro.runner.pool.execute` needs of a job.
+
+    The specs in this repo are frozen dataclasses — picklable, so any
+    worker can run them, and hashable by content through
+    :func:`spec_payload`.
+    """
+
+    #: What a worker builds the cell's world from (memoized per
+    #: process); ``None`` when the cell carries or needs no world.
+    setting: "EvaluationSetting | None"
+    #: Type of the value ``execute`` returns — a number, a dataclass or
+    #: a JSON-able ``dict``; the result cache decodes an entry through it.
+    result_type: type
+    #: Data-plane engine the cell runs on, for provenance rows
+    #: (``None`` for cells that drive no data plane).
+    engine: "str | None"
+
+    def payload(self) -> dict:
+        """Canonical JSON-able description — the cache-key material."""
+
+    def execute(self, world: Any) -> Any:
+        """Run the cell against ``world`` (``None`` without a setting)."""
+
+
+def spec_payload(spec: Any) -> dict:
+    """A dataclass spec's ``kind`` plus *every* field, nested
+    dataclasses as dicts — a field added later cannot be left out of
+    the cache key.
+    """
+    payload = {"kind": spec.kind}
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        payload[field.name] = asdict(value) if is_dataclass(value) else value
+    return payload
+
+
 @dataclass(frozen=True)
 class PlacementRunSpec:
     """One (sweep point, strategy, run index) evaluation cell.
@@ -185,24 +223,12 @@ class PlacementRunSpec:
     world_key: str | None = None
 
     kind = "placement-run"
+    result_type = float
+    engine = None
 
     def payload(self) -> dict:
-        """Canonical JSON-able description — the cache-key material."""
-        from dataclasses import asdict
-        return {
-            "kind": self.kind,
-            "sweep": self.sweep,
-            "series": self.series,
-            "x": self.x,
-            "run_index": self.run_index,
-            "n_dc": self.n_dc,
-            "k": self.k,
-            "strategy": _strategy_payload(self.strategy),
-            "seed": self.seed,
-            "candidate_mode": self.candidate_mode,
-            "setting": asdict(self.setting) if self.setting else None,
-            "world_key": self.world_key,
-        }
+        return {**spec_payload(self),
+                "strategy": _strategy_payload(self.strategy)}
 
     def execute(self, world) -> float:
         """Run the cell against ``world = (matrix, coords, heights)``."""
@@ -239,26 +265,20 @@ class Table2Spec:
 
     kind = "table2-row"
     setting = None                  # table rows need no world
+    engine = None
+
+    @property
+    def result_type(self) -> type:
+        from repro.analysis.experiment import Table2Row
+        return Table2Row
 
     def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_accesses": self.n_accesses,
-            "k": self.k,
-            "m": self.m,
-            "dim": self.dim,
-            "seed": self.seed,
-        }
+        return spec_payload(self)
 
     def execute(self, world=None) -> "Table2Row":
         from repro.analysis.experiment import compute_table2_row
         return compute_table2_row(self.n_accesses, self.k, self.m,
                                   self.dim, self.seed)
-
-
-#: Anything the executor accepts: needs ``payload()``, ``execute(world)``,
-#: a ``kind`` tag and a ``setting`` attribute.
-JobSpec = PlacementRunSpec | Table2Spec
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,7 @@ from typing import Any, Sequence
 from repro import obs
 from repro.runner import workers
 from repro.runner.cache import MISS, ResultCache
-from repro.runner.jobs import ChunkResult, JobChunk
+from repro.runner.jobs import ChunkResult, JobChunk, JobSpec
 from repro.runner.workers import CRASH_ONCE_ENV  # re-export (test hook)
 
 __all__ = ["execute", "RunnerError", "WorkerCrashError", "StallTimeoutError",
@@ -106,7 +106,7 @@ _after_chunk_hook = None
 _UNSET = object()
 
 
-def execute(specs: Sequence[Any], *,
+def execute(specs: Sequence[JobSpec], *,
             jobs: int | None = 1,
             cache_dir: str | None = None,
             resume: bool = False,
@@ -116,6 +116,10 @@ def execute(specs: Sequence[Any], *,
             chunk_size: int | None = None,
             meta_out: list | None = None) -> list[Any]:
     """Run every spec and return the results in spec order.
+
+    This signature is the one declaration of the runner options: every
+    experiment runner (``run_figure1`` … ``run_chaos``) takes
+    ``**runner`` and forwards it here verbatim.
 
     Parameters
     ----------
@@ -180,7 +184,7 @@ def execute(specs: Sequence[Any], *,
                     registry.counter("runner.cache_hits").inc()
                     if meta is not None:
                         meta[i] = {"source": "cache",
-                                   "engine": _engine_of(spec)}
+                                   "engine": getattr(spec, "engine", None)}
                     continue
                 registry.counter("runner.cache_misses").inc()
             remaining.append(i)
@@ -201,14 +205,6 @@ def execute(specs: Sequence[Any], *,
     return results
 
 
-def _engine_of(spec: Any) -> Any:
-    """The data-plane engine a cell runs on, if its spec records one."""
-    engine = getattr(spec, "engine", None)
-    if engine is None:
-        engine = getattr(getattr(spec, "scenario", None), "engine", None)
-    return engine
-
-
 def _execute_serial(specs, remaining, world, cache, results, registry, meta):
     for i in remaining:
         with registry.phase("runner.job"):
@@ -219,7 +215,8 @@ def _execute_serial(specs, remaining, world, cache, results, registry, meta):
             cache.put(specs[i], result)
         registry.counter("runner.jobs_completed").inc()
         if meta is not None:
-            meta[i] = {"source": "serial", "engine": _engine_of(specs[i])}
+            meta[i] = {"source": "serial",
+                       "engine": getattr(specs[i], "engine", None)}
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +467,7 @@ def _record_chunk(result: ChunkResult, worker, specs, cache, results,
         for i in result.indices:
             meta[i] = {"source": "worker", "worker": worker.id,
                        "chunk": result.chunk_id,
-                       "engine": _engine_of(specs[i])}
+                       "engine": getattr(specs[i], "engine", None)}
 
 
 def _execute_pool(specs, remaining, jobs, world, cache, results, registry,

@@ -27,10 +27,11 @@ works unchanged.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.experiment import (
     EvaluationSetting,
@@ -45,16 +46,24 @@ from repro.analysis.experiment import (
 
 __all__ = ["SweepSpec", "load_sweep_spec", "run_sweep", "SWEEP_KINDS"]
 
-#: Experiment kind -> (runner, allowed parameter names).
-SWEEP_KINDS: dict[str, tuple[Any, tuple[str, ...]]] = {
-    "figure1": (run_figure1, ("datacenter_counts", "k", "micro_clusters")),
-    "figure2": (run_figure2, ("replica_counts", "n_dc", "micro_clusters")),
-    "figure3": (run_figure3, ("micro_cluster_counts", "replica_counts",
-                              "n_dc")),
-    "coords": (run_coord_ablation, ("systems", "n_dc", "k",
-                                    "micro_clusters")),
-    "table2": (run_table2, ("n_accesses_list", "k", "m", "dim", "seed")),
+#: Experiment kind -> the runner a sweep of that kind calls.
+SWEEP_KINDS: dict[str, Callable] = {
+    "figure1": run_figure1,
+    "figure2": run_figure2,
+    "figure3": run_figure3,
+    "coords": run_coord_ablation,
+    "table2": run_table2,
 }
+
+
+def _allowed_params(kind: str) -> list[str]:
+    """What ``[params]`` may set: the runner's own parameters — not
+    ``setting`` (its own table) and not the ``**runner`` catch-all
+    (runner options belong to the command line, not the sweep file).
+    """
+    parameters = inspect.signature(SWEEP_KINDS[kind]).parameters.values()
+    return sorted(p.name for p in parameters
+                  if p.name != "setting" and p.kind is not p.VAR_KEYWORD)
 
 
 @dataclass(frozen=True)
@@ -69,11 +78,11 @@ class SweepSpec:
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}; "
                              f"known: {sorted(SWEEP_KINDS)}")
-        allowed = SWEEP_KINDS[self.kind][1]
+        allowed = _allowed_params(self.kind)
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:
             raise ValueError(f"sweep kind {self.kind!r} does not accept "
-                             f"{unknown}; allowed: {sorted(allowed)}")
+                             f"{unknown}; allowed: {allowed}")
 
 
 def _parse_spec(payload: dict, source: str) -> SweepSpec:
@@ -111,18 +120,14 @@ def load_sweep_spec(path: str) -> SweepSpec:
     return _parse_spec(payload, path)
 
 
-def run_sweep(spec: SweepSpec, *,
-              jobs: int | None = 1,
-              cache_dir: str | None = None,
-              resume: bool = False,
-              chunk_size: int | None = None,
-              ) -> FigureResult | Sequence[Table2Row]:
-    """Execute one declarative sweep through the parallel runner."""
-    runner, _allowed = SWEEP_KINDS[spec.kind]
+def run_sweep(spec: SweepSpec,
+              **runner) -> FigureResult | Sequence[Table2Row]:
+    """Execute one declarative sweep.
+
+    ``**runner``: forwarded to :func:`repro.runner.execute`.
+    """
     kwargs: dict[str, Any] = dict(spec.params)
     if spec.kind == "table2":
         kwargs.setdefault("seed", spec.setting.seed)
-        return run_table2(jobs=jobs, cache_dir=cache_dir, resume=resume,
-                          chunk_size=chunk_size, **kwargs)
-    return runner(spec.setting, jobs=jobs, cache_dir=cache_dir,
-                  resume=resume, chunk_size=chunk_size, **kwargs)
+        return run_table2(**kwargs, **runner)
+    return SWEEP_KINDS[spec.kind](spec.setting, **kwargs, **runner)

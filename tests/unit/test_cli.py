@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface and CSV export."""
 
 import csv
+import json
 
 import pytest
 
@@ -43,6 +44,28 @@ class TestParser:
     def test_catalog_rejects_unknown_grouping(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["catalog", "--grouping", "psychic"])
+
+    def test_catalog_flags_land_on_the_cell_field_names(self):
+        from dataclasses import fields
+
+        from repro.catalog import CatalogRunSpec
+        args = build_parser().parse_args(
+            ["catalog", "--nodes", "20", "--dc", "6", "--rate", "100"])
+        assert (args.n_nodes, args.n_dc, args.rate_per_second) == (20, 6, 100.0)
+        assert {f.name for f in fields(CatalogRunSpec)} \
+            - {"n_keys", "n_shards"} <= set(vars(args))
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
+    def test_runner_counts_must_be_positive(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--accesses", "100", flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"error: argument {flag}: must be >= 1" \
+            in capsys.readouterr().err
+
+    def test_resume_requires_cache_dir(self):
+        with pytest.raises(SystemExit, match="--resume requires --cache-dir"):
+            main(["table2", "--accesses", "100", "--resume"])
 
 
 class TestCommands:
@@ -87,6 +110,30 @@ class TestCommands:
         assert [int(r["n_shards"]) for r in rows] == [1, 2]
         assert all(int(r["reads_completed"]) > 0 for r in rows)
         assert all(int(r["groups"]) == 4 for r in rows)
+
+    def test_catalog_resumes_from_its_cache(self, tmp_path, capsys):
+        argv = ["catalog", "--keys", "24", "--shards", "1", "2",
+                "--nodes", "20", "--dc", "6", "--duration-ms", "4000",
+                "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        metrics = str(tmp_path / "warm.json")
+        assert main([*argv, "--resume", "--metrics-out", metrics]) == 0
+        warm = capsys.readouterr().out
+        assert warm.replace(f"wrote {metrics}\n", "") == cold
+        with open(metrics) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["runner.cache_hits"] == counters["runner.jobs"] == 2
+        assert "runner.jobs_completed" not in counters
+
+    def test_coords_draws_the_chart_when_asked(self, capsys):
+        argv = ["coords", "--nodes", "30", "--runs", "1", "--seed", "3"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main([*argv, "--chart"]) == 0
+        charted = capsys.readouterr().out
+        assert charted.startswith(table)
+        assert "o mds" in charted and "o mds" not in table
 
     def test_matrix_command(self, tmp_path, capsys):
         path = str(tmp_path / "m.npz")

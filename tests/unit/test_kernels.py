@@ -7,11 +7,8 @@ sequential rule, the pairwise-distance cache, and the deterministic
 empty-cluster reseed regression.
 """
 
-import importlib
-import inspect
 import os
 import pickle
-import pkgutil
 import random
 import subprocess
 import sys
@@ -20,7 +17,6 @@ import textwrap
 import numpy as np
 import pytest
 
-import repro
 from repro import kernels
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
@@ -114,35 +110,10 @@ class TestBackendSwitch:
         assert (done.returncode, done.stdout.strip()) == (0, "False"), \
             done.stderr
 
-    def test_nothing_in_the_package_takes_a_backend_argument(self):
-        def callables(module):
-            for name, obj in vars(module).items():
-                if getattr(obj, "__module__", None) != module.__name__:
-                    continue
-                if inspect.isfunction(obj):
-                    yield f"{module.__name__}.{name}", obj
-                elif inspect.isclass(obj):
-                    yield f"{module.__name__}.{name}", obj
-                    for attr, member in vars(obj).items():
-                        member = getattr(member, "__func__", member)
-                        if inspect.isfunction(member):
-                            yield f"{module.__name__}.{name}.{attr}", member
-
-        offenders, seen = [], 0
-        for info in pkgutil.walk_packages(repro.__path__, "repro."):
-            if info.name.endswith("__main__"):
-                continue  # importing it runs the CLI
-            module = importlib.import_module(info.name)
-            for where, obj in callables(module):
-                try:
-                    parameters = inspect.signature(obj).parameters
-                except (TypeError, ValueError):
-                    continue
-                seen += 1
-                if "backend" in parameters:
-                    offenders.append(where)
-        assert seen > 500
-        assert offenders == []
+    def test_nothing_in_the_package_takes_a_backend_argument(
+            self, package_callables):
+        assert [where for where, _obj, parameters in package_callables
+                if "backend" in parameters] == []
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Unit tests for repro.runner: jobs, cache, executor, sweep specs."""
 
+import ast
+import copy
+import dataclasses
 import inspect
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro.runner.cache
 from repro import obs
 from repro.analysis.experiment import EvaluationSetting, Table2Row
+from repro.catalog import CatalogRunSpec
+from repro.chaos import ChaosRunSpec, load_scenario
 from repro.placement.offline_kmeans import OfflineKMeansPlacement
 from repro.placement.online import OnlineClusteringPlacement
 from repro.placement.random_placement import RandomPlacement
@@ -27,6 +34,47 @@ from repro.runner import (
     seed_sequence,
     strategy_spec,
 )
+
+
+def _smoke_scenario():
+    """The bundled chaos smoke scenario, cut to a 5 s horizon."""
+    path = (pathlib.Path(__file__).parents[2] / "examples" / "chaos"
+            / "smoke.toml")
+    scenario = load_scenario(str(path))
+    crash = dataclasses.replace(scenario.faults[0], at=1_000.0,
+                                until=2_500.0)
+    return dataclasses.replace(scenario, duration_ms=4_000.0,
+                               settle_ms=1_000.0, faults=(crash,))
+
+
+#: One tiny cell of every spec kind the repo runs through ``execute``.
+SPEC_KINDS = {
+    "placement": lambda: PlacementRunSpec(
+        sweep="s", series="online clustering", x=2.0, run_index=0, n_dc=5,
+        k=2, strategy=strategy_spec("online", micro_clusters=4), seed=3,
+        setting=EvaluationSetting(n_nodes=30, n_runs=1, seed=3)),
+    "table2": lambda: Table2Spec(n_accesses=60, k=2, m=3, seed=5),
+    "chaos": lambda: ChaosRunSpec(_smoke_scenario(), run_index=0,
+                                  faulty=True),
+    "catalog": lambda: CatalogRunSpec(n_keys=20, n_shards=2, n_nodes=30,
+                                      n_dc=6, duration_ms=2_000.0),
+}
+
+
+def _changed(value):
+    """A different, still JSON-able value for one spec field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "'"
+    if dataclasses.is_dataclass(value):     # a setting or a scenario
+        return dataclasses.replace(value, seed=value.seed + 1)
+    if isinstance(value, tuple):            # a declarative strategy
+        return strategy_spec("random")
+    assert value is None, value
+    return 1
 
 
 class TestSeedSequence:
@@ -164,6 +212,18 @@ class TestCacheKey:
         assert cache_key(spec(run_index=1)) != base
         assert cache_key(spec(candidate_mode="uniform")) != base
 
+    @pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+    def test_every_field_of_every_spec_kind_is_in_the_key(self, kind):
+        # A hand-listed payload() silently drops a field added later.
+        spec = SPEC_KINDS[kind]()
+        keys = {cache_key(spec)}
+        for field in dataclasses.fields(spec):
+            variant = copy.copy(spec)
+            object.__setattr__(variant, field.name,
+                               _changed(getattr(spec, field.name)))
+            keys.add(cache_key(variant))
+        assert len(keys) == len(dataclasses.fields(spec)) + 1
+
 
 class TestResultCache:
     def test_roundtrip_float_and_table2_row(self, tmp_path):
@@ -209,6 +269,20 @@ class TestResultCache:
         with pytest.raises(TypeError, match="cannot cache"):
             cache.put(Table2Spec(n_accesses=10, k=2, m=3), object())
 
+    def test_cache_module_imports_no_result_class(self):
+        # Results decode through spec.result_type; the cache must not
+        # reach up into the layers that define them (at any nesting
+        # depth — the old codec imported inside a function).
+        tree = ast.parse(pathlib.Path(repro.runner.cache.__file__).read_text())
+        imported = [alias.name if isinstance(node, ast.Import)
+                    else node.module or ""
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        assert imported
+        assert [name for name in imported
+                if name.startswith(("repro.analysis", "repro.chaos"))] == []
+
 
 class TestExecute:
     def _specs(self, n=4):
@@ -252,6 +326,28 @@ class TestExecute:
         assert registry.counter("runner.cache_misses").value == 2
         assert registry.counter("runner.jobs_completed").value == 2
 
+    @pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+    def test_every_spec_kind_caches_and_resumes(self, kind, tmp_path):
+        spec = SPEC_KINDS[kind]()
+        [computed] = execute([spec], cache_dir=str(tmp_path))
+        with obs.observe() as (registry, _):
+            [resumed] = execute([spec], cache_dir=str(tmp_path), resume=True)
+        assert resumed == computed
+        assert type(resumed) is spec.result_type
+        assert registry.counter("runner.cache_hits").value \
+            == registry.counter("runner.jobs").value == 1
+
+    def test_runner_options_are_declared_in_execute_only(
+            self, package_callables):
+        options = {"jobs", "cache_dir", "resume", "chunk_size"}
+        assert options <= set(inspect.signature(execute).parameters)
+        offenders = [
+            where for where, obj, parameters in package_callables
+            if options & set(parameters) and obj is not execute
+            and not (where.startswith("repro.runner.pool.")
+                     and where.split(".")[3].startswith("_"))]
+        assert offenders == []
+
     def test_metrics_instrumented(self):
         specs = self._specs(3)
         with obs.observe() as (registry, _):
@@ -271,6 +367,18 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="does not accept"):
             SweepSpec(kind="figure1", setting=EvaluationSetting(),
                       params={"bogus": 1})
+
+    def test_sweep_file_cannot_set_runner_options(self, tmp_path):
+        path = tmp_path / "sweep.toml"
+        path.write_text('kind = "figure2"\n[params]\njobs = 4\n')
+        with pytest.raises(ValueError, match=r"does not accept \['jobs'\]"):
+            load_sweep_spec(str(path))
+
+    def test_misspelt_runner_option_is_a_type_error(self):
+        from repro.analysis.experiment import run_figure2
+        setting = EvaluationSetting(n_nodes=30, n_runs=1, seed=4)
+        with pytest.raises(TypeError, match="'job'"):
+            run_figure2(setting, (1,), n_dc=6, job=2)
 
     def test_load_toml_and_json_agree(self, tmp_path):
         toml_path = tmp_path / "sweep.toml"

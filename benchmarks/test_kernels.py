@@ -11,10 +11,16 @@ floors:
   >= 3x, as must the full offline placement pipeline built from them;
 * micro-cluster stream absorption is *inherently sequential* (every
   absorb/spawn/merge decision sees the clusters as the previous point
-  left them), so its vectorization win is structurally modest — the
-  floor only pins that the batched kernel never loses to the scalar
-  loop, and the mixed kernel aggregate clears a correspondingly lower
-  bar.  The honest per-kernel numbers land in the JSON either way.
+  left them), so the loop over points stays in Python on both backends.
+  What numpy buys is the O(m) work inside one step — one subtract +
+  einsum against the live centroid rows instead of an m x d scalar
+  loop, and a lazily maintained centroid-pair matrix instead of an
+  O(m^2 d) closest-pair scan per spawn: measured 2.65x at m = 16
+  (1.39x before the pair matrix), floor 2.0x.  The online placement
+  pipeline is that kernel (40 % of its numpy time) plus weighted
+  k-means over only k*m <= 128 micro-clusters, where per-call numpy
+  overhead caps k-means at ~2.4x — hence ~2.1x end to end, not the
+  4-13x of the large-input kernels.
 """
 
 import json
@@ -144,12 +150,13 @@ def test_kernel_speedups(evaluation_world, capsys):
     assert speedups["pairwise_distances"] >= 3.0, doc
     assert speedups["cross_distances"] >= 3.0, doc
     assert speedups["placement_offline_end_to_end"] >= 3.0, doc
-    # The mixed aggregate includes the sequential absorption kernel,
-    # whose win is structurally modest; its floor is correspondingly
-    # lower so scheduler noise cannot flake the nightly job.
+    # The mixed aggregate includes the sequential absorption kernel;
+    # its floor is correspondingly lower so scheduler noise cannot flake
+    # the nightly job.
     assert aggregate >= 2.5, doc
-    # The sequential kernels only have to not lose to the scalar oracle.
-    assert speedups["cf_absorb_stream"] >= 1.0, doc
+    # Sequential over points, vectorized inside a step: measured 2.65x,
+    # floor with 25 % headroom.
+    assert speedups["cf_absorb_stream"] >= 2.0, doc
     assert speedups["placement_online_end_to_end"] >= 1.0, doc
     # A warm cache hit only copies; it must beat recomputation.
     assert cached_s < cold_s, doc

@@ -326,7 +326,9 @@ class Table2Row:
     clustering step — the quantity Table II bounds (O((km)^k log km) vs
     O(n^k log n)).  ``online_ingest_seconds`` is the per-replica stream
     maintenance, which is O(m) per access and distributed across the
-    replica servers, reported for completeness.
+    replica servers, reported for completeness: the block kernel
+    (:func:`repro.kernels.cf.absorb_stream`) run over each replica's
+    shard of the stream in turn.
     """
 
     n_accesses: int
@@ -348,7 +350,10 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
     The row's random streams derive from ``(seed, n_accesses)``, so rows
     are independent of each other — the property that lets
     :func:`run_table2` farm them out to workers and cache them
-    individually.  Wall-clock costs are measured with
+    individually.  Each replica's summary ingests its shard with one
+    ``record_batch`` — summaries are independent, so per-shard order is
+    the absorption sequence per-access ``record_access`` calls would
+    produce, bit for bit.  Wall-clock costs are measured with
     :class:`repro.obs.PhaseTimer` (``table2.online_ingest`` /
     ``table2.online_cluster`` / ``table2.offline_cluster``) on a local
     registry that is merged into the active one, so the numbers flow
@@ -368,8 +373,8 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
                  for _ in range(k)]
     shard = rng.integers(0, k, size=n_accesses)
     with timers.phase("table2.online_ingest"):
-        for point, s in zip(points, shard):
-            summaries[s].record_access(point)
+        for s, summary in enumerate(summaries):
+            summary.record_batch(points[shard == s])
     pooled = [c for summary in summaries for c in summary.snapshot()]
     with timers.phase("table2.online_cluster"):
         place_replicas(pooled, k, blob_centers, np.random.default_rng(seed))

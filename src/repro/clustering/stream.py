@@ -268,27 +268,35 @@ class OnlineClusterer:
         self.points_seen = 0
         self._centroid_cache = None
 
-    def extend(self, points: Iterable[np.ndarray],
-               weights: Iterable[float] | None = None) -> None:
+    def extend(self, points: np.ndarray | Iterable[np.ndarray],
+               weights: np.ndarray | Iterable[float] | None = None) -> None:
         """Feed many points through the batched absorption kernel.
 
         Equivalent to calling :meth:`add` once per point, but the whole
-        block runs inside :func:`repro.kernels.cf.absorb_stream`, so the
-        per-point work never touches Python objects on the numpy
-        backend.  Spawn/absorb/merge events are counted in aggregate
-        (individual tracer spans are not emitted on this path).
+        block runs inside :func:`repro.kernels.cf.absorb_stream`.  An
+        ``(n, d)`` array and an ``(n,)`` weight vector reach the kernel
+        as they are; any other iterable of points is stacked first.
+        Spawn/absorb/merge events are counted in aggregate (individual
+        tracer spans are not emitted on this path).
         """
-        block = [np.asarray(p, dtype=float) for p in points]
-        if not block:
+        if not isinstance(points, np.ndarray):
+            points = list(points)
+        point_array = np.asarray(points, dtype=float)
+        if point_array.size == 0:
             return
-        point_array = np.stack(block)
+        if point_array.ndim != 2:
+            raise ValueError("expected an (n, d) block of points, "
+                             f"got shape {point_array.shape}")
+        n = point_array.shape[0]
         if weights is None:
-            point_weights = np.ones(len(block))
+            point_weights = np.ones(n)
         else:
-            point_weights = np.asarray(list(weights), dtype=float)
-            if point_weights.shape != (len(block),):
+            if not isinstance(weights, np.ndarray):
+                weights = list(weights)
+            point_weights = np.asarray(weights, dtype=float)
+            if point_weights.shape != (n,):
                 raise ValueError(
-                    f"expected {len(block)} weights, "
+                    f"expected {n} weights, "
                     f"got shape {point_weights.shape}")
         if np.any(point_weights < 0):
             raise ValueError("weight must be non-negative")
@@ -312,7 +320,7 @@ class OnlineClusterer:
                                     linear, square)
         ]
         self._rebuild_cache()
-        self.points_seen += len(block)
+        self.points_seen += n
         registry = obs.get_registry()
         if registry.enabled:
             for event, total in stats.items():

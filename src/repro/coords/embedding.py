@@ -3,8 +3,13 @@
 The simulator runs coordinate updates as live gossip; this module offers
 the equivalent batch driver used by experiments and tests: run ``rounds``
 rounds in which every node measures a random peer and updates, then
-return the final coordinates.  It also provides classical MDS as an
-idealized (centralized, offline) embedding for comparison.
+return the final coordinates.  The rounds run in
+:func:`repro.kernels.embed.embed_rounds`, a wavefront-batched kernel that
+is bitwise equal to updating one :class:`~repro.coords.vivaldi.VivaldiNode`
+/ :class:`~repro.coords.rnp.RNPNode` object per node in index order (the
+``use_backend("python")`` oracle does exactly that).  It also provides
+classical MDS as an idealized (centralized, offline) embedding for
+comparison.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from typing import Literal
 import numpy as np
 
 from repro.coords.gnp import gnp_embed
-from repro.coords.rnp import RNPNode
 from repro.coords.space import EuclideanSpace
-from repro.coords.vivaldi import VivaldiNode
+from repro.kernels.embed import embed_rounds
 from repro.net.latency import LatencyMatrix
 
 __all__ = ["EmbeddingResult", "embed_matrix", "classical_mds"]
@@ -79,8 +83,10 @@ def embed_matrix(matrix: LatencyMatrix, system: SystemName = "rnp",
         decentralized systems (Vivaldi's recommended configuration) and
         without height for GNP/MDS.
     rounds:
-        Gossip rounds for the decentralized systems.  Each round lets
-        every node measure one uniformly random peer.
+        Gossip rounds for the decentralized systems (non-negative).
+        Each round lets every node measure one uniformly random peer, so
+        the matrix needs at least two nodes, and every RTT a round
+        samples must be positive.
     rng:
         Randomness (peer choice, initial coordinates, optimizer seeds).
     outlier_fraction:
@@ -100,7 +106,6 @@ def embed_matrix(matrix: LatencyMatrix, system: SystemName = "rnp",
     if outlier_multiplier < 1.0:
         raise ValueError("outliers only inflate measurements")
     rng = rng or np.random.default_rng(0)
-    n = matrix.n
 
     if system == "mds":
         space = space or EuclideanSpace(dim=3, use_height=False)
@@ -115,47 +120,9 @@ def embed_matrix(matrix: LatencyMatrix, system: SystemName = "rnp",
         return EmbeddingResult(coords, space, "gnp")
 
     space = space or EuclideanSpace(dim=3, use_height=True)
-    if system == "vivaldi":
-        nodes = [VivaldiNode(space, rng=rng, **system_kwargs) for _ in range(n)]
-    elif system == "rnp":
-        nodes = [RNPNode(space, rng=rng, **system_kwargs) for _ in range(n)]
-    else:
-        raise ValueError(f"unknown coordinate system {system!r}")
-
-    warmup = rounds // 2
-    displacements: list[float] = []
-    previous: np.ndarray | None = None
-    for round_index in range(rounds):
-        # Every node measures one random distinct peer per round; using a
-        # permutation avoids pathological self-pairs cheaply.
-        peers = rng.integers(0, n - 1, size=n)
-        peers = peers + (peers >= np.arange(n))
-        for i in range(n):
-            j = int(peers[i])
-            sample = matrix.latency(i, j)
-            if outlier_fraction > 0 and rng.random() < outlier_fraction:
-                sample *= outlier_multiplier
-            nodes[i].update(nodes[j].coords, nodes[j].error, sample)
-        # Every node just moved: any memoized distance matrix for the
-        # previous round's coordinates is dead weight now.
-        space.invalidate_cache()
-        if round_index >= warmup:
-            snapshot = np.stack([node.coords for node in nodes])
-            if previous is not None:
-                # Displacement of one node: planar movement plus height
-                # change (the height-space distance formula would add
-                # both heights even for a motionless node).
-                diff = snapshot - previous
-                if space.use_height:
-                    moves = (np.linalg.norm(diff[:, :-1], axis=1)
-                             + np.abs(diff[:, -1]))
-                else:
-                    moves = np.linalg.norm(diff, axis=1)
-                displacements.append(float(moves.mean()))
-            previous = snapshot
-
-    coords = np.stack([node.coords for node in nodes])
-    stability = float(np.mean(displacements)) if displacements else None
+    coords, _errors, stability = embed_rounds(
+        matrix.rtt, system, space, rounds, rng, outlier_fraction,
+        outlier_multiplier, **system_kwargs)
     return EmbeddingResult(coords, space, system, stability)
 
 

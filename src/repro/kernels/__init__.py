@@ -1,6 +1,7 @@
 """repro.kernels — the numeric hot-path kernels behind a backend switch.
 
-The control loop is dominated by three numeric kernels:
+The control loop is dominated by three numeric kernels, and the world
+every experiment starts from by a fourth:
 
 * **weighted k-means** assignment/update over the pooled ``k*m``
   micro-cluster pseudo-points (:mod:`repro.kernels.wkmeans`),
@@ -9,19 +10,28 @@ The control loop is dominated by three numeric kernels:
   (:mod:`repro.kernels.cf`),
 * **coordinate-space distances** for candidate ranking and
   migration-gain prediction (:mod:`repro.kernels.wkmeans` cross/pairwise
-  distances, memoized by :mod:`repro.kernels.distcache`).
+  distances, memoized by :mod:`repro.kernels.distcache`),
+* **coordinate embedding** — the Vivaldi/RNP gossip rounds of
+  ``coords.embed_matrix`` as wavefront-batched struct-of-arrays steps
+  (:mod:`repro.kernels.embed`).  Its oracle is not a scalar loop but the
+  node classes themselves: :class:`~repro.coords.rnp.RNPNode` and
+  :class:`~repro.coords.vivaldi.VivaldiNode`, updated one object at a
+  time, remain the reference and the path live gossip
+  (:mod:`repro.sim.gossip`) runs.
 
 Every kernel exists in two implementations selected by one *backend*
 switch:
 
 ``"numpy"``
     Vectorised array kernels — the production path, and the only code
-    in :mod:`~repro.kernels.wkmeans` and :mod:`~repro.kernels.cf`.
+    in :mod:`~repro.kernels.wkmeans`, :mod:`~repro.kernels.cf` and
+    :mod:`~repro.kernels.embed`.
 ``"python"``
-    Scalar pure-Python loops in :mod:`repro.kernels._reference` — the
-    oracle the differential test suite checks the vectorised path
-    against, and the baseline the ``benchmarks/test_kernels.py`` speedup
-    is measured from.  Imported only while this backend is selected.
+    Scalar pure-Python loops (for the embedding, the per-node object
+    loop) in :mod:`repro.kernels._reference` — the oracle the
+    differential test suite checks the vectorised path against, and the
+    baseline the ``benchmarks/test_kernels.py`` speedup is measured
+    from.  Imported only while this backend is selected.
 
 There is one way to select the oracle: ``with use_backend("python"):`` —
 nothing else takes a backend argument.  ``REPRO_KERNEL_BACKEND`` is

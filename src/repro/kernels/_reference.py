@@ -1,7 +1,8 @@
 """The scalar reference oracle: every kernel as a pure-Python loop.
 
-One function per dispatching kernel of :mod:`repro.kernels.wkmeans` and
-:mod:`repro.kernels.cf`, same name and signature: its scalar arm.  Each
+One function per dispatching kernel of :mod:`repro.kernels.wkmeans`,
+:mod:`repro.kernels.cf` and :mod:`repro.kernels.embed`, same name and
+signature: its scalar arm.  Each
 takes its arguments as the kernel has already coerced and validated them
 (float arrays of the documented rank).  The differential suite checks
 the numpy kernels against these, by calling them directly or by running
@@ -254,3 +255,58 @@ def absorb_stream(counts, weights, linear, square, points,
             np.asarray(ls, dtype=float).reshape(len(cnt), -1),
             np.asarray(ss, dtype=float).reshape(len(cnt), -1),
             stats)
+
+
+# -- repro.kernels.embed -----------------------------------------------
+def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
+                 outlier_multiplier=10.0, **node_params):
+    """Per-node :func:`repro.kernels.embed.embed_rounds`.
+
+    One :class:`~repro.coords.vivaldi.VivaldiNode` or
+    :class:`~repro.coords.rnp.RNPNode` object per node, updated in index
+    order — the loop ``embed_matrix`` ran before the wavefront kernel,
+    and what live gossip (:mod:`repro.sim.gossip`) runs per message.
+    """
+    from repro.coords.rnp import RNPNode
+    from repro.coords.vivaldi import VivaldiNode
+
+    n = rtt.shape[0]
+    node_cls = {"vivaldi": VivaldiNode, "rnp": RNPNode}[system]
+    nodes = [node_cls(space, rng=rng, **node_params) for _ in range(n)]
+
+    warmup = rounds // 2
+    displacements: list[float] = []
+    previous: np.ndarray | None = None
+    for round_index in range(rounds):
+        # Every node measures one random distinct peer per round: an
+        # offset draw over the n - 1 others skips the node itself.
+        peers = rng.integers(0, n - 1, size=n)
+        peers = peers + (peers >= np.arange(n))
+        for i in range(n):
+            j = int(peers[i])
+            sample = float(rtt[i, j])
+            if outlier_fraction > 0 and rng.random() < outlier_fraction:
+                sample *= outlier_multiplier
+            nodes[i].update(nodes[j].coords, nodes[j].error, sample)
+        # Every node just moved: any memoized distance matrix for the
+        # previous round's coordinates is dead weight now.
+        space.invalidate_cache()
+        if round_index >= warmup:
+            snapshot = np.stack([node.coords for node in nodes])
+            if previous is not None:
+                # Displacement of one node: planar movement plus height
+                # change (the height-space distance formula would add
+                # both heights even for a motionless node).
+                diff = snapshot - previous
+                if space.use_height:
+                    moves = (np.linalg.norm(diff[:, :-1], axis=1)
+                             + np.abs(diff[:, -1]))
+                else:
+                    moves = np.linalg.norm(diff, axis=1)
+                displacements.append(float(moves.mean()))
+            previous = snapshot
+
+    coords = np.stack([node.coords for node in nodes])
+    errors = np.array([node.error for node in nodes])
+    stability = float(np.mean(displacements)) if displacements else None
+    return coords, errors, stability

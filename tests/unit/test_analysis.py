@@ -1,5 +1,9 @@
 """Unit tests for repro.analysis (stats, experiment harness, reports)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,6 +51,23 @@ class TestSummarize:
         small = summarize(rng.normal(0, 1, size=5))
         large = summarize(rng.normal(0, 1, size=500))
         assert large.ci95_half_width < small.ci95_half_width
+
+    def test_t_quantile_value(self):
+        # t(0.975, df=2) * 10 / sqrt(3)
+        assert summarize([10, 20, 30]).ci95_half_width == pytest.approx(
+            24.841377117503303, rel=1e-12)
+
+
+def test_importing_the_package_does_not_import_scipy_stats():
+    """``scipy.stats`` loads on the first t-quantile, not with the CLI."""
+    code = ("import sys, repro, repro.cli; "
+            "print('scipy.stats' in sys.modules); "
+            "repro.analysis.summarize([1.0, 2.0]); "
+            "print('scipy.stats' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.split() == ["False", "True"], done.stderr
 
 
 class TestDrawCandidates:
@@ -215,6 +236,14 @@ class TestComparePaired:
         b = a + rng.normal(0, 5, size=10)  # pure noise difference
         result = compare_paired(a, b, alpha=0.001)
         assert not result.significant
+
+    def test_p_value(self):
+        from repro.analysis import compare_paired
+        result = compare_paired([10.0, 12.0, 11.0, 13.0],
+                                [11.0, 14.0, 11.5, 15.5])
+        assert result.mean_difference == -1.5
+        assert result.p_value == pytest.approx(0.046205091353363266,
+                                               rel=1e-9)
 
     def test_validation(self):
         from repro.analysis import compare_paired

@@ -9,6 +9,7 @@ import repro.clustering.kmeans
 import repro.clustering.stream
 import repro.core.costs
 import repro.core.migration
+import repro.kernels.embed
 import repro.net.latency
 import repro.runner.cache
 import repro.runner.jobs
@@ -19,6 +20,7 @@ MODULES = [
     repro.clustering.stream,
     repro.core.costs,
     repro.core.migration,
+    repro.kernels.embed,
     repro.net.latency,
     repro.runner.cache,
     repro.runner.jobs,

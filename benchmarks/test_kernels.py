@@ -27,12 +27,19 @@ floors:
   on the numpy backend*: the loop's refit distances run the numpy
   ``cross_distances`` exactly as they did while the loop was
   ``embed_matrix``, so the ratio is the batching and nothing else:
-  measured 17.96x, floor 14x.
+  measured 17.96x, floor 14x;
+* the exhaustive oracle (``best_subset``: the setting's 206 x 20 RTT
+  block at k = 7, C(20, 7) = 77 520 combinations — Fig. 2's largest
+  cell) is timed the same way, the prefix-shared running-minimum scan
+  against the chunked gather scan it replaced, *both on the numpy
+  backend* (the gather scan is vectorised numpy too; the ratio is the
+  algorithm): measured 7.07x, floor 3x.
 """
 
 import json
 import pathlib
 import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -43,6 +50,7 @@ from repro.clustering.stream import OnlineClusterer
 from repro.coords.space import EuclideanSpace
 from repro.kernels import _reference
 from repro.kernels import embed
+from repro.kernels import subset
 from repro.kernels import wkmeans as wk
 from repro.placement.base import PlacementProblem
 from repro.placement.offline_kmeans import OfflineKMeansPlacement
@@ -58,6 +66,7 @@ ACCESSES = 3          # accesses per client per epoch
 CANDIDATES = 20
 REPEATS = 5
 EMBED_ROUNDS = 40     # the chaos / catalog world (`live_world`)
+SUBSET_K = 7          # Fig. 2's largest oracle cell
 
 
 def _best(fn, repeats=REPEATS):
@@ -135,6 +144,14 @@ def test_kernel_speedups(evaluation_world, capsys):
         embed_kernel_s = _best(embed_with(embed.embed_rounds))
         embed_loop_s = _best(embed_with(_reference.embed_rounds), repeats=3)
 
+    # Exhaustive oracle: running-minimum scan vs chunked gather scan,
+    # both on the numpy backend (see the module docstring).
+    block = matrix.rows(clients, candidates)
+    with kernels.use_backend("numpy"):
+        subset_kernel_s = _best(lambda: subset.best_subset(block, SUBSET_K))
+        subset_gather_s = _best(
+            lambda: _reference.best_subset(block, SUBSET_K), repeats=3)
+
     speedups = {name: t["python"] / t["numpy"]
                 for name, t in workloads.items()}
     agg_python = sum(workloads[k]["python"] for k in kernel_keys)
@@ -159,6 +176,13 @@ def test_kernel_speedups(evaluation_world, capsys):
             "kernel_ms": round(embed_kernel_s * 1e3, 3),
             "per_node_loop_ms": round(embed_loop_s * 1e3, 3),
             "speedup": round(embed_loop_s / embed_kernel_s, 2),
+        },
+        "best_subset": {
+            "clients": len(clients), "candidates": CANDIDATES, "k": SUBSET_K,
+            "combinations": comb(CANDIDATES, SUBSET_K),
+            "kernel_ms": round(subset_kernel_s * 1e3, 3),
+            "gather_scan_ms": round(subset_gather_s * 1e3, 3),
+            "speedup": round(subset_gather_s / subset_kernel_s, 2),
         },
         "distance_cache": {
             "cold_ms": round(cold_s * 1e3, 3),
@@ -188,5 +212,8 @@ def test_kernel_speedups(evaluation_world, capsys):
     # ~5 batched wave steps per round instead of 226 node updates:
     # measured 17.96x, floor with 25 % headroom.
     assert doc["embed_rounds"]["speedup"] >= 14.0, doc
+    # ~116 k broadcast row minima instead of 77 520 x 7 gathered
+    # columns, in cache-sized pieces: measured 7.07x, floor 3x.
+    assert doc["best_subset"]["speedup"] >= 3.0, doc
     # A warm cache hit only copies; it must beat recomputation.
     assert cached_s < cold_s, doc

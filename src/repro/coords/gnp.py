@@ -6,12 +6,15 @@ pairwise embedding error, then every other node solves for its own
 coordinate against the fixed landmark coordinates.  It is included both
 as a baseline coordinate system and because the paper's related-work
 section contrasts RNP with it.
+
+``scipy.optimize`` is imported inside the two fits that use it: at
+module level it costs every ``import repro`` (each CLI call, each runner
+worker) about 0.45 s for Nelder-Mead steps only a GNP embed takes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.coords.space import EuclideanSpace
 
@@ -44,6 +47,8 @@ def embed_landmarks(landmark_rtts: np.ndarray, space: EuclideanSpace,
     -------
     ``(L, vector_size)`` landmark coordinates.
     """
+    from scipy import optimize
+
     landmark_rtts = np.asarray(landmark_rtts, dtype=float)
     n = landmark_rtts.shape[0]
     if landmark_rtts.shape != (n, n):
@@ -82,6 +87,8 @@ def place_with_landmarks(landmark_coords: np.ndarray, rtts_to_landmarks: np.ndar
                          rng: np.random.Generator | None = None,
                          restarts: int = 3) -> np.ndarray:
     """Solve one ordinary node's coordinate against fixed landmarks."""
+    from scipy import optimize
+
     landmark_coords = np.asarray(landmark_coords, dtype=float)
     rtts = np.asarray(rtts_to_landmarks, dtype=float)
     if landmark_coords.shape[0] != rtts.shape[0]:

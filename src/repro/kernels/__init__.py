@@ -1,7 +1,8 @@
 """repro.kernels — the numeric hot-path kernels behind a backend switch.
 
-The control loop is dominated by three numeric kernels, and the world
-every experiment starts from by a fourth:
+The control loop is dominated by three numeric kernels, the world every
+experiment starts from by a fourth, and the yardstick every figure is
+read against by a fifth:
 
 * **weighted k-means** assignment/update over the pooled ``k*m``
   micro-cluster pseudo-points (:mod:`repro.kernels.wkmeans`),
@@ -18,17 +19,22 @@ every experiment starts from by a fourth:
   :class:`~repro.coords.vivaldi.VivaldiNode`, updated one object at a
   time, remain the reference and the path live gossip
   (:mod:`repro.sim.gossip`) runs.
+* **exhaustive subset search** — the optimal strategy's scan of every
+  ``C(n, k)`` candidate subset as prefix-shared running minima
+  (:mod:`repro.kernels.subset`).  Its oracle is the chunked
+  column-gather scan it replaced: numpy too, but one gather per subset.
 
 Every kernel exists in two implementations selected by one *backend*
 switch:
 
 ``"numpy"``
     Vectorised array kernels — the production path, and the only code
-    in :mod:`~repro.kernels.wkmeans`, :mod:`~repro.kernels.cf` and
-    :mod:`~repro.kernels.embed`.
+    in :mod:`~repro.kernels.wkmeans`, :mod:`~repro.kernels.cf`,
+    :mod:`~repro.kernels.embed` and :mod:`~repro.kernels.subset`.
 ``"python"``
     Scalar pure-Python loops (for the embedding, the per-node object
-    loop) in :mod:`repro.kernels._reference` — the oracle the
+    loop; for the subset search, the gather scan) in
+    :mod:`repro.kernels._reference` — the oracle the
     differential test suite checks the vectorised path against, and the
     baseline the ``benchmarks/test_kernels.py`` speedup is measured
     from.  Imported only while this backend is selected.

@@ -1,8 +1,10 @@
 """The scalar reference oracle: every kernel as a pure-Python loop.
 
 One function per dispatching kernel of :mod:`repro.kernels.wkmeans`,
-:mod:`repro.kernels.cf` and :mod:`repro.kernels.embed`, same name and
-signature: its scalar arm.  Each
+:mod:`repro.kernels.cf`, :mod:`repro.kernels.embed` and
+:mod:`repro.kernels.subset`, same name and signature: its scalar arm
+(for the last two, the loop the kernel replaced: per-node objects, the
+chunked gather scan).  Each
 takes its arguments as the kernel has already coerced and validated them
 (float arrays of the documented rank).  The differential suite checks
 the numpy kernels against these, by calling them directly or by running
@@ -20,6 +22,7 @@ can fall the other way (``tests/unit/test_absorb_kernel.py`` pins one).
 from __future__ import annotations
 
 import math
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -310,3 +313,31 @@ def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
     errors = np.array([node.error for node in nodes])
     stability = float(np.mean(displacements)) if displacements else None
     return coords, errors, stability
+
+
+# -- repro.kernels.subset ----------------------------------------------
+def best_subset(block, k):
+    """Chunked gather scan: :func:`repro.kernels.subset.best_subset`'s oracle.
+
+    Every ``C(n, k)`` combination in lexicographic order, ``chunk_size``
+    at a time — what ``OptimalPlacement.place`` ran before the
+    running-minimum scan.  The first combination wins a tie (first
+    ``argmin`` inside a chunk, strict ``<`` across chunks).
+    """
+    best_positions = None
+    best_total = np.inf
+    # Chunked vectorised scan: gather (clients, chunk, k) RTTs, take
+    # the per-client min over the k columns, sum over clients.
+    chunk_size = max(1, 4_000_000 // (block.shape[0] * k))
+    combo_iter = combinations(range(block.shape[1]), k)
+    while True:
+        chunk = list(islice(combo_iter, chunk_size))
+        if not chunk:
+            break
+        idx = np.array(chunk, dtype=int)          # (c, k)
+        totals = block[:, idx].min(axis=2).sum(axis=0)
+        pos = int(np.argmin(totals))
+        if best_positions is None or totals[pos] < best_total:
+            best_total = float(totals[pos])
+            best_positions = tuple(int(x) for x in idx[pos])
+    return best_positions, best_total

@@ -98,10 +98,13 @@ def update_centroids(points: np.ndarray, labels: np.ndarray,
     new_centers = centers.copy()
     for c in range(k):
         mask = labels == c
-        mass = weights[mask].sum()
+        w = weights[mask]
+        mass = w.sum()
         if mass > 0:
-            new_centers[c] = np.average(points[mask], axis=0,
-                                        weights=weights[mask])
+            # The arithmetic of np.average(points[mask], axis=0,
+            # weights=w), bit for bit, without its per-call validation.
+            new_centers[c] = np.multiply(points[mask],
+                                         w[:, None]).sum(axis=0) / mass
         else:
             new_centers[c] = points[int(np.argmax(costs))]
     return new_centers

@@ -25,7 +25,8 @@ class LatencyMatrix:
     ----------
     rtt:
         ``(n, n)`` array of round-trip times in milliseconds.  Must be
-        symmetric with a zero diagonal and non-negative entries.
+        symmetric with a zero diagonal and non-negative entries; ``inf``
+        (an unreachable pair) is accepted, NaN is not.
     names:
         Optional node names; defaults to ``node-0 .. node-{n-1}``.
     """
@@ -39,6 +40,8 @@ class LatencyMatrix:
             raise ValueError(f"RTT matrix must be square, got shape {rtt.shape}")
         if rtt.shape[0] == 0:
             raise ValueError("RTT matrix must contain at least one node")
+        if np.isnan(rtt).any():
+            raise ValueError("RTT matrix must not contain NaN")
         if np.any(rtt < 0):
             raise ValueError("RTT matrix must be non-negative")
         if np.any(np.diag(rtt) != 0):

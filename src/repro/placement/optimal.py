@@ -6,17 +6,21 @@ average access delay of each on the RTT matrix, and returns the best.
 candidate) but exact — the paper includes it purely as the yardstick the
 other strategies are measured against.
 
-The scan is vectorised: the ``clients × candidates`` RTT block is built
-once and each combination is a column-subset ``min``; the paper's scales
-(C(30, 3) = 4 060, C(20, 7) = 77 520) take well under a second.
+The search itself is the :func:`repro.kernels.subset.best_subset`
+kernel: the ``clients × candidates`` RTT block is built once here and
+scanned there as prefix-shared running minima, so the paper's scales
+(C(30, 3) = 4 060, C(20, 7) = 77 520 combinations) take a few tens of
+milliseconds.  Under ``use_backend("python")`` the kernel runs the
+chunked gather scan this module used to hold, with bitwise-equal totals.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice as itertools_islice
+from math import comb
 
 import numpy as np
 
+from repro.kernels.subset import best_subset
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
 __all__ = ["OptimalPlacement"]
@@ -41,7 +45,7 @@ class OptimalPlacement(PlacementStrategy):
               rng: np.random.Generator) -> tuple[int, ...]:
         k = problem.effective_k
         n_candidates = len(problem.candidates)
-        space_size = _n_combinations(n_candidates, k)
+        space_size = comb(n_candidates, k)
         if space_size > self.max_combinations:
             raise ValueError(
                 f"search space C({n_candidates},{k}) = {space_size} exceeds "
@@ -49,27 +53,16 @@ class OptimalPlacement(PlacementStrategy):
             )
 
         block = problem.matrix.rows(problem.clients, problem.candidates)
-        best_positions: tuple[int, ...] | None = None
-        best_total = np.inf
-        # Chunked vectorised scan: gather (clients, chunk, k) RTTs, take
-        # the per-client min over the k columns, sum over clients.
-        chunk_size = max(1, 4_000_000 // (block.shape[0] * k))
-        combo_iter = combinations(range(n_candidates), k)
-        while True:
-            chunk = list(itertools_islice(combo_iter, chunk_size))
-            if not chunk:
-                break
-            idx = np.array(chunk, dtype=int)          # (c, k)
-            totals = block[:, idx].min(axis=2).sum(axis=0)
-            pos = int(np.argmin(totals))
-            if totals[pos] < best_total:
-                best_total = float(totals[pos])
-                best_positions = tuple(int(x) for x in idx[pos])
-        assert best_positions is not None
-        sites = [problem.candidates[p] for p in best_positions]
-        return self._check(problem, sites)
-
-
-def _n_combinations(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
+        unreachable = ~np.isfinite(block).any(axis=1)
+        if unreachable.any():
+            raise ValueError(
+                f"client {problem.clients[int(unreachable.argmax())]} has no "
+                f"finite RTT to any candidate"
+            )
+        positions, total = best_subset(block, k)
+        if not np.isfinite(total):
+            raise ValueError(
+                f"no {k}-subset of the candidates gives every client a "
+                f"finite RTT"
+            )
+        return self._check(problem, [problem.candidates[p] for p in positions])

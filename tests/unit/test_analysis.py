@@ -59,15 +59,23 @@ class TestSummarize:
 
 
 def test_importing_the_package_does_not_import_scipy_stats():
-    """``scipy.stats`` loads on the first t-quantile, not with the CLI."""
-    code = ("import sys, repro, repro.cli; "
-            "print('scipy.stats' in sys.modules); "
+    """``scipy.optimize`` loads on the first GNP fit and ``scipy.stats``
+    on the first t-quantile — neither with the CLI."""
+    code = ("import sys, numpy, repro, repro.cli; "
+            "loaded = lambda: [m in sys.modules"
+            " for m in ('scipy.optimize', 'scipy.stats')]; "
+            "print(*loaded()); "
+            "from repro.coords import EuclideanSpace, gnp_embed; "
+            "rtt = numpy.abs(numpy.subtract.outer(*[numpy.arange(8.0)] * 2)); "
+            "coords = gnp_embed(rtt, EuclideanSpace(dim=2), n_landmarks=4); "
+            "print(*loaded(), coords.shape); "
             "repro.analysis.summarize([1.0, 2.0]); "
-            "print('scipy.stats' in sys.modules)")
+            "print(*loaded())")
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert done.stdout.split() == ["False", "True"], done.stderr
+    assert done.stdout.splitlines() == [
+        "False False", "True False (8, 2)", "True True"], done.stderr
 
 
 class TestDrawCandidates:

@@ -10,6 +10,7 @@ import repro.clustering.stream
 import repro.core.costs
 import repro.core.migration
 import repro.kernels.embed
+import repro.kernels.subset
 import repro.net.latency
 import repro.runner.cache
 import repro.runner.jobs
@@ -21,6 +22,7 @@ MODULES = [
     repro.core.costs,
     repro.core.migration,
     repro.kernels.embed,
+    repro.kernels.subset,
     repro.net.latency,
     repro.runner.cache,
     repro.runner.jobs,

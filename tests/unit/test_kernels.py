@@ -95,6 +95,7 @@ class TestBackendSwitch:
             from repro.coords import embed_matrix
             from repro.placement.base import PlacementProblem
             from repro.placement.online import OnlineClusteringPlacement
+            from repro.placement.optimal import OptimalPlacement
             matrix, _ = synthetic_planetlab_matrix(PlanetLabParams(n=30), seed=1)
             emb = embed_matrix(matrix, system="rnp", rounds=10,
                                rng=np.random.default_rng(2))
@@ -104,6 +105,8 @@ class TestBackendSwitch:
                 coords=emb.coords[:, :emb.space.dim])
             sites = OnlineClusteringPlacement(micro_clusters=4).place(
                 problem, np.random.default_rng(3))
+            assert len(sites) == 2
+            sites = OptimalPlacement().place(problem, np.random.default_rng(3))
             assert len(sites) == 2
             print("repro.kernels._reference" in sys.modules)
         """)
@@ -185,6 +188,30 @@ class TestWKMeansKernels:
         a = wk.update_centroids(points, labels, weights, centers, costs)
         b = ref.update_centroids(points, labels, weights, centers, costs)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_update_centroids_is_np_average_bit_for_bit(self):
+        # The kernel spells out np.average's arithmetic to skip its
+        # per-call validation; the means must not move by an ulp.
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            n, d, k = (int(rng.integers(*span))
+                       for span in ((1, 200), (1, 5), (1, 9)))
+            points = rng.normal(0.0, 100.0, size=(n, d))
+            weights = (rng.integers(1, 50, size=n).astype(float)
+                       if trial % 2 else rng.uniform(0.0, 5.0, size=n))
+            labels = rng.integers(0, k, size=n)
+            centers = rng.normal(size=(k, d))
+            costs = rng.uniform(size=n)
+            got = wk.update_centroids(points, labels, weights, centers, costs)
+            scalar = ref.update_centroids(points, labels, weights, centers,
+                                          costs)
+            np.testing.assert_allclose(got, scalar, rtol=1e-12, atol=1e-10)
+            for c in range(k):
+                mask = labels == c
+                if weights[mask].sum() > 0:
+                    want = np.average(points[mask], axis=0,
+                                      weights=weights[mask])
+                    assert got[c].tobytes() == want.tobytes(), (trial, c)
 
     def test_update_centroids_empty_cluster_reseeds_at_costliest(self):
         points = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 9.0]])

@@ -39,6 +39,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             LatencyMatrix(rtt)
 
+    def test_rejects_nan_by_name(self):
+        # NaN fails `allclose(rtt, rtt.T)` too; it is not an asymmetry.
+        rtt = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            LatencyMatrix(rtt)
+
+    def test_accepts_unreachable_pairs(self):
+        rtt = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        assert LatencyMatrix(rtt).latency(0, 1) == np.inf
+
     def test_rejects_nonzero_diagonal(self):
         rtt = np.array([[1.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.coords import EuclideanSpace, embed_matrix
+from repro.net import LatencyMatrix
 from repro.net.planetlab import small_matrix
 from repro.placement import (
     GreedyPlacement,
@@ -210,6 +212,43 @@ class TestOptimalSpecifics:
         from itertools import combinations
         for combo in combinations(candidates, 2):
             assert best <= average_access_delay(matrix, clients, combo) + 1e-9
+
+
+    def test_backends_agree(self, problem):
+        rng = np.random.default_rng(0)
+        with kernels.use_backend("python"):
+            oracle = OptimalPlacement().place(problem, rng)
+        assert OptimalPlacement().place(problem, rng) == oracle
+
+    def test_effective_k_caps_the_search(self, problem):
+        capped = PlacementProblem(problem.matrix, problem.candidates[:4],
+                                  problem.clients, k=9)
+        sites = OptimalPlacement().place(capped, np.random.default_rng(0))
+        assert sites == problem.candidates[:4]
+
+    @pytest.mark.parametrize("backend", kernels.BACKENDS)
+    def test_unreachable_client_is_a_clear_error(self, backend):
+        def problem_with(unreachable, k):
+            rtt = np.full((6, 6), 10.0)
+            np.fill_diagonal(rtt, 0.0)
+            for client, candidate in unreachable:
+                rtt[client, candidate] = rtt[candidate, client] = np.inf
+            return PlacementProblem(LatencyMatrix(rtt), (0, 1, 2), (3, 4, 5),
+                                    k=k)
+
+        rng = np.random.default_rng(0)
+        with kernels.use_backend(backend):
+            # Client 4 reaches no candidate; client 5 still reaches 1, 2.
+            cut_off = problem_with([(4, 0), (4, 1), (4, 2), (5, 0)], k=2)
+            with pytest.raises(ValueError, match="client 4 has no finite RTT"):
+                OptimalPlacement().place(cut_off, rng)
+            # Every client reaches someone, yet no single site serves all.
+            split = problem_with([(4, 0), (4, 2), (5, 1), (5, 2)], k=1)
+            with pytest.raises(ValueError,
+                               match="no 1-subset of the candidates"):
+                OptimalPlacement().place(split, rng)
+            assert len(OptimalPlacement().place(
+                problem_with([(4, 0), (4, 2), (5, 1), (5, 2)], k=2), rng)) == 2
 
 
 class TestHotZoneSpecifics:

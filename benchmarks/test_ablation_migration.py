@@ -17,8 +17,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy, ReplicationController
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation, RegionalShift
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation, RegionalShift
 
 from conftest import print_result
 
@@ -47,8 +47,8 @@ def run_scenario(threshold: float):
     pattern = RegionalShift(topology, regions[0], regions[-1],
                             start_ms=30_000.0, end_ms=90_000.0,
                             intensity=15.0)
-    AccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
-                   rate_per_second=100.0, pattern=pattern)
+    BatchedAccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
+                          rate_per_second=100.0, pattern=pattern)
     sim.run_until(120_000.0)
     reports = store.epoch_reports("obj")
     return {

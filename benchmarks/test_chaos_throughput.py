@@ -13,9 +13,11 @@ correlated-outage schedule no longer collapses the speedup.
 The schedule here cycles a two-node rack outage (crash + recovery)
 every 3 simulated seconds for the whole run — a fault density far
 beyond any bundled scenario — on a 64-node world at ~1e5 client
-accesses.  ``BENCH_chaos.json`` records both engines' wall clock, the
-events each retired, and the barrier count (``barriers_fired``) that
-measures how chopped-up the run was for bulk processing.
+accesses.  ``BENCH_chaos.json`` records the wall clock of the production
+driver (``"batched"``) and of the per-event test oracle of
+``repro.workloads._reference`` (``"event"``), the events each retired,
+and the barrier count (``barriers_fired``) that measures how chopped-up
+the run was for bulk processing.
 
 Every batched configuration here is an instance of the family the
 differential suite (``tests/integration/test_engine_equivalence.py``
@@ -35,7 +37,8 @@ from repro.net import LatencyMatrix
 from repro.net.domains import FailureDomains
 from repro.sim import FailureInjector, Simulator
 from repro.store import BatchedAccessWorkload, ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.workloads import ClientPopulation
+from repro.workloads._reference import AccessWorkload
 
 from conftest import print_result
 

@@ -2,8 +2,9 @@
 
 Runs the full live stack (64-node world, 12 candidate data centers,
 3 replicas, uniform read-only clients — the paper's setting scaled to
-a dense workload) under both data-plane engines and records the
-numbers in ``BENCH_sim.json`` next to this module:
+a dense workload) under the production driver (``"batched"``) and the
+per-event test oracle of ``repro.workloads._reference`` (``"event"``)
+and records the numbers in ``BENCH_sim.json`` next to this module:
 
 * the headline floor is a >= 10x end-to-end speedup at >= 1e5 client
   accesses — the batched engine's reason to exist;
@@ -20,6 +21,7 @@ proves bitwise-identical to the oracle, so the speedup is not bought
 with accuracy.
 """
 
+import gc
 import json
 import pathlib
 import time
@@ -30,7 +32,8 @@ import pytest
 from repro.net import LatencyMatrix
 from repro.sim import Simulator
 from repro.store import BatchedAccessWorkload, ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.workloads import ClientPopulation
+from repro.workloads._reference import AccessWorkload
 
 from conftest import print_result
 
@@ -59,6 +62,10 @@ def _run_once(engine, rate_per_second, horizon_ms):
                     else AccessWorkload)
     workload = workload_cls(store, population, ["obj"],
                             rate_per_second=rate_per_second)
+    # The previous run's garbage (up to 3e5 events, 1e5 log records) must
+    # not be collected on this run's clock: measured +35 % on the first
+    # batched run after an oracle run.
+    gc.collect()
     start = time.perf_counter()
     sim.run_until(horizon_ms)
     wall_s = time.perf_counter() - start
@@ -84,7 +91,7 @@ def _run(engine, rate_per_second, horizon_ms, repeats=2):
 
 @pytest.mark.bench
 def test_sim_throughput(capsys):
-    # Headline: both engines on the same >= 1e5-access workload.
+    # Headline: both drivers on the same >= 1e5-access workload.
     event = _run("event", 2_000, 52_000.0)
     batched = _run("batched", 2_000, 52_000.0)
     assert event["accesses"] == batched["accesses"] >= 100_000

@@ -16,8 +16,8 @@ stats.  The acceptance floor is deliberately loose (p999 ratio <= 0.7)
 against run-to-run drift; the measured ratio is typically far smaller
 because the ``nearest`` tail scales with the horizon.
 
-Both runs use the per-event oracle engine, so the comparison is exact
-simulation, not the batched window approximation.
+Both runs escalate every arrival to the per-event path (an active
+server queue does), so the comparison is exact simulation.
 """
 
 import json
@@ -29,8 +29,13 @@ import pytest
 
 from repro.net import LatencyMatrix
 from repro.sim import Simulator
-from repro.store import DeterministicService, QueueingConfig, ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import (
+    BatchedAccessWorkload,
+    DeterministicService,
+    QueueingConfig,
+    ReplicatedStore,
+)
+from repro.workloads import ClientPopulation
 
 from conftest import print_result
 
@@ -70,8 +75,8 @@ def _run_once(strategy):
     clients = list(range(N_DC, N_DC + N_CLIENTS))
     population = ClientPopulation.hotspot(clients, matrix, anchor=0,
                                           exponent=2.0)
-    workload = AccessWorkload(store, population, ["obj"],
-                              rate_per_second=RATE_PER_SECOND)
+    workload = BatchedAccessWorkload(store, population, ["obj"],
+                                     rate_per_second=RATE_PER_SECOND)
 
     start = time.perf_counter()
     sim.run_until(HORIZON_MS)

@@ -19,8 +19,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation, FlashCrowd
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation, FlashCrowd
 
 N_NODES = 80
 N_DATACENTERS = 10
@@ -52,13 +52,13 @@ def main() -> None:
     crowd = FlashCrowd(clients, start_ms=60_000.0, duration_ms=60_000.0,
                        multiplier=25.0)
     population = ClientPopulation.uniform(clients)
-    AccessWorkload(store, population, ["hot-object"],
-                   rate_per_second=100.0, pattern=crowd)
+    BatchedAccessWorkload(store, population, ["hot-object"],
+                          rate_per_second=100.0, pattern=crowd)
 
     # The temporal pattern reweights *who* asks; model the rate surge by
     # adding a second workload only active during the crowd window.
-    surge = AccessWorkload(store, population, ["hot-object"],
-                           rate_per_second=250.0)
+    surge = BatchedAccessWorkload(store, population, ["hot-object"],
+                                  rate_per_second=250.0)
     surge.stop()
 
     def surge_driver():

@@ -21,8 +21,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import FailureInjector, Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation
 
 RUN_MS = 120_000.0
 
@@ -46,8 +46,9 @@ def run(name, read_timeout_ms, auto_repair):
     injector = FailureInjector(store.network)
     injector.random_failures(candidates, mtbf_ms=30_000.0, mttr_ms=15_000.0,
                              until=RUN_MS, rng=np.random.default_rng(20))
-    workload = AccessWorkload(store, ClientPopulation.uniform(clients),
-                              ["obj"], rate_per_second=150.0)
+    workload = BatchedAccessWorkload(
+        store, ClientPopulation.uniform(clients), ["obj"],
+        rate_per_second=150.0)
     sim.run_until(RUN_MS + 5_000.0)
     reads = [r for r in store.log.records if r.kind == "read"]
     return {

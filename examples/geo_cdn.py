@@ -20,8 +20,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation, ZipfObjectPopularity
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation, ZipfObjectPopularity
 
 N_NODES = 100
 N_DATACENTERS = 12
@@ -57,8 +57,8 @@ def main() -> None:
         clients, topology,
         {"eu-west": 6.0, "eu-central": 6.0}, default_weight=1.0)
     popularity = ZipfObjectPopularity(OBJECTS, exponent=1.0)
-    AccessWorkload(store, population, OBJECTS, rate_per_second=300.0,
-                   popularity=popularity)
+    BatchedAccessWorkload(store, population, OBJECTS, rate_per_second=300.0,
+                          popularity=popularity)
 
     sim.run_until(RUN_MS)
 

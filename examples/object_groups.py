@@ -27,8 +27,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation
 
 N_NODES = 80
 N_ALBUMS = 30
@@ -65,7 +65,7 @@ def run(grouped: bool):
             store.create_object(key, size_gb=0.2, k=2,
                                 controller_config=config, policy=policy,
                                 epoch_period_ms=20_000.0)
-    AccessWorkload(store, population, ALBUMS, rate_per_second=300.0)
+    BatchedAccessWorkload(store, population, ALBUMS, rate_per_second=300.0)
     sim.run_until(RUN_MS)
 
     unit_keys = ["eu-albums"] if grouped else ALBUMS

@@ -22,8 +22,8 @@ from repro.coords import embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation, RegionalShift
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation, RegionalShift
 
 N_NODES = 90
 N_DATACENTERS = 14
@@ -56,8 +56,8 @@ def run_policy(name: str, threshold: float) -> dict:
     shift = RegionalShift(topology, "us-east", "asia-east",
                           start_ms=60_000.0, end_ms=240_000.0,
                           intensity=12.0)
-    AccessWorkload(store, ClientPopulation.uniform(clients), ["feed"],
-                   rate_per_second=150.0, pattern=shift)
+    BatchedAccessWorkload(store, ClientPopulation.uniform(clients), ["feed"],
+                          rate_per_second=150.0, pattern=shift)
     sim.run_until(RUN_MS)
 
     tally = store.controller("feed").tally

@@ -22,8 +22,8 @@ from repro.net.latency import LatencyMatrix
 from repro.net.planetlab import PlanetLabParams, synthetic_planetlab_matrix
 from repro.net.topology import GeoTopology
 from repro.sim.simulator import Simulator
+from repro.store.batched import BatchedAccessWorkload
 from repro.store.kvstore import ReplicatedStore
-from repro.workloads.access import AccessWorkload
 from repro.workloads.population import ClientPopulation
 from repro.workloads.temporal import TemporalPattern
 
@@ -110,8 +110,9 @@ def run_timeline(pattern_factory, policies: Sequence[TimelinePolicy],
             epoch_period_ms=policy.epoch_period_ms,
         )
         pattern: TemporalPattern = pattern_factory(topology)
-        AccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
-                       rate_per_second=rate_per_second, pattern=pattern)
+        BatchedAccessWorkload(store, ClientPopulation.uniform(clients),
+                              ["obj"], rate_per_second=rate_per_second,
+                              pattern=pattern)
         sim.run_until(duration_ms)
 
         reads = [(r.time, r.delay_ms) for r in store.log.records

@@ -53,7 +53,6 @@ class CatalogRunSpec:
     k: int = 3
     rate_per_second: float = 200.0
     duration_ms: float = 60_000.0
-    engine: str = "batched"
     epoch_period_ms: float = 10_000.0
     epoch_stagger: float = 1.0
     max_epoch_moves: int | None = None
@@ -75,8 +74,6 @@ class CatalogRunSpec:
         if self.grouping not in GROUPING_MODES:
             raise ValueError(f"unknown grouping {self.grouping!r}; "
                              f"known: {GROUPING_MODES}")
-        if self.engine not in ("event", "batched"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown selection strategy "
                              f"{self.strategy!r}; known: {STRATEGIES}")
@@ -135,11 +132,11 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
     from repro.catalog.catalog import ShardedCatalog
     from repro.catalog.groups import keyspace
     from repro.chaos.harness import live_world
-    from repro.store import ReplicatedStore
+    from repro.store import BatchedAccessWorkload, ReplicatedStore
     from repro.workloads import ClientPopulation
 
-    sim, matrix, planar, candidates, clients, workload_cls = live_world(
-        spec.n_nodes, spec.n_dc, spec.seed, engine=spec.engine)
+    sim, matrix, planar, candidates, clients = live_world(
+        spec.n_nodes, spec.n_dc, spec.seed)
     store = ReplicatedStore(sim, matrix, candidates, planar,
                             selection="oracle",
                             queueing=spec.build_queueing(),
@@ -153,8 +150,8 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
         max_epoch_moves=spec.max_epoch_moves)
 
     population = ClientPopulation.uniform(clients)
-    workload = workload_cls(store, population, list(catalog.keys()),
-                            rate_per_second=spec.rate_per_second)
+    workload = BatchedAccessWorkload(store, population, list(catalog.keys()),
+                                     rate_per_second=spec.rate_per_second)
 
     sim.run_until(spec.duration_ms)
 

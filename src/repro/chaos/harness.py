@@ -103,10 +103,6 @@ class ChaosRunSpec:
     setting = None                  # the scenario carries its own world
     result_type = ChaosRunResult
 
-    @property
-    def engine(self) -> str:
-        return self.scenario.engine
-
     def payload(self) -> dict:
         return spec_payload(self)
 
@@ -116,21 +112,20 @@ class ChaosRunSpec:
 
 
 def live_world(n_nodes: int, n_dc: int, seed: int, run_index: int = 0,
-               coord_system: str = "rnp", engine: str = "event"):
+               coord_system: str = "rnp"):
     """The world every live-stack cell starts from, keyed by its identity.
 
-    Returns ``(sim, matrix, planar, candidates, clients, workload_cls)``:
-    the synthetic RTT matrix of ``seed``, its 40-round embedding cut to
-    three planar dimensions, the candidate/client split, a simulator
-    seeded from ``(seed, run_index)`` and the workload class that drives
-    ``engine``.  Chaos runs and catalog cells both build through here,
-    so the same master seed reproduces the same world in either.
+    Returns ``(sim, matrix, planar, candidates, clients)``: a simulator
+    seeded from ``(seed, run_index)``, the synthetic RTT matrix of
+    ``seed``, its 40-round embedding cut to three planar dimensions and
+    the candidate/client split.  Chaos runs and catalog cells both build
+    through here, so the same master seed reproduces the same world in
+    either.
     """
     from repro.analysis.experiment import draw_candidates
     from repro.coords import embed_matrix
     from repro.net import PlanetLabParams, synthetic_planetlab_matrix
     from repro.sim import Simulator
-    from repro.workloads import AccessWorkload
 
     matrix, _ = synthetic_planetlab_matrix(
         PlanetLabParams(n=n_nodes), seed=seed)
@@ -144,13 +139,7 @@ def live_world(n_nodes: int, n_dc: int, seed: int, run_index: int = 0,
         np.random.default_rng(
             seed_sequence(seed, run_index, _CANDIDATES_STREAM)))
     sim_seed = int(seed_sequence(seed, run_index).generate_state(1)[0])
-    if engine == "batched":
-        from repro.store.batched import BatchedAccessWorkload
-        workload_cls = BatchedAccessWorkload
-    else:
-        workload_cls = AccessWorkload
-    return (Simulator(seed=sim_seed), matrix, planar, candidates, clients,
-            workload_cls)
+    return Simulator(seed=sim_seed), matrix, planar, candidates, clients
 
 
 def _schedule_faults(injector, store, scenario: ChaosScenario,
@@ -247,12 +236,12 @@ def run_scenario(scenario: ChaosScenario, run_index: int = 0,
     is measured against.
     """
     from repro.sim import FailureInjector
-    from repro.store import ReplicatedStore
+    from repro.store import BatchedAccessWorkload, ReplicatedStore
     from repro.workloads import ClientPopulation
 
-    sim, matrix, planar, candidates, clients, workload_cls = live_world(
+    sim, matrix, planar, candidates, clients = live_world(
         scenario.n_nodes, scenario.n_dc, scenario.seed, run_index,
-        scenario.coord_system, scenario.engine)
+        scenario.coord_system)
     domains = scenario.build_domains(matrix, candidates)
     store = ReplicatedStore(
         sim, matrix, candidates, planar, selection="oracle",
@@ -313,8 +302,9 @@ def run_scenario(scenario: ChaosScenario, run_index: int = 0,
             clients, matrix, anchor, scenario.hotspot_exponent)
     else:
         population = ClientPopulation.uniform(clients)
-    workload = workload_cls(store, population, workload_keys,
-                            rate_per_second=scenario.rate_per_second)
+    workload = BatchedAccessWorkload(
+        store, population, workload_keys,
+        rate_per_second=scenario.rate_per_second)
 
     # Blast-radius accounting: every crash is scored against the
     # installed replica set at the instant it lands (the injector fires

@@ -18,7 +18,6 @@ knobs and a schedule of faults::
     [workload]
     rate_per_second = 120.0
     duration_ms = 60_000.0
-    engine = "event"              # or "batched" (see docs/performance.md)
 
     [store]                       # resilience knobs (all optional)
     read_timeout_ms = 600.0
@@ -252,7 +251,6 @@ class ChaosScenario:
     rate_per_second: float = 120.0
     duration_ms: float = 60_000.0
     settle_ms: float = 5_000.0
-    engine: str = "event"
     hotspot_exponent: float = 0.0
     hotspot_anchor: int = 0
     # Store resilience knobs
@@ -280,9 +278,6 @@ class ChaosScenario:
             raise ValueError("need 1 <= k <= n_dc")
         if self.duration_ms <= 0 or self.epoch_period_ms <= 0:
             raise ValueError("durations must be positive")
-        if self.engine not in ("event", "batched"):
-            raise ValueError(f"unknown engine {self.engine!r} "
-                             "(use 'event' or 'batched')")
         if self.domain_assignment not in ("proximity", "contiguous"):
             raise ValueError(f"unknown domain_assignment "
                              f"{self.domain_assignment!r} "
@@ -433,6 +428,15 @@ def _parse_scenario(payload: dict, source: str) -> ChaosScenario:
     for section in ("world", "object", "workload", "store", "domains",
                     "catalog", "queueing", "selection"):
         table = payload.get(section, {})
+        if section == "workload" and "engine" in table:
+            # Retired key: there is one access driver.  Files written
+            # for it keep loading; asking for the other one cannot.
+            table = dict(table)
+            if table.pop("engine") != "batched":
+                raise ValueError(
+                    f"{source}: [workload] engine was removed — every run "
+                    "uses the batched data plane (exact in every regime); "
+                    "delete the key")
         unknown = sorted(set(table) - scenario_fields)
         if unknown:
             raise ValueError(f"{source}: unknown [{section}] fields "

@@ -20,10 +20,8 @@ the :mod:`repro.obs` observability layer for the run and dumps its
 metrics registry (counters, histograms, phase timers) plus a trace
 summary as JSON (see ``docs/observability.md``); ``--profile`` wraps
 the command in :mod:`cProfile` and prints the hottest cumulative
-entries alongside the obs phase timers.  ``chaos`` additionally takes
-``--engine {event,batched}`` to override the scenario's data-plane
-engine (see ``docs/performance.md``).  Defaults reproduce
-the paper's full-size setting (226 nodes, 30 runs, RNP coordinates).
+entries alongside the obs phase timers.  Defaults reproduce the paper's
+full-size setting (226 nodes, 30 runs, RNP coordinates).
 
 Every experiment command executes through :mod:`repro.runner` and takes
 ``--jobs N`` (worker processes; default: one per CPU; ``1`` = serial),
@@ -184,8 +182,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.chaos import (
         chaos_summary_json,
         format_chaos,
@@ -194,8 +190,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
 
     scenario = load_scenario(args.scenario)
-    if args.engine is not None and args.engine != scenario.engine:
-        scenario = replace(scenario, engine=args.engine)
     summary = run_chaos(scenario, **_runner_kwargs(args))
     print(format_chaos(summary))
     if args.out:
@@ -302,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "examples/chaos/ and docs/chaos.md")
     pz.add_argument("--out", default=None, metavar="FILE",
                     help="also write the summary as canonical JSON")
-    pz.add_argument("--engine", default=None, choices=("event", "batched"),
-                    help="override the scenario's data-plane engine "
-                         "(default: the scenario's [workload] engine)")
     _add_metrics_arg(pz)
     _add_runner_args(pz)
     pz.set_defaults(func=_cmd_chaos)
@@ -332,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="aggregate request rate (per second)")
     pg.add_argument("--duration-ms", type=float, default=60_000.0,
                     help="simulated horizon per cell")
-    pg.add_argument("--engine", default="batched",
-                    choices=("event", "batched"),
-                    help="data-plane engine (batched scales to large "
-                         "keyspaces)")
     pg.add_argument("--epoch-period-ms", type=float, default=10_000.0,
                     help="placement epoch period per unit")
     pg.add_argument("--epoch-stagger", type=float, default=1.0,

@@ -6,15 +6,7 @@ Coordinates are plain ``numpy`` vectors.  In a *height-vector* space
 the Euclidean distance of their planar parts **plus both heights**.
 
 Bulk distance matrices route through :mod:`repro.kernels.wkmeans`
-(vectorised or scalar, per the process-wide backend switch) and are
-memoized per space instance by a
-:class:`~repro.kernels.distcache.PairwiseDistanceCache`: repeated
-requests for the same coordinate array — candidate ranking, metric
-evaluation, migration-gain prediction — are served as copies of the
-cached matrix.  The cache keys on array contents, so refined
-coordinates can never be served stale values; call
-:meth:`EuclideanSpace.invalidate_cache` after a refinement round to
-drop the dead entries eagerly.
+(vectorised or scalar, per the process-wide backend switch).
 """
 
 from __future__ import annotations
@@ -22,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import wkmeans as _wk
-from repro.kernels.distcache import PairwiseDistanceCache
 
 __all__ = ["EuclideanSpace"]
 
@@ -38,48 +29,18 @@ class EuclideanSpace:
     use_height:
         Append a height component; coordinate vectors then have
         ``dim + 1`` entries and the distance adds both heights.
-    cache_size:
-        Slots in the per-instance distance-matrix memo (0 disables it).
     """
 
-    def __init__(self, dim: int = 3, use_height: bool = False,
-                 cache_size: int = 8) -> None:
+    def __init__(self, dim: int = 3, use_height: bool = False) -> None:
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        if cache_size < 0:
-            raise ValueError("cache size must be non-negative")
         self.dim = dim
         self.use_height = use_height
-        self.cache_size = cache_size
-        self._cache = (PairwiseDistanceCache(cache_size) if cache_size
-                       else None)
 
     @property
     def vector_size(self) -> int:
         """Length of a raw coordinate vector in this space."""
         return self.dim + (1 if self.use_height else 0)
-
-    @property
-    def cache(self) -> PairwiseDistanceCache | None:
-        """The distance-matrix memo (``None`` when disabled)."""
-        return self._cache
-
-    def invalidate_cache(self) -> None:
-        """Drop memoized matrices (after a coordinate-refinement round)."""
-        if self._cache is not None:
-            self._cache.invalidate()
-
-    def __getstate__(self) -> dict:
-        # The memo never crosses process or cache boundaries: workers
-        # rebuild it cold, which keeps pickled worlds small.
-        state = self.__dict__.copy()
-        state["_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._cache is None and self.cache_size:
-            self._cache = PairwiseDistanceCache(self.cache_size)
 
     # ------------------------------------------------------------------
     # Points
@@ -118,33 +79,23 @@ class EuclideanSpace:
             return planar + float(a[-1]) + float(b[-1])
         return float(np.linalg.norm(a - b))
 
-    def _pairwise(self, points: np.ndarray) -> np.ndarray:
+    def pairwise_distances(self, points: np.ndarray) -> np.ndarray:
+        """All pairwise predicted RTTs for an ``(n, vector_size)`` array."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.use_height:
             return _wk.pairwise_distances(points[:, :-1],
                                           heights=points[:, -1])
         return _wk.pairwise_distances(points)
 
-    def pairwise_distances(self, points: np.ndarray) -> np.ndarray:
-        """All pairwise predicted RTTs for an ``(n, vector_size)`` array."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._cache is None:
-            return self._pairwise(points)
-        return self._cache.lookup((points,), lambda: self._pairwise(points))
-
-    def _cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def cross_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Predicted RTTs between each row of ``a`` and each row of ``b``."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
         if self.use_height:
             return _wk.cross_distances(a[:, :-1], b[:, :-1],
                                        a_heights=a[:, -1],
                                        b_heights=b[:, -1])
         return _wk.cross_distances(a, b)
-
-    def cross_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Predicted RTTs between each row of ``a`` and each row of ``b``."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if self._cache is None:
-            return self._cross(a, b)
-        return self._cache.lookup((a, b), lambda: self._cross(a, b))
 
     def unit_direction(self, from_point: np.ndarray, to_point: np.ndarray,
                        rng: np.random.Generator | None = None) -> np.ndarray:

@@ -11,7 +11,7 @@ read against by a fifth:
   (:mod:`repro.kernels.cf`),
 * **coordinate-space distances** for candidate ranking and
   migration-gain prediction (:mod:`repro.kernels.wkmeans` cross/pairwise
-  distances, memoized by :mod:`repro.kernels.distcache`),
+  distances),
 * **coordinate embedding** — the Vivaldi/RNP gossip rounds of
   ``coords.embed_matrix`` as wavefront-batched struct-of-arrays steps
   (:mod:`repro.kernels.embed`).  Its oracle is not a scalar loop but the

@@ -291,9 +291,6 @@ def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
             if outlier_fraction > 0 and rng.random() < outlier_fraction:
                 sample *= outlier_multiplier
             nodes[i].update(nodes[j].coords, nodes[j].error, sample)
-        # Every node just moved: any memoized distance matrix for the
-        # previous round's coordinates is dead weight now.
-        space.invalidate_cache()
         if round_index >= warmup:
             snapshot = np.stack([node.coords for node in nodes])
             if previous is not None:

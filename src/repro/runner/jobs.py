@@ -174,9 +174,6 @@ class JobSpec(Protocol):
     #: Type of the value ``execute`` returns — a number, a dataclass or
     #: a JSON-able ``dict``; the result cache decodes an entry through it.
     result_type: type
-    #: Data-plane engine the cell runs on, for provenance rows
-    #: (``None`` for cells that drive no data plane).
-    engine: "str | None"
 
     def payload(self) -> dict:
         """Canonical JSON-able description — the cache-key material."""
@@ -224,7 +221,6 @@ class PlacementRunSpec:
 
     kind = "placement-run"
     result_type = float
-    engine = None
 
     def payload(self) -> dict:
         return {**spec_payload(self),
@@ -265,7 +261,6 @@ class Table2Spec:
 
     kind = "table2-row"
     setting = None                  # table rows need no world
-    engine = None
 
     @property
     def result_type(self) -> type:

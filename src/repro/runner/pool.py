@@ -153,9 +153,8 @@ def execute(specs: Sequence[JobSpec], *,
     meta_out:
         Optional list; when given, one dict per spec (in spec order) is
         appended recording how the cell was served: ``source``
-        (``cache`` / ``serial`` / ``worker``), ``chunk`` and ``worker``
-        ids, and the cell's data-plane ``engine`` when the spec carries
-        one.
+        (``cache`` / ``serial`` / ``worker``) and, for pooled cells, the
+        ``chunk`` and ``worker`` ids.
     """
     if resume and cache_dir is None:
         raise ValueError("resume=True requires a cache_dir")
@@ -183,8 +182,7 @@ def execute(specs: Sequence[JobSpec], *,
                     results[i] = hit
                     registry.counter("runner.cache_hits").inc()
                     if meta is not None:
-                        meta[i] = {"source": "cache",
-                                   "engine": getattr(spec, "engine", None)}
+                        meta[i] = {"source": "cache"}
                     continue
                 registry.counter("runner.cache_misses").inc()
             remaining.append(i)
@@ -215,8 +213,7 @@ def _execute_serial(specs, remaining, world, cache, results, registry, meta):
             cache.put(specs[i], result)
         registry.counter("runner.jobs_completed").inc()
         if meta is not None:
-            meta[i] = {"source": "serial",
-                       "engine": getattr(specs[i], "engine", None)}
+            meta[i] = {"source": "serial"}
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +463,7 @@ def _record_chunk(result: ChunkResult, worker, specs, cache, results,
     if meta is not None:
         for i in result.indices:
             meta[i] = {"source": "worker", "worker": worker.id,
-                       "chunk": result.chunk_id,
-                       "engine": getattr(specs[i], "engine", None)}
+                       "chunk": result.chunk_id}
 
 
 def _execute_pool(specs, remaining, jobs, world, cache, results, registry,

@@ -14,6 +14,7 @@ which streams are first requested.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Any, Callable
 
@@ -106,6 +107,14 @@ class Simulator:
         if plane in self._data_planes:
             self._data_planes.remove(plane)
 
+    def _flush_data_planes(self) -> None:
+        """Let each plane apply what it deferred (summary folds), so
+        inspecting state after a run needs no manual step."""
+        for plane in self._data_planes:
+            flush = getattr(plane, "flush", None)
+            if flush is not None:
+                flush()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -120,22 +129,28 @@ class Simulator:
         return True
 
     def run(self, max_events: int | None = None) -> None:
-        """Drain the queue (optionally bounded by ``max_events``)."""
+        """Drain the queue (optionally bounded by ``max_events``).
+
+        With data planes attached, draining includes their pending work:
+        once the heap is empty each plane is advanced without bound (a
+        replayed trace runs to its last line; an endless workload must be
+        stopped first or run with :meth:`run_until`).
+        """
         registry = obs.get_registry()
         count = 0
         planes = self._data_planes
+        queue = self.queue
         with registry.phase("sim.run"):
-            while self.queue:
-                if max_events is not None and count >= max_events:
-                    break
+            while max_events is None or count < max_events:
                 if planes:
-                    bound = self.queue.peek_time()
+                    bound = queue.peek_time() if queue else math.inf
                     for plane in planes:
                         plane.advance(bound)
-                    if not self.queue:  # pragma: no cover - defensive
-                        break
+                if not queue:
+                    break
                 self.step()
                 count += 1
+        self._flush_data_planes()
         if registry.enabled:
             registry.counter("sim.events_processed").inc(count)
 
@@ -181,9 +196,6 @@ class Simulator:
                     self.step()
                     count += 1
         self.now = time
-        for plane in planes:
-            flush = getattr(plane, "flush", None)
-            if flush is not None:
-                flush()
+        self._flush_data_planes()
         if registry.enabled:
             registry.counter("sim.events_processed").inc(count)

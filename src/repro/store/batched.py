@@ -1,6 +1,7 @@
 """Batched data-plane engine: vectorized client accesses, exact semantics.
 
-The reference path simulates every access as a chain of heap events:
+The per-event oracle (:mod:`repro.workloads._reference`, tests only)
+simulates every access as a chain of heap events:
 workload tick -> request send -> request delivery (summary fold) ->
 reply send -> reply delivery (log record).  At millions of accesses the
 heap churn dominates wall-clock time even though, between control-plane
@@ -31,12 +32,10 @@ outcomes** — *bulk*, *hybrid* or *escalated*:
    (down nodes, cut or lossy links, missing replicas) escalates too,
    the rest get one frozen :class:`_GroupInfo` and leg arrivals
    ``t + d1``.
-2. *admit* — each leg's service-completion time: its arrival when
-   ``store.queueing`` is inactive, the closed-form per-server Lindley
-   pass (:meth:`ServerQueue.admit_block`, trial then commit) when it is
-   active.  Reads that complete strictly before the window's cutoff and
-   carry no timeout risk are bulk; those that outlive the window or may
-   time out are hybrid.
+2. *admit* — each leg is served the instant it arrives, so its reply
+   lands at ``(t + d1) + d2``.  Reads that complete strictly before the
+   window's cutoff and carry no timeout risk are bulk; those that
+   outlive the window or may time out are hybrid.
 3. *serve* — all effects of a bulk read — traffic counters, delivery
    histograms, summary folds (deferred), access-log records — are
    applied vectorized.  For a hybrid read only send-side accounting is
@@ -50,21 +49,21 @@ outcomes** — *bulk*, *hybrid* or *escalated*:
    order.  Writes are barriers; escalated reads are inert.
 
 Pending-aware selection strategies (every issued read changes the next
-ranking) and capacity-bounded queues (admission depends on live depth)
-escalate *every* arrival; the engine derives that from
-``store.strategy.supports_bulk`` and ``store.queueing``, never from a
-switch.
+ranking) and active server queues (a leg's wait depends on every
+admission before it, in heap order) escalate *every* arrival; the engine
+derives that from ``store.strategy.supports_bulk`` and
+``store.queueing.active``, never from a switch.  All three outcomes are
+exact.
 
 The window cutoff is ``min(bound, first write issue time)``: a bulk
 read's entire effect chain completes strictly before anything non-bulk
 can touch shared state, so state frozen at classification time is the
 state every bulk effect would have observed.
 
-Without queueing, residual divergence is measure-zero tie-breaking (two
+Residual divergence from the oracle is measure-zero tie-breaking (two
 floating-point event times colliding exactly) plus float summation
 order inside histogram *sum* fields; the differential test suite pins
-everything else bitwise.  With queueing the admit stage is a bounded
-approximation — see :meth:`BatchedAccessEngine._admit`.
+everything else bitwise.
 """
 
 from __future__ import annotations
@@ -126,26 +125,14 @@ class BatchedAccessEngine:
         self.source = source
         self.sim: Simulator = store.sim
         self.operations_issued = 0
-        #: Reads the queued-mode window first bulk-served and then
-        #: demoted to the per-event path because their *queued*
-        #: completion crossed the window cutoff or the timeout horizon.
-        #: Each demotion is one admission the oracle would have
-        #: processed in-order — the approximation-error bound is
-        #: proportional to this count (see docs/queueing.md).
-        self.queue_demotions = 0
-        #: Queue admissions performed by the vectorized window
-        #: recursion (the complement of per-event admissions in
-        #: ``store.queue_stats()["offered"]``).
-        self.bulk_queue_admissions = 0
-        queueing = store.queueing
-        self._queue_mode = queueing is not None and queueing.active
         # Pending-aware selection strategies re-rank after every issued
-        # read, and capacity-bounded queues admit based on live depth —
-        # neither survives the frozen-window argument, so in those runs
-        # the route stage escalates every arrival (exact, not fast).
+        # read, and an active server queue makes each leg's wait depend
+        # on every earlier admission in heap order — neither survives
+        # the frozen-window argument, so in those runs the route stage
+        # escalates every arrival (exact, not fast).
+        queueing = store.queueing
         self._escalate_all = (not store.strategy.supports_bulk
-                              or (self._queue_mode
-                                  and queueing.queue_capacity is not None))
+                              or (queueing is not None and queueing.active))
         self._attached = True
         # Cross-window route cache.  A (client, key) group's _GroupInfo
         # is a pure function of (a) replica/version/installed state —
@@ -208,26 +195,24 @@ class BatchedAccessEngine:
         self.operations_issued += batch.size
         timeout = self.store.read_timeout_ms
         with registry.phase("sim.batched.route"):
-            escalate, cutoff, groups, hopeless = self._route(batch, bound,
-                                                             timeout)
+            escalate, cutoff, groups = self._route(batch, bound)
         with registry.phase("sim.batched.admit"):
             admitted = self._admit(groups, cutoff, timeout)
         with registry.phase("sim.batched.serve"):
-            self._serve(groups, admitted, hopeless)
+            self._serve(groups, admitted)
         with registry.phase("sim.batched.escalate"):
             self._escalate(batch, escalate)
 
-    def _route(self, batch: ArrivalBatch, bound: float,
-               timeout: float | None) -> tuple:
+    def _route(self, batch: ArrivalBatch, bound: float) -> tuple:
         """Stage 1: who escalates, and the frozen route of everyone else.
 
-        Returns the escalation mask, the window cutoff, ``(info, issue
-        times, leg arrivals)`` per (client, key) group with candidates,
-        and ``(info, issue times)`` of reads late even with no queue wait.
+        Returns the escalation mask, the window cutoff and ``(info,
+        issue times, leg arrivals)`` per (client, key) group with
+        candidates.
         """
         t = batch.times
         if self._escalate_all:
-            return np.ones(t.size, dtype=bool), bound, [], []
+            return np.ones(t.size, dtype=bool), bound, []
         # Writes escalate; so does every read issued at or after the
         # window's first write — its staleness bound and reply versions
         # race the write chain and must be read live, in heap order.
@@ -252,7 +237,6 @@ class BatchedAccessEngine:
         order = np.argsort(inverse, kind="stable")
         offsets = np.concatenate(([0], np.cumsum(counts)))
         groups: list[tuple] = []
-        hopeless: list[tuple] = []
         for g, gval in enumerate(uniq.tolist()):
             idx = order[offsets[g]:offsets[g + 1]]
             ridx = idx[~escalate[idx]]
@@ -263,60 +247,23 @@ class BatchedAccessEngine:
                 escalate[ridx] = True
                 continue
             tg = t[ridx]
-            if self._queue_mode:
-                # Reads past the cutoff or timeout horizon even with
-                # zero queue wait cannot be bulk-served regardless of
-                # backlog: they go hybrid without entering the trial
-                # recursion (and without consuming a service draw).
-                opt = tg + float((info.d1 + info.d2).max())
-                sel = opt < cutoff
-                if timeout is not None:
-                    sel &= opt < tg + timeout
-                if not sel.all():
-                    hopeless.append((info, tg[~sel]))
-                    tg = tg[sel]
-                    if tg.size == 0:
-                        continue
             # Left-associated float sums, exactly as the event chain
             # computes them: arrival = t + d1, completion = (t+d1) + d2.
             groups.append((info, tg, tg[:, None] + info.d1[None, :]))
-        return escalate, cutoff, groups, hopeless
+        return escalate, cutoff, groups
 
     def _admit(self, groups: list[tuple], cutoff: float,
                timeout: float | None) -> list[tuple]:
-        """Stage 2: when each leg's service completes, and who is late.
+        """Stage 2: when each read completes, and who is late.
 
-        Returns ``(finishes, replies, completion, late)`` per group.
-        Without active queueing a leg is served the instant it arrives.
-        With it, the per-event oracle admits each read leg into its
-        server's FIFO at delivery time (Lindley: ``finish = max(arrival,
-        busy_until) + service``); this stage reproduces that in bulk:
-        all provably-clean legs of the window are sorted per server by
-        arrival time and pushed through the same recursion in closed
-        form (:meth:`ServerQueue.admit_block`), sharing ``ServerQueue.
-        busy_until`` with the per-event path so escalations and bulk
-        windows drain one backlog.
-
-        A read whose *queued* completion crosses the cutoff or the
-        timeout horizon cannot be known clean until the recursion has
-        run, so such reads are **demoted** post-hoc — the recursion is
-        re-run without their legs (waits only shrink, so no new
-        demotions arise), and they re-enter through ``materialize_read``
-        exactly like a hybrid item, admitting per-event against the
-        committed backlog.  Every demotion or materialization is one
-        admission processed out of the oracle's FIFO order; each such
-        admission perturbs any single access's wait by at most one
-        service time, which gives the documented, test-asserted error
-        bound: with deterministic service ``s``, per-access delay
-        differs from the oracle by at most ``(per-event admissions in
-        the run) * s`` (zero when every read is bulk-served).
-        Stochastic service adds draw-order skew: bulk draws consume the
-        ``"service"`` stream in global arrival order, the oracle in
-        heap order — identical sample *sets* per window only when
-        nothing demotes.
+        Returns ``(replies, completion, late)`` per group.  The route
+        stage only lets reads through whose servers answer the instant a
+        leg arrives (no active queue), so a leg's reply lands at its
+        arrival plus ``d2`` and the read completes with its last reply.
         """
-        def complete(fin, info, tg):
-            reply = fin + info.d2[None, :]
+        admitted = []
+        for info, tg, arr in groups:
+            reply = arr + info.d2[None, :]
             comp = reply.max(axis=1)
             late = comp >= cutoff
             if timeout is not None:
@@ -324,58 +271,15 @@ class BatchedAccessEngine:
                 # event (scheduled at issue, hence lower seq) fires
                 # first — the retry machinery must run for real.
                 late |= comp >= tg + timeout
-            return fin, reply, comp, late
+            admitted.append((reply, comp, late))
+        return admitted
 
-        if not (self._queue_mode and groups):
-            return [complete(arr, info, tg) for info, tg, arr in groups]
-
-        leg_arr = np.concatenate([arr.ravel() for _, _, arr in groups])
-        leg_srv = np.concatenate([np.tile(np.asarray(info.targets), tg.size)
-                                  for info, tg, _ in groups])
-        # Draws consumed in global arrival order — the order the
-        # oracle's heap would deliver the requests.
-        services = np.empty(leg_arr.size)
-        services[np.argsort(leg_arr, kind="stable")] = \
-            self.store.queueing.sample_service_block(self.sim, leg_arr.size)
-        finishes = np.empty(leg_arr.size)
-        ends = np.cumsum([arr.size for _, _, arr in groups])
-
-        def recurse(rec, commit):
-            # ``rec`` is sorted by server, then arrival time: one block
-            # admission per server segment.  A committed backlog is what
-            # every later per-event admission (escalated, demoted or
-            # next-window) queues behind.
-            cuts = np.flatnonzero(np.diff(leg_srv[rec])) + 1
-            for sel in np.split(rec, cuts):
-                if sel.size:
-                    queue = self.store.servers[int(leg_srv[sel[0]])].queue
-                    finishes[sel] = queue.admit_block(
-                        leg_arr[sel], services[sel], commit)
-
-        def completed():  # per group, over its (reads, legs) view
-            return [complete(block.reshape(arr.shape), info, tg)
-                    for (info, tg, arr), block
-                    in zip(groups, np.split(finishes, ends[:-1]))]
-
-        rec = np.lexsort((leg_arr, leg_srv))
-        recurse(rec, commit=False)
-        lates = [late for _, _, _, late in completed()]
-        retained = np.concatenate([np.repeat(~late, len(group[0].targets))
-                                   for late, group in zip(lates, groups)])
-        self.queue_demotions += sum(int(late.sum()) for late in lates)
-        self.bulk_queue_admissions += int(retained.sum())
-        # Commit pass: excluding demoted legs only shrinks waits, so the
-        # retained set is final after one re-run.
-        recurse(rec[retained[rec]], commit=True)
-        return [done[:3] + (late,) for done, late in zip(completed(), lates)]
-
-    def _serve(self, groups: list[tuple], admitted: list[tuple],
-               hopeless: list[tuple]) -> None:
+    def _serve(self, groups: list[tuple], admitted: list[tuple]) -> None:
         """Stage 3: on-time reads land vectorized in the order-tolerant
         sinks (deferred summary folds, traffic counters, access log);
         late ones go hybrid — bulk request-send accounting, real (inert)
         deliveries + timeout via the client hook."""
-        if not (groups or hopeless):
+        if not groups:
             return
         store = self.store
         net = store.network
@@ -389,24 +293,23 @@ class BatchedAccessEngine:
         deliveries: list[tuple] = []  # (recipients, sizes, delays)
         delay_blocks: list[np.ndarray] = []
 
-        def go_hybrid(info: _GroupInfo, times: np.ndarray) -> None:
-            legs = len(info.targets) * times.size
-            requests.append((np.full(legs, info.client),
-                             np.full(legs, REQUEST_BYTES)))
-            client = store.clients[info.client]
-            leg_delays = info.d1.tolist()
-            for issued_at in times.tolist():
-                client.materialize_read(info.key, issued_at, info.targets,
-                                        leg_delays)
-
-        for (info, tg, arr), (fin, reply, comp, late) in zip(groups, admitted):
+        for (info, tg, arr), (reply, comp, late) in zip(groups, admitted):
             if late.any():
-                go_hybrid(info, tg[late])
+                # Hybrid: the request sends are accounted here, the rest
+                # of the chain runs as real events.
+                late_times = tg[late]
+                legs = len(info.targets) * late_times.size
+                requests.append((np.full(legs, info.client),
+                                 np.full(legs, REQUEST_BYTES)))
+                client = store.clients[info.client]
+                leg_delays = info.d1.tolist()
+                for issued_at in late_times.tolist():
+                    client.materialize_read(info.key, issued_at,
+                                            info.targets, leg_delays)
             keep = ~late
             if not keep.any():
                 continue
-            tg, arr, fin, reply, comp = (tg[keep], arr[keep], fin[keep],
-                                         reply[keep], comp[keep])
+            tg, arr, reply, comp = tg[keep], arr[keep], reply[keep], comp[keep]
             delays = comp - tg
             m = tg.size
             delay_blocks.append(delays)
@@ -438,12 +341,10 @@ class BatchedAccessEngine:
                 # request leg: client -> server
                 requests.append((client_ids, req_bytes))
                 deliveries.append((server_ids, req_bytes, arr_j - tg))
-                # reply leg: server -> client.  It departs at service
-                # completion; its network transit (the delivery delay)
-                # is still just d2.
+                # reply leg: server -> client, departing on arrival.
                 replies.append((server_ids, rep_bytes))
                 deliveries.append((client_ids, rep_bytes,
-                                   reply[:, j] - fin[:, j]))
+                                   reply[:, j] - arr_j))
 
             # Access log: within a group completion times are monotone
             # in issue time, so appends stay sorted; across groups the
@@ -462,11 +363,6 @@ class BatchedAccessEngine:
                     time=when, client=client_id, server=server,
                     key=key, delay_ms=dly, kind="read",
                     version=version, stale=is_stale))
-
-        # Hopeless reads materialize after every group's late ones, so
-        # request ids and heap sequence numbers keep their order.
-        for info, times in hopeless:
-            go_hybrid(info, times)
 
         # ---- bulk traffic accounting (integer-valued, hence exact).
         def columns(rows):
@@ -606,12 +502,31 @@ class BatchedAccessEngine:
 
 
 class BatchedAccessWorkload:
-    """Drop-in batched replacement for ``AccessWorkload``.
+    """The access driver: a Poisson-like request stream into the store.
 
-    Same constructor signature and RNG stream, so a run driven by this
-    class produces the same accesses — and, via the engine, the same
-    placement decisions, log and metric totals — as the per-event
-    workload, at a fraction of the event count.
+    Arrivals come from a jittered periodic tick at ``rate_per_second``:
+    per tick one client is drawn from the population (modulated by the
+    temporal pattern) and issues a read — or a write with probability
+    ``write_fraction``.  :class:`WorkloadArrivals` generates them in
+    blocks and a :class:`BatchedAccessEngine` serves them, bitwise equal
+    to issuing one heap event per access (the test oracle,
+    :mod:`repro.workloads._reference`) at a fraction of the event count.
+
+    Parameters
+    ----------
+    store:
+        The replicated store to drive (clients are registered lazily).
+    population:
+        Who issues requests.
+    keys:
+        Object keys to exercise; one key gets all requests, several keys
+        are drawn from ``popularity`` (default Zipf 0.9).
+    rate_per_second:
+        Aggregate request rate across all clients.
+    write_fraction:
+        Share of operations that are writes (0 = paper's read-only mode).
+    pattern:
+        Temporal modulation of per-client intensity.
     """
 
     def __init__(self, store: ReplicatedStore, population: ClientPopulation,

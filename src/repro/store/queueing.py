@@ -20,22 +20,20 @@ server side of that story:
   degenerate-case contract the differential suite certifies: a
   configuration whose service time is identically zero and whose queue
   is unbounded is *bitwise identical* to running with no queueing at
-  all, on both engines.
+  all.
 
 Queues apply to **reads** only.  Writes stay on the uncontended path:
 they are rare in every evaluated workload, they are barriers under the
 batched engine, and queueing them would entangle the version-bump
 ordering that engine's correctness argument leans on.  See
-``docs/queueing.md`` for the full model and the batched window
-approximation built on top of it.
+``docs/queueing.md`` for the full model and how the batched data plane
+serves it (every arrival escalates to :meth:`ServerQueue.admit`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-
-import numpy as np
 
 __all__ = [
     "ServiceModel",
@@ -57,13 +55,8 @@ SERVICE_STREAM = "service"
 class ServiceModel:
     """How long one admitted request occupies its server.
 
-    Subclasses implement :meth:`draw` (one sample, consumed at request
-    admission in event order) and :meth:`draw_block` (``n`` samples for
-    a bulk window).  The two must be RNG-exact aliases: ``draw_block``
-    consumes the simulator's ``"service"`` stream exactly as ``n``
-    successive :meth:`draw` calls would, which is what lets the batched
-    engine's window approximation share one seeded stream with the
-    per-event oracle.
+    Subclasses implement :meth:`draw`: one sample, consumed at request
+    admission in event order.
     """
 
     #: Whether the model can produce a nonzero service time.  ``False``
@@ -71,9 +64,6 @@ class ServiceModel:
     active = True
 
     def draw(self, sim) -> float:
-        raise NotImplementedError
-
-    def draw_block(self, sim, n: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -95,9 +85,6 @@ class DeterministicService(ServiceModel):
     def draw(self, sim) -> float:
         return self.service_ms
 
-    def draw_block(self, sim, n: int) -> np.ndarray:
-        return np.full(n, self.service_ms)
-
     def __repr__(self) -> str:
         return f"DeterministicService({self.service_ms})"
 
@@ -108,10 +95,7 @@ class LogNormalService(ServiceModel):
     ``median_ms`` is the distribution's median (``exp(mu)``);
     ``sigma`` the log-space standard deviation.  Samples come from the
     simulator's named ``"service"`` stream, so two runs with the same
-    seed draw identical service times regardless of telemetry or
-    engine — and ``draw_block`` fills arrays element-for-element from
-    the same stream as repeated scalar draws (the property every other
-    vectorized generator in :mod:`repro.workloads.batched` relies on).
+    seed draw identical service times regardless of telemetry.
     """
 
     def __init__(self, median_ms: float, sigma: float = 0.5) -> None:
@@ -128,9 +112,6 @@ class LogNormalService(ServiceModel):
     def draw(self, sim) -> float:
         return float(sim.rng(SERVICE_STREAM).lognormal(self._mu, self.sigma))
 
-    def draw_block(self, sim, n: int) -> np.ndarray:
-        return sim.rng(SERVICE_STREAM).lognormal(self._mu, self.sigma, size=n)
-
     def __repr__(self) -> str:
         return f"LogNormalService({self.median_ms}, sigma={self.sigma})"
 
@@ -141,10 +122,7 @@ class ServerQueue:
     The canonical queue state is ``busy_until`` — the instant the
     server finishes everything admitted so far.  An admission at time
     ``now`` with service ``s`` starts at ``max(now, busy_until)`` and
-    departs ``s`` later (the scalar Lindley recursion, :meth:`admit`);
-    :meth:`admit_block` is the same recursion over a whole window's
-    arrivals in closed form, on the same field, so per-event
-    escalations and bulk windows share one backlog.
+    departs ``s`` later (the scalar Lindley recursion, :meth:`admit`).
 
     With a depth bound, ``completions`` additionally tracks the
     departure time of every request still queued or in service, so the
@@ -189,28 +167,6 @@ class ServerQueue:
             self.completions.append(finish)
         return finish
 
-    def admit_block(self, arrivals: np.ndarray, services: np.ndarray,
-                    commit: bool) -> np.ndarray:
-        """Departure times of a time-sorted block of unbounded admissions.
-
-        ``f_i = max(a_i, f_{i-1}) + s_i`` in closed form: with running
-        service sums ``S_i`` and start slack ``c_i = a_i - S_{i-1}``,
-        ``f = S + cummax(max(c, busy_until))``.  Without ``commit`` this
-        is a trial that leaves the queue untouched; with it, the backlog
-        advances to the block's last departure and every request is
-        booked as offered and accepted — the state every later
-        admission, scalar or block, queues behind.
-        """
-        total = np.cumsum(services)
-        slack = arrivals - (total - services)
-        finishes = total + np.maximum.accumulate(
-            np.maximum(slack, self.busy_until))
-        if commit:
-            self.busy_until = float(finishes[-1])
-            self.offered += arrivals.size
-            self.accepted += arrivals.size
-        return finishes
-
 
 class QueueingConfig:
     """Store-level queueing knobs: a service model plus a queue bound.
@@ -226,7 +182,7 @@ class QueueingConfig:
     The contract the differential suite pins: ``QueueingConfig()`` —
     and any config whose service time is identically zero with an
     unbounded queue — leaves every observable byte of a run identical
-    to passing no config at all, on both engines.
+    to passing no config at all.
     """
 
     def __init__(self, service: ServiceModel | None = None,
@@ -259,12 +215,6 @@ class QueueingConfig:
         if self.service is None:
             return 0.0
         return self.service.draw(sim)
-
-    def sample_service_block(self, sim, n: int) -> np.ndarray:
-        """``n`` service times, RNG-exact with ``n`` scalar samples."""
-        if self.service is None:
-            return np.zeros(n)
-        return self.service.draw_block(sim, n)
 
     @staticmethod
     def from_params(service_model: str = "none", service_ms: float = 0.0,

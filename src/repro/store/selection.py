@@ -29,7 +29,7 @@ the property-test harness.
 Determinism: strategies are pure functions of (distance keys, their
 own notification history); they draw no randomness and break every
 tie by ascending site id, so two runs with the same seed rank
-identically on both engines.
+identically.
 """
 
 from __future__ import annotations

@@ -12,9 +12,14 @@ provides both:
 * temporal patterns (:class:`DiurnalPattern`, :class:`FlashCrowd`,
   :class:`RegionalShift`) that modulate client intensity over simulated
   time — the regimes under which gradual migration earns its keep;
-* :class:`AccessWorkload` — a simulator process that drives a
-  :class:`~repro.store.kvstore.ReplicatedStore` with the above;
+* :class:`WorkloadArrivals` / :class:`TraceArrivals` — the above (or a
+  recorded trace) as blocks of arrivals, which
+  :class:`~repro.store.batched.BatchedAccessWorkload` and
+  :func:`replay_trace` feed to the store's data plane;
 * :func:`generate_trace` — the same stream as a pure, replayable list.
+
+The per-event tick process the arrival blocks are certified against
+lives in :mod:`repro.workloads._reference`, for tests only.
 """
 
 from repro.workloads.population import ClientPopulation, ZipfObjectPopularity
@@ -27,7 +32,6 @@ from repro.workloads.temporal import (
 )
 from repro.workloads.access import (
     AccessEvent,
-    AccessWorkload,
     generate_trace,
     load_trace,
     replay_trace,
@@ -48,7 +52,6 @@ __all__ = [
     "FlashCrowd",
     "RegionalShift",
     "AccessEvent",
-    "AccessWorkload",
     "generate_trace",
     "load_trace",
     "replay_trace",

@@ -1,4 +1,4 @@
-"""Access workloads: driving the store, or generating replayable traces."""
+"""Access traces: generating, persisting and replaying them."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.process import PeriodicProcess
 from repro.store.kvstore import ReplicatedStore
 from repro.workloads.population import ClientPopulation, ZipfObjectPopularity
 from repro.workloads.temporal import ConstantPattern, TemporalPattern
 
-__all__ = ["AccessEvent", "AccessWorkload", "generate_trace", "replay_trace",
-           "save_trace", "load_trace"]
+__all__ = ["AccessEvent", "generate_trace", "replay_trace", "save_trace",
+           "load_trace"]
 
 
 @dataclass(frozen=True)
@@ -25,74 +24,6 @@ class AccessEvent:
     client: int
     key: str
     kind: str  # "read" or "write"
-
-
-class AccessWorkload:
-    """A simulator process issuing store operations.
-
-    Requests arrive as a Poisson-like process: every tick of a periodic
-    driver (running at ``rate_per_second``, jittered), one client is
-    drawn from the population (modulated by the temporal pattern) and
-    issues a read — or a write with probability ``write_fraction``.
-
-    Parameters
-    ----------
-    store:
-        The replicated store to drive (clients are registered lazily).
-    population:
-        Who issues requests.
-    keys:
-        Object keys to exercise; one key gets all requests, several keys
-        are drawn from ``popularity`` (default Zipf 0.9).
-    rate_per_second:
-        Aggregate request rate across all clients.
-    write_fraction:
-        Share of operations that are writes (0 = paper's read-only mode).
-    pattern:
-        Temporal modulation of per-client intensity.
-    """
-
-    def __init__(self, store: ReplicatedStore, population: ClientPopulation,
-                 keys: Sequence[str], rate_per_second: float = 100.0,
-                 write_fraction: float = 0.0,
-                 pattern: TemporalPattern | None = None,
-                 popularity: ZipfObjectPopularity | None = None) -> None:
-        if rate_per_second <= 0:
-            raise ValueError("rate must be positive")
-        if not 0.0 <= write_fraction <= 1.0:
-            raise ValueError("write fraction must lie in [0, 1]")
-        if not keys:
-            raise ValueError("at least one object key required")
-        self.store = store
-        self.population = population
-        self.keys = tuple(keys)
-        self.write_fraction = write_fraction
-        self.pattern = pattern or ConstantPattern()
-        self.popularity = popularity or ZipfObjectPopularity(self.keys)
-        self.operations_issued = 0
-        self._rng = store.sim.rng("workload")
-        for client in population.clients:
-            if client not in store.clients:
-                store.add_client(client)
-        period_ms = 1000.0 / rate_per_second
-        self._process = PeriodicProcess(
-            store.sim, period_ms, self._issue, jitter=0.5, rng=self._rng)
-
-    def _issue(self) -> None:
-        modulation = self.pattern.modulation(self.store.sim.now, self.population)
-        client_id = self.population.sample(self._rng, modulation)
-        client = self.store.clients[client_id]
-        key = (self.keys[0] if len(self.keys) == 1
-               else self.popularity.sample(self._rng))
-        if self.write_fraction > 0 and self._rng.random() < self.write_fraction:
-            client.write(key)
-        else:
-            client.read(key)
-        self.operations_issued += 1
-
-    def stop(self) -> None:
-        """Stop issuing operations."""
-        self._process.stop()
 
 
 def generate_trace(population: ClientPopulation, keys: Sequence[str],
@@ -197,54 +128,39 @@ def load_trace(path: str) -> list[AccessEvent]:
 
 
 def replay_trace(store: ReplicatedStore, events: Sequence[AccessEvent],
-                 time_offset_ms: float = 0.0, engine: str = "event") -> int:
-    """Schedule a recorded trace against the store, verbatim.
+                 time_offset_ms: float = 0.0) -> int:
+    """Replay a recorded trace against the store, verbatim.
 
-    Every event is scheduled at ``time_offset_ms + event.time_ms`` on
-    the store's simulator (so the offset must keep all events in the
+    Every event is issued at ``time_offset_ms + event.time_ms`` on the
+    store's simulator (so the offset must keep all events in the
     future); clients are registered on demand.  Returns the number of
-    scheduled operations.  Replaying the same trace against different
-    store configurations gives perfectly paired comparisons — the
-    "realistic evaluation based on data accesses in actual applications"
-    the paper's conclusion asks for, with the trace standing in for an
-    application log.
+    operations handed to the data plane.  Replaying the same trace
+    against different store configurations gives perfectly paired
+    comparisons — the "realistic evaluation based on data accesses in
+    actual applications" the paper's conclusion asks for, with the trace
+    standing in for an application log.
 
-    ``engine="batched"`` feeds the trace through the vectorized
-    :class:`~repro.store.batched.BatchedAccessEngine` instead of
-    scheduling one heap event per access — identical store-level
-    outcomes (the differential suite pins this) at a fraction of the
-    event count, which is what makes replaying multi-million-line
-    traces practical.
+    The trace feeds a :class:`~repro.store.batched.BatchedAccessEngine`
+    through :class:`~repro.workloads.batched.TraceArrivals`, so a
+    multi-million-line log costs a fraction of one heap event per line.
     """
-    if engine not in ("event", "batched"):
-        raise ValueError(f"unknown engine {engine!r}")
-    sim = store.sim
+    from repro.store.batched import BatchedAccessEngine
+    from repro.workloads.batched import TraceArrivals
+
     for event in events:
-        if time_offset_ms + event.time_ms < sim.now:
+        if time_offset_ms + event.time_ms < store.sim.now:
             raise ValueError(
                 f"event at {event.time_ms} ms lies in the simulator's past"
             )
         if event.client not in store.clients:
             store.add_client(event.client)
-    if engine == "batched":
-        from repro.store.batched import BatchedAccessEngine
-        from repro.workloads.batched import TraceArrivals
-
-        keys = tuple(dict.fromkeys(e.key for e in events))
-        key_pos = {k: i for i, k in enumerate(keys)}
-        source = TraceArrivals(
-            np.array([time_offset_ms + e.time_ms for e in events]),
-            np.array([e.client for e in events], dtype=int),
-            np.array([key_pos[e.key] for e in events], dtype=int),
-            np.array([e.kind == "write" for e in events], dtype=bool),
-            keys)
-        BatchedAccessEngine(store, source)  # registers as a data plane
-        return len(events)
-    count = 0
-    for event in events:
-        when = time_offset_ms + event.time_ms
-        client = store.clients[event.client]
-        action = client.write if event.kind == "write" else client.read
-        sim.schedule_at(when, action, event.key)
-        count += 1
-    return count
+    keys = tuple(dict.fromkeys(e.key for e in events))
+    key_pos = {k: i for i, k in enumerate(keys)}
+    source = TraceArrivals(
+        np.array([time_offset_ms + e.time_ms for e in events]),
+        np.array([e.client for e in events], dtype=int),
+        np.array([key_pos[e.key] for e in events], dtype=int),
+        np.array([e.kind == "write" for e in events], dtype=bool),
+        keys)
+    BatchedAccessEngine(store, source)  # registers as a data plane
+    return len(events)

@@ -1,10 +1,11 @@
-"""Vectorized arrival generation for the batched data-plane engine.
+"""Vectorized arrival generation for the batched data plane.
 
-The per-event :class:`~repro.workloads.access.AccessWorkload` drives the
-store through a jittered :class:`~repro.sim.process.PeriodicProcess`:
-every tick draws, in order, a client choice uniform, an optional object
-key uniform, an optional write-fraction uniform and the next-interval
-jitter uniform — all from the simulator's ``"workload"`` stream.
+The per-event tick process (:mod:`repro.workloads._reference`, the test
+oracle) drives the store through a jittered
+:class:`~repro.sim.process.PeriodicProcess`: every tick draws, in
+order, a client choice uniform, an optional object key uniform, an
+optional write-fraction uniform and the next-interval jitter uniform —
+all from the simulator's ``"workload"`` stream.
 
 :class:`WorkloadArrivals` replays that exact consumption pattern in
 blocks: one ``rng.random(B * draws_per_tick)`` call supplies the same
@@ -13,16 +14,16 @@ is block/sequential equivalent), tick times come from a ``cumsum`` left
 fold (bitwise the scalar ``now + interval`` chain), and client/key
 selection inverts the same re-normalized CDFs ``Generator.choice``
 uses.  Every produced arrival is therefore *bitwise identical* — same
-time, client, key and kind — to the one the event-driven workload would
-issue, which is what lets the batched engine serve as a drop-in
-replacement for the reference path.
+time, client, key and kind — to the one the tick process would issue,
+which is what the differential suites certify the data plane against.
 
-:class:`TraceArrivals` is the same interface over a recorded trace, so
-``replay_trace`` can feed either engine.
+:class:`TraceArrivals` is the same interface over a recorded trace;
+``replay_trace`` feeds it to the engine.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,12 +62,13 @@ def _concat(batches: list[ArrivalBatch]) -> ArrivalBatch:
 
 
 class WorkloadArrivals:
-    """RNG-exact vectorized replica of ``AccessWorkload``'s tick stream.
+    """RNG-exact vectorized replica of the per-event tick stream.
 
-    Parameters mirror :class:`~repro.workloads.access.AccessWorkload`;
-    ``rng`` must be the same ``sim.rng("workload")`` stream and
-    ``start_time`` the simulated time of construction, so the first
-    jitter draw and every subsequent tick line up with the scalar path.
+    Parameters mirror
+    :class:`~repro.store.batched.BatchedAccessWorkload`; ``rng`` must be
+    the ``sim.rng("workload")`` stream and ``start_time`` the simulated
+    time of construction, so the first jitter draw and every subsequent
+    tick line up with the scalar path.
     """
 
     def __init__(self, rng: np.random.Generator,
@@ -105,7 +107,7 @@ class WorkloadArrivals:
         self._stopped = False
 
     def stop(self) -> None:
-        """Stop producing arrivals (mirrors ``AccessWorkload.stop``)."""
+        """Stop producing arrivals."""
         self._stopped = True
         self._pending = None
 
@@ -152,6 +154,10 @@ class WorkloadArrivals:
         """
         if self._stopped:
             return _empty_batch()
+        if bound == math.inf:
+            raise ValueError(
+                "an endless workload cannot be drained: stop() it first "
+                "or run the simulator with run_until")
         chunks: list[ArrivalBatch] = []
         if self._pending is not None:
             pending = self._pending

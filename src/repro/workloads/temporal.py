@@ -42,8 +42,8 @@ class TemporalPattern(ABC):
 
         Returns a ``(len(times_ms), len(population))`` matrix whose row
         ``i`` equals ``modulation(times_ms[i], population)`` *bitwise* —
-        the batched engine relies on that equality to stay a drop-in
-        replacement for the per-event path.  The built-in patterns
+        the batched engine relies on that equality to match the
+        per-event oracle it is certified against.  The built-in patterns
         override this with vectorized forms; this fallback simply loops,
         so custom patterns stay correct without extra work.
         """

@@ -5,13 +5,10 @@ lose strictly fewer installed replicas to the outage than its λ = 0
 latency-only twin, while costing at most 10 % extra fair-weather mean
 latency.  The λ = 0 twin is a *bitwise* contract, certified here at the
 whole-system level: a λ = 0 run with the failure-domain annotation
-attached is byte-for-byte the run with no domain model at all, on both
-engines.
-
-The certification runs on the batched engine;
-``tests/integration/test_engine_equivalence.py`` proves every one of
-these scenarios produces identical results on the per-event oracle, so
-the verdicts transfer.
+attached is byte-for-byte the run with no domain model at all, on the
+production driver and on the per-event oracle
+(``repro.workloads._reference``, patched in under the name the harness
+resolves).
 """
 
 import glob
@@ -41,7 +38,7 @@ def test_outage_scenarios_are_bundled():
 
 @pytest.mark.parametrize("filename", OUTAGE_SCENARIOS)
 def test_availability_loses_strictly_fewer_replicas(filename):
-    scenario = replace(outage(filename), engine="batched")
+    scenario = outage(filename)
     latency_only = replace(scenario, availability_lambda=0.0)
 
     avail = run_scenario(scenario, faulty=True)
@@ -64,12 +61,16 @@ def test_availability_loses_strictly_fewer_replicas(filename):
 
 
 @pytest.mark.parametrize("engine", ["event", "batched"])
-def test_lambda_zero_is_bitwise_latency_only(engine):
+def test_lambda_zero_is_bitwise_latency_only(engine, monkeypatch):
     # Attaching the failure-domain annotation with λ = 0 must change
     # *nothing*: same placements, same access log, same counters as a
     # run with no domain model at all.  (Domain-outage faults need the
     # annotation, so the comparison runs the schedule-free arms.)
-    scenario = replace(outage("rack_outage.toml"), engine=engine,
+    if engine == "event":
+        from repro.workloads._reference import AccessWorkload
+        monkeypatch.setattr("repro.store.BatchedAccessWorkload",
+                            AccessWorkload)
+    scenario = replace(outage("rack_outage.toml"),
                        availability_lambda=0.0, faults=())
     without_domains = replace(scenario, regions=0)
     for faulty in (True, False):
@@ -83,7 +84,7 @@ def test_lambda_sweep_risk_drops(filename):
     # The λ knob does what it says on each bundled world: the placement
     # chosen at the scenario's λ carries strictly lower modelled
     # co-failure risk than the λ = 0 placement.
-    scenario = replace(outage(filename), engine="batched")
+    scenario = outage(filename)
     domains = scenario.build_domains(*_world_of(scenario))
     risks = {}
     for lam in (0.0, scenario.availability_lambda):

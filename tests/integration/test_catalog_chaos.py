@@ -1,8 +1,8 @@
 """Acceptance tests for catalog mode in the chaos harness.
 
 The bundled ``shard_failover`` scenario drives a 200-key catalog in
-20-key groups across 4 shards on the batched engine, then crashes two
-shards' coordinators mid-run.  Acceptance: the run completes with
+20-key groups across 4 shards, then crashes two shards' coordinators
+mid-run.  Acceptance: the run completes with
 per-shard failovers recorded, the workload survives, and the final
 latency recovers to near the failure-free baseline.
 """
@@ -35,7 +35,6 @@ class TestShardFailoverAcceptance:
         assert scenario.n_keys == 200
         assert scenario.n_shards == 4
         assert scenario.keys_per_group == 20
-        assert scenario.engine == "batched"
         assert {f.kind for f in scenario.faults} == \
             {"crash-shard-coordinator"}
 

@@ -6,16 +6,17 @@ Three contracts, all exact rather than statistical:
   with no stagger and no budget is *bitwise identical* to creating
   each object directly with ``ReplicatedStore.create_object``: same
   access log, same network accounting, same summaries, same epoch
-  reports, same installed replica sets.  Certified on both engines
-  over three seeds.
+  reports, same installed replica sets.  Certified on both drivers —
+  ``batched`` is the production ``BatchedAccessWorkload``, ``event`` the
+  per-event oracle of ``repro.workloads._reference`` — over three seeds.
 * **Shard-count invariance** — for a fixed seed, the data-plane
   surface (access log, placements, versions) and the placement-
   relevant epoch report fields do not depend on how many shards the
   catalog is split into; only control-plane topology (which node
   coordinates which unit) changes.
-* **Engine equivalence in catalog mode** — a multi-shard, grouped,
+* **Driver equivalence in catalog mode** — a multi-shard, grouped,
   budgeted catalog leaves identical observable state under the
-  per-event and batched data planes.
+  per-event oracle and the batched data plane.
 """
 
 from dataclasses import replace
@@ -27,7 +28,8 @@ from repro.catalog import PlacementGroups, ShardedCatalog, keyspace
 from repro.net import LatencyMatrix
 from repro.sim import Simulator
 from repro.store import BatchedAccessWorkload, ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.workloads import ClientPopulation
+from repro.workloads._reference import AccessWorkload
 
 N_NODES = 24
 N_DC = 8

@@ -13,13 +13,12 @@ from repro.net import GeoTopology, PlanetLabParams, synthetic_planetlab_matrix
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.sim import Network, Simulator
 from repro.sim.gossip import CoordinateGossip
-from repro.store import ConsistencyConfig, ReplicatedStore
-from repro.workloads import (
-    AccessWorkload,
-    ClientPopulation,
-    FlashCrowd,
-    RegionalShift,
+from repro.store import (
+    BatchedAccessWorkload,
+    ConsistencyConfig,
+    ReplicatedStore,
 )
+from repro.workloads import ClientPopulation, FlashCrowd, RegionalShift
 
 
 def build_world(seed=0, n=60):
@@ -51,7 +50,8 @@ class TestGradualMigrationChasesDemand:
             epoch_period_ms=10_000.0,
         )
         population = ClientPopulation.uniform(clients)
-        AccessWorkload(store, population, ["obj"], rate_per_second=200.0)
+        BatchedAccessWorkload(store, population, ["obj"],
+                              rate_per_second=200.0)
         sim.run_until(60_000.0)
 
         early = store.log.mean_delay(kind="read", since=0.0) \
@@ -82,7 +82,8 @@ class TestGradualMigrationChasesDemand:
             epoch_period_ms=8_000.0,
         )
         population = ClientPopulation.uniform(tuple(range(10, 60)))
-        AccessWorkload(store, population, ["obj"], rate_per_second=150.0)
+        BatchedAccessWorkload(store, population, ["obj"],
+                              rate_per_second=150.0)
         sim.run_until(100_000.0)
         reports = store.epoch_reports("obj")
         assert len(reports) >= 10
@@ -111,8 +112,8 @@ class TestRegionalShiftScenario:
                               start_ms=30_000.0, end_ms=90_000.0,
                               intensity=20.0)
         population = ClientPopulation.uniform(clients)
-        AccessWorkload(store, population, ["obj"], rate_per_second=150.0,
-                       pattern=shift)
+        BatchedAccessWorkload(store, population, ["obj"],
+                              rate_per_second=150.0, pattern=shift)
         sim.run_until(150_000.0)
         reports = store.epoch_reports("obj")
         migrations = [r for r in reports if r.migrated]
@@ -141,14 +142,15 @@ class TestAdaptiveReplication:
         crowd = FlashCrowd(clients[:20], start_ms=20_000.0,
                            duration_ms=40_000.0, multiplier=30.0)
         population = ClientPopulation.uniform(clients)
-        workload = AccessWorkload(store, population, ["obj"],
-                                  rate_per_second=100.0, pattern=crowd)
+        workload = BatchedAccessWorkload(
+            store, population, ["obj"], rate_per_second=100.0, pattern=crowd)
 
         # Manually modulate the aggregate rate: during the crowd, issue
         # extra operations so total demand crosses the high watermark.
-        burst = AccessWorkload(store, ClientPopulation.uniform(clients[:20]),
-                               ["obj"], rate_per_second=300.0)
-        burst._process.stop()
+        burst = BatchedAccessWorkload(
+            store, ClientPopulation.uniform(clients[:20]), ["obj"],
+            rate_per_second=300.0)
+        burst.stop()
 
         def maybe_burst():
             if 20_000.0 <= sim.now < 60_000.0:
@@ -174,8 +176,8 @@ class TestQuorumTradeoff:
                                           propagate_updates=False))
         store.create_object("obj", initial_sites=[0, 3, 6])
         population = ClientPopulation.uniform(tuple(range(8, 60)))
-        AccessWorkload(store, population, ["obj"], rate_per_second=300.0,
-                       write_fraction=0.2)
+        BatchedAccessWorkload(store, population, ["obj"],
+                              rate_per_second=300.0, write_fraction=0.2)
         sim.run_until(30_000.0)
         return store.log
 
@@ -202,7 +204,8 @@ class TestLiveGossipIntegration:
                                 selection="coords")
         store.create_object("obj", initial_sites=[0, 4])
         population = ClientPopulation.uniform(tuple(range(8, 60)))
-        AccessWorkload(store, population, ["obj"], rate_per_second=100.0)
+        BatchedAccessWorkload(store, population, ["obj"],
+                              rate_per_second=100.0)
         sim.run_until(60_000.0)
         assert len(store.log) > 1000
         # Coordinate routing should be close to oracle routing quality:

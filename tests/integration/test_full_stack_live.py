@@ -17,8 +17,8 @@ from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.placement import average_access_delay
 from repro.sim import CoordinateGossip, Network, Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +48,8 @@ def test_live_stack_matches_batch_quality(world):
                                min_absolute_gain_ms=0.5),
         epoch_period_ms=15_000.0,
     )
-    AccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
-                   rate_per_second=150.0)
+    BatchedAccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
+                          rate_per_second=150.0)
     sim.run_until(165_000.0)
 
     live_tail = np.mean([r.delay_ms for r in store.log.records
@@ -88,8 +88,8 @@ def test_live_routing_penalty_is_bounded(world):
     store.create_object("obj", k=3,
                         controller_config=ControllerConfig(
                             k=3, max_micro_clusters=10))
-    AccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
-                   rate_per_second=100.0)
+    BatchedAccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
+                          rate_per_second=100.0)
     sim.run_until(90_000.0)
 
     records = [r for r in store.log.records if r.kind == "read"]

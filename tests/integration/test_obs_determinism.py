@@ -18,8 +18,8 @@ from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.placement import PlacementProblem
 from repro.placement.online import OnlineClusteringPlacement
 from repro.sim import Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation
 
 
 def _build_world(seed=11, n=40):
@@ -45,8 +45,8 @@ def _run_store_scenario(matrix, planar):
         epoch_period_ms=5_000.0,
     )
     population = ClientPopulation.uniform(tuple(range(8, matrix.n)))
-    AccessWorkload(store, population, ["obj"], rate_per_second=120.0,
-                   write_fraction=0.1)
+    BatchedAccessWorkload(store, population, ["obj"], rate_per_second=120.0,
+                          write_fraction=0.1)
     sim.run_until(30_000.0)
 
     access_log = tuple(

@@ -1,36 +1,24 @@
 """Differential certification of server queueing and replica selection.
 
-Three contracts, in increasing strength:
+Two contracts, both exact; ``batched`` is the production driver,
+``event`` the per-event oracle of ``repro.workloads._reference``:
 
 1. **Degenerate-case bitwise preservation.**  A queueing config whose
    service time is identically zero (and whose queue is unbounded) —
    and an explicitly passed ``nearest`` strategy — must leave every
    observable byte of a run identical to the pre-queueing store, on
-   both engines.  This anchors the whole extension: the paper's
+   both drivers.  This anchors the whole extension: the paper's
    RTT-only data plane is the exact degenerate case, not a separate
    code path.
 
-2. **Exactness of the escalate-all path.**  Pending-aware selection
-   strategies and capacity-bounded queues force the batched engine to
-   replay every arrival through the per-event machinery; those runs
-   must be byte-identical to the per-event oracle outright.
-
-3. **Bounded error of the bulk window approximation.**  With an
-   unbounded queue and ``nearest`` selection the batched engine serves
-   whole windows through a vectorized Lindley recursion.  Per access,
-   its delay may differ from the oracle's by at most
-   ``(per-event admissions) x s`` for deterministic service ``s`` —
-   the bound documented in docs/queueing.md — and the per-event
-   admission count is observable as ``queue offered - bulk admissions``.
-
-4. **The queued window holds still.**  Contract 3 only bounds the
-   queued-window regime against the oracle; golden digests recorded at
-   the commit before the window pipeline was unified pin it against
-   itself, bit for bit, across service models, timeouts, writes, read
-   quorums and placement epochs.
+2. **Exactness of the escalate-all path.**  An active server queue
+   (any service model, bounded or not) and pending-aware selection
+   strategies make the batched engine replay every arrival through the
+   per-event machinery; those runs must be byte-identical to the
+   per-event oracle outright, with ``queue_stats`` conserving offered =
+   accepted + rejected.  No configuration of the production driver is
+   approximate, ``nearest`` + unbounded queue included.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -45,7 +33,8 @@ from repro.store import (
     QueueingConfig,
     ReplicatedStore,
 )
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.workloads import ClientPopulation
+from repro.workloads._reference import AccessWorkload
 
 N_NODES = 24
 N_DC = 8
@@ -131,108 +120,54 @@ def test_explicit_nearest_strategy_is_the_seed_path(engine):
     assert _snapshot(store_object) == _snapshot(store_default)
 
 
-@pytest.mark.parametrize("strategy", ["least-pending", "c3"])
-def test_pending_aware_strategies_identical_across_engines(strategy):
-    """Contract 2: escalate-all replays are exact, not approximate."""
-    queueing = QueueingConfig(service=DeterministicService(2.0))
-    store_event, _ = _run(11, "event", queueing=queueing,
-                          strategy=strategy)
-    store_batched, w = _run(11, "batched", queueing=queueing,
-                            strategy=strategy)
+def _assert_escalate_all_exact(seed, horizon_ms=10_000.0, **config):
+    """Contract 2 on one configuration; returns the shared snapshot."""
+    store_event, _ = _run(seed, "event", horizon_ms, **config)
+    store_batched, w = _run(seed, "batched", horizon_ms, **config)
     assert w.engine._escalate_all
     event, batched = _snapshot(store_event), _snapshot(store_batched)
     assert len(event["log"]) > 1_000
     assert event == batched
-    assert event["queue_stats"]["accepted"] > 0
+    stats = event["queue_stats"]
+    assert stats["accepted"] > 0
+    assert stats["offered"] == stats["accepted"] + stats["rejected"]
+    return event
+
+
+@pytest.mark.parametrize("strategy", ["least-pending", "c3"])
+def test_pending_aware_strategies_identical_across_engines(strategy):
+    """Contract 2: escalate-all replays are exact, not approximate."""
+    _assert_escalate_all_exact(
+        11, queueing=QueueingConfig(service=DeterministicService(2.0)),
+        strategy=strategy)
 
 
 def test_bounded_queue_identical_across_engines_and_rejects():
     """Contract 2: capacity-bounded admission is replayed exactly."""
-    queueing = QueueingConfig(service=DeterministicService(8.0),
-                              queue_capacity=2)
-    store_event, _ = _run(13, "event", queueing=queueing, timeout=120.0)
-    store_batched, w = _run(13, "batched", queueing=queueing,
-                            timeout=120.0)
-    assert w.engine._escalate_all
-    event, batched = _snapshot(store_event), _snapshot(store_batched)
-    assert event == batched
+    event = _assert_escalate_all_exact(
+        13, timeout=120.0,
+        queueing=QueueingConfig(service=DeterministicService(8.0),
+                                queue_capacity=2))
     assert event["queue_rejections"] > 0
-    stats = event["queue_stats"]
-    assert stats["rejected"] == event["queue_rejections"]
-    assert stats["offered"] == stats["accepted"] + stats["rejected"]
+    assert event["queue_stats"]["rejected"] == event["queue_rejections"]
 
 
-@pytest.mark.parametrize("service_ms", [1.0, 4.0])
-def test_bulk_window_error_bounded_by_demoted_admissions(service_ms):
-    """Contract 3: the vectorized window recursion's documented bound.
-
-    Sorted-delay pairing minimizes the bottleneck distance over all
-    pairings, so if every access's delay is within ``admissions x s``
-    of its oracle twin under *some* pairing, the sorted sequences are
-    too — which makes the assertion valid without reconstructing the
-    engine's access identity mapping.
-    """
-    queueing = QueueingConfig(service=DeterministicService(service_ms))
-    store_event, _ = _run(17, "event", queueing=queueing)
-    store_batched, w = _run(17, "batched", queueing=queueing)
-    assert not w.engine._escalate_all
-
-    event_delays = np.sort(store_event.log.delays("read"))
-    batched_delays = np.sort(store_batched.log.delays("read"))
-    assert event_delays.size == batched_delays.size > 1_000
-
-    stats = store_batched.queue_stats()
-    per_event_admissions = (stats["offered"]
-                            - w.engine.bulk_queue_admissions)
-    assert per_event_admissions >= 0
-    bound = per_event_admissions * service_ms
-    worst = float(np.abs(event_delays - batched_delays).max())
-    assert worst <= bound + 1e-9, \
-        f"delay error {worst} exceeds documented bound {bound}"
-    # The window path must actually be doing the bulk work: the
-    # overwhelming majority of admissions go through the vectorized
-    # recursion, not the per-event fallback.
-    assert w.engine.bulk_queue_admissions > 0.9 * stats["offered"]
-    # Both engines drain the same offered load.
-    assert stats == store_event.queue_stats()
-
-
-def _queued_window_digest(store, engine):
-    snapshot = _snapshot(store)
-    parts = (snapshot["log"], snapshot["net"], snapshot["queue_stats"],
-             snapshot["failed_reads"], store.installed_sites("obj"),
-             engine.queue_demotions, engine.bulk_queue_admissions)
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-#: (seed, build config) -> sha256 recorded at parent commit 6f53e97,
-#: i.e. by the three-regime engine's queued window, before any change
-#: under src/.  A digest moves only if some observable bit of the
-#: queued-window regime does.
-QUEUED_WINDOW_GOLDENS = [
-    (21, dict(queueing=QueueingConfig(service=DeterministicService(2.0)),
-              epoch_period_ms=3_000.0),
-     "9ad8a680013f1749499827aeef0ee40bedbf11dd9e0efe78d0898a2d081eb96b"),
-    (22, dict(queueing=QueueingConfig(service=DeterministicService(4.0)),
-              timeout=80.0, write_fraction=0.05, quorum=2, rate=150.0,
-              epoch_period_ms=500.0),
-     "b25f318e5af80c764422e6d934c390d0e1396a0cc8e44dc529cab8f93c9beeb3"),
-    (23, dict(queueing=QueueingConfig(service=LogNormalService(3.0, 0.5)),
-              timeout=60.0, write_fraction=0.02, quorum=2, rate=120.0,
-              epoch_period_ms=400.0),
-     "395f7fa4ddf9a13c2eca9246cb1616c1ecff8b1c97c5ea0782141712451bd8ab"),
-    (24, dict(queueing=QueueingConfig(service=DeterministicService(6.0)),
-              timeout=120.0, write_fraction=0.10, quorum=3, rate=60.0,
-              epoch_period_ms=300.0),
-     "cc5a9c5cbacdb1d5836da012f80371e5deab6b247ba88ed0f4692fb1c9a23ce1"),
-]
-
-
-@pytest.mark.parametrize("seed, config, golden", QUEUED_WINDOW_GOLDENS,
-                         ids=[f"seed{g[0]}" for g in QUEUED_WINDOW_GOLDENS])
-def test_queued_window_matches_parent_recorded_digest(seed, config, golden):
-    """Contract 4: the queued-window regime is bit-stable against itself."""
-    store, w = _run(seed, "batched", horizon_ms=20_000.0, **config)
-    assert not w.engine._escalate_all
-    assert w.engine.bulk_queue_admissions > 0
-    assert _queued_window_digest(store, w.engine) == golden
+@pytest.mark.parametrize("seed, horizon_ms, config", [
+    (17, 10_000.0,
+     dict(queueing=QueueingConfig(service=DeterministicService(1.0)))),
+    (17, 10_000.0,
+     dict(queueing=QueueingConfig(service=DeterministicService(4.0)))),
+    (17, 10_000.0,
+     dict(queueing=QueueingConfig(service=LogNormalService(3.0, 0.5)))),
+    (22, 20_000.0,
+     dict(queueing=QueueingConfig(service=DeterministicService(4.0)),
+          timeout=80.0, write_fraction=0.05, quorum=2, rate=150.0,
+          epoch_period_ms=500.0)),
+], ids=["deterministic-1ms", "deterministic-4ms", "lognormal-3ms",
+        "writes-quorum-timeout"])
+def test_nearest_with_active_queue_identical_across_engines(seed, horizon_ms,
+                                                            config):
+    """Contract 2: ``nearest`` + active service + unbounded queue, whose
+    waits depend on admission order alone (no re-ranking, no rejection),
+    across service models and with writes, quorum reads and timeouts."""
+    _assert_escalate_all_exact(seed, horizon_ms, **config)

@@ -25,8 +25,8 @@ from repro.core import ControllerConfig, MigrationPolicy
 from repro.core.migration import RetryPolicy
 from repro.net.planetlab import small_matrix
 from repro.sim import FailureInjector, Simulator
-from repro.store import ReplicatedStore
-from repro.workloads import AccessWorkload, ClientPopulation
+from repro.store import BatchedAccessWorkload, ReplicatedStore
+from repro.workloads import ClientPopulation
 
 N_NODES = 24
 N_DC = 6
@@ -89,8 +89,8 @@ def run_under_schedule(faults, seed=0):
                                min_absolute_gain_ms=0.1),
         epoch_period_ms=EPOCH_MS)
     clients = [n for n in range(N_NODES) if n not in candidates]
-    AccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
-                   rate_per_second=40.0)
+    BatchedAccessWorkload(store, ClientPopulation.uniform(clients), ["obj"],
+                          rate_per_second=40.0)
 
     injector = FailureInjector(store.network)
     for kind, at, until, params in faults:

@@ -139,11 +139,12 @@ class TestCatalogEpochs:
                                  epoch_stagger=1.0,
                                  max_epoch_moves=0)
         # Drive some traffic so controllers would otherwise migrate.
-        from repro.workloads import AccessWorkload, ClientPopulation
+        from repro.store import BatchedAccessWorkload
+        from repro.workloads import ClientPopulation
         clients = [c for c in range(store.network.matrix.n)
                    if c not in store.candidates]
-        AccessWorkload(store, ClientPopulation.uniform(clients),
-                       list(catalog.keys()), rate_per_second=200.0)
+        BatchedAccessWorkload(store, ClientPopulation.uniform(clients),
+                              list(catalog.keys()), rate_per_second=200.0)
         sim.run_until(10_000.0)
         assert sum(s.epochs for s in catalog.shards) > 0
         assert sum(s.moves for s in catalog.shards) == 0
@@ -156,11 +157,12 @@ class TestCatalogEpochs:
                                  epoch_period_ms=1_000.0,
                                  epoch_stagger=1.0,
                                  max_epoch_moves=limit)
-        from repro.workloads import AccessWorkload, ClientPopulation
+        from repro.store import BatchedAccessWorkload
+        from repro.workloads import ClientPopulation
         clients = [c for c in range(store.network.matrix.n)
                    if c not in store.candidates]
-        AccessWorkload(store, ClientPopulation.uniform(clients),
-                       list(catalog.keys()), rate_per_second=200.0)
+        BatchedAccessWorkload(store, ClientPopulation.uniform(clients),
+                              list(catalog.keys()), rate_per_second=200.0)
         horizon = 10_000.0
         sim.run_until(horizon)
         windows = int(horizon / 1_000.0) + 1

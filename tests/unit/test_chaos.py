@@ -8,6 +8,7 @@ summary and migration retry machinery, and the declarative scenario
 parser.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -668,6 +669,33 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="beyond the"):
             ChaosScenario(duration_ms=1_000.0, settle_ms=0.0, faults=(
                 FaultSpec(kind="crash", at=5_000.0, node=0),))
+
+    def test_retired_engine_key(self, tmp_path):
+        # One access driver: ``[workload] engine`` is gone.  Files that
+        # asked for the surviving one still load (and load equal to the
+        # same file without the key); asking for the other is an error
+        # naming the removal — in TOML and in JSON.
+        def write(suffix, engine):
+            line = "" if engine is None else f'engine = "{engine}"\n'
+            if suffix == ".toml":
+                text = f"seed = 3\n[workload]\n{line}rate_per_second = 50.0\n"
+            else:
+                workload = {"rate_per_second": 50.0}
+                if engine is not None:
+                    workload["engine"] = engine
+                text = json.dumps({"seed": 3, "workload": workload})
+            path = tmp_path / f"scenario-{engine}{suffix}"
+            path.write_text(text)
+            return str(path)
+
+        for suffix in (".toml", ".json"):
+            plain = load_scenario(write(suffix, None))
+            assert plain.rate_per_second == 50.0
+            assert load_scenario(write(suffix, "batched")) == plain
+            with pytest.raises(ValueError, match="engine was removed"):
+                load_scenario(write(suffix, "event"))
+        assert "engine" not in {f.name
+                                for f in dataclasses.fields(ChaosScenario)}
 
     def test_unsupported_extension_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"

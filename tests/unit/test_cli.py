@@ -39,7 +39,6 @@ class TestParser:
         assert args.keys == [100, 1_000]
         assert args.shards == [1, 4, 16]
         assert args.grouping == "chunked"
-        assert args.engine == "batched"
 
     def test_catalog_rejects_unknown_grouping(self):
         with pytest.raises(SystemExit):
@@ -54,6 +53,15 @@ class TestParser:
         assert (args.n_nodes, args.n_dc, args.rate_per_second) == (20, 6, 100.0)
         assert {f.name for f in fields(CatalogRunSpec)} \
             - {"n_keys", "n_shards"} <= set(vars(args))
+
+    @pytest.mark.parametrize("command",
+                             [["chaos", "scenario.toml"], ["catalog"]],
+                             ids=["chaos", "catalog"])
+    def test_engine_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--engine", "batched"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
     def test_runner_counts_must_be_positive(self, flag, capsys):

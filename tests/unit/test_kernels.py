@@ -3,12 +3,10 @@
 Covers the backend switch API, equality of every numpy kernel with its
 scalar twin in :mod:`repro.kernels._reference` (called directly),
 eligibility masking, the batched CF maintenance kernel against the
-sequential rule, the pairwise-distance cache, and the deterministic
-empty-cluster reseed regression.
+sequential rule, and the deterministic empty-cluster reseed regression.
 """
 
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -20,11 +18,9 @@ import pytest
 from repro import kernels
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
-from repro.coords.space import EuclideanSpace
 from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 from repro.kernels import wkmeans as wk
-from repro.kernels.distcache import PairwiseDistanceCache
 
 
 # ----------------------------------------------------------------------
@@ -346,80 +342,6 @@ class TestCFKernels:
                               [10.0, 0.0], [11.0, 0.0]])
         for impl in (cfk, ref):
             assert impl.closest_pair(centroids) == (0, 1)
-
-
-# ----------------------------------------------------------------------
-# Pairwise distance cache
-# ----------------------------------------------------------------------
-class TestDistanceCache:
-    def test_hit_and_miss_counting(self):
-        cache = PairwiseDistanceCache()
-        coords = np.arange(12.0).reshape(4, 3)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.ones((4, 4))
-
-        first = cache.lookup((coords,), compute)
-        second = cache.lookup((coords,), compute)
-        assert len(calls) == 1
-        assert cache.misses == 1 and cache.hits == 1
-        np.testing.assert_array_equal(first, second)
-
-    def test_returns_defensive_copies(self):
-        cache = PairwiseDistanceCache()
-        coords = np.ones((3, 2))
-        out = cache.lookup((coords,), lambda: np.zeros((3, 3)))
-        out[0, 0] = 99.0
-        again = cache.lookup((coords,), lambda: np.zeros((3, 3)))
-        assert again[0, 0] == 0.0
-
-    def test_content_key_detects_mutation(self):
-        cache = PairwiseDistanceCache()
-        coords = np.ones((3, 2))
-        cache.lookup((coords,), lambda: np.zeros((3, 3)))
-        coords[0, 0] = 2.0  # same object, new contents → new key
-        cache.lookup((coords,), lambda: np.full((3, 3), 7.0))
-        assert cache.misses == 2 and cache.hits == 0
-
-    def test_invalidate_clears_and_bumps_version(self):
-        cache = PairwiseDistanceCache()
-        coords = np.ones((2, 2))
-        cache.lookup((coords,), lambda: np.zeros((2, 2)))
-        v = cache.version
-        cache.invalidate()
-        assert cache.version == v + 1
-        cache.lookup((coords,), lambda: np.zeros((2, 2)))
-        assert cache.misses == 2
-
-    def test_fifo_eviction(self):
-        cache = PairwiseDistanceCache(maxsize=2)
-        arrays = [np.full((2, 2), float(i)) for i in range(3)]
-        for arr in arrays:
-            cache.lookup((arr,), lambda a=arr: a * 10)
-        # First entry evicted; re-looking it up is a miss.
-        cache.lookup((arrays[0],), lambda: arrays[0] * 10)
-        assert cache.misses == 4
-
-    def test_space_invalidation_hooks(self):
-        space = EuclideanSpace(dim=2, use_height=False)
-        coords = np.random.default_rng(0).normal(size=(6, 2))
-        space.pairwise_distances(coords)
-        space.pairwise_distances(coords)
-        assert space.cache.hits == 1
-        space.invalidate_cache()
-        space.pairwise_distances(coords)
-        assert space.cache.misses == 2
-
-    def test_space_survives_pickle_without_cache(self):
-        space = EuclideanSpace(dim=3, use_height=True)
-        coords = np.random.default_rng(0).normal(size=(4, 4))
-        space.pairwise_distances(coords)
-        clone = pickle.loads(pickle.dumps(space))
-        assert clone.cache.hits == 0 and clone.cache.misses == 0
-        np.testing.assert_array_equal(clone.pairwise_distances(coords),
-                                      space.pairwise_distances(coords))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 interaction with the consistency layer (quorum reads over delayed
 replies)."""
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -54,7 +53,6 @@ class TestServiceModels:
         model = DeterministicService(3.0)
         state_before = sim.rng("service").bit_generator.state
         assert model.draw(sim) == 3.0
-        assert list(model.draw_block(sim, 4)) == [3.0] * 4
         assert sim.rng("service").bit_generator.state == state_before
 
     def test_lognormal_validation(self):
@@ -62,16 +60,6 @@ class TestServiceModels:
             LogNormalService(0.0)
         with pytest.raises(ValueError, match="sigma"):
             LogNormalService(1.0, sigma=-0.1)
-
-    def test_lognormal_block_is_rng_exact_with_scalar_draws(self):
-        """draw_block(n) consumes the stream as n draw() calls would."""
-        model = LogNormalService(5.0, sigma=0.7)
-        sim_scalar, sim_block = Simulator(seed=9), Simulator(seed=9)
-        scalars = [model.draw(sim_scalar) for _ in range(6)]
-        block = model.draw_block(sim_block, 6)
-        assert scalars == list(block)
-        assert (sim_scalar.rng("service").bit_generator.state
-                == sim_block.rng("service").bit_generator.state)
 
 
 class TestServerQueue:
@@ -100,23 +88,6 @@ class TestServerQueue:
         assert queue.depth(1.0) == 2
         assert queue.depth(4.5) == 1
         assert queue.depth(9.0) == 0
-
-    def test_admit_block_is_the_scalar_recursion(self):
-        arrivals = np.array([0.0, 1.0, 1.5, 20.0, 20.0, 31.0])
-        services = np.array([5.0, 5.0, 0.5, 4.0, 6.0, 1.0])
-        scalar, block = ServerQueue(), ServerQueue()
-        for queue in (scalar, block):
-            queue.admit(0.0, 4.0)   # a backlog both start behind
-        expected = [scalar.admit(a, s) for a, s in zip(arrivals, services)]
-        trial = block.admit_block(arrivals, services, commit=False)
-        assert trial.tolist() == expected
-        # A trial leaves the queue untouched ...
-        assert (block.busy_until, block.offered, block.accepted) == (4.0, 1, 1)
-        # ... a commit leaves it where the scalar admissions did.
-        assert block.admit_block(arrivals, services,
-                                 commit=True).tolist() == expected
-        assert (block.busy_until, block.offered, block.accepted) == \
-            (scalar.busy_until, scalar.offered, scalar.accepted)
 
 
 class TestQueueingConfig:
@@ -154,7 +125,6 @@ class TestQueueingConfig:
         sim = Simulator()
         config = QueueingConfig()
         assert config.sample_service(sim) == 0.0
-        assert list(config.sample_service_block(sim, 3)) == [0.0] * 3
 
 
 class TestMakeStrategy:
@@ -291,7 +261,8 @@ class TestBatchedStageTimers:
                 store, ClientPopulation.uniform(list(range(5, 20))), ["obj"],
                 rate_per_second=600.0, write_fraction=0.01)
             sim.run_until(5_000.0)
-        assert workload.engine.bulk_queue_admissions > 0
+        assert workload.engine._escalate_all
+        assert store.queue_stats()["accepted"] > 0
         timers = registry.snapshot()["phase_timers"]
         window = timers["sim.batched.advance"]
         stages = [timers[f"sim.batched.{stage}"] for stage in self.STAGES]

@@ -225,6 +225,37 @@ class TestCacheKey:
         assert len(keys) == len(dataclasses.fields(spec)) + 1
 
 
+    @pytest.mark.parametrize("kind", ["chaos", "catalog"])
+    def test_entries_keyed_with_the_retired_engine_field_never_decode(
+            self, kind, tmp_path):
+        # Caches written while cells carried a data-plane ``engine`` hold
+        # it in the payload; the field is gone, so such an entry can
+        # never be addressed again — a resumed sweep recomputes.
+        spec = SPEC_KINDS[kind]()
+
+        class AsKeyedBefore:
+            result_type = spec.result_type
+
+            def payload(self):
+                payload = spec.payload()
+                if kind == "chaos":
+                    payload["scenario"] = {**payload["scenario"],
+                                           "engine": "batched"}
+                else:
+                    payload["engine"] = "batched"
+                return payload
+
+        cache = ResultCache(str(tmp_path))
+        cache.put(AsKeyedBefore(), {"stale": True})
+        assert cache.get(spec) is MISS
+        with obs.observe() as (registry, _):
+            [result] = execute([spec], jobs=1, cache_dir=str(tmp_path),
+                               resume=True)
+        assert registry.counter("runner.cache_hits").value == 0
+        assert registry.counter("runner.jobs_completed").value == 1
+        assert type(result) is spec.result_type
+
+
 class TestResultCache:
     def test_roundtrip_float_and_table2_row(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -561,8 +592,7 @@ class TestChunkedExecute:
                 meta_out=meta)
         assert [row["index"] for row in meta] == [0, 1, 2, 3]
         assert {row["source"] for row in meta} == {"worker"}
-        assert all("chunk" in row and "worker" in row and "engine" in row
-                   for row in meta)
+        assert all("chunk" in row and "worker" in row for row in meta)
 
         resumed_meta = []
         execute(specs, jobs=2, cache_dir=str(tmp_path), resume=True,

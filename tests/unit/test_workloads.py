@@ -1,5 +1,10 @@
 """Unit tests for repro.workloads."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,6 @@ from repro.net.planetlab import small_matrix
 from repro.sim import Simulator
 from repro.store import ReplicatedStore
 from repro.workloads import (
-    AccessWorkload,
     ClientPopulation,
     ConstantPattern,
     DiurnalPattern,
@@ -19,6 +23,7 @@ from repro.workloads import (
     generate_trace,
     replay_trace,
 )
+from repro.workloads._reference import AccessWorkload
 
 
 @pytest.fixture()
@@ -282,7 +287,75 @@ class TestReplayTrace:
         assert len(store.log) == len(trace)
 
 
+class TestOneAccessDriver:
+    def test_production_paths_never_import_the_oracle(self):
+        # A chaos cell, a catalog cell and a trace replay in a fresh
+        # interpreter: the per-event oracle must stay unimported.
+        examples = os.path.join(os.path.dirname(__file__), os.pardir,
+                                os.pardir, "examples", "chaos")
+        code = f"""
+            import sys
+            import numpy as np
+            import repro.workloads
+            from repro.catalog import CatalogRunSpec, run_catalog_cell
+            from repro.chaos import load_scenario, run_scenario
+            from repro.net.planetlab import small_matrix
+            from repro.sim import Simulator
+            from repro.store import ReplicatedStore
+            from repro.workloads import (ClientPopulation, generate_trace,
+                                         replay_trace)
+
+            result = run_scenario(load_scenario({examples!r} + "/smoke.toml"))
+            assert result.reads_completed > 0
+            row = run_catalog_cell(CatalogRunSpec(
+                n_keys=20, n_shards=2, n_nodes=30, n_dc=6,
+                duration_ms=2_000.0))
+            assert row["reads_completed"] > 0
+            sim = Simulator(seed=3)
+            store = ReplicatedStore(sim, small_matrix(n=15, seed=2),
+                                    (0, 1, 2), np.zeros((15, 3)),
+                                    selection="oracle")
+            store.create_object("obj", initial_sites=[0, 1])
+            trace = generate_trace(
+                ClientPopulation.uniform(range(5, 15)), ["obj"],
+                duration_ms=1_000.0, rate_per_second=100.0,
+                rng=np.random.default_rng(0))
+            replay_trace(store, trace)
+            sim.run()
+            assert len(store.log) == len(trace) > 0
+
+            assert "repro.workloads._reference" not in sys.modules
+            assert "AccessWorkload" not in repro.workloads.__all__
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_no_engine_selector_is_left(self):
+        from repro.catalog import CatalogRunSpec
+        from repro.chaos.harness import live_world
+        with pytest.raises(TypeError, match="engine"):
+            CatalogRunSpec(n_keys=4, n_shards=1, engine="batched")
+        with pytest.raises(TypeError, match="engine"):
+            live_world(20, 4, 0, engine="batched")
+        with pytest.raises(TypeError, match="engine"):
+            replay_trace(None, [], engine="batched")
+
+    def test_draining_an_endless_workload_is_an_error(self):
+        from repro.store import BatchedAccessWorkload
+        sim, store = TestReplayTrace().build_store()
+        workload = BatchedAccessWorkload(
+            store, ClientPopulation.uniform([5, 6]), ["obj"])
+        with pytest.raises(ValueError, match="endless workload"):
+            sim.run()
+        workload.stop()
+        sim.run()   # a stopped driver drains like any empty queue
+
+
 class TestAccessWorkload:
+    """The reference tick process (the oracle's own unit tests)."""
+
     def build(self, write_fraction=0.0):
         matrix = small_matrix(n=15, seed=2)
         coords = embed_matrix(matrix, system="mds",

@@ -9,8 +9,12 @@ This package implements Sections III-B through III-D:
   the collected micro-clusters into *k* macro-clusters with weighted
   k-means and map each to its nearest candidate data center
   (Section III-C);
-* :func:`estimate_average_delay` — predicted mean access delay of a
-  placement, the quantity the migration policy compares;
+* :class:`DelayEstimator` / :func:`estimate_average_delay` — predicted
+  mean access delay of a placement from the summaries alone, the
+  quantity the migration policy compares (one cost matrix per epoch;
+  :class:`RWCostEstimator` is its write-aware counterpart);
+* :func:`swap_descent` — the one first-improvement single-swap search
+  every placement refinement in the package runs;
 * :class:`MigrationCostModel` / :class:`MigrationPolicy` — migrate only
   when the latency gain justifies the transfer cost (Section III-C);
 * :mod:`repro.core.costs` — the analytic and empirical bandwidth/compute
@@ -25,7 +29,9 @@ generic :class:`~repro.clustering.stream.ClusterFeature`.
 
 from repro.clustering.stream import ClusterFeature as MicroCluster
 from repro.core.summarizer import ReplicaAccessSummary
+from repro.core.search import swap_descent
 from repro.core.macro import (
+    DelayEstimator,
     MacroCluster,
     PlacementDecision,
     estimate_average_delay,
@@ -34,6 +40,7 @@ from repro.core.macro import (
 )
 from repro.core.migration import MigrationCostModel, MigrationPolicy, MigrationVerdict
 from repro.core.readwrite import (
+    RWCostEstimator,
     RWPlacementDecision,
     estimate_rw_cost,
     place_replicas_rw,
@@ -52,12 +59,15 @@ __all__ = [
     "ReplicaAccessSummary",
     "MacroCluster",
     "PlacementDecision",
+    "DelayEstimator",
     "estimate_average_delay",
+    "swap_descent",
     "macro_cluster",
     "place_replicas",
     "MigrationCostModel",
     "MigrationPolicy",
     "MigrationVerdict",
+    "RWCostEstimator",
     "RWPlacementDecision",
     "estimate_rw_cost",
     "place_replicas_rw",

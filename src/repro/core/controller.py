@@ -25,12 +25,16 @@ from repro import obs
 from repro.clustering.stream import ClusterFeature
 from repro.coords.space import EuclideanSpace
 from repro.core.costs import CostTally
-from repro.core.macro import estimate_average_delay, place_replicas
+from repro.core.macro import DelayEstimator, place_replicas
 from repro.core.migration import MigrationCostModel, MigrationPolicy, MigrationVerdict
-from repro.core.readwrite import estimate_rw_cost, place_replicas_rw
+from repro.core.readwrite import RWCostEstimator, place_replicas_rw
 from repro.core.summarizer import ReplicaAccessSummary
 from repro.net.domains import FailureDomains
-from repro.placement.availability import bound_transfers, refine_for_availability
+from repro.placement.availability import (
+    AvailabilityObjective,
+    bound_transfers,
+    refine_for_availability,
+)
 
 __all__ = ["ControllerConfig", "EpochReport", "ReplicationController"]
 
@@ -155,8 +159,9 @@ class ReplicationController:
         (see :meth:`clustering_coords` for stripping height components).
     initial_sites:
         Candidate indices currently holding replicas; their count sets
-        the initial ``k`` unless ``config.k`` disagrees, in which case
-        ``config.k`` wins and sites are truncated/padded arbitrarily.
+        the initial ``k`` unless more than ``config.k`` are given: the
+        list is then truncated to its first ``config.k`` entries.  A
+        shorter list is not padded; the first adopted proposal has ``k``.
     config:
         :class:`ControllerConfig`.
     cost_model / policy:
@@ -480,58 +485,40 @@ class ReplicationController:
 
         placement_coords = (self.dc_coords if eligible_idx is None
                             else self.dc_coords[eligible_idx])
+        lam = (self.config.availability_lambda if self.domains is not None
+               else 0.0)
+        cap = (self.config.max_epoch_moves if max_moves is None
+               else max(int(max_moves), 0))
         with registry.phase("controller.clustering"):
+            # One estimator per epoch: every placement this epoch weighs
+            # — incumbent, proposal, each refinement and trim trial — is
+            # priced from its one (micro-cluster × candidate) matrix.
             if self.config.write_aware:
-                rw_decision = place_replicas_rw(pooled, pooled_writes, self.k,
-                                                placement_coords, rng)
-                proposed_sites = rw_decision.data_centers
-                proposed_delay = rw_decision.predicted_cost
-                current_delay = estimate_rw_cost(
-                    pooled, pooled_writes,
-                    self.dc_coords[np.array(previous_sites)])[0]
+                estimator = RWCostEstimator(pooled, pooled_writes,
+                                            self.dc_coords)
+                proposed_sites = place_replicas_rw(
+                    pooled, pooled_writes, self.k, placement_coords,
+                    rng).data_centers
             else:
-                decision = place_replicas(pooled, self.k, placement_coords,
-                                          rng, self.config.use_bytes_weight)
-                proposed_sites = decision.data_centers
-                proposed_delay = decision.predicted_delay
-                current_delay = estimate_average_delay(
-                    pooled, self.dc_coords[np.array(previous_sites)])
+                estimator = DelayEstimator(pooled, self.dc_coords)
+                proposed_sites = place_replicas(
+                    pooled, self.k, placement_coords, rng,
+                    self.config.use_bytes_weight).data_centers
             if eligible_idx is not None:
                 # Map positions within the eligible subset back to
                 # candidate positions — a migration can never target a
                 # partitioned-away data center, by construction.
                 proposed_sites = tuple(int(eligible_idx[p])
                                        for p in proposed_sites)
-
-            lam = self.config.availability_lambda
-            refining = lam > 0.0 and self.domains is not None
-            cap = (self.config.max_epoch_moves if max_moves is None
-                   else max(int(max_moves), 0))
-            if refining or cap is not None:
-                if self.config.write_aware:
-                    def predicted_delay_of(positions: list[int]) -> float:
-                        return float(estimate_rw_cost(
-                            pooled, pooled_writes,
-                            self.dc_coords[np.array(positions)])[0])
-                else:
-                    def predicted_delay_of(positions: list[int]) -> float:
-                        return float(estimate_average_delay(
-                            pooled, self.dc_coords[np.array(positions)]))
-
-                def combined_objective(positions: list[int]) -> float:
-                    value = predicted_delay_of(positions)
-                    if refining:
-                        value += lam * self.domains.cofailure_risk(positions)
-                    return value
-
-            if refining:
-                refined = refine_for_availability(
-                    list(proposed_sites), predicted_delay_of, self.domains,
-                    lam, eligible=(None if eligible_idx is None
-                                   else eligible_idx.tolist()))
-                if tuple(refined) != proposed_sites:
-                    proposed_sites = tuple(int(p) for p in refined)
-                    proposed_delay = predicted_delay_of(list(proposed_sites))
+            # Delay plus λ·risk; at λ = 0 the delay alone, so the paper's
+            # pure-latency comparison runs untouched.
+            objective = AvailabilityObjective(estimator.delay, self.domains,
+                                              lam)
+            if lam > 0.0:
+                proposed_sites = tuple(refine_for_availability(
+                    proposed_sites, estimator.delay, self.domains, lam,
+                    eligible=(None if eligible_idx is None
+                              else eligible_idx.tolist())))
             if cap is not None:
                 if cap < 1:
                     # Exhausted budget: no new sites may be adopted at
@@ -540,17 +527,12 @@ class ReplicationController:
                     # unless it is a pure shrink/reorder (which transfers
                     # nothing).
                     if set(proposed_sites) - set(previous_sites):
-                        proposed_sites = tuple(previous_sites)
-                        proposed_delay = predicted_delay_of(
-                            list(proposed_sites))
+                        proposed_sites = previous_sites
                 else:
-                    trimmed = bound_transfers(previous_sites,
-                                              list(proposed_sites),
-                                              cap, combined_objective)
-                    if tuple(trimmed) != proposed_sites:
-                        proposed_sites = tuple(int(p) for p in trimmed)
-                        proposed_delay = predicted_delay_of(
-                            list(proposed_sites))
+                    proposed_sites = tuple(bound_transfers(
+                        previous_sites, proposed_sites, cap, objective))
+            current_delay = estimator.delay(previous_sites)
+            proposed_delay = estimator.delay(proposed_sites)
         if len(proposed_sites) < len(previous_sites):
             # Shedding replicas can never *reduce* delay, so the latency
             # threshold would block it forever.  A shrink is a cost
@@ -567,21 +549,9 @@ class ReplicationController:
         else:
             # Under the λ-objective the policy must weigh the *combined*
             # costs, or a move that pays a little latency for a lot of
-            # safety would always be vetoed.  At λ = 0 this branch is
-            # never taken and the paper's pure-latency comparison runs
-            # untouched.
-            if refining:
-                decide_current = (current_delay
-                                  + lam * self.domains.cofailure_risk(
-                                      previous_sites))
-                decide_proposed = (proposed_delay
-                                   + lam * self.domains.cofailure_risk(
-                                       proposed_sites))
-            else:
-                decide_current = current_delay
-                decide_proposed = proposed_delay
-            verdict = self.policy.decide(decide_current,
-                                         decide_proposed,
+            # safety would always be vetoed.
+            verdict = self.policy.decide(objective(previous_sites),
+                                         objective(proposed_sites),
                                          self.cost_model, previous_sites,
                                          proposed_sites)
         if verdict.migrate:

@@ -18,9 +18,11 @@ import numpy as np
 from repro import obs
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature
+from repro.core.search import TOLERANCE, swap_descent
 from repro.kernels import wkmeans as _wk
 
 __all__ = [
+    "DelayEstimator",
     "MacroCluster",
     "PlacementDecision",
     "macro_cluster",
@@ -64,21 +66,20 @@ class PlacementDecision:
     predicted_delay: float
 
 
-def _pseudo_points(micro_clusters: Sequence[ClusterFeature],
-                   use_bytes_weight: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Centroids and weights of the micro-clusters."""
+def _stack(micro_clusters: Sequence[ClusterFeature]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroids, access counts and byte weights of the micro-clusters."""
     if not micro_clusters:
         raise ValueError("no micro-clusters supplied")
-    points = np.stack([c.centroid for c in micro_clusters])
-    if use_bytes_weight:
-        weights = np.array([c.weight for c in micro_clusters], dtype=float)
-    else:
-        weights = np.array([c.count for c in micro_clusters], dtype=float)
-    if weights.sum() <= 0:
-        # Degenerate but possible (e.g. zero-byte accesses with byte
-        # weighting): fall back to uniform pseudo-point weights.
-        weights = np.ones(len(micro_clusters))
-    return points, weights
+    return (np.stack([c.centroid for c in micro_clusters]),
+            np.array([c.count for c in micro_clusters], dtype=float),
+            np.array([c.weight for c in micro_clusters], dtype=float))
+
+
+def _or_uniform(mass: np.ndarray) -> np.ndarray:
+    """``mass``, or uniform pseudo-point weights when it sums to nothing
+    (degenerate but possible, e.g. zero-byte accesses weighted by bytes)."""
+    return mass if mass.sum() > 0 else np.ones(len(mass))
 
 
 def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
@@ -99,11 +100,10 @@ def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
     if k < 1:
         raise ValueError("k must be positive")
     rng = rng or np.random.default_rng(0)
-    points, weights = _pseudo_points(micro_clusters, use_bytes_weight)
+    points, counts, byte_weights = _stack(micro_clusters)
+    weights = _or_uniform(byte_weights if use_bytes_weight else counts)
     result = weighted_kmeans(points, k, weights=weights, rng=rng)
 
-    counts = np.array([c.count for c in micro_clusters], dtype=float)
-    byte_weights = np.array([c.weight for c in micro_clusters], dtype=float)
     macros = []
     for c in range(result.k):
         mask = result.labels == c
@@ -126,6 +126,46 @@ def _check_heights(heights: np.ndarray | None, n: int) -> np.ndarray:
     if np.any(heights < 0):
         raise ValueError("heights must be non-negative")
     return heights
+
+
+class DelayEstimator:
+    """Predicted delays of placements over one candidate set, from
+    summaries alone.
+
+    Stacks the micro-clusters' centroids and access counts and computes
+    the (micro-cluster × candidate) predicted serving cost once; every
+    search that scores placements against the same summaries — the swap
+    refinement of :func:`place_replicas`, the epoch controller's
+    λ-refinement, transfer cap and verdict — reads columns of it.
+
+    ``counts`` holds the ``(m,)`` access counts (uniform when they sum
+    to zero), ``byte_weights`` the bytes exchanged, ``cost`` the
+    ``(m, n_dc)`` centroid-to-candidate distances plus the candidate's
+    height.
+    """
+
+    def __init__(self, micro_clusters: Sequence[ClusterFeature],
+                 dc_coords: np.ndarray,
+                 dc_heights: np.ndarray | None = None) -> None:
+        dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
+        if dc_coords.shape[0] == 0:
+            raise ValueError("no replica coordinates supplied")
+        centroids, counts, self.byte_weights = _stack(micro_clusters)
+        self.counts = _or_uniform(counts)
+        self.cost = _wk.cross_distances(
+            centroids, dc_coords,
+            b_heights=_check_heights(dc_heights, dc_coords.shape[0]))
+
+    def delay(self, sites: Sequence[int]) -> float:
+        """Predicted mean access delay with replicas at ``sites``.
+
+        Each micro-cluster contributes ``count`` accesses at its
+        centroid; every access is served by the nearest replica, so the
+        estimate is the count-weighted mean of
+        ``min_r (dist(centroid, r) + h_r)``.
+        """
+        nearest = self.cost[:, list(sites)].min(axis=1)
+        return float(np.average(nearest, weights=self.counts))
 
 
 def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
@@ -195,9 +235,36 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     """
     registry = obs.get_registry()
     with registry.phase("macro.place_replicas"):
-        decision = _place_replicas(micro_clusters, k, dc_coords, rng,
-                                   use_bytes_weight, dc_heights,
-                                   refine_swaps, dc_capacities, eligible)
+        dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
+        n_dc = dc_coords.shape[0]
+        if n_dc == 0:
+            raise ValueError("no candidate data centers")
+        heights = _check_heights(dc_heights, n_dc)
+        capacities = None
+        if dc_capacities is not None:
+            capacities = np.asarray(dc_capacities, dtype=float)
+            if capacities.shape != (n_dc,):
+                raise ValueError(f"expected {n_dc} capacities")
+            if np.any(capacities <= 0):
+                raise ValueError("capacities must be positive")
+        if eligible is not None:
+            eligible = np.asarray(eligible, dtype=bool)
+            if eligible.shape != (n_dc,):
+                raise ValueError(f"expected ({n_dc},) eligibility mask, "
+                                 f"got {eligible.shape}")
+            if not eligible.any():
+                raise ValueError("no candidate data center is eligible")
+            k = min(k, int(eligible.sum()))
+        k = min(k, n_dc)
+        macros = macro_cluster(micro_clusters, k, rng, use_bytes_weight)
+        chosen, ordered_macros = _seed_sites(macros, k, dc_coords, heights,
+                                             capacities, eligible)
+        estimator = DelayEstimator(micro_clusters, dc_coords, heights)
+        if refine_swaps:
+            chosen = _refine_by_swaps(chosen, estimator, capacities,
+                                      use_bytes_weight, eligible)
+        decision = PlacementDecision(tuple(chosen), tuple(ordered_macros),
+                                     estimator.delay(chosen))
     if registry.enabled:
         registry.counter("macro.rounds").inc()
         obs.get_tracer().record(
@@ -207,101 +274,66 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     return decision
 
 
-def _place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
-                    dc_coords: np.ndarray,
-                    rng: np.random.Generator | None,
-                    use_bytes_weight: bool,
-                    dc_heights: np.ndarray | None,
-                    refine_swaps: bool,
-                    dc_capacities: np.ndarray | None,
-                    eligible: np.ndarray | None = None
-                    ) -> PlacementDecision:
-    dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
-    n_dc = dc_coords.shape[0]
-    if n_dc == 0:
-        raise ValueError("no candidate data centers")
-    heights = _check_heights(dc_heights, n_dc)
-    capacities = None
-    if dc_capacities is not None:
-        capacities = np.asarray(dc_capacities, dtype=float)
-        if capacities.shape != (n_dc,):
-            raise ValueError(f"expected {n_dc} capacities")
-        if np.any(capacities <= 0):
-            raise ValueError("capacities must be positive")
-    if eligible is not None:
-        eligible = np.asarray(eligible, dtype=bool)
-        if eligible.shape != (n_dc,):
-            raise ValueError(f"expected ({n_dc},) eligibility mask, "
-                             f"got {eligible.shape}")
-        if not eligible.any():
-            raise ValueError("no candidate data center is eligible")
-        k = min(k, int(eligible.sum()))
-    k = min(k, n_dc)
-    macros = macro_cluster(micro_clusters, k, rng, use_bytes_weight)
+def _seed_sites(macros: Sequence[MacroCluster], k: int,
+                dc_coords: np.ndarray, heights: np.ndarray,
+                capacities: np.ndarray | None = None,
+                eligible: np.ndarray | None = None
+                ) -> tuple[list[int], list[MacroCluster]]:
+    """Algorithm 1's mapping: each macro-cluster to a distinct candidate.
 
-    order = sorted(range(len(macros)),
-                   key=lambda i: macros[i].count, reverse=True)
-    chosen: list[int] = []
-    ordered_macros: list[MacroCluster] = []
-    used = np.zeros(n_dc, dtype=bool)
+    Heaviest macro-cluster first, each to the nearest candidate not yet
+    taken (see the notes of :func:`place_replicas` for the capacity and
+    eligibility rules).  Returns the sites and the macro-clusters in
+    that order.
+    """
+    ordered = sorted(macros, key=lambda macro: macro.count, reverse=True)
+    dists = _wk.cross_distances(np.stack([m.centroid for m in ordered]),
+                                dc_coords, b_heights=heights)
+    blocked = (np.zeros(dc_coords.shape[0], dtype=bool) if eligible is None
+               else ~eligible)
     remaining = capacities.copy() if capacities is not None else None
-    for idx in order:
-        macro = macros[idx]
-        dists = _wk.cross_distances(macro.centroid[None, :], dc_coords,
-                                    b_heights=heights)[0]
-        dists[used] = np.inf
-        if eligible is not None:
-            dists[~eligible] = np.inf
+    chosen: list[int] = []
+    for macro, row in zip(ordered, dists):
+        reachable = np.where(blocked, np.inf, row)
         if remaining is not None:
             # Nearest candidate that can absorb this population; if none
             # fits, the roomiest one takes the overload.
-            feasible = dists.copy()
-            feasible[remaining < macro.count] = np.inf
+            feasible = np.where(remaining < macro.count, np.inf, reachable)
             if np.isfinite(feasible).any():
                 site = int(np.argmin(feasible))
             else:
-                blocked = used if eligible is None else (used | ~eligible)
-                unused_room = np.where(blocked, -np.inf, remaining)
-                site = int(np.argmax(unused_room))
+                site = int(np.argmax(np.where(blocked, -np.inf, remaining)))
             remaining[site] -= macro.count
         else:
-            site = int(np.argmin(dists))
-        used[site] = True
+            site = int(np.argmin(reachable))
+        blocked[site] = True
         chosen.append(site)
-        ordered_macros.append(macro)
 
     # Fewer macro-clusters than k can emerge when k-means leaves empty
     # clusters on tiny inputs; pad with the candidates closest to the
     # heaviest macro-cluster so the degree of replication is honoured.
     while len(chosen) < k:
-        anchor = ordered_macros[0].centroid
-        dists = _wk.cross_distances(anchor[None, :], dc_coords,
-                                    b_heights=heights)[0]
-        dists[used] = np.inf
-        if eligible is not None:
-            dists[~eligible] = np.inf
-        site = int(np.argmin(dists))
-        used[site] = True
+        site = int(np.argmin(np.where(blocked, np.inf, dists[0])))
+        blocked[site] = True
         chosen.append(site)
-
-    if refine_swaps:
-        chosen = _refine_by_swaps(micro_clusters, chosen, dc_coords, heights,
-                                  capacities=capacities,
-                                  use_bytes_weight=use_bytes_weight,
-                                  eligible=eligible)
-
-    picks = np.array(chosen)
-    predicted = estimate_average_delay(micro_clusters, dc_coords[picks],
-                                       replica_heights=heights[picks])
-    return PlacementDecision(tuple(chosen), tuple(ordered_macros), predicted)
+    return chosen, ordered
 
 
-def _refine_by_swaps(micro_clusters: Sequence[ClusterFeature],
-                     chosen: list[int], dc_coords: np.ndarray,
-                     heights: np.ndarray, max_rounds: int = 8,
-                     capacities: np.ndarray | None = None,
-                     use_bytes_weight: bool = False,
-                     eligible: np.ndarray | None = None) -> list[int]:
+def _within_capacity(trial: tuple[float, float],
+                     best: tuple[float, float]) -> bool:
+    """Capacity rule over ``(delay, overload)`` scores: a swap may never
+    add overload, and must cut the delay or the overload."""
+    (value, overload), (best_value, best_overload) = trial, best
+    if overload > best_overload + TOLERANCE:
+        return False
+    return (value < best_value - TOLERANCE
+            or overload < best_overload - TOLERANCE)
+
+
+def _refine_by_swaps(chosen: list[int], estimator: DelayEstimator,
+                     capacities: np.ndarray | None,
+                     use_bytes_weight: bool,
+                     eligible: np.ndarray | None) -> list[int]:
     """Greedy site swaps that improve the summary-estimated delay.
 
     Works entirely on the micro-cluster summaries (centroids weighted by
@@ -309,62 +341,31 @@ def _refine_by_swaps(micro_clusters: Sequence[ClusterFeature],
     coordinator has.  With ``capacities`` given, a swap is accepted only
     if every site's routed load stays within its capacity (the starting
     placement is exempt: if it already overloads, improving delay without
-    worsening feasibility is still allowed via the no-worse rule below).
+    worsening feasibility is still allowed via :func:`_within_capacity`).
     """
-    centroids = np.stack([c.centroid for c in micro_clusters])
-    counts = np.array([c.count for c in micro_clusters], dtype=float)
-    if counts.sum() <= 0:
-        counts = np.ones(len(micro_clusters))
-    if use_bytes_weight:
-        mass = np.array([c.weight for c in micro_clusters], dtype=float)
-        if mass.sum() <= 0:
-            mass = counts
-    else:
-        mass = counts
+    cost, counts = estimator.cost, estimator.counts
+    mass = counts
+    if use_bytes_weight and estimator.byte_weights.sum() > 0:
+        mass = estimator.byte_weights
     weights = mass / mass.sum()
-    # (micro-cluster, candidate) predicted serving cost.
-    cost = _wk.cross_distances(centroids, dc_coords, b_heights=heights)
-
-    chosen = list(chosen)
-    n_dc = dc_coords.shape[0]
+    pool = (range(cost.shape[1]) if eligible is None
+            else np.flatnonzero(eligible).tolist())
 
     def estimated(sites: list[int]) -> float:
         return float(weights @ cost[:, sites].min(axis=1))
 
-    def overload(sites: list[int]) -> float:
-        """Total routed load above capacity (0 when feasible)."""
-        if capacities is None:
-            return 0.0
+    if capacities is None:
+        return swap_descent(chosen, pool, estimated)[0]
+
+    def with_overload(sites: list[int]) -> tuple[float, float]:
+        """Estimated delay and total routed load above capacity."""
         routed = np.argmin(cost[:, sites], axis=1)
         loads = np.bincount(routed, weights=counts, minlength=len(sites))
-        return float(np.maximum(loads - capacities[list(sites)], 0.0).sum())
+        excess = np.maximum(loads - capacities[sites], 0.0).sum()
+        return estimated(sites), float(excess)
 
-    best = estimated(chosen)
-    best_overload = overload(chosen)
-    for _ in range(max_rounds):
-        improved = False
-        for i in range(len(chosen)):
-            in_use = set(chosen)
-            for candidate in range(n_dc):
-                if candidate in in_use:
-                    continue
-                if eligible is not None and not eligible[candidate]:
-                    continue
-                trial = chosen.copy()
-                trial[i] = candidate
-                trial_overload = overload(trial)
-                if trial_overload > best_overload + 1e-12:
-                    continue
-                value = estimated(trial)
-                if (value < best - 1e-12
-                        or trial_overload < best_overload - 1e-12):
-                    chosen, best = trial, value
-                    best_overload = trial_overload
-                    improved = True
-                    in_use = set(chosen)
-        if not improved:
-            break
-    return chosen
+    return swap_descent(chosen, pool, with_overload,
+                        better=_within_capacity)[0]
 
 
 def estimate_average_delay(micro_clusters: Sequence[ClusterFeature],
@@ -373,21 +374,9 @@ def estimate_average_delay(micro_clusters: Sequence[ClusterFeature],
                            ) -> float:
     """Predicted mean access delay of a placement, from summaries alone.
 
-    Each micro-cluster contributes ``count`` accesses at its centroid;
-    every access is served by the nearest replica (in coordinate space,
-    plus the replica's height when heights are in play), so the estimate
-    is the count-weighted mean of ``min_r (dist(centroid, r) + h_r)``.
+    :meth:`DelayEstimator.delay` with a replica at every row of
+    ``replica_coords``.
     """
-    if not micro_clusters:
-        raise ValueError("no micro-clusters supplied")
-    replica_coords = np.atleast_2d(np.asarray(replica_coords, dtype=float))
-    if replica_coords.shape[0] == 0:
-        raise ValueError("no replica coordinates supplied")
-    heights = _check_heights(replica_heights, replica_coords.shape[0])
-    centroids = np.stack([c.centroid for c in micro_clusters])
-    counts = np.array([c.count for c in micro_clusters], dtype=float)
-    if counts.sum() <= 0:
-        counts = np.ones(len(micro_clusters))
-    dists = _wk.cross_distances(centroids, replica_coords,
-                                b_heights=heights).min(axis=1)
-    return float(np.average(dists, weights=counts))
+    estimator = DelayEstimator(micro_clusters, replica_coords,
+                               replica_heights)
+    return estimator.delay(range(estimator.cost.shape[1]))

@@ -30,9 +30,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.clustering.stream import ClusterFeature
-from repro.core.macro import MacroCluster, macro_cluster, _check_heights
+from repro.core.macro import (
+    DelayEstimator,
+    MacroCluster,
+    _check_heights,
+    _seed_sites,
+    macro_cluster,
+)
+from repro.core.search import swap_descent
+from repro.kernels import wkmeans as _wk
 
-__all__ = ["RWPlacementDecision", "estimate_rw_cost", "place_replicas_rw"]
+__all__ = ["RWCostEstimator", "RWPlacementDecision", "estimate_rw_cost",
+           "place_replicas_rw"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +55,76 @@ class RWPlacementDecision:
     predicted_write_delay: float
 
 
-def _pseudo(micro_clusters: Sequence[ClusterFeature]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    centroids = np.stack([c.centroid for c in micro_clusters])
-    counts = np.array([c.count for c in micro_clusters], dtype=float)
-    if counts.sum() <= 0:
-        counts = np.ones(len(micro_clusters))
-    return centroids, counts
+class RWCostEstimator:
+    """Read+write cost of placements over one candidate set.
+
+    The write-aware counterpart of
+    :class:`~repro.core.macro.DelayEstimator`, behind the same
+    ``delay(sites)`` interface: the reader → candidate, writer →
+    candidate and candidate → candidate cost blocks are computed once,
+    and a placement is priced from their columns.
+
+    Read cost per access: distance to the nearest replica.  Write cost
+    per access: distance to the nearest replica *plus* the mean
+    distance from that replica to every other replica (asynchronous
+    propagation still consumes wide-area transfers; the mean makes the
+    number an average per-message delay rather than a fan-out sum, so
+    read and write costs stay on the same ms scale).
+    """
+
+    def __init__(self, read_clusters: Sequence[ClusterFeature],
+                 write_clusters: Sequence[ClusterFeature],
+                 dc_coords: np.ndarray,
+                 dc_heights: np.ndarray | None = None) -> None:
+        dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
+        if dc_coords.shape[0] == 0:
+            raise ValueError("no replica coordinates supplied")
+        heights = _check_heights(dc_heights, dc_coords.shape[0])
+        if not read_clusters and not write_clusters:
+            raise ValueError("no micro-clusters supplied")
+        self._reads = (DelayEstimator(read_clusters, dc_coords, heights)
+                       if read_clusters else None)
+        self._writes = (DelayEstimator(write_clusters, dc_coords, heights)
+                        if write_clusters else None)
+        # Candidate-to-candidate propagation cost.
+        self._inter = _wk.cross_distances(dc_coords, dc_coords,
+                                          b_heights=heights)
+        np.fill_diagonal(self._inter, 0.0)
+
+    def costs(self, sites: Sequence[int]) -> tuple[float, float, float]:
+        """``(combined, read_only, write_only)`` mean delays at ``sites``.
+
+        ``combined`` weighs the two by their access counts.
+        """
+        sites = list(sites)
+        read_total = read_count = 0.0
+        if self._reads is not None:
+            counts = self._reads.counts
+            read_total = float(
+                counts @ self._reads.cost[:, sites].min(axis=1))
+            read_count = float(counts.sum())
+
+        write_total = write_count = 0.0
+        if self._writes is not None:
+            counts = self._writes.counts
+            to_replicas = self._writes.cost[:, sites]
+            nearest = np.argmin(to_replicas, axis=1)
+            # Mean propagation cost per update accepted at each replica.
+            fanout = (self._inter[np.ix_(sites, sites)].sum(axis=1)
+                      / max(len(sites) - 1, 1))
+            per_write = (to_replicas[np.arange(len(counts)), nearest]
+                         + fanout[nearest])
+            write_total = float(counts @ per_write)
+            write_count = float(counts.sum())
+
+        combined = (read_total + write_total) / (read_count + write_count)
+        read_mean = read_total / read_count if read_count else 0.0
+        write_mean = write_total / write_count if write_count else 0.0
+        return combined, read_mean, write_mean
+
+    def delay(self, sites: Sequence[int]) -> float:
+        """The combined read+write mean delay at ``sites``."""
+        return self.costs(sites)[0]
 
 
 def estimate_rw_cost(read_clusters: Sequence[ClusterFeature],
@@ -62,74 +134,26 @@ def estimate_rw_cost(read_clusters: Sequence[ClusterFeature],
                      ) -> tuple[float, float, float]:
     """Predicted (total, read, write) mean delays of a placement.
 
-    Read cost per access: distance to the nearest replica.  Write cost
-    per access: distance to the nearest replica *plus* the mean
-    distance from that replica to every other replica (asynchronous
-    propagation still consumes wide-area transfers; the mean makes the
-    number an average per-message delay rather than a fan-out sum, so
-    read and write costs stay on the same ms scale).
-
-    Returns ``(combined, read_only, write_only)`` where ``combined``
-    weighs the two by their access counts.  Empty ``write_clusters``
-    reduce to the paper's read-only estimator.
+    :meth:`RWCostEstimator.costs` with a replica at every row of
+    ``replica_coords``.  Empty ``write_clusters`` reduce to the paper's
+    read-only estimator.
     """
-    replica_coords = np.atleast_2d(np.asarray(replica_coords, dtype=float))
-    r = replica_coords.shape[0]
-    if r == 0:
-        raise ValueError("no replica coordinates supplied")
-    heights = _check_heights(replica_heights, r)
-    if not read_clusters and not write_clusters:
-        raise ValueError("no micro-clusters supplied")
-
-    # Pairwise replica-to-replica propagation cost.
-    inter = np.linalg.norm(
-        replica_coords[:, None, :] - replica_coords[None, :, :], axis=-1
-    ) + heights[None, :]
-    np.fill_diagonal(inter, 0.0)
-    # Mean propagation cost per update accepted at replica i.
-    fanout = inter.sum(axis=1) / max(r - 1, 1)
-
-    read_total = 0.0
-    read_count = 0.0
-    if read_clusters:
-        centroids, counts = _pseudo(read_clusters)
-        dists = (np.linalg.norm(
-            centroids[:, None, :] - replica_coords[None, :, :], axis=-1
-        ) + heights[None, :]).min(axis=1)
-        read_total = float(counts @ dists)
-        read_count = float(counts.sum())
-
-    write_total = 0.0
-    write_count = 0.0
-    if write_clusters:
-        centroids, counts = _pseudo(write_clusters)
-        to_replicas = np.linalg.norm(
-            centroids[:, None, :] - replica_coords[None, :, :], axis=-1
-        ) + heights[None, :]
-        nearest = np.argmin(to_replicas, axis=1)
-        per_write = (to_replicas[np.arange(len(counts)), nearest]
-                     + fanout[nearest])
-        write_total = float(counts @ per_write)
-        write_count = float(counts.sum())
-
-    total_count = read_count + write_count
-    combined = (read_total + write_total) / total_count
-    read_mean = read_total / read_count if read_count else 0.0
-    write_mean = write_total / write_count if write_count else 0.0
-    return combined, read_mean, write_mean
+    estimator = RWCostEstimator(read_clusters, write_clusters,
+                                replica_coords, replica_heights)
+    return estimator.costs(range(estimator._inter.shape[0]))
 
 
 def place_replicas_rw(read_clusters: Sequence[ClusterFeature],
                       write_clusters: Sequence[ClusterFeature],
                       k: int, dc_coords: np.ndarray,
                       rng: np.random.Generator | None = None,
-                      dc_heights: np.ndarray | None = None,
-                      max_rounds: int = 8) -> RWPlacementDecision:
+                      dc_heights: np.ndarray | None = None
+                      ) -> RWPlacementDecision:
     """Choose ``k`` sites minimizing the combined read+write estimate.
 
     Seeding follows Algorithm 1 on the *read* population (macro-cluster
     centroids mapped to nearest candidates); greedy single-site swaps
-    then optimize :func:`estimate_rw_cost`, which is where write
+    then optimize :meth:`RWCostEstimator.delay`, which is where write
     propagation pulls the solution together.
     """
     dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
@@ -138,52 +162,12 @@ def place_replicas_rw(read_clusters: Sequence[ClusterFeature],
         raise ValueError("no candidate data centers")
     heights = _check_heights(dc_heights, n_dc)
     k = min(k, n_dc)
-    rng = rng or np.random.default_rng(0)
 
     seed_clusters = list(read_clusters) or list(write_clusters)
     macros = macro_cluster(seed_clusters, k, rng)
-    used = np.zeros(n_dc, dtype=bool)
-    chosen: list[int] = []
-    for macro in sorted(macros, key=lambda m: m.count, reverse=True):
-        dists = np.linalg.norm(dc_coords - macro.centroid[None, :],
-                               axis=1) + heights
-        dists[used] = np.inf
-        site = int(np.argmin(dists))
-        used[site] = True
-        chosen.append(site)
-    while len(chosen) < k:
-        dists = np.linalg.norm(
-            dc_coords - macros[0].centroid[None, :], axis=1) + heights
-        dists[used] = np.inf
-        site = int(np.argmin(dists))
-        used[site] = True
-        chosen.append(site)
-
-    def cost_of(sites: list[int]) -> float:
-        picks = np.array(sites)
-        return estimate_rw_cost(read_clusters, write_clusters,
-                                dc_coords[picks], heights[picks])[0]
-
-    best = cost_of(chosen)
-    for _ in range(max_rounds):
-        improved = False
-        for i in range(len(chosen)):
-            in_use = set(chosen)
-            for candidate in range(n_dc):
-                if candidate in in_use:
-                    continue
-                trial = chosen.copy()
-                trial[i] = candidate
-                value = cost_of(trial)
-                if value < best - 1e-12:
-                    chosen, best = trial, value
-                    improved = True
-                    in_use = set(chosen)
-        if not improved:
-            break
-
-    picks = np.array(chosen)
-    combined, read_mean, write_mean = estimate_rw_cost(
-        read_clusters, write_clusters, dc_coords[picks], heights[picks])
-    return RWPlacementDecision(tuple(chosen), tuple(macros), combined,
-                               read_mean, write_mean)
+    chosen, _ = _seed_sites(macros, k, dc_coords, heights)
+    estimator = RWCostEstimator(read_clusters, write_clusters, dc_coords,
+                                heights)
+    chosen, _ = swap_descent(chosen, range(n_dc), estimator.delay)
+    return RWPlacementDecision(tuple(chosen), tuple(macros),
+                               *estimator.costs(chosen))

@@ -45,6 +45,7 @@ from repro.placement.kmedian import KMedianPlacement
 from repro.placement.coded import CodedPlacement, coded_access_delay
 from repro.placement.availability import (
     AvailabilityAwarePlacement,
+    AvailabilityObjective,
     bound_transfers,
     refine_for_availability,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "PlacementStrategy",
     "average_access_delay",
     "AvailabilityAwarePlacement",
+    "AvailabilityObjective",
     "bound_transfers",
     "refine_for_availability",
     "RandomPlacement",

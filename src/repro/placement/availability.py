@@ -17,10 +17,14 @@ willing to pay to move a replica pair out of a shared failure domain.
 λ = 0 is a hard contract, not a tendency: the refinement is skipped
 entirely and the latency-only decision is returned bit-for-bit.
 
-Three entry points, one per layer:
+The combined objective is one callable, :class:`AvailabilityObjective`,
+and the search over it is the package's one swap search
+(:func:`repro.core.search.swap_descent`, with its tolerance and round
+limit).  Three entry points, one per layer:
 
-* :func:`refine_for_availability` — the greedy swap search itself, in
-  the caller's position frame (used by the epoch controller);
+* :func:`refine_for_availability` — that search on the combined
+  objective, in the caller's position frame (used by the epoch
+  controller);
 * :class:`AvailabilityAwarePlacement` — a strategy wrapper for the
   offline evaluation path (:mod:`repro.placement`);
 * :func:`bound_transfers` — caps the number of *new* sites a proposed
@@ -31,27 +35,40 @@ Three entry points, one per layer:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.search import swap_descent
 from repro.net.domains import FailureDomains
-from repro.placement.base import (
-    PlacementProblem,
-    PlacementStrategy,
-    average_access_delay,
-)
+from repro.placement.base import PlacementProblem, PlacementStrategy
 
 __all__ = [
     "AvailabilityAwarePlacement",
+    "AvailabilityObjective",
     "bound_transfers",
     "refine_for_availability",
 ]
 
-#: Improvement tolerance of the swap search — same epsilon as the
-#: latency-only local search in :func:`repro.core.macro._refine_by_swaps`,
-#: so a swap must beat the incumbent by more than float noise.
-_TOL = 1e-12
+
+@dataclass(frozen=True)
+class AvailabilityObjective:
+    """``delay_of(sites) + λ · cofailure_risk(sites)`` as one callable.
+
+    With ``lam`` = 0 the value is ``delay_of(sites)`` alone — no term is
+    added, so ``domains`` may then be ``None``.
+    """
+
+    delay_of: Callable[[Sequence[int]], float]
+    domains: FailureDomains | None
+    lam: float
+
+    def __call__(self, sites: Sequence[int]) -> float:
+        value = self.delay_of(sites)
+        if self.lam > 0.0:
+            value += self.lam * self.domains.cofailure_risk(sites)
+        return value
 
 
 def refine_for_availability(
@@ -60,8 +77,7 @@ def refine_for_availability(
         domains: FailureDomains,
         lam: float,
         *,
-        eligible: Sequence[int] | None = None,
-        max_rounds: int = 8) -> list[int]:
+        eligible: Sequence[int] | None = None) -> list[int]:
     """Greedy single-swap descent on ``delay + λ·risk``.
 
     Parameters
@@ -79,10 +95,9 @@ def refine_for_availability(
         fenced sites excluded).  Defaults to every position.
 
     With ``lam <= 0`` the input is returned unchanged (λ=0 bit-identity
-    contract).  Otherwise each round tries to swap every chosen site for
-    every unused eligible position, taking any swap that improves the
-    combined objective by more than the shared ``1e-12`` tolerance, until
-    a full round passes without improvement or ``max_rounds`` is hit.
+    contract).  Otherwise :func:`~repro.core.search.swap_descent` tries
+    to swap every chosen site for every unused eligible position, in
+    ascending position order, on the combined objective.
     """
     chosen = [int(s) for s in sites]
     if lam <= 0.0 or not chosen:
@@ -90,35 +105,14 @@ def refine_for_availability(
     if len(set(chosen)) != len(chosen):
         raise ValueError("placement sites must be distinct")
     if eligible is None:
-        pool = list(range(domains.n))
+        pool = range(domains.n)
     else:
         pool = sorted({int(p) for p in eligible})
-    for p in chosen:
+    for p in (*chosen, *pool):
         if not 0 <= p < domains.n:
             raise ValueError(f"position {p} outside {domains.n} domains")
-
-    def objective(candidate: list[int]) -> float:
-        return delay_of(candidate) + lam * domains.cofailure_risk(candidate)
-
-    best = objective(chosen)
-    for _ in range(max_rounds):
-        improved = False
-        for slot in range(len(chosen)):
-            in_use = set(chosen)
-            for position in pool:
-                if position in in_use:
-                    continue
-                trial = list(chosen)
-                trial[slot] = position
-                value = objective(trial)
-                if value < best - _TOL:
-                    best = value
-                    chosen = trial
-                    in_use = set(chosen)
-                    improved = True
-        if not improved:
-            break
-    return chosen
+    return swap_descent(chosen, pool,
+                        AvailabilityObjective(delay_of, domains, lam))[0]
 
 
 def bound_transfers(
@@ -170,20 +164,20 @@ class AvailabilityAwarePlacement(PlacementStrategy):
 
     The base strategy proposes sites; with λ > 0 the proposal is refined
     by :func:`refine_for_availability` against the true-RTT mean delay
-    (the same yardstick :func:`average_access_delay` reports), using a
+    (the same yardstick
+    :func:`~repro.placement.base.average_access_delay` reports), using a
     :class:`FailureDomains` annotation over the problem's candidate
     positions.  With λ = 0 the base strategy's answer is returned
     untouched — bit-for-bit the latency-only decision.
     """
 
     def __init__(self, base: PlacementStrategy, domains: FailureDomains,
-                 availability_lambda: float, *, max_rounds: int = 8) -> None:
+                 availability_lambda: float) -> None:
         if availability_lambda < 0:
             raise ValueError("availability_lambda must be non-negative")
         self.base = base
         self.domains = domains
         self.availability_lambda = float(availability_lambda)
-        self.max_rounds = int(max_rounds)
         self.name = (f"availability({base.name}, "
                      f"lam={self.availability_lambda:g})")
 
@@ -199,13 +193,16 @@ class AvailabilityAwarePlacement(PlacementStrategy):
         position_of = {node: pos
                        for pos, node in enumerate(problem.candidates)}
 
+        # Trials are hypothetical placements, not served accesses: they
+        # are scored from the RTT block itself, never through
+        # ``average_access_delay``, which books every call as traffic.
+        block = problem.matrix.rows(problem.clients, problem.candidates)
+
         def delay_of(positions: list[int]) -> float:
-            chosen = [problem.candidates[p] for p in positions]
-            return average_access_delay(problem.matrix, problem.clients,
-                                        chosen)
+            return float(block[:, positions].min(axis=1).mean())
 
         refined = refine_for_availability(
             [position_of[s] for s in sites], delay_of, self.domains,
-            self.availability_lambda, max_rounds=self.max_rounds)
+            self.availability_lambda)
         return self._check(
             problem, tuple(problem.candidates[p] for p in refined))

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.search import swap_descent
 from repro.net.latency import LatencyMatrix
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
@@ -91,9 +92,9 @@ class CodedPlacement(PlacementStrategy):
             client_coords[:, None, :] - candidate_coords[None, :, :], axis=-1
         ) + heights[None, :]
 
-        def objective(site_positions: list[int]) -> float:
+        def objective(site_positions: list[int], need: int = k_req) -> float:
             block = cost[:, site_positions]
-            kth = np.partition(block, k_req - 1, axis=1)[:, k_req - 1]
+            kth = np.partition(block, need - 1, axis=1)[:, need - 1]
             return float(kth.mean())
 
         # Greedy construction: each added fragment minimizes the
@@ -105,32 +106,14 @@ class CodedPlacement(PlacementStrategy):
             for candidate in range(n_candidates):
                 if candidate in chosen:
                     continue
-                block = cost[:, chosen + [candidate]]
-                kth = np.partition(block, partial_k - 1,
-                                   axis=1)[:, partial_k - 1]
-                value = float(kth.mean())
+                value = objective(chosen + [candidate], partial_k)
                 if value < best_value:
                     best_value, best_pos = value, candidate
             chosen.append(best_pos)
 
         # Single-swap local search on the full objective.
-        best = objective(chosen)
-        for _ in range(self.max_rounds):
-            improved = False
-            for i in range(len(chosen)):
-                in_use = set(chosen)
-                for candidate in range(n_candidates):
-                    if candidate in in_use:
-                        continue
-                    trial = chosen.copy()
-                    trial[i] = candidate
-                    value = objective(trial)
-                    if value < best - 1e-12:
-                        chosen, best = trial, value
-                        improved = True
-                        in_use = set(chosen)
-            if not improved:
-                break
+        chosen, _ = swap_descent(chosen, range(n_candidates), objective,
+                                 max_rounds=self.max_rounds)
 
         sites = tuple(problem.candidates[p] for p in chosen)
         if len(set(sites)) != len(sites):

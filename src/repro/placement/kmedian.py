@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.search import swap_descent
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
 __all__ = ["KMedianPlacement"]
@@ -59,24 +60,10 @@ class KMedianPlacement(PlacementStrategy):
         best_sites: list[int] | None = None
         best_value = np.inf
         for _ in range(self.restarts):
-            sites = list(rng.choice(n_candidates, size=k, replace=False))
-            value = objective(sites)
-            for _ in range(self.max_rounds):
-                improved = False
-                for i in range(k):
-                    in_use = set(sites)
-                    for candidate in range(n_candidates):
-                        if candidate in in_use:
-                            continue
-                        trial = sites.copy()
-                        trial[i] = candidate
-                        trial_value = objective(trial)
-                        if trial_value < value - 1e-12:
-                            sites, value = trial, trial_value
-                            improved = True
-                            in_use = set(sites)
-                if not improved:
-                    break
+            start = rng.choice(n_candidates, size=k, replace=False)
+            sites, value = swap_descent(start, range(n_candidates),
+                                        objective,
+                                        max_rounds=self.max_rounds)
             if value < best_value:
                 best_sites, best_value = sites, value
         assert best_sites is not None

@@ -9,6 +9,7 @@ that replaced the O(n) ``candidates.index`` lookups.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ControllerConfig, MigrationCostModel
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.net.domains import FailureDomains
@@ -16,6 +17,7 @@ from repro.net.planetlab import small_matrix
 from repro.placement import (
     AvailabilityAwarePlacement,
     GreedyPlacement,
+    OnlineClusteringPlacement,
     PlacementProblem,
     average_access_delay,
     bound_transfers,
@@ -80,6 +82,14 @@ class TestRefineForAvailability:
             refine_for_availability([0, 0], flat_delay, TREE, 1.0)
         with pytest.raises(ValueError, match="outside"):
             refine_for_availability([0, 99], flat_delay, TREE, 1.0)
+        # The pool is validated like the start: a negative position used
+        # to wrap (a silently wrong placement), a large one was a bare
+        # IndexError from inside cofailure_risk.
+        for bad in (-1, 99):
+            with pytest.raises(ValueError,
+                               match=f"position {bad} outside 6 domains"):
+                refine_for_availability([0, 1], flat_delay, TREE, 1.0,
+                                        eligible=[0, 1, bad])
 
 
 class TestBoundTransfers:
@@ -156,6 +166,22 @@ class TestAvailabilityAwarePlacement:
                         [position_of[s] for s in sites]))
 
         assert combined(refined) <= combined(base_sites) + 1e-9
+
+    def test_search_trials_are_not_booked_as_served_accesses(self, problem):
+        # One final evaluation serves 24 clients whatever λ is; the
+        # hypothetical placements the refinement scores are not traffic.
+        served = {}
+        for lam in (0.0, 50.0):
+            strategy = AvailabilityAwarePlacement(
+                OnlineClusteringPlacement(), TREE, lam)
+            with obs.observe() as (registry, _):
+                sites = strategy.place(problem, np.random.default_rng(5))
+                average_access_delay(problem.matrix, problem.clients, sites)
+                snapshot = registry.snapshot()
+            served[lam] = (
+                snapshot["counters"]["accesses.served"],
+                snapshot["histograms"]["access.delay_ms"]["count"])
+        assert served[0.0] == served[50.0] == (24, 24)
 
     def test_validation(self, problem):
         with pytest.raises(ValueError, match="non-negative"):

@@ -9,6 +9,7 @@ import repro.clustering.kmeans
 import repro.clustering.stream
 import repro.core.costs
 import repro.core.migration
+import repro.core.search
 import repro.kernels.embed
 import repro.kernels.subset
 import repro.net.latency
@@ -21,6 +22,7 @@ MODULES = [
     repro.clustering.stream,
     repro.core.costs,
     repro.core.migration,
+    repro.core.search,
     repro.kernels.embed,
     repro.kernels.subset,
     repro.net.latency,

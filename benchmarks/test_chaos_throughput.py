@@ -3,11 +3,10 @@
 Chaos runs used to be the batched engine's worst case: every crash and
 recovery is a barrier, and with a fault every few seconds the bulk
 windows shrink until the engine degenerates to oracle speed — while
-re-deriving every (client, key) access group from scratch in each
-window.  The cross-window group cache in
-:mod:`repro.store.batched` (keyed on the store's placement version and
-the network's fault epoch) keeps those derivations alive between
-consecutive windows whose fault state did not change, so a dense
+re-deriving every route from scratch in each window.  The engine's
+per-unit tables in :mod:`repro.store.batched` (keyed on each unit's
+version and the network's fault epoch) keep routes alive between
+consecutive windows whose state did not change, so a dense
 correlated-outage schedule no longer collapses the speedup.
 
 The schedule here cycles a two-node rack outage (crash + recovery)

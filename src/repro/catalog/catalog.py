@@ -13,8 +13,10 @@ its slice of the control plane:
   advances, and stale epochs are fenced;
 * **staggered epoch clocks** — each unit's periodic epoch starts at a
   key-derived phase offset (``epoch_stagger`` scales it) so thousands
-  of control-plane barriers spread across the epoch period instead of
-  landing on one instant and serializing the batched data plane;
+  of epochs spread across the epoch period instead of landing on one
+  instant.  Each clock is scoped to its unit (:mod:`repro.sim.events`):
+  an epoch cuts short only that unit's bulk reads, so the spread does
+  not push every other unit's reads onto the per-event path;
 * a slice of the **global migration budget** — one
   ``max_epoch_moves`` pool refilled every epoch window and drained by
   whichever unit's epoch fires next, bounding the catalog-wide
@@ -201,7 +203,8 @@ class ShardedCatalog:
                 process = PeriodicProcess(
                     store.sim, epoch_period_ms,
                     lambda _unit=group_key: self.run_unit_epoch(_unit),
-                    start_after=epoch_period_ms * (1.0 + phase))
+                    start_after=epoch_period_ms * (1.0 + phase),
+                    scope=group_key)
                 store.adopt_epoch_process(group_key, process)
                 self._processes.append(process)
 

@@ -12,7 +12,7 @@ comparison uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -103,12 +103,14 @@ class Network:
         self.nodes[node.node_id] = node
         self.per_node[node.node_id] = TrafficStats()
 
-    def send(self, message: Message) -> None:
+    def send(self, message: Message, scope: Hashable = None) -> None:
         """Ship ``message``; the recipient's handler fires after delay.
 
         Messages from a down sender are silently dropped (a crashed node
         cannot transmit); messages to a down recipient are dropped at
         delivery time, so a node crashing mid-flight still loses them.
+        ``scope`` is the delivery event's (see :mod:`repro.sim.events`):
+        the placement unit whose control traffic this is, or ``None``.
         """
         if message.recipient not in self.nodes:
             raise KeyError(f"unknown recipient {message.recipient}")
@@ -146,7 +148,8 @@ class Network:
         # a batched data plane's bulk window.  Write and control-plane
         # deliveries mutate versions/placement and stay barriers.
         self.sim.schedule(delay, self._deliver, message,
-                          inert=message.kind in ("read-req", "read-rep"))
+                          inert=message.kind in ("read-req", "read-rep"),
+                          scope=scope)
 
     def _deliver(self, message: Message) -> None:
         node = self.nodes.get(message.recipient)
@@ -330,7 +333,7 @@ class Node:
         return self.network.sim
 
     def send(self, recipient: int, kind: str, payload: Any = None,
-             size_bytes: int = 0) -> None:
+             size_bytes: int = 0, scope: Hashable = None) -> None:
         """Send a message; it arrives after the one-way network delay."""
         self.network.send(Message(
             sender=self.node_id,
@@ -339,7 +342,7 @@ class Node:
             payload=payload,
             size_bytes=size_bytes,
             sent_at=self.sim.now,
-        ))
+        ), scope)
 
     def handle_message(self, message: Message) -> None:
         """Process a delivered message (override in subclasses)."""

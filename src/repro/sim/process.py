@@ -7,7 +7,7 @@ epoch timer.  A process reschedules itself after every tick until
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -34,12 +34,16 @@ class PeriodicProcess:
         Randomness for the jitter (required when ``jitter > 0``).
     start_after:
         Delay before the first tick; defaults to one period.
+    scope:
+        Scope of every tick (:mod:`repro.sim.events`): a unit's epoch
+        clock names its unit; ``None`` (global) otherwise.
     """
 
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], Any], jitter: float = 0.0,
                  rng: np.random.Generator | None = None,
-                 start_after: float | None = None) -> None:
+                 start_after: float | None = None,
+                 scope: Hashable = None) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
         if not 0.0 <= jitter < 1.0:
@@ -51,10 +55,11 @@ class PeriodicProcess:
         self.callback = callback
         self.jitter = jitter
         self.rng = rng
+        self.scope = scope
         self.ticks = 0
         self._running = True
         first = self._interval() if start_after is None else start_after
-        self._pending = sim.schedule(first, self._tick)
+        self._pending = sim.schedule(first, self._tick, scope=scope)
 
     def _interval(self) -> float:
         if self.jitter == 0.0:
@@ -68,7 +73,8 @@ class PeriodicProcess:
         self.ticks += 1
         self.callback()
         if self._running:
-            self._pending = self.sim.schedule(self._interval(), self._tick)
+            self._pending = self.sim.schedule(self._interval(), self._tick,
+                                              scope=self.scope)
 
     def stop(self) -> None:
         """Halt the process; a pending tick is cancelled."""

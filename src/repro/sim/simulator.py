@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -64,25 +64,28 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any, inert: bool = False) -> Event:
+                 *args: Any, inert: bool = False,
+                 scope: Hashable = None) -> Event:
         """Run ``callback(*args)`` after ``delay`` milliseconds.
 
         ``inert=True`` promises that firing the event mutates no state a
-        batched data plane bakes decisions on (see
-        :mod:`repro.sim.events`); such events do not end bulk windows.
+        batched data plane bakes decisions on; ``scope=unit_key``
+        promises it changes only that placement unit's (see
+        :mod:`repro.sim.events`).  Neither ends other units' bulk reads.
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.queue.push(self.now + delay, callback, args, inert)
+        return self.queue.push(self.now + delay, callback, args, inert, scope)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any, inert: bool = False) -> Event:
+                    *args: Any, inert: bool = False,
+                    scope: Hashable = None) -> Event:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past ({time} < now={self.now})"
             )
-        return self.queue.push(time, callback, args, inert)
+        return self.queue.push(time, callback, args, inert, scope)
 
     # ------------------------------------------------------------------
     # Data planes (batched engines)
@@ -90,13 +93,14 @@ class Simulator:
     def attach_data_plane(self, plane: Any) -> None:
         """Register a batched data plane with the event loop.
 
-        A data plane is anything with an ``advance(bound: float)`` method.
-        Before every event the loop calls ``advance`` with the next event
-        time (and once more with the horizon when the queue drains), so
-        the plane can generate and apply whole windows of data-plane work
-        in bulk between control-plane events.  ``advance`` must be
-        idempotent over already-covered time and may schedule new events
-        (escalations) at or after the current clock.
+        A data plane is anything with an ``advance(bound, horizon=None)``
+        method.  The loop calls it with the next barrier (:meth:`run`:
+        the next event) so the plane can apply whole windows of
+        data-plane work in bulk between control-plane events;
+        :meth:`run_until` also hands over its horizon, up to which a
+        unit's work may run past ``bound`` (see :mod:`repro.sim.events`).
+        ``advance`` must be idempotent over already-covered time and may
+        schedule new events (escalations) at or after the current clock.
         """
         if plane not in self._data_planes:
             self._data_planes.append(plane)
@@ -170,16 +174,16 @@ class Simulator:
             if planes:
                 # Interleave bulk data-plane windows with control events.
                 # The window bound is the next *barrier* (non-inert
-                # event) — inert events (clean read chains) fire without
-                # ending the window because their effects land in
-                # order-tolerant sinks.  After advancing, fire the run
-                # of inert events plus at most one barrier, then
+                # event) of any scope — inert events (clean read chains)
+                # fire without ending the window because their effects
+                # land in order-tolerant sinks.  After advancing, fire
+                # the run of inert events plus at most one barrier, then
                 # recompute: the barrier (or an escalation the plane
                 # scheduled) may have changed state or added barriers.
                 while True:
                     bound = min(queue.next_barrier_time(), time)
                     for plane in planes:
-                        plane.advance(bound)
+                        plane.advance(bound, time)
                     if not (queue and queue.peek_time() <= time):
                         break
                     while queue and queue.peek_time() <= time:

@@ -7,68 +7,76 @@ reply send -> reply delivery (log record).  At millions of accesses the
 heap churn dominates wall-clock time even though, between control-plane
 events, the outcome of each access is a pure function of frozen state.
 
-:class:`BatchedAccessEngine` exploits exactly that.  It registers with
-the simulator as a *data plane* (:meth:`Simulator.attach_data_plane`):
-the event loop asks it to ``advance(bound)`` where ``bound`` is the next
-*barrier* — the earliest non-inert event, i.e. the earliest instant
-anything can mutate routing, versions, liveness, coordinates or loss
-configuration.  Clean read chains are scheduled **inert** (see
-:mod:`repro.sim.events`): their effects land only in order-tolerant
-sinks — the lazily time-sorted :class:`~repro.store.objects.AccessLog`,
-the store's deferred summary-fold buffer (flushed in access-time order
-before every summary observation), and integer counters — so they fire
-*without* ending a bulk window.  That keeps windows control-plane-sized
-(epoch periods, chaos events) instead of event-sized, which is what
-makes batching pay off.
+:class:`BatchedAccessEngine` exploits exactly that.  As the simulator's
+*data plane* (:meth:`Simulator.attach_data_plane`) it is asked to
+``advance(bound, horizon)``: generate every arrival up to ``bound``, the
+next *barrier* (non-inert event) of any scope, and serve it.  Clean read
+chains are scheduled **inert** (:mod:`repro.sim.events`): their effects
+land only in order-tolerant sinks — the lazily time-sorted
+:class:`~repro.store.objects.AccessLog`, each unit's deferred
+summary-fold buffer and integer counters — so they end no window.
 
-Every window runs through **one pipeline of four stages**, whatever the
-store's configuration, and leaves each arrival with one of **three
-outcomes** — *bulk*, *hybrid* or *escalated*:
+**Scopes.**  A barrier is global, or scoped to the one placement unit
+(the paper's §II-A independently placed "virtual object") whose replica
+set, versions and summaries it alone can change: the unit's epoch ticks,
+summary shipments, replica transfers and their retry timers.  So each
+read gets its own cut-off: ``min(horizon, next global barrier, next
+barrier of its unit, first write not yet served)`` — a write a later
+window will issue included, looked up ahead in the arrival stream.  A
+read that completes before its cut-off is exact in bulk: nothing that
+could change its unit's routing, versions or summaries, nor any global
+state (liveness, links, loss, coordinates), fires before it completes.
+The one time-ordered sink, a unit's fold buffer, is flushed up to *now*
+only, so another unit's event never folds accesses stamped after it.
+``"net.loss"`` draws are taken by real events only, in heap order.
+Without a horizon (:meth:`Simulator.run`) every read is cut at
+``bound``, so a partial drain logs nothing past the clock.
+
+**Columns.**  Every window is **one pipeline of four stages**, each an
+array program over all of its reads, sorted once into ``client · nkeys +
+key`` order (stable in time: the order the log, the fold buffers and the
+access-delay histogram see).  It leaves each arrival *bulk*, *hybrid* or
+*escalated*:
 
 1. *route* — writes escalate, and so does every read issued at or after
-   the window's **first write** (the write chain bumps versions, so the
-   staleness bound must be read live).  The other reads are grouped by
-   ``(client, key)``: a group whose issue legs are not provably clean
-   (down nodes, cut or lossy links, missing replicas) escalates too,
-   the rest get one frozen :class:`_GroupInfo` and leg arrivals
-   ``t + d1``.
+   the window's first write (the write chain bumps versions, so the
+   staleness bound must be read live).  Each other read's route is
+   looked up per ``(client, unit)`` in the unit's :class:`_UnitTable`
+   (kept until the unit's version or the network's fault epoch moves;
+   it replaces the per-``(client, key)`` group records of earlier
+   versions), and its per-leg stored versions and latest version are
+   gathered from per-key rows.  Reads whose legs are not provably clean
+   (down nodes, cut or lossy links, missing replicas) escalate.
 2. *admit* — each leg is served the instant it arrives, so its reply
-   lands at ``(t + d1) + d2``.  Reads that complete strictly before the
-   window's cutoff and carry no timeout risk are bulk; those that
-   outlive the window or may time out are hybrid.
-3. *serve* — all effects of a bulk read — traffic counters, delivery
-   histograms, summary folds (deferred), access-log records — are
-   applied vectorized.  For a hybrid read only send-side accounting is
-   bulk; request deliveries and the retry timeout become real (inert)
-   heap events via :meth:`StorageClient.materialize_read`, so replies,
-   retries and timeouts run through the untouched per-event machinery
-   and observe any barrier-time state change for real.
+   lands at ``(t + d1) + d2`` and the read completes with its last
+   reply; reads that finish before their cut-off with no timeout risk
+   are bulk, the others hybrid.
+3. *serve* — bulk reads land from flat leg columns: one fold-buffer
+   entry per ``(unit, position)``, traffic counters and histograms, and
+   an access-log record each.  A hybrid read's request sends are
+   accounted here; :meth:`StorageClient.materialize_read` turns its
+   deliveries and retry timeout into real inert events, which observe
+   any barrier for real.  Those two calls are the only per-read Python.
 4. *escalate* — each escalated arrival is scheduled as a real
-   ``client.read``/``client.write`` event at its tick time —
-   byte-identical behaviour including ``"net.loss"`` RNG draws in heap
-   order.  Writes are barriers; escalated reads are inert.
+   ``client.read``/``client.write`` event at its tick time,
+   byte-identical including ``"net.loss"`` draws in heap order.  Writes
+   are global barriers; escalated reads are inert.
 
 Pending-aware selection strategies (every issued read changes the next
 ranking) and active server queues (a leg's wait depends on every
-admission before it, in heap order) escalate *every* arrival; the engine
-derives that from ``store.strategy.supports_bulk`` and
-``store.queueing.active``, never from a switch.  All three outcomes are
-exact.
-
-The window cutoff is ``min(bound, first write issue time)``: a bulk
-read's entire effect chain completes strictly before anything non-bulk
-can touch shared state, so state frozen at classification time is the
-state every bulk effect would have observed.
+admission before it, in heap order) escalate *every* arrival, derived
+from ``store.strategy.supports_bulk`` and ``store.queueing.active``,
+never from a switch.  All three outcomes are exact.
 
 Residual divergence from the oracle is measure-zero tie-breaking (two
 floating-point event times colliding exactly) plus float summation
-order inside histogram *sum* fields; the differential test suite pins
+order inside histogram *sum* fields; the differential test suites pin
 everything else bitwise.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,20 +93,39 @@ from repro.workloads.temporal import TemporalPattern
 __all__ = ["BatchedAccessEngine", "BatchedAccessWorkload"]
 
 
-class _GroupInfo(NamedTuple):
-    """Frozen routing/leg data for one (client, key) pair in a window."""
+class _Route(NamedTuple):
+    """The frozen quorum route of one ``(client, unit)`` pair."""
 
-    client: int
-    key: str
     targets: tuple[int, ...]
-    d1: np.ndarray        # per-leg client -> server one-way delay
-    d2: np.ndarray        # per-leg server -> client one-way delay
-    versions: np.ndarray  # per-leg stored version
-    vmax: int             # max(versions): the read's returned version
-    latest: int           # latest committed version (staleness bound)
-    read_size: int
-    positions: tuple[int, ...]  # per-leg index into store.candidates
-    unit: object                # the owning _PlacementUnit (fold buffer)
+    #: Rows ``d1, d2, target, candidate position``, one column per leg:
+    #: request delay (bandwidth included) and reply delay at the unit's
+    #: read size.
+    legs: np.ndarray
+
+
+class _UnitTable:
+    """The engine's cached view of one placement unit.
+
+    Valid while the store keeps the same unit object (a unit deleted and
+    re-created under the same key gets a fresh table) and its
+    ``version`` stays put; routes additionally expire with the network's
+    fault epoch.  The members' stored versions live in the engine's
+    ``(key, candidate position)`` array.  Members of a unit share one
+    read size (:meth:`ReplicatedStore.create_group`).
+    """
+
+    __slots__ = ("unit", "rows", "member_keys", "read_size", "version",
+                 "routes", "epoch")
+
+    def __init__(self, unit, key_index: dict[str, int]) -> None:
+        self.unit = unit
+        self.member_keys = [key for key in unit.members if key in key_index]
+        self.rows = np.array([key_index[key] for key in self.member_keys],
+                             dtype=np.intp)
+        self.read_size = next(iter(unit.members.values())).read_size_bytes
+        self.version: int | None = None
+        self.routes: dict[int, _Route | None] = {}
+        self.epoch: int | None = None
 
 
 class BatchedAccessEngine:
@@ -116,8 +143,8 @@ class BatchedAccessEngine:
         trace replay.  Its ``keys`` tuple defines the key index space.
     """
 
-    #: Cache-miss sentinel (``None`` is a legitimate cached value: it
-    #: means "this pair escalates until the fault state changes").
+    #: Cache-miss sentinel (``None`` is a legitimate cached route: it
+    #: means "this pair escalates until the unit or fault state moves").
     _MISS = object()
 
     def __init__(self, store: ReplicatedStore, source) -> None:
@@ -134,29 +161,19 @@ class BatchedAccessEngine:
         self._escalate_all = (not store.strategy.supports_bulk
                               or (queueing is not None and queueing.active))
         self._attached = True
-        # Cross-window route cache.  A (client, key) group's _GroupInfo
-        # is a pure function of (a) replica/version/installed state —
-        # versioned by store._state_version — and (b) node/link fault
-        # state — versioned by network.state_epoch — plus coordinates.
-        # With both counters unchanged since the last window, last
-        # window's answers (including the "escalate" Nones a dense fault
-        # schedule produces) are still exact, so barriers that did not
-        # actually touch state (repair-monitor ticks, summary/replicate
-        # deliveries) cost O(1) lookups instead of a full re-derivation
-        # per group.  Live coordinate gossip is the one input with no
-        # version counter, so coordinate-routed stores with drifting
-        # coords opt out.
-        self._cacheable = ((store.selection == "oracle"
-                            or not hasattr(store._coords, "planar_coords"))
-                           and store.strategy.supports_bulk)
-        self._info_cache: dict[tuple[int, str], _GroupInfo | None] = {}
-        # Unit-level route cache: every member key of a placement unit
-        # shares the unit's targets, per-leg delays and positions, so a
-        # catalog that folds many keys into one group derives the
-        # routing work once per (client, unit) instead of once per
-        # (client, key).  Same validity stamp as the info cache.
-        self._route_cache: dict[tuple[int, str], tuple | None] = {}
-        self._cache_stamp: tuple[int, int] | None = None
+        # Live coordinate gossip moves the coordinates reads are routed
+        # by without any version counter, so coordinate-routed stores
+        # with drifting coords re-derive their routes every window.
+        self._cacheable = (store.selection == "oracle"
+                           or not hasattr(store._coords, "planar_coords"))
+        self._keys = tuple(source.keys)
+        self._key_index = {key: i for i, key in enumerate(self._keys)}
+        self._tables: dict[str, _UnitTable] = {}
+        # Per source key: stored version at each candidate position (-1:
+        # no replica there) and latest committed version.
+        self._versions = np.full((len(self._keys), len(store.candidates)),
+                                 -1, dtype=np.int64)
+        self._latest = np.zeros(len(self._keys), dtype=np.int64)
         store.enable_fold_buffering()
         store.sim.attach_data_plane(self)
 
@@ -170,213 +187,248 @@ class BatchedAccessEngine:
 
     def flush(self) -> None:
         """Apply deferred summary folds (called by the event loop when a
-        ``run_until`` horizon is reached, so post-run summary inspection
-        needs no manual step)."""
+        run ends, so post-run summary inspection needs no manual step)."""
         self.store.flush_pending_accesses()
 
     # ------------------------------------------------------------------
-    def advance(self, bound: float) -> None:
+    def advance(self, bound: float, horizon: float | None = None) -> None:
         """Process every arrival with ``time <= bound``.
 
-        Called by the simulator with the next barrier time; between
-        barriers no classification-relevant state changes, which is
-        what makes bulk delivery exact.
+        ``bound`` is the next barrier of any scope; between barriers no
+        classification-relevant state changes, which is what makes bulk
+        delivery exact.  With a ``horizon`` (``run_until``'s), a read may
+        complete past ``bound``, up to its own unit's next barrier or the
+        horizon; without one every read is cut at ``bound``.
         """
         registry = obs.get_registry()
         with registry.phase("sim.batched.advance"):
             with registry.phase("sim.batched.arrivals"):
                 batch = self.source.generate_until(bound)
             if batch.size:
-                self._serve_window(batch, float(bound), registry)
+                self._serve_window(batch, float(bound), horizon, registry)
 
     def _serve_window(self, batch: ArrivalBatch, bound: float,
-                      registry) -> None:
+                      horizon: float | None, registry) -> None:
         """One window through the pipeline: route, admit, serve, escalate."""
         self.operations_issued += batch.size
-        timeout = self.store.read_timeout_ms
         with registry.phase("sim.batched.route"):
-            escalate, cutoff, groups = self._route(batch, bound)
+            escalate, reads = self._route(batch, bound, horizon)
         with registry.phase("sim.batched.admit"):
-            admitted = self._admit(groups, cutoff, timeout)
+            admitted = None if reads is None else self._admit(reads)
         with registry.phase("sim.batched.serve"):
-            self._serve(groups, admitted)
+            if reads is not None:
+                self._serve(reads, admitted)
         with registry.phase("sim.batched.escalate"):
             self._escalate(batch, escalate)
 
-    def _route(self, batch: ArrivalBatch, bound: float) -> tuple:
+    def _route(self, batch: ArrivalBatch, bound: float,
+               horizon: float | None) -> tuple:
         """Stage 1: who escalates, and the frozen route of everyone else.
 
-        Returns the escalation mask, the window cutoff and ``(info,
-        issue times, leg arrivals)`` per (client, key) group with
-        candidates.
+        Returns the escalation mask and the routed reads as columns
+        (``None`` when no read is left), in ``(client, key)`` order.
         """
         t = batch.times
         if self._escalate_all:
-            return np.ones(t.size, dtype=bool), bound, []
+            return np.ones(t.size, dtype=bool), None
         # Writes escalate; so does every read issued at or after the
         # window's first write — its staleness bound and reply versions
         # race the write chain and must be read live, in heap order.
         # Reads issued before the first write are untouched: a write's
         # earliest effect (its request delivery) lands strictly after
-        # its issue time, which caps the window cutoff below.
+        # its issue time, which caps every read's cut-off below.
         is_write = batch.is_write
         escalate = np.array(is_write, dtype=bool, copy=True)
-        cutoff = bound
+        first_write = math.inf
         if is_write.any():
             first_write = float(t[is_write].min())
-            cutoff = min(bound, first_write)
             escalate |= t >= first_write
+        idx = np.flatnonzero(~escalate)
+        if not idx.size:
+            return escalate, None
+        idx = idx[np.argsort(batch.clients[idx] * len(self._keys)
+                             + batch.key_idx[idx], kind="stable")]
+        clients = batch.clients[idx]
+        key_idx = batch.key_idx[idx]
 
-        # Group accesses by (client, key): route and leg delays are
-        # constant per pair within the window.
-        keys = self.source.keys
-        nkeys = len(keys)
-        uniq, inverse, counts = np.unique(
-            batch.clients * nkeys + batch.key_idx,
-            return_inverse=True, return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        groups: list[tuple] = []
-        for g, gval in enumerate(uniq.tolist()):
-            idx = order[offsets[g]:offsets[g + 1]]
-            ridx = idx[~escalate[idx]]
-            if ridx.size == 0:
-                continue
-            info = self._group_info(int(gval) // nkeys, keys[gval % nkeys])
-            if info is None:
-                escalate[ridx] = True
-                continue
-            tg = t[ridx]
-            # Left-associated float sums, exactly as the event chain
-            # computes them: arrival = t + d1, completion = (t+d1) + d2.
-            groups.append((info, tg, tg[:, None] + info.d1[None, :]))
-        return escalate, cutoff, groups
+        # Unit of every key in the window (slot -1: not a readable key).
+        window_keys, key_inv = np.unique(key_idx, return_inverse=True)
+        unit_keys = [self.store._unit_of.get(self._keys[k])
+                     for k in window_keys.tolist()]
+        slots = {unit_key: i for i, unit_key in enumerate(
+            dict.fromkeys(u for u in unit_keys if u is not None))}
+        tables = [self._table(unit_key) for unit_key in slots]
+        slot = np.array([slots.get(u, -1) for u in unit_keys],
+                        dtype=np.intp)[key_inv]
 
-    def _admit(self, groups: list[tuple], cutoff: float,
-               timeout: float | None) -> list[tuple]:
+        # One route per (client, unit) pair, stacked into leg columns.
+        stride = len(tables) + 1
+        pairs, pair = np.unique(clients * stride + slot + 1,
+                                return_inverse=True)
+        routes = [None if s == 0 else self._unit_route(c, tables[s - 1])
+                  for c, s in (divmod(p, stride) for p in pairs.tolist())]
+        width = max((len(r.targets) for r in routes if r is not None),
+                    default=1)
+        legs = np.zeros((len(routes), 4, width))
+        n_legs = np.zeros(len(routes), dtype=np.intp)
+        for i, route in enumerate(routes):
+            if route is not None:
+                n_legs[i] = len(route.targets)
+                legs[i, :, :n_legs[i]] = route.legs
+        legs = legs[pair]
+        n_legs = n_legs[pair]
+        valid = np.arange(width) < n_legs[:, None]
+        targets = legs[:, 2].astype(np.intp)
+        positions = legs[:, 3].astype(np.intp)
+        versions = np.where(valid, self._versions[key_idx[:, None], positions],
+                            -1)
+        # No route, or a target missing the key: the per-event path
+        # reproduces forwarding, drops, loss draws and quorum errors.
+        clean = (n_legs > 0) & ~((versions < 0) & valid).any(axis=1)
+        escalate[idx[~clean]] = True
+        if not clean.any():
+            return escalate, None
+
+        if horizon is None:
+            cut = np.full(len(tables), bound)
+        else:
+            queue = self.sim.queue
+            cut = np.array([min(horizon,
+                                queue.scope_barrier_time(table.unit.unit_key))
+                            for table in tables])
+            if first_write == math.inf:
+                # A cut-off past ``bound`` can reach a write that a later
+                # window will issue; it bounds these reads too.
+                first_write = self.source.next_write_time(float(cut.max()))
+        sizes = np.array([table.read_size for table in tables],
+                         dtype=np.int64)
+        keep = _rows(clean)
+        slot = slot[keep]
+        reads = _Reads(
+            times=t[idx[keep]], clients=clients[keep],
+            key_idx=key_idx[keep], slot=slot, valid=valid[keep],
+            d1=legs[keep, 0], d2=legs[keep, 1],
+            targets=targets[keep], positions=positions[keep],
+            versions=versions[keep], latest=self._latest[key_idx[keep]],
+            size=sizes[slot], cutoff=np.minimum(cut[slot], first_write),
+            pair=pair[keep], routes=routes, tables=tables)
+        return escalate, reads
+
+    def _admit(self, reads: "_Reads") -> tuple:
         """Stage 2: when each read completes, and who is late.
 
-        Returns ``(replies, completion, late)`` per group.  The route
+        Returns ``(arrivals, replies, completion, late)``.  The route
         stage only lets reads through whose servers answer the instant a
         leg arrives (no active queue), so a leg's reply lands at its
         arrival plus ``d2`` and the read completes with its last reply.
         """
-        admitted = []
-        for info, tg, arr in groups:
-            reply = arr + info.d2[None, :]
-            comp = reply.max(axis=1)
-            late = comp >= cutoff
-            if timeout is not None:
-                # A completion at or past the timeout means the timeout
-                # event (scheduled at issue, hence lower seq) fires
-                # first — the retry machinery must run for real.
-                late |= comp >= tg + timeout
-            admitted.append((reply, comp, late))
-        return admitted
+        # Left-associated float sums, exactly as the event chain
+        # computes them: arrival = t + d1, completion = (t+d1) + d2.
+        arrival = reads.times[:, None] + reads.d1
+        reply = arrival + reads.d2
+        completion = np.where(reads.valid, reply, -np.inf).max(axis=1)
+        late = completion >= reads.cutoff
+        timeout = self.store.read_timeout_ms
+        if timeout is not None:
+            # A completion at or past the timeout means the timeout
+            # event (scheduled at issue, hence lower seq) fires first —
+            # the retry machinery must run for real.
+            late |= completion >= reads.times + timeout
+        return arrival, reply, completion, late
 
-    def _serve(self, groups: list[tuple], admitted: list[tuple]) -> None:
-        """Stage 3: on-time reads land vectorized in the order-tolerant
-        sinks (deferred summary folds, traffic counters, access log);
-        late ones go hybrid — bulk request-send accounting, real (inert)
-        deliveries + timeout via the client hook."""
-        if not groups:
-            return
+    def _serve(self, reads: "_Reads", admitted: tuple) -> None:
+        """Stage 3: on-time reads land in the order-tolerant sinks
+        (access log, traffic counters, deferred summary folds) from flat
+        leg columns; late ones go hybrid — bulk request-send accounting,
+        real (inert) deliveries + timeout via the client hook."""
+        arrival, reply, completion, late = admitted
         store = self.store
         net = store.network
+        keys = self._keys
         registry = obs.get_registry()
-        tracer = obs.get_tracer() if registry.enabled else None
+
+        hybrid = np.flatnonzero(late)
+        for when, client, k, p in zip(
+                reads.times[hybrid].tolist(), reads.clients[hybrid].tolist(),
+                reads.key_idx[hybrid].tolist(), reads.pair[hybrid].tolist()):
+            route = reads.routes[p]
+            store.clients[client].materialize_read(
+                keys[k], when, route.targets, route.legs[0].tolist())
+
+        bulk = _rows(~late)
+        times = reads.times[bulk]
+        clients = reads.clients[bulk]
+        completion = completion[bulk]
+        delays = completion - times
+        versions = reads.versions[bulk]
+        targets = reads.targets[bulk]
+        # Freshest server: replies arrive in per-leg completion order
+        # (stable on leg index); the oracle keeps the first
+        # maximum-version reply.
+        rank = np.argsort(np.where(reads.valid[bulk], reply[bulk], np.inf),
+                          axis=1, kind="stable")
+        first_max = np.take_along_axis(versions, rank, 1).argmax(axis=1)
+        reads_n = np.arange(times.size)
+        servers = targets[reads_n, rank[reads_n, first_max]]
+        vmax = versions.max(axis=1)
+
+        # Access log first, while the leg columns below do not exist yet
+        # (the window's peak memory); the log re-sorts lazily.
         log = store.log
-        planar = store.planar_coords()
-        # Traffic legs as parallel-array rows, concatenated at the end.
-        requests: list[tuple] = []    # (senders, sizes)
-        replies: list[tuple] = []     # (senders, sizes)
-        deliveries: list[tuple] = []  # (recipients, sizes, delays)
-        delay_blocks: list[np.ndarray] = []
+        tracer = obs.get_tracer() if registry.enabled else None
+        stale = vmax < reads.latest[bulk]
+        for when, client, server, k, delay, version, is_stale in zip(
+                completion.tolist(), clients.tolist(), servers.tolist(),
+                reads.key_idx[bulk].tolist(), delays.tolist(), vmax.tolist(),
+                stale.tolist()):
+            if tracer is not None:
+                tracer.record(obs.ACCESS_SERVED, time=when, op="read",
+                              client=client, server=server, key=keys[k],
+                              delay_ms=delay)
+            log.append(AccessRecord(when, client, server, keys[k], delay,
+                                    "read", version, is_stale))
+        if registry.enabled:
+            registry.counter("accesses.served").inc(times.size)
+            registry.counter("store.reads").inc(times.size)
+            registry.histogram("access.delay_ms").observe_many(delays)
 
-        for (info, tg, arr), (reply, comp, late) in zip(groups, admitted):
-            if late.any():
-                # Hybrid: the request sends are accounted here, the rest
-                # of the chain runs as real events.
-                late_times = tg[late]
-                legs = len(info.targets) * late_times.size
-                requests.append((np.full(legs, info.client),
-                                 np.full(legs, REQUEST_BYTES)))
-                client = store.clients[info.client]
-                leg_delays = info.d1.tolist()
-                for issued_at in late_times.tolist():
-                    client.materialize_read(info.key, issued_at,
-                                            info.targets, leg_delays)
-            keep = ~late
-            if not keep.any():
-                continue
-            tg, arr, reply, comp = tg[keep], arr[keep], reply[keep], comp[keep]
-            delays = comp - tg
-            m = tg.size
-            delay_blocks.append(delays)
+        # Flat legs, read-major: request client -> server, reply back.
+        row, col = np.nonzero(reads.valid[bulk])
+        leg_arrival = arrival[bulk][row, col]
+        leg_client = clients[row]
+        leg_server = targets[row, col]
+        leg_size = reads.size[bulk][row]
+        senders = np.concatenate((np.repeat(reads.clients[hybrid],
+                                            reads.valid[hybrid].sum(axis=1)),
+                                  leg_client))
+        net.account_bulk_sends("read-req", senders,
+                               np.full(senders.size, REQUEST_BYTES))
+        net.account_bulk_sends("read-rep", leg_server, leg_size)
+        net.account_bulk_deliveries(
+            np.concatenate((leg_server, leg_client)),
+            np.concatenate((np.full(row.size, REQUEST_BYTES), leg_size)),
+            np.concatenate((leg_arrival - times[row],
+                            reply[bulk][row, col] - leg_arrival)))
 
-            # Freshest server: replies arrive in per-leg completion
-            # order (stable on leg index); the oracle keeps the first
-            # maximum-version reply.
-            if len(info.targets) == 1:
-                servers = itertools.repeat(info.targets[0], m)
-            else:
-                rank = np.argsort(reply, axis=1, kind="stable")
-                first_max = info.versions[rank].argmax(axis=1)
-                legs = rank[np.arange(m), first_max]
-                servers = np.asarray(info.targets)[legs].tolist()
-            coords_row = planar[info.client]
-            client_ids = np.broadcast_to(info.client, (m,))
-            req_bytes = np.broadcast_to(REQUEST_BYTES, (m,))
-            rep_bytes = np.broadcast_to(info.read_size, (m,))
-            weights = np.broadcast_to(float(info.read_size), (m,))
-            coords_block = np.broadcast_to(coords_row, (m, coords_row.size))
-            fold_buffer = info.unit.fold_buffer
-            for j, server in enumerate(info.targets):
-                arr_j = arr[:, j]
-                # Deferred summary fold, stamped with the request
-                # arrival time (when the event path would fold it).
-                fold_buffer.append((arr_j, info.positions[j],
-                                    coords_block, weights, "read"))
-                server_ids = np.broadcast_to(server, (m,))
-                # request leg: client -> server
-                requests.append((client_ids, req_bytes))
-                deliveries.append((server_ids, req_bytes, arr_j - tg))
-                # reply leg: server -> client, departing on arrival.
-                replies.append((server_ids, rep_bytes))
-                deliveries.append((client_ids, rep_bytes,
-                                   reply[:, j] - arr_j))
-
-            # Access log: within a group completion times are monotone
-            # in issue time, so appends stay sorted; across groups the
-            # log re-sorts lazily.
-            key = info.key
-            client_id = info.client
-            version = info.vmax
-            is_stale = info.vmax < info.latest
-            for when, dly, server in zip(comp.tolist(), delays.tolist(),
-                                         servers):
-                if tracer is not None:
-                    tracer.record(obs.ACCESS_SERVED, time=when, op="read",
-                                  client=client_id, server=server, key=key,
-                                  delay_ms=dly)
-                log.append(AccessRecord(
-                    time=when, client=client_id, server=server,
-                    key=key, delay_ms=dly, kind="read",
-                    version=version, stale=is_stale))
-
-        # ---- bulk traffic accounting (integer-valued, hence exact).
-        def columns(rows):
-            return map(np.concatenate, zip(*rows))
-
-        net.account_bulk_sends("read-req", *columns(requests))
-        if replies:
-            net.account_bulk_sends("read-rep", *columns(replies))
-            net.account_bulk_deliveries(*columns(deliveries))
-            if registry.enabled:
-                delays = np.concatenate(delay_blocks)
-                registry.counter("accesses.served").inc(delays.size)
-                registry.counter("store.reads").inc(delays.size)
-                registry.histogram("access.delay_ms").observe_many(delays)
+        # Deferred summary folds, stamped with the request arrival time
+        # (when the event path would fold it): one entry per (unit,
+        # position), reads in window order within it.
+        n_candidates = len(store.candidates)
+        fold_key = (reads.slot[bulk][row] * n_candidates
+                    + reads.positions[bulk][row, col])
+        order = np.argsort(fold_key, kind="stable")
+        fold_key = fold_key[order]
+        coords = store.planar_coords()[leg_client[order]]
+        stamps = leg_arrival[order]
+        starts = np.flatnonzero(np.diff(fold_key, prepend=-1))
+        ends = np.append(starts[1:], fold_key.size)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            slot, position = divmod(int(fold_key[start]), n_candidates)
+            table = reads.tables[slot]
+            table.unit.fold_buffer.append(
+                (stamps[start:end], position, coords[start:end],
+                 np.broadcast_to(float(table.read_size), (end - start,)),
+                 "read"))
 
     def _escalate(self, batch: ArrivalBatch, escalate: np.ndarray) -> None:
         """Stage 4: replay escalated arrivals through the per-event path
@@ -384,7 +436,7 @@ class BatchedAccessEngine:
         versions/placement); escalated reads stay inert."""
         store = self.store
         sim = self.sim
-        keys = self.source.keys
+        keys = self._keys
         idx = np.flatnonzero(escalate)
         for when, client_id, k, is_write in zip(
                 batch.times[idx].tolist(), batch.clients[idx].tolist(),
@@ -396,109 +448,101 @@ class BatchedAccessEngine:
                 sim.schedule_at(when, client.read, keys[k], inert=True)
 
     # ------------------------------------------------------------------
-    def _group_info(self, client: int, key: str) -> _GroupInfo | None:
-        """Routing and leg data for one (client, key), or ``None``.
+    def _table(self, unit_key: str) -> _UnitTable:
+        """The unit's table, its version rows refreshed if it moved."""
+        unit = self.store._units[unit_key]
+        table = self._tables.get(unit_key)
+        if table is None or table.unit is not unit:
+            table = self._tables[unit_key] = _UnitTable(unit,
+                                                        self._key_index)
+        if table.version != unit.version:
+            rows, members = table.rows, table.member_keys
+            self._versions[rows] = -1
+            for site in unit.installed:
+                replicas = self.store.servers[site].replicas
+                self._versions[rows, self.store._position_of[site]] = [
+                    replicas.get(key, -1) for key in members]
+            self._latest[rows] = [unit.latest[key] for key in members]
+            table.routes.clear()
+            table.version = unit.version
+        return table
 
-        ``None`` means the access cannot be proven clean — it escalates
-        to the per-event path, which then reproduces forwarding, drops,
-        loss draws and quorum errors byte-for-byte.
+    def _unit_route(self, client: int, table: _UnitTable) -> _Route | None:
+        """The ``(client, unit)`` route, cached in the unit's table.
+
+        ``None`` means some leg cannot be proven clean.  Everything here
+        depends only on the placement unit, so member keys share a
+        single derivation per (client, unit) and table version.
         """
         if not self._cacheable:
-            return self._derive_group_info(client, key)
-        stamp = (self.store._state_version, self.store.network.state_epoch)
-        if stamp != self._cache_stamp:
-            self._info_cache.clear()
-            self._route_cache.clear()
-            self._cache_stamp = stamp
-        cached = self._info_cache.get((client, key), self._MISS)
-        if cached is not self._MISS:
-            return cached
-        info = self._derive_group_info(client, key)
-        self._info_cache[(client, key)] = info
-        return info
-
-    def _derive_group_info(self, client: int, key: str) -> _GroupInfo | None:
-        store = self.store
-        try:
-            unit = store._unit_of_key(key)
-        except KeyError:
-            return None
-        obj = unit.members.get(key)
-        if obj is None:
-            return None  # a group key is not itself readable
-        route = self._unit_route(client, unit)
-        if route is None:
-            return None
-        targets, d1, d2_base, rtt_back, positions = route
-        versions = np.empty(len(targets), dtype=int)
-        for j, server in enumerate(targets):
-            replicas = store.servers[server].replicas
-            if key not in replicas:
-                return None
-            versions[j] = replicas[key]
-        bandwidth = store.network.bandwidth
-        if bandwidth is not None:
-            # The reply leg's serialization time is the only per-key
-            # part of the delays (it scales with the member's payload).
-            d2 = d2_base + np.array([
-                bandwidth.transfer_ms(rtt, obj.read_size_bytes)
-                for rtt in rtt_back])
-        else:
-            d2 = d2_base
-        return _GroupInfo(
-            client=client, key=key, targets=targets, d1=d1, d2=d2,
-            versions=versions, vmax=int(versions.max()),
-            latest=unit.latest[key],
-            read_size=obj.read_size_bytes,
-            positions=positions, unit=unit)
-
-    def _unit_route(self, client: int, unit) -> tuple | None:
-        """The unit-level half of :meth:`_derive_group_info`, cached.
-
-        Returns ``(targets, d1, d2_base, rtt_back, positions)`` — the
-        quorum route, per-leg request delays (bandwidth included), reply
-        propagation delays *without* the per-key serialization term, the
-        reply-leg RTTs that term needs, and candidate positions — or
-        ``None`` when any leg cannot be proven clean.  Everything here
-        depends only on the placement unit, so member keys of one group
-        share a single derivation per (client, unit) and stamp.
-        """
-        if self._cacheable:
-            cached = self._route_cache.get((client, unit.unit_key),
-                                           self._MISS)
-            if cached is not self._MISS:
-                return cached
-        route = self._derive_unit_route(client, unit)
-        if self._cacheable:
-            self._route_cache[(client, unit.unit_key)] = route
+            return self._derive_unit_route(client, table)
+        epoch = self.store.network.state_epoch
+        if table.epoch != epoch:
+            table.routes.clear()
+            table.epoch = epoch
+        route = table.routes.get(client, self._MISS)
+        if route is self._MISS:
+            route = table.routes[client] = self._derive_unit_route(client,
+                                                                   table)
         return route
 
-    def _derive_unit_route(self, client: int, unit) -> tuple | None:
+    def _derive_unit_route(self, client: int,
+                           table: _UnitTable) -> _Route | None:
         store = self.store
         net = store.network
         try:
-            targets = store.route_read(client, unit.unit_key)
+            targets = store.route_read(client, table.unit.unit_key)
         except (QuorumError, KeyError):
             return None
         if not net.is_up(client):
             return None
-        d1 = np.empty(len(targets))
-        d2 = np.empty(len(targets))
-        rtt_back = np.empty(len(targets))
-        for j, server in enumerate(targets):
+        bandwidth = net.bandwidth
+        d1, d2 = [], []
+        for server in targets:
             if (not net.is_up(server)
                     or not net.link_reliable(client, server)
                     or not net.link_reliable(server, client)):
                 return None
             delay1 = net.matrix.one_way(client, server)
-            if net.bandwidth is not None:
-                delay1 += net.bandwidth.transfer_ms(
+            delay2 = net.matrix.one_way(server, client)
+            if bandwidth is not None:
+                delay1 += bandwidth.transfer_ms(
                     net.matrix.latency(client, server), REQUEST_BYTES)
-            d1[j] = delay1
-            d2[j] = net.matrix.one_way(server, client)
-            rtt_back[j] = net.matrix.latency(server, client)
-        return (tuple(targets), d1, d2, rtt_back,
-                tuple(store._position_of[s] for s in targets))
+                delay2 += bandwidth.transfer_ms(
+                    net.matrix.latency(server, client), table.read_size)
+            d1.append(delay1)
+            d2.append(delay2)
+        return _Route(tuple(targets), np.array([
+            d1, d2, targets, [store._position_of[s] for s in targets]],
+            dtype=float))
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows where ``mask`` holds: a slice (views, not
+    copies) when it holds everywhere, as it mostly does."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+class _Reads(NamedTuple):
+    """The window's routed reads, one row per read; ``(reads, legs)``
+    columns are padded to the widest route, ``valid`` marks real legs."""
+
+    times: np.ndarray
+    clients: np.ndarray
+    key_idx: np.ndarray
+    slot: np.ndarray        # index into ``tables``
+    valid: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    targets: np.ndarray
+    positions: np.ndarray
+    versions: np.ndarray    # -1 on padding
+    latest: np.ndarray
+    size: np.ndarray        # read size
+    cutoff: np.ndarray      # a bulk read completes strictly before it
+    pair: np.ndarray        # index into ``routes``
+    routes: list            # the window's (client, unit) _Routes
+    tables: list            # the window's _UnitTables
 
 
 class BatchedAccessWorkload:

@@ -26,6 +26,7 @@ migration decision; accesses to any member inform the shared summary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -135,7 +136,6 @@ class StorageServer(Node):
             self._forward(message)
             return
         version = self.store._next_version(key)
-        self.store._state_version += 1
         self.replicas[key] = max(self.replicas[key], version)
         self.store._record_server_access(self.node_id, key,
                                          message.payload["coords"],
@@ -166,17 +166,18 @@ class StorageServer(Node):
         a migration or repair moves the whole unit in one transfer.
         """
         versions: Mapping[str, int] = message.payload["versions"]
-        self.store._state_version += 1
         for key, version in versions.items():
             self.replicas[key] = max(self.replicas.get(key, -1), version)
         reason = message.payload.get("reason")
         unit_key = message.payload["unit"]
-        if unit_key not in self.store._units:
+        unit = self.store._units.get(unit_key)
+        if unit is None:
             # The unit was deleted while the transfer was in flight;
             # discard the stray replica data.
             for key in versions:
                 self.replicas.pop(key, None)
             return
+        unit.version += 1
         if reason == "migration":
             self.store._migration_transfer_done(unit_key, self.node_id)
         elif reason == "repair":
@@ -194,12 +195,12 @@ class StorageServer(Node):
     # ------------------------------------------------------------------
     def install(self, key: str, version: int) -> None:
         """Place a replica directly (initial placement, no transfer)."""
-        self.store._state_version += 1
+        self.store._unit_of_key(key).version += 1
         self.replicas[key] = version
 
     def drop(self, key: str) -> None:
         """Discard a replica."""
-        self.store._state_version += 1
+        self.store._unit_of_key(key).version += 1
         self.replicas.pop(key, None)
 
     def holds_unit(self, unit: "_PlacementUnit") -> bool:
@@ -475,6 +476,11 @@ class _PlacementUnit:
     #: by access time, per position and summary stream — before any
     #: summary observation or mutation.
     fold_buffer: list = field(default_factory=list)
+    #: Bumped whenever a member's replica on any server, the installed
+    #: set or a member's latest version changes: with
+    #: ``network.state_epoch``, what tells the batched engine its cached
+    #: routes and versions for this unit still hold.
+    version: int = 0
 
     @property
     def total_size_gb(self) -> float:
@@ -603,12 +609,6 @@ class ReplicatedStore:
             raise ValueError(
                 f"domains annotate {domains.n} positions but there are "
                 f"{len(self.candidates)} candidates")
-        #: Monotone replica-state version: bumped whenever any server's
-        #: replica set, any unit's installed set, or any object's latest
-        #: version changes.  Together with ``network.state_epoch`` it
-        #: tells the batched engine whether a cached routing answer can
-        #: still be trusted.
-        self._state_version = 0
         self._coords = coords
         self.selection = selection
         self.consistency = consistency or ConsistencyConfig()
@@ -767,7 +767,7 @@ class ReplicatedStore:
         if epoch_period_ms is not None:
             unit.epoch_process = PeriodicProcess(
                 self.sim, epoch_period_ms,
-                lambda _unit=unit_key: self.run_epoch(_unit))
+                lambda _unit=unit_key: self.run_epoch(_unit), scope=unit_key)
         return unit
 
     def delete(self, unit_key: str) -> None:
@@ -869,7 +869,7 @@ class ReplicatedStore:
 
     def _next_version(self, key: str) -> int:
         unit = self._unit_of_key(key)
-        self._state_version += 1
+        unit.version += 1
         unit.latest[key] += 1
         return unit.latest[key]
 
@@ -961,14 +961,21 @@ class ReplicatedStore:
         self._fold_buffering = True
 
     def flush_pending_accesses(self) -> None:
-        """Apply every deferred summary fold (no-op when none pending)."""
+        """Apply every deferred summary fold, whatever its stamp (the
+        run is over or the engine stopped)."""
         for unit in self._units.values():
-            self._flush_folds(unit)
+            self._flush_folds(unit, math.inf)
 
-    def _flush_folds(self, unit: _PlacementUnit) -> None:
+    def _flush_folds(self, unit: _PlacementUnit,
+                     until: float | None = None) -> None:
+        """Fold the deferred accesses stamped at or before ``until``
+        (default: now).  A flush from another unit's event can find bulk
+        reads stamped later; they stay buffered, since every later
+        append is stamped after now too."""
         buf = unit.fold_buffer
         if not buf:
             return
+        until = self.sim.now if until is None else until
         unit.fold_buffer = []
         write_aware = unit.controller.config.write_aware
         # (position, stream) -> [time parts, coords parts, weight parts];
@@ -985,11 +992,18 @@ class ReplicatedStore:
         for (position, stream), (tparts, cparts, wparts) in groups.items():
             times = np.concatenate(tparts)
             order = np.argsort(times, kind="stable")
+            times = times[order]
             coords = np.vstack(cparts)[order]
             weights = np.concatenate(wparts)[order]
+            due = int(np.searchsorted(times, until, side="right"))
+            if due < times.size:
+                unit.fold_buffer.append((times[due:], position, coords[due:],
+                                         weights[due:], stream))
+            if not due:
+                continue
             try:
-                unit.controller.record_batch(position, coords, weights,
-                                             kind=stream)
+                unit.controller.record_batch(position, coords[:due],
+                                             weights[:due], kind=stream)
             except KeyError:
                 # Same retired-replica tolerance as the eager path; the
                 # flush always runs before the summary site set changes,
@@ -1083,7 +1097,8 @@ class ReplicatedStore:
             self.servers[site].send(coordinator, "summary",
                                     payload={"unit": unit.unit_key,
                                              "shipment": pending.shipment_id},
-                                    size_bytes=pending.size_bytes)
+                                    size_bytes=pending.size_bytes,
+                                    scope=unit.unit_key)
 
         pending = _PendingShipment(size_bytes=size_bytes,
                                    shipment_id=next(self._shipment_ids))
@@ -1122,7 +1137,7 @@ class ReplicatedStore:
                    key: int) -> None:
         loop.pending_of(unit)[key].timeout_event = self.sim.schedule(
             self.retry_policy.timeout_ms, self._on_retry_timeout,
-            loop, unit.unit_key, key)
+            loop, unit.unit_key, key, scope=unit.unit_key)
 
     def _retryable(self, loop: _RetryLoop, unit_key: str, key: int):
         """``(unit, pending)``; pending is ``None`` once the shipment was
@@ -1145,7 +1160,8 @@ class ReplicatedStore:
         backoff = self.retry_policy.backoff_ms(
             pending.attempts, rng=self.sim.rng("retry-jitter"))
         pending.attempts += 1
-        self.sim.schedule(backoff, self._resend, loop, unit_key, key)
+        self.sim.schedule(backoff, self._resend, loop, unit_key, key,
+                          scope=unit_key)
 
     def _resend(self, loop: _RetryLoop, unit_key: str, key: int) -> None:
         unit, pending = self._retryable(loop, unit_key, key)
@@ -1196,7 +1212,7 @@ class ReplicatedStore:
             target, "replicate",
             payload={"versions": unit.current_versions(self.servers[source]),
                      "unit": unit.unit_key, "reason": "migration"},
-            size_bytes=unit.total_size_bytes)
+            size_bytes=unit.total_size_bytes, scope=unit.unit_key)
 
     def _abandon_transfer(self, unit: _PlacementUnit, target: int) -> None:
         """Budget exhausted: abandon this target.  The finalize step
@@ -1232,7 +1248,7 @@ class ReplicatedStore:
             return
         unit.awaiting.discard(node_id)
         # New replicas serve reads as soon as they are installed.
-        self._state_version += 1
+        unit.version += 1
         unit.installed.add(node_id)
         if not unit.awaiting:
             self._finalize_migration(unit_key)
@@ -1262,7 +1278,7 @@ class ReplicatedStore:
         for site in sorted(unit.installed - final):
             for key in unit.members:
                 self.servers[site].drop(key)
-        self._state_version += 1
+        unit.version += 1
         unit.installed = set(final)
         rolled_back = bool(unit.abandoned)
         unit.target = None
@@ -1310,7 +1326,7 @@ class ReplicatedStore:
 
         if lost or live != unit.installed:
             if live:
-                self._state_version += 1
+                unit.version += 1
                 unit.installed = live
                 unit.controller.sync_sites(
                     [self._position_of[s] for s in sorted(live)])
@@ -1345,7 +1361,7 @@ class ReplicatedStore:
                 spare, "replicate",
                 payload={"versions": unit.current_versions(self.servers[source]),
                          "unit": unit_key, "reason": "repair"},
-                size_bytes=unit.total_size_bytes)
+                size_bytes=unit.total_size_bytes, scope=unit_key)
 
     def _repair_transfer_done(self, unit_key: str, node_id: int) -> None:
         unit = self._unit(unit_key)
@@ -1353,7 +1369,7 @@ class ReplicatedStore:
         unit.awaiting.discard(node_id)
         if not self.network.is_up(node_id):
             return  # it crashed again while the transfer was in flight
-        self._state_version += 1
+        unit.version += 1
         unit.installed.add(node_id)
         unit.controller.sync_sites(
             [self._position_of[s] for s in sorted(unit.installed)])

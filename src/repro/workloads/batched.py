@@ -183,6 +183,24 @@ class WorkloadArrivals:
             break
         return _concat(chunks)
 
+    def next_write_time(self, limit: float) -> float:
+        """Issue time of the first write not yet handed out (inf if none
+        by ``limit``), generating ahead; buffered ticks leave the stream
+        exactly as :meth:`generate_until` would produce it."""
+        if self._stopped or self.write_fraction == 0:
+            return math.inf
+        block = self._pending
+        while True:
+            if block is not None:
+                hit = np.flatnonzero(block.is_write)
+                if hit.size:
+                    return float(block.times[hit[0]])
+            if self._next_time > limit:
+                return math.inf
+            block = self._generate_block(1024)
+            self._pending = (block if self._pending is None
+                             else _concat([self._pending, block]))
+
 
 class TraceArrivals:
     """The :class:`WorkloadArrivals` interface over a recorded trace."""
@@ -199,9 +217,15 @@ class TraceArrivals:
         self.keys = tuple(keys)
         self._cursor = 0
         self._stopped = False
+        self._writes = np.flatnonzero(self._batch.is_write)
 
     def stop(self) -> None:
         self._stopped = True
+
+    def next_write_time(self, limit: float) -> float:
+        later = self._writes[self._writes >= self._cursor]
+        return (math.inf if self._stopped or not later.size
+                else float(self._batch.times[later[0]]))
 
     def generate_until(self, bound: float) -> ArrivalBatch:
         if self._stopped or self._cursor >= self._batch.size:

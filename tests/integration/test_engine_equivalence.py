@@ -204,8 +204,8 @@ ALL_SCENARIOS = sorted(os.path.basename(path) for path in glob.glob(
 @pytest.mark.parametrize("filename", OUTAGE_SCENARIOS)
 def test_correlated_outage_outcomes_identical(filename, monkeypatch):
     """Dense correlated-fault schedules are the batched engine's worst
-    case (every crash/recovery is a barrier and flips the fault-state
-    stamp of the cross-window group cache); every bundled outage
+    case (every crash/recovery is a global barrier and expires every
+    route the engine cached); every bundled outage
     scenario — availability refinement, hotspot population, domain
     strike and all — must come out byte-identical on both drivers."""
     event = _run_bundled(filename, monkeypatch, reference=True)

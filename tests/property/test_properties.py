@@ -242,6 +242,48 @@ class TestEventQueueProperties:
             popped.append(q.pop().time)
         assert popped == sorted(times)
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("push"), st.floats(0, 50, allow_nan=False),
+                  st.booleans(), st.sampled_from([None, "a", "b"])),
+        st.tuples(st.just("cancel"), st.integers(0, 100)),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("track"))), max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_scope_barrier_time_is_brute_force_minimum(self, ops):
+        """For scope ``s`` the barrier time is the least time of a queued,
+        live, non-inert event whose scope is ``None`` or ``s``; untracked,
+        the queue answers its head conservatively."""
+        q = EventQueue()
+        pushed, queued, tracking = [], [], False
+        for op in ops:
+            if op[0] == "push":
+                event = q.push(op[1], lambda: None, inert=op[2], scope=op[3])
+                pushed.append(event)
+                queued.append(event)
+            elif op[0] == "cancel" and pushed:
+                pushed[op[1] % len(pushed)].cancel()
+            elif op[0] == "pop" and q:
+                popped = q.pop()
+                queued = [e for e in queued if e is not popped]
+            elif op[0] == "compact":
+                q.compact()
+            elif op[0] == "track":
+                q.enable_barrier_tracking()
+                tracking = True
+            barriers = [e for e in queued if not e.inert and not e.cancelled]
+            for scope in (None, "a", "b", "c"):
+                if tracking:
+                    expected = min((e.time for e in barriers
+                                    if e.scope in (None, scope)),
+                                   default=float("inf"))
+                else:
+                    expected = q.peek_time() if q else float("inf")
+                assert q.scope_barrier_time(scope) == expected
+            if tracking:
+                assert q.next_barrier_time() == min(
+                    (e.time for e in barriers), default=float("inf"))
+
 
 # ----------------------------------------------------------------------
 # estimate_average_delay

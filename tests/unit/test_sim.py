@@ -154,6 +154,68 @@ class TestEventQueue:
         q.pop().fire()
         assert q.next_barrier_time() == 6.0
 
+    def test_scope_barrier_time_is_global_or_own_scope(self):
+        q = EventQueue()
+        q.enable_barrier_tracking()
+        q.push(1.0, lambda: None, inert=True, scope="a")
+        q.push(2.0, lambda: None, scope="a")
+        q.push(4.0, lambda: None, scope="b")
+        everyone = q.push(6.0, lambda: None)
+        assert q.next_barrier_time() == 2.0
+        assert q.scope_barrier_time("a") == 2.0
+        assert q.scope_barrier_time("b") == 4.0
+        assert q.scope_barrier_time("c") == 6.0
+        assert q.scope_barrier_time(None) == 6.0
+        everyone.cancel()
+        assert q.scope_barrier_time("c") == math.inf
+        assert q.scope_barrier_time("b") == 4.0
+
+    def test_scope_barrier_time_follows_pops(self):
+        q = EventQueue()
+        q.enable_barrier_tracking()
+        q.push(2.0, lambda: None, scope="a")
+        q.push(3.0, lambda: None, scope="b")
+        q.push(5.0, lambda: None, scope="a")
+        q.push(7.0, lambda: None)
+        seen = []
+        while q:
+            seen.append((q.scope_barrier_time("a"),
+                         q.scope_barrier_time("b")))
+            q.pop()
+        assert seen == [(2.0, 3.0), (5.0, 3.0), (5.0, 7.0), (7.0, 7.0)]
+        assert q.scope_barrier_time("a") == q.next_barrier_time() == math.inf
+
+    def test_scope_barriers_survive_compaction(self):
+        q = EventQueue()
+        q.enable_barrier_tracking()
+        keep = [q.push(float(t), lambda: None, scope="a")
+                for t in range(100, 140)]
+        doomed = [q.push(float(t), lambda: None, scope=("a", "b")[t % 2])
+                  for t in range(100)]
+        for event in doomed:
+            event.cancel()
+        assert q.tombstones < len(doomed)  # compaction ran
+        assert q.scope_barrier_time("a") == 100.0
+        assert q.scope_barrier_time("b") == math.inf
+        keep[0].cancel()
+        q.compact()
+        assert q.scope_barrier_time("a") == 101.0
+
+    def test_enable_tracking_mid_run_adopts_scopes(self):
+        q = EventQueue()
+        q.push(1.0, lambda: None, scope="a")
+        q.push(2.0, lambda: None, scope="b")
+        q.push(3.0, lambda: None, inert=True)
+        cancelled = q.push(4.0, lambda: None)
+        q.push(8.0, lambda: None)
+        assert q.scope_barrier_time("b") == 1.0  # untracked: every event
+        q.pop()
+        cancelled.cancel()
+        q.enable_barrier_tracking()
+        assert q.scope_barrier_time("a") == 8.0
+        assert q.scope_barrier_time("b") == 2.0
+        assert q.next_barrier_time() == 2.0
+
 
 class TestSimulator:
     def test_clock_advances_to_event_time(self):

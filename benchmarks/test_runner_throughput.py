@@ -1,10 +1,10 @@
 """Serial vs warm-pool runner throughput on a reduced Figure-1 sweep.
 
 Runs the same sweep three ways — serial (``jobs=1``), warm-pool parallel
-(``jobs=workers`` with auto-tuned chunking) and replayed from a warm
-cache — checks the results are bit-identical, and records the
-wall-clock numbers plus the executor's self-reported tuning (chunk
-size, dispatch overhead, shared-memory world bytes) in
+(``jobs=workers`` with guided chunking) and replayed from a warm cache
+— checks the results are bit-identical, and records the wall-clock
+numbers, the executor's chunking (first chunk size, chunk count) and a
+host stamp (CPU model, CPU count, Python, numpy) in
 ``BENCH_runner.json`` next to this module.
 
 On a multi-core runner the parallel pass must clear the CI floor
@@ -17,9 +17,11 @@ pool overhead to pay.
 import json
 import os
 import pathlib
+import platform
 import tempfile
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -38,6 +40,17 @@ TOTAL_JOBS = len(SWEEP["datacenter_counts"]) * 4 * SETTING.n_runs
 #: The CI floor: parallel must beat serial by this factor when the
 #: preconditions (>= 200 jobs, >= 2 workers on >= 2 CPUs) hold.
 SPEEDUP_FLOOR = 1.5
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
 
 
 def _timed(fn):
@@ -79,7 +92,9 @@ def test_runner_throughput(capsys):
                   "n_runs": SETTING.n_runs, "jobs_total": TOTAL_JOBS,
                   **{k: list(v) if isinstance(v, tuple) else v
                      for k, v in SWEEP.items()}},
-        "cpu_count": cpus,
+        "host": {"cpu_model": _cpu_model(), "cpu_count": cpus,
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
         "workers": workers,
         "serial_seconds": round(serial_s, 3),
         "parallel_seconds": round(parallel_s, 3),
@@ -91,12 +106,6 @@ def test_runner_throughput(capsys):
         "floor_enforced": cpus >= 2,
         "chunk_size": registry.gauge("runner.chunk_size").snapshot(),
         "chunks": registry.counter("runner.chunks").snapshot(),
-        "dispatch_overhead_seconds": round(
-            registry.gauge("runner.dispatch_overhead").snapshot(), 6),
-        "shm": {
-            "used": registry.gauge("runner.shm_bytes").snapshot() > 0,
-            "world_bytes": registry.gauge("runner.shm_bytes").snapshot(),
-        },
     }
     BENCH_OUT.write_text(json.dumps(doc, indent=2) + "\n")
 

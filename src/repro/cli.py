@@ -27,8 +27,10 @@ Every experiment command executes through :mod:`repro.runner` and takes
 ``--jobs N`` (worker processes; default: one per CPU; ``1`` = serial),
 ``--cache-dir DIR`` (persist each finished job) and ``--resume`` (load
 cached jobs instead of recomputing — an interrupted sweep restarted
-with ``--resume`` only runs what is missing).  Results are bit-identical
-at any ``--jobs`` level; see ``docs/runner.md``.
+with ``--resume`` only runs what is missing).  These three are the
+whole runner surface: chunk sizes follow one fixed rule, not a flag.
+Results are bit-identical at any ``--jobs`` level; see
+``docs/runner.md``.
 """
 
 from __future__ import annotations
@@ -87,17 +89,13 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="reuse cached jobs from --cache-dir instead "
                              "of recomputing them")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        metavar="K",
-                        help="jobs per dispatched chunk (default: auto-tuned "
-                             "from measured dispatch overhead)")
 
 
 def _runner_kwargs(args: argparse.Namespace) -> dict:
     if args.resume and not args.cache_dir:
         raise SystemExit("error: --resume requires --cache-dir")
     return {"jobs": args.jobs, "cache_dir": args.cache_dir,
-            "resume": args.resume, "chunk_size": args.chunk_size}
+            "resume": args.resume}
 
 
 def _add_setting_args(parser: argparse.ArgumentParser) -> None:

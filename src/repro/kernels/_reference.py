@@ -316,7 +316,7 @@ def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
 def best_subset(block, k):
     """Chunked gather scan: :func:`repro.kernels.subset.best_subset`'s oracle.
 
-    Every ``C(n, k)`` combination in lexicographic order, ``chunk_size``
+    Every ``C(n, k)`` combination in lexicographic order, ``per_chunk``
     at a time — what ``OptimalPlacement.place`` ran before the
     running-minimum scan.  The first combination wins a tie (first
     ``argmin`` inside a chunk, strict ``<`` across chunks).
@@ -325,10 +325,10 @@ def best_subset(block, k):
     best_total = np.inf
     # Chunked vectorised scan: gather (clients, chunk, k) RTTs, take
     # the per-client min over the k columns, sum over clients.
-    chunk_size = max(1, 4_000_000 // (block.shape[0] * k))
+    per_chunk = max(1, 4_000_000 // (block.shape[0] * k))
     combo_iter = combinations(range(block.shape[1]), k)
     while True:
-        chunk = list(islice(combo_iter, chunk_size))
+        chunk = list(islice(combo_iter, per_chunk))
         if not chunk:
             break
         idx = np.array(chunk, dtype=int)          # (c, k)

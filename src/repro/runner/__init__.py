@@ -14,10 +14,10 @@ offers, without changing a single result bit:
   (SHA-256 of the job config + code-version salt, atomic writes), which
   turns interrupted sweeps into resumable ones.
 * :mod:`repro.runner.pool` / :mod:`repro.runner.workers` — the
-  executor: a warm pool of persistent worker processes fed chunked job
-  batches (auto-tuned size, pull-on-idle load leveling), zero-copy
-  shared-memory world transfer, per-worker crash replacement with
-  bounded retry, a stall watchdog, KeyboardInterrupt draining, and
+  executor: a warm pool of persistent worker processes fed guided,
+  shrinking job chunks on a pull-on-idle basis, the world handed to
+  each worker once as a process argument, per-worker crash replacement
+  with bounded retry, a stall watchdog, KeyboardInterrupt draining, and
   per-chunk metrics registries merged back into the active one.
 * :mod:`repro.runner.sweep` — declarative sweep specs (JSON/TOML) for
   the ``repro sweep`` CLI subcommand.

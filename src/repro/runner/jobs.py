@@ -286,8 +286,9 @@ class JobChunk:
     Chunking amortizes the per-dispatch costs (pipe round-trip, spec
     pickling, result unpickling, registry merge) over many small jobs —
     the fix for the pathological regime where a 4 ms job pays a
-    multi-ms dispatch.  The executor sizes chunks from a measured
-    dispatch-overhead/job-cost ratio (see ``docs/runner.md``).
+    multi-ms dispatch.  The executor cuts guided chunks, each
+    ``⌈pending / (2 · workers)⌉`` jobs capped at 256, so they shrink
+    towards singletons as the sweep drains (see ``docs/runner.md``).
     """
 
     chunk_id: int
@@ -303,16 +304,14 @@ class ChunkResult:
 
     ``registry`` is the single :class:`~repro.obs.MetricsRegistry` the
     whole chunk ran under (per-job ``runner.job`` timings included), so
-    the parent does one merge per chunk instead of one per job.
-    ``exec_seconds`` covers the chunk's whole run; ``setup_seconds`` is
-    the share spent building worlds from settings — the auto-tuner
-    subtracts it so one-off world construction is not mistaken for
-    per-job cost.
+    the parent does one merge per chunk instead of one per job.  When a
+    job raised, ``failure`` is ``(spec index, exception or None,
+    formatted traceback)`` and ``indices`` / ``results`` hold only the
+    jobs that finished before it.
     """
 
     chunk_id: int
     indices: tuple[int, ...]
     results: tuple
     registry: Any
-    exec_seconds: float
-    setup_seconds: float
+    failure: tuple | None = None

@@ -12,17 +12,17 @@ scheduled.  The execution engine is built for the paper's workload shape
   processes (:mod:`repro.runner.workers`) once per :func:`execute` call
   and keeps them alive across crash-retry rounds: a dead worker is
   replaced individually, the rest of the pool keeps its warm state
-  (attached world, world memo, imports).  The world ships once — via a
-  shared-memory segment for the standard array world (every worker maps
-  the same pages, zero-copy), pickled otherwise.
-* **Chunked, queue-leveled dispatch** — specs are grouped into
+  (world, world memo, imports).  The world is a plain argument of each
+  worker process: inherited under ``fork``, pickled once per worker
+  under ``spawn``.
+* **Guided, pull-on-idle dispatch** — specs are grouped into
   :class:`~repro.runner.jobs.JobChunk` batches so dispatch and
-  registry-merge costs amortize over dozens of jobs.  Chunk size is
-  auto-tuned from the first completed chunk's measured
-  dispatch-overhead/job-cost ratio (override with ``chunk_size=``, CLI
-  ``--chunk-size``).  Workers *pull* the next chunk when idle rather
-  than receiving a static partition, so heterogeneous cells cannot
-  straggle behind an unlucky pre-assignment.
+  registry-merge costs amortize over dozens of jobs.  Each new chunk
+  takes ``⌈pending / (2 · workers)⌉`` jobs (guided self-scheduling),
+  so chunks start large and shrink to singletons as the sweep drains.
+  Workers *pull* the next chunk when idle rather than receiving a
+  static partition, so heterogeneous cells cannot straggle behind an
+  unlucky pre-assignment.
 * **Result cache / resume** — with a ``cache_dir``, completed jobs are
   persisted through :class:`~repro.runner.cache.ResultCache` chunk by
   chunk (one fsync pass per chunk, not per job); with ``resume=True``,
@@ -34,15 +34,16 @@ scheduled.  The execution engine is built for the paper's workload shape
   chunk completing) kills and replaces the wedged workers the same way.
   ``KeyboardInterrupt`` stops dispatch, drains in-flight chunks for a
   bounded window (their results land in the cache) and re-raises —
-  Ctrl-C plus ``resume`` loses nothing.
+  Ctrl-C plus ``resume`` loses nothing.  A job that *raises* is neither
+  a crash nor retried: the pool stops and the exception is re-raised in
+  the parent, as the serial path would.
 
 Observability: the parent times the whole call (``runner.sweep``) and
 counts ``runner.jobs`` / ``runner.jobs_completed`` / ``runner.chunks`` /
 ``runner.cache_hits`` / ``runner.cache_misses`` /
 ``runner.worker_crashes`` / ``runner.stalls`` / ``runner.retries``,
-and gauges ``runner.chunk_size``, ``runner.dispatch_overhead`` (seconds,
-first completed chunk) and ``runner.shm_bytes`` (shared-memory world
-size).  Each worker runs its chunk under a private
+and gauges ``runner.chunk_size`` (the first, largest chunk).  Each
+worker runs its chunk under a private
 :class:`~repro.obs.MetricsRegistry` (which also captures the jobs' inner
 instrumentation, e.g. ``placement.online.place`` and the per-job
 ``runner.job`` phase timer) and ships it back with the chunk; the parent
@@ -52,7 +53,6 @@ merge by addition, so pooled worker metrics are lossless.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import time
@@ -85,18 +85,12 @@ class StallTimeoutError(RunnerError):
 #: How long a Ctrl-C waits for in-flight chunks before hard-stopping.
 _DRAIN_SECONDS = 10.0
 
-#: Auto-tuner: jobs in the pilot chunks the tuner measures.
-_PILOT_CHUNK_JOBS = 2
-#: Auto-tuner: chunk compute must be >= this multiple of the measured
-#: dispatch overhead (20x == overhead <= 5% of the chunk).
-_OVERHEAD_AMORTIZATION = 20.0
-#: Auto-tuner: a chunk should also bundle at least this much compute, so
-#: parent-side per-chunk costs (merge, cache fsync) amortize too.
-_MIN_CHUNK_SECONDS = 0.05
-#: Load leveling: aim for at least this many chunks per worker, so slow
-#: cells cannot straggle behind a too-coarse partition.
-_LEVELING_CHUNKS_PER_WORKER = 4
-#: Hard ceiling on jobs per chunk.
+#: Guided self-scheduling: each new chunk is 1/(this x workers) of the
+#: jobs still pending, so the last chunks are singletons and the heavy
+#: tail of a sweep cannot straggle.
+_GUIDED_FACTOR = 2
+#: Hard ceiling on jobs per chunk: bounds the work a crash, a stall or a
+#: Ctrl-C can lose, and the time the stall ``timeout`` must cover.
 _MAX_CHUNK_JOBS = 256
 
 #: Test hook: called after each recorded chunk in the parallel loop
@@ -113,13 +107,15 @@ def execute(specs: Sequence[JobSpec], *,
             timeout: float | None = None,
             retries: int = 2,
             world: Any = None,
-            chunk_size: int | None = None,
             meta_out: list | None = None) -> list[Any]:
     """Run every spec and return the results in spec order.
 
     This signature is the one declaration of the runner options: every
     experiment runner (``run_figure1`` … ``run_chaos``) takes
     ``**runner`` and forwards it here verbatim.
+
+    A job that raises aborts the call with that exception at any
+    ``jobs`` level; jobs recorded before it stay in the cache.
 
     Parameters
     ----------
@@ -135,8 +131,9 @@ def execute(specs: Sequence[JobSpec], *,
         Stall watchdog, in seconds: if no chunk completes for this long,
         the workers holding in-flight chunks are killed and replaced and
         their chunks retried (the jobs of one sweep are homogeneous, so
-        a stall this long means some job blew its budget).  ``None``
-        disables the watchdog.
+        a stall this long means some job blew its budget).  It must
+        cover the largest chunk, at most ``min(256, ⌈n / (2 · jobs)⌉)``
+        jobs.  ``None`` disables the watchdog.
     retries:
         How many worker-loss events (crashes or stalls) to tolerate —
         each replaces only the dead worker, never the pool — before
@@ -144,12 +141,7 @@ def execute(specs: Sequence[JobSpec], *,
     world:
         Explicit ``(matrix, coords, heights)`` world for specs that do
         not carry a setting (:func:`repro.analysis.experiment.
-        run_comparison` uses this).  Shipped to the pool once, through
-        shared memory when it is the standard array world.
-    chunk_size:
-        Jobs per dispatched chunk.  ``None`` (default) auto-tunes from
-        the first completed chunk's dispatch-overhead/job-cost ratio;
-        ``1`` restores one-job-per-dispatch.  Ignored when ``jobs=1``.
+        run_comparison` uses this).  Handed to each pool worker once.
     meta_out:
         Optional list; when given, one dict per spec (in spec order) is
         appended recording how the cell was served: ``source``
@@ -164,8 +156,6 @@ def execute(specs: Sequence[JobSpec], *,
         raise ValueError("jobs must be >= 1 (or None for cpu_count)")
     if retries < 0:
         raise ValueError("retries must be >= 0")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1 (or None for auto)")
 
     registry = obs.get_registry()
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -192,7 +182,7 @@ def execute(specs: Sequence[JobSpec], *,
                             registry, meta)
         elif remaining:
             _execute_pool(specs, remaining, jobs, world, cache, results,
-                          registry, timeout, retries, chunk_size, meta)
+                          registry, timeout, retries, meta)
 
     missing = [i for i, r in enumerate(results) if r is _UNSET]
     if missing:  # pragma: no cover - defensive; all paths fill or raise
@@ -223,14 +213,13 @@ def _execute_serial(specs, remaining, world, cache, results, registry, meta):
 class _PoolWorker:
     """Parent-side record of one live worker process."""
 
-    __slots__ = ("id", "process", "conn", "chunk", "sent_at")
+    __slots__ = ("id", "process", "conn", "chunk")
 
     def __init__(self, worker_id, process, conn):
         self.id = worker_id
         self.process = process
         self.conn = conn
         self.chunk: JobChunk | None = None
-        self.sent_at = 0.0
 
 
 class WorkerPool:
@@ -242,9 +231,9 @@ class WorkerPool:
     shared locks a killed worker could wedge).
     """
 
-    def __init__(self, n_workers: int, world_handle: tuple | None) -> None:
+    def __init__(self, n_workers: int, world: Any) -> None:
         self._ctx = multiprocessing.get_context()
-        self._world_handle = world_handle
+        self._world = world
         self._next_id = 0
         self._closed = False
         self.workers: list[_PoolWorker] = [self._spawn()
@@ -254,7 +243,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=workers.worker_main,
-            args=(self._next_id, child_conn, self._world_handle),
+            args=(self._next_id, child_conn, self._world),
             daemon=True)
         process.start()
         child_conn.close()
@@ -270,7 +259,6 @@ class WorkerPool:
 
     def send(self, worker: _PoolWorker, chunk: JobChunk) -> None:
         worker.chunk = chunk
-        worker.sent_at = time.perf_counter()
         worker.conn.send(chunk)
 
     def wait(self, timeout: float | None):
@@ -346,32 +334,25 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Chunk cutting and auto-tuning
+# Chunk cutting
 # ----------------------------------------------------------------------
 
 class _ChunkDispatcher:
-    """Cuts pending spec indices into chunks, auto-tuning the size.
+    """Cuts pending spec indices into guided chunks, in spec order.
 
-    Until the first chunk completes, chunks are small pilots; the first
-    completion measures the dispatch overhead (parent wall time minus
-    worker compute) and the per-job cost, and sizes subsequent chunks so
-    the overhead amortizes to <= ~5% — clamped so every worker still
-    sees several chunks (load leveling) and to a hard ceiling.
+    Each new chunk takes ``min(_MAX_CHUNK_JOBS, ⌈pending / (2 ·
+    workers)⌉)`` jobs: large chunks first, singletons last.  A chunk
+    requeued after a crash or stall is re-sent unchanged, before any
+    new one.
     """
 
-    def __init__(self, specs, remaining, chunk_size, n_workers, registry):
+    def __init__(self, specs, remaining, n_workers, registry):
         self._specs = specs
         self._pending = deque(remaining)
         self._requeued: deque[JobChunk] = deque()
-        self._fixed = chunk_size
-        self._tuned: int | None = None
-        self._n_workers = n_workers
-        self._total = len(remaining)
+        self._divisor = _GUIDED_FACTOR * n_workers
         self._next_chunk_id = 0
-        self._overhead_recorded = False
         self._registry = registry
-        if chunk_size is not None:
-            registry.gauge("runner.chunk_size").set(chunk_size)
 
     def has_pending(self) -> bool:
         return bool(self._pending or self._requeued)
@@ -380,19 +361,14 @@ class _ChunkDispatcher:
         """Jobs not yet recorded (pending + requeued)."""
         return len(self._pending) + sum(len(c) for c in self._requeued)
 
-    def _current_size(self) -> int:
-        if self._fixed is not None:
-            return self._fixed
-        if self._tuned is not None:
-            return self._tuned
-        return _PILOT_CHUNK_JOBS
-
     def next_chunk(self) -> JobChunk | None:
         if self._requeued:
             return self._requeued.popleft()
         if not self._pending:
             return None
-        size = min(self._current_size(), len(self._pending))
+        size = min(_MAX_CHUNK_JOBS, -(-len(self._pending) // self._divisor))
+        if self._next_chunk_id == 0:
+            self._registry.gauge("runner.chunk_size").set(size)
         items = tuple((i, self._specs[i])
                       for i in (self._pending.popleft()
                                 for _ in range(size)))
@@ -404,54 +380,28 @@ class _ChunkDispatcher:
     def requeue(self, chunks: Sequence[JobChunk]) -> None:
         self._requeued.extend(chunks)
 
-    def note_complete(self, result: ChunkResult, wall_seconds: float) -> None:
-        n_jobs = len(result.indices)
-        overhead = max(wall_seconds - result.exec_seconds, 0.0)
-        if not self._overhead_recorded:
-            self._overhead_recorded = True
-            self._registry.gauge("runner.dispatch_overhead").set(overhead)
-        if self._fixed is not None or self._tuned is not None:
-            return
-        per_job = max((result.exec_seconds - result.setup_seconds)
-                      / max(n_jobs, 1), 1e-6)
-        amortized = math.ceil(overhead * _OVERHEAD_AMORTIZATION / per_job)
-        floor = math.ceil(_MIN_CHUNK_SECONDS / per_job)
-        leveling_cap = max(1, math.ceil(
-            self._total / (self._n_workers * _LEVELING_CHUNKS_PER_WORKER)))
-        self._tuned = max(1, min(max(amortized, floor), leveling_cap,
-                                 _MAX_CHUNK_JOBS))
-        self._registry.gauge("runner.chunk_size").set(self._tuned)
-
 
 # ----------------------------------------------------------------------
 # Parent-side orchestration
 # ----------------------------------------------------------------------
 
-def _world_handle(specs, remaining, world, registry):
-    """How the pool ships its world: ``(handle, SharedWorld | None)``.
-
-    An explicit world ships as-is; when every remaining spec shares one
-    setting, the parent builds that world once (memoized) and shares it,
-    so N workers stop doing N redundant builds.  Heterogeneous settings
-    fall back to per-worker builds through the bounded world memo.
-    """
-    if world is None:
-        settings = {getattr(specs[i], "setting", None) for i in remaining}
-        if len(settings) != 1:
-            return ("none",), None
-        setting = settings.pop()
-        if setting is None:
-            return ("none",), None
-        world = workers.world_memo.get_or_build(setting)
-    shared = workers.try_pack_shared(world)
-    if shared is not None:
-        registry.gauge("runner.shm_bytes").set(shared.nbytes)
-        return shared.handle, shared
-    return ("pickle", world), None
+def _pool_world(specs, remaining, world):
+    """The world every pool worker gets: the explicit one; else, when
+    every remaining spec shares one setting, that setting's world, built
+    once here (memoized) instead of once per worker; else ``None`` —
+    heterogeneous settings build per worker through the world memo."""
+    if world is not None:
+        return world
+    settings = {getattr(specs[i], "setting", None) for i in remaining}
+    if len(settings) != 1:
+        return None
+    setting = settings.pop()
+    return None if setting is None else workers.world_memo.get_or_build(
+        setting)
 
 
 def _record_chunk(result: ChunkResult, worker, specs, cache, results,
-                  registry, dispatcher, meta) -> None:
+                  registry, meta) -> None:
     registry.merge(result.registry)
     pairs = list(zip(result.indices, result.results))
     for i, value in pairs:
@@ -459,20 +409,28 @@ def _record_chunk(result: ChunkResult, worker, specs, cache, results,
     if cache is not None:
         cache.put_many([(specs[i], value) for i, value in pairs])
     registry.counter("runner.jobs_completed").inc(len(pairs))
-    dispatcher.note_complete(result, time.perf_counter() - worker.sent_at)
     if meta is not None:
         for i in result.indices:
             meta[i] = {"source": "worker", "worker": worker.id,
                        "chunk": result.chunk_id}
 
 
+def _raise_job_error(failure) -> None:
+    """Re-raise a job's exception from a worker: the job's own exception
+    (its cause carries the worker traceback) or, when that did not
+    survive pickling, a :class:`RunnerError` with the traceback."""
+    index, error, trace = failure
+    where = RunnerError(f"job {index} raised in a pool worker:\n{trace}")
+    if error is None:
+        raise where
+    raise error from where
+
+
 def _execute_pool(specs, remaining, jobs, world, cache, results, registry,
-                  timeout, retries, chunk_size, meta):
-    handle, shared = _world_handle(specs, remaining, world, registry)
+                  timeout, retries, meta):
     n_workers = max(1, min(jobs, len(remaining)))
-    pool = WorkerPool(n_workers, handle)
-    dispatcher = _ChunkDispatcher(specs, remaining, chunk_size, n_workers,
-                                  registry)
+    pool = WorkerPool(n_workers, _pool_world(specs, remaining, world))
+    dispatcher = _ChunkDispatcher(specs, remaining, n_workers, registry)
     attempts = 0
 
     def note_crash(worker) -> None:
@@ -521,8 +479,10 @@ def _execute_pool(specs, remaining, jobs, world, cache, results, registry,
             for worker, kind, payload in events:
                 if kind == "result":
                     _record_chunk(payload, worker, specs, cache, results,
-                                  registry, dispatcher, meta)
+                                  registry, meta)
                     worker.chunk = None
+                    if payload.failure is not None:
+                        _raise_job_error(payload.failure)
                     if _after_chunk_hook is not None:
                         _after_chunk_hook()
                 else:
@@ -532,17 +492,13 @@ def _execute_pool(specs, remaining, jobs, world, cache, results, registry,
         # never sent), give in-flight chunks a bounded window to finish
         # — their results land in the cache — then hard-stop and
         # re-raise.  Ctrl-C + resume loses nothing.
-        _drain_in_flight(pool, specs, cache, results, registry, dispatcher,
-                         meta)
+        _drain_in_flight(pool, specs, cache, results, registry, meta)
         raise
     finally:
         pool.shutdown()
-        if shared is not None:
-            shared.close()
 
 
-def _drain_in_flight(pool, specs, cache, results, registry, dispatcher,
-                     meta) -> None:
+def _drain_in_flight(pool, specs, cache, results, registry, meta) -> None:
     deadline = time.monotonic() + _DRAIN_SECONDS
     try:
         while pool.in_flight():
@@ -552,7 +508,7 @@ def _drain_in_flight(pool, specs, cache, results, registry, dispatcher,
             for worker, kind, payload in pool.wait(left):
                 if kind == "result":
                     _record_chunk(payload, worker, specs, cache, results,
-                                  registry, dispatcher, meta)
+                                  registry, meta)
                 worker.chunk = None
     except KeyboardInterrupt:
         pass  # second Ctrl-C: stop draining immediately

@@ -8,31 +8,27 @@ executes every spec in the chunk under one shared
 registry-merge costs amortize over the whole chunk instead of being paid
 per 4 ms job.
 
-Worlds reach a worker exactly once, not once per retry round:
+Worlds reach a worker exactly once, as a plain argument of its
+:class:`multiprocessing.Process`: inherited copy-on-write under the
+``fork`` start method, pickled once per worker under ``spawn`` /
+``forkserver`` (each worker then holds its own copy).  Specs that carry
+an ``EvaluationSetting`` and run without such a world build it locally
+through :class:`WorldMemo`, a small LRU keyed by setting, so long
+multi-setting service runs cannot accumulate every world ever built.
 
-* **Shared memory** — when the world is the standard ``(matrix, coords,
-  heights)`` array triple, the parent packs it into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment
-  (:class:`SharedWorld`) and ships only the segment name + array
-  layout; every worker maps the same physical pages read-only, so an
-  N-worker pool holds one copy of the RTT matrix instead of N.
-* **Pickle fallback** — non-array worlds travel pickled in the worker
-  spawn arguments (still once per worker lifetime).
-* **Per-setting builds** — specs that carry an
-  ``EvaluationSetting`` and no explicit world build it locally through
-  :class:`WorldMemo`, a small LRU keyed by setting, so long
-  multi-setting service runs cannot accumulate every world ever built.
+A job that raises does not kill its worker: :func:`run_chunk` stops the
+chunk there and ships the exception back with the spec index, and the
+parent re-raises it (see :func:`repro.runner.pool.execute`).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
-import time
+import traceback
 from collections import OrderedDict
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any
 
 from repro import obs
 from repro.runner.jobs import ChunkResult, JobChunk
@@ -41,11 +37,8 @@ __all__ = [
     "CRASH_ONCE_ENV",
     "WORLD_MEMO_CAP",
     "WorldMemo",
-    "SharedWorld",
     "world_memo",
     "world_for",
-    "try_pack_shared",
-    "attach_world",
     "run_chunk",
     "worker_main",
 ]
@@ -64,19 +57,12 @@ WORLD_MEMO_CAP = 8
 
 
 class WorldMemo:
-    """Small LRU of worlds materialized in this process, keyed by setting.
-
-    ``get_or_build`` accumulates the build time in ``build_seconds`` so
-    chunk timings can separate one-off world construction from per-job
-    compute (the auto-tuner must not mistake a world build for job
-    cost).
-    """
+    """Small LRU of worlds materialized in this process, keyed by setting."""
 
     def __init__(self, cap: int = WORLD_MEMO_CAP) -> None:
         if cap < 1:
             raise ValueError("world memo cap must be >= 1")
         self.cap = cap
-        self.build_seconds = 0.0
         self._entries: OrderedDict[Any, Any] = OrderedDict()
 
     def get_or_build(self, setting: Any) -> Any:
@@ -84,9 +70,7 @@ class WorldMemo:
         if world is not None:
             self._entries.move_to_end(setting)
             return world
-        start = time.perf_counter()
         world = setting.build()
-        self.build_seconds += time.perf_counter() - start
         self._entries[setting] = world
         while len(self._entries) > self.cap:
             self._entries.popitem(last=False)
@@ -109,10 +93,6 @@ world_memo = WorldMemo()
 #: ``None`` means specs build their own from their setting.
 _explicit_world: Any = None
 
-#: Keeps the attached SharedMemory mapping alive for the process's
-#: lifetime (the numpy views borrow its buffer).
-_attached_shm: Any = None
-
 
 def world_for(spec: Any) -> Any:
     """The world a spec runs against (explicit, or built from its setting)."""
@@ -122,101 +102,6 @@ def world_for(spec: Any) -> Any:
     if setting is None:
         return None
     return world_memo.get_or_build(setting)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy world transfer
-# ----------------------------------------------------------------------
-
-class SharedWorld:
-    """A ``(matrix, coords, heights)`` world packed into one shared-memory
-    segment.
-
-    The parent owns the segment (``close`` unmaps and unlinks it);
-    workers attach by name through :func:`attach_world` and reconstruct
-    the arrays as read-only views over the same physical pages.
-    """
-
-    def __init__(self, world: tuple) -> None:
-        from multiprocessing import shared_memory
-        matrix, coords, heights = world
-        arrays = {
-            "rtt": np.ascontiguousarray(matrix.rtt, dtype=float),
-            "coords": np.ascontiguousarray(coords),
-        }
-        if heights is not None:
-            arrays["heights"] = np.ascontiguousarray(heights)
-        self.nbytes = sum(a.nbytes for a in arrays.values())
-        self._shm = shared_memory.SharedMemory(create=True,
-                                               size=max(self.nbytes, 1))
-        layout: dict[str, tuple[int, tuple, str]] = {}
-        offset = 0
-        for name, array in arrays.items():
-            view = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=self._shm.buf, offset=offset)
-            view[...] = array
-            layout[name] = (offset, array.shape, array.dtype.str)
-            offset += array.nbytes
-        self.handle = ("shm", self._shm.name, layout, tuple(matrix.names))
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - best effort
-            pass
-
-
-def try_pack_shared(world: Any) -> SharedWorld | None:
-    """Pack an array world into shared memory, or ``None`` to fall back
-    to pickling (non-array worlds, or hosts without shared memory)."""
-    try:
-        matrix, coords, heights = world
-        if not hasattr(matrix, "rtt"):
-            return None
-        np.asarray(matrix.rtt), np.asarray(coords)
-        if heights is not None:
-            np.asarray(heights)
-        return SharedWorld(world)
-    except (TypeError, ValueError, OSError):
-        return None
-
-
-def attach_world(handle: tuple | None) -> Any:
-    """Materialize the world a worker was spawned with.
-
-    ``handle`` kinds: ``("none",)`` — specs build their own worlds;
-    ``("pickle", world)`` — explicit world shipped by value;
-    ``("shm", name, layout, names)`` — attach the parent's segment and
-    rebuild ``(LatencyMatrix, coords, heights)`` zero-copy.
-    """
-    global _attached_shm
-    if handle is None or handle[0] == "none":
-        return None
-    if handle[0] == "pickle":
-        return handle[1]
-    _, name, layout, names = handle
-    from multiprocessing import shared_memory
-    shm = shared_memory.SharedMemory(name=name)
-    # Attaching re-registers the segment with the resource tracker (3.11
-    # registers unconditionally).  Workers share the parent's tracker
-    # process, whose registry is a set, so the duplicate collapses; the
-    # parent's ``unlink`` performs the single matching unregister.
-    # (Unregistering here would strip the parent's registration and make
-    # later unregisters warn.)
-    _attached_shm = shm
-
-    def view(key: str) -> np.ndarray:
-        offset, shape, dtype = layout[key]
-        array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf,
-                           offset=offset)
-        array.flags.writeable = False
-        return array
-
-    from repro.net.latency import LatencyMatrix
-    matrix = LatencyMatrix(view("rtt"), names)
-    heights = view("heights") if "heights" in layout else None
-    return matrix, view("coords"), heights
 
 
 # ----------------------------------------------------------------------
@@ -231,30 +116,46 @@ def _maybe_crash_once() -> None:
         os._exit(17)
 
 
+def _portable(error: Exception) -> Exception | None:
+    """``error`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return None
+    return error
+
+
 def run_chunk(chunk: JobChunk) -> ChunkResult:
-    """Execute every spec of one chunk under a single merged registry."""
-    world_memo.build_seconds = 0.0
+    """Execute every spec of one chunk under a single merged registry.
+
+    A spec that raises ends the chunk: the result carries the jobs that
+    finished before it plus ``failure``, the ``(spec index, exception,
+    formatted traceback)`` triple — the exception is ``None`` when it
+    would not survive pickling.
+    """
     local = obs.MetricsRegistry()
     results: list[Any] = []
-    start = time.perf_counter()
+    failure = None
     with obs.observe(local, obs.NULL_TRACER):
-        for _index, spec in chunk.items:
+        for index, spec in chunk.items:
             _maybe_crash_once()
-            with local.phase("runner.job"):
-                results.append(spec.execute(world_for(spec)))
-    exec_seconds = time.perf_counter() - start
+            try:
+                with local.phase("runner.job"):
+                    results.append(spec.execute(world_for(spec)))
+            except Exception as error:
+                failure = (index, _portable(error), traceback.format_exc())
+                break
     return ChunkResult(
         chunk_id=chunk.chunk_id,
-        indices=tuple(index for index, _spec in chunk.items),
+        indices=tuple(index for index, _spec in chunk.items[:len(results)]),
         results=tuple(results),
         registry=local,
-        exec_seconds=exec_seconds,
-        setup_seconds=world_memo.build_seconds,
+        failure=failure,
     )
 
 
-def worker_main(worker_id: int, conn: Any, world_handle: tuple | None) -> None:
-    """Long-lived worker loop: attach the world once, then serve chunks.
+def worker_main(worker_id: int, conn: Any, world: Any) -> None:
+    """Long-lived worker loop: install the world once, then serve chunks.
 
     The worker ignores SIGINT so a Ctrl-C in the parent can drain
     in-flight chunks (their results still arrive and land in the cache)
@@ -265,8 +166,8 @@ def worker_main(worker_id: int, conn: Any, world_handle: tuple | None) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    _explicit_world = world
     try:
-        _explicit_world = attach_world(world_handle)
         while True:
             try:
                 message = conn.recv()

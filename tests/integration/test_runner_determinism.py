@@ -201,30 +201,52 @@ class TestChaosGoldenDeterminism:
 
 
 class TestGoldenAcrossWorkersAndChunks:
-    """Bit-identical spec-ordered results at every (workers, chunk size)
+    """Bit-identical spec-ordered results at every (workers, spec count)
     point of the matrix — the warm pool's core contract: chunking and
-    scheduling are pure execution detail, invisible in the results.
+    scheduling are pure execution detail, invisible in the results.  The
+    spec count sets the guided chunk sizes (8 cells on 4 workers are all
+    singletons; 56 on 2 start at 14).
     """
 
     KWARGS = dict(datacenter_counts=(4, 6), k=2, micro_clusters=4)
 
     @pytest.fixture(scope="class")
-    def golden(self):
-        return run_figure1(SETTING, **self.KWARGS)
+    def goldens(self):
+        return {}
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [1, 8, None],
-                             ids=["chunk1", "chunk8", "auto"])
-    def test_matrix_point_matches_golden(self, golden, jobs, chunk_size):
-        assert run_figure1(SETTING, **self.KWARGS, jobs=jobs,
-                           chunk_size=chunk_size) == golden
+    @pytest.mark.parametrize("n_runs", [1, 3, 7],
+                             ids=["8specs", "24specs", "56specs"])
+    def test_matrix_point_matches_golden(self, goldens, jobs, n_runs):
+        setting = EvaluationSetting(n_nodes=36, n_runs=n_runs, seed=13)
+        if n_runs not in goldens:
+            goldens[n_runs] = run_figure1(setting, **self.KWARGS)
+        assert run_figure1(setting, **self.KWARGS, jobs=jobs) == \
+            goldens[n_runs]
 
 
-class TestSharedMemoryWorld:
-    def test_shm_world_gives_identical_results(self):
-        from repro.placement.random_placement import RandomPlacement
-        from repro.placement.online import OnlineClusteringPlacement
+class TestSpawnedWorld:
+    """Under ``spawn`` the world reaches each worker pickled as a process
+    argument — the path ``fork`` (the Linux default) never takes."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        from repro.runner import pool
+        get_context = pool.multiprocessing.get_context
+        requested = []
+
+        def spawn_context(method=None):
+            requested.append(method)
+            return get_context("spawn")
+
+        monkeypatch.setattr(pool.multiprocessing, "get_context",
+                            spawn_context)
+        return requested
+
+    def test_explicit_world_gives_identical_results(self, spawned):
         from repro.analysis.experiment import run_comparison
+        from repro.placement.online import OnlineClusteringPlacement
+        from repro.placement.random_placement import RandomPlacement
 
         matrix, coords, heights = SETTING.build()
         strategies = [RandomPlacement(), OnlineClusteringPlacement(
@@ -232,13 +254,17 @@ class TestSharedMemoryWorld:
         kwargs = dict(n_dc=6, k=2, n_runs=3, seed=13, heights=heights)
 
         serial = run_comparison(matrix, coords, strategies, **kwargs)
-        with obs.observe() as (registry, _):
-            parallel = run_comparison(matrix, coords, strategies, **kwargs,
-                                      jobs=2)
+        assert spawned == []
+        parallel = run_comparison(matrix, coords, strategies, **kwargs,
+                                  jobs=2)
+        assert spawned == [None]
         assert parallel == serial
-        # The explicit array world travelled through one shared-memory
-        # segment, not N pickled copies.
-        assert registry.gauge("runner.shm_bytes").value > 0
+
+    def test_setting_world_gives_identical_results(self, spawned):
+        kwargs = dict(datacenter_counts=(4,), k=2, micro_clusters=4)
+        serial = run_figure1(SETTING, **kwargs)
+        assert run_figure1(SETTING, **kwargs, jobs=2) == serial
+        assert spawned == [None]
 
 
 class TestKeyboardInterruptDrain:
@@ -262,7 +288,7 @@ class TestKeyboardInterruptDrain:
         monkeypatch.setattr(pool, "_after_chunk_hook",
                             interrupt_after_two_chunks)
         with pytest.raises(KeyboardInterrupt):
-            execute(specs, jobs=2, chunk_size=1, cache_dir=cache_dir)
+            execute(specs, jobs=2, cache_dir=cache_dir)
         monkeypatch.setattr(pool, "_after_chunk_hook", None)
 
         # Every chunk completed before or drained after the interrupt is
@@ -320,7 +346,7 @@ class TestStallWatchdogAccounting:
         specs = [_SleepOnceSpec(sentinel, n) for n in range(3)]
 
         with obs.observe() as (registry, _):
-            results = execute(specs, jobs=2, chunk_size=1, timeout=0.75,
+            results = execute(specs, jobs=2, timeout=0.75,
                               retries=2)
 
         assert results == [0.0, 1.0, 2.0]
@@ -338,4 +364,4 @@ class TestStallWatchdogAccounting:
 
         specs = [_AlwaysSleepsSpec(str(tmp_path / "unused"), 0)]
         with pytest.raises(StallTimeoutError):
-            execute(specs, jobs=2, chunk_size=1, timeout=0.4, retries=1)
+            execute(specs, jobs=2, timeout=0.4, retries=1)

@@ -63,12 +63,19 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
+    @pytest.mark.parametrize("flag", ["--jobs"])
     def test_runner_counts_must_be_positive(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["table2", "--accesses", "100", flag, "0"])
         assert exit_info.value.code == 2
         assert f"error: argument {flag}: must be >= 1" \
+            in capsys.readouterr().err
+
+    def test_chunk_size_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure2", "--chunk-size", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chunk-size" \
             in capsys.readouterr().err
 
     def test_resume_requires_cache_dir(self):

@@ -2,9 +2,12 @@
 interaction with the consistency layer (quorum reads over delayed
 replies)."""
 
+import sys
+
 import pytest
 
 from repro import obs
+from repro.obs import metrics
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.net.planetlab import small_matrix
 from repro.sim import Simulator
@@ -252,7 +255,7 @@ class TestConsistencyWithQueueing:
 class TestBatchedStageTimers:
     STAGES = ("arrivals", "route", "admit", "serve", "escalate")
 
-    def test_queued_run_times_every_pipeline_stage(self):
+    def _queued_run(self):
         queueing = QueueingConfig(service=DeterministicService(2.0))
         with obs.observe() as (registry, _):
             sim, _, store = build_store(queueing=queueing, timeout=80.0)
@@ -266,11 +269,40 @@ class TestBatchedStageTimers:
         timers = registry.snapshot()["phase_timers"]
         window = timers["sim.batched.advance"]
         stages = [timers[f"sim.batched.{stage}"] for stage in self.STAGES]
+        return window, stages
+
+    def test_queued_run_times_every_pipeline_stage(self, monkeypatch):
+        # A counting clock: each timer read is one tick, tagged with the
+        # timer that read it, so nesting is checked exactly instead of
+        # against host-dependent wall time.
+        reads = []
+
+        def counting_clock():
+            reads.append(sys._getframe(1).f_locals["self"]._timer.name)
+            return float(len(reads))
+
+        monkeypatch.setattr(metrics, "perf_counter", counting_clock)
+        window, stages = self._queued_run()
         # Arrival generation runs on every advance; the four window
         # stages once per non-empty window, nested inside it.
         assert stages[0]["calls"] == window["calls"]
         assert len({stage["calls"] for stage in stages[1:]}) == 1
         assert 0 < stages[1]["calls"] <= window["calls"]
+        staged = sum(stage["total_seconds"] for stage in stages)
+        assert 0 < staged < window["total_seconds"]
+        assert reads.count("sim.batched.advance") == 2 * window["calls"]
+        names = {f"sim.batched.{stage}" for stage in self.STAGES}
+        inside = False
+        for name in reads:
+            if name == "sim.batched.advance":
+                inside = not inside
+            elif name in names:
+                assert inside, f"{name} read outside a window"
+        assert not inside
+
+    @pytest.mark.bench
+    def test_stages_account_for_the_window_wall_time(self):
+        window, stages = self._queued_run()
         staged = sum(stage["total_seconds"] for stage in stages)
         assert 0.9 * window["total_seconds"] <= staged \
             <= window["total_seconds"]

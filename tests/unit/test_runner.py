@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import repro.runner
 import repro.runner.cache
 from repro import obs
 from repro.analysis.experiment import EvaluationSetting, Table2Row
@@ -75,6 +76,33 @@ def _changed(value):
         return strategy_spec("random")
     assert value is None, value
     return 1
+
+
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its args on the other side."""
+
+    def __init__(self, cell, why):
+        super().__init__(f"cell {cell}: {why}")
+
+
+class _RaisesOnCell:
+    """Toy spec returning its cell number; raises on cell ``bad``."""
+
+    setting = None
+    result_type = float
+
+    def __init__(self, n, bad, error=ValueError):
+        self.n, self.bad, self.error = n, bad, error
+
+    def payload(self):
+        return {"kind": "raises-on-cell", "n": self.n, "bad": self.bad}
+
+    def execute(self, world=None):
+        if self.n == self.bad:
+            if self.error is _Unpicklable:
+                raise _Unpicklable(self.n, "bad")
+            raise self.error(f"bad cell {self.n}")
+        return float(self.n)
 
 
 class TestSeedSequence:
@@ -370,7 +398,7 @@ class TestExecute:
 
     def test_runner_options_are_declared_in_execute_only(
             self, package_callables):
-        options = {"jobs", "cache_dir", "resume", "chunk_size"}
+        options = {"jobs", "cache_dir", "resume"}
         assert options <= set(inspect.signature(execute).parameters)
         offenders = [
             where for where, obj, parameters in package_callables
@@ -378,6 +406,12 @@ class TestExecute:
             and not (where.startswith("repro.runner.pool.")
                      and where.split(".")[3].startswith("_"))]
         assert offenders == []
+
+    def test_nothing_in_the_package_takes_a_chunk_size_argument(
+            self, package_callables):
+        # Chunk sizes follow one fixed guided rule; the knob is gone.
+        assert [where for where, _obj, parameters in package_callables
+                if "chunk_size" in parameters] == []
 
     def test_metrics_instrumented(self):
         specs = self._specs(3)
@@ -532,16 +566,6 @@ class TestWorldMemo:
         memo.get_or_build(self._FakeSetting("fresh"))
         assert settings[2] in memo and settings[3] not in memo
 
-    def test_build_seconds_accumulates_only_on_builds(self):
-        from repro.runner.workers import WorldMemo
-        memo = WorldMemo(cap=2)
-        setting = self._FakeSetting("a")
-        memo.get_or_build(setting)
-        after_build = memo.build_seconds
-        assert after_build > 0.0
-        memo.get_or_build(setting)
-        assert memo.build_seconds == after_build
-
     def test_rejects_cap_below_one(self):
         from repro.runner.workers import WorldMemo
         with pytest.raises(ValueError, match="cap"):
@@ -559,12 +583,15 @@ class TestChunkedExecute:
                 for i in range(n)]
 
     def test_chunk_size_validated(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            execute([], chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            execute([], chunk_size=-3)
+        # The retired knob is rejected loudly, never silently ignored.
+        from repro.analysis.experiment import run_figure2
+        with pytest.raises(TypeError, match="chunk_size"):
+            execute([], chunk_size=4)
+        with pytest.raises(TypeError, match="chunk_size"):
+            run_figure2(EvaluationSetting(n_nodes=30, n_runs=1), (1,),
+                        chunk_size=4)
 
-    def test_explicit_chunk_size_drives_chunk_count(self):
+    def test_guided_rule_drives_chunk_count(self):
         def stable(rows):   # strip the wall-clock fields Table2Row carries
             return [(r.n_accesses, r.online_bytes, r.offline_bytes)
                     for r in rows]
@@ -572,24 +599,17 @@ class TestChunkedExecute:
         specs = self._specs(6)
         serial = execute(specs, jobs=1)
         with obs.observe() as (registry, _):
-            rows = execute(specs, jobs=2, chunk_size=2)
+            rows = execute(specs, jobs=2)
         assert stable(rows) == stable(serial)
-        assert registry.counter("runner.chunks").value == 3
+        # 6 jobs on 2 workers: chunks of 2, 1, 1, 1, 1.
+        assert registry.counter("runner.chunks").value == 5
+        assert registry.gauge("runner.chunk_size").value == 2
         assert registry.counter("runner.jobs_completed").value == 6
-
-    def test_auto_tuning_records_gauges(self):
-        specs = self._specs(8)
-        with obs.observe() as (registry, _):
-            execute(specs, jobs=2)
-        assert registry.gauge("runner.chunk_size").value >= 1
-        assert registry.gauge("runner.dispatch_overhead").value >= 0.0
-        assert registry.counter("runner.chunks").value >= 2
 
     def test_meta_out_records_provenance(self, tmp_path):
         specs = self._specs(4)
         meta = []
-        execute(specs, jobs=2, chunk_size=2, cache_dir=str(tmp_path),
-                meta_out=meta)
+        execute(specs, jobs=2, cache_dir=str(tmp_path), meta_out=meta)
         assert [row["index"] for row in meta] == [0, 1, 2, 3]
         assert {row["source"] for row in meta} == {"worker"}
         assert all("chunk" in row and "worker" in row for row in meta)
@@ -603,3 +623,55 @@ class TestChunkedExecute:
         meta = []
         execute(self._specs(2), jobs=1, meta_out=meta)
         assert [row["source"] for row in meta] == ["serial", "serial"]
+
+    def test_guided_sizes_for_a_figure2_sweep(self):
+        from repro.runner.pool import _ChunkDispatcher
+        dispatcher = _ChunkDispatcher(list(range(84)), list(range(84)), 2,
+                                      obs.MetricsRegistry())
+        sizes = []
+        while (chunk := dispatcher.next_chunk()) is not None:
+            sizes.append(len(chunk))
+        assert sizes == [21, 16, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1]
+
+
+class TestJobErrors:
+    """A job that raises inside the pool is the job's error, not a worker
+    crash: same exception at every ``jobs`` level, never retried."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_same_exception_at_every_jobs_level(self, jobs):
+        specs = [_RaisesOnCell(n, bad=3) for n in range(6)]
+        with obs.observe() as (registry, _):
+            with pytest.raises(ValueError, match="^bad cell 3$"):
+                execute(specs, jobs=jobs)
+        assert registry.counter("runner.worker_crashes").value == 0
+        assert registry.counter("runner.retries").value == 0
+
+    def test_unpicklable_exception_carries_the_worker_traceback(self):
+        specs = [_RaisesOnCell(n, bad=1, error=_Unpicklable)
+                 for n in range(3)]
+        with pytest.raises(_Unpicklable):
+            execute(specs, jobs=1)
+        with pytest.raises(repro.runner.RunnerError,
+                           match=r"(?s)job 1 raised.*_Unpicklable: cell 1"):
+            execute(specs, jobs=2)
+
+    def test_jobs_recorded_before_the_error_stay_cached(self, tmp_path):
+        specs = [_RaisesOnCell(n, bad=3) for n in range(6)]
+        cache = ResultCache(str(tmp_path))
+        with pytest.raises(ValueError):
+            execute(specs, jobs=2, cache_dir=str(tmp_path))
+        cached = [n for n, spec in enumerate(specs)
+                  if cache.get(spec) is not MISS]
+        assert cached and 3 not in cached
+        assert all(cache.get(specs[n]) == float(n) for n in cached)
+
+    def test_chunk_stops_at_the_failing_job(self):
+        from repro.runner.jobs import JobChunk
+        from repro.runner.workers import run_chunk
+        specs = [_RaisesOnCell(n, bad=1) for n in range(3)]
+        result = run_chunk(JobChunk(chunk_id=0, items=tuple(enumerate(specs))))
+        assert result.indices == (0,) and result.results == (0.0,)
+        index, error, trace = result.failure
+        assert index == 1 and isinstance(error, ValueError)
+        assert "bad cell 1" in trace

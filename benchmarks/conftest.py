@@ -7,6 +7,9 @@ pytest-benchmark timings attached to each module measure the
 representative computational kernel of that experiment.
 """
 
+import os
+import platform
+
 import numpy as np
 import pytest
 
@@ -33,3 +36,18 @@ def print_result(capsys, text: str) -> None:
     """Print a result table so it lands in the benchmark output."""
     with capsys.disabled():
         print("\n" + text + "\n")
+
+
+def host_stamp() -> dict:
+    """CPU model, CPU count, Python and numpy: what a timing ran on."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "cpu_count": os.cpu_count() or 1,
+            "python": platform.python_version(), "numpy": np.__version__}

@@ -12,15 +12,16 @@ floors:
 * micro-cluster stream absorption is *inherently sequential* (every
   absorb/spawn/merge decision sees the clusters as the previous point
   left them), so the loop over points stays in Python on both backends.
-  What numpy buys is the O(m) work inside one step — one subtract +
-  einsum against the live centroid rows instead of an m x d scalar
-  loop, and a lazily maintained centroid-pair matrix instead of an
-  O(m^2 d) closest-pair scan per spawn: measured 2.65x at m = 16
-  (1.39x before the pair matrix), floor 2.0x.  The online placement
-  pipeline is that kernel (40 % of its numpy time) plus weighted
-  k-means over only k*m <= 128 micro-clusters, where per-call numpy
-  overhead caps k-means at ~2.4x — hence ~2.1x end to end, not the
-  4-13x of the large-input kernels;
+  The production kernel wins on the work inside one step: an absorbed
+  point is one generated distance-row function over Python floats and
+  no numpy call, instead of the oracle's generic m x d zip loop, and a
+  lazily maintained numpy centroid-pair matrix replaces an O(m^2 d)
+  closest-pair scan per spawn: measured 4.2x at m = 16 (2.65x with the
+  per-point numpy search, 1.39x before the pair matrix), floor 3.3x.
+  The online placement pipeline is that kernel plus weighted k-means
+  over only k*m <= 128 micro-clusters, where per-call numpy overhead
+  caps k-means at ~2.4x — hence ~2.8x end to end, not the 4-13x of the
+  large-input kernels;
 * the coordinate embedding (``embed_rounds``: 226-node RNP, 40 gossip
   rounds — the world every chaos / catalog cell builds) is timed as the
   wavefront kernel against the per-node object loop it replaced, *both
@@ -56,7 +57,7 @@ from repro.placement.base import PlacementProblem
 from repro.placement.offline_kmeans import OfflineKMeansPlacement
 from repro.placement.online import OnlineClusteringPlacement
 
-from conftest import print_result
+from conftest import host_stamp, print_result
 
 BENCH_OUT = pathlib.Path(__file__).parent / "BENCH_kernels.json"
 
@@ -162,6 +163,7 @@ def test_kernel_speedups(evaluation_world, capsys):
             for name, t in workloads.items()
         },
         "aggregate_kernel_speedup": round(aggregate, 2),
+        "host": host_stamp(),
         "embed_rounds": {
             "system": "rnp", "n_nodes": matrix.n, "rounds": EMBED_ROUNDS,
             "kernel_ms": round(embed_kernel_s * 1e3, 3),
@@ -190,9 +192,9 @@ def test_kernel_speedups(evaluation_world, capsys):
     # its floor is correspondingly lower so scheduler noise cannot flake
     # the nightly job.
     assert aggregate >= 2.5, doc
-    # Sequential over points, vectorized inside a step: measured 2.65x,
-    # floor with 25 % headroom.
-    assert speedups["cf_absorb_stream"] >= 2.0, doc
+    # Sequential over points, no numpy call per absorbed point: measured
+    # 4.2x, floor with 25 % headroom.
+    assert speedups["cf_absorb_stream"] >= 3.3, doc
     assert speedups["placement_online_end_to_end"] >= 1.0, doc
     # ~5 batched wave steps per round instead of 226 node updates:
     # measured 17.96x, floor with 25 % headroom.

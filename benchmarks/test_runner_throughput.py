@@ -17,17 +17,15 @@ pool overhead to pay.
 import json
 import os
 import pathlib
-import platform
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.analysis.experiment import EvaluationSetting, run_figure1
 
-from conftest import print_result
+from conftest import host_stamp, print_result
 
 BENCH_OUT = pathlib.Path(__file__).parent / "BENCH_runner.json"
 
@@ -40,17 +38,6 @@ TOTAL_JOBS = len(SWEEP["datacenter_counts"]) * 4 * SETTING.n_runs
 #: The CI floor: parallel must beat serial by this factor when the
 #: preconditions (>= 200 jobs, >= 2 workers on >= 2 CPUs) hold.
 SPEEDUP_FLOOR = 1.5
-
-
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def _timed(fn):
@@ -92,9 +79,7 @@ def test_runner_throughput(capsys):
                   "n_runs": SETTING.n_runs, "jobs_total": TOTAL_JOBS,
                   **{k: list(v) if isinstance(v, tuple) else v
                      for k, v in SWEEP.items()}},
-        "host": {"cpu_model": _cpu_model(), "cpu_count": cpus,
-                 "python": platform.python_version(),
-                 "numpy": np.__version__},
+        "host": host_stamp(),
         "workers": workers,
         "serial_seconds": round(serial_s, 3),
         "parallel_seconds": round(parallel_s, 3),

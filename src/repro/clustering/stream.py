@@ -24,6 +24,7 @@ vectorised ``numpy`` backend or, under
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -202,8 +203,16 @@ class OnlineClusterer:
         return sum(c.weight for c in self.clusters)
 
     def add(self, point: np.ndarray, weight: float = 1.0) -> None:
-        """Process one stream point per the paper's maintenance rule."""
+        """Process one stream point per the paper's maintenance rule.
+
+        A point or weight holding NaN or infinity raises ``ValueError``:
+        it would poison a cluster's sums or become a cluster of its own,
+        and either would ship to placement.
+        """
         point = np.asarray(point, dtype=float)
+        if not (np.isfinite(point).all() and math.isfinite(weight)):
+            raise ValueError(f"point {point.tolist()} with weight "
+                             f"{weight!r} is not finite")
         self.points_seen += 1
         registry = obs.get_registry()
         if not self.clusters:
@@ -277,7 +286,9 @@ class OnlineClusterer:
         ``(n, d)`` array and an ``(n,)`` weight vector reach the kernel
         as they are; any other iterable of points is stacked first.
         Spawn/absorb/merge events are counted in aggregate (individual
-        tracer spans are not emitted on this path).
+        tracer spans are not emitted on this path).  As in :meth:`add`, a
+        non-finite point or weight raises ``ValueError`` (naming the
+        first such row) before any of the block is folded in.
         """
         if not isinstance(points, np.ndarray):
             points = list(points)
@@ -300,6 +311,13 @@ class OnlineClusterer:
                     f"got shape {point_weights.shape}")
         if np.any(point_weights < 0):
             raise ValueError("weight must be non-negative")
+        finite = np.isfinite(point_array).all(axis=1) & np.isfinite(
+            point_weights)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise ValueError(f"row {row} is not finite: point "
+                             f"{point_array[row].tolist()} with weight "
+                             f"{float(point_weights[row])!r}")
 
         m = len(self.clusters)
         d = point_array.shape[1]

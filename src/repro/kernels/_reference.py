@@ -14,9 +14,10 @@ imports this module.
 Operation order is part of the contract: squared differences fold left
 to right over the last axis and ties resolve to the lowest index — that
 is what makes the numpy kernels *bitwise* comparable for d <= 2.  From
-d = 3 on ``einsum`` reduces in another order (``(x² + z²) + y²``), so
-distances can differ in the last ulp and an exact tie in the absorb rule
-can fall the other way (``tests/unit/test_absorb_kernel.py`` pins one).
+d = 3 on they sum in another order (``(x² + z²) + y²``: the CF kernels'
+``two_lane_fold``, the ``einsum`` of the k-means kernels), so distances
+can differ in the last ulp and an exact tie in the absorb rule can fall
+the other way (``tests/unit/test_absorb_kernel.py`` pins one).
 """
 
 from __future__ import annotations

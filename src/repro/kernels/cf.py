@@ -9,14 +9,19 @@ CF vector algebra (merge, split, deviations) the property suite
 certifies.
 
 Everything is deterministic and RNG-free: absorb/spawn/merge decisions
-depend only on the inputs, and ties resolve to the lowest index.  These
-are the numpy kernels only; each function coerces and validates its
-arguments, then has one dispatch point: under ``use_backend("python")``
-it hands them to its scalar twin in :mod:`repro.kernels._reference`.
+depend only on the inputs, and ties resolve to the lowest index.  Every
+squared distance is summed in one order, :func:`two_lane_fold`: by numpy
+column arithmetic in :func:`nearest_row` and :func:`closest_pair`, and
+on python floats inside :func:`absorb_stream`, whose per-point step
+makes no numpy call.  These are the production kernels; each function
+coerces and validates its arguments, then has one dispatch point: under
+``use_backend("python")`` it hands them to its scalar twin in
+:mod:`repro.kernels._reference`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +33,7 @@ __all__ = [
     "deviations",
     "merge_rows",
     "split_row",
+    "two_lane_fold",
     "closest_pair",
     "nearest_row",
     "absorb_stream",
@@ -116,6 +122,67 @@ def split_row(count: float, weight: float, linear: np.ndarray,
     return (n1, w1, ls1, ss1), (n2, w2, ls2, ss2)
 
 
+def two_lane_fold(terms):
+    """Sum ``terms`` in the one order every squared distance here uses.
+
+    (even-index terms, left to right) + (odd-index terms, left to right):
+    ``(t0 + t2) + t1`` at d = 3.  This is the order in which numpy's
+    ``einsum("ij,ij->i")`` reduces rows of up to 7 products, so every
+    decision recorded while the kernels called ``einsum`` still holds.
+    Terms may be python floats, numpy arrays (one column each) or any
+    other type with ``+``; ``sum()`` is avoided because from Python 3.12
+    it compensates float rounding.
+
+    >>> two_lane_fold([1.0, 2.0, 4.0])
+    7.0
+    """
+    even = terms[0]
+    for term in terms[2::2]:
+        even = even + term
+    if len(terms) == 1:
+        return even
+    odd = terms[1]
+    for term in terms[3::2]:
+        odd = odd + term
+    return even + odd
+
+
+def _square_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis, summed by :func:`two_lane_fold`."""
+    squares = diff * diff
+    return two_lane_fold([squares[..., k] for k in range(diff.shape[-1])])
+
+
+class _Source(str):
+    """A summand as source text; ``+`` yields the source of the sum."""
+
+    def __add__(self, other):
+        return _Source(f"({self} + {other})")
+
+
+@functools.cache
+def _distance_row(d: int):
+    """``(rows, point) -> list`` of the squared distances from ``point``
+    to each d-dimensional row, all python floats.
+
+    The loop body is :func:`two_lane_fold` written out for ``d`` terms,
+    generated once per dimension, so each entry equals the one
+    :func:`nearest_row` and :func:`closest_pair` compute, bit for bit.
+    """
+    dims = range(d)
+    source = ["def distances(rows, point):",
+              "    " + "".join(f"x{k}, " for k in dims) + "= point",
+              "    out = []",
+              "    append = out.append",
+              "    for " + "".join(f"c{k}, " for k in dims) + "in rows:"]
+    source += [f"        e{k} = c{k} - x{k}" for k in dims]
+    total = two_lane_fold([_Source(f"e{k} * e{k}") for k in dims])
+    source += [f"        append({total})", "    return out"]
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["distances"]
+
+
 def closest_pair(centroids: np.ndarray) -> tuple[int, int]:
     """Indices ``(keep, drop)`` of the two closest rows, ``keep < drop``.
 
@@ -127,13 +194,10 @@ def closest_pair(centroids: np.ndarray) -> tuple[int, int]:
     if oracle := scalar_oracle():
         return oracle.closest_pair(centroids)
     # Direct (m, m, d) broadcast: micro-cluster budgets are small
-    # (m <= a few dozen), and the explicit difference keeps the pair
-    # distances bitwise-identical to the scalar oracle's
-    # sum-of-squared-differences for d <= 2 — the Gram-matrix trick
-    # would not.  (From d = 3 on, einsum reduces in another order than
-    # the oracle's left-to-right fold: last-ulp differences.)
-    diff = centroids[:, None, :] - centroids[None, :, :]
-    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    # (m <= a few dozen), and the explicit difference keeps every pair
+    # distance bitwise-identical to the block kernel's — the
+    # Gram-matrix trick would not.
+    dist = _square_norms(centroids[:, None, :] - centroids[None, :, :])
     np.fill_diagonal(dist, np.inf)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return (int(i), int(j)) if i < j else (int(j), int(i))
@@ -143,8 +207,7 @@ def nearest_row(centroids: np.ndarray, point: np.ndarray) -> tuple[int, float]:
     """Index of, and squared distance to, the row nearest ``point``."""
     if oracle := scalar_oracle():
         return oracle.nearest_row(centroids, point)
-    diff = centroids - point[None, :]
-    sq = np.einsum("ij,ij->i", diff, diff)
+    sq = _square_norms(centroids - point[None, :])
     nearest = int(np.argmin(sq))
     return nearest, float(sq[nearest])
 
@@ -164,11 +227,15 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     Returns the updated rows plus ``{"spawned", "absorbed", "merged"}``
     event counts for the metrics registry.
 
-    The numpy kernel equals the sequential :func:`nearest_row` /
-    :func:`closest_pair` path bit for bit in any dimension.  Against the
-    scalar oracle that holds for d <= 2 only: at d = 3 a point exactly
-    one deviation from a centroid can absorb on one backend and spawn
-    (then merge straight back) on the other — same rows, other counts.
+    An absorbed point costs O(m d) python float arithmetic and no numpy
+    call; numpy does only the per-merge closest-pair work.  The kernel
+    equals the sequential :func:`nearest_row` / :func:`closest_pair`
+    path bit for bit in any dimension, by construction: all three sum
+    squared distances by :func:`two_lane_fold`.  Against the scalar
+    oracle, which folds left to right, that holds for d <= 2 only: at
+    d = 3 a point exactly one deviation from a centroid can absorb on
+    one backend and spawn (then merge straight back) on the other — same
+    rows, other counts.
 
     >>> start = np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
     >>> points = np.array([[0.0, 0.0], [0.1, 0.0], [500.0, 0.0]])
@@ -182,38 +249,39 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
             return oracle.absorb_stream(counts, weights, linear, square,
                                         points, point_weights,
                                         radius_floor, max_clusters)
-        return _absorb_stream_numpy(counts, weights, linear, square,
-                                    points, point_weights,
-                                    radius_floor, max_clusters)
+        return _absorb_block(counts, weights, linear, square, points,
+                             point_weights, radius_floor, max_clusters)
 
 
-def _absorb_stream_numpy(counts, weights, linear, square, points,
-                         point_weights, radius_floor, max_clusters):
+def _absorb_block(counts, weights, linear, square, points, point_weights,
+                  radius_floor, max_clusters):
     # The stream rule is inherently sequential (each decision sees the
     # clusters as the previous point left them), so the loop over points
-    # stays in python and costs O(m) numpy work per point: one subtract
-    # and one einsum of the point against the live centroid rows.  CF
-    # sums live in python floats — IEEE scalar arithmetic in the same
-    # operation order is bitwise-identical to the elementwise numpy
-    # pipeline and far cheaper than ufunc dispatch on d-vectors.
+    # stays in python, and so does everything an absorbed point touches:
+    # CF sums, centroids and radii are python floats and the nearest
+    # search is one :func:`_distance_row` call.  IEEE scalar arithmetic
+    # in the same operation order is bitwise-identical to the
+    # elementwise numpy pipeline and far cheaper than ufunc dispatch on
+    # d-vectors.  Ties go to the first minimum (``min`` then ``index``),
+    # as ``np.argmin`` does for non-NaN input (``OnlineClusterer``
+    # rejects non-finite points).
     #
-    # ``pair`` holds the squared centroid-pair distances above the
-    # diagonal (inf elsewhere) and is maintained lazily: a spawned
-    # centroid *is* its point, so its column is the distance row the
-    # nearest search just produced; an absorb or merge moves a centroid
-    # and only marks it stale; stale rows are recomputed right before
-    # the next merge reads the matrix.  Only merges read it, so a stretch
-    # of absorbs costs no pair work at all and a centroid that moves
-    # several times between merges is recomputed once.  Every distance,
-    # point-to-centroid or pair, comes from the same subtract +
-    # ``einsum("ij,ij->i")``, so they agree bitwise with
-    # :func:`nearest_row` and :func:`closest_pair`.
+    # Numpy keeps what only merges read: ``pair`` holds the squared
+    # centroid-pair distances above the diagonal (inf elsewhere), so the
+    # closest pair is one row-major ``argmin`` — the first pair on ties,
+    # as in :func:`closest_pair` — and a merge's row shift is two slice
+    # copies.  It is maintained lazily: a spawned centroid *is* its
+    # point, so its column is the distance row the nearest search just
+    # produced; an absorb or merge moves a centroid and only marks it
+    # stale; stale rows are recomputed right before the next merge reads
+    # the matrix.  A stretch of absorbs costs no pair work, and a
+    # centroid that moves several times between merges is recomputed
+    # once.
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
     cap = max_clusters + 1
     sqrt = math.sqrt
-    einsum = np.einsum
-    subtract = np.subtract
+    distances = _distance_row(d)
     cnt = np.asarray(counts, dtype=float).tolist()
     wts = np.asarray(weights, dtype=float).tolist()
     if cnt:
@@ -222,33 +290,34 @@ def _absorb_stream_numpy(counts, weights, linear, square, points,
     else:
         ls, ss = [], []
 
-    def radius_of(j):
+    def refresh(j):
+        # Centroid and absorption radius of row j from its CF sums.
         c = cnt[j]
+        centroid = []
         total = 0.0
         for l, s in zip(ls[j], ss[j]):
             mean = l / c
+            centroid.append(mean)
             total += s / c - mean * mean
-        return max(sqrt(max(total, 0.0)), radius_floor)
+        ctr[j] = centroid
+        rad[j] = max(sqrt(max(total, 0.0)), radius_floor)
 
     n = len(cnt)
-    rad = [radius_of(j) for j in range(n)]
-    ctr = np.empty((cap, d))
+    ctr = [None] * n
+    rad = [0.0] * n
     for j in range(n):
-        ctr[j] = [l / cnt[j] for l in ls[j]]
-    diff = np.empty((cap, d))
-    sq = np.empty(cap)
+        refresh(j)
     pair = np.full((cap, cap), np.inf)
     stale = set(range(n))
-    stats = {"spawned": 0, "absorbed": 0, "merged": 0}
+    spawned = merged = 0
 
-    for i, (p, w) in enumerate(zip(points.tolist(),
-                                   np.asarray(point_weights,
-                                              dtype=float).tolist())):
+    for p, w in zip(points.tolist(),
+                    np.asarray(point_weights, dtype=float).tolist()):
         if n:
-            subtract(ctr[:n], points[i], out=diff[:n])
-            einsum("ij,ij->i", diff[:n], diff[:n], out=sq[:n])
-            nearest = int(sq[:n].argmin())
-            if sqrt(sq[nearest]) <= rad[nearest]:
+            sq = distances(ctr, p)
+            best = min(sq)
+            nearest = sq.index(best)
+            if sqrt(best) <= rad[nearest]:
                 cnt[nearest] += 1.0
                 wts[nearest] += w
                 row_ls = ls[nearest]
@@ -256,30 +325,24 @@ def _absorb_stream_numpy(counts, weights, linear, square, points,
                 for dim, x in enumerate(p):
                     row_ls[dim] += x
                     row_ss[dim] += x * x
-                c = cnt[nearest]
-                ctr[nearest] = [l / c for l in row_ls]
+                refresh(nearest)
                 stale.add(nearest)
-                rad[nearest] = radius_of(nearest)
-                stats["absorbed"] += 1
                 continue
-            pair[:n, n] = sq[:n]
+            pair[:n, n] = sq
         cnt.append(1.0)
         wts.append(w)
-        ls.append(p)
+        ls.append(list(p))
         ss.append([x * x for x in p])
-        ctr[n] = points[i]
+        ctr.append(p)
         rad.append(radius_floor)  # singleton deviation is zero
         n += 1
-        stats["spawned"] += 1
+        spawned += 1
         if n > max_clusters:  # n == cap: the matrix is fully populated
             for j in stale:
-                subtract(ctr, ctr[j], out=diff)
-                einsum("ij,ij->i", diff, diff, out=sq)
-                pair[:j, j] = sq[:j]
-                pair[j, j + 1:] = sq[j + 1:]
+                row = distances(ctr, ctr[j])
+                pair[:j, j] = row[:j]
+                pair[j, j + 1:] = row[j + 1:]
             stale.clear()
-            # Row-major argmin over the upper triangle: ties resolve to
-            # the first pair, as in :func:`closest_pair`.
             keep, drop = divmod(int(pair.argmin()), cap)
             cnt[keep] += cnt[drop]
             wts[keep] += wts[drop]
@@ -288,20 +351,19 @@ def _absorb_stream_numpy(counts, weights, linear, square, points,
             for dim, (l, s) in enumerate(zip(ls[drop], ss[drop])):
                 row_ls[dim] += l
                 row_ss[dim] += s
-            for seq in (cnt, wts, ls, ss, rad):
+            for seq in (cnt, wts, ls, ss, ctr, rad):
                 del seq[drop]
             n -= 1
             # Deleting ``drop`` shifts later rows up (insertion order is
             # the tie-break order); the vacated last column is rewritten
             # by the next spawn before anything reads it.
-            ctr[drop:n] = ctr[drop + 1:]
             pair[drop:n] = pair[drop + 1:]
             pair[:, drop:n] = pair[:, drop + 1:]
-            c = cnt[keep]
-            ctr[keep] = [l / c for l in row_ls]
+            refresh(keep)
             stale.add(keep)
-            rad[keep] = radius_of(keep)
-            stats["merged"] += 1
+            merged += 1
+    stats = {"spawned": spawned, "absorbed": len(points) - spawned,
+             "merged": merged}
     return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
             np.asarray(ls, dtype=float).reshape(n, d),
             np.asarray(ss, dtype=float).reshape(n, d),

@@ -10,7 +10,8 @@ gate the batched :mod:`repro.kernels.cf` kernels.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering.stream import ClusterFeature
+from repro import obs
+from repro.clustering.stream import ClusterFeature, OnlineClusterer
 from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 
@@ -165,3 +166,60 @@ def test_absorb_stream_backend_equivalence(stream, budget):
         np.testing.assert_array_equal(a, b)
     assert fast[4] == slow[4]
     assert fast[0].shape[0] <= budget
+
+
+# ----------------------------------------------------------------------
+# The block kernel equals the sequential ``add`` path on exact ties
+# ----------------------------------------------------------------------
+@st.composite
+def letter_streams(draw):
+    """A stream over 2–6 integer-valued letters in d = 1 … 7.
+
+    Every sum is exact, so a repeated letter lands *exactly* one
+    deviation from a two-member centroid — and, when the letters lie on
+    one axis, exactly as far from two centroids: the ties where the
+    block kernel and the per-point path could part.  ``split`` points
+    are folded in first (the carried start), the rest form the block.
+    """
+    d = draw(st.integers(min_value=1, max_value=7))
+    letters = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        min_size=2, max_size=6))
+    if draw(st.booleans()):
+        letters = [[row[0]] + [0] * (d - 1) for row in letters]
+    picks = draw(st.lists(st.integers(0, len(letters) - 1),
+                          min_size=1, max_size=40))
+    weights = draw(st.lists(weight, min_size=len(picks),
+                            max_size=len(picks)))
+    split = (draw(st.integers(0, len(picks) - 1))
+             if draw(st.booleans()) else 0)
+    return (draw(st.integers(min_value=1, max_value=12)),
+            draw(st.sampled_from([0.0, 1.0, 2.0])),
+            np.array([letters[i] for i in picks], dtype=float),
+            np.array(weights), split)
+
+
+@settings(deadline=None, max_examples=200)
+@given(letter_streams())
+def test_block_kernel_equals_sequential_add_on_tied_letters(case):
+    m, floor, points, weights, split = case
+    start = OnlineClusterer(m, floor)
+    for p, w in zip(points[:split], weights[:split]):
+        start.add(p, weight=float(w))
+    rows = (as_rows(*start.clusters) if len(start)
+            else (np.zeros(0), np.zeros(0), np.zeros((0, points.shape[1])),
+                  np.zeros((0, points.shape[1]))))
+    counts, cl_weights, linear, square, stats = cfk.absorb_stream(
+        *rows, points[split:], weights[split:], floor, m)
+
+    sequential = OnlineClusterer(m, floor)
+    sequential.replace_clusters(start.snapshot())
+    with obs.observe() as (registry, _):
+        for p, w in zip(points[split:], weights[split:]):
+            sequential.add(p, weight=float(w))
+    assert stats == {event: int(registry.counter(
+        f"clustering.micro.{event}").snapshot())
+        for event in ("spawned", "absorbed", "merged")}
+    want = as_rows(*sequential.clusters)
+    for got, expected in zip((counts, cl_weights, linear, square), want):
+        np.testing.assert_array_equal(got, expected)

@@ -1,15 +1,20 @@
 """The block absorb kernel against its three references.
 
 * the sequential :meth:`OnlineClusterer.add` path (both on the numpy
-  backend) — the contract ``extend`` documents;
-* the kernel it replaced (``absorb_stream_pr14``, kept only as a test
-  fixture) — bitwise on the four CF arrays *and* the event counts;
+  backend) — the contract ``extend`` documents, bitwise in any dimension
+  because both sum squared distances by ``two_lane_fold``;
+* the answers of the per-point numpy kernel it replaced, recorded in
+  ``tests/data/absorb_digests.json`` — bitwise on the four CF arrays
+  *and* the event counts;
 * the scalar oracle at d = 3, where event counts are known to differ
   (pinned, not fixed — see ROADMAP aim 3).
 
-Plus the closest-pair tie rule, Table II's batch ingest, and a
-work-count guard against a distinct-point cliff.
+Plus the fold's agreement with ``einsum``, the closest-pair tie rule,
+Table II's batch ingest, and a guard that absorbing makes no numpy call.
 """
+
+import collections
+import json
 
 import numpy as np
 import pytest
@@ -21,39 +26,22 @@ from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 from repro.runner import seed_sequence
 
-from tests.unit.absorb_stream_pr14 import absorb_stream_pr14
-
-DIMS = (2, 3, 5)
-BUDGETS = (1, 2, 4, 7, 10, 11, 100)
-RADIUS_FLOOR = 5.0
-
-
-def empty_rows(d):
-    return np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d))
-
-
-def make_stream(kind, d, rng):
-    """``(points, weights)`` of one of the shapes the repo feeds the kernel."""
-    if kind == "blobs":                 # store flushes: clustered clients
-        centers = rng.uniform(-200, 200, size=(6, d))
-        points = centers[rng.integers(0, 6, size=240)] + rng.normal(
-            0, 6, size=(240, d))
-    elif kind == "repeated":            # placement.online: each row x 3
-        points = np.repeat(rng.uniform(-150, 150, size=(70, d)), 3, axis=0)
-    elif kind == "distinct":            # Table II: no point twice
-        points = rng.uniform(-300, 300, size=(260, d))
-    else:                               # "ties": equally spaced lattice
-        points = np.zeros((90, d))
-        points[:, 0] = 20.0 * rng.permutation(90)
-    return points, rng.uniform(0.25, 4.0, size=len(points))
+from tests.data import absorb_instances
+from tests.data.absorb_instances import (
+    BUDGETS,
+    DIMS,
+    RADIUS_FLOOR,
+    carried_rows,
+    digest,
+    empty_rows,
+    make_stream,
+)
 
 
-def carried_rows(d, m, rng):
-    """CF rows a previous block left behind (at most ``m`` of them)."""
-    points = rng.uniform(-200, 200, size=(3 * m + 5, d))
-    rows = cfk.absorb_stream(*empty_rows(d), points, np.ones(len(points)),
-                             RADIUS_FLOOR, m)
-    return rows[:4]
+@pytest.fixture(scope="module")
+def recorded():
+    with open(absorb_instances.DIGESTS) as handle:
+        return json.load(handle)
 
 
 def clusterer_from(rows, m):
@@ -70,19 +58,19 @@ def assert_rows_equal(got, want):
         np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("kind", ["blobs", "repeated", "distinct", "ties"])
+@pytest.mark.parametrize("kind", absorb_instances.KINDS)
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("carried", [False, True], ids=["empty", "carried"])
-def test_kernel_matches_sequential_add_and_previous_kernel(kind, d, carried):
+def test_kernel_matches_sequential_add_and_previous_kernel(kind, d, carried,
+                                                           recorded):
     for m in BUDGETS:
         rng = np.random.default_rng([d, m, carried])
         points, weights = make_stream(kind, d, rng)
         start = carried_rows(d, m, rng) if carried else empty_rows(d)
 
         got = cfk.absorb_stream(*start, points, weights, RADIUS_FLOOR, m)
-        want = absorb_stream_pr14(*start, points, weights, RADIUS_FLOOR, m)
-        assert_rows_equal(got, want)
-        assert got[4] == want[4]
+        name = f"{kind}/d{d}/m{m}/{'carried' if carried else 'empty'}"
+        assert digest(got) == recorded["grid"][name], name
         assert got[4]["spawned"] + got[4]["absorbed"] == len(points)
         assert got[0].shape[0] <= m
 
@@ -96,6 +84,32 @@ def test_kernel_matches_sequential_add_and_previous_kernel(kind, d, carried):
             assert (a.count, a.weight) == (b.count, b.weight)
             np.testing.assert_array_equal(a.linear_sum, b.linear_sum)
             np.testing.assert_array_equal(a.square_sum, b.square_sum)
+
+
+@pytest.mark.parametrize("group", ["online", "store", "table2", "letters"])
+def test_recorded_streams_equal_the_previous_kernel(group, recorded):
+    # The grid group is checked, stream by stream, above.
+    answers = json.loads(json.dumps(absorb_instances.GROUPS[group]()))
+    assert answers == recorded[group]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_two_lane_fold_equals_einsum_up_to_seven_dims(d):
+    rng = np.random.default_rng(d)
+    diff = rng.normal(size=(4_000, d)) * rng.uniform(0.1, 400.0,
+                                                      size=(4_000, 1))
+    squares = diff * diff
+    # Both spellings of the fold: numpy columns (nearest_row,
+    # closest_pair) and the python-float distance row (absorb_stream).
+    fold = cfk.two_lane_fold([squares[:, k] for k in range(d)])
+    row = cfk._distance_row(d)(diff.tolist(), [0.0] * d)
+    np.testing.assert_array_equal(row, fold)
+    assert np.array_equal(fold, np.einsum("ij,ij->i", diff, diff)), (
+        f"two_lane_fold no longer matches einsum('ij,ij->i') at d = {d} on "
+        "this numpy build.  The absorb kernel replaced einsum by the fold "
+        "on the promise that they agree bit for bit for d <= 7; that "
+        "agreement is what keeps benchmarks/e2e/golden.json (recorded "
+        "with einsum) valid on the numpy build.")
 
 
 def test_closest_pair_ties_take_the_first_pair_and_keep_insertion_order():
@@ -133,7 +147,7 @@ def _three_d_tie_stream():
     """Seeded 12-point, 4-letter, m = 2 stream in 3-D.
 
     Two-point clusters put a repeated letter *exactly* one deviation
-    from the centroid; ``einsum`` reduces the 3-vector of squares as
+    from the centroid; ``two_lane_fold`` sums the 3-vector of squares as
     ``(x² + z²) + y²`` while the oracle folds left to right, so the two
     land on opposite sides of ``distance <= radius``.
     """
@@ -154,9 +168,9 @@ def test_three_d_backends_agree_on_rows():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "at d = 3 einsum's reduction order differs from the oracle's "
+    "at d = 3 two_lane_fold sums in another order than the oracle's "
     "left-to-right fold; exact one-deviation ties flip absorb <-> spawn "
-    "(ROADMAP aim 3: fold left to right in the numpy kernel and "
+    "(ROADMAP aim 3: make two_lane_fold fold left to right and "
     "regenerate golden.json in a change of its own)"))
 def test_three_d_backends_agree_on_events():
     _, fast, oracle = _three_d_tie_stream()
@@ -202,8 +216,8 @@ def test_table2_batch_ingest_equals_per_access_ingest(n_accesses, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# No distinct-point cliff: numpy work per point does not depend on how
-# many different points the block holds
+# Absorbing makes no numpy call: numpy work does not grow with the block
+# or with how many different points it holds
 # ----------------------------------------------------------------------
 def test_distinct_points_cost_no_more_numpy_work_than_repeated_ones(
         monkeypatch):
@@ -215,21 +229,39 @@ def test_distinct_points_cost_no_more_numpy_work_than_repeated_ones(
     # well inside the absorption radius.
     distinct = repeated + rng.uniform(-0.5, 0.5, size=(npts, 3))
     assert len(np.unique(distinct, axis=0)) == npts
+    start = cfk.absorb_stream(*empty_rows(3), letters, np.ones(20),
+                              RADIUS_FLOOR, m)[:4]
+    assert len(start[0]) == 20
 
-    rows_per_call = []
-    einsum = np.einsum
+    calls = collections.Counter()
 
-    def counting(subscripts, *operands, **kwargs):
-        rows_per_call.append(operands[0].shape[0])
-        return einsum(subscripts, *operands, **kwargs)
+    class CountingNumpy:
+        """``np`` as the kernel module sees it: every lookup is counted."""
 
-    monkeypatch.setattr(np, "einsum", counting)
-    calls = {}
-    for name, block in (("repeated", repeated), ("distinct", distinct)):
-        rows_per_call.clear()
-        stats = cfk.absorb_stream(*empty_rows(3), block, np.ones(npts),
+        def __getattr__(self, name):
+            calls[f"np.{name}"] += 1
+            return getattr(np, name)
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[f"{name}()"] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cfk, "np", CountingNumpy())
+    # The entry points the per-point numpy search called for every point.
+    for name in ("einsum", "subtract"):
+        monkeypatch.setattr(np, name, counting(name))
+
+    used = {}
+    for name, block in (("repeated", repeated), ("distinct", distinct),
+                        ("short", repeated[:50])):
+        calls.clear()
+        stats = cfk.absorb_stream(*start, block, np.ones(len(block)),
                                   RADIUS_FLOOR, m)[4]
-        assert stats == {"spawned": 20, "absorbed": npts - 20, "merged": 0}
-        assert max(rows_per_call) <= m + 1
-        calls[name] = len(rows_per_call)
-    assert calls["distinct"] <= calls["repeated"] <= npts
+        assert stats == {"spawned": 0, "absorbed": len(block), "merged": 0}
+        assert calls["einsum()"] == calls["subtract()"] == 0
+        used[name] = dict(calls)
+    assert used["distinct"] == used["repeated"] == used["short"]

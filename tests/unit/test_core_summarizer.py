@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core import ReplicaAccessSummary
 
 
@@ -52,6 +53,56 @@ class TestRecording:
         # Thousands of accesses, but the summary is a handful of clusters.
         assert s.wire_size_bytes() <= 4 * (16 + 2 * 8 * 2)
         assert s.wire_size_bytes() > 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+class TestNonFiniteInput:
+    """A NaN or infinite coordinate or weight is refused, not folded in:
+    it would poison a cluster's sums or become a cluster of its own, and
+    the summary ships to ``place_replicas``."""
+
+    def summary_with_history(self):
+        s = ReplicaAccessSummary(4, 5.0)
+        s.record_batch(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        return s, s.snapshot()
+
+    def assert_untouched(self, s, before):
+        assert s.accesses == 2 and s.bytes_served == 2.0
+        assert len(s) == len(before)
+        for got, want in zip(s.snapshot(), before):
+            assert (got.count, got.weight) == (want.count, want.weight)
+            np.testing.assert_array_equal(got.linear_sum, want.linear_sum)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_record_batch_names_the_first_bad_point(self, backend, bad):
+        rows = np.array([[0.0, 0.0, 0.0], [bad, 1.0, 1.0], [1.0, 0.0, 0.0],
+                         [50.0, 0.0, 0.0], [0.5, bad, 0.0]])
+        with kernels.use_backend(backend):
+            s, before = self.summary_with_history()
+            with pytest.raises(ValueError, match="row 1 is not finite"):
+                s.record_batch(rows)
+        self.assert_untouched(s, before)
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_record_batch_refuses_a_bad_weight(self, backend, bad):
+        with kernels.use_backend(backend):
+            s, before = self.summary_with_history()
+            with pytest.raises(ValueError, match="row 2 is not finite"):
+                s.record_batch(np.zeros((3, 3)), np.array([1.0, 2.0, bad]))
+        self.assert_untouched(s, before)
+
+    @pytest.mark.parametrize("point, weight", [
+        ([NAN, 1.0, 1.0], 1.0), ([INF, 0.0, 0.0], 1.0),
+        ([0.0, 0.0, 0.0], NAN), ([0.0, 0.0, 0.0], INF)])
+    def test_record_access_refuses_it(self, backend, point, weight):
+        with kernels.use_backend(backend):
+            s, before = self.summary_with_history()
+            with pytest.raises(ValueError, match="not finite"):
+                s.record_access(np.array(point), weight)
+        self.assert_untouched(s, before)
 
 
 class TestDecay:

@@ -105,8 +105,7 @@ def test_epoch_kernel(benchmark):
 
     def one_epoch():
         for site in controller.sites:
-            for p in points[:128]:
-                controller.record_access(site, p)
+            controller.record_batch(site, points[:128])
         controller.run_epoch(np.random.default_rng(1))
 
     benchmark(one_epoch)

@@ -31,8 +31,7 @@ K = 3
 
 def _summaries_from(coords_rows, m=10):
     summary = ReplicaAccessSummary(m, radius_floor=5.0)
-    for row in coords_rows:
-        summary.record_access(row)
+    summary.record_batch(coords_rows)
     return summary.snapshot()
 
 

@@ -64,13 +64,14 @@ def test_all_floors_within_sane_band(floor_sweep):
 
 
 def test_ingest_kernel_with_default_floor(benchmark):
+    # Block ingest of a 4 096-access stream into a fresh summary.
     rng = np.random.default_rng(0)
     points = rng.normal(0, 80, size=(4096, 3))
-    summary = ReplicaAccessSummary(max_micro_clusters=10, radius_floor=5.0)
-    counter = {"i": 0}
 
-    def one():
-        i = counter["i"] = (counter["i"] + 1) % 4096
-        summary.record_access(points[i])
+    def ingest():
+        summary = ReplicaAccessSummary(max_micro_clusters=10,
+                                       radius_floor=5.0)
+        summary.record_batch(points)
+        return summary
 
-    benchmark(one)
+    assert benchmark(ingest).accesses == 4096

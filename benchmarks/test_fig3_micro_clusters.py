@@ -70,13 +70,17 @@ def test_fig3_single_micro_cluster_clearly_worse(figure3):
 
 
 def test_fig3_ingest_kernel(benchmark):
+    # Block ingest, as a store's flush runs it: one record_batch of a
+    # 4 096-access stream into a fresh m = 11 summary.
     rng = np.random.default_rng(0)
-    summary = ReplicaAccessSummary(max_micro_clusters=11, radius_floor=5.0)
     points = rng.uniform(-200, 200, size=(4096, 3))
-    counter = {"i": 0}
 
-    def one_access():
-        i = counter["i"] = (counter["i"] + 1) % 4096
-        summary.record_access(points[i])
+    def ingest():
+        summary = ReplicaAccessSummary(max_micro_clusters=11,
+                                       radius_floor=5.0)
+        summary.record_batch(points)
+        return summary
 
-    benchmark(one_access)
+    summary = benchmark(ingest)
+    assert summary.accesses == 4096
+    assert len(summary) <= 11

@@ -88,8 +88,8 @@ def test_table2_macro_clustering_kernel(benchmark):
     summaries = [ReplicaAccessSummary(100, radius_floor=10.0)
                  for _ in range(3)]
     points = rng.uniform(-200, 200, size=(3000, 3))
-    for i, p in enumerate(points):
-        summaries[i % 3].record_access(p)
+    for i, summary in enumerate(summaries):
+        summary.record_batch(points[i::3])  # replica i sees every third
     pooled = [c for s in summaries for c in s.snapshot()]
     dc_coords = rng.uniform(-200, 200, size=(20, 3))
     benchmark(lambda: place_replicas(pooled, 3, dc_coords,

@@ -350,10 +350,10 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
     The row's random streams derive from ``(seed, n_accesses)``, so rows
     are independent of each other — the property that lets
     :func:`run_table2` farm them out to workers and cache them
-    individually.  Each replica's summary ingests its shard with one
-    ``record_batch`` — summaries are independent, so per-shard order is
-    the absorption sequence per-access ``record_access`` calls would
-    produce, bit for bit.  Wall-clock costs are measured with
+    individually.  Each replica's summary ingests its shard, in stream
+    order, with one ``record_batch`` — summaries are independent, and
+    how a stream is cut into blocks does not change the result.
+    Wall-clock costs are measured with
     :class:`repro.obs.PhaseTimer` (``table2.online_ingest`` /
     ``table2.online_cluster`` / ``table2.offline_cluster``) on a local
     registry that is merged into the active one, so the numbers flow

@@ -16,15 +16,15 @@ vectors — exactly the properties the paper exploits.
 :class:`OnlineClusterer` maintains at most ``max_clusters`` CF vectors
 under the paper's rule: absorb a point into the nearest cluster when it
 falls within that cluster's standard deviation, otherwise spawn a new
-cluster and merge the two closest.  The numeric work routes through
-:mod:`repro.kernels.cf`, so the same maintenance rule runs on either the
-vectorised ``numpy`` backend or, under
-:func:`repro.kernels.use_backend`, the scalar ``python`` reference.
+cluster and merge the two closest.  Every point reaches the clusters
+through :meth:`OnlineClusterer.extend`, one block at a time, and the
+rule runs inside :func:`repro.kernels.cf.absorb_stream` — on the
+production backend or, under :func:`repro.kernels.use_backend`, the
+scalar ``python`` reference.  A block of one point is a valid block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -46,8 +46,7 @@ class ClusterFeature:
     """Additive summary of a set of points (a micro-cluster).
 
     Build one with :meth:`from_point`; grow it with :meth:`absorb` and
-    :meth:`merge`; divide it with :meth:`split`.  All statistics are
-    exact for the absorbed points.
+    :meth:`merge`.  All statistics are exact for the absorbed points.
 
     Examples
     --------
@@ -121,27 +120,10 @@ class ClusterFeature:
         self.linear_sum += other.linear_sum
         self.square_sum += other.square_sum
 
-    def split(self) -> tuple["ClusterFeature", "ClusterFeature"]:
-        """Divide into two halves that merge back to this cluster.
-
-        The halves sit one recovered standard deviation apart; ``count``
-        and ``weight`` are conserved exactly, ``linear_sum`` to within
-        one ulp (see :func:`repro.kernels.cf.split_row`).  Deterministic;
-        requires ``count >= 2``.
-        """
-        (c1, w1, ls1, ss1), (c2, w2, ls2, ss2) = _cf.split_row(
-            self.count, self.weight, self.linear_sum, self.square_sum)
-        return (ClusterFeature(_as_count(c1), w1, ls1, ss1),
-                ClusterFeature(_as_count(c2), w2, ls2, ss2))
-
     def copy(self) -> "ClusterFeature":
         """Deep copy (the arrays are duplicated)."""
         return ClusterFeature(self.count, self.weight,
                               self.linear_sum.copy(), self.square_sum.copy())
-
-    def distance_to(self, point: np.ndarray) -> float:
-        """Euclidean distance from the centroid to ``point``."""
-        return float(np.linalg.norm(self.centroid - np.asarray(point, float)))
 
     #: Serialized size in bytes: count (8) + weight (8) + two float64
     #: vectors.  Used by the Table II bandwidth accounting; comfortably
@@ -176,15 +158,6 @@ class OnlineClusterer:
         self.radius_floor = radius_floor
         self.clusters: list[ClusterFeature] = []
         self.points_seen = 0
-        # Row-per-cluster centroid cache so the per-point nearest-cluster
-        # search is one vectorised operation instead of a Python loop.
-        self._centroid_cache: np.ndarray | None = None
-
-    def _rebuild_cache(self) -> None:
-        if self.clusters:
-            self._centroid_cache = np.stack([c.centroid for c in self.clusters])
-        else:
-            self._centroid_cache = None
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -202,64 +175,6 @@ class OnlineClusterer:
         """Total payload weight absorbed across all clusters."""
         return sum(c.weight for c in self.clusters)
 
-    def add(self, point: np.ndarray, weight: float = 1.0) -> None:
-        """Process one stream point per the paper's maintenance rule.
-
-        A point or weight holding NaN or infinity raises ``ValueError``:
-        it would poison a cluster's sums or become a cluster of its own,
-        and either would ship to placement.
-        """
-        point = np.asarray(point, dtype=float)
-        if not (np.isfinite(point).all() and math.isfinite(weight)):
-            raise ValueError(f"point {point.tolist()} with weight "
-                             f"{weight!r} is not finite")
-        self.points_seen += 1
-        registry = obs.get_registry()
-        if not self.clusters:
-            self.clusters.append(ClusterFeature.from_point(point, weight))
-            self._rebuild_cache()
-            if registry.enabled:
-                registry.counter("clustering.micro.spawned").inc()
-                obs.get_tracer().record(obs.MICRO_SPAWN, clusters=1)
-            return
-
-        nearest, sq = _cf.nearest_row(self._centroid_cache, point)
-        cluster = self.clusters[nearest]
-        distance = float(np.sqrt(sq))
-        radius = max(cluster.deviation, self.radius_floor)
-        if distance <= radius:
-            cluster.absorb(point, weight)
-            self._centroid_cache[nearest] = cluster.centroid
-            if registry.enabled:
-                registry.counter("clustering.micro.absorbed").inc()
-                obs.get_tracer().record(obs.MICRO_ABSORB, cluster=nearest,
-                                        distance=distance)
-            return
-
-        self.clusters.append(ClusterFeature.from_point(point, weight))
-        self._centroid_cache = np.vstack([self._centroid_cache, point])
-        if registry.enabled:
-            registry.counter("clustering.micro.spawned").inc()
-            obs.get_tracer().record(obs.MICRO_SPAWN,
-                                    clusters=len(self.clusters))
-        if len(self.clusters) > self.max_clusters:
-            self._merge_closest_pair()
-
-    def _merge_closest_pair(self) -> None:
-        """Merge the two clusters with the closest centroids."""
-        centroids = self._centroid_cache
-        assert centroids is not None
-        keep, drop = _cf.closest_pair(centroids)
-        self.clusters[keep].merge(self.clusters[drop])
-        del self.clusters[drop]
-        self._centroid_cache = np.delete(centroids, drop, axis=0)
-        self._centroid_cache[keep] = self.clusters[keep].centroid
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter("clustering.micro.merged").inc()
-            obs.get_tracer().record(obs.MICRO_MERGE, kept=keep, dropped=drop,
-                                    clusters=len(self.clusters))
-
     def snapshot(self) -> list[ClusterFeature]:
         """Deep copies of the current micro-clusters (for shipping)."""
         return [c.copy() for c in self.clusters]
@@ -269,26 +184,27 @@ class OnlineClusterer:
         if len(clusters) > self.max_clusters:
             raise ValueError("cluster list exceeds the budget")
         self.clusters = list(clusters)
-        self._rebuild_cache()
 
     def reset(self) -> None:
         """Forget all state (used when a summary window rolls over)."""
         self.clusters.clear()
         self.points_seen = 0
-        self._centroid_cache = None
 
     def extend(self, points: np.ndarray | Iterable[np.ndarray],
                weights: np.ndarray | Iterable[float] | None = None) -> None:
-        """Feed many points through the batched absorption kernel.
+        """Process a block of stream points, in order, by the paper's rule.
 
-        Equivalent to calling :meth:`add` once per point, but the whole
-        block runs inside :func:`repro.kernels.cf.absorb_stream`.  An
-        ``(n, d)`` array and an ``(n,)`` weight vector reach the kernel
-        as they are; any other iterable of points is stacked first.
-        Spawn/absorb/merge events are counted in aggregate (individual
-        tracer spans are not emitted on this path).  As in :meth:`add`, a
-        non-finite point or weight raises ``ValueError`` (naming the
-        first such row) before any of the block is folded in.
+        The whole block runs inside :func:`repro.kernels.cf.absorb_stream`.
+        The result does not depend on how a stream is cut into blocks:
+        one block, or one call per point, leaves bitwise-equal clusters
+        and event counts.  An ``(n, d)`` array and an ``(n,)`` weight
+        vector reach the kernel as they are; any other iterable of
+        points is stacked first.  Spawn/absorb/merge events are counted
+        in the ``clustering.micro.*`` counters.  A point or weight
+        holding NaN or infinity raises ``ValueError`` (naming the first
+        such row) before any of the block is folded in: it would poison
+        a cluster's sums or become a cluster of its own, and either
+        would ship to placement.
         """
         if not isinstance(points, np.ndarray):
             points = list(points)
@@ -337,7 +253,6 @@ class OnlineClusterer:
             for c, w, ls, ss in zip(counts.tolist(), cl_weights.tolist(),
                                     linear, square)
         ]
-        self._rebuild_cache()
         self.points_seen += n
         registry = obs.get_registry()
         if registry.enabled:

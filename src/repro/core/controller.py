@@ -246,36 +246,19 @@ class ReplicationController:
     # ------------------------------------------------------------------
     # Access recording
     # ------------------------------------------------------------------
-    def record_access(self, site: int, client_coords: np.ndarray,
-                      bytes_exchanged: float = 1.0,
-                      kind: str = "read") -> None:
-        """Report that a client accessed the replica at ``site``.
-
-        ``kind`` is ``"read"`` or ``"write"``.  Writes feed a separate
-        summary stream only in write-aware mode; otherwise every access
-        informs the single read-placement stream, as in the paper.
-        """
-        if kind not in ("read", "write"):
-            raise ValueError("kind must be 'read' or 'write'")
-        if site not in self._summaries:
-            raise KeyError(f"site {site} does not hold a replica")
-        if kind == "write" and self.config.write_aware:
-            self._write_summaries[site].record_access(client_coords,
-                                                      bytes_exchanged)
-        else:
-            self._summaries[site].record_access(client_coords,
-                                                bytes_exchanged)
-
     def record_batch(self, site: int, client_coords: np.ndarray,
                      bytes_exchanged: np.ndarray | None = None,
                      kind: str = "read") -> None:
-        """Report a whole block of accesses to the replica at ``site``.
+        """Report a block of accesses to the replica at ``site``.
 
-        Equivalent to calling :meth:`record_access` once per row of
-        ``client_coords`` (in order) with the matching entry of
-        ``bytes_exchanged`` — the rows must already be in fold order.
-        Raises the same :class:`KeyError` as the scalar path *before*
-        folding anything, so a retired site's batch is dropped whole.
+        Rows of ``client_coords`` must already be in fold order;
+        ``bytes_exchanged`` holds one weight per row (``None``: one unit
+        each).  ``kind`` is ``"read"`` or ``"write"``.  Writes feed a
+        separate summary stream only in write-aware mode; otherwise
+        every access informs the single read-placement stream, as in
+        the paper.  A site without a replica raises :class:`KeyError`
+        *before* anything is folded, so a retired site's block is
+        dropped whole.
         """
         if kind not in ("read", "write"):
             raise ValueError("kind must be 'read' or 'write'")

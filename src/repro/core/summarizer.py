@@ -49,29 +49,27 @@ class ReplicaAccessSummary:
     # ------------------------------------------------------------------
     def record_access(self, client_coords: np.ndarray,
                       bytes_exchanged: float = 1.0) -> None:
-        """Fold one client access into the summary.
+        """Fold one client access into the summary: a one-row
+        :meth:`record_batch`, kept as a named entry point for callers
+        that report accesses one at a time (and for profilers that time
+        it by name).
 
         ``client_coords`` are the client's network coordinates at access
         time (the planar part; heights carry no clustering information
         and callers should strip them — see
         :meth:`ReplicationController.clustering_coords`).
         """
-        if bytes_exchanged < 0:
-            raise ValueError("bytes exchanged must be non-negative")
-        self._clusterer.add(np.asarray(client_coords, dtype=float),
-                            weight=bytes_exchanged)
-        self.accesses += 1
-        self.bytes_served += bytes_exchanged
+        self.record_batch(client_coords, np.array([bytes_exchanged],
+                                                  dtype=float))
 
     def record_batch(self, client_coords: np.ndarray,
                      bytes_exchanged: np.ndarray | None = None) -> None:
-        """Fold a whole block of accesses into the summary at once.
+        """Fold a block of accesses, in row order, into the summary.
 
-        Equivalent to calling :meth:`record_access` per row of
-        ``client_coords`` (in order), but the maintenance rule runs
-        inside the batched :func:`repro.kernels.cf.absorb_stream`
-        kernel.  ``bytes_exchanged`` is a per-row weight vector; ``None``
-        means one unit per access.
+        The maintenance rule runs inside
+        :func:`repro.kernels.cf.absorb_stream`; how a stream is cut into
+        blocks does not change the result.  ``bytes_exchanged`` is a
+        per-row weight vector; ``None`` means one unit per access.
         """
         points = np.atleast_2d(np.asarray(client_coords, dtype=float))
         n = points.shape[0]
@@ -91,12 +89,17 @@ class ReplicaAccessSummary:
         self.bytes_served += float(weights.sum())
 
     def age(self) -> None:
-        """Apply one step of exponential decay to the retained statistics.
+        """Start a new window, keeping decayed history.
 
-        With ``decay == 1`` this is a no-op.  Counts are scaled rather
-        than truncated so centroids and deviations are unchanged; clusters
-        whose decayed count drops below a small threshold are dropped.
+        The per-window counters ``accesses`` and ``bytes_served`` restart
+        at zero, as after :meth:`reset`; the micro-clusters instead take
+        one step of exponential decay (none with ``decay == 1``).  Counts
+        are scaled rather than truncated so centroids and deviations are
+        unchanged; clusters whose decayed count drops below a small
+        threshold are dropped.
         """
+        self.accesses = 0
+        self.bytes_served = 0.0
         if self.decay == 1.0:
             return
         survivors = []

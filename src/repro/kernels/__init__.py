@@ -6,7 +6,7 @@ read against by a fifth:
 
 * **weighted k-means** assignment/update over the pooled ``k*m``
   micro-cluster pseudo-points (:mod:`repro.kernels.wkmeans`),
-* **micro-cluster CF maintenance** — absorb/merge/split over
+* **micro-cluster CF maintenance** — the absorb/spawn/merge rule over
   ``(count, weight, linear_sum, square_sum)`` rows
   (:mod:`repro.kernels.cf`),
 * **coordinate-space distances** for candidate ranking and

@@ -4,7 +4,8 @@ One function per dispatching kernel of :mod:`repro.kernels.wkmeans`,
 :mod:`repro.kernels.cf`, :mod:`repro.kernels.embed` and
 :mod:`repro.kernels.subset`, same name and signature: its scalar arm
 (for the last two, the loop the kernel replaced: per-node objects, the
-chunked gather scan).  Each
+chunked gather scan).  :func:`closest_pair` is the one helper with no
+kernel of its name: the scalar absorb's merge search.  Each kernel twin
 takes its arguments as the kernel has already coerced and validated them
 (float arrays of the documented rank).  The differential suite checks
 the numpy kernels against these, by calling them directly or by running
@@ -14,7 +15,7 @@ imports this module.
 Operation order is part of the contract: squared differences fold left
 to right over the last axis and ties resolve to the lowest index — that
 is what makes the numpy kernels *bitwise* comparable for d <= 2.  From
-d = 3 on they sum in another order (``(x² + z²) + y²``: the CF kernels'
+d = 3 on they sum in another order (``(x² + z²) + y²``: the CF kernel's
 ``two_lane_fold``, the ``einsum`` of the k-means kernels), so distances
 can differ in the last ulp and an exact tie in the absorb rule can fall
 the other way (``tests/unit/test_absorb_kernel.py`` pins one).
@@ -109,59 +110,10 @@ def cross_distances(a, b, b_heights=None, a_heights=None):
 
 
 # -- repro.kernels.cf --------------------------------------------------
-def deviations(counts, linear, square):
-    """Scalar :func:`repro.kernels.cf.deviations`."""
-    out = []
-    for n, ls, ss in zip(counts.tolist(), linear.tolist(), square.tolist()):
-        total = 0.0
-        for l, s in zip(ls, ss):
-            mean = l / n
-            total += s / n - mean * mean
-        out.append(math.sqrt(max(total, 0.0)))
-    return np.asarray(out, dtype=float)
-
-
-def merge_rows(counts, weights, linear, square, keep, drop):
-    """Scalar :func:`repro.kernels.cf.merge_rows`; folds *in place*."""
-    counts[keep] = counts[keep] + counts[drop]
-    weights[keep] = weights[keep] + weights[drop]
-    for dim in range(linear.shape[1]):
-        linear[keep, dim] = float(linear[keep, dim]) + float(linear[drop, dim])
-        square[keep, dim] = float(square[keep, dim]) + float(square[drop, dim])
-    return (np.delete(counts, drop), np.delete(weights, drop),
-            np.delete(linear, drop, axis=0), np.delete(square, drop, axis=0))
-
-
-def split_row(count, weight, linear, square):
-    """Scalar :func:`repro.kernels.cf.split_row`."""
-    if float(count).is_integer():
-        n1 = float(math.ceil(count / 2))
-    else:
-        n1 = count / 2.0
-    n2 = count - n1
-    w1 = weight * (n1 / count)
-    w2 = weight - w1
-    d = linear.size
-    ls1 = [0.0] * d
-    ss1 = [0.0] * d
-    for dim in range(d):
-        l = float(linear[dim])
-        s = float(square[dim])
-        mean = l / count
-        var = max(s / count - mean * mean, 0.0)
-        sigma = math.sqrt(var)
-        m1 = mean + sigma * (n2 / count)
-        m2 = mean - sigma * (n1 / count)
-        ls1[dim] = n1 * m1
-        resid = max(s - n1 * m1 * m1 - n2 * m2 * m2, 0.0)
-        ss1[dim] = n1 * m1 * m1 + resid * (n1 / count)
-    ls1 = np.asarray(ls1)
-    ss1 = np.asarray(ss1)
-    return (n1, w1, ls1, ss1), (n2, w2, linear - ls1, square - ss1)
-
-
 def closest_pair(centroids):
-    """Scalar :func:`repro.kernels.cf.closest_pair`."""
+    """Indices ``(keep, drop)``, ``keep < drop``, of the two closest
+    rows; ties go to the first pair in row-major order (the pair
+    :func:`repro.kernels.cf.absorb_stream` merges)."""
     rows = centroids.tolist()
     best = (0, 1)
     best_val = math.inf
@@ -175,20 +127,6 @@ def closest_pair(centroids):
                 best_val = acc
                 best = (i, j)
     return best
-
-
-def nearest_row(centroids, point):
-    """Scalar :func:`repro.kernels.cf.nearest_row`."""
-    best, best_sq = 0, float("inf")
-    target = point.tolist()
-    for idx, row in enumerate(centroids.tolist()):
-        acc = 0.0
-        for a, b in zip(row, target):
-            d = a - b
-            acc += d * d
-        if acc < best_sq:
-            best, best_sq = idx, acc
-    return best, best_sq
 
 
 def absorb_stream(counts, weights, linear, square, points,

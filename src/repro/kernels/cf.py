@@ -1,20 +1,17 @@
-"""Batched micro-cluster CF kernels.
+"""Batched micro-cluster CF kernel.
 
 A micro-cluster batch is four parallel rows-first arrays —
 ``counts (m,)``, ``weights (m,)``, ``linear (m, d)``, ``square (m, d)``
-— one row per cluster feature.  The kernels below implement the paper's
-stream-maintenance rule (absorb within one standard deviation, else
-spawn and merge the closest pair) over whole blocks of points, plus the
-CF vector algebra (merge, split, deviations) the property suite
-certifies.
+— one row per cluster feature.  :func:`absorb_stream` implements the
+paper's stream-maintenance rule (absorb within one standard deviation,
+else spawn and merge the closest pair) over a block of points; it is the
+only way an access reaches a micro-cluster summary.
 
 Everything is deterministic and RNG-free: absorb/spawn/merge decisions
 depend only on the inputs, and ties resolve to the lowest index.  Every
-squared distance is summed in one order, :func:`two_lane_fold`: by numpy
-column arithmetic in :func:`nearest_row` and :func:`closest_pair`, and
-on python floats inside :func:`absorb_stream`, whose per-point step
-makes no numpy call.  These are the production kernels; each function
-coerces and validates its arguments, then has one dispatch point: under
+squared distance is summed in one order, :func:`two_lane_fold`, on
+python floats, so the per-point step makes no numpy call.  The kernel
+coerces its arguments, then has one dispatch point: under
 ``use_backend("python")`` it hands them to its scalar twin in
 :mod:`repro.kernels._reference`.
 """
@@ -29,97 +26,7 @@ import numpy as np
 from repro import obs
 from repro.kernels import scalar_oracle
 
-__all__ = [
-    "deviations",
-    "merge_rows",
-    "split_row",
-    "two_lane_fold",
-    "closest_pair",
-    "nearest_row",
-    "absorb_stream",
-]
-
-
-def deviations(counts: np.ndarray, linear: np.ndarray,
-               square: np.ndarray) -> np.ndarray:
-    """Per-row RMS deviation ``sqrt(max(sum(E[X^2] - E[X]^2), 0))``.
-
-    The clamp matters: CF subtraction can leave ``square/count`` a few
-    ulps below ``mean**2``, and a negative recovered variance would put
-    a NaN radius into the absorption rule.
-    """
-    counts = np.asarray(counts, dtype=float)
-    linear = np.atleast_2d(np.asarray(linear, dtype=float))
-    square = np.atleast_2d(np.asarray(square, dtype=float))
-    if oracle := scalar_oracle():
-        return oracle.deviations(counts, linear, square)
-    mean = linear / counts[:, None]
-    var = square / counts[:, None] - mean ** 2
-    return np.sqrt(np.maximum(var.sum(axis=1), 0.0))
-
-
-def merge_rows(counts: np.ndarray, weights: np.ndarray, linear: np.ndarray,
-               square: np.ndarray, keep: int, drop: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold row ``drop`` into row ``keep`` and delete it (CFs are additive).
-
-    Deletion shifts the following rows up, preserving insertion order —
-    the tie-break order of every later nearest-cluster search depends on
-    it.
-    """
-    if keep == drop:
-        raise ValueError("cannot merge a row into itself")
-    counts = np.asarray(counts, dtype=float).copy()
-    weights = np.asarray(weights, dtype=float).copy()
-    linear = np.atleast_2d(np.asarray(linear, dtype=float)).copy()
-    square = np.atleast_2d(np.asarray(square, dtype=float)).copy()
-    if oracle := scalar_oracle():
-        return oracle.merge_rows(counts, weights, linear, square, keep, drop)
-    counts[keep] += counts[drop]
-    weights[keep] += weights[drop]
-    linear[keep] += linear[drop]
-    square[keep] += square[drop]
-    return (np.delete(counts, drop), np.delete(weights, drop),
-            np.delete(linear, drop, axis=0), np.delete(square, drop, axis=0))
-
-
-def split_row(count: float, weight: float, linear: np.ndarray,
-              square: np.ndarray) -> tuple[tuple, tuple]:
-    """Split one CF row into two halves that sum back to the original.
-
-    The halves sit one recovered standard deviation apart along each
-    dimension; counts split as evenly as integer counts allow, weight
-    proportionally, and the second half is computed by subtraction.
-    ``count`` and ``weight`` are conserved *exactly* (the weight split
-    stays within Sterbenz's lemma); ``linear_sum`` round-trips to within
-    one ulp and ``square_sum`` to within float error.  Deterministic —
-    no RNG.
-    """
-    count = float(count)
-    if count < 2:
-        raise ValueError("cannot split a cluster with count < 2")
-    linear = np.asarray(linear, dtype=float)
-    square = np.asarray(square, dtype=float)
-    if oracle := scalar_oracle():
-        return oracle.split_row(count, weight, linear, square)
-    if float(count).is_integer():
-        n1 = float(math.ceil(count / 2))
-    else:
-        n1 = count / 2.0
-    n2 = count - n1
-    w1 = weight * (n1 / count)
-    w2 = weight - w1
-    mean = linear / count
-    var = np.maximum(square / count - mean ** 2, 0.0)
-    sigma = np.sqrt(var)
-    m1 = mean + sigma * (n2 / count)
-    m2 = mean - sigma * (n1 / count)
-    ls1 = n1 * m1
-    ls2 = linear - ls1
-    resid = np.maximum(square - n1 * m1 ** 2 - n2 * m2 ** 2, 0.0)
-    ss1 = n1 * m1 ** 2 + resid * (n1 / count)
-    ss2 = square - ss1
-    return (n1, w1, ls1, ss1), (n2, w2, ls2, ss2)
+__all__ = ["two_lane_fold", "absorb_stream"]
 
 
 def two_lane_fold(terms):
@@ -147,12 +54,6 @@ def two_lane_fold(terms):
     return even + odd
 
 
-def _square_norms(diff: np.ndarray) -> np.ndarray:
-    """Squared norms along the last axis, summed by :func:`two_lane_fold`."""
-    squares = diff * diff
-    return two_lane_fold([squares[..., k] for k in range(diff.shape[-1])])
-
-
 class _Source(str):
     """A summand as source text; ``+`` yields the source of the sum."""
 
@@ -166,8 +67,8 @@ def _distance_row(d: int):
     to each d-dimensional row, all python floats.
 
     The loop body is :func:`two_lane_fold` written out for ``d`` terms,
-    generated once per dimension, so each entry equals the one
-    :func:`nearest_row` and :func:`closest_pair` compute, bit for bit.
+    generated once per dimension: each entry equals the fold applied to
+    the terms' squares, bit for bit.
     """
     dims = range(d)
     source = ["def distances(rows, point):",
@@ -181,35 +82,6 @@ def _distance_row(d: int):
     namespace = {}
     exec("\n".join(source), namespace)
     return namespace["distances"]
-
-
-def closest_pair(centroids: np.ndarray) -> tuple[int, int]:
-    """Indices ``(keep, drop)`` of the two closest rows, ``keep < drop``.
-
-    Ties resolve to the first pair in row-major order in both backends.
-    """
-    centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
-    if centroids.shape[0] < 2:
-        raise ValueError("need at least two rows")
-    if oracle := scalar_oracle():
-        return oracle.closest_pair(centroids)
-    # Direct (m, m, d) broadcast: micro-cluster budgets are small
-    # (m <= a few dozen), and the explicit difference keeps every pair
-    # distance bitwise-identical to the block kernel's — the
-    # Gram-matrix trick would not.
-    dist = _square_norms(centroids[:, None, :] - centroids[None, :, :])
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    return (int(i), int(j)) if i < j else (int(j), int(i))
-
-
-def nearest_row(centroids: np.ndarray, point: np.ndarray) -> tuple[int, float]:
-    """Index of, and squared distance to, the row nearest ``point``."""
-    if oracle := scalar_oracle():
-        return oracle.nearest_row(centroids, point)
-    sq = _square_norms(centroids - point[None, :])
-    nearest = int(np.argmin(sq))
-    return nearest, float(sq[nearest])
 
 
 def absorb_stream(counts: np.ndarray, weights: np.ndarray,
@@ -228,14 +100,15 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     event counts for the metrics registry.
 
     An absorbed point costs O(m d) python float arithmetic and no numpy
-    call; numpy does only the per-merge closest-pair work.  The kernel
-    equals the sequential :func:`nearest_row` / :func:`closest_pair`
-    path bit for bit in any dimension, by construction: all three sum
-    squared distances by :func:`two_lane_fold`.  Against the scalar
-    oracle, which folds left to right, that holds for d <= 2 only: at
-    d = 3 a point exactly one deviation from a centroid can absorb on
-    one backend and spawn (then merge straight back) on the other — same
-    rows, other counts.
+    call; numpy does only the per-merge closest-pair work.  Each point's
+    decision depends only on the rows the previous point left, so the
+    result does not depend on how a stream is cut into blocks: one call
+    per point and one call for the whole stream return bitwise-equal
+    rows and event counts.  Against the scalar oracle, which folds
+    squared distances left to right, rows and events agree for d <= 2
+    only: at d = 3 a point exactly one deviation from a centroid can
+    absorb on one backend and spawn (then merge straight back) on the
+    other — same rows, other counts.
 
     >>> start = np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
     >>> points = np.array([[0.0, 0.0], [0.1, 0.0], [500.0, 0.0]])
@@ -268,9 +141,9 @@ def _absorb_block(counts, weights, linear, square, points, point_weights,
     #
     # Numpy keeps what only merges read: ``pair`` holds the squared
     # centroid-pair distances above the diagonal (inf elsewhere), so the
-    # closest pair is one row-major ``argmin`` — the first pair on ties,
-    # as in :func:`closest_pair` — and a merge's row shift is two slice
-    # copies.  It is maintained lazily: a spawned centroid *is* its
+    # closest pair is one row-major ``argmin`` — the first pair on ties
+    # — and a merge's row shift is two slice copies.  It is maintained
+    # lazily: a spawned centroid *is* its
     # point, so its column is the distance row the nearest search just
     # produced; an absorb or merge moves a centroid and only marks it
     # stale; stale rows are recomputed right before the next merge reads

@@ -65,9 +65,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     ACCESS_SERVED,
     MACRO_ROUND,
-    MICRO_ABSORB,
-    MICRO_MERGE,
-    MICRO_SPAWN,
     MIGRATION_FINISH,
     MIGRATION_START,
     NullTracer,
@@ -92,9 +89,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "ACCESS_SERVED",
-    "MICRO_ABSORB",
-    "MICRO_SPAWN",
-    "MICRO_MERGE",
     "MACRO_ROUND",
     "MIGRATION_START",
     "MIGRATION_FINISH",

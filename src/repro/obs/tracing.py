@@ -6,15 +6,14 @@ fixed-capacity ring: old spans are evicted once capacity is reached, so
 tracing a long simulation is memory-bounded; the eviction count is kept
 so exports can report how much was dropped.
 
-Span kinds used by the instrumented stack (see ``docs/observability.md``):
+Span kinds used by the instrumented stack (see ``docs/observability.md``;
+micro-cluster maintenance is counted, not traced — the
+``clustering.micro.*`` counters):
 
 ==========================  ============================================
 kind                        emitted when
 ==========================  ============================================
 ``access-served``           a client read/write completes at the store
-``micro-absorb``            a stream point folds into a micro-cluster
-``micro-spawn``             a stream point spawns a new micro-cluster
-``micro-merge``             two micro-clusters merge (budget exceeded)
 ``macro-round``             the coordinator runs Algorithm 1
 ``migration-start``         a replica migration begins transfers
 ``migration-finish``        the last migration transfer lands
@@ -45,18 +44,12 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "ACCESS_SERVED",
-    "MICRO_ABSORB",
-    "MICRO_SPAWN",
-    "MICRO_MERGE",
     "MACRO_ROUND",
     "MIGRATION_START",
     "MIGRATION_FINISH",
 ]
 
 ACCESS_SERVED = "access-served"
-MICRO_ABSORB = "micro-absorb"
-MICRO_SPAWN = "micro-spawn"
-MICRO_MERGE = "micro-merge"
 MACRO_ROUND = "macro-round"
 MIGRATION_START = "migration-start"
 MIGRATION_FINISH = "migration-finish"

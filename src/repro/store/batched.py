@@ -134,9 +134,9 @@ class BatchedAccessEngine:
     Parameters
     ----------
     store:
-        The replicated store accesses are issued against.  Attaching
-        the engine switches the store to deferred summary folding
-        (:meth:`ReplicatedStore.enable_fold_buffering`).
+        The replicated store accesses are issued against.  Bulk windows
+        append to the same per-unit fold buffers the store's per-event
+        accesses use.
     source:
         An arrival generator — :class:`WorkloadArrivals` for live
         workloads, :class:`~repro.workloads.batched.TraceArrivals` for
@@ -174,7 +174,6 @@ class BatchedAccessEngine:
         self._versions = np.full((len(self._keys), len(store.candidates)),
                                  -1, dtype=np.int64)
         self._latest = np.zeros(len(self._keys), dtype=np.int64)
-        store.enable_fold_buffering()
         store.sim.attach_data_plane(self)
 
     def stop(self) -> None:

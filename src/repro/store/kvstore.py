@@ -469,12 +469,12 @@ class _PlacementUnit:
     pending_transfers: dict[int, _PendingShipment] = field(default_factory=dict)
     pending_summaries: dict[int, _PendingShipment] = field(default_factory=dict)
     abandoned: set[int] = field(default_factory=set)
-    #: Deferred summary folds (batched engine only): tuples of
+    #: Deferred summary folds: tuples of
     #: ``(time(s), position, coords, weight(s), kind)`` where the first,
     #: third and fourth fields may be scalars (one access, recorded by a
-    #: real event) or arrays (a bulk window).  Flushed — stably sorted
-    #: by access time, per position and summary stream — before any
-    #: summary observation or mutation.
+    #: real event) or arrays (a batched engine's bulk window).  Flushed
+    #: — stably sorted by access time, per position and summary stream —
+    #: before any summary observation or mutation.
     fold_buffer: list = field(default_factory=list)
     #: Bumped whenever a member's replica on any server, the installed
     #: set or a member's latest version changes: with
@@ -587,7 +587,6 @@ class ReplicatedStore:
         self.migration_rollbacks = 0
         self.summary_retries = 0
         self.summaries_lost = 0
-        self._fold_buffering = False
         self._shipment_ids = itertools.count(1)
         self._transfer_retries = _RetryLoop(
             # A settled migration has nothing left to retry.
@@ -842,9 +841,8 @@ class ReplicatedStore:
     def controller(self, key: str) -> ReplicationController:
         """The placement controller of the unit owning ``key``.
 
-        Flushes any deferred summary folds first, so inspecting the
-        summaries after a batched run sees the same state eager folding
-        would have left.
+        Flushes the unit's deferred summary folds stamped up to now
+        first, so its summaries hold every access served so far.
         """
         unit = self._unit_of_key(key)
         self._flush_folds(unit)
@@ -928,41 +926,25 @@ class ReplicatedStore:
                               client_coords: np.ndarray,
                               bytes_exchanged: float,
                               kind: str = "read") -> None:
-        unit = self._unit_of_key(key)
-        position = self._position_of[server]
-        if self._fold_buffering:
-            # Batched engine attached: defer the fold.  The buffer is
-            # flushed in access-time order before any summary is
-            # observed or its site set changes, so the summaries any
-            # consumer sees are identical to eager folding.
-            unit.fold_buffer.append((self.sim.now, position, client_coords,
-                                     bytes_exchanged, kind))
-            return
-        try:
-            unit.controller.record_access(position, client_coords,
-                                          bytes_exchanged, kind=kind)
-        except KeyError:
-            # The replica is being retired (or was just created by a
-            # migration the controller already rolled over); its traffic
-            # no longer informs placement.
-            pass
+        """Buffer one served access for its unit's summaries.
 
-    def enable_fold_buffering(self) -> None:
-        """Defer summary folds into per-unit time-sorted buffers.
-
-        Called by the batched engine: bulk windows and straggler
-        per-event folds land in one buffer and are applied — stably
-        sorted by access time, grouped per site and summary stream —
-        right before anything observes or mutates the summaries.
-        Deferral is *exact*: micro-cluster maintenance depends only on
-        the fold order, which the sort reproduces (ties are broken by
-        buffer insertion order, i.e. event order for real events).
+        Folding is deferred: the buffer is applied — stably sorted by
+        access time, grouped per site and summary stream — right before
+        anything observes or mutates the summaries (:meth:`controller`,
+        epochs, deletion, rollback, repair,
+        :meth:`flush_pending_accesses`).  Deferral
+        is *exact*: micro-cluster maintenance depends only on the fold
+        order, which the sort reproduces (ties keep buffer insertion
+        order, i.e. event order), not on how the stream is cut into
+        blocks.
         """
-        self._fold_buffering = True
+        unit = self._unit_of_key(key)
+        unit.fold_buffer.append((self.sim.now, self._position_of[server],
+                                 client_coords, bytes_exchanged, kind))
 
     def flush_pending_accesses(self) -> None:
         """Apply every deferred summary fold, whatever its stamp (the
-        run is over or the engine stopped)."""
+        run is over or a batched engine stopped)."""
         for unit in self._units.values():
             self._flush_folds(unit, math.inf)
 
@@ -1005,9 +987,11 @@ class ReplicatedStore:
                 unit.controller.record_batch(position, coords[:due],
                                              weights[:due], kind=stream)
             except KeyError:
-                # Same retired-replica tolerance as the eager path; the
-                # flush always runs before the summary site set changes,
-                # so eager and deferred folds hit the same set.
+                # The replica is being retired (or was just created by a
+                # migration the controller already rolled over); its
+                # traffic no longer informs placement.  The flush runs
+                # before the summary site set changes, so this is the
+                # set the access was served against.
                 pass
 
     # ------------------------------------------------------------------

@@ -69,6 +69,20 @@ def carried_rows(d, m, rng):
     return rows[:4]
 
 
+def absorb_in_blocks(rows, points, weights, floor, m, cuts):
+    """:func:`absorb_stream` fed the stream in blocks that end at the
+    ascending indices ``cuts``, each block starting from the rows the
+    one before left; returns the last rows and the summed event counts."""
+    totals = {"spawned": 0, "absorbed": 0, "merged": 0}
+    bounds = [0, *cuts, len(points)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        *rows, stats = absorb_stream(*rows, points[lo:hi], weights[lo:hi],
+                                     floor, m)
+        for event in totals:
+            totals[event] += stats[event]
+    return (*rows, totals)
+
+
 def digest(result):
     """``[sha256 of the four CF arrays, spawned, absorbed, merged]``."""
     sha = hashlib.sha256()

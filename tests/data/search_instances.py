@@ -184,12 +184,18 @@ def new_controller(write_aware):
 
 
 def feed(controller, centres, rng):
-    """One epoch's worth of accesses (30 % writes) at the current sites."""
+    """One epoch's worth of accesses (30 % writes) at the current sites,
+    reported as one block per summary stream, in access order."""
+    blocks = {}
     for _ in range(200):
         site = controller.sites[int(rng.integers(len(controller.sites)))]
         point = centres[int(rng.integers(5))] + rng.normal(0.0, 3.0, 2)
         kind = "write" if rng.random() < 0.3 else "read"
-        controller.record_access(site, point, kind=kind)
+        # Without write awareness, writes fold into the read stream.
+        stream = kind if controller.config.write_aware else "read"
+        blocks.setdefault((site, stream), []).append(point)
+    for (site, stream), points in blocks.items():
+        controller.record_batch(site, np.array(points), kind=stream)
 
 
 def _controller(write_aware):

@@ -93,11 +93,10 @@ class TestByteWeightedPlacement:
                                     use_bytes_weight=True),
             policy=MigrationPolicy(min_relative_gain=0.0,
                                    min_absolute_gain_ms=0.0))
-        for _ in range(10):
-            for c in range(10, 14):
-                ctrl.record_access(0, coords[c], bytes_exchanged=1.0)
-            for c in range(14, 18):
-                ctrl.record_access(0, coords[c], bytes_exchanged=100.0)
+        # Ten rounds of the light group (1 byte) then the heavy group
+        # (100 bytes), as one block.
+        ctrl.record_batch(0, np.tile(coords[10:18], (10, 1)),
+                          np.tile([1.0] * 4 + [100.0] * 4, 10))
         ctrl.run_epoch(np.random.default_rng(0))
         # k=1 placement lands at candidate B, where the bytes are.
         assert ctrl.sites == (1,)

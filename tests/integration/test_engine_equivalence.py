@@ -72,6 +72,7 @@ def _build(seed, workload_cls, *, quorum=1, timeout=None, write_fraction=0.0,
 
 def _snapshot(store):
     """Every store-observable outcome of a run, as comparable values."""
+    store.flush_pending_accesses()  # the summaries are read directly below
     net = store.network
     snapshot = {
         "log": [(r.time, r.client, r.server, r.key, r.delay_ms, r.kind,

@@ -100,26 +100,13 @@ class TestOnlineClustererProperties:
     @settings(max_examples=60, deadline=None)
     def test_budget_and_conservation(self, pts, m, floor):
         clusterer = OnlineClusterer(m, radius_floor=floor)
-        for p in pts:
-            clusterer.add(p)
+        clusterer.extend(pts)
         assert len(clusterer) <= m
         assert clusterer.total_count == len(pts)
         # Total linear sum is conserved exactly.
         total = sum((c.linear_sum for c in clusterer),
                     start=np.zeros(2))
         assert np.allclose(total, np.sum(np.stack(pts), axis=0), atol=1e-6)
-
-    @given(points2, st.integers(min_value=1, max_value=8))
-    @settings(max_examples=40, deadline=None)
-    def test_centroid_cache_consistent(self, pts, m):
-        clusterer = OnlineClusterer(m, radius_floor=1.0)
-        for p in pts:
-            clusterer.add(p)
-        cache = clusterer._centroid_cache
-        assert cache is not None
-        assert cache.shape == (len(clusterer), 2)
-        for row, cluster in zip(cache, clusterer.clusters):
-            assert np.allclose(row, cluster.centroid, atol=1e-9)
 
 
 # ----------------------------------------------------------------------

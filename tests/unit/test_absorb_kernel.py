@@ -1,8 +1,8 @@
 """The block absorb kernel against its three references.
 
-* the sequential :meth:`OnlineClusterer.add` path (both on the numpy
-  backend) — the contract ``extend`` documents, bitwise in any dimension
-  because both sum squared distances by ``two_lane_fold``;
+* itself, fed the same stream one point at a time — the block
+  invariance that makes a store's deferred, time-bounded flush exact:
+  rows and event counts bitwise equal in any dimension;
 * the answers of the per-point numpy kernel it replaced, recorded in
   ``tests/data/absorb_digests.json`` — bitwise on the four CF arrays
   *and* the event counts;
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiment
-from repro.clustering.stream import ClusterFeature, OnlineClusterer
 from repro.core.summarizer import ReplicaAccessSummary
 from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
@@ -31,6 +30,7 @@ from tests.data.absorb_instances import (
     BUDGETS,
     DIMS,
     RADIUS_FLOOR,
+    absorb_in_blocks,
     carried_rows,
     digest,
     empty_rows,
@@ -42,14 +42,6 @@ from tests.data.absorb_instances import (
 def recorded():
     with open(absorb_instances.DIGESTS) as handle:
         return json.load(handle)
-
-
-def clusterer_from(rows, m):
-    clusterer = OnlineClusterer(m, RADIUS_FLOOR)
-    clusterer.replace_clusters([
-        ClusterFeature(int(c), float(w), ls.copy(), ss.copy())
-        for c, w, ls, ss in zip(*rows)])
-    return clusterer
 
 
 def assert_rows_equal(got, want):
@@ -74,16 +66,11 @@ def test_kernel_matches_sequential_add_and_previous_kernel(kind, d, carried,
         assert got[4]["spawned"] + got[4]["absorbed"] == len(points)
         assert got[0].shape[0] <= m
 
-        sequential = clusterer_from(start, m)
-        batched = clusterer_from(start, m)
-        for p, w in zip(points, weights):
-            sequential.add(p, weight=float(w))
-        batched.extend(points, weights)
-        assert len(batched) == len(sequential)
-        for a, b in zip(batched.clusters, sequential.clusters):
-            assert (a.count, a.weight) == (b.count, b.weight)
-            np.testing.assert_array_equal(a.linear_sum, b.linear_sum)
-            np.testing.assert_array_equal(a.square_sum, b.square_sum)
+        # Sequential adding: one call per point, from the same start.
+        one_by_one = absorb_in_blocks(start, points, weights, RADIUS_FLOOR,
+                                      m, range(1, len(points)))
+        assert_rows_equal(one_by_one, got)
+        assert one_by_one[4] == got[4]
 
 
 @pytest.mark.parametrize("group", ["online", "store", "table2", "letters"])
@@ -99,8 +86,8 @@ def test_two_lane_fold_equals_einsum_up_to_seven_dims(d):
     diff = rng.normal(size=(4_000, d)) * rng.uniform(0.1, 400.0,
                                                       size=(4_000, 1))
     squares = diff * diff
-    # Both spellings of the fold: numpy columns (nearest_row,
-    # closest_pair) and the python-float distance row (absorb_stream).
+    # Both spellings of the fold: numpy columns and the python-float
+    # distance row absorb_stream runs.
     fold = cfk.two_lane_fold([squares[:, k] for k in range(d)])
     row = cfk._distance_row(d)(diff.tolist(), [0.0] * d)
     np.testing.assert_array_equal(row, fold)

@@ -248,9 +248,8 @@ def make_controller(n_dc=6, k=2, sites=(0, 1), **config):
 
 def feed(controller, site, center, n=30, spread=1.0, seed=0):
     rng = np.random.default_rng(seed)
-    for _ in range(n):
-        controller.record_access(
-            site, np.asarray(center) + rng.normal(size=2) * spread)
+    controller.record_batch(
+        site, np.asarray(center) + rng.normal(size=(n, 2)) * spread)
 
 
 class TestElection:
@@ -317,9 +316,8 @@ class TestDegradedEpochs:
         feed(c, 0, [40.0, 40.0])
         feed(c, 1, [-40.0, -40.0])
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            c.record_access(1, np.asarray([-40.0, -40.0])
-                            + rng.normal(size=2), kind="write")
+        c.record_batch(1, np.asarray([-40.0, -40.0])
+                       + rng.normal(size=(5, 2)), kind="write")
         report = c.run_epoch(np.random.default_rng(0), reachable=[0])
         assert report.stale_summaries_dropped == 1
 
@@ -400,7 +398,7 @@ class TestStoreFailover:
                                 k=2, max_micro_clusters=5))
         FailureInjector(store.network).partition_now([3, 4])
         coords = store.planar_coords()
-        store.controller("obj").record_access(0, coords[10])
+        store.controller("obj").record_batch(0, coords[10:11])
         report = store.run_epoch("obj")
         assert report.degraded
         assert set(report.proposed_sites) <= {0, 1, 2}
@@ -413,7 +411,7 @@ class TestSummaryRetry:
                             controller_config=ControllerConfig(
                                 k=2, max_micro_clusters=5))
         coords = store.planar_coords()
-        store.controller("obj").record_access(1, coords[10])
+        store.controller("obj").record_batch(1, coords[10:11])
         store.run_epoch("obj")
         sim.run_until(5_000.0)
         assert store.summary_retries == 0
@@ -433,7 +431,7 @@ class TestSummaryRetry:
                                 k=2, max_micro_clusters=5))
         store.network.set_link_loss(1, 0, 1.0)
         coords = store.planar_coords()
-        store.controller("obj").record_access(1, coords[10])
+        store.controller("obj").record_batch(1, coords[10:11])
         store.run_epoch("obj")
         sim.run_until(60_000.0)
         assert store.summary_retries == policy.max_attempts - 1
@@ -452,10 +450,10 @@ class TestSummaryRetry:
                             controller_config=ControllerConfig(
                                 k=2, max_micro_clusters=5))
         coords = store.planar_coords()
-        store.controller("obj").record_access(1, coords[10])
+        store.controller("obj").record_batch(1, coords[10:11])
         store.run_epoch("obj")                   # epoch 1: copy in flight
         store.network.set_link_loss(1, 0, 1.0)   # epoch 2 loses every copy
-        store.controller("obj").record_access(1, coords[10])
+        store.controller("obj").record_batch(1, coords[10:11])
         store.run_epoch("obj")
         sim.run_until(60_000.0)
         assert store.summaries_lost == 1
@@ -470,8 +468,8 @@ class TestSummaryRetry:
                             controller_config=ControllerConfig(
                                 k=2, max_micro_clusters=5))
         coords = store.planar_coords()
-        store.controller("obj").record_access(1, coords[10])
-        store.controller("obj").record_access(2, coords[11])
+        store.controller("obj").record_batch(1, coords[10:11])
+        store.controller("obj").record_batch(2, coords[11:12])
         FailureInjector(store.network).partition_now([2])
         shipped = []
         original = store._ship_summary
@@ -494,7 +492,7 @@ class TestSummaryRetry:
         coords = store.planar_coords()
         lost = 0
         for trial in range(8):
-            store.controller("obj").record_access(1, coords[10])
+            store.controller("obj").record_batch(1, coords[10:11])
             store.run_epoch("obj")
             sim.run_until(sim.now + 60_000.0)
             lost += store.summaries_lost

@@ -58,7 +58,7 @@ class TestAccessRecording:
     def test_record_to_unknown_site_rejected(self):
         ctrl = make_controller()
         with pytest.raises(KeyError, match="replica"):
-            ctrl.record_access(0, np.zeros(2))
+            ctrl.record_batch(0, np.zeros((1, 2)))
 
     def test_clustering_coords_strips_height(self):
         space = EuclideanSpace(dim=2, use_height=True)
@@ -79,8 +79,7 @@ class TestEpochs:
         ctrl = make_controller()
         assert ctrl.sites == (3,)  # replica starts far from users
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            ctrl.record_access(3, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(3, rng.normal([2.0, 2.0], 1.0, size=(200, 2)))
         report = ctrl.run_epoch(np.random.default_rng(1))
         assert report.migrated
         assert ctrl.sites == (0,)  # nearest DC to the population
@@ -90,8 +89,7 @@ class TestEpochs:
     def test_no_migration_when_already_optimal(self):
         ctrl = make_controller(initial_sites=[0])
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(0, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         report = ctrl.run_epoch(np.random.default_rng(1))
         assert not report.migrated
         assert ctrl.sites == (0,)
@@ -106,7 +104,7 @@ class TestEpochs:
 
     def test_summaries_reset_after_epoch(self):
         ctrl = make_controller(initial_sites=[0])
-        ctrl.record_access(0, np.zeros(2))
+        ctrl.record_batch(0, np.zeros((1, 2)))
         ctrl.run_epoch()
         # Summary window rolled over; next epoch sees no accesses.
         report = ctrl.run_epoch()
@@ -117,16 +115,14 @@ class TestEpochs:
         ctrl = make_controller(
             on_migrate=lambda old, new: calls.append((old, new)))
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(3, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(3, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         ctrl.run_epoch(np.random.default_rng(1))
         assert calls == [((3,), (0,))]
 
     def test_tally_accumulates(self):
         ctrl = make_controller()
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            ctrl.record_access(3, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(3, rng.normal([2.0, 2.0], 1.0, size=(50, 2)))
         with obs.observe() as (registry, _):
             ctrl.run_epoch(np.random.default_rng(1))
         assert ctrl.tally.epochs == 1
@@ -145,9 +141,8 @@ class TestEpochs:
             config=ControllerConfig(k=2, max_micro_clusters=10, radius_floor=2.0),
         )
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(4, rng.normal([2.0, 2.0], 1.0))
-            ctrl.record_access(3, rng.normal([98.0, 98.0], 1.0))
+        ctrl.record_batch(4, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
+        ctrl.record_batch(3, rng.normal([98.0, 98.0], 1.0, size=(100, 2)))
         report = ctrl.run_epoch(np.random.default_rng(1))
         assert report.migrated
         assert sorted(ctrl.sites) == [0, 3]
@@ -159,11 +154,29 @@ class TestEpochs:
                                     radius_floor=2.0, summary_decay=0.9),
         )
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(0, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         ctrl.run_epoch()
         # With decay (not reset), the aged clusters persist.
         assert sum(len(s) for s in ctrl._summaries.values()) > 0
+
+    def test_decay_mode_counts_accesses_per_epoch(self):
+        # Decay keeps the clusters' history, not the window's counters:
+        # each report (and adaptive k's demand) sees one epoch's accesses.
+        ctrl = make_controller(
+            initial_sites=[0, 1],
+            config=ControllerConfig(
+                k=2, max_micro_clusters=10, radius_floor=2.0,
+                summary_decay=0.9, adaptive_k=True, k_min=1, k_max=7,
+                demand_low=10, demand_high=120))
+        rng = np.random.default_rng(0)
+        reports = []
+        for _ in range(5):
+            ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(25, 2)))
+            ctrl.record_batch(1, rng.normal([98.0, 2.0], 1.0, size=(25, 2)))
+            reports.append(ctrl.run_epoch(np.random.default_rng(1)))
+        assert [r.accesses for r in reports] == [50] * 5
+        assert not any(r.migrated for r in reports)
+        assert ctrl.k == 2
 
 
 class TestAdaptiveK:
@@ -182,15 +195,14 @@ class TestAdaptiveK:
     def test_k_grows_under_demand(self):
         ctrl = self.make_adaptive()
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(0, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         ctrl.run_epoch(np.random.default_rng(1))
         assert ctrl.k == 2
 
     def test_k_shrinks_when_idle(self):
         ctrl = self.make_adaptive()
         ctrl.k = 3
-        ctrl.record_access(0, np.array([2.0, 2.0]))
+        ctrl.record_batch(0, np.array([[2.0, 2.0]]))
         ctrl.run_epoch(np.random.default_rng(1))
         assert ctrl.k == 2
 
@@ -201,15 +213,13 @@ class TestAdaptiveK:
         assert ctrl.k == 1
         ctrl.k = 3
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(0, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         ctrl.run_epoch(np.random.default_rng(1))
         assert ctrl.k == 3  # k_max
 
     def test_notes_record_adaptation(self):
         ctrl = self.make_adaptive()
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            ctrl.record_access(0, rng.normal([2.0, 2.0], 1.0))
+        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
         ctrl.run_epoch(np.random.default_rng(1))
         assert any("k -> 2" in note for note in ctrl.tally.notes)

@@ -10,16 +10,32 @@ from repro.core import ReplicaAccessSummary
 class TestRecording:
     def test_accesses_counted(self):
         s = ReplicaAccessSummary(max_micro_clusters=10)
-        for i in range(5):
-            s.record_access(np.array([float(i), 0.0]), bytes_exchanged=100.0)
+        s.record_batch(np.array([[float(i), 0.0] for i in range(5)]),
+                       np.full(5, 100.0))
         assert s.accesses == 5
         assert s.bytes_served == 500.0
+
+    def test_record_access_is_a_one_row_batch(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(0.0, 20.0, size=(60, 2))
+        weights = rng.integers(1, 4, size=60).astype(float)  # exact sums
+        one_by_one = ReplicaAccessSummary(max_micro_clusters=4)
+        for p, w in zip(points, weights):
+            one_by_one.record_access(p, float(w))
+        block = ReplicaAccessSummary(max_micro_clusters=4)
+        block.record_batch(points, weights)
+        assert (one_by_one.accesses, one_by_one.bytes_served) == (
+            block.accesses, block.bytes_served)
+        assert len(one_by_one) == len(block)
+        for a, b in zip(one_by_one.micro_clusters, block.micro_clusters):
+            assert (a.count, a.weight) == (b.count, b.weight)
+            np.testing.assert_array_equal(a.linear_sum, b.linear_sum)
+            np.testing.assert_array_equal(a.square_sum, b.square_sum)
 
     def test_budget_respected(self):
         s = ReplicaAccessSummary(max_micro_clusters=3, radius_floor=0.1)
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            s.record_access(rng.uniform(-100, 100, size=2))
+        s.record_batch(rng.uniform(-100, 100, size=(100, 2)))
         assert len(s) <= 3
         assert s.max_micro_clusters == 3
 
@@ -47,9 +63,8 @@ class TestRecording:
         s = ReplicaAccessSummary(max_micro_clusters=4, radius_floor=1.0)
         rng = np.random.default_rng(1)
         blobs = np.array([[0.0, 0.0], [1000.0, 0.0]])
-        for _ in range(1000):
-            b = blobs[rng.integers(0, 2)]
-            s.record_access(b + rng.normal(0, 0.1, size=2))
+        s.record_batch([blobs[rng.integers(0, 2)]
+                        + rng.normal(0, 0.1, size=2) for _ in range(1000)])
         # Thousands of accesses, but the summary is a handful of clusters.
         assert s.wire_size_bytes() <= 4 * (16 + 2 * 8 * 2)
         assert s.wire_size_bytes() > 0
@@ -134,3 +149,13 @@ class TestDecay:
         s.age()  # count 0.1
         s.age()  # count 0.01 -> dropped
         assert len(s) == 0
+
+    @pytest.mark.parametrize("decay", [0.5, 1.0])
+    def test_age_restarts_window_counters(self, decay):
+        s = ReplicaAccessSummary(decay=decay, radius_floor=10.0)
+        s.record_batch(np.zeros((3, 2)), np.full(3, 2.0))
+        s.age()
+        assert (s.accesses, s.bytes_served) == (0, 0.0)
+        assert len(s) == 1  # the decayed history stays
+        s.record_batch(np.zeros((2, 2)))
+        assert (s.accesses, s.bytes_served) == (2, 2.0)

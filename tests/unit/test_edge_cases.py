@@ -68,7 +68,7 @@ class TestControllerSyncSites:
 
     def test_sync_keeps_existing_summaries(self):
         ctrl = self.make()
-        ctrl.record_access(0, np.array([1.0, 1.0]))
+        ctrl.record_batch(0, np.array([[1.0, 1.0]]))
         ctrl.sync_sites([0, 2])
         assert ctrl.sites == (0, 2)
         assert ctrl._summaries[0].accesses == 1
@@ -78,8 +78,8 @@ class TestControllerSyncSites:
         ctrl = self.make()
         ctrl.sync_sites([1])
         with pytest.raises(KeyError):
-            ctrl.record_access(0, np.zeros(2))
-        ctrl.record_access(1, np.zeros(2))
+            ctrl.record_batch(0, np.zeros((1, 2)))
+        ctrl.record_batch(1, np.zeros((1, 2)))
 
     def test_sync_validation(self):
         ctrl = self.make()

@@ -2,8 +2,8 @@
 
 Covers the backend switch API, equality of every numpy kernel with its
 scalar twin in :mod:`repro.kernels._reference` (called directly),
-eligibility masking, the batched CF maintenance kernel against the
-sequential rule, and the deterministic empty-cluster reseed regression.
+eligibility masking, the batched CF maintenance kernel, and the
+deterministic empty-cluster reseed regression.
 """
 
 import os
@@ -63,12 +63,13 @@ class TestBackendSwitch:
         assert kernels.get_backend() == original
 
     def test_use_backend_routes_kernels_to_reference(self, monkeypatch):
-        monkeypatch.setattr(ref, "closest_pair", lambda centroids: "scalar")
-        rows = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert cfk.closest_pair(rows) == (0, 1)
+        monkeypatch.setattr(ref, "absorb_stream", lambda *args: "scalar")
+        args = (np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
+                np.zeros((1, 2)), np.ones(1), 5.0, 3)
+        assert cfk.absorb_stream(*args) != "scalar"
         with kernels.use_backend("python"):
-            assert cfk.closest_pair(rows) == "scalar"
-        assert cfk.closest_pair(rows) == (0, 1)
+            assert cfk.absorb_stream(*args) == "scalar"
+        assert cfk.absorb_stream(*args) != "scalar"
 
     @pytest.mark.parametrize("value, expected", [("python", "python"),
                                                  (None, "numpy")])
@@ -244,14 +245,12 @@ class TestWKMeansKernels:
 class TestCFKernels:
     def test_deviations_clamps_negative_variance(self):
         # Rounding can push sum2 slightly below n*mean^2.
-        counts = np.array([4.0])
-        linear = np.array([[8.0, 8.0]])
-        square = np.array([[15.999999999, 16.0]])
-        dev = cfk.deviations(counts, linear, square)
-        assert dev.shape == (1,)
-        assert dev[0] >= 0.0
+        cf = ClusterFeature(4, 1.0, np.array([8.0, 8.0]),
+                            np.array([15.999999999, 16.0]))
+        assert cf.deviation == 0.0
 
     def test_absorb_stream_matches_sequential_add(self):
+        # One block equals the same stream fed one point per call.
         rng = np.random.default_rng(3)
         points = rng.normal(size=(200, 2)) * 30.0
         weights = rng.uniform(0.5, 2.0, size=200)
@@ -261,7 +260,7 @@ class TestCFKernels:
             batched = OnlineClusterer(8, radius_floor=5.0)
             with kernels.use_backend(backend):
                 for p, w in zip(points, weights):
-                    reference.add(p, weight=float(w))
+                    reference.extend(p[None, :], [w])
                 batched.extend(points, weights)
 
             assert len(batched) == len(reference)
@@ -307,41 +306,27 @@ class TestCFKernels:
         assert stats["merged"] == 0
         assert counts.shape == (2,)
 
-    def test_split_row_conserves_exactly(self):
-        cf = ClusterFeature.from_point(np.array([3.0, -2.0]), weight=2.0)
-        cf.absorb(np.array([5.0, 1.0]), weight=1.5)
-        cf.absorb(np.array([4.0, 0.5]), weight=0.5)
-        first, second = cf.split()
-        assert first.count + second.count == cf.count
-        assert first.weight + second.weight == cf.weight
-        np.testing.assert_array_equal(
-            first.linear_sum + second.linear_sum, cf.linear_sum)
-        assert np.all(first.square_sum >= 0)
-        assert np.all(second.square_sum >= 0)
-
     def test_closest_pair_backends_agree(self):
+        # With no absorption radius every point spawns, and the one
+        # overflow merges the pair the oracle's search names.
         rng = np.random.default_rng(9)
         centroids = rng.normal(size=(10, 3))
-        assert cfk.closest_pair(centroids) == ref.closest_pair(centroids)
-
-    def test_nearest_row_backends_agree(self):
-        # Planar points (the simulator's case): bitwise, not approximate.
-        rng = np.random.default_rng(13)
-        centroids = rng.normal(size=(12, 2)) * 20.0
-        for point in rng.normal(size=(25, 2)) * 20.0:
-            assert (cfk.nearest_row(centroids, point)
-                    == ref.nearest_row(centroids, point))
-        # Equidistant rows: the lowest index wins in both.
-        tied = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        for impl in (cfk, ref):
-            assert impl.nearest_row(tied, np.zeros(2)) == (0, 1.0)
+        keep, drop = ref.closest_pair(centroids)
+        counts, _, linear, _, stats = cfk.absorb_stream(
+            np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
+            centroids, np.ones(10), radius_floor=0.0, max_clusters=9)
+        assert stats["merged"] == 1
+        want = np.delete(centroids, drop, axis=0)
+        want[keep] = centroids[keep] + centroids[drop]
+        assert counts.tolist() == [2.0 if i == keep else 1.0
+                                   for i in range(9)]
+        np.testing.assert_array_equal(linear, want)
 
     def test_closest_pair_tie_rule(self):
         # (0,1) and (2,3) equally close: row-major first wins.
         centroids = np.array([[0.0, 0.0], [1.0, 0.0],
                               [10.0, 0.0], [11.0, 0.0]])
-        for impl in (cfk, ref):
-            assert impl.closest_pair(centroids) == (0, 1)
+        assert ref.closest_pair(centroids) == (0, 1)
 
 
 # ----------------------------------------------------------------------

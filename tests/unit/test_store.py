@@ -1,5 +1,7 @@
 """Unit tests for the replicated store."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,43 @@ class TestReads:
         sim, matrix, store = build_store()
         with pytest.raises(KeyError):
             store.route_read(10, "ghost")
+
+
+class TestSummaryFolds:
+    def test_served_reads_reach_summaries_without_an_engine(self):
+        # No batched engine is attached: each served read is buffered
+        # for its unit and folded before the summaries are observed.
+        sim, matrix, store = build_store(selection="oracle")
+        store.create_object("obj", initial_sites=[0, 1],
+                            controller_config=ControllerConfig(
+                                k=2, max_micro_clusters=8))
+        clients = [store.add_client(i) for i in range(10, 16)]
+
+        def read_round():
+            for client in clients:
+                for _ in range(3):
+                    client.read("obj")
+            sim.run_until(sim.now + 5_000.0)
+
+        read_round()
+        assert len(store.log) == 18
+        report = store.run_epoch("obj")
+        assert report.accesses == 18
+
+        read_round()
+        served = collections.Counter(r.server
+                                     for r in store.log.records[18:])
+        controller = store.controller("obj")
+        size = store.object("obj").read_size_bytes
+        summaries = {store.candidates[p]: s
+                     for p, s in controller._summaries.items()}
+        assert set(summaries) == set(store.installed_sites("obj"))
+        for site, summary in summaries.items():
+            assert summary.accesses == served[site]
+            assert summary.bytes_served == served[site] * size
+            assert sum(c.count for c in summary.micro_clusters) == \
+                served[site]
+        assert store.run_epoch("obj").accesses == 18
 
 
 class TestConsistencyConfigValidation:

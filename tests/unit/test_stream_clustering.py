@@ -83,10 +83,6 @@ class TestClusterFeature:
         cf = ClusterFeature.from_point(np.zeros(4))
         assert cf.wire_size_bytes < 1024
 
-    def test_distance_to(self):
-        cf = ClusterFeature.from_point(np.array([0.0, 0.0]))
-        assert cf.distance_to(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
 
 class TestOnlineClusterer:
     def test_parameter_validation(self):
@@ -99,15 +95,14 @@ class TestOnlineClusterer:
         rng = np.random.default_rng(2)
         clusterer = OnlineClusterer(max_clusters=4, radius_floor=0.1)
         for _ in range(500):
-            clusterer.add(rng.uniform(-100, 100, size=2))
+            clusterer.extend(rng.uniform(-100, 100, size=(1, 2)))
             assert len(clusterer) <= 4
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(3)
         clusterer = OnlineClusterer(max_clusters=5)
         n = 200
-        for _ in range(n):
-            clusterer.add(rng.normal(size=2), weight=2.0)
+        clusterer.extend(rng.normal(size=(n, 2)), np.full(n, 2.0))
         assert clusterer.total_count == n
         assert clusterer.total_weight == pytest.approx(2.0 * n)
         assert clusterer.points_seen == n
@@ -115,28 +110,25 @@ class TestOnlineClusterer:
     def test_nearby_points_absorbed_into_one_cluster(self):
         clusterer = OnlineClusterer(max_clusters=10, radius_floor=5.0)
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            clusterer.add(rng.normal(0.0, 0.5, size=2))
+        clusterer.extend(rng.normal(0.0, 0.5, size=(100, 2)))
         assert len(clusterer) == 1
 
     def test_separated_blobs_get_separate_clusters(self):
         clusterer = OnlineClusterer(max_clusters=10, radius_floor=2.0)
         rng = np.random.default_rng(5)
         blobs = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
-        for _ in range(60):
-            b = blobs[rng.integers(0, 3)]
-            clusterer.add(b + rng.normal(0, 0.5, size=2))
+        clusterer.extend([blobs[rng.integers(0, 3)]
+                          + rng.normal(0, 0.5, size=2) for _ in range(60)])
         assert len(clusterer) == 3
         centroids = sorted(tuple(np.round(c.centroid, -1)) for c in clusterer)
         assert centroids == [(0.0, 0.0), (0.0, 100.0), (100.0, 0.0)]
 
     def test_merge_picks_closest_pair(self):
         clusterer = OnlineClusterer(max_clusters=2, radius_floor=0.5)
-        clusterer.add(np.array([0.0, 0.0]))
-        clusterer.add(np.array([100.0, 0.0]))
-        # Third point near origin but outside the floor: spawns a cluster
-        # and forces a merge of the two closest (the two near origin).
-        clusterer.add(np.array([3.0, 0.0]))
+        # The third point is near the origin but outside the floor: it
+        # spawns a cluster and forces a merge of the two closest (the
+        # two near the origin).
+        clusterer.extend(np.array([[0.0, 0.0], [100.0, 0.0], [3.0, 0.0]]))
         assert len(clusterer) == 2
         counts = sorted(c.count for c in clusterer)
         assert counts == [1, 2]
@@ -145,14 +137,14 @@ class TestOnlineClusterer:
 
     def test_snapshot_is_deep(self):
         clusterer = OnlineClusterer(max_clusters=3)
-        clusterer.add(np.array([1.0, 1.0]))
+        clusterer.extend(np.array([[1.0, 1.0]]))
         snap = clusterer.snapshot()
-        clusterer.add(np.array([1.1, 1.1]))
+        clusterer.extend(np.array([[1.1, 1.1]]))
         assert snap[0].count == 1
 
     def test_reset(self):
         clusterer = OnlineClusterer(max_clusters=3)
-        clusterer.add(np.zeros(2))
+        clusterer.extend(np.zeros((1, 2)))
         clusterer.reset()
         assert len(clusterer) == 0
         assert clusterer.points_seen == 0
@@ -170,6 +162,5 @@ class TestOnlineClusterer:
 
     def test_iteration_yields_clusters(self):
         clusterer = OnlineClusterer(max_clusters=3, radius_floor=0.1)
-        clusterer.add(np.array([0.0, 0.0]))
-        clusterer.add(np.array([50.0, 50.0]))
+        clusterer.extend(np.array([[0.0, 0.0], [50.0, 50.0]]))
         assert all(isinstance(c, ClusterFeature) for c in clusterer)

@@ -25,27 +25,25 @@ class TestRecording:
     def test_kind_validation(self):
         ctrl = make()
         with pytest.raises(ValueError, match="kind"):
-            ctrl.record_access(0, np.zeros(2), kind="delete")
+            ctrl.record_batch(0, np.zeros((1, 2)), kind="delete")
 
     def test_writes_separate_stream_when_aware(self):
         ctrl = make(write_aware=True)
-        ctrl.record_access(0, np.zeros(2), kind="read")
-        ctrl.record_access(0, np.zeros(2), kind="write")
+        ctrl.record_batch(0, np.zeros((1, 2)), kind="read")
+        ctrl.record_batch(0, np.zeros((1, 2)), kind="write")
         assert ctrl._summaries[0].accesses == 1
         assert ctrl._write_summaries[0].accesses == 1
 
     def test_writes_fold_into_reads_when_not_aware(self):
         ctrl = make(write_aware=False)
-        ctrl.record_access(0, np.zeros(2), kind="write")
+        ctrl.record_batch(0, np.zeros((1, 2)), kind="write")
         assert ctrl._summaries[0].accesses == 1
         assert ctrl._write_summaries[0].accesses == 0
 
     def test_epoch_counts_both_streams(self):
         ctrl = make(write_aware=True)
-        for _ in range(3):
-            ctrl.record_access(0, np.array([10.0, 0.0]), kind="read")
-        for _ in range(2):
-            ctrl.record_access(1, np.array([20.0, 0.0]), kind="write")
+        ctrl.record_batch(0, np.tile([10.0, 0.0], (3, 1)), kind="read")
+        ctrl.record_batch(1, np.tile([20.0, 0.0], (2, 1)), kind="write")
         report = ctrl.run_epoch(np.random.default_rng(0))
         assert report.accesses == 5
 
@@ -59,14 +57,12 @@ class TestWriteAwarePlacement:
         aware = make(write_aware=True)
         blind = make(write_aware=False)
         for ctrl in (aware, blind):
-            for _ in range(10):
-                ctrl.record_access(0, np.array([0.0, 0.0]) + rng.normal(0, 1, 2),
-                                   kind="read")
-                ctrl.record_access(1, np.array([100.0, 0.0]) + rng.normal(0, 1, 2),
-                                   kind="read")
-            for _ in range(300):
-                ctrl.record_access(0, np.array([50.0, 0.0]) + rng.normal(0, 1, 2),
-                                   kind="write")
+            ctrl.record_batch(0, [0.0, 0.0] + rng.normal(0, 1, (10, 2)),
+                              kind="read")
+            ctrl.record_batch(1, [100.0, 0.0] + rng.normal(0, 1, (10, 2)),
+                              kind="read")
+            ctrl.record_batch(0, [50.0, 0.0] + rng.normal(0, 1, (300, 2)),
+                              kind="write")
         aware_report = aware.run_epoch(np.random.default_rng(1))
         blind_report = blind.run_epoch(np.random.default_rng(1))
         aware_spread = abs(LINE_DCS[aware.sites[0], 0]
@@ -81,17 +77,16 @@ class TestWriteAwarePlacement:
         aware = make(write_aware=True)
         blind = make(write_aware=False)
         for ctrl in (aware, blind):
-            for _ in range(30):
-                ctrl.record_access(0, np.array([5.0, 0.0]) + rng.normal(0, 1, 2))
-                ctrl.record_access(1, np.array([95.0, 0.0]) + rng.normal(0, 1, 2))
+            ctrl.record_batch(0, [5.0, 0.0] + rng.normal(0, 1, (30, 2)))
+            ctrl.record_batch(1, [95.0, 0.0] + rng.normal(0, 1, (30, 2)))
         aware.run_epoch(np.random.default_rng(3))
         blind.run_epoch(np.random.default_rng(3))
         assert sorted(aware.sites) == sorted(blind.sites)
 
     def test_summaries_roll_over_in_both_streams(self):
         ctrl = make(write_aware=True)
-        ctrl.record_access(0, np.zeros(2), kind="write")
-        ctrl.record_access(0, np.zeros(2), kind="read")
+        ctrl.record_batch(0, np.zeros((1, 2)), kind="write")
+        ctrl.record_batch(0, np.zeros((1, 2)), kind="read")
         ctrl.run_epoch(np.random.default_rng(0))
         report = ctrl.run_epoch(np.random.default_rng(1))
         assert report.accesses == 0

@@ -119,4 +119,4 @@ def test_monitor_sweep_kernel(benchmark):
     for i in range(20):
         store.create_object(f"obj-{i}", k=3,
                             controller_config=ControllerConfig(k=3))
-    benchmark(store._check_availability)
+    benchmark(store.check_availability)

@@ -14,9 +14,10 @@ its slice of the control plane:
 * **staggered epoch clocks** — each unit's periodic epoch starts at a
   key-derived phase offset (``epoch_stagger`` scales it) so thousands
   of epochs spread across the epoch period instead of landing on one
-  instant.  Each clock is scoped to its unit (:mod:`repro.sim.events`):
-  an epoch cuts short only that unit's bulk reads, so the spread does
-  not push every other unit's reads onto the per-event path;
+  instant.  Each clock comes from the store, scoped to its unit
+  (:mod:`repro.sim.events`): an epoch cuts short only that unit's bulk
+  reads, so the spread does not push every other unit's reads onto the
+  per-event path;
 * a slice of the **global migration budget** — one
   ``max_epoch_moves`` pool refilled every epoch window and drained by
   whichever unit's epoch fires next, bounding the catalog-wide
@@ -200,13 +201,10 @@ class ShardedCatalog:
             self._shard_of_unit[group_key] = shard
             if epoch_period_ms is not None:
                 phase = self.ring.unit_phase(group_key) * self.epoch_stagger
-                process = PeriodicProcess(
-                    store.sim, epoch_period_ms,
+                self._processes.append(store.start_epoch_clock(
+                    group_key, epoch_period_ms,
                     lambda _unit=group_key: self.run_unit_epoch(_unit),
-                    start_after=epoch_period_ms * (1.0 + phase),
-                    scope=group_key)
-                store.adopt_epoch_process(group_key, process)
-                self._processes.append(process)
+                    start_after=epoch_period_ms * (1.0 + phase)))
 
         registry = obs.get_registry()
         if registry.enabled:

@@ -29,7 +29,10 @@ versions and summaries) — a unit's epoch tick, its summary shipments and
 replica transfers, their retry timers.  ``scope=None`` (the default)
 means *global*: faults, heals, partitions, loss changes, repair-monitor
 ticks, gossip, writes and their update propagation.  The scope is a fact
-about the event, set by the code that creates it.
+about the event, set by the code that creates it — and only one module
+creates scoped events: the per-unit control plane
+(:mod:`repro.store.control`) stamps its unit on everything it schedules
+or sends, through one schedule/send helper pair and its epoch clock.
 
 When barrier tracking is enabled (it is off, and free, until a data
 plane attaches) the queue mirrors every barrier into one heap of all

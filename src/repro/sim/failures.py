@@ -166,20 +166,11 @@ class FailureInjector:
     # ------------------------------------------------------------------
     # Flaky links
     # ------------------------------------------------------------------
-    def flaky_link_now(self, a: int, b: int, loss: float,
-                       symmetric: bool = False) -> None:
-        """Make the ``a -> b`` link drop messages with probability ``loss``."""
-        self._flaky(int(a), int(b), float(loss), bool(symmetric))
-
     def flaky_link_at(self, time: float, a: int, b: int, loss: float,
                       symmetric: bool = False) -> None:
         """Schedule link flakiness at absolute simulated ``time``."""
         self._schedule(time, _Transition(
             "link-loss", (int(a), int(b), float(loss), bool(symmetric))))
-
-    def fix_link_now(self, a: int, b: int, symmetric: bool = False) -> None:
-        """Make the ``a -> b`` link reliable again."""
-        self._fix(int(a), int(b), bool(symmetric))
 
     def fix_link_at(self, time: float, a: int, b: int,
                     symmetric: bool = False) -> None:

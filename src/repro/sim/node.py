@@ -275,10 +275,6 @@ class Network:
         if symmetric:
             self._blocked.discard((b, a))
 
-    def link_up(self, a: int, b: int) -> bool:
-        """Whether the directed link ``a -> b`` is currently uncut."""
-        return (a, b) not in self._blocked
-
     def can_reach(self, a: int, b: int) -> bool:
         """Whether a message from ``a`` can currently arrive at ``b``.
 

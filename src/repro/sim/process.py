@@ -56,7 +56,6 @@ class PeriodicProcess:
         self.jitter = jitter
         self.rng = rng
         self.scope = scope
-        self.ticks = 0
         self._running = True
         first = self._interval() if start_after is None else start_after
         self._pending = sim.schedule(first, self._tick, scope=scope)
@@ -70,7 +69,6 @@ class PeriodicProcess:
     def _tick(self) -> None:
         if not self._running:
             return
-        self.ticks += 1
         self.callback()
         if self._running:
             self._pending = self.sim.schedule(self._interval(), self._tick,

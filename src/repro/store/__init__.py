@@ -11,8 +11,10 @@ discrete-event simulator:
   each access into the per-replica micro-cluster summary;
 * :class:`StorageClient` — issues reads/writes, choosing a replica by
   network-coordinate prediction (or a true-latency oracle);
-* :class:`ReplicatedStore` — wiring: object catalog, replica sets,
-  migration execution, placement epochs, access metrics;
+* :class:`ReplicatedStore` — wiring: object catalog, routing, access
+  metrics;
+* :mod:`repro.store.control` — one placement unit and its control loop:
+  epochs, summary shipping, retries, migration, repair;
 * :mod:`repro.store.consistency` — the paper's stated future work,
   built as an extension: asynchronous update propagation between
   replicas and quorum reads (R out of k);

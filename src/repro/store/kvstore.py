@@ -1,4 +1,4 @@
-"""The replicated store: servers, clients and the placement control loop.
+"""The replicated store: servers, clients, routing and the unit catalog.
 
 See :mod:`repro.store` for the overview.  All latency behaviour comes
 from the simulator's message fabric; this module adds the storage
@@ -21,6 +21,8 @@ object or an *object group* — the paper's Section II-A "virtual object
 that represents all the objects of the group".  Every member of a unit
 shares one replica set, one access summary, one controller and one
 migration decision; accesses to any member inform the shared summary.
+Each unit runs its own control loop in :mod:`repro.store.control`; the
+store's epoch, coordinator and availability methods delegate to it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from repro.sim.node import Message, Network, Node
 from repro.sim.process import PeriodicProcess
 from repro.sim.simulator import Simulator
 from repro.store.consistency import ConsistencyConfig, QuorumError
+from repro.store.control import PlacementUnit
 from repro.store.objects import AccessLog, AccessRecord, DataObject
 from repro.store.queueing import QueueingConfig, ServerQueue
 from repro.store.selection import SelectionStrategy, make_strategy
@@ -151,12 +154,12 @@ class StorageServer(Node):
 
     def _propagate(self, key: str, version: int) -> None:
         obj = self.store.object(key)
+        unit_key = self.store._unit_of_key(key).unit_key
         for peer in self.store.installed_sites(key):
             if peer != self.node_id:
                 self.send(peer, "replicate",
                           payload={"versions": {key: version},
-                                   "unit": self.store._unit_key_of(key),
-                                   "reason": "update"},
+                                   "unit": unit_key, "reason": "update"},
                           size_bytes=obj.size_bytes)
 
     def _on_replicate(self, message: Message) -> None:
@@ -169,8 +172,7 @@ class StorageServer(Node):
         for key, version in versions.items():
             self.replicas[key] = max(self.replicas.get(key, -1), version)
         reason = message.payload.get("reason")
-        unit_key = message.payload["unit"]
-        unit = self.store._units.get(unit_key)
+        unit = self.store._units.get(message.payload["unit"])
         if unit is None:
             # The unit was deleted while the transfer was in flight;
             # discard the stray replica data.
@@ -179,9 +181,9 @@ class StorageServer(Node):
             return
         unit.version += 1
         if reason == "migration":
-            self.store._migration_transfer_done(unit_key, self.node_id)
+            unit.migration_landed(self.node_id)
         elif reason == "repair":
-            self.store._repair_transfer_done(unit_key, self.node_id)
+            unit.repair_landed(self.node_id)
 
     def _on_summary(self, message: Message) -> None:
         # Summaries terminate at the coordinator; the controller already
@@ -189,21 +191,17 @@ class StorageServer(Node):
         # the control-plane traffic is charged to the network.  Its
         # arrival doubles as the delivery acknowledgement the retry
         # machinery waits for.
-        self.store._summary_received(message.payload["unit"], message.sender,
-                                     message.payload.get("shipment"))
+        unit = self.store._units.get(message.payload["unit"])
+        if unit is not None:
+            unit.summary_received(message.sender, message.payload["shipment"])
 
     # ------------------------------------------------------------------
-    def install(self, key: str, version: int) -> None:
-        """Place a replica directly (initial placement, no transfer)."""
-        self.store._unit_of_key(key).version += 1
-        self.replicas[key] = version
-
     def drop(self, key: str) -> None:
         """Discard a replica."""
         self.store._unit_of_key(key).version += 1
         self.replicas.pop(key, None)
 
-    def holds_unit(self, unit: "_PlacementUnit") -> bool:
+    def holds_unit(self, unit: PlacementUnit) -> bool:
         """Whether this server holds every member of ``unit``."""
         return all(key in self.replicas for key in unit.members)
 
@@ -427,75 +425,8 @@ class StorageClient(Node):
         ))
 
 
-@dataclass
-class _PendingShipment:
-    """Retry state of one in-flight transfer or summary shipment."""
-
-    attempts: int = 1
-    size_bytes: int = 0
-    timeout_event: object = None
-    #: Matches acknowledgements to this shipment (summaries only): a
-    #: delayed copy from a superseded epoch must not ack a later one.
-    shipment_id: int = 0
-
-
-class _RetryLoop(NamedTuple):
-    """What tells one timeout -> back off -> resend loop from another."""
-
-    pending_of: Callable  # unit -> its live {key: _PendingShipment} map
-    counter: str          # store counter bumped per retry (see ``_count``)
-    resend: Callable      # (unit, key, pending) -> None
-    give_up: Callable     # (unit, key) -> None: attempt budget exhausted
-
-
-@dataclass
-class _PlacementUnit:
-    """One independently placed replica set: an object or a group."""
-
-    unit_key: str
-    members: dict[str, DataObject]
-    controller: ReplicationController
-    installed: set[int]            # node ids currently serving reads
-    target: set[int] | None = None       # node ids of an in-flight migration
-    awaiting: set[int] = field(default_factory=set)  # pending transfers
-    latest: dict[str, int] = field(default_factory=dict)
-    epoch_process: PeriodicProcess | None = None
-    epoch_reports: list[EpochReport] = field(default_factory=list)
-    #: Per-unit default coordinator (a sharded catalog homes each shard's
-    #: units on that shard's coordinator); ``None`` falls back to the
-    #: store-wide default (the first candidate).
-    home: int | None = None
-    #: Retry bookkeeping (only populated when a RetryPolicy is set).
-    pending_transfers: dict[int, _PendingShipment] = field(default_factory=dict)
-    pending_summaries: dict[int, _PendingShipment] = field(default_factory=dict)
-    abandoned: set[int] = field(default_factory=set)
-    #: Deferred summary folds: tuples of
-    #: ``(time(s), position, coords, weight(s), kind)`` where the first,
-    #: third and fourth fields may be scalars (one access, recorded by a
-    #: real event) or arrays (a batched engine's bulk window).  Flushed
-    #: — stably sorted by access time, per position and summary stream —
-    #: before any summary observation or mutation.
-    fold_buffer: list = field(default_factory=list)
-    #: Bumped whenever a member's replica on any server, the installed
-    #: set or a member's latest version changes: with
-    #: ``network.state_epoch``, what tells the batched engine its cached
-    #: routes and versions for this unit still hold.
-    version: int = 0
-
-    @property
-    def total_size_gb(self) -> float:
-        return sum(obj.size_gb for obj in self.members.values())
-
-    @property
-    def total_size_bytes(self) -> int:
-        return sum(obj.size_bytes for obj in self.members.values())
-
-    def current_versions(self, server: StorageServer) -> dict[str, int]:
-        return {key: server.replicas.get(key, 0) for key in self.members}
-
-
 class ReplicatedStore:
-    """Catalog, routing and placement control for replicated objects.
+    """Catalog, routing and placement units for replicated objects.
 
     Parameters
     ----------
@@ -588,13 +519,6 @@ class ReplicatedStore:
         self.summary_retries = 0
         self.summaries_lost = 0
         self._shipment_ids = itertools.count(1)
-        self._transfer_retries = _RetryLoop(
-            # A settled migration has nothing left to retry.
-            lambda unit: (unit.pending_transfers if unit.target is not None
-                          else {}),
-            "migration_retries",
-            lambda unit, target, _: self._send_transfer(unit, target),
-            self._abandon_transfer)
         self.candidates = tuple(int(c) for c in candidates)
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("candidate node ids must be distinct")
@@ -616,7 +540,7 @@ class ReplicatedStore:
             node_id: StorageServer(self, node_id) for node_id in self.candidates
         }
         self.clients: dict[int, StorageClient] = {}
-        self._units: dict[str, _PlacementUnit] = {}
+        self._units: dict[str, PlacementUnit] = {}
         self._unit_of: dict[str, str] = {}   # member key -> unit key
         #: Coordinator for summary traffic: the first candidate.
         self.coordinator = self.candidates[0]
@@ -624,7 +548,7 @@ class ReplicatedStore:
         # the clustering layer) with this simulation's clock.
         obs.get_tracer().bind_clock(lambda: self.sim.now)
         if auto_repair:
-            PeriodicProcess(sim, repair_period_ms, self._check_availability)
+            PeriodicProcess(sim, repair_period_ms, self.check_availability)
 
     # ------------------------------------------------------------------
     # Topology
@@ -719,7 +643,7 @@ class ReplicatedStore:
                      cost_model: MigrationCostModel | None,
                      policy: MigrationPolicy | None,
                      epoch_period_ms: float | None,
-                     home_coordinator: int | None = None) -> _PlacementUnit:
+                     home_coordinator: int | None = None) -> None:
         if unit_key in self._units or unit_key in self._unit_of:
             raise ValueError(f"unit {unit_key!r} already exists")
         for key in members:
@@ -740,34 +664,18 @@ class ReplicatedStore:
             raise ValueError(
                 f"home coordinator {home_coordinator} is not a candidate")
 
-        total_gb = sum(obj.size_gb for obj in members.values())
-        config = controller_config or ControllerConfig(k=len(initial_sites))
-        positions = [self._position_of[s] for s in initial_sites]
-        dc_coords = self.planar_coords()[list(self.candidates)]
-        controller = ReplicationController(
-            dc_coords, positions, config,
-            cost_model=cost_model or MigrationCostModel(object_size_gb=total_gb),
-            policy=policy,
-            on_migrate=lambda old, new, _unit=unit_key: self._execute_migration(
-                _unit, old, new),
-            domains=self.domains,
-        )
-        unit = _PlacementUnit(unit_key=unit_key, members=members,
-                              controller=controller,
-                              installed=set(initial_sites),
-                              latest={key: 0 for key in members},
-                              home=home_coordinator)
+        unit = PlacementUnit(self, unit_key, members, initial_sites,
+                             controller_config, cost_model, policy,
+                             home_coordinator)
         self._units[unit_key] = unit
         for key in members:
             self._unit_of[key] = unit_key
-        for site in initial_sites:
+        for site in initial_sites:  # initial placement, no transfer
             for key in members:
-                self.servers[site].install(key, version=0)
+                self.servers[site].replicas[key] = 0
         if epoch_period_ms is not None:
-            unit.epoch_process = PeriodicProcess(
-                self.sim, epoch_period_ms,
-                lambda _unit=unit_key: self.run_epoch(_unit), scope=unit_key)
-        return unit
+            unit.start_clock(epoch_period_ms,
+                             lambda: self.run_epoch(unit_key))
 
     def delete(self, unit_key: str) -> None:
         """Retire an object or group: drop every replica, stop its epochs.
@@ -785,12 +693,9 @@ class ReplicatedStore:
                     f"{unit_key!r} is a group member; delete the group "
                     f"{self._unit_of[unit_key]!r} instead")
             raise KeyError(f"unknown unit {unit_key!r}")
-        self._flush_folds(unit)  # folds predate the deletion
-        if unit.epoch_process is not None:
-            unit.epoch_process.stop()
+        unit.retire()
         for site in sorted(unit.installed | unit.awaiting):
-            for key in unit.members:
-                self.servers[site].drop(key)
+            unit.drop_from(site)
         for key in unit.members:
             del self._unit_of[key]
         del self._units[unit_key]
@@ -813,18 +718,14 @@ class ReplicatedStore:
         """All placement-unit keys, in creation order."""
         return tuple(self._units)
 
-    def adopt_epoch_process(self, unit_key: str,
-                            process: PeriodicProcess) -> None:
-        """Register an externally owned epoch clock with a unit.
-
-        A sharded catalog schedules its own (staggered, budget-aware)
-        epoch processes; registering them here lets :meth:`delete` stop
-        the clock together with the unit.
-        """
-        unit = self._unit(unit_key)
-        if unit.epoch_process is not None:
-            raise ValueError(f"unit {unit_key!r} already has an epoch clock")
-        unit.epoch_process = process
+    def start_epoch_clock(self, unit_key: str, period_ms: float,
+                          tick: Callable[[], object],
+                          start_after: float | None = None
+                          ) -> PeriodicProcess:
+        """Start a unit's one epoch clock (a sharded catalog asks for its
+        staggered ones here); :meth:`delete` stops it."""
+        return self._unit_of_key(unit_key).start_clock(
+            period_ms, tick, start_after)
 
     def installed_sites(self, key: str) -> tuple[int, ...]:
         """Node ids currently serving reads for ``key``."""
@@ -845,25 +746,16 @@ class ReplicatedStore:
         first, so its summaries hold every access served so far.
         """
         unit = self._unit_of_key(key)
-        self._flush_folds(unit)
+        unit.flush_folds()
         return unit.controller
 
-    def _unit(self, unit_key: str) -> _PlacementUnit:
-        unit = self._units.get(unit_key)
-        if unit is None:
-            raise KeyError(f"unknown unit {unit_key!r}")
-        return unit
-
-    def _unit_of_key(self, key: str) -> _PlacementUnit:
+    def _unit_of_key(self, key: str) -> PlacementUnit:
         unit_key = self._unit_of.get(key)
         if unit_key is None:
             if key in self._units:  # allow unit/group keys in queries
                 return self._units[key]
             raise KeyError(f"unknown object {key!r}")
         return self._units[unit_key]
-
-    def _unit_key_of(self, key: str) -> str:
-        return self._unit_of.get(key, key)
 
     def _next_version(self, key: str) -> int:
         unit = self._unit_of_key(key)
@@ -926,18 +818,8 @@ class ReplicatedStore:
                               client_coords: np.ndarray,
                               bytes_exchanged: float,
                               kind: str = "read") -> None:
-        """Buffer one served access for its unit's summaries.
-
-        Folding is deferred: the buffer is applied — stably sorted by
-        access time, grouped per site and summary stream — right before
-        anything observes or mutates the summaries (:meth:`controller`,
-        epochs, deletion, rollback, repair,
-        :meth:`flush_pending_accesses`).  Deferral
-        is *exact*: micro-cluster maintenance depends only on the fold
-        order, which the sort reproduces (ties keep buffer insertion
-        order, i.e. event order), not on how the stream is cut into
-        blocks.
-        """
+        """Buffer one served access for its unit's summaries (folded by
+        :meth:`PlacementUnit.flush_folds`)."""
         unit = self._unit_of_key(key)
         unit.fold_buffer.append((self.sim.now, self._position_of[server],
                                  client_coords, bytes_exchanged, kind))
@@ -946,86 +828,16 @@ class ReplicatedStore:
         """Apply every deferred summary fold, whatever its stamp (the
         run is over or a batched engine stopped)."""
         for unit in self._units.values():
-            self._flush_folds(unit, math.inf)
-
-    def _flush_folds(self, unit: _PlacementUnit,
-                     until: float | None = None) -> None:
-        """Fold the deferred accesses stamped at or before ``until``
-        (default: now).  A flush from another unit's event can find bulk
-        reads stamped later; they stay buffered, since every later
-        append is stamped after now too."""
-        buf = unit.fold_buffer
-        if not buf:
-            return
-        until = self.sim.now if until is None else until
-        unit.fold_buffer = []
-        write_aware = unit.controller.config.write_aware
-        # (position, stream) -> [time parts, coords parts, weight parts];
-        # only write-aware controllers split streams by kind — otherwise
-        # reads and writes fold into the same summary and must stay in
-        # one merged time order.
-        groups: dict[tuple[int, str], tuple[list, list, list]] = {}
-        for when, position, coords, weights, kind in buf:
-            stream = kind if write_aware else "read"
-            parts = groups.setdefault((position, stream), ([], [], []))
-            parts[0].append(np.atleast_1d(np.asarray(when, dtype=float)))
-            parts[1].append(np.atleast_2d(np.asarray(coords, dtype=float)))
-            parts[2].append(np.atleast_1d(np.asarray(weights, dtype=float)))
-        for (position, stream), (tparts, cparts, wparts) in groups.items():
-            times = np.concatenate(tparts)
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            coords = np.vstack(cparts)[order]
-            weights = np.concatenate(wparts)[order]
-            due = int(np.searchsorted(times, until, side="right"))
-            if due < times.size:
-                unit.fold_buffer.append((times[due:], position, coords[due:],
-                                         weights[due:], stream))
-            if not due:
-                continue
-            try:
-                unit.controller.record_batch(position, coords[:due],
-                                             weights[:due], kind=stream)
-            except KeyError:
-                # The replica is being retired (or was just created by a
-                # migration the controller already rolled over); its
-                # traffic no longer informs placement.  The flush runs
-                # before the summary site set changes, so this is the
-                # set the access was served against.
-                pass
+            unit.flush_folds(math.inf)
 
     # ------------------------------------------------------------------
-    # Coordinator election (failover protocol; see docs/chaos.md)
+    # The per-unit control plane (repro.store.control), by key
     # ------------------------------------------------------------------
     def current_coordinator(self, key: str) -> int:
-        """The node id that would coordinate ``key``'s next epoch.
+        """The node id that would coordinate ``key``'s next epoch (see
+        :meth:`PlacementUnit.coordinator` and docs/chaos.md)."""
+        return self._unit_of_key(key).coordinator()
 
-        Deterministic successor ranking: the unit's default coordinator
-        (its home, or the store-wide first candidate) while it is
-        viable, then the unit's replica holders in sorted order, then
-        the remaining candidates.  A candidate is viable when it is up
-        and at least one live replica holder can ship summaries to it.
-        With every candidate down the default coordinator is returned
-        (the epoch then degrades to "no reachable summaries").
-        """
-        unit = self._unit_of_key(key)
-        default = unit.home if unit.home is not None else self.coordinator
-        ranking = list(dict.fromkeys(
-            [default] + sorted(unit.installed)
-            + list(self.candidates)))
-        live_holders = [s for s in sorted(unit.installed)
-                        if self.network.is_up(s)]
-        for site in ranking:
-            if not self.network.is_up(site):
-                continue
-            if site in live_holders or any(
-                    self.network.can_reach(h, site) for h in live_holders):
-                return site
-        return default
-
-    # ------------------------------------------------------------------
-    # Placement epochs and migration
-    # ------------------------------------------------------------------
     def run_epoch(self, unit_key: str,
                   max_moves: int | None = None) -> EpochReport:
         """Run one placement epoch for a unit (Algorithm 1 + policy).
@@ -1041,319 +853,11 @@ class ReplicatedStore:
         epoch" (shrinks still go through).  ``None`` keeps the
         controller's own configuration.
         """
-        unit = self._unit_of_key(unit_key)
-        self._flush_folds(unit)  # the epoch pools the summaries next
-        registry = obs.get_registry()
-        # Refresh candidate coordinates: with live gossip they drift.
-        unit.controller.dc_coords = self.planar_coords()[list(self.candidates)]
-        coordinator = self.current_coordinator(unit_key)
-        _, lease = unit.controller.elect_coordinator(
-            [self._position_of[coordinator]])
-        reachable = [self._position_of[s] for s in sorted(unit.installed)
-                     if self.network.can_reach(s, coordinator)]
-        eligible = [p for p, site in enumerate(self.candidates)
-                    if self.network.can_reach(coordinator, site)
-                    and self.network.can_reach(site, coordinator)]
-        with registry.phase("store.epoch"):
-            report = unit.controller.run_epoch(
-                self.sim.rng(f"epoch-{unit.unit_key}"),
-                reachable=reachable, eligible=eligible, lease=lease,
-                max_moves=max_moves)
-        if registry.enabled:
-            registry.counter("store.epochs").inc()
-        unit.epoch_reports.append(report)
-        # Charge the summary shipping to the network.
-        if report.summary_bytes > 0:
-            shippers = (report.reachable_sites
-                        if report.reachable_sites is not None
-                        else report.previous_sites)
-            per_site = max(
-                report.summary_bytes // max(len(shippers), 1), 1)
-            for position in shippers:
-                site = self.candidates[position]
-                if site != coordinator:
-                    self._ship_summary(unit, site, coordinator, per_site)
-        return report
+        return self._unit_of_key(unit_key).run_epoch(max_moves)
 
-    def _ship_summary(self, unit: _PlacementUnit, site: int,
-                      coordinator: int, size_bytes: int) -> None:
-        def send(unit, site, pending):
-            self.servers[site].send(coordinator, "summary",
-                                    payload={"unit": unit.unit_key,
-                                             "shipment": pending.shipment_id},
-                                    size_bytes=pending.size_bytes,
-                                    scope=unit.unit_key)
-
-        pending = _PendingShipment(size_bytes=size_bytes,
-                                   shipment_id=next(self._shipment_ids))
-        send(unit, site, pending)
-        if self.retry_policy is None:
-            return
-        stale = unit.pending_summaries.pop(site, None)
-        if stale is not None and stale.timeout_event is not None:
-            stale.timeout_event.cancel()  # superseded by this epoch's copy
-        unit.pending_summaries[site] = pending
-        self._arm_retry(_RetryLoop(
-            lambda unit: unit.pending_summaries, "summary_retries", send,
-            lambda unit, site: self._count("summaries_lost")), unit, site)
-
-    def _summary_received(self, unit_key: str, site: int,
-                          shipment: int | None = None) -> None:
-        unit = self._units.get(unit_key)
-        if unit is None:
-            return
-        pending = unit.pending_summaries.get(site)
-        if pending is None:
-            return
-        if shipment is not None and shipment != pending.shipment_id:
-            # A delayed copy of an earlier, superseded shipment: the
-            # current epoch's summary is still in flight — leaving the
-            # pending entry armed keeps its loss observable.
-            return
-        del unit.pending_summaries[site]
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()
-
-    # ------------------------------------------------------------------
-    # The one retry state machine (summary shipments, replica transfers)
-    # ------------------------------------------------------------------
-    def _arm_retry(self, loop: _RetryLoop, unit: _PlacementUnit,
-                   key: int) -> None:
-        loop.pending_of(unit)[key].timeout_event = self.sim.schedule(
-            self.retry_policy.timeout_ms, self._on_retry_timeout,
-            loop, unit.unit_key, key, scope=unit.unit_key)
-
-    def _retryable(self, loop: _RetryLoop, unit_key: str, key: int):
-        """``(unit, pending)``; pending is ``None`` once the shipment was
-        acknowledged, the unit deleted, or the loop has nothing live."""
-        unit = self._units.get(unit_key)
-        return unit, (None if unit is None
-                      else loop.pending_of(unit).get(key))
-
-    def _on_retry_timeout(self, loop: _RetryLoop, unit_key: str,
-                          key: int) -> None:
-        unit, pending = self._retryable(loop, unit_key, key)
-        if pending is None:
-            return
-        pending.timeout_event = None
-        if pending.attempts >= self.retry_policy.max_attempts:
-            del loop.pending_of(unit)[key]
-            loop.give_up(unit, key)
-            return
-        self._count(loop.counter)
-        backoff = self.retry_policy.backoff_ms(
-            pending.attempts, rng=self.sim.rng("retry-jitter"))
-        pending.attempts += 1
-        self.sim.schedule(backoff, self._resend, loop, unit_key, key,
-                          scope=unit_key)
-
-    def _resend(self, loop: _RetryLoop, unit_key: str, key: int) -> None:
-        unit, pending = self._retryable(loop, unit_key, key)
-        if pending is None:
-            return  # acknowledged or completed while the backoff ran
-        loop.resend(unit, key, pending)
-        self._arm_retry(loop, unit, key)
-
-    def _execute_migration(self, unit_key: str, old_positions: tuple[int, ...],
-                           new_positions: tuple[int, ...]) -> None:
-        """Move replicas: transfer to new sites, retire old ones after."""
-        unit = self._unit(unit_key)
-        new_sites = {self.candidates[p] for p in new_positions}
-        unit.target = new_sites
-        unit.awaiting = new_sites - unit.installed
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter("store.migrations.started").inc()
-            registry.counter("store.migration_bytes").inc(
-                unit.total_size_bytes * len(unit.awaiting))
-            obs.get_tracer().record(
-                obs.MIGRATION_START, time=self.sim.now, unit=unit_key,
-                sources=sorted(unit.installed), targets=sorted(new_sites),
-                transfers=len(unit.awaiting))
-        if not unit.awaiting:
-            # Pure shrink (or reorder): retire immediately.
-            self._finalize_migration(unit_key)
-            return
-        for target in sorted(unit.awaiting):
-            self._send_transfer(unit, target)
-            if self.retry_policy is not None:
-                unit.pending_transfers[target] = _PendingShipment()
-                self._arm_retry(self._transfer_retries, unit, target)
-
-    def _send_transfer(self, unit: _PlacementUnit, target: int) -> None:
-        """Ship the unit from the closest live holder to ``target``.
-
-        Sources the target cannot be reached from are skipped when a
-        reachable one exists, so a retry after a partial heal picks a
-        working path; with none, the closest holder is used anyway and
-        the network drops the message (the timeout then fires).
-        """
-        sources = sorted(unit.installed)
-        usable = [s for s in sources if self.network.can_reach(s, target)]
-        source = min(usable or sources,
-                     key=lambda s: self.network.matrix.latency(s, target))
-        self.servers[source].send(
-            target, "replicate",
-            payload={"versions": unit.current_versions(self.servers[source]),
-                     "unit": unit.unit_key, "reason": "migration"},
-            size_bytes=unit.total_size_bytes, scope=unit.unit_key)
-
-    def _abandon_transfer(self, unit: _PlacementUnit, target: int) -> None:
-        """Budget exhausted: abandon this target.  The finalize step
-        rolls the placement back onto surviving sites."""
-        unit.abandoned.add(target)
-        unit.awaiting.discard(target)
-        self._count("migrations_abandoned", "store.migrations.abandoned")
-        if not unit.awaiting:
-            self._finalize_migration(unit.unit_key)
-
-    def _migration_transfer_done(self, unit_key: str, node_id: int) -> None:
-        unit = self._unit(unit_key)
-        pending = unit.pending_transfers.pop(node_id, None)
-        if pending is not None and pending.timeout_event is not None:
-            pending.timeout_event.cancel()
-        if node_id in unit.abandoned:
-            # A retried copy landed after the attempt budget ran out and
-            # the rollback already excluded this site; drop the replica
-            # rather than resurrect a half-abandoned migration.
-            for key in unit.members:
-                self.servers[node_id].drop(key)
-            return
-        if unit.target is None or node_id not in unit.target:
-            # Straggler: a duplicate delivery (original + retry both got
-            # through) arriving after the migration finalized, or a copy
-            # addressed to a site no current migration targets.  The
-            # placement already settled without it — re-finalizing here
-            # would corrupt it, so keep the bytes only if the site ended
-            # up holding the unit anyway.
-            if node_id not in unit.installed:
-                for key in unit.members:
-                    self.servers[node_id].drop(key)
-            return
-        unit.awaiting.discard(node_id)
-        # New replicas serve reads as soon as they are installed.
-        unit.version += 1
-        unit.installed.add(node_id)
-        if not unit.awaiting:
-            self._finalize_migration(unit_key)
-
-    def _finalize_migration(self, unit_key: str) -> None:
-        unit = self._unit(unit_key)
-        self._flush_folds(unit)  # a rollback re-keys the summaries
-        assert unit.target is not None
-        final = set(unit.target)
-        if unit.abandoned:
-            # Roll back: abandoned targets never installed, so retain
-            # the closest-numbered old sites instead — the degree of
-            # replication is preserved through a failed migration.
-            final -= unit.abandoned
-            for site in sorted(unit.installed - final):
-                if len(final) >= unit.controller.k:
-                    break
-                final.add(site)
-            self.migration_rollbacks += 1
-            registry = obs.get_registry()
-            if registry.enabled:
-                registry.counter("store.migration_rollbacks").inc()
-                obs.get_tracer().record(
-                    obs.MIGRATION_FINISH, time=self.sim.now, unit=unit_key,
-                    sites=sorted(final), rolled_back=True,
-                    abandoned=sorted(unit.abandoned))
-        for site in sorted(unit.installed - final):
-            for key in unit.members:
-                self.servers[site].drop(key)
-        unit.version += 1
-        unit.installed = set(final)
-        rolled_back = bool(unit.abandoned)
-        unit.target = None
-        unit.abandoned = set()
-        if rolled_back:
-            # The controller adopted the proposal optimistically when the
-            # verdict fired; re-align it with what actually happened.
-            unit.controller.sync_sites(
-                [self._position_of[s] for s in sorted(unit.installed)])
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter("store.migrations.finished").inc()
-            if not rolled_back:
-                obs.get_tracer().record(
-                    obs.MIGRATION_FINISH, time=self.sim.now, unit=unit_key,
-                    sites=sorted(unit.installed))
-
-    # ------------------------------------------------------------------
-    # Availability: failure handling and re-replication
-    # ------------------------------------------------------------------
-    def _check_availability(self) -> None:
-        """Periodic sweep: drop dead replicas, re-adopt recovered ones,
-        and re-replicate up to the target degree (auto-repair)."""
-        for unit_key in list(self._units):
-            self._check_unit_availability(unit_key)
-
-    def _check_unit_availability(self, unit_key: str) -> None:
-        unit = self._unit(unit_key)
-        self._flush_folds(unit)  # sync_sites below re-keys the summaries
-        if unit.target is not None:
-            return  # a migration is in flight; let it settle first
-        live = {s for s in unit.installed if self.network.is_up(s)}
-        lost = unit.installed - live
-        target_k = unit.controller.k
-
-        # Recovered servers that still hold the replicas (durable disks)
-        # rejoin for free, up to the target degree.
-        if len(live) < target_k:
-            for site in self.candidates:
-                if len(live) >= target_k:
-                    break
-                if (site not in live and self.network.is_up(site)
-                        and self.servers[site].holds_unit(unit)):
-                    live.add(site)
-
-        if lost or live != unit.installed:
-            if live:
-                unit.version += 1
-                unit.installed = live
-                unit.controller.sync_sites(
-                    [self._position_of[s] for s in sorted(live)])
-            else:
-                # Every replica is down; keep the old set and wait for a
-                # recovery — there is nothing to repair *from*.
-                return
-
-        if not self.auto_repair or len(unit.installed) >= target_k:
-            return
-
-        # Re-replicate from the closest live holder onto the closest
-        # live non-holder.
-        holders = sorted(unit.installed)
-        spares = [s for s in self.candidates
-                  if s not in unit.installed and self.network.is_up(s)
-                  and s not in unit.awaiting]
-        needed = target_k - len(unit.installed) - len(unit.awaiting)
-        for _ in range(max(needed, 0)):
-            if not spares:
-                break
-            # Prefer the spare closest to any current holder (cheap,
-            # fast transfer); ties broken by id for determinism.
-            spare = min(spares, key=lambda s: min(
-                self.network.matrix.latency(h, s) for h in holders))
-            spares.remove(spare)
-            source = min(holders,
-                         key=lambda h: self.network.matrix.latency(h, spare))
-            unit.awaiting.add(spare)
-            self.repairs += 1
-            self.servers[source].send(
-                spare, "replicate",
-                payload={"versions": unit.current_versions(self.servers[source]),
-                         "unit": unit_key, "reason": "repair"},
-                size_bytes=unit.total_size_bytes, scope=unit_key)
-
-    def _repair_transfer_done(self, unit_key: str, node_id: int) -> None:
-        unit = self._unit(unit_key)
-        self._flush_folds(unit)  # sync_sites below re-keys the summaries
-        unit.awaiting.discard(node_id)
-        if not self.network.is_up(node_id):
-            return  # it crashed again while the transfer was in flight
-        unit.version += 1
-        unit.installed.add(node_id)
-        unit.controller.sync_sites(
-            [self._position_of[s] for s in sorted(unit.installed)])
+    def check_availability(self) -> None:
+        """One availability sweep over every unit (the auto-repair
+        monitor runs it every ``repair_period_ms``): drop dead replicas,
+        re-adopt recovered ones, re-replicate up to the target degree."""
+        for unit in list(self._units.values()):
+            unit.check_availability()

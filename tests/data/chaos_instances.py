@@ -8,9 +8,10 @@ draws migrations, and 90 %-loss links from positions 1-7 into positions
 0-2 so that transfers retry, give up and roll back — through
 :func:`repro.chaos.run_chaos`, and returns per scenario ``[sha256 of
 chaos_summary_json, faulty repairs, faulty migration retries, faulty
-rollbacks, faulty summary retries]``.  The counts say which control-plane paths a scenario drives and give a failing
-digest a first hint; the hash pins everything else, down to the last bit
-of every latency.
+rollbacks, faulty summary retries]``.  The counts say which
+control-plane paths a scenario drives and give a failing digest a first
+hint; the hash pins everything else, down to the last bit of every
+latency.
 
 ``chaos_digests.json`` next to this file is that dictionary as recorded
 at commit 3aa749e (before the per-unit control plane left

@@ -47,11 +47,11 @@ class TestBandwidthLimitedMigration:
             pytest.skip("no migration proposed for this seed")
         migrated_at = sim.now
         # Immediately after the epoch the transfer is still in flight.
-        assert store._unit("obj").awaiting
+        assert store._units["obj"].awaiting
         sim.run_until(migrated_at + 2_000.0)
-        assert store._unit("obj").awaiting      # 2 s < 8.6 s: still moving
+        assert store._units["obj"].awaiting      # 2 s < 8.6 s: still moving
         sim.run_until(migrated_at + 15_000.0)
-        assert not store._unit("obj").awaiting  # transfer completed
+        assert not store._units["obj"].awaiting  # transfer completed
 
     def test_latency_only_migration_is_fast(self):
         sim, matrix, store = build(bandwidth=None, size_gb=1.0)
@@ -59,7 +59,7 @@ class TestBandwidthLimitedMigration:
         if not report.migrated:
             pytest.skip("no migration proposed for this seed")
         sim.run_until(sim.now + 1_000.0)
-        assert not store._unit("obj").awaiting
+        assert not store._units["obj"].awaiting
 
     def test_reads_served_by_old_replica_during_transfer(self):
         sim, matrix, store = build(bandwidth=UniformBandwidth(mbps=1000.0))

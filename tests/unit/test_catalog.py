@@ -95,11 +95,15 @@ class TestShardedCatalogConstruction:
             ShardedCatalog(store, ["a", "b"],
                            groups=PlacementGroups.singletons(["a"]))
 
-    def test_adopt_epoch_process_refuses_double_clock(self):
+    def test_unit_gets_one_epoch_clock(self):
         _, store = build_store()
         store.create_object("obj", k=2, epoch_period_ms=1_000.0)
         with pytest.raises(ValueError, match="epoch clock"):
-            store.adopt_epoch_process("obj", object())
+            store.start_epoch_clock("obj", 1_000.0, lambda: None)
+        store.create_object("other", k=2)
+        store.start_epoch_clock("other", 1_000.0, lambda: None)
+        with pytest.raises(ValueError, match="epoch clock"):
+            store.start_epoch_clock("other", 500.0, lambda: None)
 
     def test_invalid_home_coordinator_rejected(self):
         _, store = build_store()

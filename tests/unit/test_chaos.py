@@ -472,11 +472,12 @@ class TestSummaryRetry:
         store.controller("obj").record_batch(2, coords[11:12])
         FailureInjector(store.network).partition_now([2])
         shipped = []
-        original = store._ship_summary
-        store._ship_summary = (
-            lambda unit, site, coordinator, size_bytes:
+        unit = store._units["obj"]
+        original = unit._ship_summary
+        unit._ship_summary = (
+            lambda site, coordinator, size_bytes:
             (shipped.append((site, size_bytes)),
-             original(unit, site, coordinator, size_bytes))[-1])
+             original(site, coordinator, size_bytes))[-1])
         report = store.run_epoch("obj")
         assert report.summary_bytes > 1
         assert shipped == [(1, report.summary_bytes)]

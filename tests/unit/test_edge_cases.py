@@ -41,7 +41,7 @@ class TestReadForwarding:
         # While the request is in flight, the target drops its replica
         # (as a migration retirement would).
         store.servers[target].drop("obj")
-        store._unit("obj").installed = {other}
+        store._units["obj"].installed = {other}
         sim.run()
         assert len(store.log) == 1
         record = store.log.records[0]
@@ -55,7 +55,7 @@ class TestReadForwarding:
         client.read("obj")
         for site in (0, 1):
             store.servers[site].drop("obj")
-        store._unit("obj").installed = set()
+        store._units["obj"].installed = set()
         sim.run()
         assert len(store.log) == 0  # silently lost (no timeout configured)
 

@@ -271,10 +271,10 @@ class TestAutoRepair:
             controller_config=ControllerConfig(k=2, max_micro_clusters=8))
         injector = FailureInjector(store.network)
         injector.crash_now(0)
-        store._check_availability()
+        store.check_availability()
         assert store.installed_sites("obj") == (1,)
         injector.recover_now(0)
-        store._check_availability()
+        store.check_availability()
         # Durable disk: node 0 still holds the replica and rejoins free.
         assert store.installed_sites("obj") == (0, 1)
         assert store.repairs == 0
@@ -289,6 +289,61 @@ class TestAutoRepair:
         sim.run_until(5_000.0)
         # Nothing to copy from; the old set is retained pending recovery.
         assert store.installed_sites("obj") == (0,)
+
+    @staticmethod
+    def _seven_node_store():
+        """Seven candidates, k = 3 on sites 0-2, site 2 crashing at 0.5 s
+        and a sweep every second."""
+        matrix = small_matrix(n=7, seed=4)
+        coords = embed_matrix(matrix, system="mds",
+                              space=EuclideanSpace(3)).coords
+        sim = Simulator(seed=4)
+        store = ReplicatedStore(sim, matrix, tuple(range(7)), coords,
+                                selection="oracle", auto_repair=True,
+                                repair_period_ms=1_000.0)
+        store.create_object(
+            "obj", initial_sites=[0, 1, 2],
+            controller_config=ControllerConfig(k=3, max_micro_clusters=8))
+        injector = FailureInjector(store.network)
+        injector.crash_at(500.0, 2)
+        return sim, store, injector
+
+    def test_repair_waits_for_a_holder_that_reaches_the_spare(self):
+        # Every holder -> spare link is cut across the first sweep.  A
+        # repair sent then is dropped at send; if it stayed awaited, the
+        # unit would sit at two replicas for good.
+        sim, store, _ = self._seven_node_store()
+        for holder in (0, 1):
+            for spare in (3, 4, 5, 6):
+                sim.schedule_at(900.0, store.network.set_link_down,
+                                holder, spare, False)
+                sim.schedule_at(1_100.0, store.network.set_link_up,
+                                holder, spare, False)
+        sim.run_until(20_000.0)
+        unit = store._units["obj"]
+        assert len(unit.installed) == 3 and 2 not in unit.installed
+        assert not unit.awaiting
+        assert store.repairs == 1
+
+    def test_repair_to_a_crashed_spare_is_released(self):
+        # The spare crashes while its repair is in flight, so the
+        # delivery is dropped; the next sweep releases it and repairs
+        # onto another spare.
+        sim, store, injector = self._seven_node_store()
+        unit = store._units["obj"]
+        victim = []
+
+        def crash_the_spare():
+            (spare,) = unit.awaiting
+            victim.append(spare)
+            injector.crash_now(spare)
+
+        sim.schedule_at(1_000.001, crash_the_spare)
+        sim.run_until(20_000.0)
+        assert victim and victim[0] not in unit.installed
+        assert len(unit.installed) == 3 and 2 not in unit.installed
+        assert not unit.awaiting
+        assert store.repairs == 2
 
     def test_reads_survive_failure_with_repair(self):
         sim, matrix, store = build_store(auto_repair=True,

@@ -325,6 +325,21 @@ class TestAutoRepair:
         assert not unit.awaiting
         assert store.repairs == 1
 
+    def test_repair_ties_go_to_the_first_candidate(self):
+        # Every spare is equally close: the repair goes to the spare that
+        # comes first in candidate order.
+        sim = Simulator(seed=0)
+        store = ReplicatedStore(sim, flat_matrix(n=6), tuple(range(6)),
+                                np.zeros((6, 2)), selection="oracle",
+                                auto_repair=True, repair_period_ms=1_000.0)
+        store.create_object(
+            "obj", initial_sites=[3, 5],
+            controller_config=ControllerConfig(k=2, max_micro_clusters=8))
+        FailureInjector(store.network).crash_at(500.0, 5)
+        sim.run_until(5_000.0)
+        assert store.installed_sites("obj") == (0, 3)
+        assert store.repairs == 1
+
     def test_repair_to_a_crashed_spare_is_released(self):
         # The spare crashes while its repair is in flight, so the
         # delivery is dropped; the next sweep releases it and repairs

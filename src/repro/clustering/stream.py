@@ -201,10 +201,14 @@ class OnlineClusterer:
         vector reach the kernel as they are; any other iterable of
         points is stacked first.  Spawn/absorb/merge events are counted
         in the ``clustering.micro.*`` counters.  A point or weight
-        holding NaN or infinity raises ``ValueError`` (naming the first
-        such row) before any of the block is folded in: it would poison
-        a cluster's sums or become a cluster of its own, and either
-        would ship to placement.
+        holding NaN or infinity, or a coordinate beyond
+        :data:`repro.kernels.cf.COORD_BOUND` in magnitude, raises
+        ``ValueError`` (naming the first such row) before any of the
+        block is folded in: a non-finite value would poison a cluster's
+        sums or become a cluster of its own, and either would ship to
+        placement; a finite one whose squared distances overflow to
+        ``inf`` would leave the closest pair undefined and lose points
+        in the merge.
         """
         if not isinstance(points, np.ndarray):
             points = list(points)
@@ -229,9 +233,12 @@ class OnlineClusterer:
             raise ValueError("weight must be non-negative")
         finite = np.isfinite(point_array).all(axis=1) & np.isfinite(
             point_weights)
-        if not finite.all():
-            row = int(finite.argmin())
-            raise ValueError(f"row {row} is not finite: point "
+        bounded = (np.abs(point_array) <= _cf.COORD_BOUND).all(axis=1)
+        if not (finite & bounded).all():
+            row = int((finite & bounded).argmin())
+            problem = ("is not finite" if not finite[row] else
+                       f"exceeds the coordinate bound {_cf.COORD_BOUND:g}")
+            raise ValueError(f"row {row} {problem}: point "
                              f"{point_array[row].tolist()} with weight "
                              f"{float(point_weights[row])!r}")
 

@@ -26,7 +26,13 @@ import numpy as np
 from repro import obs
 from repro.kernels import scalar_oracle
 
-__all__ = ["two_lane_fold", "absorb_stream"]
+__all__ = ["COORD_BOUND", "two_lane_fold", "absorb_stream"]
+
+#: Largest coordinate magnitude a point may have.  A centroid is a mean
+#: of points, so every squared distance the kernel forms is at most
+#: ``d * (2 * COORD_BOUND)**2`` (4e300 per dimension), finite for any
+#: practical ``d``; ``OnlineClusterer.extend`` rejects points beyond it.
+COORD_BOUND = 1e150
 
 
 def two_lane_fold(terms):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import ClusterFeature, OnlineClusterer
+from repro.kernels import cf
 
 
 class TestClusterFeature:
@@ -164,3 +165,31 @@ class TestOnlineClusterer:
         clusterer = OnlineClusterer(max_clusters=3, radius_floor=0.1)
         clusterer.extend(np.array([[0.0, 0.0], [50.0, 50.0]]))
         assert all(isinstance(c, ClusterFeature) for c in clusterer)
+
+    @pytest.mark.parametrize("budget, points, row", [
+        (2, [[0, 0], [1e200, 0], [-1e200, 0], [3, 0]], 1),
+        (1, [[1e160, 0], [-1e160, 0]], 0),
+        (4, [[0, 0], [1, 0], [0, -1.5e150]], 2),
+    ])
+    def test_points_whose_squares_overflow_are_refused(self, budget, points,
+                                                       row):
+        # Finite points this far apart have squared distances of inf: the
+        # closest pair is undefined, and a merge used to fold a cluster
+        # into itself and delete it, losing its points.
+        clusterer = OnlineClusterer(budget)
+        clusterer.extend([[5.0, 5.0]])
+        with pytest.raises(ValueError, match=f"row {row} exceeds the "
+                                             "coordinate bound 1e\\+150"):
+            clusterer.extend(points)
+        assert (clusterer.points_seen, clusterer.total_count) == (1, 1)
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_points_at_the_coordinate_bound_keep_every_point(self, d):
+        bound = cf.COORD_BOUND
+        corners = np.array([[bound] * d, [-bound] * d, [0.0] * d,
+                            [-bound] * d, [bound] * d])
+        for budget in (1, 2, 100):
+            clusterer = OnlineClusterer(budget, radius_floor=0.0)
+            clusterer.extend(corners)
+            assert clusterer.total_count == clusterer.points_seen == 5
+            assert all(np.isfinite(c.square_sum).all() for c in clusterer)

@@ -9,8 +9,11 @@ only way an access reaches a micro-cluster summary.
 
 Everything is deterministic and RNG-free: absorb/spawn/merge decisions
 depend only on the inputs, and ties resolve to the lowest index.  Every
-squared distance is summed in one order, :func:`two_lane_fold`, on
-python floats, so the per-point step makes no numpy call.  The kernel
+squared distance is summed in one order, :func:`two_lane_fold`.  The
+kernel runs in one of two regimes, chosen by the budget against
+:data:`CROSSOVER`: below it everything is python floats and lists, and
+a step makes no numpy call; at or above it (Table II's m = 100) the
+centroids are numpy columns.  Both return the same bits.  The kernel
 coerces its arguments, then has one dispatch point: under
 ``use_backend("python")`` it hands them to its scalar twin in
 :mod:`repro.kernels._reference`.
@@ -26,13 +29,22 @@ import numpy as np
 from repro import obs
 from repro.kernels import scalar_oracle
 
-__all__ = ["COORD_BOUND", "two_lane_fold", "absorb_stream"]
+__all__ = ["COORD_BOUND", "CROSSOVER", "two_lane_fold", "absorb_stream"]
 
 #: Largest coordinate magnitude a point may have.  A centroid is a mean
 #: of points, so every squared distance the kernel forms is at most
 #: ``d * (2 * COORD_BOUND)**2`` (4e300 per dimension), finite for any
 #: practical ``d``; ``OnlineClusterer.extend`` rejects points beyond it.
 COORD_BOUND = 1e150
+
+#: Budgets ``max_clusters`` at or above this many rows run the numpy
+#: column regime; smaller ones the python-list regime.  Measured on a
+#: 2-vCPU Xeon (Python 3.11, numpy 2.4, d = 3): the list regime's
+#: per-point cost grows by ≈ 0.25 µs per row, the column regime's is
+#: ≈ 9 µs flat up to a few hundred rows; they cross at ≈ 35 rows.
+#: Every live-store and Fig. 1–3 stream (m <= 16) runs on lists,
+#: Table II (m = 100) on columns.
+CROSSOVER = 35
 
 
 def two_lane_fold(terms):
@@ -67,27 +79,43 @@ class _Source(str):
         return _Source(f"({self} + {other})")
 
 
+def _names(prefix, d):
+    """``"x0, x1, x2, "`` — an unpacking target, or a tuple in parens."""
+    return "".join(f"{prefix}{k}, " for k in range(d))
+
+
+def _search_source(d):
+    """A list comprehension of the squared distances from ``(x0, …)`` to
+    each row of ``ctr``: :func:`two_lane_fold` written out, each
+    difference bound once by a walrus and squared as ``e * e``."""
+    fold = two_lane_fold([_Source(f"(e{k} := c{k} - x{k}) * e{k}")
+                          for k in range(d)])
+    return f"[{fold} for {_names('c', d)}in ctr]"
+
+
 @functools.cache
 def _distance_row(d: int):
     """``(rows, point) -> list`` of the squared distances from ``point``
-    to each d-dimensional row, all python floats.
-
-    The loop body is :func:`two_lane_fold` written out for ``d`` terms,
-    generated once per dimension: each entry equals the fold applied to
-    the terms' squares, bit for bit.
-    """
-    dims = range(d)
-    source = ["def distances(rows, point):",
-              "    " + "".join(f"x{k}, " for k in dims) + "= point",
-              "    out = []",
-              "    append = out.append",
-              "    for " + "".join(f"c{k}, " for k in dims) + "in rows:"]
-    source += [f"        e{k} = c{k} - x{k}" for k in dims]
-    total = two_lane_fold([_Source(f"e{k} * e{k}") for k in dims])
-    source += [f"        append({total})", "    return out"]
+    to each d-dimensional row, all python floats, spelled exactly as the
+    list regime's nearest search."""
+    source = (f"def distances(ctr, point):\n"
+              f"    {_names('x', d)}= point\n"
+              f"    return {_search_source(d)}\n")
     namespace = {}
-    exec("\n".join(source), namespace)
+    exec(source, namespace)
     return namespace["distances"]
+
+
+def _column_distances(centroids, points, out):
+    """Squared distances between the centroids whose coordinates are the
+    rows of ``centroids`` and the points whose coordinates are the rows
+    of ``points`` (broadcast against each other into ``out``):
+    :func:`two_lane_fold` over numpy columns, one ``subtract`` and one
+    ``multiply``, then ``d - 1`` additions.  At d = 1 the result is a
+    view of ``out``."""
+    np.subtract(centroids, points, out=out)
+    np.multiply(out, out, out=out)
+    return two_lane_fold(list(out))
 
 
 def absorb_stream(counts: np.ndarray, weights: np.ndarray,
@@ -105,8 +133,11 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     Returns the updated rows plus ``{"spawned", "absorbed", "merged"}``
     event counts for the metrics registry.
 
-    An absorbed point costs O(m d) python float arithmetic and no numpy
-    call; numpy does only the per-merge closest-pair work.  Each point's
+    Below :data:`CROSSOVER` clusters a step is O(m d) python float
+    arithmetic and makes no numpy call, merges included; at or above
+    it the nearest search and the closest-pair matrix are numpy, a
+    fixed number of calls per step.  The two regimes return
+    bitwise-equal rows and event counts.  Each point's
     decision depends only on the rows the previous point left, so the
     result does not depend on how a stream is cut into blocks: one call
     per point and one call for the whole stream return bitwise-equal
@@ -114,7 +145,8 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     squared distances left to right, rows and events agree for d <= 2
     only: at d = 3 a point exactly one deviation from a centroid can
     absorb on one backend and spawn (then merge straight back) on the
-    other — same rows, other counts.
+    other — same rows, other counts.  Coordinates must be finite and
+    within :data:`COORD_BOUND`.
 
     >>> start = np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
     >>> points = np.array([[0.0, 0.0], [0.1, 0.0], [500.0, 0.0]])
@@ -136,31 +168,23 @@ def _absorb_block(counts, weights, linear, square, points, point_weights,
                   radius_floor, max_clusters):
     # The stream rule is inherently sequential (each decision sees the
     # clusters as the previous point left them), so the loop over points
-    # stays in python, and so does everything an absorbed point touches:
-    # CF sums, centroids and radii are python floats and the nearest
-    # search is one :func:`_distance_row` call.  IEEE scalar arithmetic
-    # in the same operation order is bitwise-identical to the
-    # elementwise numpy pipeline and far cheaper than ufunc dispatch on
-    # d-vectors.  Ties go to the first minimum (``min`` then ``index``),
-    # as ``np.argmin`` does for non-NaN input (``OnlineClusterer``
-    # rejects non-finite points).
+    # stays in python, and so do the CF sums: IEEE scalar arithmetic in
+    # the same operation order is bitwise-identical to the elementwise
+    # numpy pipeline and far cheaper than ufunc dispatch on d-vectors.
+    # Ties go to the first minimum, as ``np.argmin`` does for non-NaN
+    # input.
     #
-    # Numpy keeps what only merges read: ``pair`` holds the squared
-    # centroid-pair distances above the diagonal (inf elsewhere), so the
-    # closest pair is one row-major ``argmin`` — the first pair on ties
-    # — and a merge's row shift is two slice copies.  It is maintained
-    # lazily: a spawned centroid *is* its
-    # point, so its column is the distance row the nearest search just
-    # produced; an absorb or merge moves a centroid and only marks it
-    # stale; stale rows are recomputed right before the next merge reads
-    # the matrix.  A stretch of absorbs costs no pair work, and a
-    # centroid that moves several times between merges is recomputed
-    # once.
+    # Only merges read the centroid-pair distances, so they are kept
+    # lazily: a spawned centroid *is* its point, so its pair column is
+    # the distance row the nearest search just produced; an absorb or
+    # merge moves a centroid and only marks it stale; stale rows are
+    # recomputed right before the next merge reads the pairs.  A stretch
+    # of absorbs costs no pair work, and a centroid that moves several
+    # times between merges is recomputed once.  Squared distances are
+    # symmetric bit for bit ((a - b)² == (b - a)²), so which of two
+    # stale rows writes their pair does not matter.
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
-    cap = max_clusters + 1
-    sqrt = math.sqrt
-    distances = _distance_row(d)
     cnt = np.asarray(counts, dtype=float).tolist()
     wts = np.asarray(weights, dtype=float).tolist()
     if cnt:
@@ -168,82 +192,237 @@ def _absorb_block(counts, weights, linear, square, points, point_weights,
         ss = np.atleast_2d(np.asarray(square, dtype=float)).tolist()
     else:
         ls, ss = [], []
+    args = (cnt, wts, ls, ss, points.tolist(),
+            np.asarray(point_weights, dtype=float).tolist(),
+            float(radius_floor), max_clusters)
+    if max_clusters < CROSSOVER:
+        spawned, merged = _list_regime(d)(*args)
+    else:
+        spawned, merged = _columns(points, *args)
+    stats = {"spawned": spawned, "absorbed": len(points) - spawned,
+             "merged": merged}
+    n = len(cnt)
+    return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
+            np.asarray(ls, dtype=float).reshape(n, d),
+            np.asarray(ss, dtype=float).reshape(n, d),
+            stats)
+
+
+# The list regime, generated once per dimension so that every per-row
+# and per-dimension loop is written out.  ``cols[j]`` holds the squared
+# distances of rows ``i < j`` to row ``j`` — the strictly-upper triangle
+# of the pair matrix by column — and ``low[j]`` its minimum (``inf`` for
+# the empty column 0).  A spawn appends its search row as its column,
+# and that row's minimum is the search's.  Deleting row ``drop``
+# deletes one column and one entry of every later column.  Stale
+# entries stay in place, and count towards ``low``, until their row is
+# recomputed.  ``{refresh}`` recomputes the centroid and absorption
+# radius of row ``j`` from the locals ``l*``, ``s*`` (its CF sums) and
+# ``c`` (its count).
+_LIST_REGIME = """\
+def absorb(cnt, wts, ls, ss, points, point_weights, floor, budget):
+    n = len(cnt)
+    ctr = [None] * n
+    rad = [0.0] * n
+    for j in range(n):
+        c = cnt[j]
+        {l}= ls[j]
+        {s}= ss[j]
+        {refresh}
+    cols = [[inf] * j for j in range(n)]
+    low = [inf] * n
+    stale = set(range(n))
+    spawned = merged = 0
+    for ({x}), w in zip(points, point_weights):
+        if n:
+            sq = {search}
+            best = min(sq)
+            j = sq.index(best)
+            if sqrt(best) <= rad[j]:
+                c = cnt[j] = cnt[j] + 1.0
+                wts[j] += w
+                {l}= ls[j]
+                {s}= ss[j]
+                {absorb}
+                ls[j] = {l}
+                ss[j] = {s}
+                {refresh}
+                stale.add(j)
+                continue
+        else:
+            sq, best = [], inf
+        cnt.append(1.0)
+        wts.append(w)
+        ls.append(({x}))
+        ss.append(({square}))
+        ctr.append(ls[-1])
+        rad.append(floor)  # singleton deviation is zero
+        cols.append(sq)
+        low.append(best)
+        n += 1
+        spawned += 1
+        if n > budget:
+            for j in stale:
+                row = distances(ctr, ctr[j])
+                col = cols[j] = row[:j]
+                low[j] = min(col) if j else inf
+                for k in range(j + 1, n):
+                    col = cols[k]
+                    old = col[j]
+                    col[j] = new = row[k]
+                    if new < low[k]:
+                        low[k] = new
+                    elif old == low[k]:
+                        low[k] = min(col)
+            stale.clear()
+            # The closest pair is the first in row-major order: the
+            # least row of the first column holding the least distance,
+            # unless a later column holds it in an earlier row.
+            best = min(low)
+            assert best < inf, "coordinates beyond COORD_BOUND"
+            drop = low.index(best)
+            j = cols[drop].index(best)
+            if low.count(best) > 1:
+                for k in range(drop + 1, n):
+                    if low[k] == best and (i := cols[k].index(best)) < j:
+                        j, drop = i, k
+            c = cnt[j] = cnt[j] + cnt[drop]
+            wts[j] += wts[drop]
+            {l}= ls[j]
+            {s}= ss[j]
+            {a}= ls[drop]
+            {merge_l}
+            {a}= ss[drop]
+            {merge_s}
+            ls[j] = {l}
+            ss[j] = {s}
+            {refresh}
+            stale.add(j)
+            for rows in (cnt, wts, ls, ss, ctr, rad, cols, low):
+                del rows[drop]
+            n -= 1
+            for k in range(drop, n):
+                col = cols[k]
+                if col.pop(drop) == low[k]:
+                    low[k] = min(col)
+            merged += 1
+    return spawned, merged
+"""
+
+
+@functools.cache
+def _list_regime(d: int):
+    """The list regime's ``absorb`` for ``d``-dimensional points."""
+    dims = range(d)
+
+    def lines(*parts):
+        # One statement per part, at the indentation of the placeholder.
+        return "; ".join(parts)
+
+    refresh = lines(
+        *(f"u{k} = l{k} / c" for k in dims),
+        f"ctr[j] = ({_names('u', d)})",
+        # The variance sum from 0.0, left to right, like the loop it was.
+        "t = 0.0" + "".join(f" + (s{k} / c - u{k} * u{k})" for k in dims),
+        "r = sqrt(0.0 if 0.0 > t else t)",  # sqrt(max(t, 0.0))
+        "rad[j] = floor if floor > r else r")  # max(r, floor)
+    source = _LIST_REGIME.format(
+        l=_names("l", d), s=_names("s", d), a=_names("a", d),
+        x=_names("x", d), search=_search_source(d), refresh=refresh,
+        absorb=lines(*(f"l{k} += x{k}" for k in dims),
+                     *(f"s{k} += x{k} * x{k}" for k in dims)),
+        square=", ".join(f"x{k} * x{k}" for k in dims) + ",",
+        merge_l=lines(*(f"l{k} += a{k}" for k in dims)),
+        merge_s=lines(*(f"s{k} += a{k}" for k in dims)))
+    namespace = {"sqrt": math.sqrt, "inf": math.inf,
+                 "distances": _distance_row(d)}
+    exec(source, namespace)
+    return namespace["absorb"]
+
+
+def _columns(array, cnt, wts, ls, ss, points, point_weights, floor,
+             budget):
+    # The column regime.  ``centroids[k]`` is coordinate k of every
+    # centroid slot, ``inf`` in the slots past the live rows, so a
+    # search is one column program over all ``cap`` slots whose dead
+    # entries never win.  ``pair`` holds the squared centroid-pair
+    # distances above the diagonal, ``inf`` elsewhere: the closest pair
+    # is one row-major ``argmin`` — the first pair on ties — and
+    # deleting a row shifts the later rows and columns up.
+    d = array.shape[1]
+    cap = budget + 1
+    sqrt = math.sqrt
+    n = len(cnt)
+    centroids = np.full((d, cap), np.inf)
+    columns = list(centroids)
+    search = np.empty((d, cap))
+    rad = [0.0] * n
 
     def refresh(j):
         # Centroid and absorption radius of row j from its CF sums.
         c = cnt[j]
-        centroid = []
         total = 0.0
-        for l, s in zip(ls[j], ss[j]):
+        for k, (l, s) in enumerate(zip(ls[j], ss[j])):
             mean = l / c
-            centroid.append(mean)
+            columns[k][j] = mean
             total += s / c - mean * mean
-        ctr[j] = centroid
-        rad[j] = max(sqrt(max(total, 0.0)), radius_floor)
+        rad[j] = max(sqrt(max(total, 0.0)), floor)
 
-    n = len(cnt)
-    ctr = [None] * n
-    rad = [0.0] * n
     for j in range(n):
         refresh(j)
     pair = np.full((cap, cap), np.inf)
     stale = set(range(n))
     spawned = merged = 0
 
-    for p, w in zip(points.tolist(),
-                    np.asarray(point_weights, dtype=float).tolist()):
+    for p, column, w in zip(points, array[:, :, None], point_weights):
         if n:
-            sq = distances(ctr, p)
-            best = min(sq)
-            nearest = sq.index(best)
-            if sqrt(best) <= rad[nearest]:
+            sq = _column_distances(centroids, column, search)
+            nearest = int(sq.argmin())
+            if sqrt(sq[nearest]) <= rad[nearest]:
                 cnt[nearest] += 1.0
                 wts[nearest] += w
-                row_ls = ls[nearest]
-                row_ss = ss[nearest]
-                for dim, x in enumerate(p):
-                    row_ls[dim] += x
-                    row_ss[dim] += x * x
+                ls[nearest] = [l + x for l, x in zip(ls[nearest], p)]
+                ss[nearest] = [s + x * x for s, x in zip(ss[nearest], p)]
                 refresh(nearest)
                 stale.add(nearest)
                 continue
-            pair[:n, n] = sq
+            pair[:n, n] = sq[:n]
         cnt.append(1.0)
         wts.append(w)
-        ls.append(list(p))
+        ls.append(p)
         ss.append([x * x for x in p])
-        ctr.append(p)
-        rad.append(radius_floor)  # singleton deviation is zero
+        centroids[:, n] = p
+        rad.append(floor)  # singleton deviation is zero
         n += 1
         spawned += 1
-        if n > max_clusters:  # n == cap: the matrix is fully populated
-            for j in stale:
-                row = distances(ctr, ctr[j])
+        if n > budget:  # n == cap: every slot is live
+            # All stale rows in one column program, one row each.
+            rows = list(stale)
+            stale.clear()
+            for j, row in zip(rows, _column_distances(
+                    centroids[:, None], centroids[:, rows, None],
+                    np.empty((d, len(rows), cap)))):
                 pair[:j, j] = row[:j]
                 pair[j, j + 1:] = row[j + 1:]
-            stale.clear()
             keep, drop = divmod(int(pair.argmin()), cap)
+            assert keep < drop, "coordinates beyond COORD_BOUND"
             cnt[keep] += cnt[drop]
             wts[keep] += wts[drop]
-            row_ls = ls[keep]
-            row_ss = ss[keep]
-            for dim, (l, s) in enumerate(zip(ls[drop], ss[drop])):
-                row_ls[dim] += l
-                row_ss[dim] += s
-            for seq in (cnt, wts, ls, ss, ctr, rad):
+            ls[keep] = [a + b for a, b in zip(ls[keep], ls[drop])]
+            ss[keep] = [a + b for a, b in zip(ss[keep], ss[drop])]
+            for seq in (cnt, wts, ls, ss, rad):
                 del seq[drop]
             n -= 1
-            # Deleting ``drop`` shifts later rows up (insertion order is
-            # the tie-break order); the vacated last column is rewritten
-            # by the next spawn before anything reads it.
-            pair[drop:n] = pair[drop + 1:]
-            pair[:, drop:n] = pair[:, drop + 1:]
+            # Later rows and columns move up one (insertion order is the
+            # tie-break order).  Only the upper triangle right of column
+            # ``drop`` moves: below the diagonal stays ``inf``, and the
+            # vacated last column is rewritten by the next spawn before
+            # anything reads it.
+            centroids[:, drop:n] = centroids[:, drop + 1:]
+            centroids[:, n] = np.inf
+            pair[:drop, drop:n] = pair[:drop, drop + 1:]
+            pair[drop:n, drop:n] = pair[drop + 1:, drop + 1:]
             refresh(keep)
             stale.add(keep)
             merged += 1
-    stats = {"spawned": spawned, "absorbed": len(points) - spawned,
-             "merged": merged}
-    return (np.asarray(cnt, dtype=float), np.asarray(wts, dtype=float),
-            np.asarray(ls, dtype=float).reshape(n, d),
-            np.asarray(ss, dtype=float).reshape(n, d),
-            stats)
+    return spawned, merged

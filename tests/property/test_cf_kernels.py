@@ -4,8 +4,11 @@ The CF vector (count, weight, linear_sum, square_sum) is an additive
 summary: merging must commute and associate, and recovered variance
 must never go negative however the floating point falls.  The block
 kernel :func:`repro.kernels.cf.absorb_stream` must agree across
-backends and must not depend on how a stream is cut into blocks.
+backends and across its two regimes, and must not depend on how a
+stream is cut into blocks.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -111,16 +114,25 @@ def letter_streams(draw):
     deviation from a two-member centroid — and, when the letters lie on
     one axis, exactly as far from two centroids: the ties where a block
     boundary could part the decisions if any state leaked across it.
-    ``cuts`` are ascending indices inside the stream where a block ends.
+    On an equally spaced axis lattice, spaced wider than any radius
+    floor, every letter is a cluster of its own and neighbours tie: the
+    closest-pair ties where a merge rule could part the decisions.
+    Every letter occurs, first in a drawn order, then the stream goes on
+    with up to 34 more picks.  ``cuts`` are ascending indices inside the
+    stream where a block ends.
     """
     d = draw(st.integers(min_value=1, max_value=7))
     letters = draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=d, max_size=d),
         min_size=2, max_size=6))
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(["free", "axis", "lattice"]))
+    if layout == "axis":
         letters = [[row[0]] + [0] * (d - 1) for row in letters]
-    picks = draw(st.lists(st.integers(0, len(letters) - 1),
-                          min_size=1, max_size=40))
+    elif layout == "lattice":
+        letters = [[3 * i] + [0] * (d - 1)
+                   for i in draw(st.permutations(range(len(letters))))]
+    picks = draw(st.permutations(range(len(letters)))) + draw(st.lists(
+        st.integers(0, len(letters) - 1), max_size=34))
     weights = draw(st.lists(weight, min_size=len(picks),
                             max_size=len(picks)))
     cuts = sorted(draw(st.sets(st.integers(1, max(len(picks) - 1, 1)),
@@ -183,3 +195,26 @@ def test_absorb_stream_is_block_invariant_on_tied_letters(case, backend):
             for a, b in zip(got[:4], whole[:4]):
                 assert a.shape == b.shape
                 np.testing.assert_array_equal(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(letter_streams())
+def test_list_and_column_regimes_agree_on_tied_letters(case):
+    """The python-list regime and the numpy column regime make the same
+    decisions on the ties where a summation order or a tie rule could
+    part them: bitwise-equal rows and equal event counts, at every
+    budget up to the drawn one (the small ones force the merges)."""
+    top, floor, points, weights, _ = case
+    d = points.shape[1]
+    start = (np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
+    for m in range(1, top + 1):
+        results = []
+        for crossover in (m + 1, 0):        # lists, then columns
+            with mock.patch.object(cfk, "CROSSOVER", crossover):
+                results.append(cfk.absorb_stream(*start, points, weights,
+                                                  floor, m))
+        lists, columns = results
+        assert lists[4] == columns[4], m
+        for a, b in zip(lists[:4], columns[:4]):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)

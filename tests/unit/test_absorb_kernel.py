@@ -9,12 +9,16 @@
 * the scalar oracle at d = 3, where event counts are known to differ
   (pinned, not fixed — see ROADMAP aim 3).
 
-Plus the fold's agreement with ``einsum``, the closest-pair tie rule,
-Table II's batch ingest, and a guard that absorbing makes no numpy call.
+The recorded answers are checked with the budget crossover where it is,
+and again with every stream forced onto each regime.  Plus the fold's
+agreement with ``einsum``, the closest-pair tie rule, Table II's batch
+ingest, and the numpy work per absorbed point: none below the
+crossover, a fixed amount per point at or above it.
 """
 
 import collections
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -80,17 +84,31 @@ def test_recorded_streams_equal_the_previous_kernel(group, recorded):
     assert answers == recorded[group]
 
 
+@pytest.mark.parametrize("regime", ["list", "columns"])
+def test_both_regimes_reproduce_every_recorded_stream(regime, recorded,
+                                                      monkeypatch):
+    # Every stream on one regime: a crossover of 0 sends every budget to
+    # the numpy columns, one above every budget sends all to the lists.
+    monkeypatch.setattr(cfk, "CROSSOVER",
+                        10 ** 9 if regime == "list" else 0)
+    assert json.loads(json.dumps(absorb_instances.record())) == recorded
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_two_lane_fold_equals_einsum_up_to_seven_dims(d):
     rng = np.random.default_rng(d)
     diff = rng.normal(size=(4_000, d)) * rng.uniform(0.1, 400.0,
                                                       size=(4_000, 1))
     squares = diff * diff
-    # Both spellings of the fold: numpy columns and the python-float
-    # distance row absorb_stream runs.
+    # Every spelling of the fold: numpy columns, the python-float
+    # distance row of the list regime and the column program of the
+    # column regime.
     fold = cfk.two_lane_fold([squares[:, k] for k in range(d)])
     row = cfk._distance_row(d)(diff.tolist(), [0.0] * d)
     np.testing.assert_array_equal(row, fold)
+    columns = cfk._column_distances(diff.T, np.zeros((d, 1)),
+                                    np.empty((d, 4_000)))
+    np.testing.assert_array_equal(columns, fold)
     assert np.array_equal(fold, np.einsum("ij,ij->i", diff, diff)), (
         f"two_lane_fold no longer matches einsum('ij,ij->i') at d = {d} on "
         "this numpy build.  The absorb kernel replaced einsum by the fold "
@@ -203,23 +221,27 @@ def test_table2_batch_ingest_equals_per_access_ingest(n_accesses, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Absorbing makes no numpy call: numpy work does not grow with the block
-# or with how many different points it holds
+# Numpy work per absorbed point: none below the crossover, and at or
+# above it the same for distinct and repeated points
 # ----------------------------------------------------------------------
-def test_distinct_points_cost_no_more_numpy_work_than_repeated_ones(
-        monkeypatch):
-    m, npts = 100, 5_000
+def letter_blocks(m, npts=5_000):
+    """A start of 20 clusters at budget ``m``, then 5 000 points that all
+    absorb: 20 repeated letters, and the same letters jittered well
+    inside the absorption radius so that no point repeats."""
     rng = np.random.default_rng(15)
     letters = rng.uniform(-300, 300, size=(20, 3))
     repeated = letters[rng.integers(0, 20, size=npts)]
-    # The same decisions on 5 000 different points: each letter jittered
-    # well inside the absorption radius.
     distinct = repeated + rng.uniform(-0.5, 0.5, size=(npts, 3))
     assert len(np.unique(distinct, axis=0)) == npts
     start = cfk.absorb_stream(*empty_rows(3), letters, np.ones(20),
                               RADIUS_FLOOR, m)[:4]
     assert len(start[0]) == 20
+    return start, repeated, distinct
 
+
+def count_numpy(monkeypatch):
+    """Count every ``np`` lookup of the module the column regime lives
+    in, and every ``einsum``/``subtract`` call wherever it comes from."""
     calls = collections.Counter()
 
     class CountingNumpy:
@@ -237,18 +259,50 @@ def test_distinct_points_cost_no_more_numpy_work_than_repeated_ones(
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(cfk, "np", CountingNumpy())
+    monkeypatch.setattr(sys.modules[cfk._columns.__module__], "np",
+                        CountingNumpy())
     # The entry points the per-point numpy search called for every point.
     for name in ("einsum", "subtract"):
         monkeypatch.setattr(np, name, counting(name))
+    return calls
 
+
+def absorb_counting(calls, start, block, m):
+    calls.clear()
+    stats = cfk.absorb_stream(*start, block, np.ones(len(block)),
+                              RADIUS_FLOOR, m)[4]
+    assert stats == {"spawned": 0, "absorbed": len(block), "merged": 0}
+    return dict(calls)
+
+
+def test_distinct_points_cost_no_more_numpy_work_than_repeated_ones(
+        monkeypatch):
+    # The largest budget of the list regime: absorbing makes no numpy
+    # call, so the count does not grow with the block.
+    m = cfk.CROSSOVER - 1
+    start, repeated, distinct = letter_blocks(m)
+    calls = count_numpy(monkeypatch)
     used = {}
     for name, block in (("repeated", repeated), ("distinct", distinct),
                         ("short", repeated[:50])):
-        calls.clear()
-        stats = cfk.absorb_stream(*start, block, np.ones(len(block)),
-                                  RADIUS_FLOOR, m)[4]
-        assert stats == {"spawned": 0, "absorbed": len(block), "merged": 0}
-        assert calls["einsum()"] == calls["subtract()"] == 0
-        used[name] = dict(calls)
+        used[name] = absorb_counting(calls, start, block, m)
+        assert used[name].get("einsum()", 0) == 0
+        assert used[name].get("subtract()", 0) == 0
     assert used["distinct"] == used["repeated"] == used["short"]
+
+
+def test_column_regime_numpy_work_is_linear_and_blind_to_repeats(
+        monkeypatch):
+    # Table II's budget runs on numpy columns: a fixed number of numpy
+    # calls per point, whether or not points repeat.
+    m = 100
+    assert m >= cfk.CROSSOVER
+    start, repeated, distinct = letter_blocks(m)
+    calls = count_numpy(monkeypatch)
+    assert (absorb_counting(calls, start, distinct, m)
+            == absorb_counting(calls, start, repeated, m))
+    total = {n: sum(absorb_counting(calls, start, repeated[:n], m).values())
+             for n in (50, 500, 5_000)}
+    per_point = (total[5_000] - total[500]) / 4_500
+    assert per_point == (total[500] - total[50]) / 450 > 0
+    assert total[50] - 50 * per_point == total[500] - 500 * per_point

@@ -12,12 +12,14 @@ floors:
 * micro-cluster stream absorption is *inherently sequential* (every
   absorb/spawn/merge decision sees the clusters as the previous point
   left them), so the loop over points stays in Python on both backends.
-  The production kernel wins on the work inside one step: an absorbed
-  point is one generated distance-row function over Python floats and
-  no numpy call, instead of the oracle's generic m x d zip loop, and a
-  lazily maintained numpy centroid-pair matrix replaces an O(m^2 d)
-  closest-pair scan per spawn: measured 4.2x at m = 16 (2.65x with the
-  per-point numpy search, 1.39x before the pair matrix), floor 3.3x.
+  The production kernel wins on the work inside one step.  At m = 16
+  it runs its python-list regime: an absorbed point is one generated
+  search over Python floats and no numpy call, instead of the oracle's
+  generic m x d zip loop, and a lazily maintained centroid-pair
+  triangle, Python lists by column with cached column minima, replaces
+  an O(m^2 d) closest-pair scan per spawn.  Measured 4.2x at m = 16
+  while the triangle was a numpy matrix (2.65x with the per-point numpy
+  search, 1.39x before the pair matrix), floor 3.3x.
   The online placement pipeline is that kernel plus weighted k-means
   over only k*m <= 128 micro-clusters, where per-call numpy overhead
   caps k-means at ~2.4x — hence ~2.8x end to end, not the 4-13x of the

@@ -38,12 +38,13 @@ __all__ = ["COORD_BOUND", "CROSSOVER", "two_lane_fold", "absorb_stream"]
 COORD_BOUND = 1e150
 
 #: Budgets ``max_clusters`` at or above this many rows run the numpy
-#: column regime; smaller ones the python-list regime.  Measured on a
-#: 2-vCPU Xeon (Python 3.11, numpy 2.4, d = 3): the list regime's
-#: per-point cost grows by ≈ 0.25 µs per row, the column regime's is
-#: ≈ 9 µs flat up to a few hundred rows; they cross at ≈ 35 rows.
-#: Every live-store and Fig. 1–3 stream (m <= 16) runs on lists,
-#: Table II (m = 100) on columns.
+#: column regime; smaller ones the python-list regime.  Measured on
+#: d = 3 streams of distinct points on a 2-vCPU Xeon (Python 3.11,
+#: numpy 2.4): the list regime's per-point cost grows by ≈ 0.36 µs per
+#: row, the column regime's stays at 15–18 µs from 10 to 100 rows, and
+#: the two meet at 35 rows (docs/performance.md has the table).  Every
+#: live-store and Fig. 1–3 stream (m <= 16) runs on lists, Table II
+#: (m = 100) on columns.
 CROSSOVER = 35
 
 

@@ -85,26 +85,12 @@ def _names(prefix, d):
     return "".join(f"{prefix}{k}, " for k in range(d))
 
 
-def _search_source(d):
-    """A list comprehension of the squared distances from ``(x0, …)`` to
-    each row of ``ctr``: :func:`two_lane_fold` written out, each
-    difference bound once by a walrus and squared as ``e * e``."""
-    fold = two_lane_fold([_Source(f"(e{k} := c{k} - x{k}) * e{k}")
+def _fold_source(d):
+    """The squared distance from ``(x0, …)`` to ``(c0, …)`` as source:
+    :func:`two_lane_fold` written out, each difference bound once by a
+    walrus and squared as ``e * e``."""
+    return two_lane_fold([_Source(f"(e{k} := c{k} - x{k}) * e{k}")
                           for k in range(d)])
-    return f"[{fold} for {_names('c', d)}in ctr]"
-
-
-@functools.cache
-def _distance_row(d: int):
-    """``(rows, point) -> list`` of the squared distances from ``point``
-    to each d-dimensional row, all python floats, spelled exactly as the
-    list regime's nearest search."""
-    source = (f"def distances(ctr, point):\n"
-              f"    {_names('x', d)}= point\n"
-              f"    return {_search_source(d)}\n")
-    namespace = {}
-    exec(source, namespace)
-    return namespace["distances"]
 
 
 def _column_distances(centroids, points, out):
@@ -236,7 +222,7 @@ def absorb(cnt, wts, ls, ss, points, point_weights, floor, budget):
     spawned = merged = 0
     for ({x}), w in zip(points, point_weights):
         if n:
-            sq = {search}
+            sq = [{fold} for {c}in ctr]
             best = min(sq)
             j = sq.index(best)
             if sqrt(best) <= rad[j]:
@@ -264,13 +250,16 @@ def absorb(cnt, wts, ls, ss, points, point_weights, floor, budget):
         spawned += 1
         if n > budget:
             for j in stale:
-                row = distances(ctr, ctr[j])
-                col = cols[j] = row[:j]
-                low[j] = min(col) if j else inf
+                {x}= ctr[j]
+                if j:
+                    col = cols[j] = [{fold} for {c}in ctr[:j]]
+                    low[j] = min(col)
                 for k in range(j + 1, n):
+                    {c}= ctr[k]
+                    new = {fold}
                     col = cols[k]
                     old = col[j]
-                    col[j] = new = row[k]
+                    col[j] = new
                     if new < low[k]:
                         low[k] = new
                     elif old == low[k]:
@@ -329,14 +318,14 @@ def _list_regime(d: int):
         "rad[j] = floor if floor > r else r")  # max(r, floor)
     source = _LIST_REGIME.format(
         l=_names("l", d), s=_names("s", d), a=_names("a", d),
-        x=_names("x", d), search=_search_source(d), refresh=refresh,
+        x=_names("x", d), c=_names("c", d), fold=_fold_source(d),
+        refresh=refresh,
         absorb=lines(*(f"l{k} += x{k}" for k in dims),
                      *(f"s{k} += x{k} * x{k}" for k in dims)),
         square=", ".join(f"x{k} * x{k}" for k in dims) + ",",
         merge_l=lines(*(f"l{k} += a{k}" for k in dims)),
         merge_s=lines(*(f"s{k} += a{k}" for k in dims)))
-    namespace = {"sqrt": math.sqrt, "inf": math.inf,
-                 "distances": _distance_row(d)}
+    namespace = {"sqrt": math.sqrt, "inf": math.inf}
     exec(source, namespace)
     return namespace["absorb"]
 

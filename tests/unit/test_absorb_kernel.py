@@ -100,12 +100,16 @@ def test_two_lane_fold_equals_einsum_up_to_seven_dims(d):
     diff = rng.normal(size=(4_000, d)) * rng.uniform(0.1, 400.0,
                                                       size=(4_000, 1))
     squares = diff * diff
-    # Every spelling of the fold: numpy columns, the python-float
-    # distance row of the list regime and the column program of the
-    # column regime.
+    # Every spelling of the fold: numpy columns, the list regime's
+    # generated python-float expression over each row, and the column
+    # regime's column program.
     fold = cfk.two_lane_fold([squares[:, k] for k in range(d)])
-    row = cfk._distance_row(d)(diff.tolist(), [0.0] * d)
-    np.testing.assert_array_equal(row, fold)
+    namespace = {}
+    exec(f"def row(ctr):\n"
+         f"    {cfk._names('x', d)}= {(0.0,) * d}\n"
+         f"    return [{cfk._fold_source(d)} for {cfk._names('c', d)}in ctr]",
+         namespace)
+    np.testing.assert_array_equal(namespace["row"](diff.tolist()), fold)
     columns = cfk._column_distances(diff.T, np.zeros((d, 1)),
                                     np.empty((d, 4_000)))
     np.testing.assert_array_equal(columns, fold)

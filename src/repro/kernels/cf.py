@@ -41,8 +41,8 @@ COORD_BOUND = 1e150
 #: column regime; smaller ones the python-list regime.  Measured on
 #: d = 3 streams of distinct points on a 2-vCPU Xeon (Python 3.11,
 #: numpy 2.4): the list regime's per-point cost grows by ≈ 0.36 µs per
-#: row, the column regime's stays at 15–18 µs from 10 to 100 rows, and
-#: the two meet at 35 rows (docs/performance.md has the table).  Every
+#: row, the column regime's stays at 16–19 µs from 10 to 100 rows, and
+#: the two meet at 35–40 rows (docs/performance.md has the table).  Every
 #: live-store and Fig. 1–3 stream (m <= 16) runs on lists, Table II
 #: (m = 100) on columns.
 CROSSOVER = 35
@@ -94,12 +94,11 @@ def _fold_source(d):
 
 
 def _column_distances(centroids, points, out):
-    """Squared distances between the centroids whose coordinates are the
-    rows of ``centroids`` and the points whose coordinates are the rows
-    of ``points`` (broadcast against each other into ``out``):
-    :func:`two_lane_fold` over numpy columns, one ``subtract`` and one
-    ``multiply``, then ``d - 1`` additions.  At d = 1 the result is a
-    view of ``out``."""
+    """Squared distances from ``points`` to ``centroids``, both
+    coordinate-major (row k holds coordinate k) and broadcast against
+    each other into ``out``: :func:`two_lane_fold` over the coordinate
+    rows, after one ``subtract`` and one ``multiply``.  At d = 1 the
+    result is a view of ``out``."""
     np.subtract(centroids, points, out=out)
     np.multiply(out, out, out=out)
     return two_lane_fold(list(out))
@@ -345,7 +344,7 @@ def _columns(array, cnt, wts, ls, ss, points, point_weights, floor,
     n = len(cnt)
     centroids = np.full((d, cap), np.inf)
     columns = list(centroids)
-    search = np.empty((d, cap))
+    scratch = np.empty((d, cap))
     rad = [0.0] * n
 
     def refresh(j):
@@ -366,7 +365,7 @@ def _columns(array, cnt, wts, ls, ss, points, point_weights, floor,
 
     for p, column, w in zip(points, array[:, :, None], point_weights):
         if n:
-            sq = _column_distances(centroids, column, search)
+            sq = _column_distances(centroids, column, scratch)
             nearest = int(sq.argmin())
             if sqrt(sq[nearest]) <= rad[nearest]:
                 cnt[nearest] += 1.0

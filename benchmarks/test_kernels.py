@@ -2,16 +2,17 @@
 
 Times every hot-path kernel on the full 226-node setting (k = 8
 replicas, m = 16 micro-clusters — the upper end of the paper's sweeps)
-under each backend in turn (``use_backend``), records the numbers in
-``BENCH_kernels.json`` next to this module, and enforces the speedup
-floors:
+on the production kernels, then the same calls with the scalar twins of
+``repro.kernels._reference`` swapped in (``tests/data/kernel_twins.py``),
+records the numbers in ``BENCH_kernels.json`` next to this module, and
+enforces the speedup floors:
 
 * weighted k-means and the two coordinate-distance kernels are
   embarrassingly data-parallel and must each beat the scalar oracle
   >= 3x, as must the full offline placement pipeline built from them;
 * micro-cluster stream absorption is *inherently sequential* (every
   absorb/spawn/merge decision sees the clusters as the previous point
-  left them), so the loop over points stays in Python on both backends.
+  left them), so the loop over points stays in Python in both.
   The production kernel wins on the work inside one step.  At m = 16
   it runs its python-list regime: an absorbed point is one generated
   search over Python floats and no numpy call, instead of the oracle's
@@ -26,16 +27,16 @@ floors:
   large-input kernels;
 * the coordinate embedding (``embed_rounds``: 226-node RNP, 40 gossip
   rounds — the world every chaos / catalog cell builds) is timed as the
-  wavefront kernel against the per-node object loop it replaced, *both
-  on the numpy backend*: the loop's refit distances run the numpy
-  ``cross_distances`` exactly as they did while the loop was
-  ``embed_matrix``, so the ratio is the batching and nothing else:
-  measured 17.96x, floor 14x;
+  wavefront kernel against the per-node object loop it replaced, both
+  called directly with the production kernels in place: the loop's
+  refit distances run the numpy ``cross_distances`` exactly as they did
+  while the loop was ``embed_matrix``, so the ratio is the batching and
+  nothing else: measured 17.96x, floor 14x;
 * the exhaustive oracle (``best_subset``: the setting's 206 x 20 RTT
   block at k = 7, C(20, 7) = 77 520 combinations — Fig. 2's largest
   cell) is timed the same way, the prefix-shared running-minimum scan
-  against the chunked gather scan it replaced, *both on the numpy
-  backend* (the gather scan is vectorised numpy too; the ratio is the
+  against the chunked gather scan it replaced, both called directly
+  (the gather scan is vectorised numpy too; the ratio is the
   algorithm): measured 7.07x, floor 3x.
 """
 
@@ -47,7 +48,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import OnlineClusterer
 from repro.coords.space import EuclideanSpace
@@ -60,6 +60,7 @@ from repro.placement.offline_kmeans import OfflineKMeansPlacement
 from repro.placement.online import OnlineClusteringPlacement
 
 from conftest import host_stamp, print_result
+from tests.data.kernel_twins import PATHS, kernel_path
 
 BENCH_OUT = pathlib.Path(__file__).parent / "BENCH_kernels.json"
 
@@ -93,58 +94,56 @@ def test_kernel_speedups(evaluation_world, capsys):
     client_coords = planar[list(clients)]
     stream = np.repeat(client_coords, ACCESSES, axis=0)
 
-    def time_backend(fn):
+    def time_both(fn):
         times = {}
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                times[backend] = _best(fn)
+        for path in PATHS:
+            with kernel_path(path):
+                times[path] = _best(fn)
         return times
 
     workloads = {
-        "weighted_kmeans": time_backend(
+        "weighted_kmeans": time_both(
             lambda: weighted_kmeans(client_coords, K,
                                     rng=np.random.default_rng(0),
                                     n_init=4)),
-        "cf_absorb_stream": time_backend(
+        "cf_absorb_stream": time_both(
             lambda: OnlineClusterer(M).extend(stream)),
-        "pairwise_distances": time_backend(
+        "pairwise_distances": time_both(
             lambda: wk.pairwise_distances(planar, heights=heights)),
-        "cross_distances": time_backend(
+        "cross_distances": time_both(
             lambda: wk.cross_distances(
                 client_coords, planar[list(candidates)],
                 b_heights=heights[list(candidates)])),
-        "placement_online_end_to_end": time_backend(
+        "placement_online_end_to_end": time_both(
             lambda: OnlineClusteringPlacement(
                 micro_clusters=M, migration_rounds=2).place(
                     problem, np.random.default_rng(0))),
-        "placement_offline_end_to_end": time_backend(
+        "placement_offline_end_to_end": time_both(
             lambda: OfflineKMeansPlacement().place(
                 problem, np.random.default_rng(0))),
     }
     #: Kernels making up the aggregate "paper-scale workload" bar; the
     #: end-to-end run is excluded because it also times shared
-    #: backend-independent work (RNG, problem bookkeeping).
+    #: work the twins do not replace (RNG, problem bookkeeping).
     kernel_keys = ("weighted_kmeans", "cf_absorb_stream",
                    "pairwise_distances", "cross_distances")
 
-    # Coordinate embedding: wavefront kernel vs per-node loop, both on
-    # the numpy backend (see the module docstring).
+    # Coordinate embedding: wavefront kernel vs per-node loop, both
+    # with the production kernels in place (see the module docstring).
     def embed_with(embed_rounds):
         return lambda: embed_rounds(
             matrix.rtt, "rnp", EuclideanSpace(dim=3, use_height=True),
             EMBED_ROUNDS, np.random.default_rng(1))
 
-    with kernels.use_backend("numpy"):
-        embed_kernel_s = _best(embed_with(embed.embed_rounds))
-        embed_loop_s = _best(embed_with(_reference.embed_rounds), repeats=3)
+    embed_kernel_s = _best(embed_with(embed.embed_rounds))
+    embed_loop_s = _best(embed_with(_reference.embed_rounds), repeats=3)
 
     # Exhaustive oracle: running-minimum scan vs chunked gather scan,
-    # both on the numpy backend (see the module docstring).
+    # both called directly (see the module docstring).
     block = matrix.rows(clients, candidates)
-    with kernels.use_backend("numpy"):
-        subset_kernel_s = _best(lambda: subset.best_subset(block, SUBSET_K))
-        subset_gather_s = _best(
-            lambda: _reference.best_subset(block, SUBSET_K), repeats=3)
+    subset_kernel_s = _best(lambda: subset.best_subset(block, SUBSET_K))
+    subset_gather_s = _best(
+        lambda: _reference.best_subset(block, SUBSET_K), repeats=3)
 
     speedups = {name: t["python"] / t["numpy"]
                 for name, t in workloads.items()}

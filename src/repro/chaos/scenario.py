@@ -294,8 +294,9 @@ class ChaosScenario:
             for name in ("p_region", "p_dc", "p_rack", "p_node"):
                 if not 0.0 <= getattr(self, name) < 1.0:
                     raise ValueError(f"{name} must lie in [0, 1)")
-        if self.availability_lambda < 0:
-            raise ValueError("availability_lambda must be non-negative")
+        if not self.availability_lambda >= 0:
+            raise ValueError("availability_lambda must be non-negative, "
+                             f"got {self.availability_lambda!r}")
         if self.availability_lambda > 0 and self.regions == 0:
             raise ValueError("availability_lambda > 0 needs a [domains] "
                              "section with regions > 0")

@@ -9,13 +9,13 @@ offline baseline uses.
 
 The numeric inner loops — the full point-by-centroid distance matrix,
 the assignment, and the centroid update — live in
-:mod:`repro.kernels.wkmeans` and run on either the vectorised ``numpy``
-backend or, under :func:`repro.kernels.use_backend`, the scalar
-``python`` reference.  Seeding, probability draws and convergence
-control stay on the shared ``numpy.random.Generator`` so both backends
-consume the same random stream; empty clusters reseed deterministically
-at the point with the largest assignment cost — never from hidden global
-RNG state — so a fixed seed gives a fixed answer on either backend.
+:mod:`repro.kernels.wkmeans`, reached through the module attribute so
+tests can swap in their scalar twins.  Seeding, probability draws and
+convergence control stay on the shared ``numpy.random.Generator`` so the
+kernels and their twins consume the same random stream; empty clusters
+reseed deterministically at the point with the largest assignment cost —
+never from hidden global RNG state — so a fixed seed gives a fixed
+answer on either.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
     The first center is drawn proportionally to point weight; each later
     center proportionally to ``weight * D(x)^2`` where ``D(x)`` is the
     distance to the closest already-chosen center.  The random draws
-    always come from ``rng`` — the backend only changes how ``D(x)`` is
-    computed — so both backends consume the identical random stream.
+    always come from ``rng`` — the kernels only compute ``D(x)`` — so the
+    kernels and their scalar twins consume the identical random stream.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]

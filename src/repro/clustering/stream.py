@@ -18,9 +18,8 @@ under the paper's rule: absorb a point into the nearest cluster when it
 falls within that cluster's standard deviation, otherwise spawn a new
 cluster and merge the two closest.  Every point reaches the clusters
 through :meth:`OnlineClusterer.extend`, one block at a time, and the
-rule runs inside :func:`repro.kernels.cf.absorb_stream` — on the
-production backend or, under :func:`repro.kernels.use_backend`, the
-scalar ``python`` reference.  A block of one point is a valid block.
+rule runs inside :func:`repro.kernels.cf.absorb_stream`.  A block of
+one point is a valid block.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ rounds in which every node measures a random peer and updates, then
 return the final coordinates.  The rounds run in
 :func:`repro.kernels.embed.embed_rounds`, a wavefront-batched kernel that
 is bitwise equal to updating one :class:`~repro.coords.vivaldi.VivaldiNode`
-/ :class:`~repro.coords.rnp.RNPNode` object per node in index order (the
-``use_backend("python")`` oracle does exactly that).  It also provides
-classical MDS as an idealized (centralized, offline) embedding for
-comparison.
+/ :class:`~repro.coords.rnp.RNPNode` object per node in index order (its
+scalar twin in :mod:`repro.kernels._reference` does exactly that).  It
+also provides classical MDS as an idealized (centralized, offline)
+embedding for comparison.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Coordinates are plain ``numpy`` vectors.  In a *height-vector* space
 "height" modelling access-link delay: the distance between two points is
 the Euclidean distance of their planar parts **plus both heights**.
 
-Bulk distance matrices route through :mod:`repro.kernels.wkmeans`
-(vectorised or scalar, per the process-wide backend switch).
+Bulk distance matrices route through :mod:`repro.kernels.wkmeans`.
 """
 
 from __future__ import annotations

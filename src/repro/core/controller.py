@@ -105,8 +105,9 @@ class ControllerConfig:
                 raise ValueError("demand_low must be below demand_high")
         if self.summary_decay is not None and not 0.0 < self.summary_decay <= 1.0:
             raise ValueError("summary decay must lie in (0, 1]")
-        if self.availability_lambda < 0:
-            raise ValueError("availability lambda must be non-negative")
+        if not self.availability_lambda >= 0:
+            raise ValueError("availability lambda must be non-negative: "
+                             f"availability_lambda={self.availability_lambda!r}")
         if self.max_epoch_moves is not None and self.max_epoch_moves < 1:
             raise ValueError("max_epoch_moves must be at least 1")
 

@@ -10,6 +10,7 @@ go/no-go verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,14 +53,20 @@ class RetryPolicy:
     jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if self.base_backoff_ms < 0 or self.max_backoff_ms < 0:
-            raise ValueError("backoff must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
+        # Written so that NaN fails every check.
+        if not 0 < self.timeout_ms < math.inf:
+            raise ValueError("timeout must be positive and finite: "
+                             f"timeout_ms={self.timeout_ms!r}")
+        if not self.max_attempts >= 1:
+            raise ValueError("need at least one attempt: "
+                             f"max_attempts={self.max_attempts!r}")
+        for name in ("base_backoff_ms", "max_backoff_ms"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"backoff must be non-negative: "
+                                 f"{name}={getattr(self, name)!r}")
+        if not self.backoff_factor >= 1.0:
+            raise ValueError("backoff factor must be >= 1: "
+                             f"backoff_factor={self.backoff_factor!r}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must lie in [0, 1)")
 

@@ -1,4 +1,4 @@
-"""repro.kernels — the numeric hot-path kernels behind a backend switch.
+"""repro.kernels — the numeric hot-path kernels.
 
 The control loop is dominated by three numeric kernels, the world every
 experiment starts from by a fourth, and the yardstick every figure is
@@ -24,92 +24,18 @@ read against by a fifth:
   (:mod:`repro.kernels.subset`).  Its oracle is the chunked
   column-gather scan it replaced: numpy too, but one gather per subset.
 
-Every kernel exists in two implementations selected by one *backend*
-switch:
+Each kernel has one implementation, the vectorised numpy one, in
+:mod:`~repro.kernels.wkmeans`, :mod:`~repro.kernels.cf`,
+:mod:`~repro.kernels.embed` and :mod:`~repro.kernels.subset`.  Its
+scalar twin of the same name in :mod:`repro.kernels._reference` (pure
+Python loops; for the embedding, the per-node object loop; for the
+subset search, the gather scan) is the oracle the differential tests
+check the kernel against and the baseline ``benchmarks/test_kernels.py``
+measures its speedup from.  Nothing in the package imports it: tests
+swap the twins in for the kernels themselves.
 
-``"numpy"``
-    Vectorised array kernels — the production path, and the only code
-    in :mod:`~repro.kernels.wkmeans`, :mod:`~repro.kernels.cf`,
-    :mod:`~repro.kernels.embed` and :mod:`~repro.kernels.subset`.
-``"python"``
-    Scalar pure-Python loops (for the embedding, the per-node object
-    loop; for the subset search, the gather scan) in
-    :mod:`repro.kernels._reference` — the oracle the
-    differential test suite checks the vectorised path against, and the
-    baseline the ``benchmarks/test_kernels.py`` speedup is measured
-    from.  Imported only while this backend is selected.
-
-There is one way to select the oracle: ``with use_backend("python"):`` —
-nothing else takes a backend argument.  ``REPRO_KERNEL_BACKEND`` is
-:func:`use_backend`'s default, read once at import, so a whole process
-(and the runner workers it spawns) starts on that backend.
-
-Both backends consume the *same* random stream: seeding, probability
-draws and all control flow stay on ``numpy.random.Generator``; only the
-arithmetic kernels switch.  That is what makes the differential suite
-meaningful — same seed, same decisions, backend-independent.
-
-Examples
---------
->>> from repro import kernels
->>> kernels.get_backend()
-'numpy'
->>> with kernels.use_backend("python"):
-...     kernels.get_backend()
-'python'
->>> kernels.get_backend()
-'numpy'
+Seeding, probability draws and all control flow stay on
+``numpy.random.Generator`` outside the kernels, so a run on the twins
+consumes the same random stream as a production run.  That is what
+makes the differential tests meaningful: same seed, same decisions.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from types import ModuleType
-from typing import Iterator
-
-__all__ = ["BACKENDS", "get_backend", "use_backend"]
-
-#: The recognised kernel backends.
-BACKENDS = ("python", "numpy")
-
-
-def _validated(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKENDS}"
-        )
-    return name
-
-
-_backend = _validated(os.environ.get("REPRO_KERNEL_BACKEND", "numpy"))
-
-
-def get_backend() -> str:
-    """The kernel backend currently in force."""
-    return _backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Run the enclosed block on kernel backend ``name``."""
-    global _backend
-    previous = _backend
-    _backend = _validated(name)
-    try:
-        yield _backend
-    finally:
-        _backend = previous
-
-
-def scalar_oracle() -> ModuleType | None:
-    """:mod:`repro.kernels._reference` while the backend is ``"python"``.
-
-    ``None`` on the numpy backend — the dispatch point of every public
-    kernel is ``if oracle := scalar_oracle(): return oracle.<kernel>(...)``,
-    so the numpy path never imports the scalar module.
-    """
-    if _backend == "numpy":
-        return None
-    from repro.kernels import _reference
-    return _reference

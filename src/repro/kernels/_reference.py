@@ -1,15 +1,14 @@
 """The scalar reference oracle: every kernel as a pure-Python loop.
 
-One function per dispatching kernel of :mod:`repro.kernels.wkmeans`,
-:mod:`repro.kernels.cf`, :mod:`repro.kernels.embed` and
-:mod:`repro.kernels.subset`, same name and signature: its scalar arm
-(for the last two, the loop the kernel replaced: per-node objects, the
-chunked gather scan).  :func:`closest_pair` is the one helper with no
-kernel of its name: the scalar absorb's merge search.  Each kernel twin
-takes its arguments as the kernel has already coerced and validated them
-(float arrays of the documented rank).  The differential suite checks
-the numpy kernels against these, by calling them directly or by running
-a whole experiment under ``use_backend("python")``; the numpy path never
+Every public function here is the scalar twin of the kernel of the
+same name and signature in :mod:`repro.kernels.wkmeans`,
+:mod:`repro.kernels.cf`, :mod:`repro.kernels.embed` or
+:mod:`repro.kernels.subset` (for the last two, the loop the kernel
+replaced: per-node objects, the chunked gather scan).  A twin takes its
+arguments as the kernel would have coerced and validated them (float
+arrays of the documented rank).  The differential tests check the
+kernels against these, by calling them directly or by swapping them in
+for the kernels around a whole experiment; nothing in the package
 imports this module.
 
 Operation order is part of the contract: squared differences fold left
@@ -110,7 +109,7 @@ def cross_distances(a, b, b_heights=None, a_heights=None):
 
 
 # -- repro.kernels.cf --------------------------------------------------
-def closest_pair(centroids):
+def _closest_pair(centroids):
     """Indices ``(keep, drop)``, ``keep < drop``, of the two closest
     rows; ties go to the first pair in row-major order (the pair
     :func:`repro.kernels.cf.absorb_stream` merges)."""
@@ -182,7 +181,7 @@ def absorb_stream(counts, weights, linear, square, points,
         ctr.append(list(p))
         stats["spawned"] += 1
         if len(cnt) > max_clusters:
-            keep, drop = closest_pair(np.asarray(ctr))
+            keep, drop = _closest_pair(np.asarray(ctr))
             cnt[keep] += cnt[drop]
             wts[keep] += wts[drop]
             for dim in range(len(ls[keep])):
@@ -208,11 +207,19 @@ def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
     :class:`~repro.coords.rnp.RNPNode` object per node, updated in index
     order — the loop ``embed_matrix`` ran before the wavefront kernel,
     and what live gossip (:mod:`repro.sim.gossip`) runs per message.
+    In the kernel's place under ``embed_matrix`` it raises the kernel's
+    errors: the node classes check their own parameters before a draw,
+    and the node and round counts are checked here.
     """
     from repro.coords.rnp import RNPNode
     from repro.coords.vivaldi import VivaldiNode
 
     n = rtt.shape[0]
+    if n < 2:
+        raise ValueError(
+            f"gossip needs at least two nodes to measure a peer, got {n}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
     node_cls = {"vivaldi": VivaldiNode, "rnp": RNPNode}[system]
     nodes = [node_cls(space, rng=rng, **node_params) for _ in range(n)]
 

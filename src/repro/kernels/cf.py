@@ -13,10 +13,8 @@ squared distance is summed in one order, :func:`two_lane_fold`.  The
 kernel runs in one of two regimes, chosen by the budget against
 :data:`CROSSOVER`: below it everything is python floats and lists, and
 a step makes no numpy call; at or above it (Table II's m = 100) the
-centroids are numpy columns.  Both return the same bits.  The kernel
-coerces its arguments, then has one dispatch point: under
-``use_backend("python")`` it hands them to its scalar twin in
-:mod:`repro.kernels._reference`.
+centroids are numpy columns.  Both return the same bits.  The scalar
+twin in :mod:`repro.kernels._reference` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.kernels import scalar_oracle
 
 __all__ = ["COORD_BOUND", "CROSSOVER", "two_lane_fold", "absorb_stream"]
 
@@ -130,8 +127,8 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     rows and event counts.  Against the scalar oracle, which folds
     squared distances left to right, rows and events agree for d <= 2
     only: at d = 3 a point exactly one deviation from a centroid can
-    absorb on one backend and spawn (then merge straight back) on the
-    other — same rows, other counts.  Coordinates must be finite and
+    absorb in one and spawn (then merge straight back) in the other —
+    same rows, other counts.  Coordinates must be finite and
     within :data:`COORD_BOUND`.
 
     >>> start = np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
@@ -142,10 +139,6 @@ def absorb_stream(counts: np.ndarray, weights: np.ndarray,
     ([2.0, 1.0], [[0.1, 0.0], [500.0, 0.0]], 1)
     """
     with obs.get_registry().phase("kernels.cf.absorb_stream"):
-        if oracle := scalar_oracle():
-            return oracle.absorb_stream(counts, weights, linear, square,
-                                        points, point_weights,
-                                        radius_floor, max_clusters)
         return _absorb_block(counts, weights, linear, square, points,
                              point_weights, radius_floor, max_clusters)
 

@@ -35,8 +35,7 @@ outlier draws; such a round is rewound and replayed as one-node waves in
 index order through the same step function.
 
 The per-node loop itself is
-:func:`repro.kernels._reference.embed_rounds` — the ``"python"``
-backend's arm of :func:`embed_rounds` and the oracle of
+:func:`repro.kernels._reference.embed_rounds`, the oracle of
 ``tests/unit/test_embed_kernel.py``.  The node classes stay the
 reference and the implementation live gossip (``repro.sim.gossip``) runs.
 """
@@ -44,8 +43,6 @@ reference and the implementation live gossip (``repro.sim.gossip``) runs.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels import scalar_oracle
 
 __all__ = ["embed_rounds", "wave_schedule"]
 
@@ -147,10 +144,6 @@ def embed_rounds(rtt: np.ndarray, system: str, space, rounds: int,
             f"gossip needs at least two nodes to measure a peer, got {n}")
     if rounds < 0:
         raise ValueError(f"rounds must be non-negative, got {rounds}")
-    if oracle := scalar_oracle():
-        return oracle.embed_rounds(rtt, system, space, rounds, rng,
-                                   outlier_fraction, outlier_multiplier,
-                                   **node_params)
 
     points = np.stack([space.random_point(rng, scale=1e-3)
                        for _ in range(n)])

@@ -46,8 +46,6 @@ from math import comb
 
 import numpy as np
 
-from repro.kernels import scalar_oracle
-
 __all__ = ["best_subset"]
 
 #: Bound, in array elements, on the scan's live buffers (2 MiB of
@@ -87,8 +85,6 @@ def best_subset(block: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if np.isnan(block).any():
         raise ValueError("block must not contain NaN")
-    if oracle := scalar_oracle():
-        return oracle.best_subset(block, k)
 
     rows = np.ascontiguousarray(block.T)          # (candidates, clients)
     if k == 1:

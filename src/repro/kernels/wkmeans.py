@@ -6,17 +6,15 @@ centroids (columns) from the assignment without disturbing the matrix
 shape — that is how chaos-degraded epochs (partitioned candidates,
 unreachable sites) keep using the same code path.
 
-These are the numpy kernels only.  Each coerces and validates its
-arguments, then has one dispatch point: under ``use_backend("python")``
-it hands them to its scalar twin in :mod:`repro.kernels._reference`
-(``pairwise_distances`` builds on ``cross_distances`` and needs none).
+Each kernel coerces and validates its arguments, then computes; its
+scalar twin of the same name in :mod:`repro.kernels._reference` is the
+tests' oracle (``pairwise_distances`` builds on ``cross_distances`` and
+has none of its own).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels import scalar_oracle
 
 __all__ = [
     "sq_distances",
@@ -32,8 +30,6 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``(n, k)`` squared Euclidean distances, point row by centroid row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if oracle := scalar_oracle():
-        return oracle.sq_distances(points, centers)
     diff = points[:, None, :] - centers[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
 
@@ -44,7 +40,7 @@ def assign_labels(sq: np.ndarray,
 
     ``eligible`` is an optional ``(k,)`` boolean mask over centroids;
     ineligible columns can never win the argmin.  Ties resolve to the
-    lowest index in both backends (numpy's ``argmin`` rule).
+    lowest index, numpy's ``argmin`` rule, as in the scalar twin.
     """
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     if eligible is not None:
@@ -55,8 +51,6 @@ def assign_labels(sq: np.ndarray,
                 f"got {eligible.shape}")
         if not eligible.any():
             raise ValueError("no centroid is eligible")
-    if oracle := scalar_oracle():
-        return oracle.assign_labels(sq, eligible=eligible)
     if eligible is not None:
         sq = np.where(eligible[None, :], sq, np.inf)
     return np.argmin(sq, axis=1)
@@ -72,8 +66,6 @@ def assignment_costs(sq: np.ndarray, labels: np.ndarray,
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     labels = np.asarray(labels, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    if oracle := scalar_oracle():
-        return oracle.assignment_costs(sq, labels, weights)
     return weights * sq[np.arange(labels.size), labels]
 
 
@@ -92,8 +84,6 @@ def update_centroids(points: np.ndarray, labels: np.ndarray,
     weights = np.asarray(weights, dtype=float)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     costs = np.asarray(costs, dtype=float)
-    if oracle := scalar_oracle():
-        return oracle.update_centroids(points, labels, weights, centers, costs)
     k = centers.shape[0]
     new_centers = centers.copy()
     for c in range(k):
@@ -121,8 +111,6 @@ def cross_distances(a: np.ndarray, b: np.ndarray,
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if oracle := scalar_oracle():
-        return oracle.cross_distances(a, b, b_heights, a_heights)
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     if a_heights is not None:
         d = d + np.asarray(a_heights, dtype=float)[:, None]

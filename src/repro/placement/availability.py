@@ -173,8 +173,9 @@ class AvailabilityAwarePlacement(PlacementStrategy):
 
     def __init__(self, base: PlacementStrategy, domains: FailureDomains,
                  availability_lambda: float) -> None:
-        if availability_lambda < 0:
-            raise ValueError("availability_lambda must be non-negative")
+        if not availability_lambda >= 0:
+            raise ValueError("availability_lambda must be non-negative, "
+                             f"got {availability_lambda!r}")
         self.base = base
         self.domains = domains
         self.availability_lambda = float(availability_lambda)

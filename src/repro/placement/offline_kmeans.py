@@ -7,8 +7,7 @@ number of accesses — exactly the trade-off Table II contrasts with the
 online scheme.
 
 All distance and k-means maths run through :mod:`repro.kernels`, so this
-strategy participates in the backend-equivalence suite like the online
-scheme.
+strategy is checked against the scalar twins like the online scheme.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ The search itself is the :func:`repro.kernels.subset.best_subset`
 kernel: the ``clients × candidates`` RTT block is built once here and
 scanned there as prefix-shared running minima, so the paper's scales
 (C(30, 3) = 4 060, C(20, 7) = 77 520 combinations) take a few tens of
-milliseconds.  Under ``use_backend("python")`` the kernel runs the
-chunked gather scan this module used to hold, with bitwise-equal totals.
+milliseconds.  The kernel's scalar twin is the chunked gather scan this
+module used to hold, with bitwise-equal totals.
 """
 
 from __future__ import annotations

@@ -142,8 +142,8 @@ class EventQueue:
              args: tuple = (), inert: bool = False,
              scope: Hashable = None) -> Event:
         """Schedule ``callback(*args)`` at simulated ``time``."""
-        if time < 0:
-            raise ValueError("event time must be non-negative")
+        if not time >= 0:  # NaN fails too: it would corrupt the heap order
+            raise ValueError(f"event time must be non-negative, got {time!r}")
         seq = next(self._counter)
         event = Event(time, seq, callback, args, inert, scope)
         event._queue = self

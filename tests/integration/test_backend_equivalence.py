@@ -1,18 +1,19 @@
-"""Differential certification of the kernel backends.
+"""Differential certification of the kernels against their scalar twins.
 
-The ``python`` backend is the scalar reference oracle; the ``numpy``
-backend is the production hot path.  These tests pin the contract that
-lets them be swapped freely:
+The scalar twins of :mod:`repro.kernels._reference` (the ``python``
+path) are the reference oracle; the ``numpy`` kernels are the
+production hot path.  These tests pin the contract that lets them be
+swapped freely:
 
-* golden equivalence — both backends make *identical placement
+* golden equivalence — both paths make *identical placement
   decisions* across seeds, for the online scheme and the offline
   k-means rival, and produce tolerance-bounded centroids;
 * seed-matrix differential — every bundled chaos scenario produces
-  **byte-identical** summary JSON under either backend (parametrized
-  over a glob, so new scenario files are picked up automatically).
+  **byte-identical** summary JSON on either path (parametrized over a
+  glob, so new scenario files are picked up automatically).
 
-The oracle is reached the only way there is: ``use_backend("python")``
-around the whole run.
+The oracle is reached by swapping the twins in for the kernels around
+the whole run (``tests/data/kernel_twins.py``).
 """
 
 import glob
@@ -21,7 +22,6 @@ import os
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.chaos import chaos_summary_json, load_scenario, run_chaos
 from repro.clustering.kmeans import weighted_kmeans
 from repro.coords import embed_matrix
@@ -29,6 +29,8 @@ from repro.net import PlanetLabParams, synthetic_planetlab_matrix
 from repro.placement.base import PlacementProblem
 from repro.placement.offline_kmeans import OfflineKMeansPlacement
 from repro.placement.online import OnlineClusteringPlacement
+
+from tests.data.kernel_twins import PATHS, kernel_path, scalar_twins
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -67,8 +69,8 @@ class TestGoldenPlacementEquivalence:
         decisions = {}
         strategy = OnlineClusteringPlacement(micro_clusters=6,
                                              migration_rounds=2)
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
+        for backend in PATHS:
+            with kernel_path(backend):
                 decisions[backend] = strategy.place(
                     problem, np.random.default_rng(seed))
         assert decisions["numpy"] == decisions["python"]
@@ -78,8 +80,8 @@ class TestGoldenPlacementEquivalence:
         problem = make_problem(world)
         decisions = {}
         strategy = OfflineKMeansPlacement()
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
+        for backend in PATHS:
+            with kernel_path(backend):
                 decisions[backend] = strategy.place(
                     problem, np.random.default_rng(seed))
         assert decisions["numpy"] == decisions["python"]
@@ -88,8 +90,8 @@ class TestGoldenPlacementEquivalence:
     def test_kmeans_centroids_tolerance_bounded(self, world, seed):
         _, planar, _ = world
         results = {}
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
+        for backend in PATHS:
+            with kernel_path(backend):
                 results[backend] = weighted_kmeans(
                     planar, 5, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(results["numpy"].labels,
@@ -105,8 +107,8 @@ class TestGoldenPlacementEquivalence:
                                                          monkeypatch):
         # Regression: a per-strategy ``backend=`` was dropped by the
         # runner's declarative round-trip, so ``run_comparison`` ran
-        # numpy whatever was asked.  The switch is ambient now, so the
-        # rebuilt strategies inherit it.
+        # numpy whatever was asked.  The twins replace the kernels
+        # themselves, so the rebuilt strategies run them.
         from repro.analysis.experiment import run_comparison
         from repro.kernels import _reference
 
@@ -124,14 +126,14 @@ class TestGoldenPlacementEquivalence:
         kwargs = dict(n_dc=8, k=2, n_runs=2, seed=5, heights=heights)
         fast = run_comparison(matrix, planar, strategies, **kwargs)
         assert not calls
-        with kernels.use_backend("python"):
+        with scalar_twins():
             slow = run_comparison(matrix, planar, strategies, **kwargs)
         assert calls
         assert fast == slow
 
 
 # ----------------------------------------------------------------------
-# Seed-matrix differential: bundled chaos scenarios, both backends
+# Seed-matrix differential: bundled chaos scenarios, both paths
 # ----------------------------------------------------------------------
 def _scenario_params():
     """One param per bundled scenario; only the smoke test stays fast."""
@@ -153,8 +155,8 @@ class TestChaosSeedMatrixDifferential:
     def test_summary_json_byte_identical_across_backends(self, path):
         scenario = load_scenario(path)
         payloads = {}
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
+        for backend in PATHS:
+            with kernel_path(backend):
                 payloads[backend] = chaos_summary_json(
                     run_chaos(scenario, jobs=1))
         assert payloads["numpy"] == payloads["python"]

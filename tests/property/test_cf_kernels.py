@@ -3,22 +3,23 @@
 The CF vector (count, weight, linear_sum, square_sum) is an additive
 summary: merging must commute and associate, and recovered variance
 must never go negative however the floating point falls.  The block
-kernel :func:`repro.kernels.cf.absorb_stream` must agree across
-backends and across its two regimes, and must not depend on how a
+kernel :func:`repro.kernels.cf.absorb_stream` must agree with its scalar
+twin and across its two regimes, and must not depend on how a
 stream is cut into blocks.
 """
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro import kernels, obs
+from repro import obs
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
 from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 
 from tests.data.absorb_instances import absorb_in_blocks
+from tests.data.kernel_twins import PATHS, kernel_path
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -83,7 +84,7 @@ def test_recovered_variance_never_negative(cf):
 
 
 # ----------------------------------------------------------------------
-# Batched stream maintenance: backend equivalence as a property
+# Batched stream maintenance: kernel == twin as a property
 # ----------------------------------------------------------------------
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.tuples(point2, weight), min_size=1, max_size=30),
@@ -182,12 +183,31 @@ def test_block_kernel_equals_sequential_add_on_tied_letters(case):
 
 
 @settings(deadline=None, max_examples=200)
-@given(letter_streams(), st.sampled_from(kernels.BACKENDS))
+@given(letter_streams())
+# 0 lies exactly as far from the clusters at -2 and 2: the first absorbs it.
+@example((4, 2.0, np.array([[-2.0], [2.0], [0.0]]), np.ones(3), []))
+def test_absorb_stream_equals_its_twin_on_tied_letters(case):
+    """Up to d = 2 the kernel and its twin sum squares in one order, so
+    exact ties fall the same way in both: nearest-centroid ties on an
+    axis, closest-pair ties on the lattice."""
+    m, floor, points, weights, _cuts = case
+    points = points[:, :2]
+    d = points.shape[1]
+    start = (np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
+    fast, slow = (impl.absorb_stream(*start, points, weights, floor, m)
+                  for impl in (cfk, ref))
+    assert fast[4] == slow[4]
+    for a, b in zip(fast[:4], slow[:4]):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(letter_streams(), st.sampled_from(PATHS))
 def test_absorb_stream_is_block_invariant_on_tied_letters(case, backend):
     m, floor, points, weights, cuts = case
     d = points.shape[1]
     start = (np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
-    with kernels.use_backend(backend):
+    with kernel_path(backend):
         whole = cfk.absorb_stream(*start, points, weights, floor, m)
         for blocks in (range(1, len(points)), cuts):
             got = absorb_in_blocks(start, points, weights, floor, m, blocks)

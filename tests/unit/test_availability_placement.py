@@ -204,6 +204,14 @@ class TestControllerKnobs:
         with pytest.raises(ValueError, match="max_epoch_moves"):
             ControllerConfig(max_epoch_moves=0)
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_lambda_must_be_a_non_negative_number(self, lam):
+        # NaN would pass a ``< 0`` check and then act as lambda = 0.
+        with pytest.raises(ValueError, match="availability_lambda"):
+            ControllerConfig(availability_lambda=lam)
+        with pytest.raises(ValueError, match="availability_lambda"):
+            AvailabilityAwarePlacement(GreedyPlacement(), TREE, lam)
+
     def test_cost_model_transfers_of_move(self):
         model = MigrationCostModel(dollars_per_gb=0.02, object_size_gb=2.0)
         assert model.transfers_of_move((0, 1, 2), (0, 1, 2)) == 0

@@ -10,6 +10,7 @@ parser.
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from repro.net.planetlab import small_matrix
 from repro.sim import FailureInjector, Network, Simulator
 from repro.sim.node import Message, Node
 from repro.store import ReplicatedStore
+
+NAN, INF = float("nan"), float("inf")
+EXAMPLES = pathlib.Path(__file__).parents[2] / "examples" / "chaos"
 
 
 class Recorder(Node):
@@ -67,6 +71,14 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError, match="jitter"):
             RetryPolicy(jitter=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_ms", NAN), ("timeout_ms", INF),
+        ("max_attempts", NAN), ("base_backoff_ms", NAN),
+        ("backoff_factor", NAN), ("max_backoff_ms", NAN)])
+    def test_nan_and_an_infinite_timeout_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            RetryPolicy(**{field: value})
 
     def test_backoff_grows_exponentially_and_caps(self):
         policy = RetryPolicy(base_backoff_ms=100.0, backoff_factor=2.0,
@@ -624,6 +636,22 @@ class TestScenarioParsing:
                      "partition_60_40"):
             scenario = load_scenario(os.path.join(base, f"{name}.toml"))
             assert scenario.faults, name
+
+    @pytest.mark.parametrize("example, line, message", [
+        ("smoke", "timeout_ms = 2_000.0", "timeout_ms=nan"),
+        ("smoke", "base_backoff_ms = 250.0", "base_backoff_ms=nan"),
+        ("dc_outage", "availability_lambda = 400.0",
+         "availability_lambda must be non-negative, got nan"),
+    ], ids=["timeout_ms", "base_backoff_ms", "availability_lambda"])
+    def test_nan_in_a_scenario_file_is_refused(self, tmp_path, example,
+                                               line, message):
+        text = (EXAMPLES / f"{example}.toml").read_text()
+        assert text.count(line) == 1
+        field = line.partition(" ")[0]
+        path = tmp_path / f"{example}.toml"
+        path.write_text(text.replace(line, f"{field} = nan"))
+        with pytest.raises(ValueError, match=message):
+            load_scenario(str(path))
 
     def test_json_round_trip(self, tmp_path):
         payload = {

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core import ReplicaAccessSummary
+
+from tests.data.kernel_twins import kernel_path
 
 
 class TestRecording:
@@ -95,7 +96,7 @@ class TestNonFiniteInput:
     def test_record_batch_names_the_first_bad_point(self, backend, bad):
         rows = np.array([[0.0, 0.0, 0.0], [bad, 1.0, 1.0], [1.0, 0.0, 0.0],
                          [50.0, 0.0, 0.0], [0.5, bad, 0.0]])
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             s, before = self.summary_with_history()
             with pytest.raises(ValueError, match="row 1 is not finite"):
                 s.record_batch(rows)
@@ -103,7 +104,7 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", [NAN, INF])
     def test_record_batch_refuses_a_bad_weight(self, backend, bad):
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             s, before = self.summary_with_history()
             with pytest.raises(ValueError, match="row 2 is not finite"):
                 s.record_batch(np.zeros((3, 3)), np.array([1.0, 2.0, bad]))
@@ -113,7 +114,7 @@ class TestNonFiniteInput:
         ([NAN, 1.0, 1.0], 1.0), ([INF, 0.0, 0.0], 1.0),
         ([0.0, 0.0, 0.0], NAN), ([0.0, 0.0, 0.0], INF)])
     def test_record_access_refuses_it(self, backend, point, weight):
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             s, before = self.summary_with_history()
             with pytest.raises(ValueError, match="not finite"):
                 s.record_access(np.array(point), weight)

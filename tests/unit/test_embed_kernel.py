@@ -4,8 +4,9 @@
 :func:`repro.kernels._reference.embed_rounds` (one ``VivaldiNode`` /
 ``RNPNode`` object per node, updated in index order) in every output
 *and* in the random-generator state it leaves behind — the committed
-goldens of ``benchmarks/e2e`` hang off these coordinates.  Both sides run
-under the numpy backend here, so the only difference is batching.
+goldens of ``benchmarks/e2e`` hang off these coordinates.  Both sides are
+called directly with the production kernels in place, so the only
+difference is batching.
 """
 
 import itertools
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.coords import EuclideanSpace, RNPNode, VivaldiNode, embed_matrix
 from repro.kernels import _reference as ref
 from repro.kernels import embed
 from repro.net import (LatencyMatrix, PlanetLabParams,
                        synthetic_planetlab_matrix)
+
+from tests.data.kernel_twins import PATHS, kernel_path, scalar_twins
 
 SYSTEMS = ("vivaldi", "rnp")
 #: Shrunk window / refit cadence, so that 40 rounds wrap the window and
@@ -34,9 +36,8 @@ def world(n, seed=2):
 def run(fn, matrix, system, space, rounds, seed=5, **kwargs):
     """``fn``'s outputs plus the generator state it leaves, as bytes."""
     rng = np.random.default_rng(seed)
-    with kernels.use_backend("numpy"):
-        coords, errors, stability = fn(matrix.rtt, system, space, rounds, rng,
-                                       **kwargs)
+    coords, errors, stability = fn(matrix.rtt, system, space, rounds, rng,
+                                   **kwargs)
     return {"coords": coords.tobytes(), "errors": errors.tobytes(),
             "stability": stability, "rng": rng.bit_generator.state}
 
@@ -149,7 +150,7 @@ def test_wave_schedule_orders_every_read_after_the_write_it_needs(peers):
 
 
 # ----------------------------------------------------------------------
-# The python backend is still the node classes
+# The scalar twin is still the node classes
 # ----------------------------------------------------------------------
 def node_loop(matrix, system, rounds, rng, outlier_fraction):
     """``embed_matrix`` as it was before the kernel: node objects in turn."""
@@ -170,7 +171,7 @@ def node_loop(matrix, system, rounds, rng, outlier_fraction):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_python_backend_runs_the_node_classes(system):
     matrix = world(12, seed=1)
-    with kernels.use_backend("python"):
+    with scalar_twins():
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
         got = embed_matrix(matrix, system=system, rounds=20, rng=got_rng,
                            outlier_fraction=0.1)
@@ -180,11 +181,11 @@ def test_python_backend_runs_the_node_classes(system):
 
 
 # ----------------------------------------------------------------------
-# Input hardening: same error on both backends
+# Input hardening: same error on the kernel and its twin
 # ----------------------------------------------------------------------
-@pytest.fixture(params=kernels.BACKENDS)
+@pytest.fixture(params=PATHS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with kernel_path(request.param):
         yield request.param
 
 

@@ -1,20 +1,25 @@
 """Unit tests for the :mod:`repro.kernels` layer.
 
-Covers the backend switch API, equality of every numpy kernel with its
-scalar twin in :mod:`repro.kernels._reference` (called directly),
+Covers the absence of a backend switch and the test-side swap of the
+scalar twins, equality of every numpy kernel with its scalar twin in
+:mod:`repro.kernels._reference` (called directly),
 eligibility masking, the batched CF maintenance kernel, and the
 deterministic empty-cluster reseed regression.
 """
 
+import ast
 import os
+import pathlib
 import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
 
+import repro
 from repro import kernels
 from repro.clustering.kmeans import weighted_kmeans
 from repro.clustering.stream import ClusterFeature, OnlineClusterer
@@ -22,66 +27,100 @@ from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 from repro.kernels import wkmeans as wk
 
+from tests.data.kernel_twins import PATHS, kernel_path, scalar_twins, twin_pairs
+
 
 # ----------------------------------------------------------------------
-# Backend switch API
+# No backend switch; the scalar twins are swapped in by tests
 # ----------------------------------------------------------------------
-def run_python(code, backend=None):
-    """Run ``code`` in a fresh interpreter with the env default set/unset."""
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    if backend is not None:
-        env["REPRO_KERNEL_BACKEND"] = backend
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this test's ``sys.path``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           env=env, capture_output=True, text=True)
 
 
+def imported_modules(tree):
+    """Dotted names of every module an AST imports, ``from`` names included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
 class TestBackendSwitch:
-    def test_default_backend_is_valid(self):
-        assert kernels.get_backend() in kernels.BACKENDS
+    """There is none: one kernel path, twins swapped in by the tests."""
 
-    def test_use_backend_rejects_unknown(self):
-        original = kernels.get_backend()
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            with kernels.use_backend("fortran"):
+    def test_the_switch_is_gone(self):
+        assert {"use_backend", "get_backend", "scalar_oracle",
+                "BACKENDS"}.isdisjoint(vars(kernels))
+        sources = sorted(SRC.rglob("*.py"))
+        assert len(sources) > 50
+        assert [str(path.relative_to(SRC)) for path in sources
+                if "REPRO_KERNEL_BACKEND" in path.read_text()] == []
+        assert [str(path.relative_to(SRC)) for path in sources
+                if "repro.kernels._reference" in imported_modules(
+                    ast.parse(path.read_text()))] == []
+
+    def test_every_twin_has_one_kernel(self):
+        names = {name for name, _kernel, _twin in twin_pairs()}
+        assert names == {"sq_distances", "assign_labels", "assignment_costs",
+                         "update_centroids", "cross_distances",
+                         "absorb_stream", "embed_rounds", "best_subset"}
+
+    def test_twin_without_a_kernel_is_refused(self, monkeypatch):
+        monkeypatch.setattr(ref, "fold_rows", lambda rows: rows,
+                            raising=False)
+        with pytest.raises(LookupError, match="fold_rows"):
+            with scalar_twins():
                 pytest.fail("block must not run")
-        assert kernels.get_backend() == original
+        assert wk.sq_distances.__module__ == wk.__name__
 
-    def test_use_backend_restores_on_exit(self):
-        original = kernels.get_backend()
-        other = "python" if original == "numpy" else "numpy"
-        with kernels.use_backend(other):
-            assert kernels.get_backend() == other
-        assert kernels.get_backend() == original
+    def test_twins_are_undone_on_exit(self):
+        kernels_before = [kernel for _name, kernel, _twin in twin_pairs()]
+        with scalar_twins():
+            assert wk.sq_distances is ref.sq_distances
+        assert [kernel for _name, kernel, _twin in twin_pairs()] \
+            == kernels_before
 
-    def test_use_backend_restores_on_error(self):
-        original = kernels.get_backend()
-        other = "python" if original == "numpy" else "numpy"
+    def test_twins_are_undone_on_error(self):
+        kernel = cfk.absorb_stream
         with pytest.raises(RuntimeError):
-            with kernels.use_backend(other):
+            with scalar_twins():
+                assert cfk.absorb_stream is ref.absorb_stream
                 raise RuntimeError("boom")
-        assert kernels.get_backend() == original
+        assert cfk.absorb_stream is kernel
 
-    def test_use_backend_routes_kernels_to_reference(self, monkeypatch):
+    def test_twins_replace_every_bound_kernel(self, monkeypatch):
+        from repro.coords import embedding
+        from repro.placement import optimal
+
         monkeypatch.setattr(ref, "absorb_stream", lambda *args: "scalar")
         args = (np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
                 np.zeros((1, 2)), np.ones(1), 5.0, 3)
         assert cfk.absorb_stream(*args) != "scalar"
-        with kernels.use_backend("python"):
+        with scalar_twins():
             assert cfk.absorb_stream(*args) == "scalar"
+            assert embedding.embed_rounds is ref.embed_rounds
+            assert optimal.best_subset is ref.best_subset
         assert cfk.absorb_stream(*args) != "scalar"
+        assert embedding.embed_rounds.__module__ == "repro.kernels.embed"
+        assert optimal.best_subset.__module__ == "repro.kernels.subset"
 
-    @pytest.mark.parametrize("value, expected", [("python", "python"),
-                                                 (None, "numpy")])
-    def test_env_var_is_the_import_time_default(self, value, expected):
-        done = run_python(
-            "from repro import kernels; print(kernels.get_backend())", value)
-        assert (done.returncode, done.stdout.strip()) == (0, expected)
-
-    def test_env_var_rejects_unknown_backend(self):
-        done = run_python("import repro.kernels", "fortran")
-        assert done.returncode != 0
-        assert "unknown kernel backend" in done.stderr
+    def test_a_module_imported_inside_the_block_is_put_back(
+            self, monkeypatch):
+        late = types.ModuleType("repro.late")
+        monkeypatch.setitem(sys.modules, late.__name__, late)
+        with scalar_twins():
+            # what ``from repro.kernels.wkmeans import sq_distances`` binds
+            late.sq_distances = wk.sq_distances
+        assert late.sq_distances is wk.sq_distances
+        assert wk.sq_distances.__module__ == wk.__name__
 
     def test_numpy_path_never_imports_the_reference(self):
         done = run_python("""
@@ -163,11 +202,9 @@ class TestWKMeansKernels:
 
     def test_assign_labels_all_ineligible_raises(self):
         sq = np.ones((3, 2))
-        # Validation is the kernel's, ahead of its dispatch point.
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                with pytest.raises(ValueError, match="eligible"):
-                    wk.assign_labels(sq, eligible=np.zeros(2, dtype=bool))
+        # Validation is the kernel's; the twin assumes validated input.
+        with pytest.raises(ValueError, match="eligible"):
+            wk.assign_labels(sq, eligible=np.zeros(2, dtype=bool))
 
     def test_assignment_costs_backends_agree(self, cloud):
         points, centers, weights = cloud
@@ -233,7 +270,7 @@ class TestWKMeansKernels:
         heights = np.abs(points[:, 0]) * 0.1
         # pairwise = cross + zero diagonal, so it has no twin of its own.
         a = wk.pairwise_distances(points, heights=heights)
-        with kernels.use_backend("python"):
+        with scalar_twins():
             b = wk.pairwise_distances(points, heights=heights)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(np.diag(a), np.zeros(len(points)))
@@ -255,10 +292,10 @@ class TestCFKernels:
         points = rng.normal(size=(200, 2)) * 30.0
         weights = rng.uniform(0.5, 2.0, size=200)
 
-        for backend in kernels.BACKENDS:
+        for backend in PATHS:
             reference = OnlineClusterer(8, radius_floor=5.0)
             batched = OnlineClusterer(8, radius_floor=5.0)
-            with kernels.use_backend(backend):
+            with kernel_path(backend):
                 for p, w in zip(points, weights):
                     reference.extend(p[None, :], [w])
                 batched.extend(points, weights)
@@ -275,9 +312,9 @@ class TestCFKernels:
         points = rng.normal(size=(150, 3)) * 25.0
         weights = rng.uniform(0.1, 4.0, size=150)
         results = {}
-        for backend in kernels.BACKENDS:
+        for backend in PATHS:
             cl = OnlineClusterer(6, radius_floor=5.0)
-            with kernels.use_backend(backend):
+            with kernel_path(backend):
                 cl.extend(points, weights)
             results[backend] = [(c.count, c.weight, c.linear_sum.copy(),
                                  c.square_sum.copy()) for c in cl.clusters]
@@ -290,9 +327,9 @@ class TestCFKernels:
     def test_absorb_stream_respects_budget(self):
         rng = np.random.default_rng(5)
         points = rng.uniform(-500, 500, size=(100, 2))
-        for backend in kernels.BACKENDS:
+        for backend in PATHS:
             cl = OnlineClusterer(4, radius_floor=1.0)
-            with kernels.use_backend(backend):
+            with kernel_path(backend):
                 cl.extend(points)
             assert len(cl) <= 4
 
@@ -311,7 +348,7 @@ class TestCFKernels:
         # overflow merges the pair the oracle's search names.
         rng = np.random.default_rng(9)
         centroids = rng.normal(size=(10, 3))
-        keep, drop = ref.closest_pair(centroids)
+        keep, drop = ref._closest_pair(centroids)
         counts, _, linear, _, stats = cfk.absorb_stream(
             np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
             centroids, np.ones(10), radius_floor=0.0, max_clusters=9)
@@ -326,7 +363,7 @@ class TestCFKernels:
         # (0,1) and (2,3) equally close: row-major first wins.
         centroids = np.array([[0.0, 0.0], [1.0, 0.0],
                               [10.0, 0.0], [11.0, 0.0]])
-        assert ref.closest_pair(centroids) == (0, 1)
+        assert ref._closest_pair(centroids) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +380,8 @@ class TestEmptyClusterDeterminism:
 
     def test_reseed_is_deterministic_per_seed(self):
         points = self._tight_pairs()
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
+        for backend in PATHS:
+            with kernel_path(backend):
                 first = weighted_kmeans(points, 3,
                                         rng=np.random.default_rng(42))
                 second = weighted_kmeans(points, 3,
@@ -358,7 +395,7 @@ class TestEmptyClusterDeterminism:
         for salt in (0, 12345):
             random.seed(salt)
             np.random.seed(salt)
-            with kernels.use_backend("python"):
+            with scalar_twins():
                 results.append(weighted_kmeans(
                     points, 3, rng=np.random.default_rng(7)))
         np.testing.assert_array_equal(results[0].centroids,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.net import LatencyMatrix
 from repro.net.planetlab import small_matrix
@@ -17,6 +16,8 @@ from repro.placement import (
     RandomPlacement,
     average_access_delay,
 )
+
+from tests.data.kernel_twins import PATHS, kernel_path, scalar_twins
 
 ALL_STRATEGIES = [
     RandomPlacement(),
@@ -216,7 +217,7 @@ class TestOptimalSpecifics:
 
     def test_backends_agree(self, problem):
         rng = np.random.default_rng(0)
-        with kernels.use_backend("python"):
+        with scalar_twins():
             oracle = OptimalPlacement().place(problem, rng)
         assert OptimalPlacement().place(problem, rng) == oracle
 
@@ -226,7 +227,7 @@ class TestOptimalSpecifics:
         sites = OptimalPlacement().place(capped, np.random.default_rng(0))
         assert sites == problem.candidates[:4]
 
-    @pytest.mark.parametrize("backend", kernels.BACKENDS)
+    @pytest.mark.parametrize("backend", PATHS)
     def test_unreachable_client_is_a_clear_error(self, backend):
         def problem_with(unreachable, k):
             rtt = np.full((6, 6), 10.0)
@@ -237,7 +238,7 @@ class TestOptimalSpecifics:
                                     k=k)
 
         rng = np.random.default_rng(0)
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             # Client 4 reaches no candidate; client 5 still reaches 1, 2.
             cut_off = problem_with([(4, 0), (4, 1), (4, 2), (5, 0)], k=2)
             with pytest.raises(ValueError, match="client 4 has no finite RTT"):

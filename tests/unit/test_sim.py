@@ -61,6 +61,21 @@ class TestEventQueue:
         with pytest.raises(ValueError, match="non-negative"):
             EventQueue().push(-1.0, lambda: None)
 
+    def test_rejects_nan_time(self):
+        # A NaN compares False with everything, so once in the heap it
+        # breaks the order of the events scheduled after it.
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            EventQueue().push(float("nan"), lambda: None)
+        sim = Simulator()
+        fired = []
+        for when, name in ((5.0, "five"), (1.0, "one")):
+            sim.schedule(when, fired.append, name)
+        for schedule in (sim.schedule, sim.schedule_at):
+            with pytest.raises(ValueError, match="non-negative"):
+                schedule(float("nan"), fired.append, "nan")
+        sim.run()
+        assert fired == ["one", "five"]
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()

@@ -276,8 +276,14 @@ class ChaosScenario:
             raise ValueError("need 2 <= n_dc <= n_nodes")
         if not 1 <= self.k <= self.n_dc:
             raise ValueError("need 1 <= k <= n_dc")
-        if self.duration_ms <= 0 or self.epoch_period_ms <= 0:
-            raise ValueError("durations must be positive")
+        # Written so that NaN fails every range check.
+        for name in ("duration_ms", "epoch_period_ms"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
+        if not self.settle_ms >= 0:
+            raise ValueError("settle_ms must be non-negative, "
+                             f"got {self.settle_ms!r}")
         if self.domain_assignment not in ("proximity", "contiguous"):
             raise ValueError(f"unknown domain_assignment "
                              f"{self.domain_assignment!r} "
@@ -310,8 +316,9 @@ class ChaosScenario:
             raise ValueError("keys_per_group must be at least 1")
         if not 0.0 <= self.epoch_stagger <= 1.0:
             raise ValueError("epoch_stagger must lie in [0, 1]")
-        if self.hotspot_exponent < 0:
-            raise ValueError("hotspot_exponent must be non-negative")
+        if not self.hotspot_exponent >= 0:
+            raise ValueError("hotspot_exponent must be non-negative, "
+                             f"got {self.hotspot_exponent!r}")
         # Queueing/selection knobs: delegate the detailed validation to
         # the factories so scenario files and direct construction reject
         # identically.

@@ -141,6 +141,6 @@ def classical_mds(rtt: np.ndarray, dim: int = 3) -> np.ndarray:
     centering = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * centering @ sq @ centering
     eigvals, eigvecs = np.linalg.eigh(b)
-    order = np.argsort(eigvals)[::-1][:dim]
+    order = np.argsort(eigvals, kind="stable")[::-1][:dim]
     vals = np.clip(eigvals[order], 0.0, None)
     return eigvecs[:, order] * np.sqrt(vals)[None, :]

@@ -8,7 +8,8 @@ This package implements Sections III-B through III-D:
 * :func:`macro_cluster` and :func:`place_replicas` — Algorithm 1: merge
   the collected micro-clusters into *k* macro-clusters with weighted
   k-means and map each to its nearest candidate data center
-  (Section III-C);
+  (Section III-C); :func:`assign_sites` is that mapping, shared with
+  the offline k-means and HotZone baselines;
 * :class:`DelayEstimator` / :func:`estimate_average_delay` — predicted
   mean access delay of a placement from the summaries alone, the
   quantity the migration policy compares (one cost matrix per epoch;
@@ -34,6 +35,7 @@ from repro.core.macro import (
     DelayEstimator,
     MacroCluster,
     PlacementDecision,
+    assign_sites,
     estimate_average_delay,
     macro_cluster,
     place_replicas,
@@ -62,6 +64,7 @@ __all__ = [
     "DelayEstimator",
     "estimate_average_delay",
     "swap_descent",
+    "assign_sites",
     "macro_cluster",
     "place_replicas",
     "MigrationCostModel",

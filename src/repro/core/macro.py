@@ -25,6 +25,7 @@ __all__ = [
     "DelayEstimator",
     "MacroCluster",
     "PlacementDecision",
+    "assign_sites",
     "macro_cluster",
     "place_replicas",
     "estimate_average_delay",
@@ -128,6 +129,18 @@ def _check_heights(heights: np.ndarray | None, n: int) -> np.ndarray:
     return heights
 
 
+def _check_capacities(capacities: np.ndarray | None,
+                      n: int) -> np.ndarray | None:
+    if capacities is None:
+        return None
+    capacities = np.asarray(capacities, dtype=float)
+    if capacities.shape != (n,):
+        raise ValueError(f"expected {n} capacities")
+    if np.any(capacities <= 0):
+        raise ValueError("capacities must be positive")
+    return capacities
+
+
 class DelayEstimator:
     """Predicted delays of placements over one candidate set, from
     summaries alone.
@@ -173,9 +186,8 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
                    rng: np.random.Generator | None = None,
                    use_bytes_weight: bool = False,
                    dc_heights: np.ndarray | None = None,
-                   refine_swaps: bool = True,
-                   dc_capacities: np.ndarray | None = None,
-                   eligible: np.ndarray | None = None) -> PlacementDecision:
+                   dc_capacities: np.ndarray | None = None
+                   ) -> PlacementDecision:
     """Algorithm 1: choose ``k`` distinct data centers for the replicas.
 
     Parameters
@@ -188,24 +200,15 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     dc_coords:
         ``(n_dc, d)`` coordinates of the candidate data centers, in the
         same (planar) coordinate space as the micro-cluster centroids.
+        A caller that must avoid some candidates (partitioned away,
+        failed) passes only the reachable rows and maps the returned
+        positions back.
     dc_heights:
         Optional per-candidate height-vector components (ms).  In a
         height-augmented coordinate space (Vivaldi/RNP) a node's height
         models its access-link delay; serving any client from candidate
         *d* costs ``planar distance + height(d)``, so the assignment
         step adds it.  ``None`` means a pure planar space.
-    refine_swaps:
-        After the nearest-centroid mapping, greedily swap chosen sites
-        for unused candidates while the *estimated* average delay
-        improves.  The paper's coordinator explicitly "identif[ies] the
-        most beneficial replica locations (i.e., those that are expected
-        to minimize the overall data access delay)"; nearest-centroid
-        alone can propose a set whose estimated delay is worse than the
-        incumbent placement (k-means optimizes squared planar distance,
-        not the min-over-replicas objective), which would stall the
-        gradual-migration loop.  The refinement costs
-        ``O(k · n_dc · k · m)`` distance evaluations per round — still
-        independent of the number of accesses.
     dc_capacities:
         Optional per-candidate capacity in *accesses per epoch*.
         Section II-A assumes "candidate replica locations are
@@ -217,21 +220,26 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
         swaps are accepted only if the resulting per-site loads —
         every micro-cluster routed to its nearest chosen site — stay
         within capacity.
-    eligible:
-        Optional ``(n_dc,)`` boolean mask over the candidates.  An
-        ineligible candidate (partitioned away, failed, fenced off by a
-        chaos scenario) keeps its column in every distance matrix —
-        same shapes, same code path — but can never be chosen or
-        swapped in.  ``k`` is capped at the number of eligible
-        candidates.
 
     Notes
     -----
     The paper assigns each macro-cluster the closest data center.  Two
     macro-clusters can share a closest candidate; to always return ``k``
-    distinct sites we process macro-clusters in decreasing weight order
-    and give each the nearest *unused* candidate — the heaviest
-    population wins the contended site, later ones take the runner-up.
+    distinct sites :func:`assign_sites` processes macro-clusters in
+    decreasing access count and gives each the nearest *unused*
+    candidate — the heaviest population wins the contended site, later
+    ones take the runner-up.
+
+    That mapping is then refined by greedy site swaps while the
+    *estimated* average delay improves.  The paper's coordinator
+    explicitly "identif[ies] the most beneficial replica locations
+    (i.e., those that are expected to minimize the overall data access
+    delay)"; nearest-centroid alone can propose a set whose estimated
+    delay is worse than the incumbent placement (k-means optimizes
+    squared planar distance, not the min-over-replicas objective), which
+    would stall the gradual-migration loop.  The refinement costs
+    ``O(k · n_dc · k · m)`` distance evaluations per round — still
+    independent of the number of accesses.
     """
     registry = obs.get_registry()
     with registry.phase("macro.place_replicas"):
@@ -240,30 +248,17 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
         if n_dc == 0:
             raise ValueError("no candidate data centers")
         heights = _check_heights(dc_heights, n_dc)
-        capacities = None
-        if dc_capacities is not None:
-            capacities = np.asarray(dc_capacities, dtype=float)
-            if capacities.shape != (n_dc,):
-                raise ValueError(f"expected {n_dc} capacities")
-            if np.any(capacities <= 0):
-                raise ValueError("capacities must be positive")
-        if eligible is not None:
-            eligible = np.asarray(eligible, dtype=bool)
-            if eligible.shape != (n_dc,):
-                raise ValueError(f"expected ({n_dc},) eligibility mask, "
-                                 f"got {eligible.shape}")
-            if not eligible.any():
-                raise ValueError("no candidate data center is eligible")
-            k = min(k, int(eligible.sum()))
+        capacities = _check_capacities(dc_capacities, n_dc)
         k = min(k, n_dc)
         macros = macro_cluster(micro_clusters, k, rng, use_bytes_weight)
-        chosen, ordered_macros = _seed_sites(macros, k, dc_coords, heights,
-                                             capacities, eligible)
+        chosen, order = assign_sites(
+            np.stack([m.centroid for m in macros]),
+            [m.count for m in macros], dc_coords, k, heights, capacities)
         estimator = DelayEstimator(micro_clusters, dc_coords, heights)
-        if refine_swaps:
-            chosen = _refine_by_swaps(chosen, estimator, capacities,
-                                      use_bytes_weight, eligible)
-        decision = PlacementDecision(tuple(chosen), tuple(ordered_macros),
+        chosen = _refine_by_swaps(chosen, estimator, capacities,
+                                  use_bytes_weight)
+        decision = PlacementDecision(tuple(chosen),
+                                     tuple(macros[i] for i in order),
                                      estimator.delay(chosen))
     if registry.enabled:
         registry.counter("macro.rounds").inc()
@@ -274,49 +269,58 @@ def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
     return decision
 
 
-def _seed_sites(macros: Sequence[MacroCluster], k: int,
-                dc_coords: np.ndarray, heights: np.ndarray,
-                capacities: np.ndarray | None = None,
-                eligible: np.ndarray | None = None
-                ) -> tuple[list[int], list[MacroCluster]]:
-    """Algorithm 1's mapping: each macro-cluster to a distinct candidate.
+def assign_sites(centroids: np.ndarray, weights: Sequence[float],
+                 dc_coords: np.ndarray, k: int,
+                 heights: np.ndarray | None = None,
+                 capacities: np.ndarray | None = None
+                 ) -> tuple[list[int], list[int]]:
+    """Algorithm 1's mapping: each population to a distinct candidate.
 
-    Heaviest macro-cluster first, each to the nearest candidate not yet
-    taken (see the notes of :func:`place_replicas` for the capacity and
-    eligibility rules).  Returns the sites and the macro-clusters in
-    that order.
+    Populations — ``centroids`` with their ``weights`` — are taken
+    heaviest first, ties in input order, and each claims the nearest
+    candidate not yet taken, at cost ``planar distance + heights``.
+    With ``capacities`` (see :func:`place_replicas`) a population claims
+    the nearest candidate whose remaining capacity covers its weight,
+    or the roomiest one when none does.  Fewer populations than ``k``
+    are padded with the free candidates nearest the heaviest one, so
+    the degree of replication is honoured.
+
+    Returns ``(sites, order)``: ``min(k, n_dc)`` distinct positions into
+    ``dc_coords``, and the indices of the populations in the order they
+    claimed ``sites[:len(order)]``.
     """
-    ordered = sorted(macros, key=lambda macro: macro.count, reverse=True)
-    dists = _wk.cross_distances(np.stack([m.centroid for m in ordered]),
-                                dc_coords, b_heights=heights)
-    blocked = (np.zeros(dc_coords.shape[0], dtype=bool) if eligible is None
-               else ~eligible)
-    remaining = capacities.copy() if capacities is not None else None
-    chosen: list[int] = []
-    for macro, row in zip(ordered, dists):
-        reachable = np.where(blocked, np.inf, row)
-        if remaining is not None:
-            # Nearest candidate that can absorb this population; if none
-            # fits, the roomiest one takes the overload.
-            feasible = np.where(remaining < macro.count, np.inf, reachable)
+    dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
+    n_dc = dc_coords.shape[0]
+    heights = _check_heights(heights, n_dc)
+    capacities = _check_capacities(capacities, n_dc)
+    weights = np.asarray(weights, dtype=float)
+    if weights.size == 0:
+        raise ValueError("no populations to place")
+    k = min(k, n_dc)
+    order = np.argsort(-weights, kind="stable")[:k]
+    dists = _wk.cross_distances(np.asarray(centroids)[order], dc_coords,
+                                b_heights=heights)
+    taken = np.zeros(n_dc, dtype=bool)
+    remaining = None if capacities is None else capacities.copy()
+    sites: list[int] = []
+    for weight, row in zip(weights[order], dists):
+        free = np.where(taken, np.inf, row)
+        if remaining is None:
+            site = int(np.argmin(free))
+        else:
+            feasible = np.where(remaining < weight, np.inf, free)
             if np.isfinite(feasible).any():
                 site = int(np.argmin(feasible))
             else:
-                site = int(np.argmax(np.where(blocked, -np.inf, remaining)))
-            remaining[site] -= macro.count
-        else:
-            site = int(np.argmin(reachable))
-        blocked[site] = True
-        chosen.append(site)
-
-    # Fewer macro-clusters than k can emerge when k-means leaves empty
-    # clusters on tiny inputs; pad with the candidates closest to the
-    # heaviest macro-cluster so the degree of replication is honoured.
-    while len(chosen) < k:
-        site = int(np.argmin(np.where(blocked, np.inf, dists[0])))
-        blocked[site] = True
-        chosen.append(site)
-    return chosen, ordered
+                site = int(np.argmax(np.where(taken, -np.inf, remaining)))
+            remaining[site] -= weight
+        taken[site] = True
+        sites.append(site)
+    while len(sites) < k:
+        site = int(np.argmin(np.where(taken, np.inf, dists[0])))
+        taken[site] = True
+        sites.append(site)
+    return sites, order.tolist()
 
 
 def _within_capacity(trial: tuple[float, float],
@@ -332,8 +336,7 @@ def _within_capacity(trial: tuple[float, float],
 
 def _refine_by_swaps(chosen: list[int], estimator: DelayEstimator,
                      capacities: np.ndarray | None,
-                     use_bytes_weight: bool,
-                     eligible: np.ndarray | None) -> list[int]:
+                     use_bytes_weight: bool) -> list[int]:
     """Greedy site swaps that improve the summary-estimated delay.
 
     Works entirely on the micro-cluster summaries (centroids weighted by
@@ -348,8 +351,7 @@ def _refine_by_swaps(chosen: list[int], estimator: DelayEstimator,
     if use_bytes_weight and estimator.byte_weights.sum() > 0:
         mass = estimator.byte_weights
     weights = mass / mass.sum()
-    pool = (range(cost.shape[1]) if eligible is None
-            else np.flatnonzero(eligible).tolist())
+    pool = range(cost.shape[1])
 
     def estimated(sites: list[int]) -> float:
         return float(weights @ cost[:, sites].min(axis=1))

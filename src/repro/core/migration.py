@@ -159,12 +159,16 @@ class MigrationPolicy:
     def __init__(self, min_relative_gain: float = 0.05,
                  min_absolute_gain_ms: float = 1.0,
                  max_cost_dollars: float | None = None) -> None:
-        if min_relative_gain < 0:
-            raise ValueError("relative gain threshold must be non-negative")
-        if min_absolute_gain_ms < 0:
-            raise ValueError("absolute gain threshold must be non-negative")
-        if max_cost_dollars is not None and max_cost_dollars < 0:
-            raise ValueError("cost budget must be non-negative")
+        # Written so that NaN fails every check.
+        if not min_relative_gain >= 0:
+            raise ValueError("relative gain threshold must be non-negative: "
+                             f"min_relative_gain={min_relative_gain!r}")
+        if not min_absolute_gain_ms >= 0:
+            raise ValueError("absolute gain threshold must be non-negative: "
+                             f"min_absolute_gain_ms={min_absolute_gain_ms!r}")
+        if max_cost_dollars is not None and not max_cost_dollars >= 0:
+            raise ValueError("cost budget must be non-negative: "
+                             f"max_cost_dollars={max_cost_dollars!r}")
         self.min_relative_gain = min_relative_gain
         self.min_absolute_gain_ms = min_absolute_gain_ms
         self.max_cost_dollars = max_cost_dollars

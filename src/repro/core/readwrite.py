@@ -34,7 +34,7 @@ from repro.core.macro import (
     DelayEstimator,
     MacroCluster,
     _check_heights,
-    _seed_sites,
+    assign_sites,
     macro_cluster,
 )
 from repro.core.search import swap_descent
@@ -165,7 +165,9 @@ def place_replicas_rw(read_clusters: Sequence[ClusterFeature],
 
     seed_clusters = list(read_clusters) or list(write_clusters)
     macros = macro_cluster(seed_clusters, k, rng)
-    chosen, _ = _seed_sites(macros, k, dc_coords, heights)
+    chosen, _ = assign_sites(np.stack([m.centroid for m in macros]),
+                             [m.count for m in macros], dc_coords, k,
+                             heights)
     estimator = RWCostEstimator(read_clusters, write_clusters, dc_coords,
                                 heights)
     chosen, _ = swap_descent(chosen, range(n_dc), estimator.delay)

@@ -45,14 +45,13 @@ def sq_distances(points, centers):
     return np.asarray(out, dtype=float)
 
 
-def assign_labels(sq, *, eligible=None):
+def assign_labels(sq):
     """Scalar :func:`repro.kernels.wkmeans.assign_labels`."""
-    ok = [True] * sq.shape[1] if eligible is None else eligible.tolist()
     labels = []
     for row in sq.tolist():
         best, best_val = -1, math.inf
         for j, val in enumerate(row):
-            if ok[j] and val < best_val:
+            if val < best_val:
                 best, best_val = j, val
         labels.append(best)
     return np.asarray(labels, dtype=int)

@@ -1,10 +1,11 @@
 """Weighted k-means assignment/update and coordinate-distance kernels.
 
 The assignment kernel materialises the full ``(n, k)`` point-by-centroid
-squared-distance matrix; an optional *eligibility* mask excludes
-centroids (columns) from the assignment without disturbing the matrix
-shape — that is how chaos-degraded epochs (partitioned candidates,
-unreachable sites) keep using the same code path.
+squared-distance matrix and takes each row's argmin.  ``cross_distances``
+is also the placement layer's one predicted-cost rule — planar distance
+plus the serving row's height — behind
+:meth:`repro.placement.PlacementProblem.predicted_costs`,
+:func:`repro.core.macro.assign_sites` and the summary-side estimators.
 
 Each kernel coerces and validates its arguments, then computes; its
 scalar twin of the same name in :mod:`repro.kernels._reference` is the
@@ -34,26 +35,13 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def assign_labels(sq: np.ndarray,
-                  *, eligible: np.ndarray | None = None) -> np.ndarray:
+def assign_labels(sq: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels from a squared-distance matrix.
 
-    ``eligible`` is an optional ``(k,)`` boolean mask over centroids;
-    ineligible columns can never win the argmin.  Ties resolve to the
-    lowest index, numpy's ``argmin`` rule, as in the scalar twin.
+    Ties resolve to the lowest index, numpy's ``argmin`` rule, as in the
+    scalar twin.
     """
-    sq = np.atleast_2d(np.asarray(sq, dtype=float))
-    if eligible is not None:
-        eligible = np.asarray(eligible, dtype=bool)
-        if eligible.shape != (sq.shape[1],):
-            raise ValueError(
-                f"eligibility mask must be ({sq.shape[1]},), "
-                f"got {eligible.shape}")
-        if not eligible.any():
-            raise ValueError("no centroid is eligible")
-    if eligible is not None:
-        sq = np.where(eligible[None, :], sq, np.inf)
-    return np.argmin(sq, axis=1)
+    return np.argmin(np.atleast_2d(np.asarray(sq, dtype=float)), axis=1)
 
 
 def assignment_costs(sq: np.ndarray, labels: np.ndarray,

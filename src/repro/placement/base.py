@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.kernels import wkmeans as _wk
 from repro.net.latency import LatencyMatrix
 
 __all__ = ["PlacementProblem", "PlacementStrategy", "average_access_delay"]
@@ -40,6 +41,9 @@ class PlacementProblem:
         of serving from node *j* is ``planar distance + heights[j]``
         (the requester's own height is the same for every choice, so it
         never affects a comparison).
+
+    :meth:`predicted_costs` is that rule as one (client × candidate)
+    matrix; the coordinate-based strategies read their costs from it.
     """
 
     matrix: LatencyMatrix
@@ -108,6 +112,17 @@ class PlacementProblem:
         if self.heights is None:
             return np.zeros(len(self.candidates))
         return self.heights[list(self.candidates)]
+
+    def predicted_costs(self) -> np.ndarray:
+        """``(clients, candidates)`` coordinate-predicted serving costs.
+
+        Planar distance from each client to each candidate plus the
+        candidate's height (DESIGN §5.0) — the one cost matrix every
+        coordinate-based strategy ranks candidates by.
+        """
+        return _wk.cross_distances(self.client_coords(),
+                                   self.candidate_coords(),
+                                   b_heights=self.candidate_heights())
 
 
 class PlacementStrategy(ABC):

@@ -81,16 +81,10 @@ class CodedPlacement(PlacementStrategy):
 
     def place(self, problem: PlacementProblem,
               rng: np.random.Generator) -> tuple[int, ...]:
-        client_coords = problem.client_coords()
-        candidate_coords = problem.candidate_coords()
-        heights = problem.candidate_heights()
         n_candidates = len(problem.candidates)
         n = min(self.n_fragments, n_candidates)
         k_req = min(self.k_required, n)
-
-        cost = np.linalg.norm(
-            client_coords[:, None, :] - candidate_coords[None, :, :], axis=-1
-        ) + heights[None, :]
+        cost = problem.predicted_costs()
 
         def objective(site_positions: list[int], need: int = k_req) -> float:
             block = cost[:, site_positions]

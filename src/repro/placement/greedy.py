@@ -44,12 +44,7 @@ class GreedyPlacement(PlacementStrategy):
               rng: np.random.Generator) -> tuple[int, ...]:
         k = problem.effective_k
         if self.use_coords:
-            client_coords = problem.client_coords()
-            candidate_coords = problem.candidate_coords()
-            block = np.linalg.norm(
-                client_coords[:, None, :] - candidate_coords[None, :, :],
-                axis=-1,
-            ) + problem.candidate_heights()[None, :]
+            block = problem.predicted_costs()
         else:
             block = problem.matrix.rows(problem.clients, problem.candidates)
         n_clients, n_candidates = block.shape

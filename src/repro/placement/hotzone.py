@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.macro import assign_sites
 from repro.placement.base import PlacementProblem, PlacementStrategy
 
 __all__ = ["HotZonePlacement"]
@@ -46,36 +47,23 @@ class HotZonePlacement(PlacementStrategy):
         # Cell index per client, flattened to a single key per cell.
         scaled = (client_coords - lo) / span * self.cells_per_axis
         cell_idx = np.clip(scaled.astype(int), 0, self.cells_per_axis - 1)
-        keys = np.ravel_multi_index(
-            cell_idx.T, (self.cells_per_axis,) * client_coords.shape[1]
-        )
+        shape = (self.cells_per_axis,) * client_coords.shape[1]
+        keys = np.ravel_multi_index(cell_idx.T, shape)
 
         unique_keys, counts = np.unique(keys, return_counts=True)
-        order = np.argsort(-counts)
-        cell_width = span / self.cells_per_axis
-
-        chosen: list[int] = []
-        heights = problem.candidate_heights()
-        used = np.zeros(len(problem.candidates), dtype=bool)
-        for rank in order:
-            if len(chosen) >= k:
-                break
-            key = unique_keys[rank]
-            cell = np.array(np.unravel_index(
-                key, (self.cells_per_axis,) * client_coords.shape[1]
-            ))
-            center = lo + (cell + 0.5) * cell_width
-            dists = np.linalg.norm(candidate_coords - center[None, :],
-                                   axis=1) + heights
-            dists[used] = np.inf
-            pos = int(np.argmin(dists))
-            used[pos] = True
-            chosen.append(pos)
+        # The k most crowded cells, ties in key order, each claiming the
+        # nearest unused candidate from its centre.
+        top = np.argsort(-counts, kind="stable")[:k]
+        cells = np.stack(np.unravel_index(unique_keys[top], shape), axis=1)
+        centres = lo + (cells + 0.5) * (span / self.cells_per_axis)
+        chosen, _ = assign_sites(centres, counts[top], candidate_coords,
+                                 len(top), problem.candidate_heights())
 
         # Fewer occupied cells than k: fill with random unused candidates
         # (the heuristic has no further information to offer).
         if len(chosen) < k:
-            unused = [p for p in range(len(problem.candidates)) if not used[p]]
+            unused = [p for p in range(len(problem.candidates))
+                      if p not in chosen]
             extra = rng.choice(len(unused), size=k - len(chosen), replace=False)
             chosen.extend(unused[int(e)] for e in extra)
 

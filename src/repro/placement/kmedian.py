@@ -43,16 +43,9 @@ class KMedianPlacement(PlacementStrategy):
 
     def place(self, problem: PlacementProblem,
               rng: np.random.Generator) -> tuple[int, ...]:
-        client_coords = problem.client_coords()
-        candidate_coords = problem.candidate_coords()
-        heights = problem.candidate_heights()
         k = problem.effective_k
         n_candidates = len(problem.candidates)
-
-        # Predicted cost of serving each client from each candidate.
-        cost = np.linalg.norm(
-            client_coords[:, None, :] - candidate_coords[None, :, :], axis=-1
-        ) + heights[None, :]
+        cost = problem.predicted_costs()
 
         def objective(sites: list[int]) -> float:
             return float(cost[:, sites].min(axis=1).sum())

@@ -96,7 +96,7 @@ _STRATEGY_PARAMS: dict[str, tuple[str, ...]] = {
     "random": (),
     "offline_kmeans": ("n_init",),
     "online": ("micro_clusters", "migration_rounds", "accesses_per_client",
-               "radius_floor", "selection", "summary_loss"),
+               "radius_floor", "selection"),
     "optimal": ("max_combinations",),
 }
 

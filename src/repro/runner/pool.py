@@ -64,10 +64,8 @@ from repro import obs
 from repro.runner import workers
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.jobs import ChunkResult, JobChunk, JobSpec
-from repro.runner.workers import CRASH_ONCE_ENV  # re-export (test hook)
 
-__all__ = ["execute", "RunnerError", "WorkerCrashError", "StallTimeoutError",
-           "CRASH_ONCE_ENV"]
+__all__ = ["execute", "RunnerError", "WorkerCrashError", "StallTimeoutError"]
 
 
 class RunnerError(RuntimeError):
@@ -92,10 +90,6 @@ _GUIDED_FACTOR = 2
 #: Hard ceiling on jobs per chunk: bounds the work a crash, a stall or a
 #: Ctrl-C can lose, and the time the stall ``timeout`` must cover.
 _MAX_CHUNK_JOBS = 256
-
-#: Test hook: called after each recorded chunk in the parallel loop
-#: (the KeyboardInterrupt drain tests raise from it deterministically).
-_after_chunk_hook = None
 
 _UNSET = object()
 
@@ -478,13 +472,13 @@ def _execute_pool(specs, remaining, jobs, world, cache, results, registry,
                 continue
             for worker, kind, payload in events:
                 if kind == "result":
+                    # The worker is idle once its result is in hand, so a
+                    # Ctrl-C during the recording never drains it.
+                    worker.chunk = None
                     _record_chunk(payload, worker, specs, cache, results,
                                   registry, meta)
-                    worker.chunk = None
                     if payload.failure is not None:
                         _raise_job_error(payload.failure)
-                    if _after_chunk_hook is not None:
-                        _after_chunk_hook()
                 else:
                     note_crash(worker)
     except KeyboardInterrupt:

@@ -1,4 +1,4 @@
-"""Worker-side engine of the warm pool: worlds, chunks, crash hooks.
+"""Worker-side engine of the warm pool: worlds and chunks.
 
 A pool worker is a long-lived process (:func:`worker_main`) that pulls
 :class:`~repro.runner.jobs.JobChunk` messages off its private pipe,
@@ -23,7 +23,6 @@ parent re-raises it (see :func:`repro.runner.pool.execute`).
 
 from __future__ import annotations
 
-import os
 import pickle
 import signal
 import traceback
@@ -34,7 +33,6 @@ from repro import obs
 from repro.runner.jobs import ChunkResult, JobChunk
 
 __all__ = [
-    "CRASH_ONCE_ENV",
     "WORLD_MEMO_CAP",
     "WorldMemo",
     "world_memo",
@@ -42,13 +40,6 @@ __all__ = [
     "run_chunk",
     "worker_main",
 ]
-
-#: Test hook: when this env var names a path and the file does not exist
-#: yet, the worker creates it and dies with ``os._exit`` — a
-#: deterministic stand-in for an OOM-kill, used by the crash-safety
-#: tests.  The sentinel file makes the crash happen exactly once, so the
-#: retry path is exercised end-to-end.
-CRASH_ONCE_ENV = "REPRO_RUNNER_CRASH_ONCE"
 
 #: Worlds kept per process: enough for every figure sweep (one setting)
 #: and the coords ablation (four), small enough that a service run over
@@ -108,14 +99,6 @@ def world_for(spec: Any) -> Any:
 # Chunk execution and the worker loop
 # ----------------------------------------------------------------------
 
-def _maybe_crash_once() -> None:
-    sentinel = os.environ.get(CRASH_ONCE_ENV)
-    if sentinel and not os.path.exists(sentinel):
-        with open(sentinel, "w") as handle:
-            handle.write("crashed\n")
-        os._exit(17)
-
-
 def _portable(error: Exception) -> Exception | None:
     """``error`` if it survives a pickle round trip, else ``None``."""
     try:
@@ -138,7 +121,6 @@ def run_chunk(chunk: JobChunk) -> ChunkResult:
     failure = None
     with obs.observe(local, obs.NULL_TRACER):
         for index, spec in chunk.items:
-            _maybe_crash_once()
             try:
                 with local.phase("runner.job"):
                     results.append(spec.execute(world_for(spec)))

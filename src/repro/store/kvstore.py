@@ -494,12 +494,15 @@ class ReplicatedStore:
                  strategy: "SelectionStrategy | str" = "nearest") -> None:
         if selection not in ("coords", "oracle"):
             raise ValueError("selection must be 'coords' or 'oracle'")
-        if read_timeout_ms is not None and read_timeout_ms <= 0:
-            raise ValueError("read timeout must be positive")
+        # Written so that NaN fails every range check.
+        if read_timeout_ms is not None and not read_timeout_ms > 0:
+            raise ValueError("read timeout must be positive: "
+                             f"read_timeout_ms={read_timeout_ms!r}")
         if max_read_attempts < 1:
             raise ValueError("need at least one read attempt")
-        if repair_period_ms <= 0:
-            raise ValueError("repair period must be positive")
+        if not repair_period_ms > 0:
+            raise ValueError("repair period must be positive: "
+                             f"repair_period_ms={repair_period_ms!r}")
         self.sim = sim
         self.network = Network(sim, matrix, bandwidth=bandwidth)
         self.read_timeout_ms = read_timeout_ms

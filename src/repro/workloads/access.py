@@ -38,10 +38,13 @@ def generate_trace(population: ClientPopulation, keys: Sequence[str],
     Inter-arrival times are exponential with mean ``1/rate``; client
     selection honours the temporal pattern at each event's timestamp.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration must be positive")
-    if rate_per_second <= 0:
-        raise ValueError("rate must be positive")
+    # Written so that NaN fails the range checks.
+    if not duration_ms > 0:
+        raise ValueError("duration must be positive: "
+                         f"duration_ms={duration_ms!r}")
+    if not rate_per_second > 0:
+        raise ValueError("rate must be positive: "
+                         f"rate_per_second={rate_per_second!r}")
     if not 0.0 <= write_fraction <= 1.0:
         raise ValueError("write fraction must lie in [0, 1]")
     if not keys:

@@ -78,8 +78,9 @@ class WorkloadArrivals:
                  pattern: TemporalPattern | None = None,
                  popularity: ZipfObjectPopularity | None = None,
                  jitter: float = 0.5, start_time: float = 0.0) -> None:
-        if rate_per_second <= 0:
-            raise ValueError("rate must be positive")
+        if not rate_per_second > 0:  # NaN fails too
+            raise ValueError("rate must be positive: "
+                             f"rate_per_second={rate_per_second!r}")
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError("write fraction must lie in [0, 1]")
         if not keys:

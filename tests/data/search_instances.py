@@ -66,18 +66,25 @@ def _place_replicas(seed):
         "plain": {},
         "heights": dict(dc_heights=rng.uniform(0.0, 20.0, n_dc)),
         "bytes": dict(use_bytes_weight=True),
-        "eligible": dict(eligible=eligible),
+        "eligible": {},
         "capacities": dict(
             dc_capacities=rng.uniform(0.6, 1.4, n_dc) * total / k),
         "all": dict(dc_heights=rng.uniform(0.0, 20.0, n_dc),
                     dc_capacities=rng.uniform(0.6, 1.4, n_dc) * total / k,
-                    eligible=eligible, use_bytes_weight=True),
+                    use_bytes_weight=True),
     }
     out = {}
     for name, kwargs in variants.items():
-        decision = place_replicas(micros, k, dcs,
+        # The "eligible" and "all" answers see only the eligible
+        # candidates, as ReplicationController.run_epoch slices them,
+        # and report positions among all of them.
+        rows = (np.flatnonzero(eligible) if name in ("eligible", "all")
+                else np.arange(n_dc))
+        kwargs = {key: value if key == "use_bytes_weight" else value[rows]
+                  for key, value in kwargs.items()}
+        decision = place_replicas(micros, k, dcs[rows],
                                   np.random.default_rng(seed), **kwargs)
-        out[name] = [list(decision.data_centers),
+        out[name] = [[int(rows[p]) for p in decision.data_centers],
                      repr(decision.predicted_delay)]
     return out
 

@@ -7,9 +7,9 @@ Three guarantees the parallel runner makes (docs/runner.md):
    from a warm cache, because each cell's random streams are keyed by
    the cell's identity, never by execution order.
 2. **Worker-crash tolerance** — a worker dying mid-sweep (simulated
-   with the ``REPRO_RUNNER_CRASH_ONCE`` hook, a stand-in for an
-   OOM-kill) is retried transparently and the sweep still returns the
-   exact serial results.
+   by a job that calls ``os._exit`` once, a stand-in for an OOM-kill)
+   is retried transparently and the sweep still returns the exact
+   serial results.
 3. **Crash-safe resume** — SIGKILL-ing an entire sweep process leaves a
    readable cache of every finished job; rerunning with ``resume=True``
    recomputes only what is missing and returns the same result.
@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -32,7 +33,6 @@ from repro.analysis.experiment import (
     run_table2,
 )
 from repro.runner import ResultCache, Table2Spec, execute
-from repro.runner.pool import CRASH_ONCE_ENV
 
 SETTING = EvaluationSetting(n_nodes=36, n_runs=3, seed=13)
 
@@ -78,30 +78,62 @@ class TestBitIdenticalAcrossJobsLevels:
             _deterministic_rows(run_table2(**kwargs))
 
 
+@dataclass(frozen=True)
+class _CrashOnceSpec:
+    """``inner``, except that the first run anywhere kills its worker
+    with ``os._exit`` — a deterministic stand-in for an OOM-kill.
+    Creating ``sentinel`` exclusively makes the crash happen exactly
+    once, so the retry path runs end to end.  Pool workers only: in the
+    calling process it would end the test run.
+    """
+
+    inner: Table2Spec
+    sentinel: str
+
+    kind = "crash-once"
+    setting = None
+
+    @property
+    def result_type(self) -> type:
+        return self.inner.result_type
+
+    def payload(self):
+        return {"kind": self.kind, "inner": self.inner.payload(),
+                "sentinel": self.sentinel}
+
+    def execute(self, world=None):
+        try:
+            with open(self.sentinel, "x") as handle:
+                handle.write("crashed\n")
+        except FileExistsError:
+            return self.inner.execute(world)
+        os._exit(17)
+
+
 class TestWorkerCrashRetry:
     def test_crashed_worker_is_retried_and_results_unchanged(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         specs = [Table2Spec(n_accesses=100 + 50 * i, k=2, m=4, seed=3)
                  for i in range(4)]
         reference = execute(specs, jobs=1)
 
         sentinel = tmp_path / "crash-once"
-        monkeypatch.setenv(CRASH_ONCE_ENV, str(sentinel))
+        crashing = [_CrashOnceSpec(spec, str(sentinel)) for spec in specs]
         with obs.observe() as (registry, _):
-            survived = execute(specs, jobs=2, retries=2)
+            survived = execute(crashing, jobs=2, retries=2)
 
         assert sentinel.exists(), "the crash hook never fired"
         assert _deterministic_rows(survived) == _deterministic_rows(reference)
         assert registry.counter("runner.worker_crashes").value >= 1
         assert registry.counter("runner.retries").value >= 1
 
-    def test_retry_budget_exhaustion_raises(self, tmp_path, monkeypatch):
+    def test_retry_budget_exhaustion_raises(self, tmp_path):
         from repro.runner import WorkerCrashError
 
         # retries=0: the first (guaranteed) crash must surface as
         # WorkerCrashError instead of being retried.
-        monkeypatch.setenv(CRASH_ONCE_ENV, str(tmp_path / "crash-once"))
-        specs = [Table2Spec(n_accesses=100, k=2, m=4, seed=3)]
+        specs = [_CrashOnceSpec(Table2Spec(n_accesses=100, k=2, m=4, seed=3),
+                                str(tmp_path / "crash-once"))]
         with pytest.raises(WorkerCrashError):
             execute(specs, jobs=2, retries=0)
 
@@ -277,19 +309,22 @@ class TestKeyboardInterruptDrain:
         reference = execute(specs, jobs=1)
         cache_dir = str(tmp_path / "cache")
 
+        record_chunk = pool._record_chunk
         recorded = 0
 
-        def interrupt_after_two_chunks():
+        def interrupt_after_two_chunks(*args, **kwargs):
+            # Ctrl-C once, right after the second chunk is recorded; the
+            # drain's own recordings pass through.
             nonlocal recorded
+            record_chunk(*args, **kwargs)
             recorded += 1
-            if recorded >= 2:
+            if recorded == 2:
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(pool, "_after_chunk_hook",
-                            interrupt_after_two_chunks)
+        monkeypatch.setattr(pool, "_record_chunk", interrupt_after_two_chunks)
         with pytest.raises(KeyboardInterrupt):
             execute(specs, jobs=2, cache_dir=cache_dir)
-        monkeypatch.setattr(pool, "_after_chunk_hook", None)
+        monkeypatch.setattr(pool, "_record_chunk", record_chunk)
 
         # Every chunk completed before or drained after the interrupt is
         # already durable — Ctrl-C plus resume loses nothing.

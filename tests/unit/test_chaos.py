@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosScenario, FaultSpec, load_scenario
+from repro.chaos import ChaosScenario, FaultSpec, load_scenario, run_scenario
 from repro.chaos.scenario import _parse_scenario
 from repro.coords import EuclideanSpace, embed_matrix
 from repro.core import ControllerConfig, MigrationPolicy
@@ -652,6 +652,27 @@ class TestScenarioParsing:
         path.write_text(text.replace(line, f"{field} = nan"))
         with pytest.raises(ValueError, match=message):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("section, field", [
+        ("object", "epoch_period_ms"), ("object", "min_relative_gain"),
+        ("workload", "rate_per_second"), ("workload", "duration_ms"),
+        ("workload", "settle_ms"), ("workload", "hotspot_exponent"),
+        ("store", "read_timeout_ms"), ("store", "repair_period_ms"),
+    ])
+    def test_nan_range_field_is_refused_by_name(self, tmp_path, section,
+                                                field):
+        # Each value is checked where it is used (the scenario, the
+        # store, the arrivals, the migration policy): loading and
+        # starting the run must stop there, naming the field, instead
+        # of running with no reads or no epochs.
+        kept = [line for line in (EXAMPLES / "smoke.toml").read_text()
+                .splitlines() if line.partition(" = ")[0] != field]
+        text = "\n".join(kept).replace(f"[{section}]",
+                                       f"[{section}]\n{field} = nan")
+        path = tmp_path / "smoke.toml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{field}.*nan"):
+            run_scenario(load_scenario(str(path)))
 
     def test_json_round_trip(self, tmp_path):
         payload = {

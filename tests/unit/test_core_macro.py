@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.clustering import ClusterFeature
-from repro.core import estimate_average_delay, macro_cluster, place_replicas
+from repro.core import (
+    assign_sites,
+    estimate_average_delay,
+    macro_cluster,
+    place_replicas,
+)
 
 
 def cf(point, count=1, weight=None):
@@ -115,6 +120,35 @@ class TestPlaceReplicas:
         decision = place_replicas(micros, 1, dc, np.random.default_rng(0))
         # 3 accesses at distance 0, 1 access at distance 100.
         assert decision.predicted_delay == pytest.approx(25.0)
+
+
+class TestAssignSites:
+    # Candidates on a line; every population sits nearest candidate 0.
+    DCS = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
+
+    def test_heaviest_first_and_ties_in_input_order(self):
+        centroids = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                              [4.0, 0.0]])
+        sites, order = assign_sites(centroids, [2.0, 3.0, 3.0, 1.0],
+                                    self.DCS, 4)
+        # Populations 1 and 2 tie: the earlier one claims first.
+        assert order == [1, 2, 0, 3]
+        assert sites == [0, 1, 2, 3]
+
+    def test_padding_next_to_the_heaviest(self):
+        centroids = np.array([[0.0, 0.0], [30.0, 0.0]])
+        sites, order = assign_sites(centroids, [1.0, 5.0], self.DCS, 3)
+        assert order == [1, 0]
+        assert sites == [3, 0, 2]
+
+    def test_heights_are_part_of_the_cost(self):
+        sites, _ = assign_sites(np.array([[4.0, 0.0]]), [1.0], self.DCS, 1,
+                                heights=np.array([7.0, 0.0, 0.0, 0.0]))
+        assert sites == [1]
+
+    def test_rejects_no_populations(self):
+        with pytest.raises(ValueError, match="populations"):
+            assign_sites(np.empty((0, 2)), [], self.DCS, 2)
 
 
 class TestEstimateAverageDelay:

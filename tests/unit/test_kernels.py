@@ -188,24 +188,6 @@ class TestWKMeansKernels:
             labels = impl.assign_labels(sq)
             np.testing.assert_array_equal(labels, [0, 0])
 
-    def test_assign_labels_eligibility_mask(self, cloud):
-        points, centers, _ = cloud
-        sq = wk.sq_distances(points, centers)
-        eligible = np.array([False, True, False, True, True])
-        for impl in (wk, ref):
-            labels = impl.assign_labels(sq, eligible=eligible)
-            assert set(np.unique(labels)) <= {1, 3, 4}
-        masked = np.where(eligible[None, :], sq, np.inf)
-        np.testing.assert_array_equal(
-            wk.assign_labels(sq, eligible=eligible),
-            np.argmin(masked, axis=1))
-
-    def test_assign_labels_all_ineligible_raises(self):
-        sq = np.ones((3, 2))
-        # Validation is the kernel's; the twin assumes validated input.
-        with pytest.raises(ValueError, match="eligible"):
-            wk.assign_labels(sq, eligible=np.zeros(2, dtype=bool))
-
     def test_assignment_costs_backends_agree(self, cloud):
         points, centers, weights = cloud
         sq = wk.sq_distances(points, centers)

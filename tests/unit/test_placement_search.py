@@ -15,8 +15,9 @@ import pytest
 from repro.clustering import ClusterFeature
 from repro.core import (
     DelayEstimator,
+    assign_sites,
     estimate_average_delay,
-    place_replicas,
+    macro_cluster,
     place_replicas_rw,
 )
 from repro.core.search import MAX_ROUNDS, swap_descent
@@ -82,9 +83,10 @@ def test_rw_seeding_pads_next_to_the_heaviest_population(seed, monkeypatch):
     seeded = place_replicas_rw(reads, [], 3, dcs,
                                np.random.default_rng(seed)).data_centers
     assert seeded == (2, 0, 3)
-    assert seeded == place_replicas(reads, 3, dcs,
-                                    np.random.default_rng(seed),
-                                    refine_swaps=False).data_centers
+    macros = macro_cluster(reads, 3, np.random.default_rng(seed))
+    sites, _ = assign_sites(np.stack([m.centroid for m in macros]),
+                            [m.count for m in macros], dcs, 3)
+    assert seeded == tuple(sites)
 
 
 def test_estimator_is_estimate_average_delay_bit_for_bit():

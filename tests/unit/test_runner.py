@@ -155,7 +155,7 @@ class TestStrategySpecs:
         "offline_kmeans": {"n_init": 2},
         "online": {"micro_clusters": 7, "migration_rounds": 3,
                    "accesses_per_client": 5, "radius_floor": 2.5,
-                   "selection": "true", "summary_loss": 0.25},
+                   "selection": "true"},
         "optimal": {"max_combinations": 1234},
     }
 

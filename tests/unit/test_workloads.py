@@ -220,6 +220,10 @@ class TestGenerateTrace:
             generate_trace(pop, ["o"], 0.0, 1.0, rng)
         with pytest.raises(ValueError, match="rate"):
             generate_trace(pop, ["o"], 1.0, 0.0, rng)
+        with pytest.raises(ValueError, match="duration_ms=nan"):
+            generate_trace(pop, ["o"], float("nan"), 1.0, rng)
+        with pytest.raises(ValueError, match="rate_per_second=nan"):
+            generate_trace(pop, ["o"], 1.0, float("nan"), rng)
         with pytest.raises(ValueError, match="write fraction"):
             generate_trace(pop, ["o"], 1.0, 1.0, rng, write_fraction=2.0)
         with pytest.raises(ValueError, match="key"):

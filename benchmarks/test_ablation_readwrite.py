@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import draw_candidates
+from repro.clustering import MicroClusters
 from repro.core import ReplicaAccessSummary, place_replicas, place_replicas_rw
 
 from conftest import FULL_SETTING, print_result
@@ -32,7 +33,7 @@ K = 3
 def _summaries_from(coords_rows, m=10):
     summary = ReplicaAccessSummary(m, radius_floor=5.0)
     summary.record_batch(coords_rows)
-    return summary.snapshot()
+    return summary.clusters
 
 
 def _true_cost(matrix, readers, writers, sites, write_fraction):
@@ -77,12 +78,12 @@ def sweep(evaluation_world):
                 if n_reads else np.empty((0, coords.shape[1]))
             write_rows = coords[run_rng.choice(writers, size=n_writes)] \
                 if n_writes else np.empty((0, coords.shape[1]))
-            read_cf = _summaries_from(read_rows) if n_reads else []
-            write_cf = _summaries_from(write_rows) if n_writes else []
+            read_cf = _summaries_from(read_rows)
+            write_cf = _summaries_from(write_rows)
 
             dc_coords = coords[list(candidates)]
             dc_heights = heights[list(candidates)] if heights is not None else None
-            pooled = list(read_cf) + list(write_cf)
+            pooled = MicroClusters.concat([read_cf, write_cf])
             blind = place_replicas(pooled, K, dc_coords,
                                    np.random.default_rng(run),
                                    dc_heights=dc_heights)

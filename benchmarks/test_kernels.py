@@ -49,7 +49,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.kmeans import weighted_kmeans
-from repro.clustering.stream import OnlineClusterer
+from repro.core import ReplicaAccessSummary
 from repro.coords.space import EuclideanSpace
 from repro.kernels import _reference
 from repro.kernels import embed
@@ -107,7 +107,7 @@ def test_kernel_speedups(evaluation_world, capsys):
                                     rng=np.random.default_rng(0),
                                     n_init=4)),
         "cf_absorb_stream": time_both(
-            lambda: OnlineClusterer(M).extend(stream)),
+            lambda: ReplicaAccessSummary(M).record_batch(stream)),
         "pairwise_distances": time_both(
             lambda: wk.pairwise_distances(planar, heights=heights)),
         "cross_distances": time_both(

@@ -18,6 +18,7 @@ import pytest
 
 from repro import place_replicas
 from repro.analysis import format_table2, run_table2
+from repro.clustering import MicroClusters
 from repro.core import (
     ReplicaAccessSummary,
     offline_bandwidth_bytes,
@@ -90,7 +91,7 @@ def test_table2_macro_clustering_kernel(benchmark):
     points = rng.uniform(-200, 200, size=(3000, 3))
     for i, summary in enumerate(summaries):
         summary.record_batch(points[i::3])  # replica i sees every third
-    pooled = [c for s in summaries for c in s.snapshot()]
+    pooled = MicroClusters.concat([s.clusters for s in summaries])
     dc_coords = rng.uniform(-200, 200, size=(20, 3))
     benchmark(lambda: place_replicas(pooled, 3, dc_coords,
                                      np.random.default_rng(1)))

@@ -27,6 +27,7 @@ import numpy as np
 from repro import obs
 
 from repro.clustering.kmeans import weighted_kmeans
+from repro.clustering.stream import MicroClusters
 from repro.coords.embedding import embed_matrix
 from repro.core.costs import offline_bandwidth_bytes, online_bandwidth_bytes
 from repro.core.summarizer import ReplicaAccessSummary
@@ -375,10 +376,9 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
     with timers.phase("table2.online_ingest"):
         for s, summary in enumerate(summaries):
             summary.record_batch(points[shard == s])
-    pooled = [c for summary in summaries for c in summary.snapshot()]
+    pooled = MicroClusters.concat([summary.clusters for summary in summaries])
     with timers.phase("table2.online_cluster"):
         place_replicas(pooled, k, blob_centers, np.random.default_rng(seed))
-    online_bytes = sum(s.wire_size_bytes() for s in summaries)
 
     # Offline: ship every coordinate, cluster them all.
     with timers.phase("table2.offline_cluster"):
@@ -386,7 +386,7 @@ def compute_table2_row(n_accesses: int, k: int, m: int, dim: int,
 
     row = Table2Row(
         n_accesses=n_accesses, k=k, m=m,
-        online_bytes=online_bytes,
+        online_bytes=pooled.wire_size_bytes,
         offline_bytes=points.nbytes,
         online_seconds=timers.timer("table2.online_cluster").last_seconds,
         offline_seconds=timers.timer("table2.offline_cluster").last_seconds,

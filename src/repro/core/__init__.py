@@ -4,7 +4,9 @@ This package implements Sections III-B through III-D:
 
 * :class:`ReplicaAccessSummary` — the per-replica online summary of user
   coordinates: at most *m* micro-clusters, updated on every access with
-  O(m) work and shipped in under 1 KB per cluster (Section III-B);
+  O(m) work and shipped in under 1 KB per cluster (Section III-B).  Its
+  :class:`~repro.clustering.stream.MicroClusters` record is also what the
+  coordinator pools and what every placement function below takes;
 * :func:`macro_cluster` and :func:`place_replicas` — Algorithm 1: merge
   the collected micro-clusters into *k* macro-clusters with weighted
   k-means and map each to its nearest candidate data center
@@ -23,12 +25,8 @@ This package implements Sections III-B through III-D:
 * :class:`ReplicationController` — the periodic control loop that ties
   summaries, placement and migration together on the simulator, with
   optional demand-driven adaptation of the replication degree *k*.
-
-``MicroCluster`` is re-exported here under the paper's name; it is the
-generic :class:`~repro.clustering.stream.ClusterFeature`.
 """
 
-from repro.clustering.stream import ClusterFeature as MicroCluster
 from repro.core.summarizer import ReplicaAccessSummary
 from repro.core.search import swap_descent
 from repro.core.macro import (
@@ -57,7 +55,6 @@ from repro.core.costs import (
 from repro.core.controller import ControllerConfig, EpochReport, ReplicationController
 
 __all__ = [
-    "MicroCluster",
     "ReplicaAccessSummary",
     "MacroCluster",
     "PlacementDecision",

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.clustering.stream import ClusterFeature
+from repro.clustering.stream import MicroClusters
 from repro.coords.space import EuclideanSpace
 from repro.core.costs import CostTally
 from repro.core.macro import DelayEstimator, place_replicas
@@ -400,25 +400,18 @@ class ReplicationController:
         accesses += sum(s.accesses
                         for site, s in self._write_summaries.items()
                         if site in pooled_from)
-        summary_bytes = sum(s.wire_size_bytes()
-                            for site, s in self._summaries.items()
-                            if site in pooled_from)
-        summary_bytes += sum(s.wire_size_bytes()
-                             for site, s in self._write_summaries.items()
-                             if site in pooled_from)
+        pooled = MicroClusters.concat(
+            [s.clusters for site, s in self._summaries.items()
+             if site in pooled_from])
+        pooled_writes = MicroClusters.concat(
+            [s.clusters for site, s in self._write_summaries.items()
+             if site in pooled_from])
+        summary_bytes = pooled.wire_size_bytes + pooled_writes.wire_size_bytes
         self.tally.summary_bytes += summary_bytes
-        pooled: list[ClusterFeature] = []
-        for site, summary in self._summaries.items():
-            if site in pooled_from:
-                pooled.extend(summary.snapshot())
-        pooled_writes: list[ClusterFeature] = []
-        for site, summary in self._write_summaries.items():
-            if site in pooled_from:
-                pooled_writes.extend(summary.snapshot())
         if not self.config.write_aware:
             # Paper mode: writes (if any were recorded) already live in
             # the read stream; nothing extra to pool.
-            pooled_writes = []
+            pooled_writes = MicroClusters.empty()
 
         if self.config.adaptive_k:
             self._adapt_k(accesses)
@@ -443,7 +436,7 @@ class ReplicationController:
                      lease=self.lease if lease is None else lease,
                      reachable_sites=reachable_sites, degraded=degraded,
                      stale_summaries_dropped=stale_dropped)
-        if not pooled and not pooled_writes:
+        if not len(pooled) and not len(pooled_writes):
             # Nobody (reachable) accessed the object this epoch.
             reason = ("no reachable summaries this epoch"
                       if reachable_sites is not None and not reachable_sites

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.clustering.stream import micro_cluster_bytes
+
 __all__ = [
     "online_bandwidth_bytes",
     "offline_bandwidth_bytes",
@@ -30,12 +32,6 @@ __all__ = [
     "CostTally",
 ]
 
-#: Bytes for one micro-cluster on the wire: count + weight + two float64
-#: vectors of dimension ``dim``.  Matches ClusterFeature.wire_size_bytes.
-def _micro_cluster_bytes(dim: int) -> int:
-    return 16 + 2 * 8 * dim
-
-
 def online_bandwidth_bytes(k: int, m: int, dim: int = 3) -> int:
     """Bytes shipped per placement epoch by the online scheme: O(k·m).
 
@@ -43,7 +39,7 @@ def online_bandwidth_bytes(k: int, m: int, dim: int = 3) -> int:
     """
     if k < 1 or m < 1 or dim < 1:
         raise ValueError("k, m and dim must be positive")
-    return k * m * _micro_cluster_bytes(dim)
+    return k * m * micro_cluster_bytes(dim)
 
 
 def offline_bandwidth_bytes(n_accesses: int, dim: int = 3) -> int:

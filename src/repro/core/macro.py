@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import obs
 from repro.clustering.kmeans import weighted_kmeans
-from repro.clustering.stream import ClusterFeature
+from repro.clustering.stream import MicroClusters
 from repro.core.search import TOLERANCE, swap_descent
 from repro.kernels import wkmeans as _wk
 
@@ -67,14 +67,9 @@ class PlacementDecision:
     predicted_delay: float
 
 
-def _stack(micro_clusters: Sequence[ClusterFeature]
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centroids, access counts and byte weights of the micro-clusters."""
-    if not micro_clusters:
+def _require(micro_clusters: MicroClusters) -> None:
+    if not len(micro_clusters):
         raise ValueError("no micro-clusters supplied")
-    return (np.stack([c.centroid for c in micro_clusters]),
-            np.array([c.count for c in micro_clusters], dtype=float),
-            np.array([c.weight for c in micro_clusters], dtype=float))
 
 
 def _or_uniform(mass: np.ndarray) -> np.ndarray:
@@ -83,7 +78,7 @@ def _or_uniform(mass: np.ndarray) -> np.ndarray:
     return mass if mass.sum() > 0 else np.ones(len(mass))
 
 
-def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
+def macro_cluster(micro_clusters: MicroClusters, k: int,
                   rng: np.random.Generator | None = None,
                   use_bytes_weight: bool = False) -> list[MacroCluster]:
     """Merge micro-clusters into ``k`` macro-clusters (Algorithm 1, line 2).
@@ -100,10 +95,12 @@ def macro_cluster(micro_clusters: Sequence[ClusterFeature], k: int,
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _require(micro_clusters)
     rng = rng or np.random.default_rng(0)
-    points, counts, byte_weights = _stack(micro_clusters)
+    counts, byte_weights = micro_clusters.counts, micro_clusters.weights
     weights = _or_uniform(byte_weights if use_bytes_weight else counts)
-    result = weighted_kmeans(points, k, weights=weights, rng=rng)
+    result = weighted_kmeans(micro_clusters.centroids, k, weights=weights,
+                             rng=rng)
 
     macros = []
     for c in range(result.k):
@@ -145,11 +142,11 @@ class DelayEstimator:
     """Predicted delays of placements over one candidate set, from
     summaries alone.
 
-    Stacks the micro-clusters' centroids and access counts and computes
-    the (micro-cluster × candidate) predicted serving cost once; every
-    search that scores placements against the same summaries — the swap
-    refinement of :func:`place_replicas`, the epoch controller's
-    λ-refinement, transfer cap and verdict — reads columns of it.
+    Computes the (micro-cluster × candidate) predicted serving cost of
+    the micro-clusters' centroids once; every search that scores
+    placements against the same summaries — the swap refinement of
+    :func:`place_replicas`, the epoch controller's λ-refinement,
+    transfer cap and verdict — reads columns of it.
 
     ``counts`` holds the ``(m,)`` access counts (uniform when they sum
     to zero), ``byte_weights`` the bytes exchanged, ``cost`` the
@@ -157,16 +154,17 @@ class DelayEstimator:
     height.
     """
 
-    def __init__(self, micro_clusters: Sequence[ClusterFeature],
+    def __init__(self, micro_clusters: MicroClusters,
                  dc_coords: np.ndarray,
                  dc_heights: np.ndarray | None = None) -> None:
         dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
         if dc_coords.shape[0] == 0:
             raise ValueError("no replica coordinates supplied")
-        centroids, counts, self.byte_weights = _stack(micro_clusters)
-        self.counts = _or_uniform(counts)
+        _require(micro_clusters)
+        self.counts = _or_uniform(micro_clusters.counts)
+        self.byte_weights = micro_clusters.weights
         self.cost = _wk.cross_distances(
-            centroids, dc_coords,
+            micro_clusters.centroids, dc_coords,
             b_heights=_check_heights(dc_heights, dc_coords.shape[0]))
 
     def delay(self, sites: Sequence[int]) -> float:
@@ -181,7 +179,7 @@ class DelayEstimator:
         return float(np.average(nearest, weights=self.counts))
 
 
-def place_replicas(micro_clusters: Sequence[ClusterFeature], k: int,
+def place_replicas(micro_clusters: MicroClusters, k: int,
                    dc_coords: np.ndarray,
                    rng: np.random.Generator | None = None,
                    use_bytes_weight: bool = False,
@@ -370,7 +368,7 @@ def _refine_by_swaps(chosen: list[int], estimator: DelayEstimator,
                         better=_within_capacity)[0]
 
 
-def estimate_average_delay(micro_clusters: Sequence[ClusterFeature],
+def estimate_average_delay(micro_clusters: MicroClusters,
                            replica_coords: np.ndarray,
                            replica_heights: np.ndarray | None = None
                            ) -> float:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clustering.stream import ClusterFeature
+from repro.clustering.stream import MicroClusters
 from repro.core.macro import (
     DelayEstimator,
     MacroCluster,
@@ -72,20 +72,20 @@ class RWCostEstimator:
     read and write costs stay on the same ms scale).
     """
 
-    def __init__(self, read_clusters: Sequence[ClusterFeature],
-                 write_clusters: Sequence[ClusterFeature],
+    def __init__(self, read_clusters: MicroClusters,
+                 write_clusters: MicroClusters,
                  dc_coords: np.ndarray,
                  dc_heights: np.ndarray | None = None) -> None:
         dc_coords = np.atleast_2d(np.asarray(dc_coords, dtype=float))
         if dc_coords.shape[0] == 0:
             raise ValueError("no replica coordinates supplied")
         heights = _check_heights(dc_heights, dc_coords.shape[0])
-        if not read_clusters and not write_clusters:
+        if not len(read_clusters) and not len(write_clusters):
             raise ValueError("no micro-clusters supplied")
         self._reads = (DelayEstimator(read_clusters, dc_coords, heights)
-                       if read_clusters else None)
+                       if len(read_clusters) else None)
         self._writes = (DelayEstimator(write_clusters, dc_coords, heights)
-                        if write_clusters else None)
+                        if len(write_clusters) else None)
         # Candidate-to-candidate propagation cost.
         self._inter = _wk.cross_distances(dc_coords, dc_coords,
                                           b_heights=heights)
@@ -127,8 +127,8 @@ class RWCostEstimator:
         return self.costs(sites)[0]
 
 
-def estimate_rw_cost(read_clusters: Sequence[ClusterFeature],
-                     write_clusters: Sequence[ClusterFeature],
+def estimate_rw_cost(read_clusters: MicroClusters,
+                     write_clusters: MicroClusters,
                      replica_coords: np.ndarray,
                      replica_heights: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
@@ -143,8 +143,8 @@ def estimate_rw_cost(read_clusters: Sequence[ClusterFeature],
     return estimator.costs(range(estimator._inter.shape[0]))
 
 
-def place_replicas_rw(read_clusters: Sequence[ClusterFeature],
-                      write_clusters: Sequence[ClusterFeature],
+def place_replicas_rw(read_clusters: MicroClusters,
+                      write_clusters: MicroClusters,
                       k: int, dc_coords: np.ndarray,
                       rng: np.random.Generator | None = None,
                       dc_heights: np.ndarray | None = None
@@ -163,8 +163,8 @@ def place_replicas_rw(read_clusters: Sequence[ClusterFeature],
     heights = _check_heights(dc_heights, n_dc)
     k = min(k, n_dc)
 
-    seed_clusters = list(read_clusters) or list(write_clusters)
-    macros = macro_cluster(seed_clusters, k, rng)
+    macros = macro_cluster(read_clusters if len(read_clusters)
+                           else write_clusters, k, rng)
     chosen, _ = assign_sites(np.stack([m.centroid for m in macros]),
                              [m.count for m in macros], dc_coords, k,
                              heights)

@@ -7,7 +7,7 @@ read against by a fifth:
 * **weighted k-means** assignment/update over the pooled ``k*m``
   micro-cluster pseudo-points (:mod:`repro.kernels.wkmeans`),
 * **micro-cluster CF maintenance** — the absorb/spawn/merge rule over
-  ``(count, weight, linear_sum, square_sum)`` rows
+  ``(counts, weights, linear, square)`` rows
   (:mod:`repro.kernels.cf`),
 * **coordinate-space distances** for candidate ranking and
   migration-gain prediction (:mod:`repro.kernels.wkmeans` cross/pairwise

@@ -31,7 +31,8 @@ __all__ = ["COORD_BOUND", "CROSSOVER", "two_lane_fold", "absorb_stream"]
 #: Largest coordinate magnitude a point may have.  A centroid is a mean
 #: of points, so every squared distance the kernel forms is at most
 #: ``d * (2 * COORD_BOUND)**2`` (4e300 per dimension), finite for any
-#: practical ``d``; ``OnlineClusterer.extend`` rejects points beyond it.
+#: practical ``d``; ``ReplicaAccessSummary.record_batch`` rejects points
+#: beyond it.
 COORD_BOUND = 1e150
 
 #: Budgets ``max_clusters`` at or above this many rows run the numpy

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.clustering.stream import MicroClusters
 from repro.core.macro import place_replicas
 from repro.core.summarizer import ReplicaAccessSummary
 from repro.placement.base import PlacementProblem, PlacementStrategy
@@ -46,7 +47,7 @@ class OnlineClusteringPlacement(PlacementStrategy):
         Accesses each client issues per epoch.
     radius_floor:
         Micro-cluster absorption floor (ms), see
-        :class:`~repro.clustering.stream.OnlineClusterer`.
+        :class:`~repro.core.summarizer.ReplicaAccessSummary`.
     selection:
         How clients choose which replica to access while summaries are
         being built: ``"coords"`` (predict with network coordinates, the
@@ -120,10 +121,9 @@ class OnlineClusteringPlacement(PlacementStrategy):
                                       self.accesses_per_client, axis=0)
                     summaries[pos].record_batch(block)
 
-            pooled = []
-            for summary in summaries.values():
-                self.last_summary_bytes += summary.wire_size_bytes()
-                pooled.extend(summary.snapshot())
+            pooled = MicroClusters.concat(
+                [summary.clusters for summary in summaries.values()])
+            self.last_summary_bytes += pooled.wire_size_bytes
             decision = place_replicas(pooled, k, candidate_coords, rng,
                                       dc_heights=problem.candidate_heights())
             positions = list(decision.data_centers)

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from repro.clustering import ClusterFeature
+from repro.clustering import MicroClusters
 from repro.core import (
     ControllerConfig,
     MigrationPolicy,
@@ -41,15 +41,21 @@ PROBS = dict(p_region=0.02, p_dc=0.05, p_rack=0.10, p_node=0.02)
 
 
 def clusters(rng, n, dim=2, spread=100.0):
-    """``n`` micro-clusters of 1-40 accesses around random centres."""
-    out = []
+    """``n`` micro-clusters of 1-40 accesses around random centres, each
+    access added to its cluster's sums in turn."""
+    out = MicroClusters.empty(dim)
     for _ in range(n):
         centre = rng.uniform(0.0, spread, dim)
-        cluster = ClusterFeature.from_point(centre, float(rng.integers(1, 9)))
+        count, weight = 1, float(rng.integers(1, 9))
+        linear, square = centre.copy(), centre ** 2
         for _ in range(int(rng.integers(0, 40))):
-            cluster.absorb(centre + rng.normal(0.0, 2.0, dim),
-                           float(rng.integers(0, 9)))
-        out.append(cluster)
+            point = centre + rng.normal(0.0, 2.0, dim)
+            count += 1
+            weight += float(rng.integers(0, 9))
+            linear = linear + point
+            square = square + point ** 2
+        out = MicroClusters.concat([out, MicroClusters(
+            [count], [weight], [linear], [square])])
     return out
 
 
@@ -59,7 +65,7 @@ def _place_replicas(seed):
     micros = clusters(rng, int(rng.integers(8, 30)))
     dcs = rng.uniform(0.0, 100.0, (n_dc, 2))
     k = int(rng.integers(2, 5))
-    total = sum(c.count for c in micros)
+    total = micros.counts.sum()
     eligible = rng.random(n_dc) < 0.7
     eligible[:2] = True
     variants = {

@@ -94,10 +94,10 @@ def _snapshot(store):
             "reports": list(unit.epoch_reports),
             "summaries": {
                 server: (summary.accesses, summary.bytes_served,
-                         [(cf.count, cf.weight,
-                           tuple(cf.linear_sum.tolist()),
-                           tuple(cf.square_sum.tolist()))
-                          for cf in summary.snapshot()])
+                         summary.clusters.counts.tolist(),
+                         summary.clusters.weights.tolist(),
+                         summary.clusters.linear.tolist(),
+                         summary.clusters.square.tolist())
                 for server, summary in controller._summaries.items()},
         }
     snapshot["controllers"] = controllers

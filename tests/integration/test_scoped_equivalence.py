@@ -166,9 +166,10 @@ def test_scoped_windows_match_the_oracle(arm, monkeypatch):
 
 def _summaries(controller):
     return {server: (summary.accesses, summary.bytes_served,
-                     [(cf.count, cf.weight, tuple(cf.linear_sum.tolist()),
-                       tuple(cf.square_sum.tolist()))
-                      for cf in summary.snapshot()])
+                     summary.clusters.counts.tolist(),
+                     summary.clusters.weights.tolist(),
+                     summary.clusters.linear.tolist(),
+                     summary.clusters.square.tolist())
             for server, summary in controller._summaries.items()}
 
 

@@ -3,9 +3,11 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering import ClusterFeature
+from repro.clustering import MicroClusters
 from repro.core import estimate_rw_cost, place_replicas, place_replicas_rw
 from repro.net.bandwidth import LatencyCorrelatedBandwidth, UniformBandwidth
+
+from tests.data.records import population
 
 finite_coord = st.floats(min_value=-1e3, max_value=1e3,
                          allow_nan=False, allow_infinity=False)
@@ -14,14 +16,9 @@ point2 = st.tuples(finite_coord, finite_coord).map(
 cluster_list = st.lists(
     st.tuples(point2, st.integers(min_value=1, max_value=50)),
     min_size=1, max_size=10,
-).map(lambda specs: [_cf(p, c) for p, c in specs])
-
-
-def _cf(point, count):
-    cluster = ClusterFeature.from_point(point)
-    for _ in range(count - 1):
-        cluster.absorb(point)
-    return cluster
+).map(lambda specs: MicroClusters.concat(
+    [population(p, c) for p, c in specs]))
+EMPTY = MicroClusters.empty(2)
 
 
 dc_array = st.lists(point2, min_size=2, max_size=8, unique_by=lambda p: tuple(p)
@@ -32,7 +29,7 @@ class TestRWCostProperties:
     @given(cluster_list, dc_array)
     @settings(max_examples=50, deadline=None)
     def test_read_only_combined_equals_read_mean(self, reads, dcs):
-        combined, read_mean, write_mean = estimate_rw_cost(reads, [], dcs)
+        combined, read_mean, write_mean = estimate_rw_cost(reads, EMPTY, dcs)
         assert combined == read_mean
         assert write_mean == 0.0
         assert combined >= 0.0
@@ -49,8 +46,8 @@ class TestRWCostProperties:
     def test_write_cost_at_least_read_cost_of_writers(self, reads, writes, dcs):
         # A write pays its nearest-replica distance plus fan-out, so the
         # write mean is >= what those clients would pay as readers.
-        _, _, write_mean = estimate_rw_cost([], writes, dcs)
-        read_view, _, _ = estimate_rw_cost(writes, [], dcs)
+        _, _, write_mean = estimate_rw_cost(EMPTY, writes, dcs)
+        read_view, _, _ = estimate_rw_cost(writes, EMPTY, dcs)
         assert write_mean >= read_view - 1e-9
 
 
@@ -70,7 +67,7 @@ class TestRWPlacementProperties:
     @given(cluster_list, dc_array, st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_read_only_rw_matches_plain_estimate(self, reads, dcs, k):
-        rw = place_replicas_rw(reads, [], k, dcs, np.random.default_rng(0))
+        rw = place_replicas_rw(reads, EMPTY, k, dcs, np.random.default_rng(0))
         plain = place_replicas(reads, k, dcs, np.random.default_rng(0))
         # Both optimize the same objective for read-only workloads; the
         # achieved estimates must agree (site sets may differ on ties).

@@ -3,12 +3,19 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering import ClusterFeature, OnlineClusterer, weighted_kmeans
+from repro.clustering import MicroClusters, weighted_kmeans
 from repro.coords import EuclideanSpace
-from repro.core import MigrationCostModel, MigrationPolicy, estimate_average_delay
+from repro.core import (
+    MigrationCostModel,
+    MigrationPolicy,
+    ReplicaAccessSummary,
+    estimate_average_delay,
+)
 from repro.net import LatencyMatrix
 from repro.placement.base import average_access_delay
 from repro.sim import EventQueue
+
+from tests.data.records import population
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -37,23 +44,28 @@ matrix_strategy = st.integers(min_value=3, max_value=12).flatmap(
 
 
 # ----------------------------------------------------------------------
-# ClusterFeature
+# Cluster features (the rows of a MicroClusters record)
 # ----------------------------------------------------------------------
+def one_cluster(pts):
+    """The CF vector of ``pts``, from a one-cluster summary whose radius
+    floor absorbs every point."""
+    summary = ReplicaAccessSummary(1, radius_floor=1e9)
+    summary.record_batch(pts)
+    return summary.clusters
+
+
 class TestClusterFeatureProperties:
     @given(points2)
     @settings(max_examples=60, deadline=None)
     def test_centroid_is_exact_mean(self, pts):
-        cf = ClusterFeature.from_point(pts[0])
-        for p in pts[1:]:
-            cf.absorb(p)
-        assert np.allclose(cf.centroid, np.mean(pts, axis=0), atol=1e-6)
+        record = one_cluster(pts)
+        assert np.allclose(record.centroids[0], np.mean(pts, axis=0),
+                           atol=1e-6)
 
     @given(points2)
     @settings(max_examples=60, deadline=None)
     def test_deviation_matches_numpy(self, pts):
-        cf = ClusterFeature.from_point(pts[0])
-        for p in pts[1:]:
-            cf.absorb(p)
+        record = one_cluster(pts)
         arr = np.stack(pts)
         expected = float(np.sqrt(np.sum(arr.var(axis=0))))
         # The CF-vector recovers the deviation via E[X^2] - E[X]^2 (the
@@ -63,49 +75,42 @@ class TestClusterFeatureProperties:
         # with that magnitude, not just with the expected deviation.
         magnitude = float(np.sqrt(np.mean(arr ** 2))) or 1.0
         tolerance = 1e-4 * max(expected, magnitude) + 1e-6
-        assert abs(cf.deviation - expected) <= tolerance
+        assert abs(record.deviations[0] - expected) <= tolerance
 
     @given(points2, points2)
     @settings(max_examples=60, deadline=None)
     def test_merge_is_equivalent_to_union(self, a_pts, b_pts):
-        a = ClusterFeature.from_point(a_pts[0])
-        for p in a_pts[1:]:
-            a.absorb(p)
-        b = ClusterFeature.from_point(b_pts[0])
-        for p in b_pts[1:]:
-            b.absorb(p)
-        a.merge(b)
-        union = ClusterFeature.from_point(a_pts[0])
-        for p in a_pts[1:] + b_pts:
-            union.absorb(p)
-        assert a.count == union.count
-        assert np.allclose(a.linear_sum, union.linear_sum)
-        assert np.allclose(a.square_sum, union.square_sum)
+        # With no radius floor, a point beyond the cluster's deviation
+        # spawns and is merged straight back into the one cluster the
+        # budget allows.
+        summary = ReplicaAccessSummary(1, radius_floor=0.0)
+        summary.record_batch(a_pts)
+        summary.record_batch(b_pts)
+        merged, union = summary.clusters, one_cluster(a_pts + b_pts)
+        assert merged.counts[0] == union.counts[0] == len(a_pts + b_pts)
+        assert np.allclose(merged.linear, union.linear)
+        assert np.allclose(merged.square, union.square)
 
     @given(points2)
     @settings(max_examples=60, deadline=None)
     def test_deviation_never_negative(self, pts):
-        cf = ClusterFeature.from_point(pts[0])
-        for p in pts[1:]:
-            cf.absorb(p)
-        assert cf.deviation >= 0.0
+        assert one_cluster(pts).deviations[0] >= 0.0
 
 
 # ----------------------------------------------------------------------
-# OnlineClusterer
+# Stream maintenance (ReplicaAccessSummary)
 # ----------------------------------------------------------------------
 class TestOnlineClustererProperties:
     @given(points2, st.integers(min_value=1, max_value=8),
            st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_budget_and_conservation(self, pts, m, floor):
-        clusterer = OnlineClusterer(m, radius_floor=floor)
-        clusterer.extend(pts)
-        assert len(clusterer) <= m
-        assert clusterer.total_count == len(pts)
+        summary = ReplicaAccessSummary(m, radius_floor=floor)
+        summary.record_batch(pts)
+        assert len(summary) <= m
+        assert summary.clusters.counts.sum() == len(pts)
         # Total linear sum is conserved exactly.
-        total = sum((c.linear_sum for c in clusterer),
-                    start=np.zeros(2))
+        total = summary.clusters.linear.sum(axis=0)
         assert np.allclose(total, np.sum(np.stack(pts), axis=0), atol=1e-6)
 
 
@@ -279,7 +284,7 @@ class TestEstimateProperties:
     @given(points2, points2)
     @settings(max_examples=40, deadline=None)
     def test_estimate_bounded_by_extremes(self, user_pts, replica_pts):
-        micros = [ClusterFeature.from_point(p) for p in user_pts]
+        micros = MicroClusters.concat([population(p) for p in user_pts])
         replicas = np.stack(replica_pts)
         est = estimate_average_delay(micros, replicas)
         per_user = [

@@ -195,7 +195,7 @@ def test_table2_batch_ingest_equals_per_access_ingest(n_accesses, monkeypatch):
     pooled = []
 
     def capture(clusters, *args, **kwargs):
-        pooled.extend(clusters)
+        pooled.append(clusters)
         return place_replicas(clusters, *args, **kwargs)
 
     place_replicas = experiment.place_replicas
@@ -213,15 +213,15 @@ def test_table2_batch_ingest_equals_per_access_ingest(n_accesses, monkeypatch):
                  for _ in range(k)]
     for point, s in zip(points, shard):
         summaries[s].record_access(point)
-    want = [c for summary in summaries for c in summary.snapshot()]
+    want = [summary.clusters for summary in summaries]
 
-    assert row.online_bytes == sum(s.wire_size_bytes() for s in summaries)
-    assert len(pooled) == len(want)
-    for got, ref_cluster in zip(pooled, want):
-        assert (got.count, got.weight) == (ref_cluster.count,
-                                           ref_cluster.weight)
-        np.testing.assert_array_equal(got.linear_sum, ref_cluster.linear_sum)
-        np.testing.assert_array_equal(got.square_sum, ref_cluster.square_sum)
+    [got] = pooled
+    assert row.online_bytes == got.wire_size_bytes == sum(
+        record.wire_size_bytes for record in want)
+    for name in ("counts", "weights", "linear", "square"):
+        np.testing.assert_array_equal(
+            getattr(got, name),
+            np.concatenate([getattr(record, name) for record in want]))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,15 @@ from repro.core import ReplicaAccessSummary
 from tests.data.kernel_twins import kernel_path
 
 
+def columns(record):
+    return record.counts, record.weights, record.linear, record.square
+
+
+def assert_same_record(got, want):
+    for a, b in zip(columns(got), columns(want)):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestRecording:
     def test_accesses_counted(self):
         s = ReplicaAccessSummary(max_micro_clusters=10)
@@ -28,10 +37,7 @@ class TestRecording:
         assert (one_by_one.accesses, one_by_one.bytes_served) == (
             block.accesses, block.bytes_served)
         assert len(one_by_one) == len(block)
-        for a, b in zip(one_by_one.micro_clusters, block.micro_clusters):
-            assert (a.count, a.weight) == (b.count, b.weight)
-            np.testing.assert_array_equal(a.linear_sum, b.linear_sum)
-            np.testing.assert_array_equal(a.square_sum, b.square_sum)
+        assert_same_record(one_by_one.clusters, block.clusters)
 
     def test_budget_respected(self):
         s = ReplicaAccessSummary(max_micro_clusters=3, radius_floor=0.1)
@@ -54,11 +60,23 @@ class TestRecording:
         assert len(s) == 0
 
     def test_snapshot_independent_of_live_state(self):
-        s = ReplicaAccessSummary(radius_floor=10.0)
-        s.record_access(np.zeros(2))
-        snap = s.snapshot()
+        # The record read from ``clusters`` is the one that ships: what
+        # the summary does next — decay, more accesses, a reset — never
+        # reaches it, and it cannot be written to.
+        s = ReplicaAccessSummary(radius_floor=10.0, decay=0.5)
+        s.record_batch(np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 0.0]]),
+                       np.array([1.0, 2.0, 3.0]))
+        shipped = s.clusters
+        kept = [column.copy() for column in columns(shipped)]
+        s.age()
+        assert s.clusters.counts.tolist() == [1.0, 0.5]
         s.record_access(np.array([1.0, 1.0]))
-        assert snap[0].count == 1
+        s.reset()
+        assert shipped.counts.tolist() == [2.0, 1.0]
+        for column, before in zip(columns(shipped), kept):
+            np.testing.assert_array_equal(column, before)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7.0
 
     def test_wire_size_scales_with_clusters_not_accesses(self):
         s = ReplicaAccessSummary(max_micro_clusters=4, radius_floor=1.0)
@@ -67,8 +85,25 @@ class TestRecording:
         s.record_batch([blobs[rng.integers(0, 2)]
                         + rng.normal(0, 0.1, size=2) for _ in range(1000)])
         # Thousands of accesses, but the summary is a handful of clusters.
-        assert s.wire_size_bytes() <= 4 * (16 + 2 * 8 * 2)
-        assert s.wire_size_bytes() > 0
+        assert s.clusters.wire_size_bytes <= 4 * (16 + 2 * 8 * 2)
+        assert s.clusters.wire_size_bytes > 0
+
+    @pytest.mark.parametrize("m", [10, 100])
+    @pytest.mark.parametrize("first, second", [(2, 3), (3, 2)])
+    def test_a_block_of_another_width_is_refused(self, m, first, second):
+        # At m = 10 and m = 100 the kernel's two regimes used to fail
+        # with errors that did not name the problem, after the checks.
+        s = ReplicaAccessSummary(m)
+        s.record_batch(np.arange(4.0 * first).reshape(4, first))
+        before = s.clusters
+        with pytest.raises(ValueError, match=f"block of {second}-dimensional"
+                                             f" points cannot join "
+                                             f"{first}-dimensional"):
+            s.record_batch(np.ones((3, second)))
+        assert s.clusters is before and s.accesses == 4
+        s.reset()
+        s.record_batch(np.ones((3, second)))  # reset forgets the width
+        assert s.clusters.dim == second
 
 
 NAN, INF = float("nan"), float("inf")
@@ -83,14 +118,11 @@ class TestNonFiniteInput:
     def summary_with_history(self):
         s = ReplicaAccessSummary(4, 5.0)
         s.record_batch(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        return s, s.snapshot()
+        return s, s.clusters
 
     def assert_untouched(self, s, before):
         assert s.accesses == 2 and s.bytes_served == 2.0
-        assert len(s) == len(before)
-        for got, want in zip(s.snapshot(), before):
-            assert (got.count, got.weight) == (want.count, want.weight)
-            np.testing.assert_array_equal(got.linear_sum, want.linear_sum)
+        assert_same_record(s.clusters, before)
 
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
     def test_record_batch_names_the_first_bad_point(self, backend, bad):
@@ -132,17 +164,16 @@ class TestDecay:
         s = ReplicaAccessSummary()
         s.record_access(np.zeros(2))
         s.age()
-        assert s.micro_clusters[0].count == 1
+        assert s.clusters.counts[0] == 1
 
     def test_age_scales_statistics_preserving_centroid(self):
         s = ReplicaAccessSummary(decay=0.5, radius_floor=10.0)
         s.record_access(np.array([2.0, 4.0]))
         s.record_access(np.array([4.0, 2.0]))
-        before = s.micro_clusters[0].centroid.copy()
+        before = s.clusters.centroids
         s.age()
-        after = s.micro_clusters[0]
-        assert np.allclose(after.centroid, before)
-        assert after.count == pytest.approx(1.0)
+        assert np.allclose(s.clusters.centroids, before)
+        assert s.clusters.counts[0] == pytest.approx(1.0)
 
     def test_age_drops_faded_clusters(self):
         s = ReplicaAccessSummary(decay=0.1, radius_floor=1.0)

@@ -21,8 +21,9 @@ import pytest
 
 import repro
 from repro import kernels
+from repro.clustering import MicroClusters
 from repro.clustering.kmeans import weighted_kmeans
-from repro.clustering.stream import ClusterFeature, OnlineClusterer
+from repro.core import ReplicaAccessSummary
 from repro.kernels import _reference as ref
 from repro.kernels import cf as cfk
 from repro.kernels import wkmeans as wk
@@ -264,9 +265,9 @@ class TestWKMeansKernels:
 class TestCFKernels:
     def test_deviations_clamps_negative_variance(self):
         # Rounding can push sum2 slightly below n*mean^2.
-        cf = ClusterFeature(4, 1.0, np.array([8.0, 8.0]),
-                            np.array([15.999999999, 16.0]))
-        assert cf.deviation == 0.0
+        record = MicroClusters([4.0], [1.0], [[8.0, 8.0]],
+                               [[15.999999999, 16.0]])
+        assert record.deviations.tolist() == [0.0]
 
     def test_absorb_stream_matches_sequential_add(self):
         # One block equals the same stream fed one point per call.
@@ -275,19 +276,17 @@ class TestCFKernels:
         weights = rng.uniform(0.5, 2.0, size=200)
 
         for backend in PATHS:
-            reference = OnlineClusterer(8, radius_floor=5.0)
-            batched = OnlineClusterer(8, radius_floor=5.0)
+            reference = ReplicaAccessSummary(8, radius_floor=5.0)
+            batched = ReplicaAccessSummary(8, radius_floor=5.0)
             with kernel_path(backend):
                 for p, w in zip(points, weights):
-                    reference.extend(p[None, :], [w])
-                batched.extend(points, weights)
+                    reference.record_batch(p[None, :], [w])
+                batched.record_batch(points, weights)
 
-            assert len(batched) == len(reference)
-            for got, want in zip(batched.clusters, reference.clusters):
-                assert got.count == want.count
-                np.testing.assert_array_equal(got.linear_sum, want.linear_sum)
-                np.testing.assert_array_equal(got.square_sum, want.square_sum)
-                assert got.weight == want.weight
+            for name in ("counts", "weights", "linear", "square"):
+                np.testing.assert_array_equal(
+                    getattr(batched.clusters, name),
+                    getattr(reference.clusters, name))
 
     def test_absorb_stream_backends_bitwise_identical(self):
         rng = np.random.default_rng(11)
@@ -295,25 +294,22 @@ class TestCFKernels:
         weights = rng.uniform(0.1, 4.0, size=150)
         results = {}
         for backend in PATHS:
-            cl = OnlineClusterer(6, radius_floor=5.0)
+            summary = ReplicaAccessSummary(6, radius_floor=5.0)
             with kernel_path(backend):
-                cl.extend(points, weights)
-            results[backend] = [(c.count, c.weight, c.linear_sum.copy(),
-                                 c.square_sum.copy()) for c in cl.clusters]
-        assert len(results["numpy"]) == len(results["python"])
-        for a, b in zip(results["numpy"], results["python"]):
-            assert a[0] == b[0] and a[1] == b[1]
-            np.testing.assert_array_equal(a[2], b[2])
-            np.testing.assert_array_equal(a[3], b[3])
+                summary.record_batch(points, weights)
+            results[backend] = summary.clusters
+        for name in ("counts", "weights", "linear", "square"):
+            np.testing.assert_array_equal(getattr(results["numpy"], name),
+                                          getattr(results["python"], name))
 
     def test_absorb_stream_respects_budget(self):
         rng = np.random.default_rng(5)
         points = rng.uniform(-500, 500, size=(100, 2))
         for backend in PATHS:
-            cl = OnlineClusterer(4, radius_floor=1.0)
+            summary = ReplicaAccessSummary(4, radius_floor=1.0)
             with kernel_path(backend):
-                cl.extend(points)
-            assert len(cl) <= 4
+                summary.record_batch(points)
+            assert len(summary) <= 4
 
     def test_absorb_stream_stats(self):
         counts, weights, linear, square, stats = cfk.absorb_stream(

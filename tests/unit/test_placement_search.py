@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.clustering import ClusterFeature
+from repro.clustering import MicroClusters
 from repro.core import (
     DelayEstimator,
     assign_sites,
@@ -24,6 +24,7 @@ from repro.core.search import MAX_ROUNDS, swap_descent
 from repro.kernels import wkmeans
 from repro.net.domains import FailureDomains
 from tests.data import search_instances
+from tests.data.records import population
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +62,6 @@ def test_recorded_instances_exercise_the_search(recorded):
         recorded["controller_write_aware"]
 
 
-def _population(point, count):
-    cluster = ClusterFeature.from_point(np.asarray(point, dtype=float))
-    for _ in range(count - 1):
-        cluster.absorb(np.asarray(point, dtype=float))
-    return cluster
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rw_seeding_pads_next_to_the_heaviest_population(seed, monkeypatch):
     # Two read populations, k = 3: k-means returns two macro-clusters
@@ -75,12 +69,13 @@ def test_rw_seeding_pads_next_to_the_heaviest_population(seed, monkeypatch):
     # population at x = 100 (candidate 3), where place_replicas puts it
     # — place_replicas_rw used to anchor on k-means label order and
     # padded next to the single access at x = 0 (candidate 1).
-    reads = [_population([0.0, 0.0], 1), _population([100.0, 0.0], 50)]
+    reads = MicroClusters.concat([population([0.0, 0.0], 1),
+                                  population([100.0, 0.0], 50)])
     dcs = np.array([[x, 0.0] for x in (0.0, 1.0, 100.0, 101.0, 50.0)])
     monkeypatch.setattr(
         "repro.core.readwrite.swap_descent",
         lambda sites, pool, score: (list(sites), score(sites)))
-    seeded = place_replicas_rw(reads, [], 3, dcs,
+    seeded = place_replicas_rw(reads, MicroClusters.empty(2), 3, dcs,
                                np.random.default_rng(seed)).data_centers
     assert seeded == (2, 0, 3)
     macros = macro_cluster(reads, 3, np.random.default_rng(seed))

@@ -197,8 +197,7 @@ class TestSummaryFolds:
         for site, summary in summaries.items():
             assert summary.accesses == served[site]
             assert summary.bytes_served == served[site] * size
-            assert sum(c.count for c in summary.micro_clusters) == \
-                served[site]
+            assert summary.clusters.counts.sum() == served[site]
         assert store.run_epoch("obj").accesses == 18
 
 

@@ -15,7 +15,9 @@ temporary file in the cache directory and published with
 :func:`os.replace` (atomic on POSIX), so a killed process can leave at
 most an orphaned temp file, never a torn entry.  Reads treat missing,
 torn or schema-mismatched files as misses — a corrupt cache degrades to
-recomputation, never to wrong results.
+recomputation, never to wrong results.  So does an entry filed under
+another spec's name (its stored ``key`` is checked) and a number-valued
+spec whose stored result is not a JSON number.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def _encode_result(result: Any) -> Any:
 
 def _decode_result(encoded: Any, result_type: type) -> Any:
     """Inverse of :func:`_encode_result`, given the spec's result type."""
+    if result_type is float:
+        # bool is an int: ``true`` must not read back as 1.0.
+        if isinstance(encoded, bool) or not isinstance(encoded, (int, float)):
+            raise TypeError(f"cached result {encoded!r} is not a number")
+        return float(encoded)
     if isinstance(encoded, dict) and result_type is not dict:
         return result_type(**encoded)
     return encoded
@@ -101,13 +108,14 @@ class ResultCache:
 
     def get(self, spec: Any) -> Any:
         """The cached result for ``spec``, or :data:`MISS`."""
-        path = self._path(cache_key(spec))
+        key = cache_key(spec)
         try:
-            with open(path) as handle:
+            with open(self._path(key)) as handle:
                 entry = json.load(handle)
         except (FileNotFoundError, json.JSONDecodeError, OSError):
             return MISS
-        if entry.get("schema") != CACHE_SCHEMA:
+        if not (isinstance(entry, dict) and entry.get("schema") == CACHE_SCHEMA
+                and entry.get("key") == key):
             return MISS
         try:
             return _decode_result(entry["result"], spec.result_type)

@@ -385,7 +385,8 @@ class StorageClient(Node):
                 self.node_id, sorted(pending.outstanding))
             pending.outstanding.clear()
         version = max(pending.versions)
-        freshest_server = pending.servers[int(np.argmax(pending.versions))]
+        # Ties go to the reply that arrived first.
+        freshest_server = pending.servers[pending.versions.index(version)]
         delay = self.sim.now - pending.issued_at
         registry = obs.get_registry()
         if registry.enabled:

@@ -316,6 +316,55 @@ class TestResultCache:
             json.dump({"schema": "other/v9", "result": 1.5}, handle)
         assert cache.get(spec) is MISS
 
+    @staticmethod
+    def _placement_spec(run_index=0):
+        return PlacementRunSpec(
+            sweep="s", series="online clustering", x=1.0,
+            run_index=run_index, n_dc=5, k=2,
+            strategy=strategy_spec("online", micro_clusters=4), seed=0,
+            world_key="abc")
+
+    @pytest.mark.parametrize("stored", [True, False, None, "12.5", [1, 2],
+                                        {"delay": 41.5}])
+    def test_non_number_result_of_a_float_spec_is_a_miss(self, tmp_path,
+                                                         stored):
+        cache = ResultCache(str(tmp_path))
+        spec = self._placement_spec()
+        key = cache.put(spec, 41.5)
+        path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        with open(path) as handle:
+            entry = json.load(handle)
+        entry["result"] = stored
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        assert cache.get(spec) is MISS
+
+    def test_float_spec_reads_back_a_float(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spec = self._placement_spec()
+        cache.put(spec, 41)
+        got = cache.get(spec)
+        assert got == 41.0 and type(got) is float
+
+    def test_misfiled_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spec, other = self._placement_spec(0), self._placement_spec(1)
+        key = cache.put(spec, 41.5)
+        other_key = cache.put(other, 99.0)
+        path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        os.replace(os.path.join(str(tmp_path), other_key[:2],
+                                other_key + ".json"), path)
+        assert cache.get(spec) is MISS
+
+    def test_entry_that_is_not_an_object_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spec = self._placement_spec()
+        key = cache.put(spec, 41.5)
+        with open(os.path.join(str(tmp_path), key[:2], key + ".json"),
+                  "w") as handle:
+            json.dump([41.5], handle)
+        assert cache.get(spec) is MISS
+
     def test_no_temp_file_left_behind(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put(Table2Spec(n_accesses=10, k=2, m=3), 1.5)

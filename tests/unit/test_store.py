@@ -309,6 +309,23 @@ class TestWritesAndConsistency:
         expected = max(matrix.latency(11, 0), matrix.latency(11, 1))
         assert read.delay_ms == pytest.approx(expected)
 
+    def test_quorum_read_tie_logs_the_first_reply(self):
+        sim, matrix, store = build_store(
+            selection="oracle",
+            consistency=ConsistencyConfig(read_quorum=2,
+                                          propagate_updates=True))
+        store.create_object("obj", initial_sites=[0, 1])
+        store.add_client(10).write("obj")
+        sim.run()
+        assert [store.servers[s].replicas["obj"] for s in (0, 1)] == [1, 1]
+        # Both replies carry version 1; the nearer replica's comes first.
+        assert matrix.latency(11, 0) != matrix.latency(11, 1)
+        store.add_client(11).read("obj")
+        sim.run()
+        read = [r for r in store.log.records if r.kind == "read"][0]
+        assert read.version == 1
+        assert read.server == min((0, 1), key=lambda s: matrix.latency(11, s))
+
     def test_quorum_capped_at_installed(self):
         sim, matrix, store = build_store(
             consistency=ConsistencyConfig(read_quorum=5))

@@ -115,12 +115,13 @@ def run_timeline(pattern_factory, policies: Sequence[TimelinePolicy],
                               pattern=pattern)
         sim.run_until(duration_ms)
 
-        reads = [(r.time, r.delay_ms) for r in store.log.records
-                 if r.kind == "read"]
+        times = store.log.times("read")
+        delays = store.log.delays("read")
         bins: list[float] = []
         for lo, hi in zip(edges, edges[1:]):
-            window = [d for t, d in reads if lo <= t < hi]
-            bins.append(float(np.mean(window)) if window else float("nan"))
+            window = delays[(times >= lo) & (times < hi)]
+            bins.append(float(np.mean(window)) if window.size
+                        else float("nan"))
         series[policy.name] = bins
         migrations[policy.name] = sum(
             1 for r in store.epoch_reports("obj") if r.migrated)

@@ -155,7 +155,7 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
 
     sim.run_until(spec.duration_ms)
 
-    reads = [r for r in store.log.records if r.kind == "read"]
+    reads = store.log.delays("read")
     units = catalog.unit_keys()
     quantiles = store.log.tail_quantiles("read")
     return {
@@ -164,9 +164,8 @@ def run_catalog_cell(spec: CatalogRunSpec) -> dict[str, Any]:
         "grouping": spec.grouping,
         "groups": catalog.n_groups,
         "reads_issued": workload.operations_issued,
-        "reads_completed": len(reads),
-        "mean_delay_ms": (float(np.mean([r.delay_ms for r in reads]))
-                          if reads else 0.0),
+        "reads_completed": reads.size,
+        "mean_delay_ms": float(np.mean(reads)) if reads.size else 0.0,
         "p50_ms": quantiles["p50"],
         "p99_ms": quantiles["p99"],
         "p999_ms": quantiles["p999"],

@@ -328,20 +328,18 @@ def run_scenario(scenario: ChaosScenario, run_index: int = 0,
 
     sim.run_until(scenario.duration_ms + scenario.settle_ms)
 
-    reads = [r for r in store.log.records if r.kind == "read"]
+    reads = store.log.delays("read")
     horizon = scenario.duration_ms + scenario.settle_ms
-    tail = [r for r in reads if r.time >= 0.75 * horizon]
+    tail = store.log.delays("read", since=0.75 * horizon)
     quantiles = store.log.tail_quantiles("read")
     reports = [r for unit in unit_list for r in store.epoch_reports(unit)]
     controllers = [store.controller(unit) for unit in unit_list]
     return ChaosRunResult(
         reads_issued=workload.operations_issued,
-        reads_completed=len(reads),
+        reads_completed=reads.size,
         failed_reads=store.failed_reads,
-        mean_delay_ms=(float(np.mean([r.delay_ms for r in reads]))
-                       if reads else 0.0),
-        final_delay_ms=(float(np.mean([r.delay_ms for r in tail]))
-                        if tail else 0.0),
+        mean_delay_ms=float(np.mean(reads)) if reads.size else 0.0,
+        final_delay_ms=float(np.mean(tail)) if tail.size else 0.0,
         p50_ms=quantiles["p50"],
         p99_ms=quantiles["p99"],
         p999_ms=quantiles["p999"],

@@ -16,8 +16,10 @@ temporary file in the cache directory and published with
 most an orphaned temp file, never a torn entry.  Reads treat missing,
 torn or schema-mismatched files as misses — a corrupt cache degrades to
 recomputation, never to wrong results.  So does an entry filed under
-another spec's name (its stored ``key`` is checked) and a number-valued
-spec whose stored result is not a JSON number.
+another spec's name (its stored ``key`` is checked) and a stored result
+of the wrong shape: not a JSON number for a number-valued spec, not a
+JSON object for the others.  Writes refuse a result that is not of the
+spec's ``result_type``.
 """
 
 from __future__ import annotations
@@ -65,16 +67,32 @@ def _encode_result(result: Any) -> Any:
     raise TypeError(f"cannot cache result of type {type(result).__name__}")
 
 
+def _is_number(value: Any) -> bool:
+    # bool is an int: ``true`` must not pass for 1.0.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_result(result: Any, spec: Any) -> None:
+    """Refuse a result that is not of the spec's ``result_type``."""
+    result_type = spec.result_type
+    ok = (_is_number(result) if result_type is float
+          else isinstance(result, result_type))
+    if not ok:
+        raise TypeError(
+            f"cannot cache a {type(result).__name__} result for a "
+            f"{type(spec).__name__}, whose result_type is "
+            f"{result_type.__name__}")
+
+
 def _decode_result(encoded: Any, result_type: type) -> Any:
     """Inverse of :func:`_encode_result`, given the spec's result type."""
     if result_type is float:
-        # bool is an int: ``true`` must not read back as 1.0.
-        if isinstance(encoded, bool) or not isinstance(encoded, (int, float)):
+        if not _is_number(encoded):
             raise TypeError(f"cached result {encoded!r} is not a number")
         return float(encoded)
-    if isinstance(encoded, dict) and result_type is not dict:
-        return result_type(**encoded)
-    return encoded
+    if not isinstance(encoded, dict):
+        raise TypeError(f"cached result {encoded!r} is not a JSON object")
+    return encoded if result_type is dict else result_type(**encoded)
 
 
 #: Sentinel distinguishing "cache miss" from a legitimately falsy result.
@@ -85,8 +103,10 @@ class ResultCache:
     """A directory of content-addressed job results.
 
     >>> import tempfile
-    >>> from repro.runner.jobs import Table2Spec
-    >>> spec = Table2Spec(n_accesses=10, k=2, m=3)
+    >>> from repro.runner.jobs import PlacementRunSpec, strategy_spec
+    >>> spec = PlacementRunSpec(sweep="s", series="random", x=1.0,
+    ...                         run_index=0, n_dc=5, k=2,
+    ...                         strategy=strategy_spec("random"), seed=0)
     >>> with tempfile.TemporaryDirectory() as d:
     ...     cache = ResultCache(d)
     ...     cache.get(spec) is MISS
@@ -124,6 +144,7 @@ class ResultCache:
 
     def _write_entry(self, spec: Any, result: Any,
                      fsync_file: bool = True) -> str:
+        _check_result(result, spec)
         key = cache_key(spec)
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -12,7 +12,7 @@ comparison uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from repro.sim.simulator import Simulator
 __all__ = ["Message", "Network", "Node"]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One message in flight.
 
     ``kind`` is a free-form tag (e.g. ``"access-request"``); ``payload``

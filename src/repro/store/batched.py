@@ -53,10 +53,11 @@ access-delay histogram see).  It leaves each arrival *bulk*, *hybrid* or
    are bulk, the others hybrid.
 3. *serve* — bulk reads land from flat leg columns: one fold-buffer
    entry per ``(unit, position)``, traffic counters and histograms, and
-   an access-log record each.  A hybrid read's request sends are
+   one access-log column block.  A hybrid read's request sends are
    accounted here; :meth:`StorageClient.materialize_read` turns its
    deliveries and retry timeout into real inert events, which observe
-   any barrier for real.  Those two calls are the only per-read Python.
+   any barrier for real.  That call is the only per-read Python (with
+   span recording, when a tracer is on).
 4. *escalate* — each escalated arrival is scheduled as a real
    ``client.read``/``client.write`` event at its tick time,
    byte-identical including ``"net.loss"`` draws in heap order.  Writes
@@ -85,7 +86,6 @@ from repro import obs
 from repro.sim.simulator import Simulator
 from repro.store.consistency import QuorumError
 from repro.store.kvstore import REQUEST_BYTES, ReplicatedStore
-from repro.store.objects import AccessRecord
 from repro.workloads.batched import ArrivalBatch, WorkloadArrivals
 from repro.workloads.population import ClientPopulation, ZipfObjectPopularity
 from repro.workloads.temporal import TemporalPattern
@@ -168,6 +168,7 @@ class BatchedAccessEngine:
                            or not hasattr(store._coords, "planar_coords"))
         self._keys = tuple(source.keys)
         self._key_index = {key: i for i, key in enumerate(self._keys)}
+        self._key_array = np.array(self._keys, dtype=object)
         self._tables: dict[str, _UnitTable] = {}
         # Per source key: stored version at each candidate position (-1:
         # no replica there) and latest committed version.
@@ -371,21 +372,19 @@ class BatchedAccessEngine:
         servers = targets[reads_n, rank[reads_n, first_max]]
         vmax = versions.max(axis=1)
 
-        # Access log first, while the leg columns below do not exist yet
-        # (the window's peak memory); the log re-sorts lazily.
-        log = store.log
-        tracer = obs.get_tracer() if registry.enabled else None
-        stale = vmax < reads.latest[bulk]
-        for when, client, server, k, delay, version, is_stale in zip(
-                completion.tolist(), clients.tolist(), servers.tolist(),
-                reads.key_idx[bulk].tolist(), delays.tolist(), vmax.tolist(),
-                stale.tolist()):
-            if tracer is not None:
+        # Access log first, one column block; the log sorts lazily.
+        key_idx = reads.key_idx[bulk]
+        store.log.append_block(completion, clients, servers,
+                               self._key_array[key_idx], delays, "read",
+                               vmax, vmax < reads.latest[bulk])
+        tracer = obs.get_tracer()
+        if tracer.enabled:
+            for when, client, server, k, delay in zip(
+                    completion.tolist(), clients.tolist(), servers.tolist(),
+                    key_idx.tolist(), delays.tolist()):
                 tracer.record(obs.ACCESS_SERVED, time=when, op="read",
                               client=client, server=server, key=keys[k],
                               delay_ms=delay)
-            log.append(AccessRecord(when, client, server, keys[k], delay,
-                                    "read", version, is_stale))
         if registry.enabled:
             registry.counter("accesses.served").inc(times.size)
             registry.counter("store.reads").inc(times.size)

@@ -150,18 +150,32 @@ class PlacementUnit:
         until = self.sim.now if until is None else until
         self.fold_buffer = []
         write_aware = self.controller.config.write_aware
-        # (position, stream) -> [time parts, coords parts, weight parts];
-        # only write-aware controllers split streams by kind — otherwise
+        # (position, stream) -> its entries in buffer order: a bulk
+        # entry's ``(times, coords, weights)`` arrays, or a list of
+        # consecutive one-access entries, converted once per run.  Only
+        # write-aware controllers split streams by kind — otherwise
         # reads and writes fold into the same summary and must stay in
         # one merged time order.
-        groups: dict[tuple[int, str], tuple[list, list, list]] = {}
+        groups: dict[tuple[int, str], list] = {}
         for when, position, coords, weights, kind in buf:
             stream = kind if write_aware else "read"
-            parts = groups.setdefault((position, stream), ([], [], []))
-            parts[0].append(np.atleast_1d(np.asarray(when, dtype=float)))
-            parts[1].append(np.atleast_2d(np.asarray(coords, dtype=float)))
-            parts[2].append(np.atleast_1d(np.asarray(weights, dtype=float)))
-        for (position, stream), (tparts, cparts, wparts) in groups.items():
+            parts = groups.setdefault((position, stream), [])
+            if isinstance(when, np.ndarray):
+                parts.append((when, coords, weights))
+            elif parts and isinstance(parts[-1], list):
+                parts[-1].append((when, coords, weights))
+            else:
+                parts.append([(when, coords, weights)])
+        for (position, stream), parts in groups.items():
+            tparts, cparts, wparts = [], [], []
+            for part in parts:
+                if isinstance(part, list):
+                    when, coords, weights = zip(*part)
+                    part = (when, np.array(coords, dtype=float).reshape(
+                        len(part), -1), weights)
+                tparts.append(np.asarray(part[0], dtype=float))
+                cparts.append(np.asarray(part[1], dtype=float))
+                wparts.append(np.asarray(part[2], dtype=float))
             times = np.concatenate(tparts)
             order = np.argsort(times, kind="stable")
             times = times[order]

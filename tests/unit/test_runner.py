@@ -262,8 +262,6 @@ class TestCacheKey:
         spec = SPEC_KINDS[kind]()
 
         class AsKeyedBefore:
-            result_type = spec.result_type
-
             def payload(self):
                 payload = spec.payload()
                 if kind == "chaos":
@@ -274,7 +272,7 @@ class TestCacheKey:
                 return payload
 
         cache = ResultCache(str(tmp_path))
-        cache.put(AsKeyedBefore(), {"stale": True})
+        _file_entry(tmp_path, AsKeyedBefore(), {"stale": True})
         assert cache.get(spec) is MISS
         with obs.observe() as (registry, _):
             [result] = execute([spec], jobs=1, cache_dir=str(tmp_path),
@@ -284,10 +282,21 @@ class TestCacheKey:
         assert type(result) is spec.result_type
 
 
+def _file_entry(directory, spec, result):
+    """Write a well-formed cache entry for ``spec`` holding ``result``
+    as is, bypassing :meth:`ResultCache.put`'s type check."""
+    key = cache_key(spec)
+    os.makedirs(os.path.join(str(directory), key[:2]), exist_ok=True)
+    with open(os.path.join(str(directory), key[:2], key + ".json"),
+              "w") as handle:
+        json.dump({"schema": repro.runner.cache.CACHE_SCHEMA, "key": key,
+                   "spec": spec.payload(), "result": result}, handle)
+
+
 class TestResultCache:
     def test_roundtrip_float_and_table2_row(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        spec = Table2Spec(n_accesses=10, k=2, m=3)
+        spec = self._placement_spec()
         assert cache.get(spec) is MISS
         cache.put(spec, 12.5)
         assert cache.get(spec) == 12.5
@@ -304,7 +313,7 @@ class TestResultCache:
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        spec = Table2Spec(n_accesses=10, k=2, m=3)
+        spec = self._placement_spec()
         key = cache.put(spec, 1.5)
         path = os.path.join(str(tmp_path), key[:2], key + ".json")
 
@@ -367,7 +376,7 @@ class TestResultCache:
 
     def test_no_temp_file_left_behind(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cache.put(Table2Spec(n_accesses=10, k=2, m=3), 1.5)
+        cache.put(self._placement_spec(), 1.5)
         leftovers = [f for _r, _d, files in os.walk(str(tmp_path))
                      for f in files if f.endswith(".tmp")]
         assert leftovers == []
@@ -376,6 +385,35 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         with pytest.raises(TypeError, match="cannot cache"):
             cache.put(Table2Spec(n_accesses=10, k=2, m=3), object())
+
+    @pytest.mark.parametrize("kind", ["table2", "chaos", "catalog"])
+    @pytest.mark.parametrize("stored", [12.5, 0, True, None, "12.5",
+                                        [1, 2]], ids=repr)
+    def test_non_object_result_of_a_structured_spec_is_a_miss(
+            self, tmp_path, kind, stored):
+        spec = SPEC_KINDS[kind]()
+        _file_entry(tmp_path, spec, stored)
+        assert ResultCache(str(tmp_path)).get(spec) is MISS
+
+    @pytest.mark.parametrize("kind, result, wrong", [
+        ("table2", 12.5, "float"),
+        ("chaos", {"reads_issued": 1}, "dict"),
+        ("catalog", 12.5, "float"),
+        ("catalog", [1, 2], "list"),
+        ("placement", True, "bool"),
+        ("placement", {"delay": 41.5}, "dict"),
+    ])
+    def test_result_of_another_type_is_refused(self, tmp_path, kind,
+                                               result, wrong):
+        spec = SPEC_KINDS[kind]()
+        cache = ResultCache(str(tmp_path))
+        with pytest.raises(TypeError) as error:
+            cache.put(spec, result)
+        with pytest.raises(TypeError):
+            cache.put_many([(spec, result)])
+        message = str(error.value)
+        assert wrong in message and spec.result_type.__name__ in message
+        assert len(cache) == 0
 
     def test_cache_module_imports_no_result_class(self):
         # Results decode through spec.result_type; the cache must not
@@ -538,8 +576,7 @@ class TestSweepSpec:
 
 class TestPutMany:
     def _specs(self, n):
-        return [Table2Spec(n_accesses=50 + 10 * i, k=2, m=3, seed=5)
-                for i in range(n)]
+        return [TestResultCache._placement_spec(i) for i in range(n)]
 
     def test_batch_roundtrip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -562,7 +599,7 @@ class TestPutMany:
         assert leftovers == []
 
     def test_matches_put_entries_byte_for_byte(self, tmp_path):
-        spec = Table2Spec(n_accesses=70, k=2, m=3, seed=5)
+        spec = TestResultCache._placement_spec()
         a = ResultCache(str(tmp_path / "a"))
         b = ResultCache(str(tmp_path / "b"))
         key = a.put(spec, 2.5)

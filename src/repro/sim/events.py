@@ -18,21 +18,24 @@ the rest of the run.
 Inert events, barriers and scopes
 ---------------------------------
 An event may be scheduled *inert*: a promise by the scheduler that
-firing it mutates no state any batched data plane bakes its decisions on
-(clean read-request/reply deliveries and read retry timeouts qualify —
-their effects land in order-tolerant sinks).  Every other event is a
+firing it mutates no state any batched data plane bakes its decisions on.
+Clean read-request/reply deliveries and read retry timeouts qualify —
+their effects land in order-tolerant sinks — and so do summary
+deliveries, which only acknowledge a shipment (cancelling its retry
+timer, which only removes a barrier).  Every other event is a
 *barrier*.
 
 A barrier may carry a *scope*: a promise that firing it changes only the
-data-plane state of that one placement unit (its replica set, stored
-versions and summaries) — a unit's epoch tick, its summary shipments and
-replica transfers, their retry timers.  ``scope=None`` (the default)
-means *global*: faults, heals, partitions, loss changes, repair-monitor
-ticks, gossip, writes and their update propagation.  The scope is a fact
-about the event, set by the code that creates it — and only one module
-creates scoped events: the per-unit control plane
-(:mod:`repro.store.control`) stamps its unit on everything it schedules
-or sends, through one schedule/send helper pair and its epoch clock.
+server-side data-plane state of that one placement unit (its replica
+set, stored versions and summaries) — a unit's epoch tick, its replica
+transfers, their retry timers and those of its summary shipments.
+``scope=None`` (the default) means *global*: faults, heals, partitions,
+loss changes, repair-monitor ticks, gossip, writes and their update
+propagation.  The scope is a fact about the event, set by the code that
+creates it — and only one module creates scoped events: the per-unit
+control plane (:mod:`repro.store.control`) stamps its unit on everything
+it schedules or sends, through one schedule/send helper pair and its
+epoch clock.
 
 When barrier tracking is enabled (it is off, and free, until a data
 plane attaches) the queue mirrors every barrier into one heap of all
@@ -42,8 +45,9 @@ asks cost O(1) amortized:
 * :meth:`EventQueue.next_barrier_time` — the earliest barrier of any
   scope, up to which arrivals can be generated;
 * :meth:`EventQueue.scope_barrier_time` — the earliest barrier that can
-  touch one unit, ``min(global, that unit's)``, before which a read of
-  that unit may complete in bulk.
+  touch one unit, ``min(global, that unit's)``, before which a bulk read
+  of that unit must land its requests (it must complete before the
+  earliest global one, ``scope_barrier_time(None)``).
 """
 
 from __future__ import annotations

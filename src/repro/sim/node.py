@@ -23,6 +23,9 @@ from repro.sim.simulator import Simulator
 
 __all__ = ["Message", "Network", "Node"]
 
+#: Message kinds whose delivery is scheduled inert (see :meth:`Network.send`).
+_INERT_KINDS = frozenset(("read-req", "read-rep", "summary"))
+
 
 class Message(NamedTuple):
     """One message in flight.
@@ -144,11 +147,13 @@ class Network:
         # Read request/reply deliveries are *inert*: handling them only
         # touches order-tolerant sinks (buffered summary folds, the
         # time-sorted access log, integer counters), so they do not end
-        # a batched data plane's bulk window.  Write and control-plane
-        # deliveries mutate versions/placement and stay barriers.
+        # a batched data plane's bulk window.  So are summary
+        # deliveries: one only acknowledges a shipment, which no
+        # data-plane decision reads.  Write, replicate and other
+        # control-plane deliveries mutate versions/placement and stay
+        # barriers.
         self.sim.schedule(delay, self._deliver, message,
-                          inert=message.kind in ("read-req", "read-rep"),
-                          scope=scope)
+                          inert=message.kind in _INERT_KINDS, scope=scope)
 
     def _deliver(self, message: Message) -> None:
         node = self.nodes.get(message.recipient)

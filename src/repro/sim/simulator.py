@@ -123,17 +123,20 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
+        """Pop one event and fire it unless it was cancelled; returns
+        False when the queue is empty.  ``events_processed`` counts fired
+        events only, so it does not depend on when the heap compacts."""
         if not self.queue:
             return False
         event = self.queue.pop()
         self.now = event.time
-        event.fire()
-        self.events_processed += 1
+        if not event.cancelled:
+            event.fire()
+            self.events_processed += 1
         return True
 
     def run(self, max_events: int | None = None) -> None:
-        """Drain the queue (optionally bounded by ``max_events``).
+        """Drain the queue (optionally until ``max_events`` have fired).
 
         With data planes attached, draining includes their pending work:
         once the heap is empty each plane is advanced without bound (a
@@ -141,11 +144,12 @@ class Simulator:
         stopped first or run with :meth:`run_until`).
         """
         registry = obs.get_registry()
-        count = 0
+        start = self.events_processed
         planes = self._data_planes
         queue = self.queue
         with registry.phase("sim.run"):
-            while max_events is None or count < max_events:
+            while (max_events is None
+                   or self.events_processed - start < max_events):
                 if planes:
                     bound = queue.peek_time() if queue else math.inf
                     for plane in planes:
@@ -153,10 +157,10 @@ class Simulator:
                 if not queue:
                     break
                 self.step()
-                count += 1
         self._flush_data_planes()
         if registry.enabled:
-            registry.counter("sim.events_processed").inc(count)
+            registry.counter("sim.events_processed").inc(
+                self.events_processed - start)
 
     def run_until(self, time: float) -> None:
         """Process events up to and including simulated ``time``.
@@ -167,7 +171,7 @@ class Simulator:
         if time < self.now:
             raise ValueError("cannot run backwards")
         registry = obs.get_registry()
-        count = 0
+        start = self.events_processed
         planes = self._data_planes
         queue = self.queue
         with registry.phase("sim.run"):
@@ -177,29 +181,32 @@ class Simulator:
                 # event) of any scope — inert events (clean read chains)
                 # fire without ending the window because their effects
                 # land in order-tolerant sinks.  After advancing, fire
-                # the run of inert events plus at most one barrier, then
-                # recompute: the barrier (or an escalation the plane
-                # scheduled) may have changed state or added barriers.
+                # the inert events up to the bound plus at most one
+                # barrier, then recompute: the barrier (or an escalation
+                # the plane scheduled) may have changed state or added
+                # barriers.  The bound stops the run too, since an inert
+                # event may cancel the barrier it was computed from (a
+                # summary acknowledgement cancels its retry timer) and
+                # events past it lie beyond the arrivals generated.
                 while True:
                     bound = min(queue.next_barrier_time(), time)
                     for plane in planes:
                         plane.advance(bound, time)
                     if not (queue and queue.peek_time() <= time):
                         break
-                    while queue and queue.peek_time() <= time:
+                    while queue and queue.peek_time() <= bound:
                         event = queue.pop()
                         self.now = event.time
-                        inert = event.inert
-                        event.fire()
-                        self.events_processed += 1
-                        count += 1
-                        if not inert:
+                        if not event.cancelled:
+                            event.fire()
+                            self.events_processed += 1
+                        if not event.inert:
                             break
             else:
                 while queue and queue.peek_time() <= time:
                     self.step()
-                    count += 1
         self.now = time
         self._flush_data_planes()
         if registry.enabled:
-            registry.counter("sim.events_processed").inc(count)
+            registry.counter("sim.events_processed").inc(
+                self.events_processed - start)

@@ -19,18 +19,28 @@ summary-fold buffer and integer counters — so they end no window.
 **Scopes.**  A barrier is global, or scoped to the one placement unit
 (the paper's §II-A independently placed "virtual object") whose replica
 set, versions and summaries it alone can change: the unit's epoch ticks,
-summary shipments, replica transfers and their retry timers.  So each
-read gets its own cut-off: ``min(horizon, next global barrier, next
-barrier of its unit, first write not yet served)`` — a write a later
-window will issue included, looked up ahead in the arrival stream.  A
-read that completes before its cut-off is exact in bulk: nothing that
-could change its unit's routing, versions or summaries, nor any global
-state (liveness, links, loss, coordinates), fires before it completes.
+replica transfers and retry timers (its summary deliveries are inert).
+So each read gets two cut-offs of its own.  Its last request leg must
+land before the next barrier of its unit or a global one; the read must
+complete before ``min(horizon, next global barrier, first write not yet
+served)`` — a write a later window will issue included, looked up ahead
+in the arrival stream.  A read inside both is exact in bulk:
+
+* a unit's scoped events change only server-side state — its replica
+  sets, stored versions and a fold-buffer flush up to *now* — and the
+  server side of a read is done when its last request lands (it reads
+  the stored version and stamps its fold there);
+* its reply legs read none of that: they depend on liveness and links,
+  which change only at global barriers, and on client-local state fixed
+  at issue (the pending read, ``latest_at_issue``);
+* nothing global (liveness, links, loss, coordinates) changes before it
+  completes.
+
 The one time-ordered sink, a unit's fold buffer, is flushed up to *now*
 only, so another unit's event never folds accesses stamped after it.
 ``"net.loss"`` draws are taken by real events only, in heap order.
-Without a horizon (:meth:`Simulator.run`) every read is cut at
-``bound``, so a partial drain logs nothing past the clock.
+Without a horizon (:meth:`Simulator.run`) both cut-offs are ``bound``,
+so a partial drain logs nothing past the clock.
 
 **Columns.**  Every window is **one pipeline of four stages**, each an
 array program over all of its reads, sorted once into ``client · nkeys +
@@ -49,8 +59,8 @@ access-delay histogram see).  It leaves each arrival *bulk*, *hybrid* or
    (down nodes, cut or lossy links, missing replicas) escalate.
 2. *admit* — each leg is served the instant it arrives, so its reply
    lands at ``(t + d1) + d2`` and the read completes with its last
-   reply; reads that finish before their cut-off with no timeout risk
-   are bulk, the others hybrid.
+   reply; reads inside both cut-offs with no timeout risk are bulk, the
+   others hybrid.
 3. *serve* — bulk reads land from flat leg columns: one fold-buffer
    entry per ``(unit, position)``, traffic counters and histograms, and
    one access-log column block.  A hybrid read's request sends are
@@ -196,9 +206,10 @@ class BatchedAccessEngine:
 
         ``bound`` is the next barrier of any scope; between barriers no
         classification-relevant state changes, which is what makes bulk
-        delivery exact.  With a ``horizon`` (``run_until``'s), a read may
-        complete past ``bound``, up to its own unit's next barrier or the
-        horizon; without one every read is cut at ``bound``.
+        delivery exact.  With a ``horizon`` (``run_until``'s), a read's
+        requests may land past ``bound``, up to its own unit's next
+        barrier, and it may complete up to the next global barrier or
+        the horizon; without one every read is cut at ``bound``.
         """
         registry = obs.get_registry()
         with registry.phase("sim.batched.advance"):
@@ -220,6 +231,14 @@ class BatchedAccessEngine:
                 self._serve(reads, admitted)
         with registry.phase("sim.batched.escalate"):
             self._escalate(batch, escalate)
+        if registry.enabled:
+            escalated = int(np.count_nonzero(escalate))
+            hybrid = 0 if admitted is None else int(
+                np.count_nonzero(admitted[3]))
+            registry.counter("sim.batched.bulk").inc(
+                batch.size - escalated - hybrid)
+            registry.counter("sim.batched.hybrid").inc(hybrid)
+            registry.counter("sim.batched.escalated").inc(escalated)
 
     def _route(self, batch: ArrivalBatch, bound: float,
                horizon: float | None) -> tuple:
@@ -289,17 +308,21 @@ class BatchedAccessEngine:
         if not clean.any():
             return escalate, None
 
+        # Request legs are cut at the unit's next barrier (or a global
+        # one), completion at the next global one (module docstring).
         if horizon is None:
             cut = np.full(len(tables), bound)
+            done_by = bound
         else:
             queue = self.sim.queue
-            cut = np.array([min(horizon,
-                                queue.scope_barrier_time(table.unit.unit_key))
+            cut = np.array([queue.scope_barrier_time(table.unit.unit_key)
                             for table in tables])
+            done_by = min(horizon, queue.scope_barrier_time(None))
             if first_write == math.inf:
-                # A cut-off past ``bound`` can reach a write that a later
-                # window will issue; it bounds these reads too.
-                first_write = self.source.next_write_time(float(cut.max()))
+                # A completion cut-off past ``bound`` can reach a write
+                # that a later window will issue; it bounds these reads
+                # too.
+                first_write = self.source.next_write_time(done_by)
         sizes = np.array([table.read_size for table in tables],
                          dtype=np.int64)
         keep = _rows(clean)
@@ -310,8 +333,9 @@ class BatchedAccessEngine:
             d1=legs[keep, 0], d2=legs[keep, 1],
             targets=targets[keep], positions=positions[keep],
             versions=versions[keep], latest=self._latest[key_idx[keep]],
-            size=sizes[slot], cutoff=np.minimum(cut[slot], first_write),
-            pair=pair[keep], routes=routes, tables=tables)
+            size=sizes[slot], cutoff=cut[slot],
+            done_by=min(done_by, first_write), pair=pair[keep],
+            routes=routes, tables=tables)
         return escalate, reads
 
     def _admit(self, reads: "_Reads") -> tuple:
@@ -321,13 +345,18 @@ class BatchedAccessEngine:
         stage only lets reads through whose servers answer the instant a
         leg arrives (no active queue), so a leg's reply lands at its
         arrival plus ``d2`` and the read completes with its last reply.
+        A read is late if a request leg lands at or after its unit's
+        cut-off, or it completes at or after the window's completion
+        cut-off.
         """
         # Left-associated float sums, exactly as the event chain
         # computes them: arrival = t + d1, completion = (t+d1) + d2.
         arrival = reads.times[:, None] + reads.d1
         reply = arrival + reads.d2
         completion = np.where(reads.valid, reply, -np.inf).max(axis=1)
-        late = completion >= reads.cutoff
+        late = ((np.where(reads.valid, arrival, -np.inf).max(axis=1)
+                 >= reads.cutoff)
+                | (completion >= reads.done_by))
         timeout = self.store.read_timeout_ms
         if timeout is not None:
             # A completion at or past the timeout means the timeout
@@ -537,7 +566,8 @@ class _Reads(NamedTuple):
     versions: np.ndarray    # -1 on padding
     latest: np.ndarray
     size: np.ndarray        # read size
-    cutoff: np.ndarray      # a bulk read completes strictly before it
+    cutoff: np.ndarray      # a bulk read's requests all land before it
+    done_by: float          # and it completes before this (one per window)
     pair: np.ndarray        # index into ``routes``
     routes: list            # the window's (client, unit) _Routes
     tables: list            # the window's _UnitTables

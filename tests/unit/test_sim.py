@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.net import LatencyMatrix
 from repro.sim import EventQueue, Message, Network, Node, PeriodicProcess, Simulator
 
@@ -16,6 +17,15 @@ def tiny_matrix():
         [80.0, 60.0, 0.0],
     ])
     return LatencyMatrix(rtt)
+
+
+class _IdlePlane:
+    """A data plane with no work: it records how far it was advanced."""
+
+    covered = 0.0
+
+    def advance(self, bound, horizon=None):
+        self.covered = max(self.covered, bound)
 
 
 class Recorder(Node):
@@ -289,6 +299,68 @@ class TestSimulator:
             sim.schedule(float(i), fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    @pytest.mark.parametrize("driver", ["run", "run_until", "plane",
+                                        "step"])
+    def test_events_processed_counts_fired_events_only(self, driver):
+        """Cancelled timers stay in the heap as tombstones until it
+        compacts; whether it did must not move the count."""
+        counts = []
+        for cancelled in (10, 120):   # below / above the compaction point
+            sim = Simulator()
+            if driver == "plane":
+                sim.attach_data_plane(_IdlePlane())
+            for i in range(50):
+                sim.schedule(float(i), lambda: None)
+            timers = [sim.schedule(25.0 + i, lambda: None)
+                      for i in range(cancelled)]
+            for timer in timers:
+                timer.cancel()
+            with obs.observe() as (registry, _):
+                if driver == "run":
+                    sim.run()
+                elif driver == "step":
+                    while sim.step():
+                        pass
+                else:
+                    sim.run_until(1_000.0)
+            counts.append(sim.events_processed)
+            if driver != "step":
+                assert registry.counter("sim.events_processed").value == 50
+        assert counts == [50, 50]
+
+    def test_run_max_events_counts_fired_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.5, lambda: None).cancel()
+        for i in range(10):
+            sim.schedule(float(i), fired.append, i)
+        sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+
+    def test_inert_event_cancelling_the_bound_ends_the_window(self):
+        """An inert event may cancel the barrier the window bound came
+        from, and the cancel may compact the heap: the loop must still
+        advance the data planes before firing anything past that bound."""
+        sim = Simulator()
+        plane = _IdlePlane()
+        sim.attach_data_plane(plane)
+        barrier = sim.schedule_at(100.0, lambda: None)
+        fillers = [sim.schedule_at(900.0, lambda: None) for _ in range(80)]
+
+        def cancel_all():
+            barrier.cancel()
+            for filler in fillers:
+                filler.cancel()
+
+        seen = []
+        sim.schedule_at(50.0, cancel_all, inert=True)
+        sim.schedule_at(150.0, lambda: seen.append(plane.covered),
+                        inert=True)
+        sim.schedule_at(200.0, lambda: None)
+        sim.run_until(1_000.0)
+        assert sim.queue.tombstones == 0   # the cancel compacted the heap
+        assert seen == [200.0]
 
     def test_named_rng_streams_are_stable(self):
         a = Simulator(seed=7).rng("workload").integers(0, 1000, size=5)

@@ -2,7 +2,8 @@
 
 * A read-only run on the bulk path builds an :class:`AccessRecord` for
   each per-event completion only — bulk reads land in the log as
-  column blocks.
+  column blocks, and a read is materialized only when a barrier can
+  change what it observes.
 * :meth:`PlacementUnit.flush_folds` converts each run of one-access
   entries at once, yet hands ``record_batch`` bitwise the arrays that
   converting every entry on its own gives (the reference below).
@@ -11,11 +12,12 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ControllerConfig, MigrationPolicy
 from repro.net import LatencyMatrix
 from repro.sim import Simulator
 from repro.store import AccessLog, AccessRecord, BatchedAccessWorkload
-from repro.store import ReplicatedStore
+from repro.store import ReplicatedStore, StorageClient
 from repro.workloads import ClientPopulation
 
 N_NODES = 40
@@ -63,6 +65,31 @@ def test_bulk_reads_build_no_access_record(monkeypatch):
     assert workload.operations_issued == len(store.log) > 5_000
     assert bulk > len(store.log) / 2  # most reads took the bulk path
     assert 0 < len(constructed) == len(appended)
+
+
+def test_reads_cut_only_by_a_barrier_that_changes_them(monkeypatch):
+    """Epoch ticks, summary deliveries and transfers of the read's own
+    unit end no bulk read whose requests all landed before them: on this
+    run 1 540 of 10 021 reads are materialized, where a cut at every
+    barrier of the unit materialized 2 225."""
+    materialized = []
+    materialize = StorageClient.materialize_read
+    monkeypatch.setattr(StorageClient, "materialize_read",
+                        lambda self, *args: (materialized.append(1)
+                                             or materialize(self, *args)))
+    sim, store = _store()
+    with obs.observe() as (registry, _):
+        workload = BatchedAccessWorkload(
+            store, ClientPopulation.uniform(list(range(N_DC, N_NODES))),
+            ["obj"], rate_per_second=20_000.0)
+        sim.run_until(500.0)
+        workload.stop()
+        sim.run_until(1_000.0)
+    assert len(store.log) > 10_000
+    assert len(materialized) < 0.17 * len(store.log)
+    assert registry.counter("sim.batched.hybrid").value == len(materialized)
+    assert (registry.counter("sim.batched.bulk").value + len(materialized)
+            == workload.operations_issued)
 
 
 def _parent_flush(buf, write_aware, until):

@@ -10,11 +10,14 @@ result is plain JSON (a number, or a dataclass / dict as its field
 mapping); a read rebuilds it through the spec's ``result_type``, so the
 cache knows no result class by name.
 
-Crash safety comes from the write protocol: entries are written to a
-temporary file in the cache directory and published with
-:func:`os.replace` (atomic on POSIX), so a killed process can leave at
-most an orphaned temp file, never a torn entry.  Reads treat missing,
-torn or schema-mismatched files as misses — a corrupt cache degrades to
+Every entry lives directly in the cache directory as ``<key>.json``:
+one flat directory, no fan-out.  Crash safety comes from the write
+protocol: an entry is written to a temporary file in the cache
+directory and published with :func:`os.replace` (atomic on POSIX), so
+a killed process can leave at most an orphaned temp file, never a torn
+entry; it becomes durable at the one directory fsync that ends each
+:meth:`ResultCache.put_many` batch.  Reads treat missing, torn or
+schema-mismatched files as misses — a corrupt cache degrades to
 recomputation, never to wrong results.  So does an entry filed under
 another spec's name (its stored ``key`` is checked) and a stored result
 of the wrong shape: not a JSON number for a number-valued spec, not a
@@ -34,7 +37,7 @@ from typing import Any, Iterable
 __all__ = ["ResultCache", "cache_key", "CACHE_SCHEMA", "code_salt"]
 
 #: Bumped whenever the cache entry layout or job semantics change.
-CACHE_SCHEMA = "repro.runner/v2"
+CACHE_SCHEMA = "repro.runner/v3"
 
 
 def code_salt() -> str:
@@ -123,8 +126,7 @@ class ResultCache:
         os.makedirs(self.directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
-        # Two-level fan-out keeps directories small on huge sweeps.
-        return os.path.join(self.directory, key[:2], key + ".json")
+        return os.path.join(self.directory, key + ".json")
 
     def get(self, spec: Any) -> Any:
         """The cached result for ``spec``, or :data:`MISS`."""
@@ -142,12 +144,9 @@ class ResultCache:
         except (KeyError, TypeError, ValueError):
             return MISS
 
-    def _write_entry(self, spec: Any, result: Any,
-                     fsync_file: bool = True) -> str:
+    def _write_entry(self, spec: Any, result: Any) -> str:
         _check_result(result, spec)
         key = cache_key(spec)
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA,
             "key": key,
@@ -158,10 +157,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(entry, handle)
-                handle.flush()
-                if fsync_file:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            os.replace(tmp, self._path(key))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -172,34 +168,24 @@ class ResultCache:
 
     def put(self, spec: Any, result: Any) -> str:
         """Atomically store ``result`` for ``spec``; returns the key."""
-        return self._write_entry(spec, result, fsync_file=True)
+        return self.put_many([(spec, result)])[0]
 
     def put_many(self, pairs: Iterable[tuple[Any, Any]]) -> list[str]:
-        """Store a batch of ``(spec, result)`` pairs with one fsync pass.
+        """Store a batch of ``(spec, result)`` pairs with one fsync.
 
-        The chunked executor lands a whole chunk of results at once;
-        paying one ``fsync`` per 4 ms job would hand the dispatch
-        savings straight back to the filesystem.  ``put_many`` writes
-        every entry (temp file + atomic ``os.replace``, exactly like
-        :meth:`put`) *without* per-file fsyncs, then fsyncs each touched
-        directory once, batching durability per chunk instead of per
-        job.  The weaker guarantee is safe by construction: a torn or
-        unsynced entry reads back as a miss and is recomputed — the
-        cache can lose work to a power cut, never return wrong results.
+        Each entry is published by an atomic ``os.replace`` of its temp
+        file and becomes durable at the one fsync of the cache
+        directory that ends the batch — one per chunk of the executor,
+        not one per 4 ms job.  A torn or unsynced entry reads back as a
+        miss and is recomputed: the cache can lose work to a power cut,
+        never return wrong results.
         """
-        keys = []
-        touched: set[str] = set()
-        for spec, result in pairs:
-            key = self._write_entry(spec, result, fsync_file=False)
-            keys.append(key)
-            touched.add(os.path.dirname(self._path(key)))
+        keys = [self._write_entry(spec, result) for spec, result in pairs]
         if keys:
-            touched.add(self.directory)
-        for directory in sorted(touched):
             try:
-                fd = os.open(directory, os.O_RDONLY)
+                fd = os.open(self.directory, os.O_RDONLY)
             except OSError:  # pragma: no cover - platform-specific
-                continue
+                return keys
             try:
                 os.fsync(fd)
             finally:
@@ -207,10 +193,8 @@ class ResultCache:
         return keys
 
     def __len__(self) -> int:
-        total = 0
-        for _root, _dirs, files in os.walk(self.directory):
-            total += sum(1 for f in files if f.endswith(".json"))
-        return total
+        with os.scandir(self.directory) as entries:
+            return sum(1 for e in entries if e.name.endswith(".json"))
 
     def __repr__(self) -> str:
         return f"ResultCache({self.directory!r}, entries={len(self)})"

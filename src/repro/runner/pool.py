@@ -25,8 +25,9 @@ scheduled.  The execution engine is built for the paper's workload shape
   unlucky pre-assignment.
 * **Result cache / resume** — with a ``cache_dir``, completed jobs are
   persisted through :class:`~repro.runner.cache.ResultCache` chunk by
-  chunk (one fsync pass per chunk, not per job); with ``resume=True``,
-  cached results are loaded up front and only the missing jobs execute.
+  chunk into one flat directory (one directory fsync per chunk, not per
+  job); with ``resume=True``, cached results are loaded up front and
+  only the missing jobs execute.
 * **Fault tolerance** — a worker process dying (OOM-kill, segfault,
   ``os._exit``) is detected on its process sentinel; its in-flight
   chunk is requeued and only that worker is respawned, up to

@@ -282,13 +282,16 @@ class TestCacheKey:
         assert type(result) is spec.result_type
 
 
+def _entry_path(directory, key):
+    """Where a :class:`ResultCache` in ``directory`` files ``key``."""
+    return os.path.join(str(directory), key + ".json")
+
+
 def _file_entry(directory, spec, result):
     """Write a well-formed cache entry for ``spec`` holding ``result``
     as is, bypassing :meth:`ResultCache.put`'s type check."""
     key = cache_key(spec)
-    os.makedirs(os.path.join(str(directory), key[:2]), exist_ok=True)
-    with open(os.path.join(str(directory), key[:2], key + ".json"),
-              "w") as handle:
+    with open(_entry_path(directory, key), "w") as handle:
         json.dump({"schema": repro.runner.cache.CACHE_SCHEMA, "key": key,
                    "spec": spec.payload(), "result": result}, handle)
 
@@ -315,7 +318,7 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         spec = self._placement_spec()
         key = cache.put(spec, 1.5)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        path = _entry_path(tmp_path, key)
 
         with open(path, "w") as handle:
             handle.write("{ torn json")
@@ -340,7 +343,7 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         spec = self._placement_spec()
         key = cache.put(spec, 41.5)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        path = _entry_path(tmp_path, key)
         with open(path) as handle:
             entry = json.load(handle)
         entry["result"] = stored
@@ -360,17 +363,15 @@ class TestResultCache:
         spec, other = self._placement_spec(0), self._placement_spec(1)
         key = cache.put(spec, 41.5)
         other_key = cache.put(other, 99.0)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
-        os.replace(os.path.join(str(tmp_path), other_key[:2],
-                                other_key + ".json"), path)
+        os.replace(_entry_path(tmp_path, other_key),
+                   _entry_path(tmp_path, key))
         assert cache.get(spec) is MISS
 
     def test_entry_that_is_not_an_object_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = self._placement_spec()
         key = cache.put(spec, 41.5)
-        with open(os.path.join(str(tmp_path), key[:2], key + ".json"),
-                  "w") as handle:
+        with open(_entry_path(tmp_path, key), "w") as handle:
             json.dump([41.5], handle)
         assert cache.get(spec) is MISS
 
@@ -598,15 +599,29 @@ class TestPutMany:
                      for f in files if f.endswith(".tmp")]
         assert leftovers == []
 
+    def test_one_directory_fsync_per_batch(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: calls.append(fd) or real_fsync(fd))
+        cache.put_many([(s, 1.0) for s in self._specs(5)])
+        assert len(calls) == 1
+
+    def test_orphaned_temp_file_is_not_an_entry(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put_many([(s, 1.0) for s in self._specs(3)])
+        (tmp_path / "orphan.tmp").write_text("{ torn")
+        assert len(cache) == 3
+
     def test_matches_put_entries_byte_for_byte(self, tmp_path):
         spec = TestResultCache._placement_spec()
         a = ResultCache(str(tmp_path / "a"))
         b = ResultCache(str(tmp_path / "b"))
         key = a.put(spec, 2.5)
         assert b.put_many([(spec, 2.5)]) == [key]
-        path = os.path.join(key[:2], key + ".json")
-        with open(os.path.join(a.directory, path), "rb") as fa, \
-                open(os.path.join(b.directory, path), "rb") as fb:
+        with open(_entry_path(a.directory, key), "rb") as fa, \
+                open(_entry_path(b.directory, key), "rb") as fb:
             assert fa.read() == fb.read()
 
 
@@ -704,6 +719,12 @@ class TestChunkedExecute:
         execute(specs, jobs=2, cache_dir=str(tmp_path), resume=True,
                 meta_out=resumed_meta)
         assert {row["source"] for row in resumed_meta} == {"cache"}
+
+    def test_pooled_sweep_leaves_one_flat_cache_directory(self, tmp_path):
+        specs = [_RaisesOnCell(n, bad=-1) for n in range(24)]
+        execute(specs, jobs=2, cache_dir=str(tmp_path))
+        assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
+        assert len(ResultCache(str(tmp_path))) == len(specs)
 
     def test_meta_out_serial_source(self):
         meta = []

@@ -25,9 +25,9 @@ scheduled.  The execution engine is built for the paper's workload shape
   unlucky pre-assignment.
 * **Result cache / resume** — with a ``cache_dir``, completed jobs are
   persisted through :class:`~repro.runner.cache.ResultCache` chunk by
-  chunk into one flat directory (one directory fsync per chunk, not per
-  job); with ``resume=True``, cached results are loaded up front and
-  only the missing jobs execute.
+  chunk (serially, every 256 jobs) into one flat directory (one
+  directory fsync per chunk, not per job); with ``resume=True``, cached
+  results are loaded up front and only the missing jobs execute.
 * **Fault tolerance** — a worker process dying (OOM-kill, segfault,
   ``os._exit``) is detected on its process sentinel; its in-flight
   chunk is requeued and only that worker is respawned, up to
@@ -189,16 +189,24 @@ def execute(specs: Sequence[JobSpec], *,
 
 
 def _execute_serial(specs, remaining, world, cache, results, registry, meta):
-    for i in remaining:
-        with registry.phase("runner.job"):
-            result = specs[i].execute(world if world is not None
-                                      else workers.world_for(specs[i]))
-        results[i] = result
-        if cache is not None:
-            cache.put(specs[i], result)
-        registry.counter("runner.jobs_completed").inc()
-        if meta is not None:
-            meta[i] = {"source": "serial"}
+    # Results are cached as the pool caches a chunk: one ``put_many``
+    # (one directory fsync) per ``_MAX_CHUNK_JOBS`` jobs, written in a
+    # ``finally`` so a raising job or a Ctrl-C keeps every completed job.
+    for start in range(0, len(remaining), _MAX_CHUNK_JOBS):
+        done: list[int] = []
+        try:
+            for i in remaining[start:start + _MAX_CHUNK_JOBS]:
+                with registry.phase("runner.job"):
+                    results[i] = specs[i].execute(
+                        world if world is not None
+                        else workers.world_for(specs[i]))
+                done.append(i)
+                registry.counter("runner.jobs_completed").inc()
+                if meta is not None:
+                    meta[i] = {"source": "serial"}
+        finally:
+            if cache is not None and done:
+                cache.put_many([(specs[i], results[i]) for i in done])
 
 
 # ----------------------------------------------------------------------

@@ -45,39 +45,38 @@ so a partial drain logs nothing past the clock.
 **Columns.**  Every window is **one pipeline of four stages**, each an
 array program over all of its reads, sorted once into ``client · nkeys +
 key`` order (stable in time: the order the log, the fold buffers and the
-access-delay histogram see).  It leaves each arrival *bulk*, *hybrid* or
+access-delay histogram see).  It leaves each arrival *bulk* or
 *escalated*:
 
 1. *route* — writes escalate, and so does every read issued at or after
    the window's first write (the write chain bumps versions, so the
    staleness bound must be read live).  Each other read's route is
    looked up per ``(client, unit)`` in the unit's :class:`_UnitTable`
-   (kept until the unit's version or the network's fault epoch moves;
-   it replaces the per-``(client, key)`` group records of earlier
-   versions), and its per-leg stored versions and latest version are
-   gathered from per-key rows.  Reads whose legs are not provably clean
-   (down nodes, cut or lossy links, missing replicas) escalate.
+   (kept until the unit's version or the network's fault epoch moves),
+   and its per-leg stored versions and latest version are gathered from
+   per-key rows.  Reads whose legs are not provably clean (down nodes,
+   cut or lossy links, missing replicas) escalate.
 2. *admit* — each leg is served the instant it arrives, so its reply
    lands at ``(t + d1) + d2`` and the read completes with its last
-   reply; reads inside both cut-offs with no timeout risk are bulk, the
-   others hybrid.
-3. *serve* — bulk reads land from flat leg columns: one fold-buffer
+   reply; a read that misses either cut-off, or risks its timeout, is
+   *late*.
+3. *serve* — on-time reads land from flat leg columns: one fold-buffer
    entry per ``(unit, position)``, traffic counters and histograms, and
-   one access-log column block.  A hybrid read's request sends are
-   accounted here; :meth:`StorageClient.materialize_read` turns its
-   deliveries and retry timeout into real inert events, which observe
-   any barrier for real.  That call is the only per-read Python (with
-   span recording, when a tracer is on).
-4. *escalate* — each escalated arrival is scheduled as a real
-   ``client.read``/``client.write`` event at its tick time,
-   byte-identical including ``"net.loss"`` draws in heap order.  Writes
-   are global barriers; escalated reads are inert.
+   one access-log column block.
+4. *escalate* — every other arrival is scheduled, in arrival order, as
+   a real per-event operation at its tick time: writes as
+   ``client.write`` (global barriers), reads without a frozen route as
+   ``client.read``, late reads as ``client.materialize_read`` along the
+   route stage 1 ranked (both inert).  Nothing changes before the
+   window's bound, so that route is the live one at the read's issue
+   time: a late read *is* the per-event read, ``"net.loss"`` draws in
+   heap order included.
 
 Pending-aware selection strategies (every issued read changes the next
 ranking) and active server queues (a leg's wait depends on every
 admission before it, in heap order) escalate *every* arrival, derived
 from ``store.strategy.supports_bulk`` and ``store.queueing.active``,
-never from a switch.  All three outcomes are exact.
+never from a switch.  Both outcomes are exact.
 
 Residual divergence from the oracle is measure-zero tie-breaking (two
 floating-point event times colliding exactly) plus float summation
@@ -103,16 +102,6 @@ from repro.workloads.temporal import TemporalPattern
 __all__ = ["BatchedAccessEngine", "BatchedAccessWorkload"]
 
 
-class _Route(NamedTuple):
-    """The frozen quorum route of one ``(client, unit)`` pair."""
-
-    targets: tuple[int, ...]
-    #: Rows ``d1, d2, target, candidate position``, one column per leg:
-    #: request delay (bandwidth included) and reply delay at the unit's
-    #: read size.
-    legs: np.ndarray
-
-
 class _UnitTable:
     """The engine's cached view of one placement unit.
 
@@ -134,7 +123,9 @@ class _UnitTable:
                              dtype=np.intp)
         self.read_size = next(iter(unit.members.values())).read_size_bytes
         self.version: int | None = None
-        self.routes: dict[int, _Route | None] = {}
+        #: Client -> frozen quorum route (:meth:`BatchedAccessEngine.
+        #: _unit_route`), or ``None``.
+        self.routes: dict[int, np.ndarray | None] = {}
         self.epoch: int | None = None
 
 
@@ -230,14 +221,9 @@ class BatchedAccessEngine:
             if reads is not None:
                 self._serve(reads, admitted)
         with registry.phase("sim.batched.escalate"):
-            self._escalate(batch, escalate)
+            escalated = self._escalate(batch, escalate, reads, admitted)
         if registry.enabled:
-            escalated = int(np.count_nonzero(escalate))
-            hybrid = 0 if admitted is None else int(
-                np.count_nonzero(admitted[3]))
-            registry.counter("sim.batched.bulk").inc(
-                batch.size - escalated - hybrid)
-            registry.counter("sim.batched.hybrid").inc(hybrid)
+            registry.counter("sim.batched.bulk").inc(batch.size - escalated)
             registry.counter("sim.batched.escalated").inc(escalated)
 
     def _route(self, batch: ArrivalBatch, bound: float,
@@ -286,14 +272,14 @@ class BatchedAccessEngine:
                                 return_inverse=True)
         routes = [None if s == 0 else self._unit_route(c, tables[s - 1])
                   for c, s in (divmod(p, stride) for p in pairs.tolist())]
-        width = max((len(r.targets) for r in routes if r is not None),
+        width = max((r.shape[1] for r in routes if r is not None),
                     default=1)
         legs = np.zeros((len(routes), 4, width))
         n_legs = np.zeros(len(routes), dtype=np.intp)
         for i, route in enumerate(routes):
             if route is not None:
-                n_legs[i] = len(route.targets)
-                legs[i, :, :n_legs[i]] = route.legs
+                n_legs[i] = route.shape[1]
+                legs[i, :, :n_legs[i]] = route
         legs = legs[pair]
         n_legs = n_legs[pair]
         valid = np.arange(width) < n_legs[:, None]
@@ -328,14 +314,13 @@ class BatchedAccessEngine:
         keep = _rows(clean)
         slot = slot[keep]
         reads = _Reads(
-            times=t[idx[keep]], clients=clients[keep],
+            index=idx[keep], times=t[idx[keep]], clients=clients[keep],
             key_idx=key_idx[keep], slot=slot, valid=valid[keep],
             d1=legs[keep, 0], d2=legs[keep, 1],
             targets=targets[keep], positions=positions[keep],
             versions=versions[keep], latest=self._latest[key_idx[keep]],
             size=sizes[slot], cutoff=cut[slot],
-            done_by=min(done_by, first_write), pair=pair[keep],
-            routes=routes, tables=tables)
+            done_by=min(done_by, first_write), tables=tables)
         return escalate, reads
 
     def _admit(self, reads: "_Reads") -> tuple:
@@ -368,21 +353,12 @@ class BatchedAccessEngine:
     def _serve(self, reads: "_Reads", admitted: tuple) -> None:
         """Stage 3: on-time reads land in the order-tolerant sinks
         (access log, traffic counters, deferred summary folds) from flat
-        leg columns; late ones go hybrid — bulk request-send accounting,
-        real (inert) deliveries + timeout via the client hook."""
+        leg columns.  Late ones are left to stage 4."""
         arrival, reply, completion, late = admitted
         store = self.store
         net = store.network
         keys = self._keys
         registry = obs.get_registry()
-
-        hybrid = np.flatnonzero(late)
-        for when, client, k, p in zip(
-                reads.times[hybrid].tolist(), reads.clients[hybrid].tolist(),
-                reads.key_idx[hybrid].tolist(), reads.pair[hybrid].tolist()):
-            route = reads.routes[p]
-            store.clients[client].materialize_read(
-                keys[k], when, route.targets, route.legs[0].tolist())
 
         bulk = _rows(~late)
         times = reads.times[bulk]
@@ -425,11 +401,8 @@ class BatchedAccessEngine:
         leg_client = clients[row]
         leg_server = targets[row, col]
         leg_size = reads.size[bulk][row]
-        senders = np.concatenate((np.repeat(reads.clients[hybrid],
-                                            reads.valid[hybrid].sum(axis=1)),
-                                  leg_client))
-        net.account_bulk_sends("read-req", senders,
-                               np.full(senders.size, REQUEST_BYTES))
+        net.account_bulk_sends("read-req", leg_client,
+                               np.full(row.size, REQUEST_BYTES))
         net.account_bulk_sends("read-rep", leg_server, leg_size)
         net.account_bulk_deliveries(
             np.concatenate((leg_server, leg_client)),
@@ -457,22 +430,37 @@ class BatchedAccessEngine:
                  np.broadcast_to(float(table.read_size), (end - start,)),
                  "read"))
 
-    def _escalate(self, batch: ArrivalBatch, escalate: np.ndarray) -> None:
-        """Stage 4: replay escalated arrivals through the per-event path
-        at their tick times.  Writes are barriers (their chains mutate
-        versions/placement); escalated reads stay inert."""
+    def _escalate(self, batch: ArrivalBatch, escalate: np.ndarray,
+                  reads: "_Reads | None", admitted: tuple | None) -> int:
+        """Stage 4: every arrival not served in bulk becomes a real
+        per-event operation at its tick time, in arrival order.  Writes
+        are barriers (their chains mutate versions/placement); reads
+        stay inert, and a late one keeps the route stage 1 ranked.
+        Returns how many arrivals escalated."""
+        routes = {}
+        if reads is not None:
+            rows = np.flatnonzero(admitted[3])
+            escalate[reads.index[rows]] = True
+            routes = {i: tuple(targets[valid].tolist()) for i, targets, valid
+                      in zip(reads.index[rows].tolist(), reads.targets[rows],
+                             reads.valid[rows])}
         store = self.store
         sim = self.sim
         keys = self._keys
         idx = np.flatnonzero(escalate)
-        for when, client_id, k, is_write in zip(
-                batch.times[idx].tolist(), batch.clients[idx].tolist(),
-                batch.key_idx[idx].tolist(), batch.is_write[idx].tolist()):
+        for i, when, client_id, k, is_write in zip(
+                idx.tolist(), batch.times[idx].tolist(),
+                batch.clients[idx].tolist(), batch.key_idx[idx].tolist(),
+                batch.is_write[idx].tolist()):
             client = store.clients[client_id]
             if is_write:
                 sim.schedule_at(when, client.write, keys[k])
+            elif i in routes:
+                sim.schedule_at(when, client.materialize_read, keys[k],
+                                routes[i], inert=True)
             else:
                 sim.schedule_at(when, client.read, keys[k], inert=True)
+        return idx.size
 
     # ------------------------------------------------------------------
     def _table(self, unit_key: str) -> _UnitTable:
@@ -494,8 +482,12 @@ class BatchedAccessEngine:
             table.version = unit.version
         return table
 
-    def _unit_route(self, client: int, table: _UnitTable) -> _Route | None:
-        """The ``(client, unit)`` route, cached in the unit's table.
+    def _unit_route(self, client: int,
+                    table: _UnitTable) -> np.ndarray | None:
+        """The frozen quorum route of a ``(client, unit)`` pair, cached in
+        the unit's table: rows ``d1, d2, target, candidate position``,
+        one column per leg — request delay (bandwidth included) and
+        reply delay at the unit's read size.
 
         ``None`` means some leg cannot be proven clean.  Everything here
         depends only on the placement unit, so member keys share a
@@ -514,7 +506,7 @@ class BatchedAccessEngine:
         return route
 
     def _derive_unit_route(self, client: int,
-                           table: _UnitTable) -> _Route | None:
+                           table: _UnitTable) -> np.ndarray | None:
         store = self.store
         net = store.network
         try:
@@ -539,9 +531,9 @@ class BatchedAccessEngine:
                     net.matrix.latency(server, client), table.read_size)
             d1.append(delay1)
             d2.append(delay2)
-        return _Route(tuple(targets), np.array([
-            d1, d2, targets, [store._position_of[s] for s in targets]],
-            dtype=float))
+        return np.array([d1, d2, targets,
+                         [store._position_of[s] for s in targets]],
+                        dtype=float)
 
 
 def _rows(mask: np.ndarray):
@@ -554,6 +546,7 @@ class _Reads(NamedTuple):
     """The window's routed reads, one row per read; ``(reads, legs)``
     columns are padded to the widest route, ``valid`` marks real legs."""
 
+    index: np.ndarray       # row in the window's arrival batch
     times: np.ndarray
     clients: np.ndarray
     key_idx: np.ndarray
@@ -568,8 +561,6 @@ class _Reads(NamedTuple):
     size: np.ndarray        # read size
     cutoff: np.ndarray      # a bulk read's requests all land before it
     done_by: float          # and it completes before this (one per window)
-    pair: np.ndarray        # index into ``routes``
-    routes: list            # the window's (client, unit) _Routes
     tables: list            # the window's _UnitTables
 
 

@@ -247,62 +247,40 @@ class StorageClient(Node):
         replicas if they cannot access the first" scenario.  The total
         logged delay includes the time lost waiting on dead replicas.
         """
-        self._start_read(key, self.sim.now,
-                         self.store.route_read(self.node_id, key))
+        self._start_read(key, self.store.route_read(self.node_id, key))
 
-    def materialize_read(self, key: str, issued_at: float,
-                         targets: Sequence[int],
-                         delays: Sequence[float]) -> int:
-        """Batched-engine hook: register an already-sent read.
+    def materialize_read(self, key: str, targets: Sequence[int]) -> None:
+        """Batched-engine hook: start a read of ``key`` now, along the
+        ``targets`` the engine ranked for it.
 
-        The engine bulk-accounted the request legs as cleanly sent at
-        ``issued_at``; this schedules their deliveries (after the given
-        per-leg one-way ``delays``) and the retry timeout exactly as
-        :meth:`read` would have, so replies, retries and timeouts run
-        through the untouched per-event machinery.
+        It is :meth:`read` with the routing already done: the engine
+        calls it for a read that misses its window's cut-offs, at the
+        read's issue time, when that route is still the live one.
         """
-        return self._start_read(key, issued_at, targets, sent=delays)
+        self._start_read(key, targets)
 
-    def _start_read(self, key: str, issued_at: float,
-                    targets: Sequence[int],
-                    sent: Sequence[float] | None = None) -> int:
+    def _start_read(self, key: str, targets: Sequence[int]) -> None:
         request_id = next(self._request_ids)
         pending = _PendingRead(
-            key=key, issued_at=issued_at, expected=len(targets),
+            key=key, issued_at=self.sim.now, expected=len(targets),
             latest_at_issue=self.store.latest_version(key))
         self._pending_reads[request_id] = pending
-        self._issue_read(request_id, pending, targets, sent)
-        return request_id
+        self._issue_read(request_id, pending, targets)
 
     def _issue_read(self, request_id: int, pending: _PendingRead,
-                    targets: Sequence[int],
-                    sent: Sequence[float] | None = None) -> None:
-        """Issue one round of request legs and arm the retry timeout.
-
-        ``sent`` marks legs already accounted as sent at
-        ``pending.issued_at`` (one one-way delay per target): their
-        deliveries are scheduled directly instead of going through
-        :meth:`send`, and the timeout counts from the issue time.
-        """
-        now = self.sim.now if sent is None else pending.issued_at
+                    targets: Sequence[int]) -> None:
+        """Issue one round of request legs and arm the retry timeout."""
+        now = self.sim.now
         coords = self.store.planar_coords_of(self.node_id)
         pending.tried.update(targets)
         strategy = self.store.strategy
-        for leg, server in enumerate(targets):
+        for server in targets:
             pending.outstanding[server] = now
             strategy.note_issued(self.node_id, server)
-            payload = {"key": pending.key, "request_id": request_id,
-                       "coords": coords, "client": self.node_id}
-            if sent is None:
-                self.send(server, "read-req", payload=payload,
-                          size_bytes=REQUEST_BYTES)
-            else:
-                self.sim.schedule_at(
-                    now + sent[leg], self.network._deliver, Message(
-                        sender=self.node_id, recipient=server,
-                        kind="read-req", payload=payload,
-                        size_bytes=REQUEST_BYTES, sent_at=now),
-                    inert=True)
+            self.send(server, "read-req",
+                      payload={"key": pending.key, "request_id": request_id,
+                               "coords": coords, "client": self.node_id},
+                      size_bytes=REQUEST_BYTES)
         if self.store.read_timeout_ms is not None:
             # Inert: a retry only re-runs the (inert) read machinery or
             # logs a failure — both land in order-tolerant sinks.

@@ -141,8 +141,8 @@ def _count_straddles(monkeypatch):
 
 
 def _count_client_reads(monkeypatch):
-    """Count per-event read paths (``read`` + ``materialize_read``), the
-    reads that did not complete in bulk."""
+    """Count the escalated reads: ``read`` (no frozen route) plus
+    ``materialize_read`` (late on its route)."""
     calls = [0]
     for name in ("read", "materialize_read"):
         original = getattr(StorageClient, name)
@@ -206,7 +206,7 @@ def test_scoped_windows_match_the_oracle(arm, monkeypatch):
         >= 40
     if arm == "fault-free":
         # Eight units' epochs and shipments land every ~60 ms; cut at
-        # every one of them, most reads would go hybrid.
+        # every one of them, most reads would escalate.
         assert 1.0 - calls / reads >= 0.75
     if arm == "bandwidth":
         assert in_flight, "no migration was in flight at any step"

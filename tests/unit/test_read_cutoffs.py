@@ -6,7 +6,8 @@ next *global* barrier, the horizon and its read timeout.  One read of
 ``obj`` is issued at t = 10 ms by client 3; its request lands on the
 replica at 60 ms and the reply at 110 ms.  Each timeline adds one
 barrier, runs the batched engine and the per-event path, and checks the
-outcome counters and that both paths log the same records.
+outcome counters and that both paths log the same records and count the
+same network traffic.
 """
 
 import numpy as np
@@ -72,8 +73,11 @@ def _run(timeline, timeout, batched):
             sim.schedule_at(ISSUE_MS, store.clients[CLIENT].read, "obj")
         sim.run_until(1_000.0)
     outcome = {name: registry.counter(f"sim.batched.{name}").value
-               for name in ("bulk", "hybrid", "escalated")}
-    return outcome, [tuple(record) for record in store.log.records]
+               for name in ("bulk", "escalated")}
+    net = store.network
+    # Messages and bytes sent and received: in all, per node, per kind.
+    traffic = (net.stats, net.per_node, net.per_kind_bytes)
+    return outcome, [tuple(record) for record in store.log.records], traffic
 
 
 TIMELINES = {
@@ -81,14 +85,14 @@ TIMELINES = {
     "unit barrier between request and reply":
         (_unit_barrier("obj", 80.0), None, "bulk"),
     "unit barrier before the request lands":
-        (_unit_barrier("obj", 40.0), None, "hybrid"),
+        (_unit_barrier("obj", 40.0), None, "escalated"),
     "unit barrier at the request's instant":
-        (_unit_barrier("obj", 60.0), None, "hybrid"),
+        (_unit_barrier("obj", 60.0), None, "escalated"),
     "another unit's barrier before the request lands":
         (_unit_barrier("other", 40.0), None, "bulk"),
     "crash after completion": (_crash(CLIENT, 120.0), None, "bulk"),
-    "completion past a crash": (_crash(CLIENT, 80.0), None, "hybrid"),
-    "completion racing the read timeout": (None, 100.0, "hybrid"),
+    "completion past a crash": (_crash(CLIENT, 80.0), None, "escalated"),
+    "completion racing the read timeout": (None, 100.0, "escalated"),
     "completion inside the read timeout": (None, 100.5, "bulk"),
 }
 
@@ -96,15 +100,15 @@ TIMELINES = {
 @pytest.mark.parametrize("name", list(TIMELINES))
 def test_read_cutoffs(name):
     timeline, timeout, expected = TIMELINES[name]
-    outcome, records = _run(timeline, timeout, batched=True)
-    assert outcome == {"bulk": 0, "hybrid": 0, "escalated": 0,
-                       expected: 1}
-    _, reference = _run(timeline, timeout, batched=False)
+    outcome, records, traffic = _run(timeline, timeout, batched=True)
+    assert outcome == {"bulk": 0, "escalated": 0, expected: 1}
+    _, reference, reference_traffic = _run(timeline, timeout, batched=False)
     assert records == reference
+    assert traffic == reference_traffic
 
 
 def test_the_timelines_change_what_the_read_observes():
-    """The hybrid timelines are not vacuous: their barrier changes the
+    """The escalated timelines are not vacuous: their barrier changes the
     read's outcome, so a wrong bulk verdict would log another record."""
     served = _run(None, None, batched=False)[1]
     assert served == [(110.0, CLIENT, 0, "obj", 100.0, "read", 0, False)]

@@ -726,6 +726,17 @@ class TestChunkedExecute:
         assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
         assert len(ResultCache(str(tmp_path))) == len(specs)
 
+    def test_serial_sweep_makes_one_directory_fsync(self, tmp_path,
+                                                    monkeypatch):
+        specs = [_RaisesOnCell(n, bad=-1) for n in range(256)]
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: calls.append(fd) or real_fsync(fd))
+        execute(specs, jobs=1, cache_dir=str(tmp_path))
+        assert len(calls) == 1
+        assert len(ResultCache(str(tmp_path))) == len(specs)
+
     def test_meta_out_serial_source(self):
         meta = []
         execute(self._specs(2), jobs=1, meta_out=meta)
@@ -763,11 +774,12 @@ class TestJobErrors:
                            match=r"(?s)job 1 raised.*_Unpicklable: cell 1"):
             execute(specs, jobs=2)
 
-    def test_jobs_recorded_before_the_error_stay_cached(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_jobs_recorded_before_the_error_stay_cached(self, tmp_path, jobs):
         specs = [_RaisesOnCell(n, bad=3) for n in range(6)]
         cache = ResultCache(str(tmp_path))
         with pytest.raises(ValueError):
-            execute(specs, jobs=2, cache_dir=str(tmp_path))
+            execute(specs, jobs=jobs, cache_dir=str(tmp_path))
         cached = [n for n, spec in enumerate(specs)
                   if cache.get(spec) is not MISS]
         assert cached and 3 not in cached

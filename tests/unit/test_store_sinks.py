@@ -87,7 +87,7 @@ def test_reads_cut_only_by_a_barrier_that_changes_them(monkeypatch):
         sim.run_until(1_000.0)
     assert len(store.log) > 10_000
     assert len(materialized) < 0.17 * len(store.log)
-    assert registry.counter("sim.batched.hybrid").value == len(materialized)
+    assert registry.counter("sim.batched.escalated").value == len(materialized)
     assert (registry.counter("sim.batched.bulk").value + len(materialized)
             == workload.operations_issued)
 

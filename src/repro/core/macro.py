@@ -162,6 +162,7 @@ class DelayEstimator:
             raise ValueError("no replica coordinates supplied")
         _require(micro_clusters)
         self.counts = _or_uniform(micro_clusters.counts)
+        self._scale = self.counts.sum()
         self.byte_weights = micro_clusters.weights
         self.cost = _wk.cross_distances(
             micro_clusters.centroids, dc_coords,
@@ -176,7 +177,9 @@ class DelayEstimator:
         ``min_r (dist(centroid, r) + h_r)``.
         """
         nearest = self.cost[:, list(sites)].min(axis=1)
-        return float(np.average(nearest, weights=self.counts))
+        # The arithmetic of np.average(nearest, weights=self.counts),
+        # bit for bit, with the weight sum taken once per estimator.
+        return float(np.multiply(nearest, self.counts).sum() / self._scale)
 
 
 def place_replicas(micro_clusters: MicroClusters, k: int,

@@ -119,6 +119,21 @@ class FailureDomains:
         #: Survival probability of one node: every level up at once.
         self.p_up = ((1.0 - self.p_region) * (1.0 - self.p_dc)
                      * (1.0 - self.p_rack) * (1.0 - self.p_node))
+        # The closed form of p_pair_down for every ordered pair, as nested
+        # lists: one value per shared depth, indexed by each pair's depth
+        # (p_pair_down answers a == b itself).  shared_up[d] is P(every
+        # ancestor a pair at depth d shares is up).
+        shared_up = [1.0]
+        for level_p in (self.p_region, self.p_dc, self.p_rack):
+            shared_up.append(shared_up[-1] * (1.0 - level_p))
+        by_depth = np.array([1.0 - 2.0 * self.p_up + self.p_up * self.p_up / q
+                             for q in shared_up])
+        same = self.region_of[:, None] == self.region_of[None, :]
+        depth = same.astype(int)
+        for ids in (self.dc_of, self.rack_of):
+            same &= ids[:, None] == ids[None, :]
+            depth += same
+        self._pair_down: list[list[float]] = by_depth[depth].tolist()
 
     # ------------------------------------------------------------------
     # Construction
@@ -259,15 +274,6 @@ class FailureDomains:
             raise ValueError(f"position {position} outside {self.n} sites")
         return 1.0 - self.p_up
 
-    def _shared_up(self, depth: int) -> float:
-        """P(all *shared* ancestors up) for a pair at ``depth``."""
-        shared = 1.0
-        for level_p, level_depth in ((self.p_region, 1), (self.p_dc, 2),
-                                     (self.p_rack, 3)):
-            if depth >= level_depth:
-                shared *= 1.0 - level_p
-        return shared
-
     def p_pair_down(self, a: int, b: int) -> float:
         """Probability both sites are down at once (closed form).
 
@@ -275,12 +281,12 @@ class FailureDomains:
         ``p_up``, inclusion–exclusion over the independent domain
         failures gives ``1 - 2·p_up + p_up²/q``: the more ancestry the
         pair shares, the smaller ``q`` and the larger the joint outage —
-        monotone in :meth:`shared_depth`.
+        monotone in :meth:`shared_depth`.  The value of every pair is
+        tabulated at construction; this reads the table.
         """
         if int(a) == int(b):
             return self.p_down(a)
-        q = self._shared_up(self.shared_depth(int(a), int(b)))
-        return 1.0 - 2.0 * self.p_up + self.p_up * self.p_up / q
+        return self._pair_down[int(a)][int(b)]
 
     def cofailure_risk(self, sites: Sequence[int]) -> float:
         """Mean pairwise co-failure probability of a placement.
@@ -292,19 +298,27 @@ class FailureDomains:
         which homogeneous per-level probabilities make placement-
         invariant — actually discriminates between placements.
         Placements with fewer than two sites carry zero pairwise risk.
+        Each pair's value is a lookup in the table of :meth:`p_pair_down`
+        built at construction.
+
+        >>> domains = FailureDomains.contiguous(4, 2, 1, 1, p_region=0.1)
+        >>> domains.cofailure_risk([0, 1]) > domains.cofailure_risk([0, 2])
+        True
+        >>> domains.cofailure_risk([2, 0]) == domains.p_pair_down(0, 2)
+        True
         """
         ordered = sorted(int(s) for s in sites)
         if len(ordered) != len(set(ordered)):
             raise ValueError("placement sites must be distinct")
         if len(ordered) < 2:
             return 0.0
+        table = self._pair_down
         total = 0.0
-        pairs = 0
         for i, a in enumerate(ordered):
+            row = table[a]
             for b in ordered[i + 1:]:
-                total += self.p_pair_down(a, b)
-                pairs += 1
-        return total / pairs
+                total += row[b]
+        return total / (len(ordered) * (len(ordered) - 1) // 2)
 
     def expected_survivors(self, sites: Sequence[int]) -> float:
         """Expected number of live replicas of a placement."""

@@ -40,6 +40,8 @@ class ClientPopulation:
             self.weights = np.asarray(list(weights), dtype=float)
             if self.weights.shape != (len(self.clients),):
                 raise ValueError("one weight per client required")
+            if not np.isfinite(self.weights).all():
+                raise ValueError("weights must be finite")
             if np.any(self.weights < 0) or self.weights.sum() <= 0:
                 raise ValueError("weights must be non-negative, sum positive")
 
@@ -83,7 +85,7 @@ class ClientPopulation:
         saturates the anchor's nearest replica and separates queue-aware
         selection strategies from ``nearest`` on tail latency).
         """
-        if exponent < 0:
+        if not exponent >= 0:
             raise ValueError("hotspot exponent must be non-negative")
         weights = [(1.0 / (float(matrix.latency(c, anchor)) + 1.0))
                    ** exponent for c in clients]
@@ -162,12 +164,15 @@ class ZipfObjectPopularity:
         self.keys = tuple(keys)
         if not self.keys:
             raise ValueError("at least one object key required")
-        if exponent < 0:
+        if not exponent >= 0:
             raise ValueError("exponent must be non-negative")
         ranks = np.arange(1, len(self.keys) + 1, dtype=float)
         probs = ranks ** (-exponent)
         self.probs = probs / probs.sum()
         self.exponent = exponent
+        # The CDF Generator.choice(p=self.probs) inverts, built once.
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator) -> str:
         """Draw one object key."""
@@ -179,11 +184,18 @@ class ZipfObjectPopularity:
         Entry ``i`` is the index into :attr:`keys` that :meth:`sample`
         would pick from the same ``rng.random()`` draw (see
         :meth:`ClientPopulation.sample_block` for the CDF equivalence).
+        One binary search per draw: O(B log K) time and no ``(B, K)``
+        temporary.
+
+        >>> popularity = ZipfObjectPopularity(["a", "b", "c"], exponent=1.0)
+        >>> rng = np.random.default_rng(7)
+        >>> picks = popularity.sample_block(np.random.default_rng(7).random(4))
+        >>> picks.tolist() == [popularity.keys.index(popularity.sample(rng))
+        ...                    for _ in range(4)]
+        True
         """
-        u = np.asarray(uniforms, dtype=float)
-        cdf = self.probs.cumsum()
-        cdf /= cdf[-1]
-        return (cdf <= u[:, None]).sum(axis=1)
+        return np.searchsorted(self._cdf, np.asarray(uniforms, dtype=float),
+                               side="right")
 
     def probability_of(self, key: str) -> float:
         """Selection probability of ``key``."""

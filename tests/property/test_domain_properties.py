@@ -33,6 +33,41 @@ def trees(draw, min_regions=1):
 
 
 @st.composite
+def nested_trees(draw):
+    """Any nesting, not only contiguous blocks: every position picks a
+    rack, every rack a DC, every DC a region, ids in arbitrary order."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    rack_of = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    dc_of_rack = draw(st.lists(st.integers(0, 4), min_size=8, max_size=8))
+    region_of_dc = draw(st.lists(st.integers(0, 2), min_size=5,
+                                 max_size=5))
+    dc_of = [dc_of_rack[r] for r in rack_of]
+    return FailureDomains(
+        [region_of_dc[d] for d in dc_of], dc_of, rack_of,
+        p_region=draw(prob), p_dc=draw(prob), p_rack=draw(prob),
+        p_node=draw(prob))
+
+
+def closed_form_risk(domains, sites):
+    """``cofailure_risk`` from its definition: the closed-form joint
+    outage of every sorted pair, summed in order, over the pair count."""
+    ordered = sorted(sites)
+    total, pairs = 0.0, 0
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            q = 1.0
+            for level_p, level_depth in ((domains.p_region, 1),
+                                         (domains.p_dc, 2),
+                                         (domains.p_rack, 3)):
+                if domains.shared_depth(a, b) >= level_depth:
+                    q *= 1.0 - level_p
+            total += (1.0 - 2.0 * domains.p_up
+                      + domains.p_up * domains.p_up / q)
+            pairs += 1
+    return total / pairs
+
+
+@st.composite
 def tree_and_placement(draw, min_regions=1, min_size=2):
     domains = draw(trees(min_regions=min_regions))
     size = draw(st.integers(min_value=min(min_size, domains.n),
@@ -111,6 +146,25 @@ class TestRiskFunctional:
         assert 0.0 <= risk <= 1.0
         survivors = domains.expected_survivors(sites)
         assert 0.0 <= survivors <= len(sites)
+
+
+class TestRiskTable:
+    @given(nested_trees(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_table_equals_closed_form_bitwise(self, domains, data):
+        size = data.draw(st.integers(min_value=min(2, domains.n),
+                                     max_value=min(domains.n, 6)))
+        sites = data.draw(st.permutations(range(domains.n)))[:size]
+        if size < 2:
+            assert domains.cofailure_risk(sites) == 0.0
+            return
+        assert (domains.cofailure_risk(sites)
+                == closed_form_risk(domains, sites))
+        for a in sites:
+            for b in sites:
+                if a != b:
+                    assert (domains.p_pair_down(a, b)
+                            == closed_form_risk(domains, [a, b]))
 
 
 class TestAllDown:

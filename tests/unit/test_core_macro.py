@@ -5,6 +5,7 @@ import pytest
 
 from repro.clustering import MicroClusters
 from repro.core import (
+    DelayEstimator,
     assign_sites,
     estimate_average_delay,
     macro_cluster,
@@ -179,3 +180,26 @@ class TestEstimateAverageDelay:
         # The second centroid is 15/1.5 = 10; weights 0.5 and 1.5.
         value = estimate_average_delay(micros, replicas)
         assert value == pytest.approx((0.5 * 0.0 + 1.5 * 10.0) / 2.0)
+
+
+class TestDelayEstimator:
+    @pytest.mark.parametrize("zero_counts", [False, True])
+    def test_delay_is_np_average_bitwise(self, zero_counts):
+        rng = np.random.default_rng(5)
+        m = 37                  # past numpy's 8-wide pairwise blocks
+        counts = np.zeros(m) if zero_counts else rng.random(m) * 40.0
+        linear = rng.normal(scale=50.0, size=(m, 2))
+        micros = MicroClusters(counts, counts, linear, linear ** 2)
+        dcs = rng.normal(scale=60.0, size=(9, 2))
+        with np.errstate(divide="ignore"):
+            estimator = DelayEstimator(micros, dcs, rng.random(9) * 3.0)
+        weights = counts
+        if zero_counts:
+            # All-zero counts fall back to uniform weights.  Their
+            # centroids divide by zero, so give the fallback finite costs.
+            weights = np.ones(m)
+            estimator.cost = rng.random((m, 9)) * 100.0
+        for sites in ([4], [0, 8], [2, 5, 7], list(range(9))):
+            nearest = estimator.cost[:, sites].min(axis=1)
+            assert (estimator.delay(sites)
+                    == float(np.average(nearest, weights=weights)))

@@ -160,6 +160,16 @@ class TestCoFailureModel:
         with pytest.raises(ValueError, match="distinct"):
             tree.cofailure_risk([1, 1, 2])
 
+    def test_cofailure_risk_rejects_bad_sites(self, tree):
+        with pytest.raises(ValueError, match="distinct"):
+            tree.cofailure_risk([3, 5, 3])
+        with pytest.raises(IndexError):
+            tree.cofailure_risk([0, tree.n])
+        with pytest.raises(IndexError):
+            tree.p_pair_down(0, tree.n)
+        with pytest.raises(ValueError, match="outside"):
+            tree.p_pair_down(tree.n, tree.n)
+
     def test_cofailure_risk_rewards_spreading(self, tree):
         packed = tree.cofailure_risk([0, 1, 2])      # one DC
         spread = tree.cofailure_risk([0, 4, 8])      # rack/DC/region split

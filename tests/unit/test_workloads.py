@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ class TestClientPopulation:
             ClientPopulation([1, 2], [1.0])
         with pytest.raises(ValueError, match="non-negative"):
             ClientPopulation([1, 2], [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # Accepted, it made sample_block return client 0 for every draw
+        # while sample raised on the NaN probabilities.
+        with pytest.raises(ValueError, match="finite"):
+            ClientPopulation([1, 2], [1.0, bad])
+
+    def test_nan_hotspot_exponent_rejected(self):
+        matrix = small_matrix(6, seed=0)
+        with pytest.raises(ValueError, match="exponent"):
+            ClientPopulation.hotspot(range(6), matrix, anchor=0,
+                                     exponent=float("nan"))
 
     def test_uniform_sampling_covers_all(self):
         pop = ClientPopulation.uniform([5, 6, 7])
@@ -94,6 +108,8 @@ class TestZipf:
             ZipfObjectPopularity([])
         with pytest.raises(ValueError, match="exponent"):
             ZipfObjectPopularity(["a"], exponent=-1.0)
+        with pytest.raises(ValueError, match="exponent"):
+            ZipfObjectPopularity(["a", "b"], exponent=float("nan"))
 
     def test_rank_ordering(self):
         pop = ZipfObjectPopularity(["a", "b", "c"], exponent=1.0)
@@ -109,6 +125,48 @@ class TestZipf:
         rng = np.random.default_rng(0)
         draws = [pop.sample(rng) for _ in range(500)]
         assert draws.count("a") > draws.count("c")
+
+
+def _keys(k):
+    return [f"k{i}" for i in range(k)]
+
+
+class TestZipfSampleBlock:
+    @pytest.mark.parametrize("k", [1, 2, 7, 10_000])
+    def test_equals_sample_on_one_stream(self, k):
+        pop = ZipfObjectPopularity(_keys(k), exponent=0.9)
+        scalar = np.random.default_rng(11)
+        draws = [int(pop.sample(scalar)[1:]) for _ in range(500)]
+        block = pop.sample_block(np.random.default_rng(11).random(500))
+        assert block.tolist() == draws
+
+    @pytest.mark.parametrize("k", [1, 2, 10_000])
+    def test_equals_the_comparison_count_at_the_edges(self, k):
+        pop = ZipfObjectPopularity(_keys(k), exponent=0.9)
+        cdf = pop.probs.cumsum()      # what Generator.choice inverts
+        cdf /= cdf[-1]
+        # u = 0, u exactly on CDF entries (both neighbours of a step),
+        # and the largest double below 1.
+        on_steps = cdf[::max(1, k // 50)]
+        u = np.concatenate([[0.0], on_steps, np.nextafter(on_steps, 0.0),
+                            [cdf[-1], np.nextafter(1.0, 0.0)]])
+        expected = (cdf <= u[:, None]).sum(axis=1)
+        got = pop.sample_block(u)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == expected.tolist()
+
+    def test_memory_does_not_grow_with_block_times_keys(self):
+        pop = ZipfObjectPopularity(_keys(10_000), exponent=0.9)
+        u = np.random.default_rng(0).random(20_000)
+        tracemalloc.start()
+        try:
+            pop.sample_block(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (block, keys) comparison matrix would be 200 MB here; one
+        # int64 index per draw is 160 kB.
+        assert peak < 4 * u.nbytes
 
 
 class TestTemporalPatterns:

@@ -69,15 +69,17 @@ class StorageServer(Node):
         #: FIFO service queue (inert unless the store configures
         #: queueing; reads then wait behind earlier admitted work).
         self.queue = ServerQueue()
-
-    # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        handler = {
+        #: message kind -> handler, built once per server.
+        self._handlers = {
             "read-req": self._on_read,
             "write-req": self._on_write,
             "replicate": self._on_replicate,
             "summary": self._on_summary,
-        }.get(message.kind)
+        }
+
+    # ------------------------------------------------------------------
+    def handle_message(self, message: Message) -> None:
+        handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(f"server got unexpected message {message.kind!r}")
         handler(message)

@@ -75,8 +75,11 @@ def _as_columns(segment) -> list[np.ndarray]:
                 for column, dtype in zip(zip(*segment), _DTYPES)]
     if isinstance(segment[_KIND], str):
         segment = list(segment)
-        segment[_KIND] = np.full(len(segment[_TIME]), segment[_KIND],
-                                 dtype=object)
+        # Every row refers to the one ``str``: ``np.full`` would box a
+        # copy per row.
+        kinds = np.empty(len(segment[_TIME]), dtype=object)
+        kinds.fill(segment[_KIND])
+        segment[_KIND] = kinds
     return [np.asarray(column, dtype=dtype)
             for column, dtype in zip(segment, _DTYPES)]
 

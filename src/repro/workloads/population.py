@@ -10,6 +10,11 @@ from repro.net.topology import GeoTopology
 
 __all__ = ["ClientPopulation", "ZipfObjectPopularity"]
 
+#: Weights one chunk of a modulated :meth:`ClientPopulation.sample_block`
+#: holds at once (rows × clients): each CDF temporary stays at half a
+#: megabyte however long the block.
+_CHUNK_ELEMENTS = 1 << 16
+
 
 class ClientPopulation:
     """Which client nodes issue requests, and how intensely.
@@ -127,25 +132,30 @@ class ClientPopulation:
             cdf = (self.weights / self.weights.sum()).cumsum()
             cdf /= cdf[-1]
             idx = np.searchsorted(cdf, u, side="right")
-            return np.asarray(self.clients, dtype=int)[idx]
         else:
             modulation = np.asarray(modulation, dtype=float)
             if modulation.shape != (u.size, n):
                 raise ValueError("one modulation factor per access "
                                  "and client required")
-            weights = self.weights * modulation
-            totals = weights.sum(axis=1)
-            suppressed = totals <= 0
-            if suppressed.any():
-                weights = weights.copy()
-                weights[suppressed] = self.weights
-                totals[suppressed] = self.weights.sum()
-        # Generator.choice(n, p=p) draws one unit uniform and inverts
-        # the re-normalized CDF with searchsorted(..., side="right");
-        # (cdf <= u).sum() is the same count, batched.
-        cdf = (weights / totals[:, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        idx = (cdf <= u[:, None]).sum(axis=1)
+            # Rows are independent draws, so chunks of rows give the
+            # same bits as the whole block at once.
+            idx = np.empty(u.size, dtype=np.intp)
+            step = max(1, _CHUNK_ELEMENTS // n)
+            for lo in range(0, u.size, step):
+                rows = slice(lo, lo + step)
+                weights = self.weights * modulation[rows]
+                totals = weights.sum(axis=1)
+                suppressed = totals <= 0
+                if suppressed.any():
+                    weights[suppressed] = self.weights
+                    totals[suppressed] = self.weights.sum()
+                # Generator.choice(n, p=p) draws one unit uniform and
+                # inverts the re-normalized CDF with searchsorted(...,
+                # side="right"); (cdf <= u).sum() is the same count,
+                # batched.
+                cdf = (weights / totals[:, None]).cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                idx[rows] = (cdf <= u[rows, None]).sum(axis=1)
         return np.asarray(self.clients, dtype=int)[idx]
 
     def index_of(self, client: int) -> int:

@@ -5,12 +5,14 @@ summary whose recovered variance must never go negative however the
 floating point falls.  The block kernel
 :func:`repro.kernels.cf.absorb_stream` must agree with its scalar twin
 and across its two regimes, and must not depend on how a stream is cut
-into blocks.
+into blocks.  Adversarial streams check the list regime's certified
+merge-backs against both.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
@@ -195,3 +197,94 @@ def test_list_and_column_regimes_agree_on_tied_letters(case):
         for a, b in zip(lists[:4], columns[:4]):
             assert a.shape == b.shape
             np.testing.assert_array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# Certified merge-backs on adversarial streams
+# ----------------------------------------------------------------------
+#: Stream families where a bound on the old pairs could be wrong: exact
+#: ties on a lattice, every point three times, squared distances near
+#: underflow, coordinates that cancel at 1e12, and free draws; the
+#: family's distance scale sizes its radius floor.
+FAMILIES = {"lattice": 2.0, "repeats": 10.0, "tiny": 1e-140,
+            "offset": 1e-3, "free": 10.0}
+FLOOR_FACTORS = (0.0, 0.5, 1.0, 3.0)
+WEIGHTINGS = ("ones", "bytes")
+
+
+def adversarial_stream(family, d, n, seed):
+    """``n`` points of one family of :data:`FAMILIES` in ``d`` dims."""
+    rng = np.random.default_rng(seed)
+    if family == "lattice":
+        return 2.0 * rng.integers(-3, 4, size=(n, d))
+    if family == "repeats":
+        return np.repeat(rng.uniform(-50, 50, size=(n, d)), 3, axis=0)[:n]
+    if family == "tiny":
+        return 1e-140 * rng.uniform(-1, 1, size=(n, d))
+    if family == "offset":
+        return 1e12 + rng.uniform(-1e-3, 1e-3, size=(n, d))
+    return rng.normal(0, 30, size=(n, d))
+
+
+def check_merge_backs(family, d, n, seed, budget, floor_factor, carried,
+                      weighting):
+    """From rows the kernel left after the first ``carried`` points, the
+    rest of the stream through the list regime, the column regime and,
+    for d <= 2, the scalar twin: rows and event counts all equal.  At
+    d = 3 the twin sums squares in another order, so a point one
+    deviation out can absorb in one and spawn in the other, and on a
+    lattice with floor 0 the spawn can then merge an equally close old
+    pair: rows part too, with or without certificates."""
+    points = adversarial_stream(family, d, n, seed)
+    weights = (np.ones(n) if weighting == "ones" else
+               np.random.default_rng(seed).integers(1, 2 ** 20, n) * 1.0)
+    floor = floor_factor * FAMILIES[family]
+    start = cfk.absorb_stream(
+        np.zeros(0), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)),
+        points[:carried], weights[:carried], floor, budget)[:4]
+    args = (*start, points[carried:], weights[carried:], floor, budget)
+    results = []
+    for crossover in (budget + 1, 0):       # lists, then columns
+        with mock.patch.object(cfk, "CROSSOVER", crossover):
+            results.append(cfk.absorb_stream(*args))
+    lists, columns = results
+    others = [columns]
+    if d <= 2:
+        others.append(ref.absorb_stream(*args))
+    for other in others:
+        assert other[4] == lists[4]
+        for a, b in zip(lists[:4], other[:4]):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def adversarial_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return (draw(st.sampled_from(sorted(FAMILIES))),
+            draw(st.integers(min_value=1, max_value=3)), n,
+            draw(st.integers(min_value=0, max_value=2 ** 32 - 1)),
+            draw(st.integers(min_value=1, max_value=8)),
+            draw(st.sampled_from(FLOOR_FACTORS)),
+            draw(st.integers(min_value=0, max_value=n)),
+            draw(st.sampled_from(WEIGHTINGS)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(adversarial_cases())
+def test_certified_merge_backs_equal_the_twin_and_the_columns(case):
+    check_merge_backs(*case)
+
+
+@pytest.mark.slow
+def test_certified_merge_backs_on_ten_thousand_seeded_streams():
+    rng = np.random.default_rng(43)
+    families = sorted(FAMILIES)
+    for _ in range(10_000):
+        n = int(rng.integers(1, 41))
+        check_merge_backs(
+            families[rng.integers(len(families))], int(rng.integers(1, 4)),
+            n, int(rng.integers(2 ** 32)), int(rng.integers(1, 9)),
+            FLOOR_FACTORS[rng.integers(len(FLOOR_FACTORS))],
+            int(rng.integers(0, n + 1)),
+            WEIGHTINGS[rng.integers(len(WEIGHTINGS))])

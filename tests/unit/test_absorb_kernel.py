@@ -310,3 +310,59 @@ def test_column_regime_numpy_work_is_linear_and_blind_to_repeats(
     per_point = (total[5_000] - total[500]) / 4_500
     assert per_point == (total[500] - total[50]) / 450 > 0
     assert total[50] - 50 * per_point == total[500] - 500 * per_point
+
+
+# ----------------------------------------------------------------------
+# Certified merge-backs: the list regime takes the absorb path for a
+# spawn only when every old pair is provably farther apart than the
+# point is from its nearest cluster
+# ----------------------------------------------------------------------
+def absorb_both(points, m, floor, start=None):
+    """The kernel and its scalar twin on one d = 2 stream."""
+    points = np.array(points, dtype=float)
+    start = empty_rows(2) if start is None else start
+    return (impl.absorb_stream(*start, points, np.ones(len(points)), floor, m)
+            for impl in (cfk, ref))
+
+
+def test_carried_pairs_are_never_trusted():
+    # The carried rows (0, 0) and (1, 0) are 1 apart, but their pair
+    # entry is a placeholder until the first merge: the point (0, 3),
+    # 3 from its nearest, must not merge back.
+    rows = (np.ones(2), np.ones(2), np.array([[0.0, 0.0], [1.0, 0.0]]),
+            np.array([[0.0, 0.0], [1.0, 0.0]]))
+    got, want = absorb_both([[0.0, 3.0]], 2, 0.1, rows)
+    assert got[0].tolist() == [2.0, 1.0]
+    assert got[2].tolist() == [[1.0, 0.0], [0.0, 3.0]]
+    assert got[4] == {"spawned": 1, "absorbed": 0, "merged": 1}
+    assert_rows_equal(got, want)
+    assert got[4] == want[4]
+
+
+@pytest.mark.parametrize("stream, merged", [
+    # Absorbs drag the rows at 0 and 10 to 2.5 and 8.5 while their pair
+    # entry still reads 10; the last point is 8 from its nearest.
+    ([(0, 0), (10, 0), (100, 0), (3, 0), (4.5, 0), (7, 0), (5.5, 0),
+      (100, 8)], [[30.0, 0.0], [100.0, 0.0], [100.0, 8.0]]),
+    # A merge moves its kept row from 0 to 5, 15 from the row at 20,
+    # whose pair entry still reads 20; the last point is 17 from its
+    # nearest.
+    ([(0, 0), (10, 0), (100, 0), (20, 0), (100, 17)],
+     [[30.0, 0.0], [100.0, 0.0], [100.0, 17.0]]),
+], ids=["absorbs", "merge"])
+def test_moved_centroids_void_the_certificate(stream, merged):
+    got, want = absorb_both(stream, 3, 3.0)
+    assert got[2].tolist() == merged
+    assert_rows_equal(got, want)
+    assert got[4] == want[4]
+
+
+def test_a_tie_with_an_old_pair_takes_the_first_pair():
+    # The point (0, 2) is 2 from (0, 0), and so are (0, 0) and (2, 0):
+    # the old pair comes first in row-major order and merges.
+    got, want = absorb_both([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 2, 0.1)
+    assert got[0].tolist() == [2.0, 1.0]
+    assert got[2].tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    assert got[4] == {"spawned": 3, "absorbed": 0, "merged": 1}
+    assert_rows_equal(got, want)
+    assert got[4] == want[4]

@@ -17,6 +17,7 @@ from repro.store import (
     ReplicatedStore,
 )
 from repro.sim import Simulator
+from repro.sim.node import Message
 
 
 def build_store(selection="oracle", consistency=None, seed=0, n=20):
@@ -163,6 +164,11 @@ class TestReads:
         sim, matrix, store = build_store()
         with pytest.raises(KeyError):
             store.route_read(10, "ghost")
+
+    def test_server_rejects_an_unexpected_message_kind(self):
+        _, _, store = build_store()
+        with pytest.raises(ValueError, match="unexpected message 'read-rep'"):
+            store.servers[0].handle_message(Message(10, 0, "read-rep"))
 
 
 class TestSummaryFolds:

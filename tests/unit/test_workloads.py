@@ -86,6 +86,33 @@ class TestClientPopulation:
                             modulation=np.zeros(2))
         assert client in (1, 2)
 
+    def test_modulated_block_equals_sample_draw_for_draw(self):
+        pop = ClientPopulation(range(7), [1.0, 2.0, 0.5, 0.0, 3.0, 1.0, 4.0])
+        rng = np.random.default_rng(3)
+        modulation = rng.uniform(0.0, 2.0, size=(40_000, 7))
+        modulation[rng.random(40_000) < 0.3, 1::2] = 0.0
+        modulation[5] = 0.0                 # a fully suppressed row
+        u = np.random.default_rng(4).random(40_000)
+        got = pop.sample_block(u, modulation)
+        draws = np.random.default_rng(4)
+        assert got.tolist() == [pop.sample(draws, row)
+                                for row in modulation]
+
+    def test_modulated_block_memory_does_not_grow_with_the_block(self):
+        pop = ClientPopulation(range(226))
+        modulation = np.random.default_rng(0).uniform(
+            0.5, 1.5, size=(20_000, 226))
+        u = np.random.default_rng(1).random(20_000)
+        tracemalloc.start()
+        try:
+            pop.sample_block(u, modulation)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (block, clients) weight, CDF and comparison temporaries would
+        # be about three times the 36 MB modulation input.
+        assert peak < modulation.nbytes / 8
+
     def test_region_weighted(self, topology):
         clients = list(range(topology.n))
         target = topology.region_name(0)

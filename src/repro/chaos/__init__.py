@@ -9,7 +9,9 @@ partitions, flaky links, a coordinator assassination — and
 failure-free baseline of the same world, through the parallel runner.
 The headline number is the latency ratio: how much the faults cost the
 control loop (coordinator failover, migration retry/rollback, degraded
-epochs) compared to fair weather.
+epochs) compared to fair weather.  :func:`~repro.chaos.harness.catalog_grid`
+runs a catalog scenario's fault-free arm over a grid of keyspace sizes
+and shard counts (``repro catalog``).
 
 See ``docs/chaos.md`` for the scenario format and the failover
 protocol, and ``examples/chaos/`` for ready-to-run scenarios.
@@ -18,8 +20,10 @@ protocol, and ``examples/chaos/`` for ready-to-run scenarios.
 from repro.chaos.harness import (
     ChaosRunResult,
     ChaosRunSpec,
+    catalog_grid,
     chaos_summary_json,
     format_chaos,
+    format_grid,
     run_chaos,
     run_scenario,
 )
@@ -30,8 +34,10 @@ __all__ = [
     "ChaosRunSpec",
     "ChaosScenario",
     "FaultSpec",
+    "catalog_grid",
     "chaos_summary_json",
     "format_chaos",
+    "format_grid",
     "load_scenario",
     "run_chaos",
     "run_scenario",

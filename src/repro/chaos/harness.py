@@ -18,7 +18,7 @@ only from its own named simulator streams (``retry-jitter``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,7 +35,8 @@ from repro.runner.jobs import seed_sequence, spec_payload
 from repro.runner.pool import execute
 
 __all__ = ["ChaosRunResult", "ChaosRunSpec", "live_world", "run_scenario",
-           "run_chaos", "format_chaos", "chaos_summary_json"]
+           "run_chaos", "catalog_grid", "format_chaos", "format_grid",
+           "chaos_summary_json"]
 
 #: Stream tags mixed into seed_sequence keys (arbitrary, fixed).
 _CANDIDATES_STREAM = 101
@@ -118,9 +119,9 @@ def live_world(n_nodes: int, n_dc: int, seed: int, run_index: int = 0,
     Returns ``(sim, matrix, planar, candidates, clients)``: a simulator
     seeded from ``(seed, run_index)``, the synthetic RTT matrix of
     ``seed``, its 40-round embedding cut to three planar dimensions and
-    the candidate/client split.  Chaos runs and catalog cells both build
-    through here, so the same master seed reproduces the same world in
-    either.
+    the candidate/client split.  Every scenario run, single-object or
+    catalog, faulty or fault-free, builds through here, so the same
+    master seed reproduces the same world in each.
     """
     from repro.analysis.experiment import draw_candidates
     from repro.coords import embed_matrix
@@ -427,6 +428,30 @@ def run_chaos(scenario: ChaosScenario, **runner) -> dict[str, Any]:
     }
 
 
+def catalog_grid(scenario: ChaosScenario, keys: Sequence[int],
+                 shards: Sequence[int], **runner) -> list[dict[str, Any]]:
+    """Pool a scenario's fault-free arm over an ``(n_keys, n_shards)`` grid.
+
+    Each cell is the scenario with its faults dropped and its catalog
+    resized; every run index of every cell is one
+    :class:`ChaosRunSpec` through the parallel runner, and a cell's runs
+    pool with the chaos summary's own aggregation.  Rows come back keys
+    outer, shards inner, bit-identical at any ``jobs`` level.
+    ``**runner``: forwarded to :func:`repro.runner.execute`.
+    """
+    cells = [replace(scenario, n_keys=n_keys, n_shards=n_shards, faults=())
+             for n_keys in keys for n_shards in shards]
+    runs = scenario.runs
+    specs = [ChaosRunSpec(cell, run_index, faulty=False)
+             for cell in cells for run_index in range(runs)]
+    with obs.get_registry().phase("catalog.grid"):
+        results = execute(specs, **runner)
+    return [{"n_keys": cell.n_keys, "n_shards": cell.n_shards,
+             "groups": -(-cell.n_keys // cell.keys_per_group),
+             **_aggregate(results[i * runs:(i + 1) * runs])}
+            for i, cell in enumerate(cells)]
+
+
 def chaos_summary_json(summary: dict[str, Any]) -> str:
     """Canonical JSON form of a chaos summary (sorted keys)."""
     import json
@@ -486,4 +511,24 @@ def format_chaos(summary: dict[str, Any]) -> str:
     lines.append("")
     lines.append(f"latency ratio (faulty / baseline): "
                  f"{summary['latency_ratio']:.3f}")
+    return "\n".join(lines)
+
+
+_GRID_COLUMNS = (
+    ("keys", "n_keys"), ("shards", "n_shards"), ("groups", "groups"),
+    ("reads", "reads_completed"), ("mean delay (ms)", "mean_delay_ms"),
+    ("p99 (ms)", "p99_ms"), ("p999 (ms)", "p999_ms"), ("epochs", "epochs"),
+    ("migrations", "migrations"), ("failovers", "failovers"),
+)
+
+
+def format_grid(name: str, rows: Sequence[dict[str, Any]]) -> str:
+    """Human-readable table of a :func:`catalog_grid`, one row per cell."""
+    header = " | ".join(f"{label:>15}" for label, _ in _GRID_COLUMNS)
+    lines = [f"catalog grid over scenario {name!r} (fault-free): "
+             f"{len(rows)} cell(s)", "", header, "-" * len(header)]
+    for row in rows:
+        lines.append(" | ".join(
+            f"{row[key]:>15.2f}" if isinstance(row[key], float)
+            else f"{row[key]:>15}" for _, key in _GRID_COLUMNS))
     return "\n".join(lines)

@@ -51,7 +51,6 @@ region → DC → rack failure-domain tree (:mod:`repro.net.domains`)::
     p_dc = 0.05                   #   the co-failure *model* the placer
     p_rack = 0.10                 #   optimizes against
     p_node = 0.02
-    domain_assignment = "proximity"   # or "contiguous"
 
     [[faults]]
     kind = "domain-outage"        # crash every member of one domain
@@ -246,7 +245,6 @@ class ChaosScenario:
     p_dc: float = 0.0
     p_rack: float = 0.0
     p_node: float = 0.0
-    domain_assignment: str = "proximity"
     # Workload
     rate_per_second: float = 120.0
     duration_ms: float = 60_000.0
@@ -284,10 +282,6 @@ class ChaosScenario:
         if not self.settle_ms >= 0:
             raise ValueError("settle_ms must be non-negative, "
                              f"got {self.settle_ms!r}")
-        if self.domain_assignment not in ("proximity", "contiguous"):
-            raise ValueError(f"unknown domain_assignment "
-                             f"{self.domain_assignment!r} "
-                             "(use 'proximity' or 'contiguous')")
         if self.regions < 0:
             raise ValueError("regions must be non-negative")
         if self.regions > 0:
@@ -376,29 +370,19 @@ class ChaosScenario:
             service_sigma=self.service_sigma,
             queue_capacity=self.queue_capacity)
 
-    def build_domains(self, matrix: "LatencyMatrix | None" = None,
-                      candidates: Any = None) -> FailureDomains | None:
+    def build_domains(self, matrix: "LatencyMatrix",
+                      candidates: Any) -> FailureDomains | None:
         """Materialize the failure-domain annotation, or ``None``.
 
-        ``"proximity"`` assignment derives racks/DCs/regions from the
-        run's ground-truth RTTs (pass the run's matrix and candidate
-        node ids); ``"contiguous"`` slices candidate positions evenly
-        and needs neither.
+        Racks/DCs/regions group mutually-near candidates by the run's
+        ground-truth RTTs (the run's matrix and candidate node ids).
         """
         if self.regions == 0:
             return None
-        probs = dict(p_region=self.p_region, p_dc=self.p_dc,
-                     p_rack=self.p_rack, p_node=self.p_node)
-        if self.domain_assignment == "contiguous":
-            return FailureDomains.contiguous(
-                self.n_dc, self.regions, self.dcs_per_region,
-                self.racks_per_dc, **probs)
-        if matrix is None or candidates is None:
-            raise ValueError("proximity domain assignment needs the run's "
-                             "latency matrix and candidate node ids")
         return FailureDomains.from_matrix(
             matrix, candidates, self.regions, self.dcs_per_region,
-            self.racks_per_dc, **probs)
+            self.racks_per_dc, p_region=self.p_region, p_dc=self.p_dc,
+            p_rack=self.p_rack, p_node=self.p_node)
 
 
 def _parse_fault(entry: dict, index: int, source: str) -> FaultSpec:

@@ -9,7 +9,7 @@ Usage::
     python -m repro coords  [options]      # coordinate-system ablation
     python -m repro sweep SPEC [options]   # declarative sweep (JSON/TOML)
     python -m repro chaos SCENARIO [opts]  # chaos run (faults vs baseline)
-    python -m repro catalog [options]      # sharded multi-key catalog sweep
+    python -m repro catalog SCENARIO       # keys x shards grid, fault-free
     python -m repro report  --out FILE     # full Markdown reproduction report
     python -m repro matrix  --out FILE     # dump the synthetic RTT matrix
 
@@ -198,25 +198,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    from dataclasses import fields
+    import csv
 
-    from repro.catalog import (
-        CatalogRunSpec,
-        catalog_to_csv,
-        format_catalog,
-        run_catalog_sweep,
-    )
+    from repro.chaos import catalog_grid, format_grid, load_scenario
 
-    # Every other CatalogRunSpec field is a flag whose dest is its name.
-    cell = {f.name: getattr(args, f.name) for f in fields(CatalogRunSpec)
-            if f.name not in ("n_keys", "n_shards")}
-    rows = run_catalog_sweep(
-        [CatalogRunSpec(n_keys=n_keys, n_shards=n_shards, **cell)
-         for n_keys in args.keys for n_shards in args.shards],
-        **_runner_kwargs(args))
-    print(format_catalog(rows))
+    scenario = load_scenario(args.scenario)
+    rows = catalog_grid(scenario, args.keys, args.shards,
+                        **_runner_kwargs(args))
+    print(format_grid(scenario.name, rows))
     if args.csv:
-        catalog_to_csv(rows, args.csv)
+        with open(args.csv, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"\nwrote {args.csv}")
     return 0
 
@@ -299,53 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     pz.set_defaults(func=_cmd_chaos)
 
     pg = sub.add_parser("catalog",
-                        help="sweep a sharded multi-key catalog over "
+                        help="run a catalog scenario's fault-free arm over "
                              "keyspace and shard-count grids")
-    pg.add_argument("--keys", type=int, nargs="+", default=[100, 1_000],
-                    metavar="N", help="keyspace sizes to sweep")
-    pg.add_argument("--shards", type=int, nargs="+", default=[1, 4, 16],
-                    metavar="N", help="shard counts to sweep")
-    pg.add_argument("--grouping", default="chunked",
-                    choices=("none", "chunked", "audience"),
-                    help="how keys fold into placement groups")
-    pg.add_argument("--group-size", type=int, default=10,
-                    help="keys per group for --grouping chunked")
-    pg.add_argument("--nodes", dest="n_nodes", type=int, default=64,
-                    help="emulated nodes in the synthetic world")
-    pg.add_argument("--dc", dest="n_dc", type=int, default=12,
-                    help="candidate data centers")
-    pg.add_argument("--seed", type=int, default=0, help="master seed")
-    pg.add_argument("--k", type=int, default=3, help="degree of replication")
-    pg.add_argument("--rate", dest="rate_per_second", type=float,
-                    default=200.0,
-                    help="aggregate request rate (per second)")
-    pg.add_argument("--duration-ms", type=float, default=60_000.0,
-                    help="simulated horizon per cell")
-    pg.add_argument("--epoch-period-ms", type=float, default=10_000.0,
-                    help="placement epoch period per unit")
-    pg.add_argument("--epoch-stagger", type=float, default=1.0,
-                    help="fraction of the period over which per-unit "
-                         "epoch phases spread (0..1)")
-    pg.add_argument("--max-epoch-moves", type=int, default=None,
-                    metavar="N",
-                    help="global per-window migration budget across "
-                         "all shards")
-    pg.add_argument("--strategy", default="nearest",
-                    choices=("nearest", "least-pending", "c3"),
-                    help="replica selection strategy clients use")
-    pg.add_argument("--service-model", default="none",
-                    choices=("none", "deterministic", "lognormal"),
-                    help="per-server service-time model (none keeps "
-                         "instant servers)")
-    pg.add_argument("--service-ms", type=float, default=0.0,
-                    help="service time in ms (deterministic), or the "
-                         "lognormal median")
-    pg.add_argument("--service-sigma", type=float, default=0.5,
-                    help="lognormal log-space standard deviation")
-    pg.add_argument("--queue-capacity", type=int, default=None,
-                    metavar="N",
-                    help="bound each server's FIFO queue; excess reads "
-                         "are rejected and counted")
+    pg.add_argument("scenario", metavar="SCENARIO",
+                    help="chaos scenario file (.toml or .json); its faults "
+                         "are dropped and its catalog resized per cell")
+    pg.add_argument("--keys", type=_positive_int, nargs="+",
+                    default=[100, 1_000], metavar="N",
+                    help="keyspace sizes to sweep")
+    pg.add_argument("--shards", type=_positive_int, nargs="+",
+                    default=[1, 4, 16], metavar="N",
+                    help="shard counts to sweep")
     pg.add_argument("--csv", default=None, metavar="FILE",
                     help="also export the rows as CSV")
     _add_metrics_arg(pg)

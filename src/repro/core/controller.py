@@ -57,9 +57,6 @@ class ControllerConfig:
         Enable demand-driven adjustment of *k* within ``[k_min, k_max]``.
     demand_high / demand_low:
         Accesses per epoch above/below which *k* grows/shrinks by one.
-    summary_decay:
-        Exponential decay applied to summaries at each epoch instead of a
-        full reset (``None`` reproduces the paper's reset behaviour).
     write_aware:
         Summarize writes separately and place with
         :func:`~repro.core.readwrite.place_replicas_rw`, pricing update
@@ -88,7 +85,6 @@ class ControllerConfig:
     k_max: int = 7
     demand_high: int = 10_000
     demand_low: int = 100
-    summary_decay: float | None = None
     write_aware: bool = False
     availability_lambda: float = 0.0
     max_epoch_moves: int | None = None
@@ -103,8 +99,6 @@ class ControllerConfig:
                 raise ValueError("need k_min <= k <= k_max with k_min >= 1")
             if self.demand_low >= self.demand_high:
                 raise ValueError("demand_low must be below demand_high")
-        if self.summary_decay is not None and not 0.0 < self.summary_decay <= 1.0:
-            raise ValueError("summary decay must lie in (0, 1]")
         if not self.availability_lambda >= 0:
             raise ValueError("availability lambda must be non-negative: "
                              f"availability_lambda={self.availability_lambda!r}")
@@ -557,17 +551,14 @@ class ReplicationController:
     # Internals
     # ------------------------------------------------------------------
     def _new_summary(self) -> ReplicaAccessSummary:
-        decay = self.config.summary_decay or 1.0
         return ReplicaAccessSummary(self.config.max_micro_clusters,
-                                    self.config.radius_floor, decay)
+                                    self.config.radius_floor)
 
     def _roll_summaries(self, migrated: bool) -> None:
         """Refresh per-site summaries after an epoch.
 
-        On migration every new site starts a fresh summary.  Otherwise
-        the paper's default is a reset (a new observation window); with
-        ``summary_decay`` configured, statistics are decayed instead so
-        slow-moving populations persist across epochs.
+        On migration every new site starts a fresh summary; otherwise
+        each summary resets (the paper's new observation window).
         """
         if migrated:
             self._summaries = {s: self._new_summary() for s in self.sites}
@@ -576,10 +567,7 @@ class ReplicationController:
             return
         for summaries in (self._summaries, self._write_summaries):
             for summary in summaries.values():
-                if self.config.summary_decay is None:
-                    summary.reset()
-                else:
-                    summary.age()
+                summary.reset()
 
     def _adapt_k(self, accesses: int) -> None:
         if accesses >= self.config.demand_high and self.k < self.config.k_max:

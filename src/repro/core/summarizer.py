@@ -38,25 +38,16 @@ class ReplicaAccessSummary:
         immediately force a merge of) a cluster.  The floor gives young
         clusters a small catchment area; the ablation benchmark
         quantifies its effect.
-    decay:
-        Optional exponential decay in ``(0, 1]`` applied to all cluster
-        statistics at every :meth:`age` call.  ``1.0`` (default) keeps
-        the paper's plain accumulate-then-reset behaviour; smaller values
-        let a long-lived summary track shifting populations, which the
-        controller uses between placement epochs.
     """
 
     def __init__(self, max_micro_clusters: int = 100,
-                 radius_floor: float = 5.0, decay: float = 1.0) -> None:
+                 radius_floor: float = 5.0) -> None:
         if max_micro_clusters < 1:
             raise ValueError("need at least one micro-cluster")
         if radius_floor < 0:
             raise ValueError("radius floor must be non-negative")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
         self.max_micro_clusters = max_micro_clusters
         self.radius_floor = radius_floor
-        self.decay = decay
         self.reset()
 
     # ------------------------------------------------------------------
@@ -146,27 +137,6 @@ class ReplicaAccessSummary:
             for event, total in stats.items():
                 if total:
                     registry.counter(f"clustering.micro.{event}").inc(total)
-
-    def age(self) -> None:
-        """Start a new window, keeping decayed history.
-
-        The per-window counters ``accesses`` and ``bytes_served`` restart
-        at zero, as after :meth:`reset`; the micro-clusters instead take
-        one step of exponential decay (none with ``decay == 1``).  Counts
-        are scaled rather than truncated so centroids and deviations are
-        unchanged; clusters whose decayed count drops below a small
-        threshold are dropped.
-        """
-        self.accesses = 0
-        self.bytes_served = 0.0
-        if self.decay == 1.0:
-            return
-        old = self.clusters
-        counts = old.counts * self.decay
-        keep = counts >= 0.05
-        self.clusters = MicroClusters(
-            counts[keep], (old.weights * self.decay)[keep],
-            (old.linear * self.decay)[keep], (old.square * self.decay)[keep])
 
     def __len__(self) -> int:
         return len(self.clusters)

@@ -6,9 +6,9 @@ payload`) plus a code-version salt.  The key is a pure function of the
 job's *configuration* — never of when or where it ran — so an
 interrupted sweep can resume from every job that finished, and two
 machines running the same sweep address the same entries.  The stored
-result is plain JSON (a number, or a dataclass / dict as its field
-mapping); a read rebuilds it through the spec's ``result_type``, so the
-cache knows no result class by name.
+result is plain JSON (a number, or a dataclass as its field mapping);
+a read rebuilds it through the spec's ``result_type``, so the cache
+knows no result class by name.
 
 Every entry lives directly in the cache directory as ``<key>.json``:
 one flat directory, no fan-out.  Crash safety comes from the write
@@ -60,13 +60,11 @@ def cache_key(spec: Any, salt: str | None = None) -> str:
 
 
 def _encode_result(result: Any) -> Any:
-    """JSON-able form of a job result: a number, dataclass or dict."""
+    """JSON-able form of a job result: a number or a dataclass."""
     if isinstance(result, (int, float)):
         return float(result)
     if is_dataclass(result):
         return asdict(result)
-    if isinstance(result, dict):
-        return result
     raise TypeError(f"cannot cache result of type {type(result).__name__}")
 
 
@@ -95,7 +93,7 @@ def _decode_result(encoded: Any, result_type: type) -> Any:
         return float(encoded)
     if not isinstance(encoded, dict):
         raise TypeError(f"cached result {encoded!r} is not a JSON object")
-    return encoded if result_type is dict else result_type(**encoded)
+    return result_type(**encoded)
 
 
 #: Sentinel distinguishing "cache miss" from a legitimately falsy result.

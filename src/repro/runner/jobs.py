@@ -171,8 +171,8 @@ class JobSpec(Protocol):
     #: What a worker builds the cell's world from (memoized per
     #: process); ``None`` when the cell carries or needs no world.
     setting: "EvaluationSetting | None"
-    #: Type of the value ``execute`` returns — a number, a dataclass or
-    #: a JSON-able ``dict``; the result cache decodes an entry through it.
+    #: Type of the value ``execute`` returns — a number or a dataclass;
+    #: the result cache decodes an entry through it.
     result_type: type
 
     def payload(self) -> dict:

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Service-model names accepted by :meth:`QueueingConfig.from_params`
-#: (scenario files, catalog sweeps, CLI flags).
+#: (scenario files).
 SERVICE_MODELS = ("none", "deterministic", "lognormal")
 
 #: Name of the simulator RNG stream stochastic service models draw from.

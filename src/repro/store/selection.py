@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Strategy aliases accepted by :func:`make_strategy` (store
-#: constructor, scenario files, catalog sweeps, CLI flags).
+#: constructor and scenario files).
 STRATEGIES = ("nearest", "least-pending", "c3")
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,10 @@ from repro.cli import build_parser, main
 
 SMALL_ARGS = ["--nodes", "40", "--runs", "2", "--coord-system", "mds",
               "--seed", "3"]
+
+#: A catalog scenario whose faults crash its shards' coordinators.
+CATALOG_SCENARIO = str(pathlib.Path(__file__).parents[2] / "examples"
+                       / "chaos" / "shard_failover.toml")
 
 
 class TestParser:
@@ -35,27 +40,29 @@ class TestParser:
             build_parser().parse_args(["matrix"])
 
     def test_catalog_defaults(self):
-        args = build_parser().parse_args(["catalog"])
+        args = build_parser().parse_args(["catalog", "scenario.toml"])
+        assert args.scenario == "scenario.toml"
         assert args.keys == [100, 1_000]
         assert args.shards == [1, 4, 16]
-        assert args.grouping == "chunked"
 
-    def test_catalog_rejects_unknown_grouping(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["catalog", "--grouping", "psychic"])
+    def test_catalog_requires_a_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["catalog", "--keys", "24"])
+        assert exit_info.value.code == 2
+        assert "required: SCENARIO" in capsys.readouterr().err
 
-    def test_catalog_flags_land_on_the_cell_field_names(self):
-        from dataclasses import fields
-
-        from repro.catalog import CatalogRunSpec
-        args = build_parser().parse_args(
-            ["catalog", "--nodes", "20", "--dc", "6", "--rate", "100"])
-        assert (args.n_nodes, args.n_dc, args.rate_per_second) == (20, 6, 100.0)
-        assert {f.name for f in fields(CatalogRunSpec)} \
-            - {"n_keys", "n_shards"} <= set(vars(args))
+    @pytest.mark.parametrize("flag", ["--grouping", "--nodes", "--rate",
+                                      "--duration-ms", "--strategy"])
+    def test_catalog_world_flags_are_gone(self, flag, capsys):
+        # The scenario file is the one place a catalog cell is described.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["catalog", "scenario.toml", flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command",
-                             [["chaos", "scenario.toml"], ["catalog"]],
+                             [["chaos", "scenario.toml"],
+                              ["catalog", "scenario.toml"]],
                              ids=["chaos", "catalog"])
     def test_engine_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -113,23 +120,52 @@ class TestCommands:
 
     def test_catalog_command(self, tmp_path, capsys):
         path = str(tmp_path / "catalog.csv")
-        assert main(["catalog", "--keys", "24", "--shards", "1", "2",
-                     "--grouping", "chunked", "--group-size", "6",
-                     "--nodes", "20", "--dc", "6", "--seed", "3",
-                     "--rate", "100", "--duration-ms", "8000",
+        assert main(["catalog", CATALOG_SCENARIO, "--keys", "24",
+                     "--shards", "1", "2", "--jobs", "1",
                      "--csv", path]) == 0
         out = capsys.readouterr().out
-        assert "shards" in out
+        assert "shards" in out and "migrations" in out
         with open(path) as handle:
             rows = list(csv.DictReader(handle))
         assert [int(r["n_shards"]) for r in rows] == [1, 2]
         assert all(int(r["reads_completed"]) > 0 for r in rows)
-        assert all(int(r["groups"]) == 4 for r in rows)
+        # shard_failover folds keys 20 to a group: ceil(24 / 20) == 2.
+        assert all(int(r["groups"]) == 2 for r in rows)
+
+    def test_catalog_rows_pool_the_fault_free_runs(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from repro.chaos import load_scenario, run_scenario
+        from repro.chaos.harness import _aggregate
+
+        scenario = load_scenario(CATALOG_SCENARIO)
+        assert scenario.faults            # faults that would crash nodes
+        path = str(tmp_path / "catalog.csv")
+        assert main(["catalog", CATALOG_SCENARIO, "--keys", "24", "40",
+                     "--shards", "1", "2", "--jobs", "1",
+                     "--csv", path]) == 0
+        with open(path) as handle:
+            rows = list(csv.DictReader(handle))
+        cells = [(n_keys, n_shards) for n_keys in (24, 40)
+                 for n_shards in (1, 2)]
+        assert len(rows) == len(cells)
+        for row, (n_keys, n_shards) in zip(rows, cells):
+            cell = replace(scenario, n_keys=n_keys, n_shards=n_shards,
+                           faults=())
+            direct = _aggregate([run_scenario(cell, r, faulty=False)
+                                 for r in range(scenario.runs)])
+            expected = {"n_keys": n_keys, "n_shards": n_shards,
+                        "groups": -(-n_keys // scenario.keys_per_group),
+                        **direct}
+            # CSV holds each float's repr, so the match is bit-exact.
+            assert row == {name: str(value)
+                           for name, value in expected.items()}
+            assert row["crashes"] == "0"
 
     def test_catalog_resumes_from_its_cache(self, tmp_path, capsys):
-        argv = ["catalog", "--keys", "24", "--shards", "1", "2",
-                "--nodes", "20", "--dc", "6", "--duration-ms", "4000",
-                "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+        argv = ["catalog", CATALOG_SCENARIO, "--keys", "24",
+                "--shards", "1", "2", "--jobs", "1",
+                "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         metrics = str(tmp_path / "warm.json")
@@ -138,7 +174,7 @@ class TestCommands:
         assert warm.replace(f"wrote {metrics}\n", "") == cold
         with open(metrics) as handle:
             counters = json.load(handle)["counters"]
-        assert counters["runner.cache_hits"] == counters["runner.jobs"] == 2
+        assert counters["runner.cache_hits"] == counters["runner.jobs"] == 4
         assert "runner.jobs_completed" not in counters
 
     def test_coords_draws_the_chart_when_asked(self, capsys):

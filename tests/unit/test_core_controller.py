@@ -50,8 +50,6 @@ class TestConstruction:
             ControllerConfig(adaptive_k=True, k=5, k_max=3)
         with pytest.raises(ValueError):
             ControllerConfig(adaptive_k=True, demand_low=100, demand_high=50)
-        with pytest.raises(ValueError):
-            ControllerConfig(summary_decay=0.0)
 
 
 class TestAccessRecording:
@@ -147,26 +145,14 @@ class TestEpochs:
         assert report.migrated
         assert sorted(ctrl.sites) == [0, 3]
 
-    def test_decay_mode_keeps_summaries_across_epochs(self):
-        ctrl = make_controller(
-            initial_sites=[0],
-            config=ControllerConfig(k=1, max_micro_clusters=10,
-                                    radius_floor=2.0, summary_decay=0.9),
-        )
-        rng = np.random.default_rng(0)
-        ctrl.record_batch(0, rng.normal([2.0, 2.0], 1.0, size=(100, 2)))
-        ctrl.run_epoch()
-        # With decay (not reset), the aged clusters persist.
-        assert sum(len(s) for s in ctrl._summaries.values()) > 0
-
-    def test_decay_mode_counts_accesses_per_epoch(self):
-        # Decay keeps the clusters' history, not the window's counters:
-        # each report (and adaptive k's demand) sees one epoch's accesses.
+    def test_each_report_counts_one_epochs_accesses(self):
+        # Summaries restart every epoch: each report (and adaptive k's
+        # demand) sees one epoch's accesses, never a running total.
         ctrl = make_controller(
             initial_sites=[0, 1],
             config=ControllerConfig(
                 k=2, max_micro_clusters=10, radius_floor=2.0,
-                summary_decay=0.9, adaptive_k=True, k_min=1, k_max=7,
+                adaptive_k=True, k_min=1, k_max=7,
                 demand_low=10, demand_high=120))
         rng = np.random.default_rng(0)
         reports = []

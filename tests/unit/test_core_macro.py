@@ -171,8 +171,8 @@ class TestEstimateAverageDelay:
             estimate_average_delay(cf([0, 0]), np.empty((0, 2)))
 
     def test_fractional_counts_from_decay_supported(self):
-        # After exponential decay, counts become fractional; the
-        # weighted mean must still be exact.
+        # A record's counts need not be integers (a decayed or
+        # externally built summary); the weighted mean must stay exact.
         micros = MicroClusters([0.5, 1.5], [0.5, 1.5],
                                [[0.0, 0.0], [15.0, 0.0]],
                                [[0.0, 0.0], [150.0, 0.0]])

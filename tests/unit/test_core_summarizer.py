@@ -61,15 +61,13 @@ class TestRecording:
 
     def test_snapshot_independent_of_live_state(self):
         # The record read from ``clusters`` is the one that ships: what
-        # the summary does next — decay, more accesses, a reset — never
+        # the summary does next — more accesses, a reset — never
         # reaches it, and it cannot be written to.
-        s = ReplicaAccessSummary(radius_floor=10.0, decay=0.5)
+        s = ReplicaAccessSummary(radius_floor=10.0)
         s.record_batch(np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 0.0]]),
                        np.array([1.0, 2.0, 3.0]))
         shipped = s.clusters
         kept = [column.copy() for column in columns(shipped)]
-        s.age()
-        assert s.clusters.counts.tolist() == [1.0, 0.5]
         s.record_access(np.array([1.0, 1.0]))
         s.reset()
         assert shipped.counts.tolist() == [2.0, 1.0]
@@ -151,43 +149,3 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="not finite"):
                 s.record_access(np.array(point), weight)
         self.assert_untouched(s, before)
-
-
-class TestDecay:
-    def test_decay_validation(self):
-        with pytest.raises(ValueError, match="decay"):
-            ReplicaAccessSummary(decay=0.0)
-        with pytest.raises(ValueError, match="decay"):
-            ReplicaAccessSummary(decay=1.5)
-
-    def test_age_noop_without_decay(self):
-        s = ReplicaAccessSummary()
-        s.record_access(np.zeros(2))
-        s.age()
-        assert s.clusters.counts[0] == 1
-
-    def test_age_scales_statistics_preserving_centroid(self):
-        s = ReplicaAccessSummary(decay=0.5, radius_floor=10.0)
-        s.record_access(np.array([2.0, 4.0]))
-        s.record_access(np.array([4.0, 2.0]))
-        before = s.clusters.centroids
-        s.age()
-        assert np.allclose(s.clusters.centroids, before)
-        assert s.clusters.counts[0] == pytest.approx(1.0)
-
-    def test_age_drops_faded_clusters(self):
-        s = ReplicaAccessSummary(decay=0.1, radius_floor=1.0)
-        s.record_access(np.zeros(2))
-        s.age()  # count 0.1
-        s.age()  # count 0.01 -> dropped
-        assert len(s) == 0
-
-    @pytest.mark.parametrize("decay", [0.5, 1.0])
-    def test_age_restarts_window_counters(self, decay):
-        s = ReplicaAccessSummary(decay=decay, radius_floor=10.0)
-        s.record_batch(np.zeros((3, 2)), np.full(3, 2.0))
-        s.age()
-        assert (s.accesses, s.bytes_served) == (0, 0.0)
-        assert len(s) == 1  # the decayed history stays
-        s.record_batch(np.zeros((2, 2)))
-        assert (s.accesses, s.bytes_served) == (2, 2.0)

@@ -15,7 +15,6 @@ import repro.runner
 import repro.runner.cache
 from repro import obs
 from repro.analysis.experiment import EvaluationSetting, Table2Row
-from repro.catalog import CatalogRunSpec
 from repro.chaos import ChaosRunSpec, load_scenario
 from repro.placement.offline_kmeans import OfflineKMeansPlacement
 from repro.placement.online import OnlineClusteringPlacement
@@ -57,8 +56,11 @@ SPEC_KINDS = {
     "table2": lambda: Table2Spec(n_accesses=60, k=2, m=3, seed=5),
     "chaos": lambda: ChaosRunSpec(_smoke_scenario(), run_index=0,
                                   faulty=True),
-    "catalog": lambda: CatalogRunSpec(n_keys=20, n_shards=2, n_nodes=30,
-                                      n_dc=6, duration_ms=2_000.0),
+    # A catalog cell is a catalog-mode chaos scenario's fault-free run.
+    "catalog": lambda: ChaosRunSpec(
+        dataclasses.replace(_smoke_scenario(), n_keys=20, n_shards=2,
+                            keys_per_group=5, faults=()),
+        run_index=0, faulty=False),
 }
 
 
@@ -264,11 +266,8 @@ class TestCacheKey:
         class AsKeyedBefore:
             def payload(self):
                 payload = spec.payload()
-                if kind == "chaos":
-                    payload["scenario"] = {**payload["scenario"],
-                                           "engine": "batched"}
-                else:
-                    payload["engine"] = "batched"
+                payload["scenario"] = {**payload["scenario"],
+                                       "engine": "batched"}
                 return payload
 
         cache = ResultCache(str(tmp_path))
@@ -387,6 +386,11 @@ class TestResultCache:
         with pytest.raises(TypeError, match="cannot cache"):
             cache.put(Table2Spec(n_accesses=10, k=2, m=3), object())
 
+    def test_a_dict_result_does_not_encode(self):
+        # A cached result is a number or a dataclass, nothing else.
+        with pytest.raises(TypeError, match="cannot cache"):
+            repro.runner.cache._encode_result({"delay": 41.5})
+
     @pytest.mark.parametrize("kind", ["table2", "chaos", "catalog"])
     @pytest.mark.parametrize("stored", [12.5, 0, True, None, "12.5",
                                         [1, 2]], ids=repr)
@@ -403,6 +407,8 @@ class TestResultCache:
         ("catalog", [1, 2], "list"),
         ("placement", True, "bool"),
         ("placement", {"delay": 41.5}, "dict"),
+        ("table2", {"k": 2}, "dict"),
+        ("catalog", {"reads_issued": 1}, "dict"),
     ])
     def test_result_of_another_type_is_refused(self, tmp_path, kind,
                                                result, wrong):

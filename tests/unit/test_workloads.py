@@ -385,8 +385,9 @@ class TestOneAccessDriver:
         code = f"""
             import sys
             import numpy as np
+            from dataclasses import replace
+
             import repro.workloads
-            from repro.catalog import CatalogRunSpec, run_catalog_cell
             from repro.chaos import load_scenario, run_scenario
             from repro.net.planetlab import small_matrix
             from repro.sim import Simulator
@@ -394,12 +395,13 @@ class TestOneAccessDriver:
             from repro.workloads import (ClientPopulation, generate_trace,
                                          replay_trace)
 
-            result = run_scenario(load_scenario({examples!r} + "/smoke.toml"))
+            smoke = load_scenario({examples!r} + "/smoke.toml")
+            result = run_scenario(smoke)
             assert result.reads_completed > 0
-            row = run_catalog_cell(CatalogRunSpec(
-                n_keys=20, n_shards=2, n_nodes=30, n_dc=6,
-                duration_ms=2_000.0))
-            assert row["reads_completed"] > 0
+            cell = run_scenario(replace(smoke, n_keys=20, n_shards=2,
+                                        duration_ms=2_000.0, faults=()),
+                                faulty=False)
+            assert cell.reads_completed > 0
             sim = Simulator(seed=3)
             store = ReplicatedStore(sim, small_matrix(n=15, seed=2),
                                     (0, 1, 2), np.zeros((15, 3)),
@@ -422,10 +424,7 @@ class TestOneAccessDriver:
         assert done.returncode == 0, done.stderr
 
     def test_no_engine_selector_is_left(self):
-        from repro.catalog import CatalogRunSpec
         from repro.chaos.harness import live_world
-        with pytest.raises(TypeError, match="engine"):
-            CatalogRunSpec(n_keys=4, n_shards=1, engine="batched")
         with pytest.raises(TypeError, match="engine"):
             live_world(20, 4, 0, engine="batched")
         with pytest.raises(TypeError, match="engine"):

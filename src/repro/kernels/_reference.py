@@ -15,7 +15,7 @@ Operation order is part of the contract: squared differences fold left
 to right over the last axis and ties resolve to the lowest index — that
 is what makes the numpy kernels *bitwise* comparable for d <= 2.  From
 d = 3 on they sum in another order (``(x² + z²) + y²``: the CF kernel's
-``two_lane_fold``, the ``einsum`` of the k-means kernels), so distances
+``two_lane_fold``, the same fold in the k-means distance kernel), so distances
 can differ in the last ulp and an exact tie in the absorb rule can fall
 the other way (``tests/unit/test_absorb_kernel.py`` pins one).
 """
@@ -29,8 +29,13 @@ import numpy as np
 
 
 # -- repro.kernels.wkmeans ---------------------------------------------
+# The k-means kernels take one restart or a stack of restarts (a leading
+# axis on ``centers`` and on what derives from it); the twins loop over
+# the stack.
 def sq_distances(points, centers):
     """Scalar :func:`repro.kernels.wkmeans.sq_distances`."""
+    if centers.ndim == 3:
+        return np.stack([sq_distances(points, c) for c in centers])
     rows = points.tolist()
     cols = centers.tolist()
     out = [[0.0] * len(cols) for _ in rows]
@@ -47,6 +52,8 @@ def sq_distances(points, centers):
 
 def assign_labels(sq):
     """Scalar :func:`repro.kernels.wkmeans.assign_labels`."""
+    if sq.ndim == 3:
+        return np.stack([assign_labels(s) for s in sq])
     labels = []
     for row in sq.tolist():
         best, best_val = -1, math.inf
@@ -59,6 +66,9 @@ def assign_labels(sq):
 
 def assignment_costs(sq, labels, weights):
     """Scalar :func:`repro.kernels.wkmeans.assignment_costs`."""
+    if sq.ndim == 3:
+        return np.stack([assignment_costs(s, lab, weights)
+                         for s, lab in zip(sq, labels)])
     out = [w * row[lab] for row, lab, w in
            zip(sq.tolist(), labels.tolist(), weights.tolist())]
     return np.asarray(out, dtype=float)
@@ -66,6 +76,9 @@ def assignment_costs(sq, labels, weights):
 
 def update_centroids(points, labels, weights, centers, costs):
     """Scalar :func:`repro.kernels.wkmeans.update_centroids`."""
+    if centers.ndim == 3:
+        return np.stack([update_centroids(points, lab, weights, c, cost)
+                         for lab, c, cost in zip(labels, centers, costs)])
     k = centers.shape[0]
     d = points.shape[1]
     sums = [[0.0] * d for _ in range(k)]

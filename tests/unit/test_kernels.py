@@ -241,6 +241,56 @@ class TestWKMeansKernels:
                                         costs)
             np.testing.assert_array_equal(new[1], points[1])
 
+    def test_stacked_kernels_equal_restart_by_restart(self, cloud):
+        # A (R, k, d) stack is R one-restart calls, bit for bit; the
+        # twins loop over the stack.
+        points, centers, weights = cloud
+        stack = np.stack([centers, centers[::-1] * 0.5, centers + 3.0])
+        sq = wk.sq_distances(points, stack)
+        labels = wk.assign_labels(sq)
+        costs = wk.assignment_costs(sq, labels, weights)
+        new = wk.update_centroids(points, labels, weights, stack, costs)
+        for r, one in enumerate(stack):
+            one_sq = wk.sq_distances(points, one)
+            one_labels = wk.assign_labels(one_sq)
+            one_costs = wk.assignment_costs(one_sq, one_labels, weights)
+            assert sq[r].tobytes() == one_sq.tobytes()
+            assert labels[r].tobytes() == one_labels.tobytes()
+            assert costs[r].tobytes() == one_costs.tobytes()
+            assert new[r].tobytes() == wk.update_centroids(
+                points, one_labels, weights, one, one_costs).tobytes()
+        np.testing.assert_allclose(ref.sq_distances(points, stack), sq,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(ref.assign_labels(sq), labels)
+        np.testing.assert_array_equal(
+            ref.assignment_costs(sq, labels, weights), costs)
+        np.testing.assert_allclose(
+            ref.update_centroids(points, labels, weights, stack, costs), new,
+            rtol=0, atol=1e-12)
+
+    def test_weighted_kmeans_runs_on_the_twins(self, monkeypatch, cloud):
+        # Inside scalar_twins() every k-means kernel call must reach its
+        # twin: a path that called numpy directly would leave the
+        # backend differentials comparing the kernels with themselves.
+        called = set()
+        names = {"sq_distances", "assign_labels", "assignment_costs",
+                 "update_centroids"}
+        for name in names:
+            def counted(*args, _twin=getattr(ref, name), _name=name):
+                called.add(_name)
+                return _twin(*args)
+            monkeypatch.setattr(ref, name, counted)
+        points, _, weights = cloud
+        want = weighted_kmeans(points, 4, weights=weights,
+                               rng=np.random.default_rng(2))
+        assert called == set()
+        with scalar_twins():
+            got = weighted_kmeans(points, 4, weights=weights,
+                                  rng=np.random.default_rng(2))
+        assert called == names
+        np.testing.assert_allclose(got.centroids, want.centroids,
+                                   rtol=0, atol=1e-9)
+
     def test_cross_distances_backends_agree(self, cloud):
         points, centers, _ = cloud
         heights = np.abs(np.random.default_rng(1).normal(size=5))

@@ -148,3 +148,53 @@ class TestWeightedKMeans:
         r1 = weighted_kmeans(points, 3, rng=np.random.default_rng(9))
         r2 = weighted_kmeans(points, 3, rng=np.random.default_rng(9))
         assert np.allclose(r1.centroids, r2.centroids)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_non_finite_points_are_refused(self, bad, k):
+        points = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            weighted_kmeans(points, k)
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans_pp_init(points, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_refused(self, bad):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        weights = np.array([1.0, bad, 1.0])
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                weighted_kmeans(points, k, weights=weights)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            kmeans_pp_init(points, 2, np.random.default_rng(0), weights)
+
+    def test_weights_summing_past_the_float_range_are_refused(self):
+        points = np.array([[0.0], [1.0], [2.0]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="finite sum"):
+            weighted_kmeans(points, 2, weights=np.full(3, 1e308))
+
+    @pytest.mark.parametrize("n_init", [0, -1])
+    def test_n_init_below_one_is_refused(self, n_init):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="n_init"):
+            weighted_kmeans(points, 2, n_init=n_init)
+
+    def test_overflowing_distances_are_refused(self):
+        # Finite points whose squared distances overflow would give the
+        # seeding a NaN CDF; Generator.choice raised here before.
+        points = np.array([[0.0], [1e200], [-1e200]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="overflow"):
+            weighted_kmeans(points, 2)
+
+    def test_k_at_least_n_returns_the_points_unpadded(self):
+        points = np.array([[0.0, 0.0], [5.0, 5.0]])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        result = weighted_kmeans(points, 4, rng=rng)
+        assert result.k == 2
+        np.testing.assert_array_equal(result.centroids, points)
+        assert rng.bit_generator.state == state

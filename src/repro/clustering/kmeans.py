@@ -149,12 +149,17 @@ def weighted_kmeans(points: np.ndarray, k: int,
         inertias = _wk.assignment_costs(sq, labels, weights).sum(axis=1)
         # min() keeps the first of equal keys: the old strict-< scan.
         best = min(range(n_init), key=inertias.tolist().__getitem__)
+        if not np.isfinite(inertias[best]):
+            raise ValueError(_OVERFLOW)
     result = KMeansResult(centers[best].copy(), labels[best].copy(),
                           float(inertias[best]), int(iterations[best]))
     if registry.enabled:
         registry.counter("clustering.kmeans.runs").inc()
         registry.counter("clustering.kmeans.iterations").inc(result.iterations)
     return result
+
+
+_OVERFLOW = "points too far apart: squared distances overflow"
 
 
 def _checked(points: np.ndarray, weights: np.ndarray | None
@@ -197,12 +202,13 @@ def _seed(points: np.ndarray, weights: np.ndarray, total: float,
     centers = np.empty((restarts, k, points.shape[1]))
     centers[:, 0] = points[np.searchsorted(cdf, uniforms[:, 0], side="right")]
     closest = _wk.sq_distances(points, centers[:, :1])[..., 0]
+    if not np.isfinite(closest).all():
+        raise ValueError(_OVERFLOW)
     for i in range(1, k):
         scores = weights * closest
         totals = scores.sum(axis=1)
         if not np.isfinite(totals).all():
-            raise ValueError(
-                "points too far apart: squared distances overflow")
+            raise ValueError(_OVERFLOW)
         # A restart whose remaining mass sits on chosen points draws by
         # weight alone, like its first center.
         live = totals > 0

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.coords.space import EuclideanSpace
 from repro.coords.vivaldi import VivaldiNode
+from repro.kernels import fold_norms
 
 __all__ = ["RNPNode"]
 
@@ -232,13 +233,13 @@ class RNPNode:
         grad = np.zeros_like(x)
         if self.space.use_height:
             planar_diff = x[None, :-1] - anchors[:, :-1]
-            norms = np.maximum(np.linalg.norm(planar_diff, axis=1), 1e-9)
+            norms = np.maximum(fold_norms(planar_diff), 1e-9)
             coeff = 2.0 * weights * resid
             grad[:-1] = (coeff[:, None] * planar_diff / norms[:, None]).sum(axis=0)
             grad[-1] = coeff.sum()
         else:
             diff = x[None, :] - anchors
-            norms = np.maximum(np.linalg.norm(diff, axis=1), 1e-9)
+            norms = np.maximum(fold_norms(diff), 1e-9)
             coeff = 2.0 * weights * resid
             grad = (coeff[:, None] * diff / norms[:, None]).sum(axis=0)
         return grad

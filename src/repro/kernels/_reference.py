@@ -27,6 +27,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from repro.kernels import fold_norms as _fold_norms
+
 
 # -- repro.kernels.wkmeans ---------------------------------------------
 # The k-means kernels take one restart or a stack of restarts (a leading
@@ -257,10 +259,9 @@ def embed_rounds(rtt, system, space, rounds, rng, outlier_fraction=0.0,
                 # both heights even for a motionless node).
                 diff = snapshot - previous
                 if space.use_height:
-                    moves = (np.linalg.norm(diff[:, :-1], axis=1)
-                             + np.abs(diff[:, -1]))
+                    moves = _fold_norms(diff[:, :-1]) + np.abs(diff[:, -1])
                 else:
-                    moves = np.linalg.norm(diff, axis=1)
+                    moves = _fold_norms(diff)
                 displacements.append(float(moves.mean()))
             previous = snapshot
 

@@ -22,10 +22,14 @@ keeps the primitive the classes use:
   multiply-add.  Stacked, that is the ``(B, 1, d) @ (B, d, 1)`` matmul,
   which ends in the same ``ddot``; ``(x * x).sum``, ``add.reduce`` and
   ``einsum`` round differently in the last bit.
-* the refit's anchor distances are ``norm(axis=-1)`` of a difference
-  stack and its losses pairwise row sums, exactly as in
-  :func:`repro.kernels.wkmeans.cross_distances` and ``RNPNode._loss``;
-  they batch along a leading axis unchanged.
+* the refit's anchor distances are :func:`repro.kernels.fold_norms` of
+  a difference stack (squares added left to right), exactly as in
+  :func:`repro.kernels.wkmeans.cross_distances`; its losses and weight
+  totals are pairwise sums over contiguous ``(B, w)`` rows, like
+  ``RNPNode``'s 1-D sums; its gradient's window sum is an axis-0 reduce
+  over a sample-major stack, sequential in the samples like
+  ``RNPNode._grad``'s ``(w, d)`` column sums — except at ``d = 1``,
+  where that column is one contiguous run and numpy sums it pairwise.
 
 Random draws are consumed draw for draw: initial points per node, one
 ``peers`` draw per round, the per-measurement outlier draws as one
@@ -43,6 +47,8 @@ reference and the implementation live gossip (``repro.sim.gossip``) runs.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kernels import fold_norms
 
 __all__ = ["embed_rounds", "wave_schedule"]
 
@@ -187,10 +193,9 @@ def embed_rounds(rtt: np.ndarray, system: str, space, rounds: int,
                 # both heights even for a motionless node).
                 diff = snapshot - previous
                 if space.use_height:
-                    moves = (np.linalg.norm(diff[:, :-1], axis=1)
-                             + np.abs(diff[:, -1]))
+                    moves = fold_norms(diff[:, :-1]) + np.abs(diff[:, -1])
                 else:
-                    moves = np.linalg.norm(diff, axis=1)
+                    moves = fold_norms(diff)
                 displacements.append(float(moves.mean()))
             previous = snapshot
 
@@ -305,31 +310,50 @@ class _Swarm:
         first.  The damped-gradient IRLS runs for all of ``nodes`` in
         lockstep; per-node masks stand in for the scalar loop's accept /
         reject / ``break`` decisions.
+
+        Per-sample arrays are ``(B, w)`` rows, whose sums over the window
+        are pairwise like ``RNPNode``'s 1-D sums.  The anchor offsets are
+        sample-major ``(w, d, B)`` stacks instead: the gradient's window
+        sum is then an axis-0 reduce, which adds the samples one after
+        the other like ``RNPNode._grad``'s ``(w, d)`` column sums, and
+        every elementwise pass runs along contiguous ``B``-long rows.
         """
         held = (nodes[:, None], span)
-        anchors = self.anchors[held]                          # (B, w, size)
         rtts = self.rtts[held]                                # (B, w)
-        anchor_planar = anchors[:, :, self.planar]
+        window = self.anchors[nodes, span[:, None]].transpose(0, 2, 1)
+        anchor_planar = np.ascontiguousarray(window[:, self.planar])
+        if self.use_height:
+            anchor_heights = window[:, -1].T.copy()           # (B, w)
         age = np.arange(span.size - 1, -1, -1, dtype=float)
         recency = np.power(0.5, age / self.recency_half_life)
         base = recency * (1.0 / (1.0 + self.remote_errors[held]))
         base = base / base.sum(axis=-1, keepdims=True)
+        offsets = np.empty_like(anchor_planar)                # (w, d, B)
+        terms = np.empty_like(anchor_planar)
+
+        def offsets_to(x):
+            """``x``'s planar offsets from the anchors, into ``offsets``."""
+            return np.subtract(x.T[None, self.planar], anchor_planar,
+                               out=offsets)
 
         def fit(x):
-            """Offsets to, distances to and predicted RTTs of the anchors."""
-            offsets = x[:, None, self.planar] - anchor_planar
-            dist = np.linalg.norm(offsets, axis=-1)
+            """Distances ``(w, B)`` to and predicted RTTs ``(B, w)`` of
+            the anchors."""
+            dist = fold_norms(offsets_to(x).transpose(0, 2, 1))
+            pred = dist.T.copy()        # C order: rows summed pairwise
             if self.use_height:
-                return offsets, dist, dist + x[:, -1:] + anchors[:, :, -1]
-            return offsets, dist, dist
+                pred += x[:, -1:]
+                pred += anchor_heights
+            return dist, pred
 
         def loss_of(pred, weights):
             resid = pred - rtts
             return np.sum(weights * resid * resid, axis=-1)
 
         start = self.coords[nodes]
-        x, (offsets, dist, pred) = start, fit(start)
+        x, (dist, pred) = start, fit(start)
         start_pred = pred
+        grad = np.empty_like(x)
         weights = base
         fitting = np.ones(nodes.size, dtype=bool)
         # IRLS: after a first fit, one-sidedly discount the samples the
@@ -338,12 +362,17 @@ class _Swarm:
             loss = loss_of(pred, weights)
             step = np.full(nodes.size, 0.5)
             active = fitting.copy()
+            twice = 2.0 * weights
             for _ in range(self.refit_steps):
-                coeff = 2.0 * weights * (pred - rtts)
-                grad = np.empty_like(x)
-                grad[:, self.planar] = (
-                    coeff[:, :, None] * offsets
-                    / np.maximum(dist, 1e-9)[:, :, None]).sum(axis=1)
+                coeff = twice * (pred - rtts)
+                np.multiply(coeff.T[:, None], offsets_to(x), out=terms)
+                terms /= np.maximum(dist, 1e-9)[:, None]
+                if terms.shape[1] > 1:
+                    grad[:, self.planar] = terms.sum(axis=0).T
+                else:
+                    # RNPNode._grad's (w, 1) column sum is pairwise, like
+                    # a contiguous row sum.
+                    grad[:, 0] = terms[:, 0].T.copy().sum(axis=-1)
                 if self.use_height:
                     grad[:, -1] = coeff.sum(axis=-1)
                 active &= ~(_norms(grad) < 1e-9)
@@ -352,14 +381,13 @@ class _Swarm:
                 candidate = x - step[:, None] * grad
                 if self.use_height:
                     candidate[candidate[:, -1] < 0, -1] = 0.0
-                trial_offsets, trial_dist, trial_pred = fit(candidate)
+                trial_dist, trial_pred = fit(candidate)
                 trial_loss = loss_of(trial_pred, weights)
                 accept = active & (trial_loss < loss)
                 reject = active & ~accept
                 took = accept[:, None]
                 x = np.where(took, candidate, x)
-                offsets = np.where(took[:, :, None], trial_offsets, offsets)
-                dist = np.where(took, trial_dist, dist)
+                dist = np.where(accept, trial_dist, dist)
                 pred = np.where(took, trial_pred, pred)
                 loss = np.where(accept, trial_loss, loss)
                 step = np.where(accept, step * 1.2,

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import fold_norms
+
 __all__ = [
     "sq_distances",
     "assign_labels",
@@ -171,7 +173,7 @@ def cross_distances(a: np.ndarray, b: np.ndarray,
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    d = fold_norms(a[:, None, :] - b[None, :, :])
     if a_heights is not None:
         d = d + np.asarray(a_heights, dtype=float)[:, None]
     if b_heights is not None:

@@ -310,6 +310,32 @@ class TestWKMeansKernels:
 
 
 # ----------------------------------------------------------------------
+# The left-fold norm of cross_distances and the RNP refit
+# ----------------------------------------------------------------------
+def spread_vectors(shape, d, seed=11):
+    """Vectors whose components span many magnitudes, so that a change
+    of summation order shows in the last bit."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(*shape, d)) * 10.0 ** rng.uniform(-3, 3, (*shape, d))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("shape", [(5000,), (57, 64), (3, 7, 11)])
+def test_fold_norms_is_norm_below_eight_components(shape, d):
+    vectors = spread_vectors(shape, d)
+    want = np.linalg.norm(vectors, axis=-1)
+    assert kernels.fold_norms(vectors).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(0, 10))
+def test_fold_norms_folds_like_the_scalar_cross_distances(d):
+    a, b = spread_vectors((9,), d, seed=3), spread_vectors((13,), d, seed=4)
+    got = wk.cross_distances(a, b)
+    assert got.shape == (9, 13)
+    assert got.tobytes() == ref.cross_distances(a, b).tobytes()
+
+
+# ----------------------------------------------------------------------
 # CF kernels
 # ----------------------------------------------------------------------
 class TestCFKernels:

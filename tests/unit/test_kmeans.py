@@ -190,6 +190,26 @@ class TestInputChecks:
                 pytest.raises(ValueError, match="overflow"):
             weighted_kmeans(points, 2)
 
+    @pytest.mark.parametrize("weights", [None, [1.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflow_is_refused_for_every_k(self, k, weights):
+        # k = 1 draws no k-means++ step after its first center; it used
+        # to run every Lloyd iteration and return inertia inf (or nan:
+        # 0 x inf with the zero weight).
+        points = np.array([[0.0], [1e200], [-1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="points too far apart: "
+                              "squared distances overflow"):
+            weighted_kmeans(points, k, weights=weights)
+
+    def test_overflowing_inertia_is_refused(self):
+        # Every squared distance is finite (the seeding passes), but the
+        # inertia of one cluster over all ten points is not.
+        points = np.array([[0.0]] * 5 + [[1.3e154]] * 5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflow"):
+            weighted_kmeans(points, 1)
+
     def test_k_at_least_n_returns_the_points_unpadded(self):
         points = np.array([[0.0, 0.0], [5.0, 5.0]])
         rng = np.random.default_rng(0)
